@@ -21,7 +21,6 @@ from .molecules import (  # noqa: F401
     S,
     UnlabeledShape,
     Window,
-    cells,
     configuration_from_json,
     configuration_to_json,
     perimeter,
@@ -60,11 +59,9 @@ from .interfaces import (  # noqa: F401
     normalized_density,
     pattern_upper_bound,
     solve_interface,
-    volume_solve,
 )
 from .gauges import (  # noqa: F401
     GaugePolygon,
-    gauge_eval,
     min_envelope,
     mirror,
     phi_closed_form,

@@ -37,12 +37,13 @@ from .densities import DensityModel, consistency_check
 from .gauges import phi_closed_form, min_envelope, wulff_shape
 from .interfaces import (
     ClusterCapExceeded,
-    Direction,
+    DensityRecord,
     InfeasibleBoundary,
     InterfaceProblem,
     cluster_min_perimeter,
     default_budget,
     density_record,
+    direction,
     solve_interface,
 )
 from .limits import (
@@ -63,7 +64,7 @@ from .molecules import (
     weighted_perimeter,
 )
 from .rectregions import rects_to_jsonable
-from .svgout import configuration_svg, level_set_and_wulff_svg
+from .svgout import PHASE_PALETTE, configuration_svg, level_set_and_wulff_svg
 
 
 class CliError(Exception):
@@ -165,15 +166,20 @@ def cmd_energy(args) -> int:
 def cmd_density(args) -> int:
     if args.i == args.j:
         raise CliError("phases i and j must differ")
-    nu = Direction(*_coprime(args.p, args.q))
-    weights = _parse_weights(args.weights)
-    t_list = [int(t) for t in args.T.split(",")]
+    try:
+        nu = direction(args.p, args.q)
+        weights = _parse_weights(args.weights)
+        problems = [
+            InterfaceProblem(args.i, args.j, nu, int(T), weights, args.kind)
+            for T in args.T.split(",")
+        ]
+    except ValueError as exc:
+        raise CliError(str(exc))
     budget = args.budget if args.budget is not None else default_budget()
     rows = []
     records = []
     truncated = False
-    for T in t_list:
-        prob = InterfaceProblem(args.i, args.j, nu, T, weights, args.kind)
+    for prob in problems:
         try:
             result = solve_interface(prob, budget)
         except InfeasibleBoundary as exc:
@@ -183,9 +189,11 @@ def cmd_density(args) -> int:
         rows.append(rec.csv_row())
         truncated = truncated or result.certificate != "exact"
         if args.witness_dir:
-            out = Path(args.witness_dir) / f"witness_{args.i}_{args.j}_{nu.p}_{nu.q}_T{T}.svg"
+            out = Path(args.witness_dir) / f"witness_{args.i}_{args.j}_{nu.p}_{nu.q}_T{prob.T}.svg"
             out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(configuration_svg(result.config, comment=f"T={T}"))
+            out.write_text(
+                configuration_svg(result.config, comment=f"T={prob.T}", palette=args.palette)
+            )
     manifest = make_manifest(
         "density",
         {
@@ -195,8 +203,6 @@ def cmd_density(args) -> int:
         [],
         [args.csv] if args.csv else [],
     )
-    from .interfaces import DensityRecord
-
     header = (
         "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
         + DensityRecord.CSV_COLUMNS + "\n"
@@ -216,15 +222,6 @@ def cmd_density(args) -> int:
     if not report.ok:
         sys.stderr.write("consistency violations:\n  " + "\n  ".join(report.violations) + "\n")
     return 0
-
-
-def _coprime(p: int, q: int) -> tuple[int, int]:
-    import math
-
-    g = math.gcd(abs(p), abs(q))
-    if g == 0:
-        raise CliError("direction cannot be (0,0)")
-    return p // g, q // g
 
 
 def cmd_wulff(args) -> int:
@@ -288,7 +285,11 @@ def cmd_lemma(args) -> int:
     if report.witness is not None and args.witness_svg:
         write_text(
             args.witness_svg,
-            configuration_svg(report.witness, comment=f"violating covering k={args.k}"),
+            configuration_svg(
+                report.witness,
+                comment=f"violating covering k={args.k}",
+                palette=args.palette,
+            ),
         )
     return 0 if report.complete else 3
 
@@ -396,20 +397,14 @@ def cmd_limit(args) -> int:
     part = _load_partition(args.partition)
     model = DensityModel.with_patterns() if args.model == "patterns" else DensityModel.closed_form_only()
     if args.table:
-        from .interfaces import DensityRecord
-
-        records = []
-        for line in Path(args.table).read_text().splitlines():
-            if not line or line.startswith("#") or line.startswith("i,"):
-                continue
-            f = line.split(",")
-            records.append(
-                DensityRecord(
-                    int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
-                    Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
-                    f[10], int(f[11]),
-                )
-            )
+        try:
+            records = [
+                DensityRecord.from_csv_row(line)
+                for line in Path(args.table).read_text().splitlines()
+                if line and not line.startswith("#") and not line.startswith("i,")
+            ]
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read table {args.table}: {exc}")
         model.add_records(records)
     total, rows = limit_energy(part, model, detailed=True)
     payload: dict = {
@@ -448,7 +443,9 @@ def cmd_limit(args) -> int:
     if args.svg:
         from .svgout import partition_svg
 
-        write_text(args.svg, partition_svg(part, rows, comment="partition"))
+        write_text(
+            args.svg, partition_svg(part, rows, comment="partition", palette=args.palette)
+        )
     return 0
 
 
@@ -476,7 +473,12 @@ def cmd_cluster(args) -> int:
     sys.stdout.write(text)
     write_text(args.json, text)
     if args.svg:
-        write_text(args.svg, configuration_svg(config, comment=f"cluster ({args.r},{args.s})"))
+        write_text(
+            args.svg,
+            configuration_svg(
+                config, comment=f"cluster ({args.r},{args.s})", palette=args.palette
+            ),
+        )
     return 0
 
 
@@ -488,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         help="JSON file presetting weights, budget, cluster cap, and palette",
     )
+    ap.set_defaults(palette=PHASE_PALETTE)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("energy", help="energies of a configuration file")
@@ -571,11 +574,9 @@ def _apply_preset(args) -> None:
         args.cap = int(preset["cluster_cap"])
     palette = preset.get("palette")
     if palette:
-        from . import svgout
-
         if len(palette) != 9:
             raise CliError("palette preset needs exactly 9 colors")
-        svgout.PHASE_PALETTE = tuple(palette)
+        args.palette = tuple(palette)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ The enumeration branches on the lexicographically first uncovered cell of
 the square and tries every placement covering it.  That canonical order
 makes the search exhaustive and duplicate-free: each covering is produced
 exactly once, as the sequence of its molecules sorted by the first target
-cell they cover.
+cell they cover.  Cells are encoded as bits of int masks by a shared
+placement table (`chiralattice.placements`).
 
 For coverings of built-in molecules the interior single-phase property is
 checked through phase labels; for user shape sets, where no phase map
@@ -32,11 +33,11 @@ from .molecules import (
     Configuration,
     Molecule,
     MoleculeShape,
-    UnlabeledShape,
     Window,
     phase_label,
     validate,
 )
+from .placements import Placement, PlacementTable
 
 
 class CapExceeded(RuntimeError):
@@ -100,102 +101,46 @@ class LemmaReport:
 
 
 # -------------------------------------------------------------------
-# Placement tables
+# The covering DFS
 # -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Placement:
-    shape: MoleculeShape
-    anchor: tuple[int, int]
-    mask: int
-    meets_inner: bool
-    label: int | None  # phase label for built-ins, else None
-
-
-def _build_placements(
-    k: int, shapes: Sequence[MoleculeShape], inner_margin: int
-) -> tuple[list[tuple[int, int]], dict[tuple[int, int], list[_Placement]]]:
-    """Target cells of Q_2k in canonical order and placements per cell."""
-    lo, hi = -k - 3, k + 2  # extended box of cells reachable by overhang
-    width = hi - lo + 1
-
-    def bit(cell: tuple[int, int]) -> int:
-        return 1 << ((cell[0] - lo) + (cell[1] - lo) * width)
-
-    targets = sorted((c, r) for c in range(-k, k) for r in range(-k, k))
-    half_inner = k - inner_margin // 2  # open square of side 2k - inner_margin
-    by_cell: dict[tuple[int, int], list[_Placement]] = {t: [] for t in targets}
-    seen: set[tuple[str, tuple[int, int]]] = set()
-    for cell in targets:
-        for shape in shapes:
-            for off in shape.cells:
-                anchor = (cell[0] - off[0], cell[1] - off[1])
-                key = (shape.name, anchor)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cells = [
-                    (anchor[0] + c, anchor[1] + r) for c, r in shape.cells
-                ]
-                if not any(-k <= x < k and -k <= y < k for x, y in cells):
-                    continue
-                mask = 0
-                for cc in cells:
-                    mask |= bit(cc)
-                meets_inner = any(
-                    -half_inner <= x < half_inner and -half_inner <= y < half_inner
-                    for x, y in cells
-                )
-                mol = Molecule(shape, anchor)
-                try:
-                    label = phase_label(mol)
-                except UnlabeledShape:
-                    label = None
-                placement = _Placement(shape, anchor, mask, meets_inner, label)
-                for cc in cells:
-                    if cc in by_cell:
-                        by_cell[cc].append(placement)
-    return targets, by_cell
+def _square_table(k: int, shapes: Sequence[MoleculeShape]) -> PlacementTable:
+    """Placements meeting Q_2k, with the square's cells in canonical order."""
+    return PlacementTable(
+        sorted((c, r) for c in range(-k, k) for r in range(-k, k)), shapes
+    )
 
 
 def _iter_coverings(
-    k: int,
-    shapes: Sequence[MoleculeShape],
-    stats: SearchStats,
-    cap: int | None,
-) -> Iterator[tuple[_Placement, ...]]:
-    """Depth-first stream of all coverings of Q_2k (canonical order)."""
-    targets, by_cell = _build_placements(k, shapes, inner_margin=4)
-    target_bits = []
-    lo = -k - 3
-    width = 2 * k + 6
-    for c, r in targets:
-        target_bits.append(1 << ((c - lo) + (r - lo) * width))
-    n_targets = len(targets)
-    chosen: list[_Placement] = []
+    table: PlacementTable, stats: SearchStats
+) -> Iterator[tuple[Placement, ...]]:
+    """Depth-first stream of all coverings of the order cells.
 
-    def dfs(occupied: int, start: int) -> Iterator[tuple[_Placement, ...]]:
-        idx = start
-        while idx < n_targets and occupied & target_bits[idx]:
-            idx += 1
-        if idx == n_targets:
-            stats.coverings += 1
-            yield tuple(chosen)
-            if cap is not None and stats.coverings >= cap:
-                raise CapExceeded(
-                    f"covering cap {cap} reached before exhausting the search",
-                    stats,
-                )
-            return
-        for placement in by_cell[targets[idx]]:
-            if placement.mask & occupied:
+    Each level branches on the first uncovered order cell; overhanging
+    cells take part in the overlap test only.
+    """
+    targets = table.order_bits
+    occupied = 0
+    chosen: list[Placement] = []
+    stack = [iter(table.by_pos[0])]
+    while stack:
+        for p in stack[-1]:
+            if p.mask & occupied:
                 continue
             stats.nodes += 1
-            chosen.append(placement)
-            yield from dfs(occupied | placement.mask, idx + 1)
-            chosen.pop()
-
-    yield from dfs(0, 0)
+            occupied |= p.mask
+            chosen.append(p)
+            free = targets & ~occupied
+            if free:
+                stack.append(iter(table.by_pos[(free & -free).bit_length() - 1]))
+                break
+            stats.coverings += 1
+            yield tuple(chosen)
+            occupied ^= chosen.pop().mask
+        else:
+            stack.pop()
+            if chosen:
+                occupied ^= chosen.pop().mask
 
 
 # -------------------------------------------------------------------
@@ -214,10 +159,14 @@ def enumerate_coverings(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    shapes = tuple(shapes)
-    stats = SearchStats()
-    for chosen in _iter_coverings(k, shapes, stats, cap):
-        yield validate(Molecule(p.shape, p.anchor) for p in chosen)
+    table = _square_table(k, tuple(shapes))
+    stats = SearchStats(placements=len(table.placements))
+    for chosen in _iter_coverings(table, stats):
+        yield validate(p.molecule for p in chosen)
+        if cap is not None and stats.coverings >= cap:
+            raise CapExceeded(
+                f"covering cap {cap} reached before exhausting the search", stats
+            )
 
 
 def verify_interior_phase(
@@ -276,56 +225,22 @@ def lemma_check(
     if not shapes:
         return LemmaReport(k, (), True, None, SearchStats(), True, inner_margin)
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
-    stats = SearchStats()
-    targets, by_cell = _build_placements(k, shapes, inner_margin)
-    lo = -k - 3
-    width = 2 * k + 6
-    target_bits = [1 << ((c - lo) + (r - lo) * width) for c, r in targets]
-    n_targets = len(targets)
-    chosen: list[_Placement] = []
-    witness: Configuration | None = None
+    table = _square_table(k, shapes)
+    stats = SearchStats(placements=len(table.placements))
+    half = k - inner_margin // 2  # Q_2k-margin is the open square [-half, half)^2
 
-    def violates(group: Sequence[_Placement]) -> bool:
-        inner_keys = set()
-        for p in group:
-            if not p.meets_inner:
-                continue
-            inner_keys.add(p.label if builtin else p.shape.name)
-            if len(inner_keys) > 1:
-                return True
-        return False
+    def inner_key(mol: Molecule) -> int | str | None:
+        """Phase (or shape, for user shapes) of a molecule meeting Q_2k-margin."""
+        if not any(-half <= x < half and -half <= y < half for x, y in mol.cells()):
+            return None
+        return phase_label(mol) if builtin else mol.shape.name
 
-    truncated = False
-
-    def dfs(occupied: int, start: int) -> bool:
-        """Returns True when a witness was found (stop the search)."""
-        nonlocal witness, truncated
-        idx = start
-        while idx < n_targets and occupied & target_bits[idx]:
-            idx += 1
-        if idx == n_targets:
-            stats.coverings += 1
-            if violates(chosen):
-                witness = validate(Molecule(p.shape, p.anchor) for p in chosen)
-                return True
-            if cap is not None and stats.coverings >= cap:
-                truncated = True
-                return True
-            return False
-        for placement in by_cell[targets[idx]]:
-            if placement.mask & occupied:
-                continue
-            stats.nodes += 1
-            chosen.append(placement)
-            stop = dfs(occupied | placement.mask, idx + 1)
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    dfs(0, 0)
-    if witness is not None:
-        return LemmaReport(k, tuple(s.name for s in shapes), False, witness, stats, True, inner_margin)
-    if truncated:
-        return LemmaReport(k, tuple(s.name for s in shapes), None, None, stats, False, inner_margin)
-    return LemmaReport(k, tuple(s.name for s in shapes), True, None, stats, True, inner_margin)
+    keys = [inner_key(p.molecule) for p in table.placements]
+    names = tuple(s.name for s in shapes)
+    for chosen in _iter_coverings(table, stats):
+        if len({keys[p.index] for p in chosen} - {None}) > 1:
+            witness = validate(p.molecule for p in chosen)
+            return LemmaReport(k, names, False, witness, stats, True, inner_margin)
+        if cap is not None and stats.coverings >= cap:
+            return LemmaReport(k, names, None, None, stats, False, inner_margin)
+    return LemmaReport(k, names, True, None, stats, True, inner_margin)

@@ -71,11 +71,6 @@ class GaugePolygon:
         return hash(self.vertices)
 
 
-def gauge_eval(polygon: GaugePolygon, x) -> Fraction:
-    """Gauge of the polygon at x: the unique t with x/t on the boundary."""
-    return polygon.gauge(x)
-
-
 def mirror(polygon: GaugePolygon) -> GaugePolygon:
     """Reflection through the vertical axis, reoriented counterclockwise."""
     return GaugePolygon(tuple((-x, y) for x, y in polygon.vertices))
@@ -162,10 +157,6 @@ def wulff_shape(polygon: GaugePolygon) -> Polygon:
         det = a[0] * b[1] - a[1] * b[0]
         out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
     return _canonical_ccw(out)
-
-
-def wulff_gauge(polygon: GaugePolygon) -> GaugePolygon:
-    return GaugePolygon(wulff_shape(polygon))
 
 
 def support_function(poly: Polygon, direction: Vec) -> Fraction:

@@ -15,8 +15,10 @@ Because every molecule that is allowed to vary must avoid the width-4
 frame, free molecules live in the concentric inner square of side T - 8.
 The search over that region is an exhaustive branch and bound in scan
 order, with energy accounted incrementally and a monotone lower bound
-given by the already-determined boundary edges.  All energies are exact
-rationals.
+given by the already-determined boundary edges.  Cells are encoded as bits
+of int masks by a shared placement table (`chiralattice.placements`), and
+the search counts energy in integer units of 1/scale, so all energies stay
+exact rationals.
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -45,9 +47,12 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
+from .placements import Placement, PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
+
+_MOLECULE_EDGES = 10  # boundary edges of a lone R or S molecule
 
 
 class InfeasibleBoundary(ValueError):
@@ -317,78 +322,58 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
         budget = default_budget()
     forced = frame_forced(prob)
     T = prob.T
-    c_R, c_S = prob.weights
     volume = prob.energy_kind == VOLUME
 
-    # Occupancy of every forced cell, with its boundary weight.
-    occ_weight: dict[Cell, Fraction] = {}
-    for m in forced.molecules:
-        w = c_R if m.shape.chirality_class == R_LIKE else c_S
-        for cell in m.cells():
-            occ_weight[cell] = w
-
-    inner_cells = [
+    forced_cells = forced.occupancy
+    free_cells = [
         (a, b)
         for a in range(-T // 2 + 4, T // 2 - 4)
         for b in range(-T // 2 + 4, T // 2 - 4)
-        if _cell_inside_inner((a, b), T)
+        if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
     ]
-    free_cells = [c for c in inner_cells if c not in occ_weight]
-    order = _scan_order(prob, free_cells)
-    pos = {c: idx for idx, c in enumerate(order)}
-    n = len(order)
+    # free placements: molecules fully inside the inner square
+    table = PlacementTable(
+        _scan_order(prob, free_cells),
+        (R, S),
+        lambda m: all(
+            _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
+        ),
+    )
+    n = table.n
 
-    # Free placements: molecules fully inside the inner square.
-    placements = []
-    seen = set()
-    for cell in order:
-        for shape in (R, S):
-            for off in shape.cells:
-                anchor = (cell[0] - off[0], cell[1] - off[1])
-                key = (shape.name, anchor)
-                if key in seen:
-                    continue
-                seen.add(key)
-                mol = Molecule(shape, anchor)
-                cells = mol.cells()
-                if not all(_cell_inside_inner(c, T) for c in cells):
-                    continue
-                if any(c in occ_weight for c in cells):
-                    continue
-                mask = 0
-                for c in cells:
-                    mask |= 1 << pos[c]
-                placements.append((mol, cells, mask))
-    by_cell: dict[Cell, list[int]] = {c: [] for c in order}
-    for idx, (_, cells, _) in enumerate(placements):
-        for c in cells:
-            by_cell[c].append(idx)
-
+    # Energies are integers in units of 1/scale, so the search never
+    # touches a Fraction.
     base = _energy(forced, prob)
+    c_R, c_S = prob.weights
+    scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
+    w_R, w_S = int(c_R * scale), int(c_S * scale)
+    molecule_area = 4 * scale
 
-    nodes = 0
-    exhausted = True
+    def scaled(value: Fraction) -> int:
+        v = value * scale
+        assert v.denominator == 1, "energies are multiples of 1/scale"
+        return v.numerator
 
-    occ_state: dict[Cell, Fraction] = dict(occ_weight)
-    free_set = set(order)
-    decided_cells: set[Cell] = set()
-
-    def neighbors(c: Cell) -> tuple[Cell, Cell, Cell, Cell]:
-        a, b = c
-        return ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+    # State: decided cells (placed, left empty, or outside the free zone)
+    # and the cells occupied by R-like and S-like molecules.
+    occ_R0 = table.mask(
+        c
+        for m in forced.molecules
+        if m.shape.chirality_class == R_LIKE
+        for c in m.cells()
+    )
+    occ_S0 = table.mask(forced_cells) & ~occ_R0
+    decided0 = table.all_bits & ~table.order_bits
 
     # DET: weighted length of boundary edges both of whose sides are
-    # decided.  Cells outside the free zone are decided from the start
-    # (forced-occupied or permanently empty), so DET starts at `base`
-    # minus the contribution of boundary edges adjacent to a free cell.
-    if volume:
-        base_det = base
-    else:
-        base_det = base
-        for cell, w in occ_weight.items():
-            for nb in neighbors(cell):
-                if nb in free_set:
-                    base_det -= w  # that boundary edge is not determined yet
+    # decided.  It starts at `base` minus the forced boundary edges that
+    # face a free cell, whose far side is not decided yet.
+    base_det = scaled(base)
+    if not volume:
+        for nbrs in table.neighbors:
+            base_det -= (
+                w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
+            )
 
     # initial incumbents: forced alone, and forced + interior family fill
     def evaluate(mols: list[Molecule]) -> tuple[Fraction, Configuration]:
@@ -397,119 +382,80 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
 
     incumbents: list[tuple[Fraction, Configuration]] = [evaluate([])]
     family_fill = [
-        mol
-        for (mol, cells, _) in placements
-        if in_boundary_family(mol, prob.i, prob.j, prob.nu)
+        p.molecule
+        for p in table.placements
+        if in_boundary_family(p.molecule, prob.i, prob.j, prob.nu)
     ]
     try:
         incumbents.append(evaluate(family_fill))
     except Exception:
         pass
     incumbents.sort(key=lambda t: t[0])
-    best_val, best_cfg_conf = incumbents[0]
+    best_value, best_cfg_conf = incumbents[0]
+    best_val = scaled(best_value)
     best_cfg = list(best_cfg_conf.molecules)
 
+    nodes = 0
+    exhausted = True
     placed: list[Molecule] = []
 
-    def dfs(ptr: int, energy: Fraction, det: Fraction) -> None:
+    def dfs(decided: int, occ_R: int, occ_S: int, energy: int, det: int) -> None:
         nonlocal nodes, best_val, best_cfg, exhausted
         if nodes >= budget:
             exhausted = False
             return
-        while ptr < n and order[ptr] in decided_cells:
-            ptr += 1
-        if ptr == n:
+        i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
+        if i >= n:
             if energy < best_val:
                 best_val = energy
                 best_cfg = list(forced.molecules) + list(placed)
             return
-        cell = order[ptr]
         # lower bound: determined boundary can only grow (weights > 0)
         if not volume and det >= best_val:
             return
-        if volume and energy - 4 * ((n - len(decided_cells)) // 4) >= best_val:
-            return
+        if volume:
+            undecided = n - (decided & table.order_bits).bit_count()
+            if energy - molecule_area * (undecided // 4) >= best_val:
+                return
         # branch 1: cover the cell with each feasible placement
-        for idx in by_cell[cell]:
-            mol, cells, mask = placements[idx]
-            if any(c in decided_cells for c in cells):
-                continue
-            if any(c in occ_state for c in cells):
+        for p in table.by_pos[i]:
+            if p.mask & decided:
                 continue
             nodes += 1
+            placed.append(p.molecule)
             if volume:
-                d_energy = Fraction(-4)
-                d_det = Fraction(0)
-                for c in cells:
-                    occ_state[c] = Fraction(1)
-                    decided_cells.add(c)
+                dfs(decided | p.mask, occ_R, occ_S, energy - molecule_area, det)
             else:
-                w = c_R if mol.shape.chirality_class == R_LIKE else c_S
-                d_energy = Fraction(0)
-                for c in cells:
-                    occ_state[c] = w
-                for c in cells:
-                    for nb in neighbors(c):
-                        if nb in cells:
-                            continue
-                        if nb in occ_state:
-                            d_energy -= occ_state[nb]
-                        else:
-                            d_energy += w
-                d_det = Fraction(0)
-                for c in cells:
-                    decided_cells.add(c)
-                for c in cells:
-                    for nb in neighbors(c):
-                        if nb in cells:
-                            continue
-                        if nb in free_set and nb not in decided_cells:
-                            continue
-                        wb = occ_state.get(nb)
-                        if wb is None:
-                            d_det += w
-                        # occupied-occupied edge contributes 0
-            placed.append(mol)
-            dfs(ptr + 1, energy + d_energy, det + d_det)
+                # every boundary edge of the molecule adds its weight w,
+                # and one that meets an occupied cell also removes that
+                # cell's weight and its own
+                c_r, c_s = p.contacts(occ_R), p.contacts(occ_S)
+                empty = p.contacts(decided & ~(occ_R | occ_S))
+                if p.molecule.shape.chirality_class == R_LIKE:
+                    w, occ_R_next, occ_S_next = w_R, occ_R | p.mask, occ_S
+                else:
+                    w, occ_R_next, occ_S_next = w_S, occ_R, occ_S | p.mask
+                d_energy = w * _MOLECULE_EDGES - (w + w_R) * c_r - (w + w_S) * c_s
+                dfs(
+                    decided | p.mask, occ_R_next, occ_S_next,
+                    energy + d_energy, det + w * empty,
+                )
             placed.pop()
-            for c in cells:
-                del occ_state[c]
-                decided_cells.discard(c)
         # branch 2: leave the cell empty
         nodes += 1
-        if volume:
-            decided_cells.add(cell)
-            dfs(ptr + 1, energy, det)
-            decided_cells.discard(cell)
-        else:
-            d_det = Fraction(0)
-            decided_cells.add(cell)
-            for nb in neighbors(cell):
-                if nb in free_set and nb not in decided_cells:
-                    continue
-                wb = occ_state.get(nb)
-                if wb is not None:
-                    d_det += wb
-            dfs(ptr + 1, energy, det + d_det)
-            decided_cells.discard(cell)
+        if not volume:
+            nbrs = table.neighbors[i]
+            det += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+        dfs(decided | 1 << i, occ_R, occ_S, energy, det)
 
-    dfs(0, base, base_det)
+    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det)
 
     return SolveResult(
-        value=best_val,
+        value=Fraction(best_val, scale),
         config=validate(best_cfg),
         certificate="exact" if exhausted else "upper_bound",
         nodes_explored=nodes,
     )
-
-
-def volume_solve(prob: InterfaceProblem, budget: int | None = None) -> SolveResult:
-    """Minimize the uncovered area of Q_T under frame admissibility."""
-    if prob.energy_kind != VOLUME:
-        prob = InterfaceProblem(
-            prob.i, prob.j, prob.nu, prob.T, prob.weights, VOLUME
-        )
-    return solve_interface(prob, budget)
 
 
 def default_budget() -> int:
@@ -554,6 +500,18 @@ class DensityRecord:
                 self.c_R, self.c_S, self.value, self.phi_hat,
                 self.certificate, self.nodes,
             )
+        )
+
+    @classmethod
+    def from_csv_row(cls, line: str) -> "DensityRecord":
+        """Inverse of csv_row; raises ValueError unless the row has 12 fields."""
+        f = line.split(",")
+        if len(f) != 12:
+            raise ValueError(f"density row needs 12 fields, got {len(f)}: {line!r}")
+        return cls(
+            int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
+            Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
+            f[10], int(f[11]),
         )
 
 
@@ -713,48 +671,46 @@ def cluster_min_perimeter(
     if r + s > cap:
         raise ClusterCapExceeded(f"cluster size {r + s} exceeds cap {cap}")
     total = r + s
+    # a connected cluster grown from a seed at the origin stays within
+    # 3 cells per molecule of it, so its halo cells are all order cells
+    reach = 3 * total
+    table = PlacementTable(
+        [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
+        (R, S),
+    )
+    seeds = {p.molecule: p for p in table.placements if p.molecule.anchor == (0, 0)}
 
-    best: tuple[Fraction, tuple[Molecule, ...]] | None = None
+    best: tuple[int, tuple[Molecule, ...]] | None = None
     seen: set[frozenset] = set()
 
-    def perim_of(cells: set[Cell]) -> int:
-        per = 0
-        for (a, b) in cells:
-            for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-                if nb not in cells:
-                    per += 1
-        return per
-
-    def grow(mols: list[Molecule], cells: set[Cell], nr: int, ns: int):
+    def grow(mols: list[Molecule], occ: int, halo: int, per: int, nr: int, ns: int):
         nonlocal best
         if len(mols) == total:
-            p = Fraction(perim_of(cells))
-            if best is None or p < best[0]:
-                best = (p, tuple(mols))
+            if best is None or per < best[0]:
+                best = (per, tuple(mols))
             return
-        # candidate anchors: adjacent to the current cluster
-        cand: set[tuple[str, Cell]] = set()
+        # candidate placements: those covering a cell adjacent to the cluster
         shapes = []
         if nr < r:
             shapes.append(R)
         if ns < s:
             shapes.append(S)
-        for (a, b) in cells:
-            for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-                if nb in cells:
-                    continue
-                for shape in shapes:
-                    for off in shape.cells:
-                        cand.add((shape.name, (nb[0] - off[0], nb[1] - off[1])))
-        for name, anchor in sorted(cand):
-            shape = R if name == "R" else S
-            mol = Molecule(shape, anchor)
-            mcells = mol.cells()
-            if any(c in cells for c in mcells):
+        cand: set[Placement] = set()
+        rest = halo
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand.update(
+                p for p in table.by_pos[low.bit_length() - 1]
+                if p.molecule.shape in shapes
+            )
+        for p in sorted(cand, key=lambda p: (p.molecule.shape.name, p.molecule.anchor)):
+            if p.mask & occ:
                 continue
+            mol = p.molecule
             key = _cluster_canonical(
                 frozenset(
-                    [(m.shape.name, m.anchor) for m in mols] + [(name, anchor)]
+                    [(m.shape.name, m.anchor) for m in mols] + [(mol.shape.name, mol.anchor)]
                 )
             )
             if key in seen:
@@ -762,9 +718,11 @@ def cluster_min_perimeter(
             seen.add(key)
             grow(
                 mols + [mol],
-                cells | set(mcells),
-                nr + (shape is R),
-                ns + (shape is S),
+                occ | p.mask,
+                (halo | p.touch1 | p.touch2) & ~p.mask,
+                per + _MOLECULE_EDGES - 2 * p.contacts(occ),
+                nr + (mol.shape is R),
+                ns + (mol.shape is S),
             )
 
     first_shapes = []
@@ -776,10 +734,13 @@ def cluster_min_perimeter(
         # fixing the first molecule at the origin removes translations;
         # with mixed species both seeds are tried since the first molecule
         # of an optimal cluster can be either kind
-        mol = Molecule(shape, (0, 0))
+        seed = seeds[Molecule(shape, (0, 0))]
         if (shape is R and r > 0) or (shape is S and s > 0):
-            grow([mol], set(mol.cells()), int(shape is R), int(shape is S))
+            grow(
+                [seed.molecule], seed.mask, seed.touch1 | seed.touch2,
+                _MOLECULE_EDGES, int(shape is R), int(shape is S),
+            )
 
     assert best is not None
     value, mols = best
-    return value, validate(mols)
+    return Fraction(value), validate(mols)

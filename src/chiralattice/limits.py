@@ -58,10 +58,6 @@ class InterfaceSegment:
         _, t = primitive_direction(d)
         return t
 
-    def euclidean_length_squared(self) -> Fraction:
-        dx, dy = self.b[0] - self.a[0], self.b[1] - self.a[1]
-        return dx * dx + dy * dy
-
 
 def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> list[Polygon]:
     out = []

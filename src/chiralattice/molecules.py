@@ -94,11 +94,6 @@ class Molecule:
         return tuple((ax + c, ay + r) for c, r in self.shape.cells)
 
 
-def cells(m: Molecule) -> tuple[Cell, ...]:
-    """Anchor-translated cells of a molecule."""
-    return m.cells()
-
-
 def phase_label(m: Molecule) -> int:
     """Label in 1..8 of the zero-energy family the molecule belongs to.
 

@@ -50,6 +50,7 @@ def configuration_svg(
     config: Configuration,
     comment: str | None = None,
     margin: int = 1,
+    palette: Sequence[str] = PHASE_PALETTE,
 ) -> str:
     """Molecules drawn as outlined unit squares, colored by phase."""
     cells = sorted(config.occupancy)
@@ -65,7 +66,7 @@ def configuration_svg(
     for cell in cells:
         mol = config.molecules[config.occupancy[cell]]
         try:
-            color = PHASE_PALETTE[phase_label(mol)]
+            color = palette[phase_label(mol)]
         except UnlabeledShape:
             color = GRAY_R if mol.shape.chirality_class == R_LIKE else GRAY_S
         # y axis flipped so larger rows render higher
@@ -108,12 +109,17 @@ def polygons_svg(
     return "\n".join(lines) + "\n"
 
 
-def partition_svg(partition, priced_segments, comment: str | None = None) -> str:
+def partition_svg(
+    partition,
+    priced_segments,
+    comment: str | None = None,
+    palette: Sequence[str] = PHASE_PALETTE,
+) -> str:
     """A labeled partition with per-segment price annotations."""
     items = []
     for lab in sorted(partition.regions):
         for poly in partition.regions[lab]:
-            items.append((list(poly), PHASE_PALETTE[lab], f"A{lab}"))
+            items.append((list(poly), palette[lab], f"A{lab}"))
     body = polygons_svg(items, comment=comment)
     notes = []
     for r in priced_segments:

@@ -261,3 +261,44 @@ def test_density_witness_dump(tmp_path, capsys):
     files = list(wdir.glob("witness_*.svg"))
     assert len(files) == 1
     assert files[0].read_text().startswith("<?xml")
+
+
+def test_density_small_t_exit_2(capsys):
+    assert main(["density", "1", "0", "1", "1", "7"]) == 2
+    assert "T must be at least 8" in capsys.readouterr().err
+    assert main(["density", "1", "0", "0", "0", "8"]) == 2
+    assert "direction cannot be zero" in capsys.readouterr().err
+
+
+def test_limit_short_table_row_exit_2(tmp_path, capsys):
+    part = {
+        "window": None,
+        "regions": {"1": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]},
+    }
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps(part))
+    csv = tmp_path / "short.csv"
+    csv.write_text("i,j,p,q\n1,0,0,1\n")
+    assert main(["limit", str(ppath), "--table", str(csv)]) == 2
+    assert "12 fields" in capsys.readouterr().err
+
+
+def test_density_record_csv_round_trip():
+    from chiralattice.interfaces import DensityRecord
+
+    rec = DensityRecord(1, 0, -1, 1, 16, "surface", F(1), F(1, 4), F(105, 4),
+                        F(105, 64), "exact", 13978)
+    assert DensityRecord.from_csv_row(rec.csv_row()) == rec
+
+
+def test_palette_preset_does_not_leak(tmp_path, capsys):
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"palette": ["#000000"] + ["#123456"] * 8}))
+    svg = tmp_path / "a.svg"
+    assert main(["--preset", str(preset), "cluster", "1", "0", "--svg", str(svg)]) == 0
+    assert "#123456" in svg.read_text()
+    assert main(["cluster", "1", "0", "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    text = svg.read_text()
+    assert "#123456" not in text
+    assert "#a65628" in text  # the default colour of R(0, 0), phase 4

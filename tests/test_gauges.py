@@ -8,7 +8,6 @@ import pytest
 from chiralattice.gauges import (
     GaugePolygon,
     envelope_with_points,
-    gauge_eval,
     min_envelope,
     mirror,
     phi_closed_form,
@@ -128,10 +127,6 @@ def test_wulff_duality():
     for v in HEX.vertices:
         assert support_function(w_hex, v) == 1
     assert 2 * polygon_area(w_hex) == 14
-
-
-def test_gauge_eval_alias():
-    assert gauge_eval(HEX, (1, 0)) == F(3, 2)
 
 
 def test_gauge_polygon_validation():

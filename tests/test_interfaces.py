@@ -21,7 +21,6 @@ from chiralattice.interfaces import (
     normalized_density,
     pattern_upper_bound,
     solve_interface,
-    volume_solve,
     wetting_config,
 )
 from chiralattice.interfaces import _cell_inside_inner, _energy
@@ -235,19 +234,19 @@ def test_normalized_density_diagonal_trend():
 
 def test_volume_solve():
     prob = InterfaceProblem(1, 2, Direction(1, 1), 8, energy_kind="volume")
-    res = volume_solve(prob)
+    res = solve_interface(prob)
     assert res.certificate == "exact"
     assert res.value == exhaustive_oracle(prob)
     assert res.value == volume_deficit(res.config, Window.square(8))
     # j = 0: the empty interior is admissible, so the value is bounded by
     # the deficit of the forced frame alone
     prob2 = InterfaceProblem(1, 0, Direction(1, 1), 8, energy_kind="volume")
-    res2 = volume_solve(prob2)
+    res2 = solve_interface(prob2)
     forced = frame_forced(prob2)
     assert res2.value <= volume_deficit(forced, Window.square(8))
     # volume problems at T=12 agree with the oracle too
     prob3 = InterfaceProblem(1, 2, Direction(1, 1), 12, energy_kind="volume")
-    res3 = volume_solve(prob3)
+    res3 = solve_interface(prob3)
     assert res3.value == exhaustive_oracle(prob3)
 
 
@@ -375,3 +374,19 @@ def test_solver_weight_one_reduces_to_perimeter():
     prob_w = InterfaceProblem(1, 7, Direction(1, -1), 12, (1, 1))
     prob_p = InterfaceProblem(1, 7, Direction(1, -1), 12)
     assert solve_interface(prob_w).value == solve_interface(prob_p).value
+
+
+def test_solver_fractional_weights_odd_t_matches_oracle():
+    # odd T clips frame edges to half lengths, so forced energies are
+    # fractional and the solver's integer scale exceeds the weight
+    # denominators
+    weights = (F(2, 3), F(1, 4))
+    vol = InterfaceProblem(1, 0, Direction(1, 1), 13, weights, "volume")
+    assert _energy(frame_forced(vol), vol) == F(411, 4)
+    for kind in ("surface", "volume"):
+        for i, j, pq in [(1, 0, (1, 1)), (1, 0, (0, 1)), (1, 2, (1, 1)), (1, 0, (-1, 1))]:
+            prob = InterfaceProblem(i, j, direction(*pq), 13, weights, kind)
+            res = solve_interface(prob)
+            assert res.certificate == "exact"
+            assert res.value == exhaustive_oracle(prob), (kind, i, j, pq)
+            assert res.value == _energy(res.config, prob)

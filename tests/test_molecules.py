@@ -13,7 +13,6 @@ from chiralattice.molecules import (
     S,
     UnlabeledShape,
     Window,
-    cells,
     configuration_from_json,
     configuration_to_json,
     perimeter,
@@ -29,9 +28,9 @@ from conftest import perimeter_oracle, random_configuration
 
 
 def test_builtin_cells():
-    assert set(cells(Molecule(R, (0, 0)))) == {(0, 0), (0, 1), (0, 2), (1, 2)}
-    assert set(cells(Molecule(S, (0, 0)))) == {(-1, 0), (-1, 1), (-1, 2), (-2, 2)}
-    assert set(cells(Molecule(R, (3, -1)))) == {(3, -1), (3, 0), (3, 1), (4, 1)}
+    assert set(Molecule(R, (0, 0)).cells()) == {(0, 0), (0, 1), (0, 2), (1, 2)}
+    assert set(Molecule(S, (0, 0)).cells()) == {(-1, 0), (-1, 1), (-1, 2), (-2, 2)}
+    assert set(Molecule(R, (3, -1)).cells()) == {(3, -1), (3, 0), (3, 1), (4, 1)}
 
 
 def test_shape_validation():

@@ -1,0 +1,155 @@
+"""The shared placement kernel, and the search trees built on it.
+
+The pinned values were recorded with the earlier per-search
+implementations (set- and Fraction-based); equal node counts show that
+the bitboard searches walk the same trees.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
+from chiralattice.coverings import lemma_check
+from chiralattice.interfaces import (
+    InterfaceProblem,
+    cluster_min_perimeter,
+    direction,
+    solve_interface,
+)
+from chiralattice.molecules import Molecule, R, S
+from chiralattice.placements import PlacementTable
+
+
+def _neighbors(cell):
+    a, b = cell
+    return ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+
+
+def test_table_numbers_order_cells_first():
+    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    table = PlacementTable(order, (R, S))
+    assert table.n == 4
+    assert [table.mask([c]) for c in order] == [1, 2, 4, 8]
+    assert table.mask([(99, 99)]) == 0  # a cell without a bit
+    for i, cell in enumerate(order):
+        assert table.by_pos[i], cell
+        for p in table.by_pos[i]:
+            assert cell in p.molecule.cells()
+            assert p.mask >> i & 1
+        assert table.neighbors[i] == table.mask(_neighbors(cell))
+    # placements are numbered by first order cell, then shape, then offset
+    assert [p.index for p in table.placements] == list(range(len(table.placements)))
+    assert table.placements[0].molecule == Molecule(R, (0, 0))
+
+
+def test_keep_filters_placements():
+    order = [(c, r) for c in range(3) for r in range(3)]
+    table = PlacementTable(order, (R, S), lambda m: set(m.cells()) <= set(order))
+    assert {p.molecule for p in table.placements} == {
+        Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
+    }
+
+
+def test_contacts_count_boundary_edges():
+    order = [(c, r) for c in range(-3, 4) for r in range(-3, 4)]
+    table = PlacementTable(order, (R, S))
+    occupied = {(0, 0), (1, 1), (2, 2), (-1, 2), (0, 3), (-2, -1), (1, 3)}
+    bits = table.mask(occupied)
+    for p in table.placements:
+        cells = set(p.molecule.cells())
+        expected = sum(
+            nb in occupied for c in cells for nb in _neighbors(c) if nb not in cells
+        )
+        assert p.contacts(bits) == expected, p.molecule
+        assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
+
+
+def _placements_meeting_square(k, shapes):
+    """Count (shape, anchor) pairs with a cell in Q_2k, by brute force."""
+    count = 0
+    for shape in shapes:
+        for x in range(-k - 4, k + 4):
+            for y in range(-k - 4, k + 4):
+                cells = Molecule(shape, (x, y)).cells()
+                count += any(-k <= a < k and -k <= b < k for a, b in cells)
+    return count
+
+
+@pytest.mark.parametrize("k,expected", [(4, 176), (5, 260)])
+def test_lemma_reports_placement_count(k, expected):
+    assert _placements_meeting_square(k, (R, S)) == expected
+    rep = lemma_check(k)
+    assert rep.search_space.placements == expected
+    assert rep.to_jsonable()["search_space"]["placements"] == expected
+    flat = lemma_check(k, FLAT_PAIR)
+    assert flat.search_space.placements == _placements_meeting_square(k, FLAT_PAIR)
+
+
+# -------------------------------------------------------------------
+# Pinned search trees
+# -------------------------------------------------------------------
+
+SOLVES_T16 = [
+    # (i, j, nu, weights, kind) -> (value, certificate, nodes_explored)
+    ((1, 0, (1, 1), (1, 1), "surface"), (28, "exact", 2171)),
+    ((1, 0, (0, 1), (1, 1), "surface"), (31, "exact", 7442)),
+    ((1, 0, (1, 0), (1, 1), "surface"), (23, "exact", 6479)),
+    ((1, 0, (3, -1), (1, 1), "surface"), (21, "exact", 4366)),
+    ((1, 5, (1, 1), (1, 1), "surface"), (46, "exact", 9081)),
+    ((1, 7, (1, -1), (1, 1), "surface"), (30, "exact", 5259)),
+    ((1, 2, (1, 1), (1, 1), "surface"), (56, "exact", 39821)),
+    ((5, 6, (0, 1), (1, 1), "surface"), (44, "exact", 41762)),
+    ((1, 0, (-1, 1), (1, F(1, 4)), "surface"), (F(105, 4), "exact", 13978)),
+    ((1, 0, (1, 1), (1, 1), "volume"), (119, "exact", 18721)),
+]
+
+
+@pytest.mark.parametrize("spec,expected", SOLVES_T16)
+def test_solver_tree_pinned_t16(spec, expected):
+    i, j, nu, weights, kind = spec
+    res = solve_interface(InterfaceProblem(i, j, direction(*nu), 16, weights, kind))
+    assert (res.value, res.certificate, res.nodes_explored) == expected
+
+
+def test_lemma_trees_pinned():
+    got = [
+        (rep.search_space.nodes, rep.search_space.coverings)
+        for rep in (lemma_check(k) for k in (4, 5, 6))
+    ]
+    assert got == [(3729, 288), (9433, 576), (20316, 1152)]
+
+
+def _molecules(config):
+    return [(m.shape.name, *m.anchor) for m in config.molecules]
+
+
+def test_falsification_witnesses_pinned():
+    flat = lemma_check(4, FLAT_PAIR)
+    assert (flat.holds, flat.search_space.nodes) == (False, 417)
+    assert _molecules(flat.witness) == [
+        ("FR", -4, -4), ("FR", -5, -3), ("FR", -6, -2), ("FR", -4, 0),
+        ("FS", -5, 1), ("FR", -4, 2), ("FR", -5, 3), ("FR", -3, -1),
+        ("FR", -2, -2), ("FR", -3, -5), ("FR", -1, -3), ("FS", -1, 1),
+        ("FR", -1, 3), ("FR", 0, -4), ("FR", 0, 0), ("FR", 0, 2),
+        ("FR", 1, -1), ("FR", 2, -2), ("FR", 1, -5), ("FR", 3, -3),
+        ("FS", 3, 1), ("FR", 3, 3),
+    ]
+    skew = lemma_check(4, SKEW_PAIR)
+    assert (skew.holds, skew.search_space.nodes) == (False, 181)
+    assert _molecules(skew.witness) == [
+        ("ZR", -4, -4), ("ZR", -4, -2), ("ZR", -4, 0), ("ZR", -4, 2),
+        ("ZR", -3, -5), ("ZR", -2, -2), ("ZR", -2, 0), ("ZR", -2, 2),
+        ("ZR", -1, -5), ("ZR", -1, -3), ("ZR", 0, 0), ("ZR", 0, 2),
+        ("ZR", 0, -6), ("ZS", 2, -4), ("ZR", 1, -1), ("ZR", 2, -2),
+        ("ZR", 2, 2), ("ZR", 3, -5), ("ZR", 3, -3), ("ZR", 3, 1),
+    ]
+
+
+def test_cluster_witnesses_pinned():
+    value, config = cluster_min_perimeter(2, 2)
+    assert value == 22
+    assert _molecules(config) == [("R", 0, 0), ("R", -1, -3), ("S", -1, -1), ("S", 0, 0)]
+    value, config = cluster_min_perimeter(3, 1)
+    assert value == 22
+    assert _molecules(config) == [("R", 0, 0), ("R", -2, -2), ("R", -1, 1), ("S", -1, 1)]
