@@ -104,11 +104,13 @@ def _parse_window(spec: str | None) -> Window:
     if spec is None:
         return Window.plane()
     parts = spec.split(",")
-    if len(parts) == 1:
-        return Window.square(Fraction(parts[0]))
-    if len(parts) == 3:
-        return Window.square(Fraction(parts[0]), (Fraction(parts[1]), Fraction(parts[2])))
-    raise CliError("window must be SIDE or SIDE,CX,CY")
+    if len(parts) not in (1, 3):
+        raise CliError("window must be SIDE or SIDE,CX,CY")
+    try:
+        values = [Fraction(v) for v in parts]
+        return Window.square(values[0], values[1:] or (0, 0))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"invalid window {spec!r}: {exc}")
 
 
 def _parse_weights(spec: str | None) -> tuple[Fraction, Fraction]:
@@ -117,7 +119,13 @@ def _parse_weights(spec: str | None) -> tuple[Fraction, Fraction]:
     parts = spec.split(",")
     if len(parts) != 2:
         raise CliError("weights must be C_R,C_S")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    try:
+        weights = (Fraction(parts[0]), Fraction(parts[1]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"invalid weights {spec!r}: {exc}")
+    if weights[0] <= 0 or weights[1] <= 0:
+        raise CliError("weights must be positive")
+    return weights
 
 
 def _load_shapes(path: str | None):
@@ -225,11 +233,14 @@ def cmd_density(args) -> int:
 
 
 def cmd_wulff(args) -> int:
-    labels = list(range(1, 9)) if args.phase == "all" else [int(args.phase)]
+    try:
+        labels = list(range(1, 9)) if args.phase == "all" else [int(args.phase)]
+        gauges = [phi_closed_form(i) for i in labels]
+    except ValueError as exc:
+        raise CliError(f"phase must be 1..8 or 'all': {exc}")
     outputs = []
     payload: dict = {"phases": {}}
-    for i in labels:
-        gauge = phi_closed_form(i)
+    for i, gauge in zip(labels, gauges):
         wulff = wulff_shape(gauge)
         payload["phases"][str(i)] = {
             "level_set": [[str(v[0]), str(v[1])] for v in gauge.vertices],
@@ -271,7 +282,10 @@ def cmd_wulff(args) -> int:
 def cmd_lemma(args) -> int:
     shapes_map = _load_shapes(args.shapes)
     shapes = list(shapes_map.values())
-    report = lemma_check(args.k, shapes, cap=args.cap, inner_margin=args.margin)
+    try:
+        report = lemma_check(args.k, shapes, cap=args.cap, inner_margin=args.margin)
+    except ValueError as exc:
+        raise CliError(str(exc))
     payload = report.to_jsonable()
     payload["manifest"] = make_manifest(
         "lemma",
@@ -454,6 +468,8 @@ def cmd_cluster(args) -> int:
         value, config = cluster_min_perimeter(args.r, args.s, cap=args.cap)
     except ClusterCapExceeded as exc:
         raise CliError(str(exc), code=3)
+    except ValueError as exc:
+        raise CliError(str(exc))
     payload = {
         "r": args.r,
         "s": args.s,

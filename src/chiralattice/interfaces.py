@@ -41,8 +41,8 @@ from .molecules import (
     S,
     Window,
     perimeter,
-    phase_molecule,
     in_phase_family,
+    phase_pattern,
     validate,
     volume_deficit,
     weighted_perimeter,
@@ -193,22 +193,13 @@ def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
 
 def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molecule]:
     """All family molecules whose cells intersect the window."""
-    xs, ys = window.cell_range()
-    seen: set[tuple[str, Cell]] = set()
-    out: list[Molecule] = []
-    labels = [lab for lab in (i, j) if lab != 0]
-    for a in range(xs.start - 3, xs.stop + 3):
-        for b in range(ys.start - 3, ys.stop + 3):
-            for lab in labels:
-                m = phase_molecule(lab, (a, b))
-                key = (m.shape.name, m.anchor)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not in_boundary_family(m, i, j, nu):
-                    continue
-                if any(window.contains_cell(c) for c in m.cells()):
-                    out.append(m)
+    out = [
+        m
+        for lab, upper in ((i, True), (j, False))
+        if lab != 0
+        for m in phase_pattern(lab, window).molecules
+        if _side_reach(m, nu, upper)
+    ]
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
 
@@ -230,17 +221,15 @@ def boundary_family(i: int, j: int, nu: Direction, region: Window) -> Configurat
 # -------------------------------------------------------------------
 
 def _cell_meets_window(cell: Cell, T: int) -> bool:
+    """Cell meeting the open square Q_T, tested on 2a against T."""
     a, b = cell
-    h = Fraction(T, 2)
-    return a < h and a + 1 > -h and b < h and b + 1 > -h
+    return -T - 2 < 2 * a < T and -T - 2 < 2 * b < T
 
 
 def _cell_inside_inner(cell: Cell, T: int) -> bool:
     """Cell contained in the closed concentric square of side T - 8."""
     a, b = cell
-    lo = Fraction(-T, 2) + 4
-    hi = Fraction(T, 2) - 4
-    return lo <= a and a + 1 <= hi and lo <= b and b + 1 <= hi
+    return 8 - T <= 2 * a <= T - 10 and 8 - T <= 2 * b <= T - 10
 
 
 def meets_frame(m: Molecule, T: int) -> bool:

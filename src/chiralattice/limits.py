@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, phi_closed_form
@@ -115,17 +115,19 @@ class PolygonalPartition:
 _WINDOW = -1  # pseudo-label for window edges in the segment soup
 
 
-def _directed_edges(part: PolygonalPartition) -> list[tuple[Vec, Vec, int]]:
-    edges: list[tuple[Vec, Vec, int]] = []
-    for lab, polys in part.regions.items():
-        for poly in polys:
-            n = len(poly)
-            for k in range(n):
-                edges.append((poly[k], poly[(k + 1) % n], lab))
-    if part.window is not None:
-        n = len(part.window)
+def _polygon_edges(polys: Iterable[Sequence[Vec]], tag) -> Iterator[tuple[Vec, Vec, object]]:
+    for poly in polys:
+        n = len(poly)
         for k in range(n):
-            edges.append((part.window[k], part.window[(k + 1) % n], _WINDOW))
+            yield poly[k], poly[(k + 1) % n], tag
+
+
+def _directed_edges(part: PolygonalPartition) -> list[tuple[Vec, Vec, int]]:
+    edges = [
+        e for lab, polys in part.regions.items() for e in _polygon_edges(polys, lab)
+    ]
+    if part.window is not None:
+        edges += _polygon_edges([part.window], _WINDOW)
     return edges
 
 
@@ -138,6 +140,37 @@ def _line_key(a: Vec, b: Vec):
     return (p, q, offset)
 
 
+def _segment_soup(
+    edges: Iterable[tuple[Vec, Vec, object]],
+) -> Iterator[tuple[tuple, list[tuple[Fraction, Fraction, list]]]]:
+    """Cut tagged directed edges into atomic pieces of their common lines.
+
+    Yields ((p, q, offset), pieces) per line in sorted order, where each
+    piece (t0, t1, covers) is a run of the line parameter t = p*x + q*y
+    covered by the edges listed as (tag, orientation) in covers.
+    """
+    lines: dict[tuple, list[tuple[Fraction, Fraction, object, int]]] = {}
+    for a, b, tag in edges:
+        key = _line_key(a, b)
+        p, q, _ = key
+        ta = p * a[0] + q * a[1]
+        tb = p * b[0] + q * b[1]
+        orient = 1 if tb > ta else -1
+        lines.setdefault(key, []).append((min(ta, tb), max(ta, tb), tag, orient))
+    for key, intervals in sorted(lines.items()):
+        cuts = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
+        pieces = []
+        for t0, t1 in zip(cuts, cuts[1:]):
+            covers = [
+                (tag, orient)
+                for lo, hi, tag, orient in intervals
+                if lo <= t0 and hi >= t1
+            ]
+            if covers:
+                pieces.append((t0, t1, covers))
+        yield key, pieces
+
+
 def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     """Atomic shared segments between distinct labels, validated.
 
@@ -147,20 +180,8 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     label and the window are emitted against label 0; 0-0 interfaces are
     dropped.  Segments are merged per (line, pair) into maximal runs.
     """
-    edges = _directed_edges(part)
-    lines: dict[tuple, list[tuple[Fraction, Fraction, int, int]]] = {}
-    for a, b, lab in edges:
-        key = _line_key(a, b)
-        p, q, _ = key
-        ta = Fraction(p) * a[0] + Fraction(q) * a[1]
-        tb = Fraction(p) * b[0] + Fraction(q) * b[1]
-        orient = 1 if tb > ta else -1
-        lo, hi = min(ta, tb), max(ta, tb)
-        lines.setdefault(key, []).append((lo, hi, lab, orient))
-
     out: list[InterfaceSegment] = []
-    for (p, q, offset), intervals in sorted(lines.items()):
-        cuts = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
+    for (p, q, offset), pieces in _segment_soup(_directed_edges(part)):
         nn = Fraction(p * p + q * q)
 
         def point_at(t: Fraction) -> Vec:
@@ -170,14 +191,7 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
             return (x, y)
 
         runs: dict[tuple, list[tuple[Fraction, Fraction]]] = {}
-        for t0, t1 in zip(cuts, cuts[1:]):
-            covers = [
-                (lab, orient)
-                for lo, hi, lab, orient in intervals
-                if lo <= t0 and hi >= t1
-            ]
-            if not covers:
-                continue
+        for t0, t1, covers in pieces:
             window_covers = [c for c in covers if c[0] == _WINDOW]
             region_covers = [c for c in covers if c[0] != _WINDOW]
             if window_covers:
@@ -222,11 +236,11 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                 )
             runs.setdefault((i, j, normal), []).append((t0, t1))
 
-        for (i, j, normal), pieces in sorted(runs.items()):
-            pieces.sort()
-            start, end = pieces[0]
+        for (i, j, normal), spans in sorted(runs.items()):
+            spans.sort()
+            start, end = spans[0]
             merged = []
-            for t0, t1 in pieces[1:]:
+            for t0, t1 in spans[1:]:
                 if t0 == end:
                     end = t1
                 else:
@@ -344,40 +358,17 @@ def rs_lower_bound(
     R-against-S contact density; pieces exclusive to one species by the
     corresponding empty-interface density.
     """
-    e_r, e_s = list(e_r), list(e_s)
     f_r = phi_closed_form(1)
     f_s = phi_closed_form(5)
     f0 = model.rs_contact_envelope()
 
-    # segment soup over both sets
-    sets = {"R": _normalize_polys(e_r, "E_R") if e_r else [],
-            "S": _normalize_polys(e_s, "E_S") if e_s else []}
-    lines: dict[tuple, list[tuple[Fraction, Fraction, str, int]]] = {}
-    for name, polys in sets.items():
-        for poly in polys:
-            n = len(poly)
-            for k in range(n):
-                a, b = poly[k], poly[(k + 1) % n]
-                key = _line_key(a, b)
-                p, q, _ = key
-                ta = Fraction(p) * a[0] + Fraction(q) * a[1]
-                tb = Fraction(p) * b[0] + Fraction(q) * b[1]
-                orient = 1 if tb > ta else -1
-                lines.setdefault(key, []).append(
-                    (min(ta, tb), max(ta, tb), name, orient)
-                )
+    edges = []
+    for name, polys in (("R", e_r), ("S", e_s)):
+        edges += _polygon_edges(_normalize_polys(polys, f"E_{name}"), name)
     total = Fraction(0)
-    for (p, q, _offset), intervals in sorted(lines.items()):
-        cuts = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
+    for (p, q, _offset), pieces in _segment_soup(edges):
         nn = p * p + q * q
-        for t0, t1 in zip(cuts, cuts[1:]):
-            covers = [
-                (name, orient)
-                for lo, hi, name, orient in intervals
-                if lo <= t0 and hi >= t1
-            ]
-            if not covers:
-                continue
+        for t0, t1, covers in pieces:
             t = (t1 - t0) / nn
             names = sorted(c[0] for c in covers)
             normal = (-q, p)  # sign immaterial: the gauges are even

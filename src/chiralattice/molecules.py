@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -128,7 +129,11 @@ def _int_below(q: Fraction | int) -> int:
 
 @dataclass(frozen=True)
 class Window:
-    """An axis-aligned open square, or the whole plane (side is None)."""
+    """An axis-aligned open square, or the whole plane (side is None).
+
+    The bounds and the integer index ranges derived from them are computed
+    once per instance, on first use.
+    """
 
     center: tuple[Fraction, Fraction]
     side: Fraction | None
@@ -149,6 +154,10 @@ class Window:
         return self.side is None
 
     def bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self.side is None:
             raise ValueError("the whole plane has no bounds")
         cx, cy = self.center
@@ -166,19 +175,40 @@ class Window:
 
     def cell_range(self) -> tuple[range, range]:
         """Index ranges of lattice cells intersecting the open window."""
-        x0, y0, x1, y1 = self.bounds()
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> tuple[range, range]:
+        x0, y0, x1, y1 = self._bounds
         return (
             range(_int_above(x0 - 1), _int_below(x1) + 1),
             range(_int_above(y0 - 1), _int_below(y1) + 1),
+        )
+
+    @cached_property
+    def _whole(self) -> tuple[range, range]:
+        """Index ranges of lattice cells contained in the closed window."""
+        x0, y0, x1, y1 = self._bounds
+        return (
+            range(math.ceil(x0), math.floor(x1)),
+            range(math.ceil(y0), math.floor(y1)),
+        )
+
+    @cached_property
+    def _lines(self) -> tuple[range, range]:
+        """Integer coordinates x and y strictly inside the window."""
+        x0, y0, x1, y1 = self._bounds
+        return (
+            range(_int_above(x0), _int_below(x1) + 1),
+            range(_int_above(y0), _int_below(y1) + 1),
         )
 
     def contains_cell(self, cell: Cell) -> bool:
         """True iff the open window meets the interior of the closed cell."""
         if self.side is None:
             return True
-        x0, y0, x1, y1 = self.bounds()
-        a, b = cell
-        return a < x1 and a + 1 > x0 and b < y1 and b + 1 > y0
+        xs, ys = self._cells
+        return cell[0] in xs and cell[1] in ys
 
 
 PLANE = Window.plane()
@@ -258,24 +288,38 @@ def _boundary_edges(config: Configuration) -> Iterator[tuple[str, int, int, Cell
             yield ("H", a, b + 1, (a, b))
 
 
-def _edge_length_in(window: Window, kind: str, x: int, y: int) -> Fraction:
+def _edge_length_in(window: Window, kind: str, x: int, y: int) -> int | Fraction:
     """Exact length of the unit edge clipped to the open window.
 
     Edges lying on the window boundary contribute 0, matching the open-set
-    convention for the ambient domain.
+    convention for the ambient domain.  An edge wholly inside or outside
+    the window gives the int 1 or 0; only an edge that the window boundary
+    cuts is clipped as a Fraction.
     """
-    if window.is_plane:
-        return Fraction(1)
-    x0, y0, x1, y1 = window.bounds()
+    if window.side is None:
+        return 1
     if kind == "V":
-        if not (x0 < x < x1):
-            return Fraction(0)
-        lo, hi = max(Fraction(y), y0), min(Fraction(y + 1), y1)
+        pos, along, axis = x, y, 1
     else:
-        if not (y0 < y < y1):
-            return Fraction(0)
-        lo, hi = max(Fraction(x), x0), min(Fraction(x + 1), x1)
-    return hi - lo if hi > lo else Fraction(0)
+        pos, along, axis = y, x, 0
+    if pos not in window._lines[1 - axis] or along not in window._cells[axis]:
+        return 0
+    if along in window._whole[axis]:
+        return 1
+    bounds = window._bounds
+    lo, hi = bounds[axis], bounds[axis + 2]
+    return min(Fraction(along + 1), hi) - max(Fraction(along), lo)
+
+
+def _total_length(lengths: Iterable[int | Fraction]) -> Fraction:
+    """Exact sum that adds whole edges as ints and cut edges as Fractions."""
+    whole, cut = 0, Fraction(0)
+    for length in lengths:
+        if length.__class__ is int:
+            whole += length
+        else:
+            cut += length
+    return cut + whole
 
 
 def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
@@ -285,10 +329,10 @@ def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
     pairs); with a finite window, edges are clipped exactly to the open
     square.
     """
-    total = Fraction(0)
-    for kind, x, y, _ in _boundary_edges(config):
-        total += _edge_length_in(window, kind, x, y)
-    return total
+    return _total_length(
+        _edge_length_in(window, kind, x, y)
+        for kind, x, y, _ in _boundary_edges(config)
+    )
 
 
 def weighted_perimeter(
@@ -303,28 +347,33 @@ def weighted_perimeter(
     if c_R <= 0 or c_S <= 0:
         raise ValueError("weights must be positive")
     occ = config.occupancy
-    total = Fraction(0)
+    r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
+    lengths: tuple[list, list] = ([], [])  # S-like, R-like
     for kind, x, y, owner in _boundary_edges(config):
-        length = _edge_length_in(window, kind, x, y)
-        if not length:
-            continue
-        mol = config.molecules[occ[owner]]
-        total += length * (c_R if mol.shape.chirality_class == R_LIKE else c_S)
-    return total
+        lengths[r_like[occ[owner]]].append(_edge_length_in(window, kind, x, y))
+    return c_R * _total_length(lengths[1]) + c_S * _total_length(lengths[0])
 
 
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
-    """Area of the window not covered by molecules, |w \\ E|."""
+    """Area of the window not covered by molecules, |w \\ E|.
+
+    Cells inside the window count as ints; only the cells that the window
+    boundary cuts are clipped as Fractions.
+    """
     if window.is_plane:
         raise ValueError("volume deficit is infinite on the whole plane")
     x0, y0, x1, y1 = window.bounds()
-    covered = Fraction(0)
+    xs, ys = window._cells
+    whole_xs, whole_ys = window._whole
+    whole, cut = 0, Fraction(0)
     for (a, b) in config.occupancy:
-        w = min(Fraction(a + 1), x1) - max(Fraction(a), x0)
-        h = min(Fraction(b + 1), y1) - max(Fraction(b), y0)
-        if w > 0 and h > 0:
-            covered += w * h
-    return (x1 - x0) * (y1 - y0) - covered
+        if a in whole_xs and b in whole_ys:
+            whole += 1
+        elif a in xs and b in ys:
+            w = min(Fraction(a + 1), x1) - max(Fraction(a), x0)
+            h = min(Fraction(b + 1), y1) - max(Fraction(b), y0)
+            cut += w * h
+    return (x1 - x0) * (y1 - y0) - cut - whole
 
 
 # -------------------------------------------------------------------
@@ -375,14 +424,22 @@ def phase_pattern(i: int, window: Window) -> Configuration:
     """
     if window.is_plane:
         raise ValueError("a plane-filling pattern is infinite; pass a square")
-    xs, ys = window.cell_range()
-    anchors: set[Cell] = set()
-    for a in xs:
-        for b in ys:
-            anchors.add(pattern_anchor(i, (a, b)))
+    if not 1 <= i <= 8:
+        raise ValueError("phase label must be in 1..8")
     shape = R if i <= 4 else S
-    mols = [Molecule(shape, n) for n in sorted(anchors)]
-    mols = [m for m in mols if any(window.contains_cell(c) for c in m.cells())]
+    # phase i holds the anchors with n2 + n1 (R) or n2 - n1 (S) = i mod 4
+    sign = 1 if shape is R else -1
+    dxs = [c for c, _ in shape.cells]
+    dys = [r for _, r in shape.cells]
+    xs, ys = window.cell_range()
+    mols = []
+    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
+        first = ys.start - max(dys)
+        first += (i - sign * a - first) % 4
+        for b in range(first, ys.stop - min(dys), 4):
+            m = Molecule(shape, (a, b))
+            if any(window.contains_cell(c) for c in m.cells()):
+                mols.append(m)
     return validate(mols)
 
 

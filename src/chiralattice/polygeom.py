@@ -98,60 +98,64 @@ def predicate_area(
 
     The sweep cuts the plane into vertical slabs at every vertex and every
     pairwise edge crossing; inside a slab active edges are orderable, and
-    parity vectors are constant between consecutive edges.
+    parity vectors are constant between consecutive edges.  Non-vertical
+    edges are kept as lines y = slope * x + intercept over [x_lo, x_hi],
+    sorted by x_lo, so only pairs whose x-ranges overlap are tested for a
+    crossing.
     """
     if predicate(tuple(False for _ in polygon_sets)):
         raise ValueError("predicate region is unbounded")
-    edge_sets = [_edges_of(ps) for ps in polygon_sets]
-    all_edges = [(e, si) for si, es in enumerate(edge_sets) for e in es]
-    if not all_edges:
-        return Fraction(0)
-
     breaks: set[Fraction] = set()
-    for (a, b), _ in all_edges:
-        breaks.add(a[0])
-        breaks.add(b[0])
-    # pairwise crossings of non-vertical edges
-    nonvert = [(a, b, si) for (a, b), si in all_edges if a[0] != b[0]]
-    for i in range(len(nonvert)):
-        a1, b1, _ = nonvert[i]
-        for j in range(i + 1, len(nonvert)):
-            a2, b2, _ = nonvert[j]
-            d1 = (b1[0] - a1[0], b1[1] - a1[1])
-            d2 = (b2[0] - a2[0], b2[1] - a2[1])
-            den = d1[0] * d2[1] - d1[1] * d2[0]
-            if den == 0:
+    edges: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = []
+    for si, ps in enumerate(polygon_sets):
+        for a, b in _edges_of(ps):
+            breaks.add(a[0])
+            breaks.add(b[0])
+            if a[0] == b[0]:
                 continue
-            s = ((a2[0] - a1[0]) * d2[1] - (a2[1] - a1[1]) * d2[0]) / den
-            x = a1[0] + s * d1[0]
-            lo1, hi1 = min(a1[0], b1[0]), max(a1[0], b1[0])
-            lo2, hi2 = min(a2[0], b2[0]), max(a2[0], b2[0])
-            if lo1 <= x <= hi1 and lo2 <= x <= hi2:
+            lo, hi = (a, b) if a[0] < b[0] else (b, a)
+            slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
+            edges.append((lo[0], hi[0], slope, lo[1] - slope * lo[0], si))
+    if not breaks:
+        return Fraction(0)
+    edges.sort(key=lambda e: e[0])
+
+    # pairwise crossings of non-vertical edges with overlapping x-ranges
+    for k, (_, x_hi1, slope1, icpt1, _) in enumerate(edges):
+        for m in range(k + 1, len(edges)):
+            x_lo2, x_hi2, slope2, icpt2, _ = edges[m]
+            if x_lo2 > x_hi1:
+                break
+            if slope1 == slope2:
+                continue
+            x = (icpt2 - icpt1) / (slope1 - slope2)
+            if x_lo2 <= x <= x_hi1 and x <= x_hi2:
                 breaks.add(x)
 
     xs = sorted(breaks)
     nsets = len(polygon_sets)
     total = Fraction(0)
-    for xi in range(len(xs) - 1):
-        xl, xr = xs[xi], xs[xi + 1]
-        if xl == xr:
-            continue
-        active: list[tuple[Fraction, Fraction, int]] = []  # y at xl, y at xr, set
-        for a, b, si in nonvert:
-            lo, hi = (a, b) if a[0] < b[0] else (b, a)
-            if lo[0] <= xl and hi[0] >= xr:
-                slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
-                yl = lo[1] + slope * (xl - lo[0])
-                yr = lo[1] + slope * (xr - lo[0])
-                active.append((yl, yr, si))
-        active.sort(key=lambda t: (t[0] + t[1]))
+    active: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = []
+    pending = iter(edges)
+    nxt = next(pending, None)
+    for xl, xr in zip(xs, xs[1:]):
+        # an edge spans the slab iff x_lo <= xl < x_hi, since every x_hi
+        # is a breakpoint
+        active = [e for e in active if e[1] > xl]
+        while nxt is not None and nxt[0] <= xl:
+            active.append(nxt)
+            nxt = next(pending, None)
+        ends = sorted(
+            (slope * xl + icpt, slope * xr + icpt, si)
+            for _, _, slope, icpt, si in active
+        )
         parity = [False] * nsets
         width = xr - xl
-        for ei in range(len(active)):
-            parity[active[ei][2]] = not parity[active[ei][2]]
-            if ei + 1 < len(active) and predicate(tuple(parity)):
-                ya_l, ya_r, _ = active[ei]
-                yb_l, yb_r, _ = active[ei + 1]
+        for ei in range(len(ends) - 1):
+            parity[ends[ei][2]] = not parity[ends[ei][2]]
+            if predicate(tuple(parity)):
+                ya_l, ya_r, _ = ends[ei]
+                yb_l, yb_r, _ = ends[ei + 1]
                 total += width * ((yb_l + yb_r) - (ya_l + ya_r)) / 2
     return total
 

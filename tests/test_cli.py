@@ -302,3 +302,35 @@ def test_palette_preset_does_not_leak(tmp_path, capsys):
     text = svg.read_text()
     assert "#123456" not in text
     assert "#a65628" in text  # the default colour of R(0, 0), phase 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--window", "0"], "window side must be positive"),
+        (["--window", "abc"], "invalid window"),
+        (["--window", "4,1/2"], "SIDE or SIDE,CX,CY"),
+        (["--window", "4,x,0"], "invalid window"),
+        (["--weights", "0,1"], "weights must be positive"),
+        (["--weights", "1,-1/4"], "weights must be positive"),
+        (["--weights", "a,1"], "invalid weights"),
+    ],
+)
+def test_energy_bad_window_or_weights_exit_2(single_r, capsys, argv, message):
+    assert main(["energy", single_r] + argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma", "1"], "k must be at least 2"),
+        (["cluster", "-1", "0"], "nonnegative counts"),
+        (["cluster", "0", "0"], "r + s >= 1"),
+        (["wulff", "9"], "phase label must be in 1..8"),
+        (["wulff", "abc"], "1..8 or 'all'"),
+    ],
+)
+def test_bad_subcommand_arguments_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

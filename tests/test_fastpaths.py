@@ -1,0 +1,367 @@
+"""Differential tests: integer fast paths against the Fraction reference code.
+
+The lattice energies, the window cell tests, the family enumeration and the
+polygon sweep count whole edges, cells and anchors with ints and prune the
+crossing pairs.  Each is checked here for exact equality against the plain
+Fraction formulation that it replaced, kept below as the reference.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from chiralattice.interfaces import (
+    _cell_inside_inner,
+    _cell_meets_window,
+    _family_members,
+    direction,
+    in_boundary_family,
+)
+from chiralattice.molecules import (
+    R_LIKE,
+    Molecule,
+    R,
+    S,
+    Window,
+    pattern_anchor,
+    perimeter,
+    phase_molecule,
+    phase_pattern,
+    volume_deficit,
+    weighted_perimeter,
+)
+from chiralattice.polygeom import _edges_of, predicate_area
+from conftest import random_configuration
+
+
+# -------------------------------------------------------------------
+# Reference implementations (all Fraction, no caching, no pruning)
+# -------------------------------------------------------------------
+
+def ref_bounds(window: Window):
+    cx, cy = window.center
+    h = window.side / 2
+    return (cx - h, cy - h, cx + h, cy + h)
+
+
+def ref_contains_cell(bounds, cell) -> bool:
+    x0, y0, x1, y1 = bounds
+    a, b = cell
+    return a < x1 and a + 1 > x0 and b < y1 and b + 1 > y0
+
+
+def ref_edge_length(bounds, kind: str, x: int, y: int) -> F:
+    if bounds is None:
+        return F(1)
+    x0, y0, x1, y1 = bounds
+    if kind == "V":
+        if not (x0 < x < x1):
+            return F(0)
+        lo, hi = max(F(y), y0), min(F(y + 1), y1)
+    else:
+        if not (y0 < y < y1):
+            return F(0)
+        lo, hi = max(F(x), x0), min(F(x + 1), x1)
+    return hi - lo if hi > lo else F(0)
+
+
+def ref_edges(config):
+    occ = config.occupancy
+    for (a, b) in occ:
+        if (a - 1, b) not in occ:
+            yield ("V", a, b, (a, b))
+        if (a + 1, b) not in occ:
+            yield ("V", a + 1, b, (a, b))
+        if (a, b - 1) not in occ:
+            yield ("H", a, b, (a, b))
+        if (a, b + 1) not in occ:
+            yield ("H", a, b + 1, (a, b))
+
+
+def ref_perimeter(config, window) -> F:
+    bounds = None if window.is_plane else ref_bounds(window)
+    return sum((ref_edge_length(bounds, k, x, y) for k, x, y, _ in ref_edges(config)), F(0))
+
+
+def ref_weighted(config, c_R, c_S, window) -> F:
+    bounds = None if window.is_plane else ref_bounds(window)
+    total = F(0)
+    for kind, x, y, owner in ref_edges(config):
+        mol = config.molecules[config.occupancy[owner]]
+        w = c_R if mol.shape.chirality_class == R_LIKE else c_S
+        total += ref_edge_length(bounds, kind, x, y) * w
+    return total
+
+
+def ref_volume(config, window) -> F:
+    x0, y0, x1, y1 = ref_bounds(window)
+    covered = F(0)
+    for (a, b) in config.occupancy:
+        w = min(F(a + 1), x1) - max(F(a), x0)
+        h = min(F(b + 1), y1) - max(F(b), y0)
+        if w > 0 and h > 0:
+            covered += w * h
+    return (x1 - x0) * (y1 - y0) - covered
+
+
+def ref_cell_range(window: Window):
+    x0, y0, x1, y1 = ref_bounds(window)
+    return (
+        range(math.floor(x0 - 1) + 1, math.ceil(x1) - 1 + 1),
+        range(math.floor(y0 - 1) + 1, math.ceil(y1) - 1 + 1),
+    )
+
+
+def ref_phase_pattern(i: int, window: Window) -> list[Molecule]:
+    xs, ys = ref_cell_range(window)
+    anchors = {pattern_anchor(i, (a, b)) for a in xs for b in ys}
+    shape = R if i <= 4 else S
+    mols = [Molecule(shape, n) for n in sorted(anchors)]
+    bounds = ref_bounds(window)
+    return [m for m in mols if any(ref_contains_cell(bounds, c) for c in m.cells())]
+
+
+def ref_family_members(i, j, nu, window) -> list[Molecule]:
+    """The cell sweep: one phase molecule per cell of the padded box."""
+    xs, ys = ref_cell_range(window)
+    bounds = ref_bounds(window)
+    seen = set()
+    out = []
+    labels = [lab for lab in (i, j) if lab != 0]
+    for a in range(xs.start - 3, xs.stop + 3):
+        for b in range(ys.start - 3, ys.stop + 3):
+            for lab in labels:
+                m = phase_molecule(lab, (a, b))
+                key = (m.shape.name, m.anchor)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if not in_boundary_family(m, i, j, nu):
+                    continue
+                if any(ref_contains_cell(bounds, c) for c in m.cells()):
+                    out.append(m)
+    out.sort(key=lambda m: (m.shape.name, m.anchor))
+    return out
+
+
+def ref_predicate_area(polygon_sets, predicate) -> F:
+    """The all-pairs slab sweep, slopes rebuilt per pair and per slab."""
+    edge_sets = [_edges_of(ps) for ps in polygon_sets]
+    all_edges = [(e, si) for si, es in enumerate(edge_sets) for e in es]
+    if not all_edges:
+        return F(0)
+    breaks = set()
+    for (a, b), _ in all_edges:
+        breaks.add(a[0])
+        breaks.add(b[0])
+    nonvert = [(a, b, si) for (a, b), si in all_edges if a[0] != b[0]]
+    for i in range(len(nonvert)):
+        a1, b1, _ = nonvert[i]
+        for j in range(i + 1, len(nonvert)):
+            a2, b2, _ = nonvert[j]
+            d1 = (b1[0] - a1[0], b1[1] - a1[1])
+            d2 = (b2[0] - a2[0], b2[1] - a2[1])
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            if den == 0:
+                continue
+            s = ((a2[0] - a1[0]) * d2[1] - (a2[1] - a1[1]) * d2[0]) / den
+            x = a1[0] + s * d1[0]
+            lo1, hi1 = min(a1[0], b1[0]), max(a1[0], b1[0])
+            lo2, hi2 = min(a2[0], b2[0]), max(a2[0], b2[0])
+            if lo1 <= x <= hi1 and lo2 <= x <= hi2:
+                breaks.add(x)
+    xs = sorted(breaks)
+    total = F(0)
+    for xi in range(len(xs) - 1):
+        xl, xr = xs[xi], xs[xi + 1]
+        active = []
+        for a, b, si in nonvert:
+            lo, hi = (a, b) if a[0] < b[0] else (b, a)
+            if lo[0] <= xl and hi[0] >= xr:
+                slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
+                active.append((lo[1] + slope * (xl - lo[0]), lo[1] + slope * (xr - lo[0]), si))
+        active.sort(key=lambda t: t[0] + t[1])
+        parity = [False] * len(polygon_sets)
+        for ei in range(len(active)):
+            parity[active[ei][2]] = not parity[active[ei][2]]
+            if ei + 1 < len(active) and predicate(tuple(parity)):
+                ya_l, ya_r, _ = active[ei]
+                yb_l, yb_r, _ = active[ei + 1]
+                total += (xr - xl) * ((yb_l + yb_r) - (ya_l + ya_r)) / 2
+    return total
+
+
+# -------------------------------------------------------------------
+# Windows and lattice energies
+# -------------------------------------------------------------------
+
+def random_window(rng: random.Random) -> Window:
+    """Sides and centres on grids of 1, 1/2, 1/3, 1/4 and 1/7, so that the
+    boundary sometimes runs along lattice lines and sometimes cuts cells."""
+    den = rng.choice((1, 1, 2, 3, 4, 7))
+    side = F(rng.randint(1, 30 * den), den)
+    cden = rng.choice((1, 2, 3, 5))
+    center = (F(rng.randint(-12 * cden, 12 * cden), cden),
+              F(rng.randint(-12 * cden, 12 * cden), cden))
+    return Window.square(side, center)
+
+
+def test_lattice_energies_match_fraction_clipping():
+    rng = random.Random(20261017)
+    cut_cells = 0
+    for _ in range(400):
+        window = random_window(rng)
+        config = random_configuration(rng, max_molecules=30)
+        c_R = F(rng.randint(1, 9), rng.randint(1, 4))
+        c_S = F(rng.randint(1, 9), rng.randint(1, 4))
+        got = (
+            perimeter(config, window),
+            weighted_perimeter(config, c_R, c_S, window),
+            volume_deficit(config, window),
+        )
+        assert got == (
+            ref_perimeter(config, window),
+            ref_weighted(config, c_R, c_S, window),
+            ref_volume(config, window),
+        ), (window, config.molecules)
+        assert all(type(v) is F for v in got)
+        x0, y0, x1, y1 = ref_bounds(window)
+        cut_cells += any(v.denominator != 1 for v in (x0, y0, x1, y1))
+    assert cut_cells > 100  # the boundary cuts cells in many of the windows
+
+
+def test_plane_energies_are_fractions():
+    rng = random.Random(7)
+    for _ in range(20):
+        config = random_configuration(rng)
+        got = perimeter(config), weighted_perimeter(config, 1, F(1, 4))
+        assert got == (ref_perimeter(config, Window.plane()),
+                       ref_weighted(config, F(1), F(1, 4), Window.plane()))
+        assert all(type(v) is F for v in got)
+
+
+def test_contains_cell_and_cell_range_match_fraction_bounds():
+    rng = random.Random(42)
+    for _ in range(400):
+        window = random_window(rng)
+        assert window.cell_range() == ref_cell_range(window)
+        assert window.bounds() == ref_bounds(window)
+        bounds = x0, y0, x1, y1 = ref_bounds(window)
+        for a in range(math.floor(x0) - 2, math.ceil(x1) + 2):
+            for b in (math.floor(y0) - 1, math.floor(y0), math.floor(y0) + 1,
+                      math.ceil(y1) - 1, math.ceil(y1), rng.randint(-40, 40)):
+                assert window.contains_cell((a, b)) == ref_contains_cell(bounds, (a, b))
+                assert window.contains_cell((b, a)) == ref_contains_cell(bounds, (b, a))
+
+
+def test_window_is_still_a_plain_value():
+    a = Window.square(F(7, 2), (F(1, 3), 0))
+    a.contains_cell((0, 0))  # fills the per-instance cache
+    b = Window.square(F(7, 2), (F(1, 3), 0))
+    assert a == b and hash(a) == hash(b)
+    assert a.eroded(F(1, 2)) == Window.square(F(5, 2), (F(1, 3), 0))
+
+
+def test_frame_cell_tests_match_fraction_formulas():
+    for T in range(8, 30):
+        h = F(T, 2)
+        for a in range(-T, T + 1):
+            for b in (-T // 2 - 1, -T // 2, 0, T // 2 - 5, T // 2 - 4, T // 2):
+                cell = (a, b)
+                meets = a < h and a + 1 > -h and b < h and b + 1 > -h
+                inner = -h + 4 <= a and a + 1 <= h - 4 and -h + 4 <= b and b + 1 <= h - 4
+                assert _cell_meets_window(cell, T) == meets
+                assert _cell_inside_inner(cell, T) == inner
+
+
+# -------------------------------------------------------------------
+# Phase patterns and boundary families
+# -------------------------------------------------------------------
+
+def test_phase_pattern_matches_cell_sweep():
+    rng = random.Random(5)
+    for _ in range(40):
+        window = random_window(rng)
+        for i in range(1, 9):
+            assert list(phase_pattern(i, window).molecules) == ref_phase_pattern(i, window)
+
+
+FAMILY_PAIRS = (
+    (1, 0), (2, 0), (5, 0), (8, 0), (0, 3), (0, 6),
+    (1, 2), (1, 5), (1, 7), (5, 6), (4, 8), (7, 3),
+)
+FAMILY_DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (1, 1), (1, -1), (-1, -1), (3, -1), (2, 1))
+
+
+@pytest.mark.parametrize("T", (8, 9, 12, 13, 16, 20))
+def test_family_members_match_cell_sweep(T):
+    window = Window.square(T + 8)
+    for i, j in FAMILY_PAIRS:
+        for p, q in FAMILY_DIRECTIONS:
+            nu = direction(p, q)
+            assert _family_members(i, j, nu, window) == ref_family_members(i, j, nu, window)
+
+
+def test_family_members_every_pair_on_off_grid_windows():
+    rng = random.Random(9)
+    pairs = [(i, j) for i in range(9) for j in range(9) if i != j]
+    for i, j in pairs:
+        window = random_window(rng)
+        nu = direction(*rng.choice(FAMILY_DIRECTIONS))
+        got = _family_members(i, j, nu, window)
+        assert got == ref_family_members(i, j, nu, window)
+
+
+# -------------------------------------------------------------------
+# The polygon sweep
+# -------------------------------------------------------------------
+
+def _grid_point(rng, den):
+    return (F(rng.randint(0, 4 * den), den), F(rng.randint(0, 4 * den), den))
+
+
+def random_polygon_set(rng: random.Random) -> list:
+    """Triangles, rectangles and unit-cell halves on a fine rational grid.
+
+    Rectangles share a baseline and cell halves share their diagonals and
+    sides, so the sets carry shared and collinear edges."""
+    den = rng.choice((1, 2, 3, 6))
+    polys = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            polys.append((_grid_point(rng, den), _grid_point(rng, den), _grid_point(rng, den)))
+        elif kind == 1:
+            x0, x1 = sorted(F(rng.randint(0, 4 * den), den) for _ in range(2))
+            y1 = F(rng.randint(1, 4 * den), den)
+            polys.append(((x0, F(0)), (x1, F(0)), (x1, y1), (x0, y1)))
+        else:
+            x, y = rng.randint(0, 3), rng.randint(0, 3)
+            if rng.random() < 0.5:
+                polys.append(((x, y), (x + 1, y), (x + 1, y + 1)))
+            else:
+                polys.append(((x, y), (x + 1, y + 1), (x, y + 1)))
+    return polys
+
+
+PREDICATES = {
+    "first": lambda p: p[0],
+    "any": any,
+    "first_xor_last": lambda p: p[0] != p[-1],
+    "first_minus_last": lambda p: p[0] and not p[-1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+def test_predicate_area_matches_all_pairs_sweep(name):
+    predicate = PREDICATES[name]
+    rng = random.Random(sorted(PREDICATES).index(name))
+    for _ in range(40):
+        sets = [random_polygon_set(rng) for _ in range(rng.randint(1, 4))]
+        got = predicate_area(sets, predicate)
+        assert type(got) is F
+        assert got == ref_predicate_area(sets, predicate), sets
