@@ -128,6 +128,16 @@ def _parse_weights(spec: str | None) -> tuple[Fraction, Fraction]:
     return weights
 
 
+def _parse_epsilons(spec: str) -> list[Fraction]:
+    try:
+        epsilons = [Fraction(e) for e in spec.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"invalid epsilon {spec!r}: {exc}")
+    if any(eps <= 0 for eps in epsilons):
+        raise CliError("epsilon must be positive")
+    return epsilons
+
+
 def _load_shapes(path: str | None):
     if path is None:
         return dict(BUILTIN_SHAPES)
@@ -310,7 +320,7 @@ def cmd_lemma(args) -> int:
 
 def cmd_decompose(args) -> int:
     config_paths = args.configs
-    epsilons = [Fraction(e) for e in args.epsilon.split(",")]
+    epsilons = _parse_epsilons(args.epsilon)
     if len(config_paths) != len(epsilons):
         raise CliError("need one configuration file per epsilon")
     window = _parse_window(args.window)
@@ -574,6 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _preset_int(preset: dict, name: str) -> int:
+    try:
+        return int(preset[name])
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid preset {name}: {exc}")
+
+
 def _apply_preset(args) -> None:
     """Fill unset options from a preset file (weights, budget, cap, palette)."""
     if not getattr(args, "preset", None):
@@ -582,15 +599,19 @@ def _apply_preset(args) -> None:
         preset = json.loads(Path(args.preset).read_text())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read preset {args.preset}: {exc}")
+    if not isinstance(preset, dict):
+        raise CliError("preset must be a JSON object")
     if getattr(args, "weights", None) is None and "weights" in preset:
+        if not isinstance(preset["weights"], str):
+            raise CliError("preset weights must be a string C_R,C_S")
         args.weights = preset["weights"]
     if getattr(args, "budget", None) is None and "budget" in preset:
-        args.budget = int(preset["budget"])
+        args.budget = _preset_int(preset, "budget")
     if "cluster_cap" in preset and getattr(args, "cap", None) == 6:
-        args.cap = int(preset["cluster_cap"])
+        args.cap = _preset_int(preset, "cluster_cap")
     palette = preset.get("palette")
     if palette:
-        if len(palette) != 9:
+        if not isinstance(palette, list) or len(palette) != 9:
             raise CliError("palette preset needs exactly 9 colors")
         args.palette = tuple(palette)
 

@@ -10,7 +10,22 @@ the square and tries every placement covering it.  That canonical order
 makes the search exhaustive and duplicate-free: each covering is produced
 exactly once, as the sequence of its molecules sorted by the first target
 cell they cover.  Cells are encoded as bits of int masks by a shared
-placement table (`chiralattice.placements`).
+placement table (`chiralattice.placements`).  `enumerate_coverings` walks
+this tree plainly and yields every covering.
+
+`lemma_check` walks the same tree memoised on its frontier.  Below a node
+whose first free order cell is i, only placements whose lowest order bit
+is >= i can be chosen, so the subtree depends only on the occupied cells
+in frontier[i] (every order cell plus the cells of those placements) and
+on the inner-phase state of the prefix: no molecule meeting the inner
+square yet, all of one phase (or shape), or mixed.  A mixed prefix is a
+state, not a verdict, since its subtree may still be a dead end.  The memo
+maps that key to the (nodes, coverings) of a subtree that was walked to
+the end without a violation, stored only once the walk has finished.  A
+hit adds those counts and skips the subtree, except when it would reach
+the cap, in which case the subtree is walked.  A violation is never
+inside a skipped subtree, so the node and covering counts, the first
+witness and the cap stop are exactly those of the plain walk.
 
 For coverings of built-in molecules the interior single-phase property is
 checked through phase labels; for user shape sets, where no phase map
@@ -62,9 +77,17 @@ class MixedPhases:
 
 @dataclass
 class SearchStats:
+    """Effort of a covering search.
+
+    nodes counts placements tried, coverings the complete coverings and
+    placements the table size; states is the number of frontier states
+    that `lemma_check` memoised.
+    """
+
     nodes: int = 0
     coverings: int = 0
     placements: int = 0
+    states: int = 0
 
 
 @dataclass
@@ -109,6 +132,24 @@ def _square_table(k: int, shapes: Sequence[MoleculeShape]) -> PlacementTable:
     return PlacementTable(
         sorted((c, r) for c in range(-k, k) for r in range(-k, k)), shapes
     )
+
+
+def _frontiers(table: PlacementTable) -> list[int]:
+    """frontier[i]: the bits on which the subtree below a node depends.
+
+    Below a node whose first free order cell is i, only placements whose
+    lowest order bit is >= i can still be chosen, so the subtree depends
+    on the order bits and on the cells of those placements only.
+    """
+    reach = [0] * table.n
+    for p in table.placements:
+        low = p.mask & -p.mask  # order cells have the lowest bits
+        reach[low.bit_length() - 1] |= p.mask
+    bits = table.order_bits
+    for i in reversed(range(table.n)):
+        bits |= reach[i]
+        reach[i] = bits
+    return reach
 
 
 def _iter_coverings(
@@ -235,12 +276,61 @@ def lemma_check(
             return None
         return phase_label(mol) if builtin else mol.shape.name
 
-    keys = [inner_key(p.molecule) for p in table.placements]
+    # inner-phase states: 0 before any molecule meets the inner square,
+    # c for "all such molecules have key code c", `mixed` for two keys
+    codes: dict[int | str, int] = {}
+    code = []
+    for p in table.placements:
+        label = inner_key(p.molecule)
+        code.append(0 if label is None else codes.setdefault(label, len(codes) + 1))
+    mixed = len(codes) + 1
+    width = mixed.bit_length()
+    frontier = _frontiers(table)
+    options = [[(p.mask, code[p.index], p) for p in ps] for ps in table.by_pos]
+    memo: dict[int, tuple[int, int]] = {}
     names = tuple(s.name for s in shapes)
-    for chosen in _iter_coverings(table, stats):
-        if len({keys[p.index] for p in chosen} - {None}) > 1:
-            witness = validate(p.molecule for p in chosen)
-            return LemmaReport(k, names, False, witness, stats, True, inner_margin)
-        if cap is not None and stats.coverings >= cap:
-            return LemmaReport(k, names, None, None, stats, False, inner_margin)
-    return LemmaReport(k, names, True, None, stats, True, inner_margin)
+    n = table.n
+    nodes = coverings = 0
+
+    def report(holds: bool | None, witness: Configuration | None) -> LemmaReport:
+        stats.nodes, stats.coverings, stats.states = nodes, coverings, len(memo)
+        return LemmaReport(k, names, holds, witness, stats, holds is not None, inner_margin)
+
+    occupied = 0
+    chosen: list[Placement] = []
+    # frames: (options, phase state, memo key, nodes and coverings on entry)
+    stack = [(iter(options[0]), 0, 0, 0, 0)]
+    while stack:
+        frame = stack[-1]
+        phase = frame[1]
+        for mask, c, p in frame[0]:
+            if mask & occupied:
+                continue
+            nodes += 1
+            child = phase if c == 0 or c == phase else (c if phase == 0 else mixed)
+            occ = occupied | mask
+            i = (occ ^ (occ + 1)).bit_length() - 1  # the first free cell
+            if i >= n:
+                coverings += 1
+                if child == mixed:
+                    return report(False, validate([q.molecule for q in chosen] + [p.molecule]))
+                if cap is not None and coverings >= cap:
+                    return report(None, None)
+                continue
+            key = (occ & frontier[i]) << width | child
+            hit = memo.get(key)
+            # a hit that would reach the cap is walked, so the stop is exact
+            if hit is not None and (cap is None or coverings + hit[1] < cap):
+                nodes += hit[0]
+                coverings += hit[1]
+                continue
+            occupied = occ
+            chosen.append(p)
+            stack.append((iter(options[i]), child, key, nodes, coverings))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                memo[frame[2]] = (nodes - frame[3], coverings - frame[4])
+                occupied ^= chosen.pop().mask
+    return report(True, None)

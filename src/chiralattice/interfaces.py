@@ -47,7 +47,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import Placement, PlacementTable
+from .placements import PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -640,12 +640,6 @@ def pattern_upper_bound(
 # Small-cluster minimal perimeter
 # -------------------------------------------------------------------
 
-def _cluster_canonical(mols: frozenset[tuple[str, Cell]]) -> frozenset:
-    min_x = min(a for _, (a, _) in mols)
-    min_y = min(b for _, (_, b) in mols)
-    return frozenset((n, (a - min_x, b - min_y)) for n, (a, b) in mols)
-
-
 def cluster_min_perimeter(
     r: int, s: int, cap: int = 6
 ) -> tuple[Fraction, Configuration]:
@@ -653,7 +647,14 @@ def cluster_min_perimeter(
 
     Exhaustive search over connected clusters (an optimal cluster is
     always edge-connected: translating a separated component until first
-    contact shares at least one edge and lowers the perimeter).
+    contact shares at least one edge and lowers the perimeter).  Clusters
+    grow from a seed at the origin by one placement touching the cluster,
+    tried in (shape name, anchor) order, and each translation class of
+    clusters is grown once.  Placements are ranked once in that order, so
+    a node's candidates are the set bits of an int over ranks; a class is
+    keyed by an int with one bit per (anchor, shape), shifted down to the
+    cluster's lowest anchor column and row.  The first cluster of least
+    perimeter in that order is returned.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise ValueError("need r + s >= 1 with nonnegative counts")
@@ -667,68 +668,86 @@ def cluster_min_perimeter(
         [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
         (R, S),
     )
-    seeds = {p.molecule: p for p in table.placements if p.molecule.anchor == (0, 0)}
+    ranked = sorted(table.placements, key=lambda p: (p.molecule.shape.name, p.molecule.anchor))
+    rank_of = {p.index: rank for rank, p in enumerate(ranked)}
+    # ranks of the placements covering each order cell
+    covering = [sum(1 << rank_of[p.index] for p in ps) for ps in table.by_pos]
+    # near[rank]: ranks of the placements covering a cell next to that one
+    near = []
+    for p in ranked:
+        cells, bits = p.touch1 | p.touch2, 0
+        while cells:
+            low = cells & -cells
+            cells ^= low
+            i = low.bit_length() - 1
+            if i < table.n:
+                bits |= covering[i]
+        near.append(bits)
+    of_shape = {
+        shape: sum(1 << rank for rank, p in enumerate(ranked) if p.molecule.shape is shape)
+        for shape in (R, S)
+    }
+    x0 = min(p.molecule.anchor[0] for p in ranked)
+    y0 = min(p.molecule.anchor[1] for p in ranked)
+    width = max(p.molecule.anchor[1] for p in ranked) - y0 + 1
+    col = [p.molecule.anchor[0] - x0 for p in ranked]
+    row = [p.molecule.anchor[1] - y0 for p in ranked]
+    key_bit = [
+        1 << 2 * (x * width + y) + (p.molecule.shape is S) for x, y, p in zip(col, row, ranked)
+    ]
 
     best: tuple[int, tuple[Molecule, ...]] | None = None
-    seen: set[frozenset] = set()
+    seen: set[int] = set()
 
-    def grow(mols: list[Molecule], occ: int, halo: int, per: int, nr: int, ns: int):
+    def grow(
+        mols: list[Molecule], occ: int, cand: int, bits: int, low_x: int, low_y: int,
+        per: int, nr: int, ns: int,
+    ):
         nonlocal best
-        if len(mols) == total:
-            if best is None or per < best[0]:
-                best = (per, tuple(mols))
-            return
+        last = len(mols) + 1 == total
         # candidate placements: those covering a cell adjacent to the cluster
-        shapes = []
-        if nr < r:
-            shapes.append(R)
-        if ns < s:
-            shapes.append(S)
-        cand: set[Placement] = set()
-        rest = halo
+        rest = cand & ((of_shape[R] if nr < r else 0) | (of_shape[S] if ns < s else 0))
         while rest:
             low = rest & -rest
             rest ^= low
-            cand.update(
-                p for p in table.by_pos[low.bit_length() - 1]
-                if p.molecule.shape in shapes
-            )
-        for p in sorted(cand, key=lambda p: (p.molecule.shape.name, p.molecule.anchor)):
+            rank = low.bit_length() - 1
+            p = ranked[rank]
             if p.mask & occ:
                 continue
-            mol = p.molecule
-            key = _cluster_canonical(
-                frozenset(
-                    [(m.shape.name, m.anchor) for m in mols] + [(mol.shape.name, mol.anchor)]
-                )
-            )
+            grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
+            if last:
+                # a repeated class ties with its first visit, so complete
+                # clusters are not keyed
+                if best is None or grown_per < best[0]:
+                    best = (grown_per, (*mols, p.molecule))
+                continue
+            x = col[rank] if col[rank] < low_x else low_x
+            y = row[rank] if row[rank] < low_y else low_y
+            grown = bits | key_bit[rank]
+            key = grown >> 2 * (x * width + y)
             if key in seen:
                 continue
             seen.add(key)
+            mol = p.molecule
             grow(
-                mols + [mol],
-                occ | p.mask,
-                (halo | p.touch1 | p.touch2) & ~p.mask,
-                per + _MOLECULE_EDGES - 2 * p.contacts(occ),
-                nr + (mol.shape is R),
-                ns + (mol.shape is S),
+                mols + [mol], occ | p.mask, cand | near[rank], grown, x, y,
+                grown_per, nr + (mol.shape is R), ns + (mol.shape is S),
             )
 
-    first_shapes = []
-    if r > 0:
-        first_shapes.append(R)
-    if s > 0 and (r == 0 or R.name != S.name):
-        first_shapes.append(S)
-    for shape in first_shapes:
+    for shape, count in ((R, r), (S, s)):
         # fixing the first molecule at the origin removes translations;
         # with mixed species both seeds are tried since the first molecule
         # of an optimal cluster can be either kind
-        seed = seeds[Molecule(shape, (0, 0))]
-        if (shape is R and r > 0) or (shape is S and s > 0):
-            grow(
-                [seed.molecule], seed.mask, seed.touch1 | seed.touch2,
-                _MOLECULE_EDGES, int(shape is R), int(shape is S),
-            )
+        if count == 0:
+            continue
+        rank = next(n for n, p in enumerate(ranked) if p.molecule == Molecule(shape, (0, 0)))
+        if total == 1:
+            best = (_MOLECULE_EDGES, (ranked[rank].molecule,))
+            break
+        grow(
+            [ranked[rank].molecule], ranked[rank].mask, near[rank], key_bit[rank],
+            col[rank], row[rank], _MOLECULE_EDGES, int(shape is R), int(shape is S),
+        )
 
     assert best is not None
     value, mols = best

@@ -334,3 +334,36 @@ def test_energy_bad_window_or_weights_exit_2(single_r, capsys, argv, message):
 def test_bad_subcommand_arguments_exit_2(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        ("abc", "invalid epsilon"),
+        ("1/0", "invalid epsilon"),
+        ("0", "epsilon must be positive"),
+        ("1/8,-1/8", "epsilon must be positive"),
+    ],
+)
+def test_decompose_bad_epsilon_exit_2(single_r, capsys, epsilon, message):
+    argv = ["decompose", single_r, "--epsilon", epsilon, "--window", "4"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, argv, message",
+    [
+        ({"weights": [1, 2]}, ["energy", "CFG"], "preset weights must be a string"),
+        ({"budget": "abc"}, ["density", "1", "0", "1", "1", "16"], "invalid preset budget"),
+        ({"cluster_cap": [3]}, ["cluster", "1", "0"], "invalid preset cluster_cap"),
+        ({"palette": 5}, ["cluster", "1", "0"], "9 colors"),
+        ([1], ["cluster", "1", "0"], "preset must be a JSON object"),
+    ],
+)
+def test_bad_preset_exit_2(tmp_path, capsys, single_r, preset, argv, message):
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(preset))
+    argv = [single_r if a == "CFG" else a for a in argv]
+    assert main(["--preset", str(path)] + argv) == 2
+    assert message in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
-the bitboard searches walk the same trees.
+the bitboard searches walk the same trees.  The lemma trees at k=7..9 and
+the (3,2) cluster witness were recorded with the unmemoised covering DFS
+and the frozenset-keyed cluster search.
 """
 
 from fractions import Fraction as F
@@ -115,9 +117,12 @@ def test_solver_tree_pinned_t16(spec, expected):
 def test_lemma_trees_pinned():
     got = [
         (rep.search_space.nodes, rep.search_space.coverings)
-        for rep in (lemma_check(k) for k in (4, 5, 6))
+        for rep in (lemma_check(k) for k in (4, 5, 6, 7, 8, 9))
     ]
-    assert got == [(3729, 288), (9433, 576), (20316, 1152)]
+    assert got == [
+        (3729, 288), (9433, 576), (20316, 1152),
+        (47405, 2304), (100308, 4608), (228653, 9216),
+    ]
 
 
 def _molecules(config):
@@ -153,3 +158,8 @@ def test_cluster_witnesses_pinned():
     value, config = cluster_min_perimeter(3, 1)
     assert value == 22
     assert _molecules(config) == [("R", 0, 0), ("R", -2, -2), ("R", -1, 1), ("S", -1, 1)]
+    value, config = cluster_min_perimeter(3, 2)
+    assert value == 24
+    assert _molecules(config) == [
+        ("R", 0, 0), ("R", -2, -2), ("R", -1, 1), ("S", -2, 0), ("S", -1, 1)
+    ]

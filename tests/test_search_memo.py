@@ -1,0 +1,186 @@
+"""Differential tests: the memoised searches against the plain ones.
+
+`lemma_check` memoises its covering DFS on the frontier state, and
+`cluster_min_perimeter` ranks candidates once and keys translation
+classes by ints.  The plain forms that they replaced are kept below as the
+reference; verdicts, node and covering counts, cap stops and witnesses
+must be equal.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
+from chiralattice.coverings import _square_table, lemma_check
+from chiralattice.interfaces import cluster_min_perimeter
+from chiralattice.molecules import BUILTIN_SHAPES, Molecule, R, S, phase_label, validate
+from chiralattice.placements import PlacementTable
+
+_MOLECULE_EDGES = 10
+
+
+# -------------------------------------------------------------------
+# Reference implementations (plain DFS, frozenset cluster keys)
+# -------------------------------------------------------------------
+
+def ref_coverings(table, stats):
+    """Every covering of the order cells, in DFS order, unmemoised."""
+    targets = table.order_bits
+    occupied = 0
+    chosen = []
+    stack = [iter(table.by_pos[0])]
+    while stack:
+        for p in stack[-1]:
+            if p.mask & occupied:
+                continue
+            stats["nodes"] += 1
+            occupied |= p.mask
+            chosen.append(p)
+            free = targets & ~occupied
+            if free:
+                stack.append(iter(table.by_pos[(free & -free).bit_length() - 1]))
+                break
+            stats["coverings"] += 1
+            yield tuple(chosen)
+            occupied ^= chosen.pop().mask
+        else:
+            stack.pop()
+            if chosen:
+                occupied ^= chosen.pop().mask
+
+
+def ref_lemma(k, shapes, cap, inner_margin):
+    """(holds, complete, nodes, coverings, witness molecules)."""
+    builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
+    table = _square_table(k, shapes)
+    half = k - inner_margin // 2
+
+    def inner_key(mol):
+        if not any(-half <= x < half and -half <= y < half for x, y in mol.cells()):
+            return None
+        return phase_label(mol) if builtin else mol.shape.name
+
+    keys = [inner_key(p.molecule) for p in table.placements]
+    stats = {"nodes": 0, "coverings": 0}
+
+    def result(holds, witness):
+        mols = None if witness is None else _molecules(validate(p.molecule for p in witness))
+        return (holds, holds is not None, stats["nodes"], stats["coverings"], mols)
+
+    for chosen in ref_coverings(table, stats):
+        if len({keys[p.index] for p in chosen} - {None}) > 1:
+            return result(False, chosen)
+        if cap is not None and stats["coverings"] >= cap:
+            return result(None, None)
+    return result(True, None)
+
+
+def ref_cluster(r, s):
+    """(value, witness molecules) by growth with frozenset class keys."""
+    total = r + s
+    reach = 3 * total
+    table = PlacementTable(
+        [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
+        (R, S),
+    )
+    seeds = {p.molecule: p for p in table.placements if p.molecule.anchor == (0, 0)}
+    best = None
+    seen = set()
+
+    def canonical(mols):
+        min_x = min(a for _, (a, _) in mols)
+        min_y = min(b for _, (_, b) in mols)
+        return frozenset((n, (a - min_x, b - min_y)) for n, (a, b) in mols)
+
+    def grow(mols, occ, halo, per, nr, ns):
+        nonlocal best
+        if len(mols) == total:
+            if best is None or per < best[0]:
+                best = (per, tuple(mols))
+            return
+        shapes = ([R] if nr < r else []) + ([S] if ns < s else [])
+        cand = set()
+        rest = halo
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand.update(
+                p for p in table.by_pos[low.bit_length() - 1] if p.molecule.shape in shapes
+            )
+        for p in sorted(cand, key=lambda p: (p.molecule.shape.name, p.molecule.anchor)):
+            if p.mask & occ:
+                continue
+            mol = p.molecule
+            key = canonical(frozenset(
+                [(m.shape.name, m.anchor) for m in mols] + [(mol.shape.name, mol.anchor)]
+            ))
+            if key in seen:
+                continue
+            seen.add(key)
+            grow(
+                mols + [mol],
+                occ | p.mask,
+                (halo | p.touch1 | p.touch2) & ~p.mask,
+                per + _MOLECULE_EDGES - 2 * p.contacts(occ),
+                nr + (mol.shape is R),
+                ns + (mol.shape is S),
+            )
+
+    for shape, count in ((R, r), (S, s)):
+        if count:
+            seed = seeds[Molecule(shape, (0, 0))]
+            grow(
+                [seed.molecule], seed.mask, seed.touch1 | seed.touch2,
+                _MOLECULE_EDGES, int(shape is R), int(shape is S),
+            )
+    value, mols = best
+    return value, _molecules(validate(mols))
+
+
+def _molecules(config):
+    return [(m.shape.name, *m.anchor) for m in config.molecules]
+
+
+# -------------------------------------------------------------------
+# Equality
+# -------------------------------------------------------------------
+
+SHAPE_SETS = {
+    "R,S": (R, S),
+    "R": (R,),
+    "S": (S,),
+    "flat": FLAT_PAIR,
+    "skew": SKEW_PAIR,
+}
+CAPS = (None, 1, 2, 7, 100)
+
+
+@pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
+@pytest.mark.parametrize("margin", (2, 4))
+@pytest.mark.parametrize("k", range(2, 9))
+def test_lemma_equals_plain_dfs(k, margin, shapes):
+    for cap in CAPS:
+        rep = lemma_check(k, SHAPE_SETS[shapes], cap=cap, inner_margin=margin)
+        got = (
+            rep.holds,
+            rep.complete,
+            rep.search_space.nodes,
+            rep.search_space.coverings,
+            None if rep.witness is None else _molecules(rep.witness),
+        )
+        assert got == ref_lemma(k, SHAPE_SETS[shapes], cap, margin), cap
+
+
+@pytest.mark.parametrize(
+    "r,s", [(r, t - r) for t in range(1, 6) for r in range(t + 1)]
+)
+def test_cluster_equals_frozenset_search(r, s):
+    value, config = cluster_min_perimeter(r, s)
+    assert (value, _molecules(config)) == ref_cluster(r, s)
+
+
+def test_memo_states_reported():
+    rep = lemma_check(6)
+    assert 0 < rep.search_space.states < rep.search_space.nodes
+    assert "states" not in rep.to_jsonable()["search_space"]
