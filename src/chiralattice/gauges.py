@@ -157,9 +157,3 @@ def wulff_shape(polygon: GaugePolygon) -> Polygon:
         det = a[0] * b[1] - a[1] * b[0]
         out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
     return _canonical_ccw(out)
-
-
-def support_function(poly: Polygon, direction: Vec) -> Fraction:
-    """max over the polygon of x . direction."""
-    dx, dy = Fraction(direction[0]), Fraction(direction[1])
-    return max(x * dx + y * dy for x, y in poly)

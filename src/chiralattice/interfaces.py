@@ -14,11 +14,17 @@ phase, or none, may appear.
 Because every molecule that is allowed to vary must avoid the width-4
 frame, free molecules live in the concentric inner square of side T - 8.
 The search over that region is an exhaustive branch and bound in scan
-order, with energy accounted incrementally and a monotone lower bound
-given by the already-determined boundary edges.  Cells are encoded as bits
-of int masks by a shared placement table (`chiralattice.placements`), and
-the search counts energy in integer units of 1/scale, so all energies stay
-exact rationals.
+order, with energy accounted incrementally.  Its lower bound for surface
+energies is the already-determined boundary (edges whose two cells are
+decided) plus a line-transition bound: in each row and column of the
+inner square and its always-decided ring, every run of undecided cells
+between decided cells of unlike occupancy must hold a boundary edge that
+is not determined yet, and no edge lies in two lines, so each such run
+adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
+results do not depend on it.  Cells are encoded as bits of int masks by
+a shared placement table (`chiralattice.placements`), and the search
+counts energy in integer units of 1/scale, so all energies stay exact
+rationals.
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -47,7 +53,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import PlacementTable
+from .placements import Grid, PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -142,6 +148,9 @@ class SolveResult:
     config: Configuration
     certificate: str  # "exact" | "upper_bound"
     nodes_explored: int
+    # a proven lower bound on the optimum; equal to value when exact.  It
+    # is not serialised, so outputs do not change with the bound.
+    lower: Fraction
 
     def to_jsonable(self) -> dict:
         return {
@@ -306,6 +315,21 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     tree was exhausted within the node budget; otherwise the best
     configuration found is returned as an upper bound.  Deterministic for
     fixed inputs and budgets.
+
+    A surface node is pruned when det + line >= best.  det is the weighted
+    length of the boundary edges whose two cells are both decided; it can
+    only grow because the weights are positive.  line counts, in every row
+    and column of the inner square plus a one-cell ring (ring cells lie in
+    the frame, so they are always decided), the runs of undecided cells
+    whose two decided ends differ in occupancy, each at the least weight
+    min(c_R, c_S).  Along such a run the occupancy must change across
+    some edge; that edge has an undecided cell, so det has not counted it,
+    and it lies in one line only.  The bound is therefore admissible, and
+    since the scan order is fixed an exhausted search returns the first
+    optimal leaf in scan order, or the incumbent, whatever the bound.  A
+    volume node is pruned when its energy minus one molecule area per four
+    undecided cells reaches best.  `lower` is the bound at the root, or
+    the value when the certificate is exact.
     """
     if budget is None:
         budget = default_budget()
@@ -320,9 +344,10 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
         for b in range(-T // 2 + 4, T // 2 - 4)
         if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
     ]
+    order = _scan_order(prob, free_cells)
     # free placements: molecules fully inside the inner square
     table = PlacementTable(
-        _scan_order(prob, free_cells),
+        order,
         (R, S),
         lambda m: all(
             _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
@@ -336,6 +361,7 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     c_R, c_S = prob.weights
     scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
     w_R, w_S = int(c_R * scale), int(c_S * scale)
+    w_min = min(w_R, w_S)
     molecule_area = 4 * scale
 
     def scaled(value: Fraction) -> int:
@@ -364,6 +390,36 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
                 w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
             )
 
+    # LINE: the decisions again, as known and occupied masks over a Grid of
+    # the inner square plus its ring.  A run of undecided cells is at most
+    # `side` long, so the doubling shifts of the column fill carry each
+    # run's first decided end across it.
+    lo, hi = -((T - 8) // 2), (T - 10) // 2
+    side = hi - lo + 1
+    grid = Grid(range(lo - 1, hi + 2), range(lo - 1, hi + 2))
+    grid_all = grid.all_bits
+    grid_cell = [grid.mask([cell]) for cell in order]
+    grid_mask = [grid.mask(p.molecule.cells()) for p in table.placements]
+    width = grid.width
+    shifts = [width << k for k in range(side.bit_length())]
+
+    def line(known: int, occ: int) -> int:
+        """Runs of undecided cells between decided cells of unlike occupancy."""
+        unknown = grid_all & ~known
+        # rows: adding 1 at the start of a run carries through the run
+        # into the decided cell after it
+        ends = known & (unknown << 1)
+        fill = unknown + ((known & occ & (unknown >> 1)) << 1)
+        count = ((fill ^ occ) & ends).bit_count()
+        # columns: doubling shifts fill each run that follows an occupied
+        # decided cell
+        fill, through = known & occ & (unknown >> width), unknown
+        for s in shifts:
+            fill |= through & (fill << s)
+            through &= through << s
+        ends = known & (unknown << width)
+        return count + (((fill << width) ^ occ) & ends).bit_count()
+
     # initial incumbents: forced alone, and forced + interior family fill
     def evaluate(mols: list[Molecule]) -> tuple[Fraction, Configuration]:
         cfg = validate(list(forced.molecules) + mols)
@@ -388,7 +444,10 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     exhausted = True
     placed: list[Molecule] = []
 
-    def dfs(decided: int, occ_R: int, occ_S: int, energy: int, det: int) -> None:
+    def dfs(
+        decided: int, occ_R: int, occ_S: int, energy: int, det: int,
+        known: int, occ: int,
+    ) -> None:
         nonlocal nodes, best_val, best_cfg, exhausted
         if nodes >= budget:
             exhausted = False
@@ -399,21 +458,24 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
                 best_val = energy
                 best_cfg = list(forced.molecules) + list(placed)
             return
-        # lower bound: determined boundary can only grow (weights > 0)
-        if not volume and det >= best_val:
-            return
         if volume:
             undecided = n - (decided & table.order_bits).bit_count()
             if energy - molecule_area * (undecided // 4) >= best_val:
                 return
+        elif det >= best_val or det + w_min * line(known, occ) >= best_val:
+            return
         # branch 1: cover the cell with each feasible placement
         for p in table.by_pos[i]:
             if p.mask & decided:
                 continue
             nodes += 1
             placed.append(p.molecule)
+            g = grid_mask[p.index]
             if volume:
-                dfs(decided | p.mask, occ_R, occ_S, energy - molecule_area, det)
+                dfs(
+                    decided | p.mask, occ_R, occ_S, energy - molecule_area, det,
+                    known | g, occ | g,
+                )
             else:
                 # every boundary edge of the molecule adds its weight w,
                 # and one that meets an occupied cell also removes that
@@ -427,7 +489,7 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
                 d_energy = w * _MOLECULE_EDGES - (w + w_R) * c_r - (w + w_S) * c_s
                 dfs(
                     decided | p.mask, occ_R_next, occ_S_next,
-                    energy + d_energy, det + w * empty,
+                    energy + d_energy, det + w * empty, known | g, occ | g,
                 )
             placed.pop()
         # branch 2: leave the cell empty
@@ -435,15 +497,22 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
         if not volume:
             nbrs = table.neighbors[i]
             det += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-        dfs(decided | 1 << i, occ_R, occ_S, energy, det)
+        dfs(decided | 1 << i, occ_R, occ_S, energy, det, known | grid_cell[i], occ)
 
-    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det)
+    known0 = grid_all & ~grid.mask(order)
+    occ0 = grid.mask(forced_cells)
+    if volume:
+        lower = scaled(base) - molecule_area * (n // 4)
+    else:
+        lower = base_det + w_min * line(known0, occ0)
+    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det, known0, occ0)
 
     return SolveResult(
         value=Fraction(best_val, scale),
         config=validate(best_cfg),
         certificate="exact" if exhausted else "upper_bound",
         nodes_explored=nodes,
+        lower=Fraction(best_val if exhausted else min(lower, best_val), scale),
     )
 
 

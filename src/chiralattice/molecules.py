@@ -90,9 +90,15 @@ class Molecule:
     shape: MoleculeShape
     anchor: Cell
 
-    def cells(self) -> tuple[Cell, ...]:
+    def cells(self) -> tuple[Cell, Cell, Cell, Cell]:
+        # unrolled: every shape has exactly four cells, and this is called
+        # for every molecule a set-up or validation looks at
         ax, ay = self.anchor
-        return tuple((ax + c, ay + r) for c, r in self.shape.cells)
+        (c0, r0), (c1, r1), (c2, r2), (c3, r3) = self.shape.cells
+        return (
+            (ax + c0, ay + r0), (ax + c1, ay + r1),
+            (ax + c2, ay + r2), (ax + c3, ay + r3),
+        )
 
 
 def phase_label(m: Molecule) -> int:

@@ -6,7 +6,8 @@ numbering of lattice cells.  This module is the only place that numbers
 cells: the cells of the search order get bits 0..n-1, so a search's next
 undecided cell is the lowest clear bit of its state, and every other cell
 that a placement covers or touches, or that touches an order cell, gets
-the next free bit.
+the next free bit.  A `Grid` numbers the cells of a rectangle row-major
+instead, so that shifts move masks along rows and columns.
 
 Tables are immutable after construction and safe for concurrent use.
 """
@@ -115,3 +116,24 @@ class PlacementTable:
     @property
     def order_bits(self) -> int:
         return (1 << self.n) - 1
+
+
+class Grid:
+    """The cells of a rectangle numbered row-major, for line scans.
+
+    Cell (xs[c], ys[r]) is bit r * width + c, so shifting a mask by 1 moves
+    each cell one step along its row and shifting by `width` moves it one
+    step along its column.  Cells outside the rectangle have no bit.
+    """
+
+    def __init__(self, xs: range, ys: range):
+        self.xs, self.ys = xs, ys
+        self.width = len(xs)
+        self.all_bits = (1 << self.width * len(ys)) - 1
+
+    def mask(self, cells: Iterable[Cell]) -> int:
+        bits = 0
+        for a, b in cells:
+            if a in self.xs and b in self.ys:
+                bits |= 1 << (b - self.ys.start) * self.width + a - self.xs.start
+        return bits

@@ -158,15 +158,3 @@ def predicate_area(
                 yb_l, yb_r, _ = ends[ei + 1]
                 total += width * ((yb_l + yb_r) - (ya_l + ya_r)) / 2
     return total
-
-
-def polyset_area(polygons: Iterable[Sequence[Vec]]) -> Fraction:
-    """Even-odd area of a set of polygons."""
-    polys = list(polygons)
-    if not polys:
-        return Fraction(0)
-    return predicate_area([polys], lambda p: p[0])
-
-
-def polyset_symdiff_area(a: Iterable[Sequence[Vec]], b: Iterable[Sequence[Vec]]) -> Fraction:
-    return predicate_area([list(a), list(b)], lambda p: p[0] != p[1])

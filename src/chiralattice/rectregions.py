@@ -60,13 +60,6 @@ def symdiff_area(a: Sequence[Rect], b: Sequence[Rect]) -> Fraction:
     return _cells_area(_mark(a, xs, ys) ^ _mark(b, xs, ys), xs, ys)
 
 
-def intersection_area(a: Sequence[Rect], b: Sequence[Rect]) -> Fraction:
-    if not a or not b:
-        return Fraction(0)
-    xs, ys = _grid([a, b])
-    return _cells_area(_mark(a, xs, ys) & _mark(b, xs, ys), xs, ys)
-
-
 def rects_to_jsonable(region: Sequence[Rect]) -> list[list[str]]:
     return [[str(v) for v in r] for r in region]
 

@@ -6,6 +6,12 @@ import random
 from fractions import Fraction
 
 from chiralattice.molecules import Configuration, Molecule, R, S, validate
+from chiralattice.rectregions import region_area
+
+
+def intersection_area(a, b) -> Fraction:
+    """Area of the intersection of two rectangle unions, by inclusion-exclusion."""
+    return region_area(a) + region_area(b) - region_area(list(a) + list(b))
 
 
 def random_configuration(rng: random.Random, max_molecules: int = 50) -> Configuration:

@@ -318,3 +318,30 @@ def test_criterion_11_cluster_problem():
         f"phi(1,1) = {values[(1,1)]}, phi(2,1) = {values[(2,1)]} "
         f"({elapsed:.1f}s < 5min)",
     )
+
+
+def test_criterion_12_certified_frontier():
+    # rows past T=20, added to (not replacing) the series of criteria 4-6
+    t0 = time.time()
+    expected = {
+        ((1, 1), 24): (44, F(11, 6)),
+        ((1, 1), 28): (52, F(13, 7)),
+        ((3, -1), 24): (31, F(31, 8)),
+        ((1, 0), 24): (35, F(35, 24)),
+    }
+    got = {}
+    for (pq, T) in expected:
+        prob = InterfaceProblem(1, 0, direction(*pq), T)
+        res = solve_interface(prob)
+        got[(pq, T)] = (res.value, normalized_density(prob, res), res.certificate)
+    elapsed = time.time() - t0
+    ok = all(got[key] == (*expected[key], "exact") for key in expected)
+    # the diagonal series 3/2, 5/3, 7/4, 9/5 continues toward 2
+    ok = ok and got[((1, 1), 24)][1] < got[((1, 1), 28)][1] < 2
+    report(
+        12,
+        ok and elapsed < 60,
+        "exact certificates past T=20: "
+        + ", ".join(f"{pq} T={T} -> {got[(pq, T)][0]}" for pq, T in expected)
+        + f"; diagonal phi_hat 11/6, 13/7 ({elapsed:.1f}s)",
+    )

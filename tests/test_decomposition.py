@@ -12,7 +12,8 @@ from chiralattice.decomposition import (
     decompose,
 )
 from chiralattice.molecules import Molecule, R, Window, phase_pattern, validate
-from chiralattice.rectregions import intersection_area, rect, region_area
+from chiralattice.rectregions import rect, region_area
+from conftest import intersection_area
 
 
 def seam_fixture(eps: F, w_side: int = 4) -> ScaledConfiguration:

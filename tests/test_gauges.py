@@ -11,10 +11,14 @@ from chiralattice.gauges import (
     min_envelope,
     mirror,
     phi_closed_form,
-    support_function,
     wulff_shape,
 )
 from chiralattice.polygeom import polygon_area
+
+
+def support_function(poly, direction):
+    """max over the polygon of x . direction."""
+    return max(x * direction[0] + y * direction[1] for x, y in poly)
 
 
 HEX = phi_closed_form(1)

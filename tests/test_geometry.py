@@ -7,18 +7,21 @@ import pytest
 from chiralattice.polygeom import (
     convex_hull,
     polygon_area,
-    polyset_area,
-    polyset_symdiff_area,
     predicate_area,
     primitive_direction,
     vec,
 )
-from chiralattice.rectregions import (
-    intersection_area,
-    rect,
-    region_area,
-    symdiff_area,
-)
+from chiralattice.rectregions import rect, region_area, symdiff_area
+from conftest import intersection_area
+
+
+def polyset_area(polygons):
+    """Even-odd area of a set of polygons."""
+    return predicate_area([list(polygons)], lambda p: p[0])
+
+
+def polyset_symdiff_area(a, b):
+    return predicate_area([list(a), list(b)], lambda p: p[0] != p[1])
 
 
 def test_symdiff_examples():

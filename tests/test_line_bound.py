@@ -1,0 +1,245 @@
+"""Differential tests: the interface solver against the det-only search.
+
+`solve_interface` prunes with the determined boundary plus the
+line-transition bound.  The search it replaced pruned with the determined
+boundary alone; it is kept below as the reference.  Both bounds are
+admissible and the scan order is the same, so exhaustive solves must
+return the same value, certificate and configuration, and the solver may
+only visit fewer nodes.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from chiralattice.interfaces import (
+    _MOLECULE_EDGES,
+    VOLUME,
+    InfeasibleBoundary,
+    InterfaceProblem,
+    _cell_inside_inner,
+    _energy,
+    _scan_order,
+    direction,
+    frame_forced,
+    in_boundary_family,
+    solve_interface,
+)
+from chiralattice.molecules import R, R_LIKE, S, validate
+from chiralattice.placements import PlacementTable
+
+
+# -------------------------------------------------------------------
+# Reference implementation (determined-boundary bound only)
+# -------------------------------------------------------------------
+
+def ref_solve(prob: InterfaceProblem, budget: int = 5_000_000):
+    """(value, certificate, config, nodes) of the det-only branch and bound."""
+    forced = frame_forced(prob)
+    T = prob.T
+    volume = prob.energy_kind == VOLUME
+
+    forced_cells = forced.occupancy
+    free_cells = [
+        (a, b)
+        for a in range(-T // 2 + 4, T // 2 - 4)
+        for b in range(-T // 2 + 4, T // 2 - 4)
+        if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
+    ]
+    table = PlacementTable(
+        _scan_order(prob, free_cells),
+        (R, S),
+        lambda m: all(
+            _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
+        ),
+    )
+    n = table.n
+
+    base = _energy(forced, prob)
+    c_R, c_S = prob.weights
+    scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
+    w_R, w_S = int(c_R * scale), int(c_S * scale)
+    molecule_area = 4 * scale
+
+    def scaled(value):
+        v = value * scale
+        assert v.denominator == 1
+        return v.numerator
+
+    occ_R0 = table.mask(
+        c
+        for m in forced.molecules
+        if m.shape.chirality_class == R_LIKE
+        for c in m.cells()
+    )
+    occ_S0 = table.mask(forced_cells) & ~occ_R0
+    decided0 = table.all_bits & ~table.order_bits
+
+    base_det = scaled(base)
+    if not volume:
+        for nbrs in table.neighbors:
+            base_det -= (
+                w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
+            )
+
+    def evaluate(mols):
+        cfg = validate(list(forced.molecules) + mols)
+        return _energy(cfg, prob), cfg
+
+    incumbents = [evaluate([])]
+    family_fill = [
+        p.molecule
+        for p in table.placements
+        if in_boundary_family(p.molecule, prob.i, prob.j, prob.nu)
+    ]
+    try:
+        incumbents.append(evaluate(family_fill))
+    except Exception:
+        pass
+    incumbents.sort(key=lambda t: t[0])
+    best_value, best_cfg_conf = incumbents[0]
+    best_val = scaled(best_value)
+    best_cfg = list(best_cfg_conf.molecules)
+
+    nodes = 0
+    exhausted = True
+    placed = []
+
+    def dfs(decided, occ_R, occ_S, energy, det):
+        nonlocal nodes, best_val, best_cfg, exhausted
+        if nodes >= budget:
+            exhausted = False
+            return
+        i = (~decided & (decided + 1)).bit_length() - 1
+        if i >= n:
+            if energy < best_val:
+                best_val = energy
+                best_cfg = list(forced.molecules) + list(placed)
+            return
+        if not volume and det >= best_val:
+            return
+        if volume:
+            undecided = n - (decided & table.order_bits).bit_count()
+            if energy - molecule_area * (undecided // 4) >= best_val:
+                return
+        for p in table.by_pos[i]:
+            if p.mask & decided:
+                continue
+            nodes += 1
+            placed.append(p.molecule)
+            if volume:
+                dfs(decided | p.mask, occ_R, occ_S, energy - molecule_area, det)
+            else:
+                c_r, c_s = p.contacts(occ_R), p.contacts(occ_S)
+                empty = p.contacts(decided & ~(occ_R | occ_S))
+                if p.molecule.shape.chirality_class == R_LIKE:
+                    w, occ_R_next, occ_S_next = w_R, occ_R | p.mask, occ_S
+                else:
+                    w, occ_R_next, occ_S_next = w_S, occ_R, occ_S | p.mask
+                d_energy = w * _MOLECULE_EDGES - (w + w_R) * c_r - (w + w_S) * c_s
+                dfs(
+                    decided | p.mask, occ_R_next, occ_S_next,
+                    energy + d_energy, det + w * empty,
+                )
+            placed.pop()
+        nodes += 1
+        if not volume:
+            nbrs = table.neighbors[i]
+            det += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+        dfs(decided | 1 << i, occ_R, occ_S, energy, det)
+
+    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det)
+    return (
+        F(best_val, scale),
+        "exact" if exhausted else "upper_bound",
+        validate(best_cfg),
+        nodes,
+    )
+
+
+# -------------------------------------------------------------------
+# Differential tests
+# -------------------------------------------------------------------
+
+def assert_matches_reference(prob: InterfaceProblem) -> None:
+    res = solve_interface(prob)
+    value, certificate, config, nodes = ref_solve(prob)
+    assert (res.value, res.certificate, res.config) == (value, certificate, config)
+    assert res.nodes_explored <= nodes
+    assert res.lower == res.value  # exhaustive solves close the interval
+
+
+TABLE_DIRECTIONS = (
+    (1, 0, (1, 1)), (1, 0, (0, 1)), (1, 0, (1, 0)), (1, 0, (3, -1)),
+    (1, 5, (1, 1)), (1, 7, (1, -1)), (1, 2, (1, 1)), (5, 6, (0, 1)),
+)
+
+
+def _table_rows():
+    """The benchmark's density table: 48 surface rows, a weighted and a volume row."""
+    for T in (8, 12, 16):
+        for i, j, nu in TABLE_DIRECTIONS:
+            yield InterfaceProblem(i, j, direction(*nu), T)
+            yield InterfaceProblem(j, i, -direction(*nu), T)
+    yield InterfaceProblem(1, 0, direction(-1, 1), 16, (1, F(1, 4)))
+    yield InterfaceProblem(1, 0, direction(1, 1), 16, energy_kind="volume")
+
+
+@pytest.mark.parametrize(
+    "prob", list(_table_rows()),
+    ids=lambda p: f"{p.i},{p.j},{p.nu.as_tuple()},T{p.T},{p.energy_kind},{p.weights[1]}",
+)
+def test_table_rows_match_reference(prob):
+    assert_matches_reference(prob)
+
+
+@pytest.mark.parametrize("kind", ["surface", "volume"])
+def test_fractional_weights_odd_t_match_reference(kind):
+    # odd T makes the forced energy fractional, so the integer scale
+    # exceeds the weight denominators
+    for i, j, pq in [(1, 0, (1, 1)), (1, 0, (0, 1)), (1, 2, (1, 1)), (1, 0, (-1, 1))]:
+        assert_matches_reference(
+            InterfaceProblem(i, j, direction(*pq), 13, (F(2, 3), F(1, 4)), kind)
+        )
+
+
+@pytest.mark.parametrize("T", [9, 12])
+def test_every_ordered_pair_matches_reference(T):
+    """All 72 ordered phase pairs in four directions, at an odd and an even T."""
+    solved = 0
+    for i, j in itertools.permutations(range(9), 2):
+        for pq in [(1, 1), (-1, 1), (0, 1), (3, -1)]:
+            prob = InterfaceProblem(i, j, direction(*pq), T)
+            try:
+                frame_forced(prob)
+            except InfeasibleBoundary:
+                with pytest.raises(InfeasibleBoundary):
+                    solve_interface(prob)
+                continue
+            assert_matches_reference(prob)
+            solved += 1
+    assert solved > 200
+
+
+def test_lower_bounds_a_truncated_solve():
+    prob = InterfaceProblem(1, 0, direction(0, 1), 24)
+    res = solve_interface(prob, budget=1)
+    assert res.certificate == "upper_bound"
+    assert (res.lower, res.value) == (31, 47)
+    # the lower bound is not serialised
+    assert "lower" not in res.to_jsonable()
+    # the volume bound at the root: one molecule area per four free cells
+    vol = InterfaceProblem(1, 0, direction(1, 1), 16, energy_kind="volume")
+    res = solve_interface(vol, budget=1)
+    assert res.certificate == "upper_bound"
+    assert res.lower <= 119 <= res.value
+
+
+def test_line_bound_certifies_the_incumbent_at_the_root():
+    # the line bound alone proves the family fill optimal: no node is opened
+    res = solve_interface(InterfaceProblem(1, 0, direction(1, 1), 20))
+    assert (res.value, res.certificate, res.nodes_explored, res.lower) == (36, "exact", 0, 36)

@@ -4,7 +4,10 @@ The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
 the bitboard searches walk the same trees.  The lemma trees at k=7..9 and
 the (3,2) cluster witness were recorded with the unmemoised covering DFS
-and the frozenset-keyed cluster search.
+and the frozenset-keyed cluster search.  The surface interface trees are
+walked by the det-only reference search of `test_line_bound`, which the
+line-transition bound of `solve_interface` replaced; the solver's own,
+smaller trees are pinned separately.
 """
 
 from fractions import Fraction as F
@@ -20,7 +23,8 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import Molecule, R, S
-from chiralattice.placements import PlacementTable
+from chiralattice.placements import Grid, PlacementTable
+from test_line_bound import ref_solve
 
 
 def _neighbors(cell):
@@ -67,6 +71,18 @@ def test_contacts_count_boundary_edges():
         assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
 
 
+def test_grid_numbers_rows_then_columns():
+    grid = Grid(range(-1, 2), range(5, 7))  # 3 wide, 2 tall
+    assert grid.width == 3 and grid.all_bits == 0b111111
+    assert [grid.mask([(a, b)]) for b in (5, 6) for a in (-1, 0, 1)] == [
+        1 << k for k in range(6)
+    ]
+    assert grid.mask([(2, 5), (0, 7)]) == 0  # cells outside the rectangle
+    # a shift by 1 steps along a row, by the width along a column
+    assert grid.mask([(-1, 5)]) << 1 == grid.mask([(0, 5)])
+    assert grid.mask([(-1, 5)]) << grid.width == grid.mask([(-1, 6)])
+
+
 def _placements_meeting_square(k, shapes):
     """Count (shape, anchor) pairs with a cell in Q_2k, by brute force."""
     count = 0
@@ -110,8 +126,27 @@ SOLVES_T16 = [
 @pytest.mark.parametrize("spec,expected", SOLVES_T16)
 def test_solver_tree_pinned_t16(spec, expected):
     i, j, nu, weights, kind = spec
+    prob = InterfaceProblem(i, j, direction(*nu), 16, weights, kind)
+    if kind == "surface":
+        value, certificate, _, nodes = ref_solve(prob)
+    else:  # the volume bound is unchanged
+        res = solve_interface(prob)
+        value, certificate, nodes = res.value, res.certificate, res.nodes_explored
+    assert (value, certificate, nodes) == expected
+
+
+# nodes_explored of solve_interface on the surface rows of SOLVES_T16
+LINE_BOUND_NODES_T16 = [0, 280, 248, 0, 3123, 2476, 10744, 5640, 4175]
+
+
+@pytest.mark.parametrize(
+    "spec,expected,nodes",
+    [(s, e, n) for (s, e), n in zip(SOLVES_T16, LINE_BOUND_NODES_T16)],
+)
+def test_line_bound_tree_pinned_t16(spec, expected, nodes):
+    i, j, nu, weights, kind = spec
     res = solve_interface(InterfaceProblem(i, j, direction(*nu), 16, weights, kind))
-    assert (res.value, res.certificate, res.nodes_explored) == expected
+    assert (res.value, res.certificate, res.nodes_explored) == (*expected[:2], nodes)
 
 
 def test_lemma_trees_pinned():
