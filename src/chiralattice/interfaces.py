@@ -14,13 +14,18 @@ phase, or none, may appear.
 Because every molecule that is allowed to vary must avoid the width-4
 frame, free molecules live in the concentric inner square of side T - 8.
 The search over that region is an exhaustive branch and bound in scan
-order, with energy accounted incrementally.  Its lower bound for surface
-energies is the already-determined boundary (edges whose two cells are
-decided) plus a line-transition bound: in each row and column of the
-inner square and its always-decided ring, every run of undecided cells
-between decided cells of unlike occupancy must hold a boundary edge that
-is not determined yet, and no edge lies in two lines, so each such run
-adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
+order, with energy accounted incrementally.  The scan order takes the
+inner square column by column, each bottom to top, sweeping right to left
+unless p q < 0; for the diagonals the sweep starts at the bottom corner
+that the seam line x . nu = 0 passes through, so the seam is decided
+while few cells are, and a problem and its mirror (j, i, -nu) are the
+same search.  Its lower bound for surface energies is the
+already-determined boundary (edges whose two cells are decided) plus a
+line-transition bound: in each row and column of the inner square and
+its always-decided ring, every run of undecided cells between decided
+cells of unlike occupancy must hold a boundary edge that is not
+determined yet, and no edge lies in two lines, so each such run adds at
+least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  Cells are encoded as bits of int masks by
 a shared placement table (`chiralattice.placements`), and the search
 counts energy in integer units of 1/scale, so all energies stay exact
@@ -42,6 +47,7 @@ from .molecules import (
     Cell,
     Configuration,
     Molecule,
+    OverlapError,
     R,
     R_LIKE,
     S,
@@ -175,20 +181,18 @@ def _side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
     done exactly on squared integers.
     """
     p, q = nu.p, nu.q
-    pp = max(p, 0)
-    qp = max(q, 0)
-    best = None
-    for (a, b) in m.cells():
-        if upper:
-            v = p * a + q * b + pp + qp  # max of x.nu over the closed cell
-            best = v if best is None else max(best, v)
-        else:
-            v = p * a + q * b + (p - pp) + (q - qp)  # min over the cell
-            best = v if best is None else min(best, v)
-    rhs4 = 4 * (p * p + q * q)
+    a, b = m.anchor
+    # the extreme of x.nu over the closed cells: the anchor's value, the
+    # extreme over the shape's offsets, and the extreme over a unit cell
     if upper:
-        return best > 0 and best * best > rhs4
-    return best < 0 and best * best > rhs4
+        best = p * a + q * b + max(p * c + q * r for c, r in m.shape.cells)
+        best += max(p, 0) + max(q, 0)
+        sign_ok = best > 0
+    else:
+        best = p * a + q * b + min(p * c + q * r for c, r in m.shape.cells)
+        best += min(p, 0) + min(q, 0)
+        sign_ok = best < 0
+    return sign_ok and best * best > 4 * (p * p + q * q)
 
 
 def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
@@ -219,7 +223,7 @@ def boundary_family(i: int, j: int, nu: Direction, region: Window) -> Configurat
         raise ValueError("boundary families need distinct phases")
     try:
         return validate(_family_members(i, j, nu, region))
-    except Exception as exc:
+    except OverlapError as exc:
         raise InfeasibleBoundary(
             f"boundary family ({i},{j},{nu.as_tuple()}) is inconsistent: {exc}"
         ) from exc
@@ -249,21 +253,33 @@ def meets_frame(m: Molecule, T: int) -> bool:
     )
 
 
-def frame_forced(prob: InterfaceProblem) -> Configuration:
-    """Family molecules meeting the frame: the forced part of any config."""
-    search = Window.square(prob.T + 8)
-    members = [
-        m
-        for m in _family_members(prob.i, prob.j, prob.nu, search)
-        if meets_frame(m, prob.T)
-    ]
+def _near_family(prob: InterfaceProblem) -> list[Molecule]:
+    """The family molecules meeting Q_{T+8}, a superset of those meeting Q_T."""
+    return _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T + 8))
+
+
+def _forced_part(members: list[Molecule], prob: InterfaceProblem) -> Configuration:
+    """The members meeting the frame, validated."""
     try:
-        return validate(members)
-    except Exception as exc:
+        return validate(m for m in members if meets_frame(m, prob.T))
+    except OverlapError as exc:
         raise InfeasibleBoundary(
             f"boundary family ({prob.i},{prob.j},{prob.nu.as_tuple()}) forces "
             f"overlapping molecules on the frame of Q_{prob.T}: {exc}"
         ) from exc
+
+
+def frame_forced(prob: InterfaceProblem) -> Configuration:
+    """Family molecules meeting the frame: the forced part of any config."""
+    return _forced_part(_near_family(prob), prob)
+
+
+def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
+    """Are the molecules of config meeting the frame exactly those of forced?"""
+    actual = {
+        (m.shape.name, m.anchor) for m in config.molecules if meets_frame(m, T)
+    }
+    return actual == {(m.shape.name, m.anchor) for m in forced.molecules}
 
 
 def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
@@ -272,15 +288,7 @@ def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
     Equality (not mere containment) is required in both directions; the
     interior is free.
     """
-    forced = {
-        (m.shape.name, m.anchor) for m in frame_forced(prob).molecules
-    }
-    actual = {
-        (m.shape.name, m.anchor)
-        for m in config.molecules
-        if meets_frame(m, prob.T)
-    }
-    return actual == forced
+    return _matches_frame(config, frame_forced(prob), prob.T)
 
 
 def _energy(config: Configuration, prob: InterfaceProblem) -> Fraction:
@@ -298,23 +306,34 @@ def _energy(config: Configuration, prob: InterfaceProblem) -> Fraction:
 # -------------------------------------------------------------------
 
 def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
-    """Row-major order starting at the corner most negative along nu."""
-    p, q = prob.nu.p, prob.nu.q
-    h = Fraction(prob.T, 2)
-    corners = [(sx, sy) for sy in (-1, 1) for sx in (-1, 1)]
-    sx, sy = min(corners, key=lambda s: (s[0] * h * p + s[1] * h * q, s))
-    return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
+    """Columns bottom to top, swept left to right if p q < 0, else right to left.
+
+    For the diagonals the sweep starts at the bottom corner that the seam
+    line x . nu = 0 passes through, so the first columns decided hold both
+    phases and the seam between them: the line bound then sees unlike
+    column ends early, and a wrong seam is refuted before the bulk is
+    filled.  The rule depends on nu only through the sign of p q, so nu
+    and -nu (a problem and its mirror) are searched in the same order.
+    """
+    sx = 1 if prob.nu.p * prob.nu.q < 0 else -1
+    return sorted(cells, key=lambda c: (sx * c[0], c[1]))
 
 
 def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveResult:
     """Minimize the Q_T energy over admissible configurations.
 
     Branch and bound over the cells of the free inner square in scan
-    order; each cell is either covered by one of the feasible molecule
-    placements or left empty.  The certificate is exact iff the search
-    tree was exhausted within the node budget; otherwise the best
-    configuration found is returned as an upper bound.  Deterministic for
-    fixed inputs and budgets.
+    order (`_scan_order`: columns bottom to top, swept from the bottom
+    corner the seam line passes through for the diagonals); each cell is
+    either covered by one of the feasible molecule placements or left
+    empty.  Starting on the seam corner puts both phases and the seam
+    between them into the first columns, where the line bound sees unlike
+    column ends at once.  The certificate is exact iff the search tree was
+    exhausted within the node budget; otherwise the best configuration
+    found is returned as an upper bound.  The budget is checked before
+    each child is opened, so `nodes_explored` never exceeds it, and a tree
+    of exactly `budget` nodes is still exhausted.  Deterministic for fixed
+    inputs and budgets.
 
     A surface node is pruned when det + line >= best.  det is the weighted
     length of the boundary edges whose two cells are both decided; it can
@@ -433,7 +452,7 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     ]
     try:
         incumbents.append(evaluate(family_fill))
-    except Exception:
+    except OverlapError:
         pass
     incumbents.sort(key=lambda t: t[0])
     best_value, best_cfg_conf = incumbents[0]
@@ -449,9 +468,6 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
         known: int, occ: int,
     ) -> None:
         nonlocal nodes, best_val, best_cfg, exhausted
-        if nodes >= budget:
-            exhausted = False
-            return
         i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
         if i >= n:
             if energy < best_val:
@@ -468,6 +484,9 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
         for p in table.by_pos[i]:
             if p.mask & decided:
                 continue
+            if nodes >= budget:
+                exhausted = False
+                return
             nodes += 1
             placed.append(p.molecule)
             g = grid_mask[p.index]
@@ -493,6 +512,9 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
                 )
             placed.pop()
         # branch 2: leave the cell empty
+        if nodes >= budget:
+            exhausted = False
+            return
         nodes += 1
         if not volume:
             nbrs = table.neighbors[i]
@@ -597,9 +619,11 @@ def glued_family_config(prob: InterfaceProblem) -> Configuration:
     admit meshing and leave an empty gap elsewhere (the constructive form
     of the subadditive bound).
     """
-    members = _family_members(
-        prob.i, prob.j, prob.nu, Window.square(prob.T + 8)
-    )
+    return _glued_part(_near_family(prob), prob)
+
+
+def _glued_part(members: list[Molecule], prob: InterfaceProblem) -> Configuration:
+    """The members meeting the frame or lying inside the inner square."""
     relevant = [
         m
         for m in members
@@ -608,7 +632,7 @@ def glued_family_config(prob: InterfaceProblem) -> Configuration:
     ]
     try:
         return validate(relevant)
-    except Exception as exc:
+    except OverlapError as exc:
         raise InfeasibleBoundary(str(exc)) from exc
 
 
@@ -634,6 +658,13 @@ def wetting_config(prob: InterfaceProblem) -> Configuration:
     the frame, so admissibility is untouched; where the forced frame
     molecules cut across the seam the plain family fills in.
     """
+    chain = _wetting_chain(prob)  # raises NoPattern before any family is built
+    members = _near_family(prob)
+    return _wetting_fill(chain, members, _forced_part(members, prob), prob.T)
+
+
+def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
+    """The wetting microstructure over Q_T, before the frame cuts it."""
     i, j, nu, T = prob.i, prob.j, prob.nu, prob.T
     mirrored = False
     if j == 0 and 5 <= i <= 8 and (nu.p, nu.q) == (1, 1):
@@ -659,13 +690,21 @@ def wetting_config(prob: InterfaceProblem) -> Configuration:
             structure.append(Molecule(R, (n1, n1 + d)))            # bulk
     if mirrored:
         structure = [_mirror_molecule(m) for m in structure]
-    # where the forced collar cuts the chain, fall back to the plain family
-    patches = _family_members(prob.i, prob.j, prob.nu, Window.square(T + 8))
+    return structure
 
-    forced = frame_forced(prob)
+
+def _wetting_fill(
+    chain: list[Molecule], members: list[Molecule], forced: Configuration, T: int,
+) -> Configuration:
+    """The forced part, then each chain and family molecule that still fits.
+
+    A molecule fits when it lies inside the inner square and meets no cell
+    taken before it; the family fills in where the forced collar cuts the
+    chain.
+    """
     occupied = set(forced.occupancy)
     mols = list(forced.molecules)
-    for group in (structure, patches):
+    for group in (chain, members):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
             mcells = m.cells()
             if not all(_cell_inside_inner(cc, T) for cc in mcells):
@@ -690,17 +729,20 @@ def pattern_upper_bound(
     functions) and the realizing admissible configuration.
     """
     prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
+    # one family build serves every candidate and the admissibility check
+    members = _near_family(prob)
     candidates: list[tuple[Fraction, Configuration]] = []
-    cfg = glued_family_config(prob)
+    cfg = _glued_part(members, prob)
     candidates.append((_energy(cfg, prob), cfg))
+    forced = _forced_part(members, prob)
     try:
-        wet = wetting_config(prob)
+        wet = _wetting_fill(_wetting_chain(prob), members, forced, T)
         candidates.append((_energy(wet, prob), wet))
     except NoPattern:
         pass
     candidates.sort(key=lambda t: t[0])
     value, cfg = candidates[0]
-    if not admissible(cfg, prob):
+    if not _matches_frame(cfg, forced, T):
         raise NoPattern("library construction failed the admissibility check")
     return value, cfg
 

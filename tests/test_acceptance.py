@@ -334,8 +334,14 @@ def test_criterion_12_certified_frontier():
         prob = InterfaceProblem(1, 0, direction(*pq), T)
         res = solve_interface(prob)
         got[(pq, T)] = (res.value, normalized_density(prob, res), res.certificate)
+    # mixed-pair seams, which need a deep search at T=24
+    mixed = {(1, 7, (1, -1), 24): 46, (1, 5, (1, 1), 24): 62}
+    for (i, j, pq, T) in mixed:
+        res = solve_interface(InterfaceProblem(i, j, direction(*pq), T))
+        got[(i, j, pq, T)] = (res.value, res.certificate)
     elapsed = time.time() - t0
     ok = all(got[key] == (*expected[key], "exact") for key in expected)
+    ok = ok and all(got[key] == (mixed[key], "exact") for key in mixed)
     # the diagonal series 3/2, 5/3, 7/4, 9/5 continues toward 2
     ok = ok and got[((1, 1), 24)][1] < got[((1, 1), 28)][1] < 2
     report(
@@ -343,5 +349,7 @@ def test_criterion_12_certified_frontier():
         ok and elapsed < 60,
         "exact certificates past T=20: "
         + ", ".join(f"{pq} T={T} -> {got[(pq, T)][0]}" for pq, T in expected)
+        + ", "
+        + ", ".join(f"({i},{j},{pq}) T={T} -> {got[(i, j, pq, T)][0]}" for i, j, pq, T in mixed)
         + f"; diagonal phi_hat 11/6, 13/7 ({elapsed:.1f}s)",
     )

@@ -2,10 +2,14 @@
 
 `solve_interface` prunes with the determined boundary plus the
 line-transition bound.  The search it replaced pruned with the determined
-boundary alone; it is kept below as the reference.  Both bounds are
-admissible and the scan order is the same, so exhaustive solves must
-return the same value, certificate and configuration, and the solver may
-only visit fewer nodes.
+boundary alone; it is kept below as the reference, and it takes its scan
+order explicitly.  Run in the solver's own order (`_scan_order`), both
+bounds are admissible, so exhaustive solves must return the same value,
+certificate and configuration, and the solver may only visit fewer nodes.
+Run in the row-major order the solver used before its seam-corner column
+sweep (`row_major_order`), the reference walks the recorded trees pinned
+in `test_placements`, and a problem and its mirror are two different
+searches.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from chiralattice.interfaces import (
     in_boundary_family,
     solve_interface,
 )
-from chiralattice.molecules import R, R_LIKE, S, validate
+from chiralattice.molecules import R, R_LIKE, S, OverlapError, validate
 from chiralattice.placements import PlacementTable
 
 
@@ -37,8 +41,20 @@ from chiralattice.placements import PlacementTable
 # Reference implementation (determined-boundary bound only)
 # -------------------------------------------------------------------
 
-def ref_solve(prob: InterfaceProblem, budget: int = 5_000_000):
-    """(value, certificate, config, nodes) of the det-only branch and bound."""
+def row_major_order(prob: InterfaceProblem, cells) -> list:
+    """Row-major order starting at the corner most negative along nu."""
+    p, q = prob.nu.p, prob.nu.q
+    h = F(prob.T, 2)
+    corners = [(sx, sy) for sy in (-1, 1) for sx in (-1, 1)]
+    sx, sy = min(corners, key=lambda s: (s[0] * h * p + s[1] * h * q, s))
+    return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
+
+
+def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
+    """(value, certificate, config, nodes) of the det-only branch and bound.
+
+    order(prob, cells) lists the free cells in the order they are decided.
+    """
     forced = frame_forced(prob)
     T = prob.T
     volume = prob.energy_kind == VOLUME
@@ -51,7 +67,7 @@ def ref_solve(prob: InterfaceProblem, budget: int = 5_000_000):
         if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
     ]
     table = PlacementTable(
-        _scan_order(prob, free_cells),
+        order(prob, free_cells),
         (R, S),
         lambda m: all(
             _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
@@ -98,7 +114,7 @@ def ref_solve(prob: InterfaceProblem, budget: int = 5_000_000):
     ]
     try:
         incumbents.append(evaluate(family_fill))
-    except Exception:
+    except OverlapError:
         pass
     incumbents.sort(key=lambda t: t[0])
     best_value, best_cfg_conf = incumbents[0]
@@ -167,7 +183,7 @@ def ref_solve(prob: InterfaceProblem, budget: int = 5_000_000):
 
 def assert_matches_reference(prob: InterfaceProblem) -> None:
     res = solve_interface(prob)
-    value, certificate, config, nodes = ref_solve(prob)
+    value, certificate, config, nodes = ref_solve(prob, _scan_order)
     assert (res.value, res.certificate, res.config) == (value, certificate, config)
     assert res.nodes_explored <= nodes
     assert res.lower == res.value  # exhaustive solves close the interval
@@ -243,3 +259,50 @@ def test_line_bound_certifies_the_incumbent_at_the_root():
     # the line bound alone proves the family fill optimal: no node is opened
     res = solve_interface(InterfaceProblem(1, 0, direction(1, 1), 20))
     assert (res.value, res.certificate, res.nodes_explored, res.lower) == (36, "exact", 0, 36)
+
+
+@pytest.mark.parametrize(
+    "i,j,pq", TABLE_DIRECTIONS, ids=lambda v: str(v).replace(" ", "")
+)
+def test_mirror_rows_agree_in_row_major_order(i, j, pq):
+    # the solver searches (i, j, nu) and (j, i, -nu) in the same order, so
+    # the mirror identity is checked on two different row-major searches
+    prob = InterfaceProblem(i, j, direction(*pq), 12)
+    mirror = InterfaceProblem(j, i, -direction(*pq), 12)
+    forward = ref_solve(prob, row_major_order)
+    backward = ref_solve(mirror, row_major_order)
+    assert forward[:2] == backward[:2] == (solve_interface(prob).value, "exact")
+    # the corners most negative along nu and -nu differ
+    cells = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert row_major_order(prob, cells) != row_major_order(mirror, cells)
+
+
+def test_scan_order_is_the_seam_corner_column_sweep():
+    cells = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    right_to_left = [(a, b) for a in (1, 0, -1) for b in (-1, 0, 1)]
+    left_to_right = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    for pq, expected in [
+        ((1, 1), right_to_left), ((1, 0), right_to_left), ((0, 1), right_to_left),
+        ((1, -1), left_to_right), ((3, -1), left_to_right),
+    ]:
+        for nu in (direction(*pq), -direction(*pq)):
+            prob = InterfaceProblem(1, 0, nu, 12)
+            assert _scan_order(prob, reversed(cells)) == expected, nu
+
+
+@pytest.mark.parametrize("budget", [1, 10, 1000])
+def test_truncated_solve_stays_within_its_budget(budget):
+    res = solve_interface(InterfaceProblem(1, 0, direction(0, 1), 24), budget=budget)
+    assert (res.certificate, res.nodes_explored) == ("upper_bound", budget)
+    assert res.lower <= 47 <= res.value
+
+
+def test_a_tree_of_exactly_budget_nodes_is_exhausted():
+    prob = InterfaceProblem(1, 0, direction(0, 1), 16)
+    full = solve_interface(prob)
+    n = full.nodes_explored
+    assert n > 0
+    exact = solve_interface(prob, budget=n)
+    assert (exact.value, exact.certificate, exact.nodes_explored) == (full.value, "exact", n)
+    cut = solve_interface(prob, budget=n - 1)
+    assert (cut.certificate, cut.nodes_explored) == ("upper_bound", n - 1)

@@ -4,10 +4,12 @@ The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
 the bitboard searches walk the same trees.  The lemma trees at k=7..9 and
 the (3,2) cluster witness were recorded with the unmemoised covering DFS
-and the frozenset-keyed cluster search.  The surface interface trees are
-walked by the det-only reference search of `test_line_bound`, which the
-line-transition bound of `solve_interface` replaced; the solver's own,
-smaller trees are pinned separately.
+and the frozenset-keyed cluster search.  The interface trees were recorded
+in the row-major scan order that the seam-corner column sweep replaced:
+they are walked by the det-only reference search of `test_line_bound`,
+which the line-transition bound of `solve_interface` replaced, and by the
+solver itself with the row-major order patched in.  The solver's own
+trees, in its own order, are pinned separately.
 """
 
 from fractions import Fraction as F
@@ -16,6 +18,7 @@ import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
 from chiralattice.coverings import lemma_check
+from chiralattice import interfaces
 from chiralattice.interfaces import (
     InterfaceProblem,
     cluster_min_perimeter,
@@ -24,7 +27,7 @@ from chiralattice.interfaces import (
 )
 from chiralattice.molecules import Molecule, R, S
 from chiralattice.placements import Grid, PlacementTable
-from test_line_bound import ref_solve
+from test_line_bound import ref_solve, row_major_order
 
 
 def _neighbors(cell):
@@ -127,15 +130,12 @@ SOLVES_T16 = [
 def test_solver_tree_pinned_t16(spec, expected):
     i, j, nu, weights, kind = spec
     prob = InterfaceProblem(i, j, direction(*nu), 16, weights, kind)
-    if kind == "surface":
-        value, certificate, _, nodes = ref_solve(prob)
-    else:  # the volume bound is unchanged
-        res = solve_interface(prob)
-        value, certificate, nodes = res.value, res.certificate, res.nodes_explored
+    value, certificate, _, nodes = ref_solve(prob, row_major_order)
     assert (value, certificate, nodes) == expected
 
 
-# nodes_explored of solve_interface on the surface rows of SOLVES_T16
+# nodes_explored of solve_interface on the surface rows of SOLVES_T16, in
+# the row-major scan order
 LINE_BOUND_NODES_T16 = [0, 280, 248, 0, 3123, 2476, 10744, 5640, 4175]
 
 
@@ -143,7 +143,21 @@ LINE_BOUND_NODES_T16 = [0, 280, 248, 0, 3123, 2476, 10744, 5640, 4175]
     "spec,expected,nodes",
     [(s, e, n) for (s, e), n in zip(SOLVES_T16, LINE_BOUND_NODES_T16)],
 )
-def test_line_bound_tree_pinned_t16(spec, expected, nodes):
+def test_line_bound_tree_pinned_t16(spec, expected, nodes, monkeypatch):
+    monkeypatch.setattr(interfaces, "_scan_order", row_major_order)
+    test_solver_nodes_pinned_t16(spec, expected, nodes)
+
+
+# nodes_explored of solve_interface on every row of SOLVES_T16, in its own
+# seam-corner column order
+SOLVER_NODES_T16 = [0, 524, 36, 0, 278, 192, 2893, 1489, 2886, 430]
+
+
+@pytest.mark.parametrize(
+    "spec,expected,nodes",
+    [(s, e, n) for (s, e), n in zip(SOLVES_T16, SOLVER_NODES_T16)],
+)
+def test_solver_nodes_pinned_t16(spec, expected, nodes):
     i, j, nu, weights, kind = spec
     res = solve_interface(InterfaceProblem(i, j, direction(*nu), 16, weights, kind))
     assert (res.value, res.certificate, res.nodes_explored) == (*expected[:2], nodes)
