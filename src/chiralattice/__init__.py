@@ -14,6 +14,7 @@ from .molecules import (  # noqa: F401
     BUILTIN_SHAPES,
     PLANE,
     Configuration,
+    InvalidInput,
     Molecule,
     MoleculeShape,
     OverlapError,

@@ -12,7 +12,10 @@ Subcommands
 Every output embeds a run manifest (command, parameters, tool version,
 input digests, output paths); identical manifests yield byte-identical
 outputs.  Exit codes: 0 success (including negative verdicts), 2 invalid
-input, 3 cap exceeded / inconclusive.
+input, 3 cap exceeded / inconclusive.  The library reports every malformed
+argument or input file as `InvalidInput` (a ValueError), and `main` is the
+one place that maps errors to codes: InvalidInput and OSError give 2,
+ClusterCapExceeded gives 3, and any other error is a bug and crashes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 from . import __version__
 from .coverings import lemma_check
 from .decomposition import (
-    InconsistentScale,
     ScaledConfiguration,
     bad_area_bound,
     convergence_report,
@@ -36,41 +38,34 @@ from .decomposition import (
 from .densities import DensityModel, consistency_check
 from .gauges import phi_closed_form, min_envelope, wulff_shape
 from .interfaces import (
+    DEFAULT_BUDGET,
     ClusterCapExceeded,
     DensityRecord,
-    InfeasibleBoundary,
     InterfaceProblem,
     cluster_min_perimeter,
-    default_budget,
     density_record,
     direction,
     solve_interface,
 )
-from .limits import (
-    InvalidPartition,
-    NonRationalEdge,
-    PolygonalPartition,
-    anchored_admissible,
-    limit_energy,
-)
+from .limits import PolygonalPartition, anchored_admissible, limit_energy
 from .molecules import (
     BUILTIN_SHAPES,
-    OverlapError,
+    InvalidInput,
     Window,
+    configuration_entries,
     configuration_from_json,
     perimeter,
     shapes_from_json,
     volume_deficit,
     weighted_perimeter,
 )
-from .rectregions import rects_to_jsonable
-from .svgout import PHASE_PALETTE, configuration_svg, level_set_and_wulff_svg
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+from .rectregions import regions_from_jsonable, rects_to_jsonable
+from .svgout import (
+    PHASE_PALETTE,
+    configuration_svg,
+    level_set_and_wulff_svg,
+    partition_svg,
+)
 
 
 # -------------------------------------------------------------------
@@ -100,51 +95,43 @@ def write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _read(path: str, decode=json.loads):
+    """decode(text) of a user-named file, naming the file in input errors."""
+    try:
+        return decode(Path(path).read_text())
+    except (InvalidInput, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _numbers(spec, what: str, form: str, counts=(), number=Fraction) -> list:
+    """The numbers of the comma list `spec`, written in the given form.
+
+    `counts` holds the allowed list lengths (any when empty).  A spec that
+    is not a string, such as a value read from a preset file, is one item.
+    """
+    items = spec.split(",") if isinstance(spec, str) else [spec]
+    try:
+        values = [number(v) for v in items]
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise InvalidInput(f"invalid {what} {spec!r} ({form}): {exc}") from exc
+    if counts and len(values) not in counts:
+        raise InvalidInput(f"{what} must be {form}")
+    return values
+
+
 def _parse_window(spec: str | None) -> Window:
     if spec is None:
         return Window.plane()
-    parts = spec.split(",")
-    if len(parts) not in (1, 3):
-        raise CliError("window must be SIDE or SIDE,CX,CY")
-    try:
-        values = [Fraction(v) for v in parts]
-        return Window.square(values[0], values[1:] or (0, 0))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid window {spec!r}: {exc}")
+    values = _numbers(spec, "window", "SIDE or SIDE,CX,CY", (1, 3))
+    return Window.square(values[0], values[1:] or (0, 0))
 
 
-def _parse_weights(spec: str | None) -> tuple[Fraction, Fraction]:
-    if spec is None:
-        return (Fraction(1), Fraction(1))
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise CliError("weights must be C_R,C_S")
-    try:
-        weights = (Fraction(parts[0]), Fraction(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid weights {spec!r}: {exc}")
-    if weights[0] <= 0 or weights[1] <= 0:
-        raise CliError("weights must be positive")
-    return weights
-
-
-def _parse_epsilons(spec: str) -> list[Fraction]:
-    try:
-        epsilons = [Fraction(e) for e in spec.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid epsilon {spec!r}: {exc}")
-    if any(eps <= 0 for eps in epsilons):
-        raise CliError("epsilon must be positive")
-    return epsilons
+def _parse_weights(spec: str | None) -> tuple:
+    return (1, 1) if spec is None else tuple(_numbers(spec, "weights", "C_R,C_S", (2,)))
 
 
 def _load_shapes(path: str | None):
-    if path is None:
-        return dict(BUILTIN_SHAPES)
-    try:
-        return shapes_from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read shape file {path}: {exc}")
+    return dict(BUILTIN_SHAPES) if path is None else _read(path, shapes_from_json)
 
 
 # -------------------------------------------------------------------
@@ -152,14 +139,8 @@ def _load_shapes(path: str | None):
 # -------------------------------------------------------------------
 
 def cmd_energy(args) -> int:
-    try:
-        config = configuration_from_json(
-            Path(args.config).read_text(), _load_shapes(args.shapes)
-        )
-    except OverlapError as exc:
-        raise CliError(f"invalid configuration: {exc}")
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read configuration {args.config}: {exc}")
+    shapes = _load_shapes(args.shapes)
+    config = _read(args.config, lambda text: configuration_from_json(text, shapes))
     window = _parse_window(args.window)
     c_R, c_S = _parse_weights(args.weights)
     payload = {
@@ -182,26 +163,18 @@ def cmd_energy(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.i == args.j:
-        raise CliError("phases i and j must differ")
-    try:
-        nu = direction(args.p, args.q)
-        weights = _parse_weights(args.weights)
-        problems = [
-            InterfaceProblem(args.i, args.j, nu, int(T), weights, args.kind)
-            for T in args.T.split(",")
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc))
-    budget = args.budget if args.budget is not None else default_budget()
+    nu = direction(args.p, args.q)
+    weights = _parse_weights(args.weights)
+    problems = [
+        InterfaceProblem(args.i, args.j, nu, T, weights, args.kind)
+        for T in _numbers(args.T, "T", "a comma list of sizes", number=int)
+    ]
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     rows = []
     records = []
     truncated = False
     for prob in problems:
-        try:
-            result = solve_interface(prob, budget)
-        except InfeasibleBoundary as exc:
-            raise CliError(str(exc))
+        result = solve_interface(prob, budget)
         rec = density_record(prob, result)
         records.append(rec)
         rows.append(rec.csv_row())
@@ -243,11 +216,11 @@ def cmd_density(args) -> int:
 
 
 def cmd_wulff(args) -> int:
-    try:
-        labels = list(range(1, 9)) if args.phase == "all" else [int(args.phase)]
-        gauges = [phi_closed_form(i) for i in labels]
-    except ValueError as exc:
-        raise CliError(f"phase must be 1..8 or 'all': {exc}")
+    labels = (
+        list(range(1, 9)) if args.phase == "all"
+        else _numbers(args.phase, "phase", "1..8 or 'all'", (1,), int)
+    )
+    gauges = [phi_closed_form(i) for i in labels]
     outputs = []
     payload: dict = {"phases": {}}
     for i, gauge in zip(labels, gauges):
@@ -290,12 +263,8 @@ def cmd_wulff(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    shapes_map = _load_shapes(args.shapes)
-    shapes = list(shapes_map.values())
-    try:
-        report = lemma_check(args.k, shapes, cap=args.cap, inner_margin=args.margin)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    shapes = list(_load_shapes(args.shapes).values())
+    report = lemma_check(args.k, shapes, cap=args.cap, inner_margin=args.margin)
     payload = report.to_jsonable()
     payload["manifest"] = make_manifest(
         "lemma",
@@ -319,39 +288,19 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    config_paths = args.configs
-    epsilons = _parse_epsilons(args.epsilon)
-    if len(config_paths) != len(epsilons):
-        raise CliError("need one configuration file per epsilon")
+    epsilons = _numbers(args.epsilon, "epsilon", "a comma list of rationals")
+    if any(eps <= 0 for eps in epsilons):
+        raise InvalidInput("epsilon must be positive")
+    if len(args.configs) != len(epsilons):
+        raise InvalidInput("need one configuration file per epsilon")
     window = _parse_window(args.window)
-    if window.is_plane:
-        raise CliError("decompose needs a bounded window")
     shapes = _load_shapes(args.shapes)
-    runs = []
-    for path, eps in zip(config_paths, epsilons):
-        try:
-            entries = json.loads(Path(path).read_text())
-            mols = []
-            for entry in entries:
-                name = entry["shape"]
-                if name not in shapes:
-                    raise CliError(f"unknown shape {name!r} in {path}")
-                anchor = (Fraction(entry["anchor"][0]), Fraction(entry["anchor"][1]))
-                mols.append((shapes[name], anchor))
-            runs.append((ScaledConfiguration.from_continuum(eps, mols), window))
-        except InconsistentScale as exc:
-            raise CliError(f"{path}: {exc}")
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot read {path}: {exc}")
-    target = {}
-    if args.target:
-        try:
-            raw = json.loads(Path(args.target).read_text())
-            from .rectregions import rects_from_jsonable
-
-            target = {int(k): rects_from_jsonable(v) for k, v in raw.items()}
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot read target {args.target}: {exc}")
+    runs = [
+        (_read(path, lambda text: ScaledConfiguration.from_continuum(
+            eps, configuration_entries(json.loads(text), shapes))), window)
+        for path, eps in zip(args.configs, epsilons)
+    ]
+    target = args.target and _read(args.target, lambda t: regions_from_jsonable(json.loads(t)))
 
     outputs = [args.out] if args.out else []
     payload: dict = {"runs": []}
@@ -389,7 +338,7 @@ def cmd_decompose(args) -> int:
     payload["manifest"] = make_manifest(
         "decompose",
         {"epsilon": args.epsilon, "window": args.window, "target": args.target},
-        config_paths + ([args.target] if args.target else []),
+        args.configs + ([args.target] if args.target else []),
         outputs,
     )
     text = dump_json(payload)
@@ -399,37 +348,18 @@ def cmd_decompose(args) -> int:
 
 
 def _load_partition(path: str) -> PolygonalPartition:
-    try:
-        raw = json.loads(Path(path).read_text())
-        window = raw.get("window")
-        if window is not None:
-            window = [(Fraction(x), Fraction(y)) for x, y in window]
-        regions = {
-            int(lab): [
-                [(Fraction(x), Fraction(y)) for x, y in poly] for poly in polys
-            ]
-            for lab, polys in raw["regions"].items()
-        }
-        return PolygonalPartition(regions=regions, window=window)
-    except InvalidPartition:
-        raise
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read partition {path}: {exc}")
+    return _read(path, lambda text: PolygonalPartition.from_jsonable(json.loads(text)))
 
 
 def cmd_limit(args) -> int:
     part = _load_partition(args.partition)
     model = DensityModel.with_patterns() if args.model == "patterns" else DensityModel.closed_form_only()
     if args.table:
-        try:
-            records = [
-                DensityRecord.from_csv_row(line)
-                for line in Path(args.table).read_text().splitlines()
-                if line and not line.startswith("#") and not line.startswith("i,")
-            ]
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read table {args.table}: {exc}")
-        model.add_records(records)
+        model.add_records(_read(args.table, lambda text: [
+            DensityRecord.from_csv_row(line)
+            for line in text.splitlines()
+            if line and not line.startswith(("#", "i,"))
+        ]))
     total, rows = limit_energy(part, model, detailed=True)
     payload: dict = {
         "total": str(total),
@@ -449,10 +379,7 @@ def cmd_limit(args) -> int:
     }
     if args.exterior:
         exterior = _load_partition(args.exterior)
-        try:
-            payload["anchored_admissible"] = anchored_admissible(part, exterior)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        payload["anchored_admissible"] = anchored_admissible(part, exterior)
     outputs = [p for p in (args.out, args.svg) if p]
     payload["manifest"] = make_manifest(
         "limit",
@@ -465,8 +392,6 @@ def cmd_limit(args) -> int:
     sys.stdout.write(text)
     write_text(args.out, text)
     if args.svg:
-        from .svgout import partition_svg
-
         write_text(
             args.svg, partition_svg(part, rows, comment="partition", palette=args.palette)
         )
@@ -474,12 +399,8 @@ def cmd_limit(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    try:
-        value, config = cluster_min_perimeter(args.r, args.s, cap=args.cap)
-    except ClusterCapExceeded as exc:
-        raise CliError(str(exc), code=3)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cap = 6 if args.cap is None else args.cap  # after a preset's cluster_cap
+    value, config = cluster_min_perimeter(args.r, args.s, cap=cap)
     payload = {
         "r": args.r,
         "s": args.s,
@@ -490,7 +411,7 @@ def cmd_cluster(args) -> int:
         ],
         "manifest": make_manifest(
             "cluster",
-            {"r": args.r, "s": args.s, "cap": args.cap},
+            {"r": args.r, "s": args.s, "cap": cap},
             [],
             [p for p in (args.json, args.svg) if p],
         ),
@@ -577,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="minimal-perimeter clusters")
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=int, help="largest cluster size searched (default 6)")
     p.add_argument("--svg")
     p.add_argument("--json")
     p.set_defaults(func=cmd_cluster)
@@ -585,48 +506,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _preset_int(preset: dict, name: str) -> int:
-    try:
-        return int(preset[name])
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid preset {name}: {exc}")
+    return _numbers(preset[name], f"preset {name}", "an integer", (1,), int)[0]
 
 
 def _apply_preset(args) -> None:
     """Fill unset options from a preset file (weights, budget, cap, palette)."""
-    if not getattr(args, "preset", None):
-        return
-    try:
-        preset = json.loads(Path(args.preset).read_text())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read preset {args.preset}: {exc}")
+    preset = _read(args.preset)
     if not isinstance(preset, dict):
-        raise CliError("preset must be a JSON object")
+        raise InvalidInput("preset must be a JSON object")
     if getattr(args, "weights", None) is None and "weights" in preset:
         if not isinstance(preset["weights"], str):
-            raise CliError("preset weights must be a string C_R,C_S")
+            raise InvalidInput("preset weights must be a string C_R,C_S")
         args.weights = preset["weights"]
     if getattr(args, "budget", None) is None and "budget" in preset:
         args.budget = _preset_int(preset, "budget")
-    if "cluster_cap" in preset and getattr(args, "cap", None) == 6:
+    if args.cmd == "cluster" and args.cap is None and "cluster_cap" in preset:
         args.cap = _preset_int(preset, "cluster_cap")
     palette = preset.get("palette")
     if palette:
         if not isinstance(palette, list) or len(palette) != 9:
-            raise CliError("palette preset needs exactly 9 colors")
+            raise InvalidInput("palette preset needs exactly 9 colors")
         args.palette = tuple(palette)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_preset(args)
+        if args.preset:
+            _apply_preset(args)
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except (OverlapError, InvalidPartition, NonRationalEdge, InconsistentScale) as exc:
+    except (InvalidInput, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ClusterCapExceeded as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

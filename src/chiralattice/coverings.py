@@ -46,6 +46,7 @@ from typing import Iterable, Iterator, Sequence
 from .molecules import (
     BUILTIN_SHAPES,
     Configuration,
+    InvalidInput,
     Molecule,
     MoleculeShape,
     Window,
@@ -199,7 +200,7 @@ def enumerate_coverings(
     coverings if the stream is truncated.  Exhaustive and duplicate-free.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise InvalidInput("k must be at least 2")
     table = _square_table(k, tuple(shapes))
     stats = SearchStats(placements=len(table.placements))
     for chosen in _iter_coverings(table, stats):
@@ -219,7 +220,7 @@ def verify_interior_phase(
     otherwise and UnlabeledShape when a relevant molecule is not built-in.
     """
     if k < 3:
-        raise ValueError("k must be at least 3 so the inner square is nonempty")
+        raise InvalidInput("k must be at least 3 so the inner square is nonempty")
     cx, cy = center
     occ = config.occupancy
     for c in range(cx - k, cx + k):
@@ -259,12 +260,14 @@ def lemma_check(
     for the built-in pair but is reported here empirically only.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise InvalidInput("k must be at least 2")
     if inner_margin not in (2, 4):
-        raise ValueError("inner margin must be 2 or 4")
+        raise InvalidInput("inner margin must be 2 or 4")
+    if cap is not None and cap < 1:
+        raise InvalidInput("cap must be at least 1")
     shapes = tuple(shapes) if shapes is not None else (BUILTIN_SHAPES["R"], BUILTIN_SHAPES["S"])
     if not shapes:
-        return LemmaReport(k, (), True, None, SearchStats(), True, inner_margin)
+        raise InvalidInput("lemma_check needs at least one shape")
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
     table = _square_table(k, shapes)
     stats = SearchStats(placements=len(table.placements))

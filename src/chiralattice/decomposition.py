@@ -20,12 +20,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .molecules import (
     Configuration,
-    Molecule,
+    InconsistentScale,
+    InvalidInput,
     MoleculeShape,
     Window,
+    configuration_on_grid,
     perimeter,
     phase_label,
-    validate,
 )
 from .rectregions import Rect, rect, region_area, symdiff_area
 
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 
-class InconsistentScale(ValueError):
-    """Anchors are not on the epsilon grid."""
-
-
 @dataclass(frozen=True)
 class ScaledConfiguration:
     """A lattice configuration together with the scale of its cells."""
@@ -53,7 +50,7 @@ class ScaledConfiguration:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidInput("epsilon must be positive")
 
     @classmethod
     def from_continuum(
@@ -63,15 +60,7 @@ class ScaledConfiguration:
     ) -> "ScaledConfiguration":
         """Build from continuum anchor coordinates (must lie on eps * Z^2)."""
         epsilon = Fraction(epsilon)
-        mols = []
-        for shape, anchor in molecules:
-            ax, ay = Fraction(anchor[0]) / epsilon, Fraction(anchor[1]) / epsilon
-            if ax.denominator != 1 or ay.denominator != 1:
-                raise InconsistentScale(
-                    f"anchor {anchor} is not on the {epsilon}-grid"
-                )
-            mols.append(Molecule(shape, (int(ax), int(ay))))
-        return cls(epsilon, validate(mols))
+        return cls(epsilon, configuration_on_grid(epsilon, molecules))
 
 
 @dataclass
@@ -116,7 +105,7 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     regions together with the bad region cover the window.
     """
     if window.is_plane:
-        raise ValueError("decomposition needs a bounded window")
+        raise InvalidInput("decomposition needs a bounded window")
     eps = scaled.epsilon
     config = scaled.config
     wlat = _window_in_lattice(window, eps)
@@ -203,30 +192,22 @@ def bad_area_bound(approx: PhasePartitionApprox) -> Fraction:
 
 
 def convergence_report(
-    runs: Sequence[tuple[ScaledConfiguration, Window]] | Sequence[ScaledConfiguration],
-    window: Window | None = None,
+    runs: Sequence[tuple[ScaledConfiguration, Window]],
     target: Mapping[int, Sequence[Rect]] | None = None,
 ) -> list[dict]:
     """Per-epsilon symmetric differences between regions and a target.
 
-    The target maps labels to rectangle unions in continuum coordinates;
-    missing labels compare against the empty region.  Epsilons must be
-    strictly decreasing.
+    Each run pairs a scaled configuration with its window.  The target
+    maps labels to rectangle unions in continuum coordinates; missing
+    labels compare against the empty region.  Epsilons must be strictly
+    decreasing.
     """
-    normalized: list[tuple[ScaledConfiguration, Window]] = []
-    for item in runs:
-        if isinstance(item, ScaledConfiguration):
-            if window is None:
-                raise ValueError("a window is required")
-            normalized.append((item, window))
-        else:
-            normalized.append(item)
-    epss = [sc.epsilon for sc, _ in normalized]
+    epss = [sc.epsilon for sc, _ in runs]
     if any(later >= earlier for later, earlier in zip(epss[1:], epss)):
-        raise ValueError("epsilons must be strictly decreasing")
+        raise InvalidInput("epsilons must be strictly decreasing")
     target = dict(target or {})
     rows: list[dict] = []
-    for sc, win in normalized:
+    for sc, win in runs:
         approx = decompose(sc, win)
         row: dict = {
             "epsilon": sc.epsilon,

@@ -30,6 +30,7 @@ from .gauges import (
     phi_closed_form,
 )
 from .interfaces import DensityRecord
+from .molecules import InvalidInput
 from .polygeom import convex_hull
 
 IntDir = tuple[int, int]
@@ -64,7 +65,7 @@ def sum_gauge(a: GaugePolygon, b: GaugePolygon) -> GaugePolygon:
 def subadditive_bound(i: int, j: int, nu: IntDir) -> Fraction:
     """f(i,0,nu) + f(0,j,nu) through the closed forms (phi scale)."""
     if not (1 <= i <= 8 and 1 <= j <= 8) or i == j:
-        raise ValueError("subadditive bound needs distinct nonzero phases")
+        raise InvalidInput("subadditive bound needs distinct nonzero phases")
     hexagon = phi_closed_form(1)
     hexagon_m = phi_closed_form(5)
     if i <= 4 and j <= 4:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .molecules import InvalidInput
 from .polygeom import Polygon, Vec, convex_hull, cross, polygon_area
 
 IntDir = tuple[int, int]
@@ -26,7 +27,7 @@ IntDir = tuple[int, int]
 def _canonical_ccw(vertices: Sequence[Vec]) -> Polygon:
     verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
     if len(verts) < 3:
-        raise ValueError("a gauge polygon needs at least 3 vertices")
+        raise InvalidInput("a gauge polygon needs at least 3 vertices")
     if polygon_area(verts) < 0:
         verts = tuple(reversed(verts))
     start = min(range(len(verts)), key=lambda i: verts[i])
@@ -47,7 +48,7 @@ class GaugePolygon:
         for i in range(n):
             a, b = v[i], v[(i + 1) % n]
             if cross((Fraction(0), Fraction(0)), a, b) <= 0:
-                raise ValueError(
+                raise InvalidInput(
                     "polygon must be strictly convex around the origin"
                 )
             # edge lies on {e . x = 1}; solve from the two vertices
@@ -103,7 +104,7 @@ def phi_closed_form(i: int) -> GaugePolygon:
     phases (5..8) use the mirror polygon.
     """
     if not 1 <= i <= 8:
-        raise ValueError("phase label must be in 1..8")
+        raise InvalidInput("phase label must be in 1..8")
     return _HEX_R if i <= 4 else _HEX_S
 
 
@@ -116,7 +117,7 @@ def min_envelope(
     of the level sets.
     """
     if not gauges:
-        raise ValueError("need at least one gauge")
+        raise InvalidInput("need at least one gauge")
 
     def pointwise_min(x) -> Fraction:
         return min(g.gauge(x) for g in gauges)
@@ -138,7 +139,7 @@ def envelope_with_points(
     for x, val in value_points:
         val = Fraction(val)
         if val <= 0:
-            raise ValueError("gauge values must be positive")
+            raise InvalidInput("gauge values must be positive")
         pts.append((Fraction(x[0]) / val, Fraction(x[1]) / val))
     return GaugePolygon(convex_hull(pts))
 

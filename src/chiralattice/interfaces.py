@@ -38,7 +38,6 @@ else here is pure, so concurrent invocation is safe.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -46,12 +45,14 @@ from typing import Iterable
 from .molecules import (
     Cell,
     Configuration,
+    InvalidInput,
     Molecule,
     OverlapError,
     R,
     R_LIKE,
     S,
     Window,
+    decode_entry,
     perimeter,
     in_phase_family,
     phase_pattern,
@@ -66,8 +67,10 @@ VOLUME = "volume"
 
 _MOLECULE_EDGES = 10  # boundary edges of a lone R or S molecule
 
+DEFAULT_BUDGET = 5_000_000  # search nodes per `solve_interface` call
 
-class InfeasibleBoundary(ValueError):
+
+class InfeasibleBoundary(InvalidInput):
     """The prescribed boundary family is itself inconsistent (overlaps)."""
 
 
@@ -92,9 +95,9 @@ class Direction:
 
     def __post_init__(self):
         if self.p == 0 and self.q == 0:
-            raise ValueError("direction cannot be zero")
+            raise InvalidInput("direction cannot be zero")
         if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError("direction components must be coprime")
+            raise InvalidInput("direction components must be coprime")
 
     @property
     def norm_inf(self) -> int:
@@ -114,7 +117,7 @@ class Direction:
 def direction(p: int, q: int) -> Direction:
     g = math.gcd(abs(p), abs(q))
     if g == 0:
-        raise ValueError("direction cannot be zero")
+        raise InvalidInput("direction cannot be zero")
     return Direction(p // g, q // g)
 
 
@@ -134,18 +137,18 @@ class InterfaceProblem:
 
     def __post_init__(self):
         if not (0 <= self.i <= 8 and 0 <= self.j <= 8):
-            raise ValueError("phase labels must be in 0..8")
+            raise InvalidInput("phase labels must be in 0..8")
         if self.i == self.j:
-            raise ValueError("interface problems need distinct phases")
+            raise InvalidInput("interface problems need distinct phases")
         if self.T < 8:
-            raise ValueError("T must be at least 8 so the frame fits")
+            raise InvalidInput("T must be at least 8 so the frame fits")
         if self.energy_kind not in (SURFACE, VOLUME):
-            raise ValueError("energy_kind must be 'surface' or 'volume'")
+            raise InvalidInput("energy_kind must be 'surface' or 'volume'")
         object.__setattr__(
             self, "weights", (Fraction(self.weights[0]), Fraction(self.weights[1]))
         )
         if self.weights[0] <= 0 or self.weights[1] <= 0:
-            raise ValueError("weights must be positive")
+            raise InvalidInput("weights must be positive")
 
 
 @dataclass
@@ -220,7 +223,7 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
 def boundary_family(i: int, j: int, nu: Direction, region: Window) -> Configuration:
     """The family molecules intersecting the region, as a validated config."""
     if i == j:
-        raise ValueError("boundary families need distinct phases")
+        raise InvalidInput("boundary families need distinct phases")
     try:
         return validate(_family_members(i, j, nu, region))
     except OverlapError as exc:
@@ -319,7 +322,7 @@ def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
     return sorted(cells, key=lambda c: (sx * c[0], c[1]))
 
 
-def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveResult:
+def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Minimize the Q_T energy over admissible configurations.
 
     Branch and bound over the cells of the free inner square in scan
@@ -350,8 +353,8 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     undecided cells reaches best.  `lower` is the bound at the root, or
     the value when the certificate is exact.
     """
-    if budget is None:
-        budget = default_budget()
+    if budget < 1:
+        raise InvalidInput("budget must be at least 1")
     forced = frame_forced(prob)
     T = prob.T
     volume = prob.energy_kind == VOLUME
@@ -538,14 +541,6 @@ def solve_interface(prob: InterfaceProblem, budget: int | None = None) -> SolveR
     )
 
 
-def default_budget() -> int:
-    raw = os.environ.get("CHIRALATTICE_NODE_BUDGET", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 5_000_000
-
-
 def normalized_density(prob: InterfaceProblem, result: SolveResult) -> Fraction:
     """max(|p|, |q|) * value / T: the finite-T one-homogeneous estimate."""
     return Fraction(prob.nu.norm_inf) * result.value / prob.T
@@ -584,15 +579,15 @@ class DensityRecord:
 
     @classmethod
     def from_csv_row(cls, line: str) -> "DensityRecord":
-        """Inverse of csv_row; raises ValueError unless the row has 12 fields."""
+        """Inverse of csv_row; raises InvalidInput on a malformed row."""
         f = line.split(",")
         if len(f) != 12:
-            raise ValueError(f"density row needs 12 fields, got {len(f)}: {line!r}")
-        return cls(
+            raise InvalidInput(f"density row needs 12 fields, got {len(f)}: {line!r}")
+        return decode_entry(f"density row {line!r}", lambda f: cls(
             int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
             Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
             f[10], int(f[11]),
-        )
+        ), f)
 
 
 def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord:
@@ -768,7 +763,9 @@ def cluster_min_perimeter(
     perimeter in that order is returned.
     """
     if r < 0 or s < 0 or r + s < 1:
-        raise ValueError("need r + s >= 1 with nonnegative counts")
+        raise InvalidInput("need r + s >= 1 with nonnegative counts")
+    if cap < 1:
+        raise InvalidInput("cap must be at least 1")
     if r + s > cap:
         raise ClusterCapExceeded(f"cluster size {r + s} exceeds cap {cap}")
     total = r + s

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, phi_closed_form
+from .molecules import InvalidInput, decode_entry, decode_list
 from .polygeom import (
     Polygon,
     Vec,
@@ -33,11 +34,11 @@ from .polygeom import (
 IntDir = tuple[int, int]
 
 
-class NonRationalEdge(ValueError):
+class NonRationalEdge(InvalidInput):
     """Edge with irrational data (cannot occur for rational vertices)."""
 
 
-class InvalidPartition(ValueError):
+class InvalidPartition(InvalidInput):
     """Regions overlap, leave gaps, or spill outside the window."""
 
 
@@ -59,12 +60,18 @@ class InterfaceSegment:
         return t
 
 
+def _points(poly) -> list[Vec]:
+    return [(Fraction(x), Fraction(y)) for x, y in poly]
+
+
 def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> list[Polygon]:
     out = []
     for poly in polys:
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in poly)
+        verts = tuple(_points(poly))
         if len(verts) < 3:
             raise InvalidPartition(f"{what}: polygon needs 3+ vertices")
+        if any(verts[k - 1] == v for k, v in enumerate(verts)):
+            raise InvalidPartition(f"{what}: polygon has a zero-length edge")
         area = polygon_area(verts)
         if area == 0:
             raise InvalidPartition(f"{what}: degenerate polygon")
@@ -107,6 +114,21 @@ class PolygonalPartition:
             raise InvalidPartition(
                 "label 0 is implicit for plane partitions; omit it"
             )
+
+    @classmethod
+    def from_jsonable(cls, data) -> "PolygonalPartition":
+        """Decode a partition file, {"window": polygon | null, "regions":
+        {label: [polygon, ...]}}, a polygon being a list of [x, y] points."""
+        if not isinstance(data, dict) or not isinstance(data.get("regions"), dict):
+            raise InvalidPartition('a partition is an object with a "regions" object')
+        window = data.get("window")
+        return cls(
+            regions={
+                decode_entry("region label", int, lab): decode_list(f"region {lab}", _points, polys)
+                for lab, polys in data["regions"].items()
+            },
+            window=None if window is None else decode_entry("window", _points, window),
+        )
 
     def labels(self) -> list[int]:
         return sorted(self.regions)
@@ -296,7 +318,7 @@ def anchored_admissible(
     if omega is None:
         omega = part.window
     if omega is None:
-        raise ValueError("anchoring needs a bounded window")
+        raise InvalidInput("anchoring needs a bounded window")
     omega_set = [tuple((Fraction(x), Fraction(y)) for x, y in omega)]
     for lab in range(1, 9):
         a = part.regions.get(lab, [])

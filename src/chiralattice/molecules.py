@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -26,7 +26,15 @@ R_LIKE = "R-like"
 S_LIKE = "S-like"
 
 
-class OverlapError(ValueError):
+class InvalidInput(ValueError):
+    """A caller-supplied value or input file is malformed.
+
+    Argument checks and the file decoders raise it; the command line maps
+    it to exit code 2.  Any other exception is a bug, not bad input.
+    """
+
+
+class OverlapError(InvalidInput):
     """Two molecules claim the same cell."""
 
     def __init__(self, cell: Cell, index_a: int, index_b: int):
@@ -38,8 +46,36 @@ class OverlapError(ValueError):
         )
 
 
-class UnlabeledShape(ValueError):
+class UnlabeledShape(InvalidInput):
     """Phase labels exist only for the built-in shapes R and S."""
+
+
+class InconsistentScale(InvalidInput):
+    """Anchors are not on the epsilon grid."""
+
+
+# the errors a malformed JSON value raises when it is decoded
+_DECODE_ERRORS = (
+    TypeError, ValueError, KeyError, IndexError, AttributeError,
+    ZeroDivisionError, OverflowError,
+)
+
+
+def decode_entry(what: str, decode: Callable, value):
+    """decode(value), raising the errors a malformed JSON value causes as
+    InvalidInput that names `what`."""
+    try:
+        return decode(value)
+    except _DECODE_ERRORS as exc:
+        kind = "" if isinstance(exc, InvalidInput) else f"{type(exc).__name__}: "
+        raise InvalidInput(f"{what}: {kind}{exc}") from exc
+
+
+def decode_list(what: str, decode: Callable, data) -> list:
+    """decode(entry) for each entry of a JSON list, naming the entry that fails."""
+    if not isinstance(data, list):
+        raise InvalidInput(f"{what}: expected a JSON list, not {type(data).__name__}")
+    return [decode_entry(f"{what} entry {n}", decode, entry) for n, entry in enumerate(data)]
 
 
 # -------------------------------------------------------------------
@@ -70,11 +106,11 @@ class MoleculeShape:
 
     def __post_init__(self):
         if len(set(self.cells)) != 4:
-            raise ValueError(f"shape {self.name!r} needs 4 distinct cells")
+            raise InvalidInput(f"shape {self.name!r} needs 4 distinct cells")
         if not _edge_connected(self.cells):
-            raise ValueError(f"shape {self.name!r} is not edge-connected")
+            raise InvalidInput(f"shape {self.name!r} is not edge-connected")
         if self.chirality_class not in (R_LIKE, S_LIKE):
-            raise ValueError(
+            raise InvalidInput(
                 f"chirality_class must be {R_LIKE!r} or {S_LIKE!r}"
             )
 
@@ -148,7 +184,7 @@ class Window:
     def square(cls, side, center=(0, 0)) -> "Window":
         side = Fraction(side)
         if side <= 0:
-            raise ValueError("window side must be positive")
+            raise InvalidInput("window side must be positive")
         return cls((Fraction(center[0]), Fraction(center[1])), side)
 
     @classmethod
@@ -176,7 +212,7 @@ class Window:
             return self
         side = self.side - 2 * Fraction(margin)
         if side <= 0:
-            raise ValueError("erosion margin exceeds the window")
+            raise InvalidInput("erosion margin exceeds the window")
         return Window(self.center, side)
 
     def cell_range(self) -> tuple[range, range]:
@@ -351,7 +387,7 @@ def weighted_perimeter(
     """
     c_R, c_S = Fraction(c_R), Fraction(c_S)
     if c_R <= 0 or c_S <= 0:
-        raise ValueError("weights must be positive")
+        raise InvalidInput("weights must be positive")
     occ = config.occupancy
     r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
     lengths: tuple[list, list] = ([], [])  # S-like, R-like
@@ -367,7 +403,7 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
     boundary cuts are clipped as Fractions.
     """
     if window.is_plane:
-        raise ValueError("volume deficit is infinite on the whole plane")
+        raise InvalidInput("volume deficit is infinite on the whole plane")
     x0, y0, x1, y1 = window.bounds()
     xs, ys = window._cells
     whole_xs, whole_ys = window._whole
@@ -404,7 +440,7 @@ def pattern_anchor(i: int, cell: Cell) -> Cell:
             if (8 if r == 0 else r + 4) == i:
                 return n
     else:
-        raise ValueError("phase label must be in 1..8")
+        raise InvalidInput("phase label must be in 1..8")
     raise AssertionError("unreachable: one candidate anchor always matches")
 
 
@@ -429,9 +465,9 @@ def phase_pattern(i: int, window: Window) -> Configuration:
     phase label i.
     """
     if window.is_plane:
-        raise ValueError("a plane-filling pattern is infinite; pass a square")
+        raise InvalidInput("a plane-filling pattern is infinite; pass a square")
     if not 1 <= i <= 8:
-        raise ValueError("phase label must be in 1..8")
+        raise InvalidInput("phase label must be in 1..8")
     shape = R if i <= 4 else S
     # phase i holds the anchors with n2 + n1 (R) or n2 - n1 (S) = i mod 4
     sign = 1 if shape is R else -1
@@ -466,16 +502,20 @@ def shapes_to_json(shapes: Iterable[MoleculeShape]) -> str:
 
 
 def shapes_from_json(text: str) -> dict[str, MoleculeShape]:
+    """Decode a shape file, [{"name", "cells", "chirality_class"}, ...]."""
     out: dict[str, MoleculeShape] = {}
-    for entry in json.loads(text):
+
+    def entry(raw) -> None:
         shape = MoleculeShape(
-            entry["name"],
-            tuple((int(c), int(r)) for c, r in entry["cells"]),
-            entry["chirality_class"],
+            raw["name"],
+            tuple((int(c), int(r)) for c, r in raw["cells"]),
+            raw["chirality_class"],
         )
         if shape.name in out:
-            raise ValueError(f"duplicate shape name {shape.name!r}")
+            raise InvalidInput(f"duplicate shape name {shape.name!r}")
         out[shape.name] = shape
+
+    decode_list("shape file", entry, decode_entry("shape file", json.loads, text))
     return out
 
 
@@ -487,16 +527,43 @@ def configuration_to_json(config: Configuration) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def configuration_entries(
+    data, shapes: Mapping[str, MoleculeShape] | None = None
+) -> list[tuple[MoleculeShape, tuple[Fraction, Fraction]]]:
+    """Decode a configuration file, [{"shape": name, "anchor": [x, y]}, ...],
+    to (shape, rational anchor) pairs for `configuration_on_grid`.  Names
+    resolve in `shapes`, then R and S."""
+    table = {**BUILTIN_SHAPES, **(shapes or {})}
+
+    def entry(raw) -> tuple[MoleculeShape, tuple[Fraction, Fraction]]:
+        shape = table.get(raw["shape"])
+        if shape is None:
+            raise InvalidInput(f"unknown shape {raw['shape']!r}")
+        return shape, (Fraction(raw["anchor"][0]), Fraction(raw["anchor"][1]))
+
+    return decode_list("configuration", entry, data)
+
+
+def configuration_on_grid(
+    epsilon, entries: Iterable[tuple[MoleculeShape, tuple]]
+) -> Configuration:
+    """Validated configuration of the lattice anchors a / epsilon, which
+    must be integer points; epsilon = 1 reads a lattice file."""
+    mols = []
+    for n, (shape, anchor) in enumerate(entries):
+        ax, ay = Fraction(anchor[0]) / epsilon, Fraction(anchor[1]) / epsilon
+        if ax.denominator != 1 or ay.denominator != 1:
+            raise InconsistentScale(
+                f"anchor ({anchor[0]}, {anchor[1]}) of molecule #{n} "
+                f"is not on the {epsilon}-grid"
+            )
+        mols.append(Molecule(shape, (int(ax), int(ay))))
+    return validate(mols)
+
+
 def configuration_from_json(
     text: str, shapes: Mapping[str, MoleculeShape] | None = None
 ) -> Configuration:
-    table = dict(BUILTIN_SHAPES)
-    if shapes:
-        table.update(shapes)
-    mols = []
-    for entry in json.loads(text):
-        name = entry["shape"]
-        if name not in table:
-            raise ValueError(f"unknown shape {name!r}")
-        mols.append(Molecule(table[name], (int(entry["anchor"][0]), int(entry["anchor"][1]))))
-    return validate(mols)
+    """Decode a lattice configuration file; anchors must be integers."""
+    data = decode_entry("configuration", json.loads, text)
+    return configuration_on_grid(1, configuration_entries(data, shapes))

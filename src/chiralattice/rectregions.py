@@ -6,13 +6,15 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .molecules import InvalidInput, decode_entry, decode_list
+
 Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, y0, x1, y1
 
 
 def rect(x0, y0, x1, y1) -> Rect:
     r = (Fraction(x0), Fraction(y0), Fraction(x1), Fraction(y1))
     if r[0] >= r[2] or r[1] >= r[3]:
-        raise ValueError(f"degenerate rectangle {r}")
+        raise InvalidInput(f"degenerate rectangle {r}")
     return r
 
 
@@ -64,5 +66,11 @@ def rects_to_jsonable(region: Sequence[Rect]) -> list[list[str]]:
     return [[str(v) for v in r] for r in region]
 
 
-def rects_from_jsonable(data) -> list[Rect]:
-    return [rect(*(Fraction(v) for v in row)) for row in data]
+def regions_from_jsonable(data) -> dict[int, list[Rect]]:
+    """Decode {label: [[x0, y0, x1, y1], ...]}, the regions `decompose` reports."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"regions: expected a JSON object, not {type(data).__name__}")
+    return {
+        decode_entry("region label", int, lab): decode_list(f"region {lab}", lambda r: rect(*r), rows)
+        for lab, rows in data.items()
+    }

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -367,3 +368,126 @@ def test_bad_preset_exit_2(tmp_path, capsys, single_r, preset, argv, message):
     argv = [single_r if a == "CFG" else a for a in argv]
     assert main(["--preset", str(path)] + argv) == 2
     assert message in capsys.readouterr().err
+
+
+CORPUS_FILES = {
+    "cfg_list": [1, 2],
+    "cfg_short": [{"shape": "R", "anchor": [0]}],
+    "part_int": {"regions": {"1": [[0, 0]]}},
+    "part_list": {"regions": [1]},
+    "part_top": [1],
+    "shapes_int": [1],
+    "shapes_empty": {},
+    "cfg_frac": [{"shape": "R", "anchor": [1.5, 0]}],
+    "target": {"1": [["-2", "-2", "0", "2"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "cfg_list"],
+        ["energy", "cfg_short"],
+        ["decompose", "cfg_list", "--epsilon", "1", "--window", "4"],
+        ["decompose", "cfg_short", "--epsilon", "1", "--window", "4"],
+        ["limit", "part_int"],
+        ["limit", "part_list"],
+        ["limit", "part_top"],
+        ["energy", "CFG", "--shapes", "shapes_int"],
+        ["lemma", "3", "--shapes", "shapes_int"],
+        ["decompose", "CFG", "CFG", "--epsilon", "1/2,1", "--window", "4", "--target", "target"],
+        ["energy", "CFG", "--out", "MISSING_DIR/x.json"],
+        ["lemma", "3", "--shapes", "shapes_empty"],
+        ["energy", "cfg_frac"],
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):
+    for name, value in CORPUS_FILES.items():
+        (tmp_path / name).write_text(json.dumps(value))
+    names = {"CFG": single_r, "MISSING_DIR/x.json": str(tmp_path / "no" / "x.json")}
+    argv = [names.get(a, str(tmp_path / a) if a in CORPUS_FILES else a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_preset_cap_fills_only_an_unset_cluster_cap(tmp_path, capsys):
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"cluster_cap": 2}))
+    assert main(["--preset", str(preset), "lemma", "4", "--cap", "6"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["manifest"]["parameters"]["cap"] == 6
+    assert out["search_space"]["coverings"] == 6
+    assert main(["--preset", str(preset), "cluster", "2", "1", "--cap", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["parameters"]["cap"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "1", "0", "1", "1", "8", "--budget", "0"],
+        ["density", "1", "0", "1", "1", "8", "--budget", "-5"],
+        ["lemma", "4", "--cap", "0"],
+        ["lemma", "4", "--cap", "-1"],
+        ["cluster", "2", "2", "--cap", "-3"],
+        ["--preset", "PRESET", "density", "1", "0", "1", "1", "8"],
+    ],
+)
+def test_non_positive_budget_or_cap_exit_2(tmp_path, capsys, argv):
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"budget": 0}))
+    assert main([str(preset) if a == "PRESET" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
+def _mutate(value, rng):
+    """The JSON value with one random node changed: a dropped key, a value
+    of another type, a truncated list or a non-numeric string."""
+    if isinstance(value, (list, dict)) and value and rng.random() < 0.7:
+        keys = list(range(len(value))) if isinstance(value, list) else sorted(value)
+        key = rng.choice(keys)
+        out = list(value) if isinstance(value, list) else dict(value)
+        out[key] = _mutate(value[key], rng)
+        return out
+    op = rng.randrange(4)
+    if op == 0 and isinstance(value, dict) and value:
+        out = dict(value)
+        del out[rng.choice(sorted(out))]
+        return out
+    if op == 1 and isinstance(value, list) and value:
+        return value[: rng.randrange(len(value))]
+    if op == 2:
+        return rng.choice(["abc", "1/0", "", "x,y"])
+    return rng.choice([0, -1, 1.5, True, None, "7", [], {}, [0, 0], {"0": 1}])
+
+
+def test_cli_fuzz_exit_codes(tmp_path, capsys):
+    """Mutated inputs either run or exit 2 (3 when a cap is reached)."""
+    rng = random.Random(20260)
+    flat_pair = json.loads(Path("data/shapes/flat_pair.json").read_text())
+    fixtures = {
+        "energy": ([{"shape": "R", "anchor": [0, 0]}, {"shape": "S", "anchor": [5, 3]}],
+                   ["energy", "FILE", "--window", "12"]),
+        "decompose": ([{"shape": "R", "anchor": ["0", "1/2"]}, {"shape": "S", "anchor": ["3", "1"]}],
+                      ["decompose", "FILE", "--epsilon", "1/2", "--window", "4"]),
+        "limit": ({
+            "window": [["0", "0"], ["2", "0"], ["2", "1"], ["0", "1"]],
+            "regions": {"0": [[["1", "0"], ["2", "0"], ["2", "1"], ["1", "1"]]],
+                        "1": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]},
+        }, ["limit", "FILE"]),
+        "lemma": (flat_pair, ["lemma", "3", "--shapes", "FILE"]),
+    }
+    path = tmp_path / "input.json"
+    codes = []
+    for _ in range(60):
+        for value, argv in fixtures.values():
+            for _ in range(rng.randint(1, 2)):
+                value = _mutate(value, rng)
+            path.write_text(json.dumps(value))
+            codes.append(main([str(path) if a == "FILE" else a for a in argv]))
+            capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}
+    assert {0, 2} <= set(codes)
