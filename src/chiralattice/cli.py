@@ -54,6 +54,7 @@ from .molecules import (
     Window,
     configuration_entries,
     configuration_from_json,
+    json_int,
     perimeter,
     shapes_from_json,
     volume_deficit,
@@ -86,13 +87,15 @@ def make_manifest(command: str, params: dict, inputs: list[str], outputs: list[s
     }
 
 
-def dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_text(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
+def emit_json(payload: dict, path: str | None, *files: tuple[str, str]) -> None:
+    """Write the (path, text) files and the JSON payload to `path`, if
+    given, then print the payload.  Stdout comes last, so a command whose
+    output file cannot be written prints nothing before it exits 2."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for out, content in ((path, text), *files):
+        if out:
+            Path(out).write_text(content)
+    sys.stdout.write(text)
 
 
 def _read(path: str, decode=json.loads):
@@ -103,15 +106,13 @@ def _read(path: str, decode=json.loads):
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _numbers(spec, what: str, form: str, counts=(), number=Fraction) -> list:
+def _numbers(spec: str, what: str, form: str, counts=(), number=Fraction) -> list:
     """The numbers of the comma list `spec`, written in the given form.
 
-    `counts` holds the allowed list lengths (any when empty).  A spec that
-    is not a string, such as a value read from a preset file, is one item.
+    `counts` holds the allowed list lengths (any when empty).
     """
-    items = spec.split(",") if isinstance(spec, str) else [spec]
     try:
-        values = [number(v) for v in items]
+        values = [number(v) for v in spec.split(",")]
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidInput(f"invalid {what} {spec!r} ({form}): {exc}") from exc
     if counts and len(values) not in counts:
@@ -156,9 +157,7 @@ def cmd_energy(args) -> int:
         inputs,
         [args.out] if args.out else [],
     )
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.out, text)
+    emit_json(payload, args.out)
     return 0
 
 
@@ -199,7 +198,6 @@ def cmd_density(args) -> int:
         + DensityRecord.CSV_COLUMNS + "\n"
     )
     body = "\n".join(rows) + "\n"
-    sys.stdout.write(header + body)
     if args.csv:
         path = Path(args.csv)
         if path.exists() and path.stat().st_size > 0:
@@ -207,6 +205,7 @@ def cmd_density(args) -> int:
                 fh.write(body)
         else:
             path.write_text(header + body)
+    sys.stdout.write(header + body)
     if truncated:
         sys.stderr.write("note: some certificates are upper_bound (budget)\n")
     report = consistency_check(DensityModel.with_patterns(), records)
@@ -256,9 +255,7 @@ def cmd_wulff(args) -> int:
     payload["manifest"] = make_manifest(
         "wulff", {"phase": args.phase}, [], outputs + ([args.json] if args.json else [])
     )
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.json, text)
+    emit_json(payload, args.json)
     return 0
 
 
@@ -272,18 +269,17 @@ def cmd_lemma(args) -> int:
         [args.shapes] if args.shapes else [],
         [p for p in (args.json, args.witness_svg) if p],
     )
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.json, text)
+    svg = []
     if report.witness is not None and args.witness_svg:
-        write_text(
+        svg.append((
             args.witness_svg,
             configuration_svg(
                 report.witness,
                 comment=f"violating covering k={args.k}",
                 palette=args.palette,
             ),
-        )
+        ))
+    emit_json(payload, args.json, *svg)
     return 0 if report.complete else 3
 
 
@@ -341,9 +337,7 @@ def cmd_decompose(args) -> int:
         args.configs + ([args.target] if args.target else []),
         outputs,
     )
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.out, text)
+    emit_json(payload, args.out)
     return 0
 
 
@@ -388,13 +382,12 @@ def cmd_limit(args) -> int:
         [p for p in (args.partition, args.table, args.exterior) if p],
         outputs,
     )
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.out, text)
+    svg = []
     if args.svg:
-        write_text(
-            args.svg, partition_svg(part, rows, comment="partition", palette=args.palette)
+        svg.append(
+            (args.svg, partition_svg(part, rows, comment="partition", palette=args.palette))
         )
+    emit_json(payload, args.out, *svg)
     return 0
 
 
@@ -416,16 +409,15 @@ def cmd_cluster(args) -> int:
             [p for p in (args.json, args.svg) if p],
         ),
     }
-    text = dump_json(payload)
-    sys.stdout.write(text)
-    write_text(args.json, text)
+    svg = []
     if args.svg:
-        write_text(
+        svg.append((
             args.svg,
             configuration_svg(
                 config, comment=f"cluster ({args.r},{args.s})", palette=args.palette
             ),
-        )
+        ))
+    emit_json(payload, args.json, *svg)
     return 0
 
 
@@ -505,10 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _preset_int(preset: dict, name: str) -> int:
-    return _numbers(preset[name], f"preset {name}", "an integer", (1,), int)[0]
-
-
 def _apply_preset(args) -> None:
     """Fill unset options from a preset file (weights, budget, cap, palette)."""
     preset = _read(args.preset)
@@ -519,9 +507,9 @@ def _apply_preset(args) -> None:
             raise InvalidInput("preset weights must be a string C_R,C_S")
         args.weights = preset["weights"]
     if getattr(args, "budget", None) is None and "budget" in preset:
-        args.budget = _preset_int(preset, "budget")
+        args.budget = json_int("preset budget", preset["budget"])
     if args.cmd == "cluster" and args.cap is None and "cluster_cap" in preset:
-        args.cap = _preset_int(preset, "cluster_cap")
+        args.cap = json_int("preset cluster_cap", preset["cluster_cap"])
     palette = preset.get("palette")
     if palette:
         if not isinstance(palette, list) or len(palette) != 9:

@@ -27,9 +27,11 @@ cells of unlike occupancy must hold a boundary edge that is not
 determined yet, and no edge lies in two lines, so each such run adds at
 least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  Cells are encoded as bits of int masks by
-a shared placement table (`chiralattice.placements`), and the search
-counts energy in integer units of 1/scale, so all energies stay exact
-rationals.
+a shared placement table (`chiralattice.placements`) over the inner
+square and its ring in scan order, which sweeps the square line by line:
+the line bound shifts the search's own masks along and across lines.
+The search counts energy in integer units of 1/scale, so all energies
+stay exact rationals.
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -60,7 +62,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import Grid, PlacementTable
+from .placements import PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -317,6 +319,10 @@ def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
     column ends early, and a wrong seam is refuted before the bulk is
     filled.  The rule depends on nu only through the sign of p q, so nu
     and -nu (a problem and its mirror) are searched in the same order.
+
+    `solve_interface` relies on the order sweeping a square line by line:
+    listed in this order, the cells of a square of side w are numbered so
+    that a step of 1 moves along a line and a step of w across lines.
     """
     sx = 1 if prob.nu.p * prob.nu.q < 0 else -1
     return sorted(cells, key=lambda c: (sx * c[0], c[1]))
@@ -359,23 +365,21 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     T = prob.T
     volume = prob.energy_kind == VOLUME
 
+    # The table numbers the inner square plus its one-cell ring line by
+    # line, so its order bits are a width x width grid for the line bound.
     forced_cells = forced.occupancy
-    free_cells = [
-        (a, b)
-        for a in range(-T // 2 + 4, T // 2 - 4)
-        for b in range(-T // 2 + 4, T // 2 - 4)
-        if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
-    ]
-    order = _scan_order(prob, free_cells)
+    lo, hi = -((T - 8) // 2), (T - 10) // 2
+    square = range(lo - 1, hi + 2)
+    width = len(square)
+    order = _scan_order(prob, [(a, b) for a in square for b in square])
+
+    def free(cell: Cell) -> bool:
+        return _cell_inside_inner(cell, T) and cell not in forced_cells
+
     # free placements: molecules fully inside the inner square
-    table = PlacementTable(
-        order,
-        (R, S),
-        lambda m: all(
-            _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
-        ),
-    )
+    table = PlacementTable(order, (R, S), lambda m: all(map(free, m.cells())))
     n = table.n
+    free_bits = table.mask(filter(free, order))
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
@@ -400,46 +404,42 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         for c in m.cells()
     )
     occ_S0 = table.mask(forced_cells) & ~occ_R0
-    decided0 = table.all_bits & ~table.order_bits
+    decided0 = table.all_bits & ~free_bits
 
     # DET: weighted length of boundary edges both of whose sides are
     # decided.  It starts at `base` minus the forced boundary edges that
     # face a free cell, whose far side is not decided yet.
     base_det = scaled(base)
     if not volume:
-        for nbrs in table.neighbors:
-            base_det -= (
-                w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
-            )
+        for i, nbrs in enumerate(table.neighbors):
+            if free_bits >> i & 1:
+                base_det -= (
+                    w_R * (nbrs & occ_R0).bit_count()
+                    + w_S * (nbrs & occ_S0).bit_count()
+                )
 
-    # LINE: the decisions again, as known and occupied masks over a Grid of
-    # the inner square plus its ring.  A run of undecided cells is at most
-    # `side` long, so the doubling shifts of the column fill carry each
-    # run's first decided end across it.
-    lo, hi = -((T - 8) // 2), (T - 10) // 2
-    side = hi - lo + 1
-    grid = Grid(range(lo - 1, hi + 2), range(lo - 1, hi + 2))
-    grid_all = grid.all_bits
-    grid_cell = [grid.mask([cell]) for cell in order]
-    grid_mask = [grid.mask(p.molecule.cells()) for p in table.placements]
-    width = grid.width
-    shifts = [width << k for k in range(side.bit_length())]
+    # LINE: each line starts and ends on a ring cell, which is always
+    # decided, so no run of undecided cells crosses into the next line.  A
+    # run is at most width - 2 long, so the doubling shifts of the
+    # cross-line fill carry each run's first decided end across it.
+    order_bits = table.order_bits
+    shifts = [width << k for k in range((width - 2).bit_length())]
 
-    def line(known: int, occ: int) -> int:
+    def line(decided: int, occ: int) -> int:
         """Runs of undecided cells between decided cells of unlike occupancy."""
-        unknown = grid_all & ~known
-        # rows: adding 1 at the start of a run carries through the run
-        # into the decided cell after it
-        ends = known & (unknown << 1)
-        fill = unknown + ((known & occ & (unknown >> 1)) << 1)
+        unknown = order_bits & ~decided
+        # along lines: adding 1 at the start of a run carries through the
+        # run into the decided cell after it
+        ends = decided & (unknown << 1)
+        fill = unknown + ((decided & occ & (unknown >> 1)) << 1)
         count = ((fill ^ occ) & ends).bit_count()
-        # columns: doubling shifts fill each run that follows an occupied
-        # decided cell
-        fill, through = known & occ & (unknown >> width), unknown
+        # across lines: doubling shifts fill each run that follows an
+        # occupied decided cell
+        fill, through = decided & occ & (unknown >> width), unknown
         for s in shifts:
             fill |= through & (fill << s)
             through &= through << s
-        ends = known & (unknown << width)
+        ends = decided & (unknown << width)
         return count + (((fill << width) ^ occ) & ends).bit_count()
 
     # initial incumbents: forced alone, and forced + interior family fill
@@ -466,10 +466,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     exhausted = True
     placed: list[Molecule] = []
 
-    def dfs(
-        decided: int, occ_R: int, occ_S: int, energy: int, det: int,
-        known: int, occ: int,
-    ) -> None:
+    def dfs(decided: int, occ_R: int, occ_S: int, energy: int, det: int) -> None:
         nonlocal nodes, best_val, best_cfg, exhausted
         i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
         if i >= n:
@@ -478,10 +475,10 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 best_cfg = list(forced.molecules) + list(placed)
             return
         if volume:
-            undecided = n - (decided & table.order_bits).bit_count()
+            undecided = (free_bits & ~decided).bit_count()
             if energy - molecule_area * (undecided // 4) >= best_val:
                 return
-        elif det >= best_val or det + w_min * line(known, occ) >= best_val:
+        elif det >= best_val or det + w_min * line(decided, occ_R | occ_S) >= best_val:
             return
         # branch 1: cover the cell with each feasible placement
         for p in table.by_pos[i]:
@@ -492,12 +489,8 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 return
             nodes += 1
             placed.append(p.molecule)
-            g = grid_mask[p.index]
             if volume:
-                dfs(
-                    decided | p.mask, occ_R, occ_S, energy - molecule_area, det,
-                    known | g, occ | g,
-                )
+                dfs(decided | p.mask, occ_R, occ_S, energy - molecule_area, det)
             else:
                 # every boundary edge of the molecule adds its weight w,
                 # and one that meets an occupied cell also removes that
@@ -511,7 +504,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 d_energy = w * _MOLECULE_EDGES - (w + w_R) * c_r - (w + w_S) * c_s
                 dfs(
                     decided | p.mask, occ_R_next, occ_S_next,
-                    energy + d_energy, det + w * empty, known | g, occ | g,
+                    energy + d_energy, det + w * empty,
                 )
             placed.pop()
         # branch 2: leave the cell empty
@@ -522,15 +515,13 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         if not volume:
             nbrs = table.neighbors[i]
             det += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-        dfs(decided | 1 << i, occ_R, occ_S, energy, det, known | grid_cell[i], occ)
+        dfs(decided | 1 << i, occ_R, occ_S, energy, det)
 
-    known0 = grid_all & ~grid.mask(order)
-    occ0 = grid.mask(forced_cells)
     if volume:
-        lower = scaled(base) - molecule_area * (n // 4)
+        lower = scaled(base) - molecule_area * (free_bits.bit_count() // 4)
     else:
-        lower = base_det + w_min * line(known0, occ0)
-    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det, known0, occ0)
+        lower = base_det + w_min * line(decided0, occ_R0 | occ_S0)
+    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det)
 
     return SolveResult(
         value=Fraction(best_val, scale),

@@ -71,6 +71,13 @@ def decode_entry(what: str, decode: Callable, value):
         raise InvalidInput(f"{what}: {kind}{exc}") from exc
 
 
+def json_int(what: str, value) -> int:
+    """A JSON integer; a float, string or bool raises InvalidInput naming `what`."""
+    if type(value) is not int:
+        raise InvalidInput(f"invalid {what} {value!r}: expected an integer")
+    return value
+
+
 def decode_list(what: str, decode: Callable, data) -> list:
     """decode(entry) for each entry of a JSON list, naming the entry that fails."""
     if not isinstance(data, list):
@@ -508,7 +515,10 @@ def shapes_from_json(text: str) -> dict[str, MoleculeShape]:
     def entry(raw) -> None:
         shape = MoleculeShape(
             raw["name"],
-            tuple((int(c), int(r)) for c, r in raw["cells"]),
+            tuple(
+                (json_int("shape cell", c), json_int("shape cell", r))
+                for c, r in raw["cells"]
+            ),
             raw["chirality_class"],
         )
         if shape.name in out:

@@ -6,8 +6,9 @@ numbering of lattice cells.  This module is the only place that numbers
 cells: the cells of the search order get bits 0..n-1, so a search's next
 undecided cell is the lowest clear bit of its state, and every other cell
 that a placement covers or touches, or that touches an order cell, gets
-the next free bit.  A `Grid` numbers the cells of a rectangle row-major
-instead, so that shifts move masks along rows and columns.
+the next free bit.  A search that wants a geometric numbering passes an
+order with that geometry: the interface solver lists a square line by
+line, so its order bits form a grid that shifts move along.
 
 Tables are immutable after construction and safe for concurrent use.
 """
@@ -60,19 +61,20 @@ class PlacementTable:
         shapes: Iterable[MoleculeShape],
         keep: Callable[[Molecule], bool] | None = None,
     ):
-        shapes = tuple(shapes)
+        shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds no placements
         self.n = len(order)
         self._bit: dict[Cell, int] = {cell: i for i, cell in enumerate(order)}
         self.placements: list[Placement] = []
         self.by_pos: list[list[Placement]] = [[] for _ in order]
-        seen: set[Molecule] = set()
+        seen: set[tuple[int, int, int]] = set()
         for cell in order:
-            for shape in shapes:
+            for k, shape in enumerate(shapes):
                 for off in shape.cells:
-                    mol = Molecule(shape, (cell[0] - off[0], cell[1] - off[1]))
-                    if mol in seen:
+                    x, y = cell[0] - off[0], cell[1] - off[1]
+                    if (k, x, y) in seen:
                         continue
-                    seen.add(mol)
+                    seen.add((k, x, y))
+                    mol = Molecule(shape, (x, y))
                     if keep is None or keep(mol):
                         self._add(mol)
         self.neighbors = [self._number(_neighbors(cell)) for cell in order]
@@ -117,23 +119,3 @@ class PlacementTable:
     def order_bits(self) -> int:
         return (1 << self.n) - 1
 
-
-class Grid:
-    """The cells of a rectangle numbered row-major, for line scans.
-
-    Cell (xs[c], ys[r]) is bit r * width + c, so shifting a mask by 1 moves
-    each cell one step along its row and shifting by `width` moves it one
-    step along its column.  Cells outside the rectangle have no bit.
-    """
-
-    def __init__(self, xs: range, ys: range):
-        self.xs, self.ys = xs, ys
-        self.width = len(xs)
-        self.all_bits = (1 << self.width * len(ys)) - 1
-
-    def mask(self, cells: Iterable[Cell]) -> int:
-        bits = 0
-        for a, b in cells:
-            if a in self.xs and b in self.ys:
-                bits |= 1 << (b - self.ys.start) * self.width + a - self.xs.start
-        return bits

@@ -1,7 +1,10 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -360,6 +363,10 @@ def test_decompose_bad_epsilon_exit_2(single_r, capsys, epsilon, message):
         ({"cluster_cap": [3]}, ["cluster", "1", "0"], "invalid preset cluster_cap"),
         ({"palette": 5}, ["cluster", "1", "0"], "9 colors"),
         ([1], ["cluster", "1", "0"], "preset must be a JSON object"),
+        ({"budget": 5.7}, ["density", "1", "0", "1", "1", "8"], "invalid preset budget"),
+        ({"budget": "5"}, ["density", "1", "0", "1", "1", "8"], "invalid preset budget"),
+        ({"budget": True}, ["density", "1", "0", "1", "1", "8"], "invalid preset budget"),
+        ({"cluster_cap": 2.0}, ["cluster", "1", "0"], "invalid preset cluster_cap"),
     ],
 )
 def test_bad_preset_exit_2(tmp_path, capsys, single_r, preset, argv, message):
@@ -380,6 +387,13 @@ CORPUS_FILES = {
     "shapes_empty": {},
     "cfg_frac": [{"shape": "R", "anchor": [1.5, 0]}],
     "target": {"1": [["-2", "-2", "0", "2"]]},
+    **{
+        f"shapes_{kind}": [{
+            "name": "X", "cells": [[0, 0], [0, 1], [0, 2], [cell, 2]],
+            "chirality_class": "R-like",
+        }]
+        for kind, cell in (("float", 1.7), ("str", "1"), ("bool", True))
+    },
 }
 
 
@@ -399,6 +413,9 @@ CORPUS_FILES = {
         ["energy", "CFG", "--out", "MISSING_DIR/x.json"],
         ["lemma", "3", "--shapes", "shapes_empty"],
         ["energy", "cfg_frac"],
+        ["lemma", "3", "--shapes", "shapes_float"],
+        ["lemma", "3", "--shapes", "shapes_str"],
+        ["lemma", "3", "--shapes", "shapes_bool"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):
@@ -407,9 +424,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):
     names = {"CFG": single_r, "MISSING_DIR/x.json": str(tmp_path / "no" / "x.json")}
     argv = [names.get(a, str(tmp_path / a) if a in CORPUS_FILES else a) for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no result printed, not even before a failed write
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_stdout_is_independent_of_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["density", "1", "0", "1", "1", "8,12"], ["lemma", "4"], ["cluster", "2", "1"]):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "chiralattice.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, timeout=60, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1] and outs[0], argv
 
 
 def test_preset_cap_fills_only_an_unset_cluster_cap(tmp_path, capsys):

@@ -26,7 +26,7 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import Molecule, R, S
-from chiralattice.placements import Grid, PlacementTable
+from chiralattice.placements import PlacementTable
 from test_line_bound import ref_solve, row_major_order
 
 
@@ -72,18 +72,6 @@ def test_contacts_count_boundary_edges():
         )
         assert p.contacts(bits) == expected, p.molecule
         assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
-
-
-def test_grid_numbers_rows_then_columns():
-    grid = Grid(range(-1, 2), range(5, 7))  # 3 wide, 2 tall
-    assert grid.width == 3 and grid.all_bits == 0b111111
-    assert [grid.mask([(a, b)]) for b in (5, 6) for a in (-1, 0, 1)] == [
-        1 << k for k in range(6)
-    ]
-    assert grid.mask([(2, 5), (0, 7)]) == 0  # cells outside the rectangle
-    # a shift by 1 steps along a row, by the width along a column
-    assert grid.mask([(-1, 5)]) << 1 == grid.mask([(0, 5)])
-    assert grid.mask([(-1, 5)]) << grid.width == grid.mask([(-1, 6)])
 
 
 def _placements_meeting_square(k, shapes):
@@ -161,6 +149,24 @@ def test_solver_nodes_pinned_t16(spec, expected, nodes):
     i, j, nu, weights, kind = spec
     res = solve_interface(InterfaceProblem(i, j, direction(*nu), 16, weights, kind))
     assert (res.value, res.certificate, res.nodes_explored) == (*expected[:2], nodes)
+
+
+# solve_interface(prob, budget=1).lower on the surface rows of SOLVES_T16:
+# the root bound, det + line, which no scan order changes
+ROOT_LOWER_T16 = [28, 23, 19, 21, 28, 14, 32, 26, F(39, 2)]
+
+
+@pytest.mark.parametrize("scan", ["own", "row_major"])
+def test_root_bound_pinned_t16(scan, monkeypatch):
+    if scan == "row_major":
+        monkeypatch.setattr(interfaces, "_scan_order", row_major_order)
+    got = [
+        solve_interface(
+            InterfaceProblem(i, j, direction(*nu), 16, weights, kind), budget=1
+        ).lower
+        for (i, j, nu, weights, kind), _ in SOLVES_T16[:len(ROOT_LOWER_T16)]
+    ]
+    assert got == ROOT_LOWER_T16
 
 
 def test_lemma_trees_pinned():
