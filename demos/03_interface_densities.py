@@ -9,7 +9,6 @@ interior is minimized exactly by branch and bound.
 from chiralattice.interfaces import (
     InterfaceProblem,
     direction,
-    l1_lower_bound,
     normalized_density,
     pattern_upper_bound,
     solve_interface,
@@ -23,7 +22,7 @@ for pq, limit in (((1, 1), "2"), ((0, 1), "2"), ((1, 0), "3/2"), ((3, -1), "4"))
         prob = InterfaceProblem(1, 0, nu, T)
         res = solve_interface(prob)
         row.append(f"T={T}: {normalized_density(prob, res)} ({res.certificate})")
-    print(f"  nu={pq} (l1 bound {l1_lower_bound(nu)}, limit {limit}):  " + "; ".join(row))
+    print(f"  nu={pq} (l1 bound {nu.norm_l1}, limit {limit}):  " + "; ".join(row))
 
 print()
 print("mixed phases: R phase 1 against S phase 7 along the anti-diagonal")

@@ -56,7 +56,6 @@ from .interfaces import (  # noqa: F401
     boundary_family,
     cluster_min_perimeter,
     direction,
-    l1_lower_bound,
     normalized_density,
     pattern_upper_bound,
     solve_interface,

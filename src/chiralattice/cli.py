@@ -54,6 +54,7 @@ from .molecules import (
     Window,
     configuration_entries,
     configuration_from_json,
+    configuration_to_jsonable,
     json_int,
     perimeter,
     shapes_from_json,
@@ -219,38 +220,28 @@ def cmd_wulff(args) -> int:
         list(range(1, 9)) if args.phase == "all"
         else _numbers(args.phase, "phase", "1..8 or 'all'", (1,), int)
     )
-    gauges = [phi_closed_form(i) for i in labels]
-    outputs = []
+    gauges = {i: phi_closed_form(i) for i in labels}
     payload: dict = {"phases": {}}
-    for i, gauge in zip(labels, gauges):
+    # (where the entry goes, its key, gauge, SVG comment, SVG name suffix)
+    many = len(labels) > 1
+    figures = [
+        (payload["phases"], str(i), gauges[i], f"phase {i}", f"_{i}" if many else "")
+        for i in labels
+    ]
+    if args.phase == "all":
+        _, envelope = min_envelope([gauges[1], gauges[5]])
+        figures.append((payload, "spin_envelope", envelope, "spin envelope", "_envelope"))
+    outputs = []
+    for entries, key, gauge, comment, suffix in figures:
         wulff = wulff_shape(gauge)
-        payload["phases"][str(i)] = {
+        entries[key] = {
             "level_set": [[str(v[0]), str(v[1])] for v in gauge.vertices],
             "wulff": [[str(v[0]), str(v[1])] for v in wulff],
         }
         if args.svg:
             base = Path(args.svg)
-            path = base if len(labels) == 1 else base.with_name(
-                base.stem + f"_{i}" + base.suffix
-            )
-            path.write_text(
-                level_set_and_wulff_svg(gauge.vertices, wulff, comment=f"phase {i}")
-            )
-            outputs.append(str(path))
-    if args.phase == "all":
-        _, envelope = min_envelope([phi_closed_form(1), phi_closed_form(5)])
-        payload["spin_envelope"] = {
-            "level_set": [[str(v[0]), str(v[1])] for v in envelope.vertices],
-            "wulff": [[str(v[0]), str(v[1])] for v in wulff_shape(envelope)],
-        }
-        if args.svg:
-            base = Path(args.svg)
-            path = base.with_name(base.stem + "_envelope" + base.suffix)
-            path.write_text(
-                level_set_and_wulff_svg(
-                    envelope.vertices, wulff_shape(envelope), comment="spin envelope"
-                )
-            )
+            path = base.with_name(base.stem + suffix + base.suffix) if suffix else base
+            path.write_text(level_set_and_wulff_svg(gauge.vertices, wulff, comment=comment))
             outputs.append(str(path))
     payload["manifest"] = make_manifest(
         "wulff", {"phase": args.phase}, [], outputs + ([args.json] if args.json else [])
@@ -398,10 +389,7 @@ def cmd_cluster(args) -> int:
         "r": args.r,
         "s": args.s,
         "value": str(value),
-        "witness": [
-            {"shape": m.shape.name, "anchor": list(m.anchor)}
-            for m in config.molecules
-        ],
+        "witness": configuration_to_jsonable(config),
         "manifest": make_manifest(
             "cluster",
             {"r": args.r, "s": args.s, "cap": cap},

@@ -50,6 +50,7 @@ from .molecules import (
     Molecule,
     MoleculeShape,
     Window,
+    configuration_to_jsonable,
     phase_label,
     validate,
 )
@@ -112,10 +113,7 @@ class LemmaReport:
             "inner_margin": self.inner_margin,
             "witness": None
             if self.witness is None
-            else [
-                {"shape": m.shape.name, "anchor": list(m.anchor)}
-                for m in self.witness.molecules
-            ],
+            else configuration_to_jsonable(self.witness),
             "search_space": {
                 "nodes": self.search_space.nodes,
                 "coverings": self.search_space.coverings,

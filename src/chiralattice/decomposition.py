@@ -79,18 +79,6 @@ class PhasePartitionApprox:
     def bad_area(self) -> Fraction:
         return region_area(self.bad_region)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "bad_count": self.bad_count,
-            "boundary_length": str(self.boundary_length),
-            "bad_region": [[str(v) for v in r] for r in self.bad_region],
-            "regions": {
-                str(lab): [[str(v) for v in r] for r in rects]
-                for lab, rects in sorted(self.regions.items())
-            },
-        }
-
 
 def _window_in_lattice(window: Window, epsilon: Fraction) -> Window:
     cx, cy = window.center

@@ -139,9 +139,6 @@ class DensityModel:
     def value(self, i: int, j: int, nu: IntDir) -> Fraction:
         return self.value_and_source(i, j, nu)[0]
 
-    def source(self, i: int, j: int, nu: IntDir) -> str:
-        return self.value_and_source(i, j, nu)[1]
-
     # -- derived gauges -------------------------------------------------
 
     def spin_envelope(self) -> GaugePolygon:

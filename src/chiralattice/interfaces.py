@@ -33,6 +33,13 @@ the line bound shifts the search's own masks along and across lines.
 The search counts energy in integer units of 1/scale, so all energies
 stay exact rationals.
 
+The solver and the pattern library share one glued construction, built
+from one family build: the forced frame molecules plus the family
+molecules that lie inside the inner square and miss every forced cell
+(`_glued_part`).  It is the solver's second incumbent after the forced
+part alone, and a `pattern_upper_bound` candidate beside the wetting fill
+and the forced part alone, so a feasible problem always has a bound.
+
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
 """
@@ -54,9 +61,9 @@ from .molecules import (
     R_LIKE,
     S,
     Window,
+    configuration_to_jsonable,
     decode_entry,
     perimeter,
-    in_phase_family,
     phase_pattern,
     validate,
     volume_deficit,
@@ -123,11 +130,6 @@ def direction(p: int, q: int) -> Direction:
     return Direction(p // g, q // g)
 
 
-def l1_lower_bound(nu: Direction) -> int:
-    """|p| + |q|: the unconstrained unit-square density at the same scale."""
-    return nu.norm_l1
-
-
 @dataclass(frozen=True)
 class InterfaceProblem:
     i: int
@@ -168,10 +170,7 @@ class SolveResult:
             "value": str(self.value),
             "certificate": self.certificate,
             "nodes_explored": self.nodes_explored,
-            "config": [
-                {"shape": m.shape.name, "anchor": list(m.anchor)}
-                for m in self.config.molecules
-            ],
+            "config": configuration_to_jsonable(self.config),
         }
 
 
@@ -198,15 +197,6 @@ def _side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
         best += min(p, 0) + min(q, 0)
         sign_ok = best < 0
     return sign_ok and best * best > 4 * (p * p + q * q)
-
-
-def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
-    """Membership in the glued half-plane family for the ordered pair."""
-    if i != 0 and in_phase_family(i, m) and _side_reach(m, nu, upper=True):
-        return True
-    if j != 0 and in_phase_family(j, m) and _side_reach(m, nu, upper=False):
-        return True
-    return False
 
 
 def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molecule]:
@@ -361,7 +351,8 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     """
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
-    forced = frame_forced(prob)
+    members = _near_family(prob)
+    forced = _forced_part(members, prob)
     T = prob.T
     volume = prob.energy_kind == VOLUME
 
@@ -442,25 +433,16 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         ends = decided & (unknown << width)
         return count + (((fill << width) ^ occ) & ends).bit_count()
 
-    # initial incumbents: forced alone, and forced + interior family fill
-    def evaluate(mols: list[Molecule]) -> tuple[Fraction, Configuration]:
-        cfg = validate(list(forced.molecules) + mols)
-        return _energy(cfg, prob), cfg
-
-    incumbents: list[tuple[Fraction, Configuration]] = [evaluate([])]
-    family_fill = [
-        p.molecule
-        for p in table.placements
-        if in_boundary_family(p.molecule, prob.i, prob.j, prob.nu)
-    ]
+    # initial incumbents: the forced part alone, then the glued family
+    best_val, best_cfg = scaled(base), list(forced.molecules)
     try:
-        incumbents.append(evaluate(family_fill))
+        glued = _glued_part(members, forced, T)
     except OverlapError:
         pass
-    incumbents.sort(key=lambda t: t[0])
-    best_value, best_cfg_conf = incumbents[0]
-    best_val = scaled(best_value)
-    best_cfg = list(best_cfg_conf.molecules)
+    else:
+        value = scaled(_energy(glued, prob))
+        if value < best_val:
+            best_val, best_cfg = value, list(glued.molecules)
 
     nodes = 0
     exhausted = True
@@ -603,23 +585,34 @@ def glued_family_config(prob: InterfaceProblem) -> Configuration:
     in the axis and (3, -1) directions); for mixed pairs it glues the two
     half families, which meet flush along the anti-diagonal seams that
     admit meshing and leave an empty gap elsewhere (the constructive form
-    of the subadditive bound).
+    of the subadditive bound).  The glue rule is `_glued_part`'s: the
+    forced frame molecules, plus the family molecules that lie inside the
+    inner square and miss every forced cell.  Raises InfeasibleBoundary
+    when the frame itself is inconsistent, and NoPattern when two of those
+    interior molecules overlap.
     """
-    return _glued_part(_near_family(prob), prob)
+    members = _near_family(prob)
+    try:
+        return _glued_part(members, _forced_part(members, prob), prob.T)
+    except OverlapError as exc:
+        raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
 
 
-def _glued_part(members: list[Molecule], prob: InterfaceProblem) -> Configuration:
-    """The members meeting the frame or lying inside the inner square."""
-    relevant = [
+def _glued_part(members: list[Molecule], forced: Configuration, T: int) -> Configuration:
+    """The forced part plus the members inside the inner square that miss it.
+
+    The interior members are exactly the family's free placements in
+    `solve_interface`, so this is also the solver's glued incumbent.  The
+    forced part is already validated and no interior member touches it, so
+    OverlapError means two interior members overlap.
+    """
+    taken = forced.occupancy
+    return validate(
         m
         for m in members
-        if meets_frame(m, prob.T)
-        or all(_cell_inside_inner(c, prob.T) for c in m.cells())
-    ]
-    try:
-        return validate(relevant)
-    except OverlapError as exc:
-        raise InfeasibleBoundary(str(exc)) from exc
+        if meets_frame(m, T)
+        or all(_cell_inside_inner(c, T) and c not in taken for c in m.cells())
+    )
 
 
 def _mirror_molecule(m: Molecule) -> Molecule:
@@ -711,23 +704,28 @@ def pattern_upper_bound(
 ) -> tuple[Fraction, Configuration]:
     """Best library construction for the problem, with its exact energy.
 
-    Returns the energy measured on Q_T (revalidated through the perimeter
-    functions) and the realizing admissible configuration.
+    The candidates are the glued family (when its interior members do not
+    overlap), the wetting fill (where it applies) and the forced part
+    alone, which is always admissible; ties go in that order.  Returns the
+    energy measured on Q_T (revalidated through the perimeter functions)
+    and the realizing admissible configuration.  Raises InfeasibleBoundary
+    exactly when `frame_forced` does.
     """
     prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
     # one family build serves every candidate and the admissibility check
     members = _near_family(prob)
-    candidates: list[tuple[Fraction, Configuration]] = []
-    cfg = _glued_part(members, prob)
-    candidates.append((_energy(cfg, prob), cfg))
     forced = _forced_part(members, prob)
+    candidates: list[Configuration] = []
     try:
-        wet = _wetting_fill(_wetting_chain(prob), members, forced, T)
-        candidates.append((_energy(wet, prob), wet))
+        candidates.append(_glued_part(members, forced, T))
+    except OverlapError:
+        pass
+    try:
+        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, T))
     except NoPattern:
         pass
-    candidates.sort(key=lambda t: t[0])
-    value, cfg = candidates[0]
+    candidates.append(forced)
+    value, cfg = min(((_energy(c, prob), c) for c in candidates), key=lambda t: t[0])
     if not _matches_frame(cfg, forced, T):
         raise NoPattern("library construction failed the admissibility check")
     return value, cfg

@@ -456,14 +456,6 @@ def phase_molecule(i: int, cell: Cell) -> Molecule:
     return Molecule(R if i <= 4 else S, pattern_anchor(i, cell))
 
 
-def in_phase_family(i: int, m: Molecule) -> bool:
-    """True iff the molecule belongs to the phase-i striped family."""
-    try:
-        return phase_label(m) == i
-    except UnlabeledShape:
-        return False
-
-
 def phase_pattern(i: int, window: Window) -> Configuration:
     """All phase-i molecules whose cells intersect the window.
 
@@ -529,12 +521,13 @@ def shapes_from_json(text: str) -> dict[str, MoleculeShape]:
     return out
 
 
+def configuration_to_jsonable(config: Configuration) -> list[dict]:
+    """[{"shape": name, "anchor": [x, y]}, ...] in molecule order."""
+    return [{"shape": m.shape.name, "anchor": list(m.anchor)} for m in config.molecules]
+
+
 def configuration_to_json(config: Configuration) -> str:
-    payload = [
-        {"shape": m.shape.name, "anchor": [m.anchor[0], m.anchor[1]]}
-        for m in config.molecules
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(configuration_to_jsonable(config), sort_keys=True, indent=2) + "\n"
 
 
 def configuration_entries(

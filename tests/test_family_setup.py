@@ -5,7 +5,11 @@ the anchor; the cell loop it replaced is kept below.  `pattern_upper_bound`
 builds the boundary family once and derives the glued configuration, the
 wetting patches and the admissibility check from it; the path it replaced,
 which rebuilt the family for each of them, is kept below as well.  Both
-must give the same answers.
+must give the same answers on the table and wetting rows.  The reference
+glues every interior member and raises when one overlaps the frame; the
+library glues only those that miss the forced cells, and where the glued
+family still overlaps it falls back to the forced part alone, so it raises
+only when the frame itself is inconsistent.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from chiralattice.interfaces import (
     _energy,
     _mirror_molecule,
     _side_reach,
+    admissible,
     direction,
+    frame_forced,
     meets_frame,
     pattern_upper_bound,
     wetting_config,
@@ -220,23 +226,26 @@ def test_pattern_upper_bound_matches_the_multi_build_path(T):
     assert len(rows) == len(TABLE_DIRECTIONS) * 2 + {8: 0, 12: 24, 16: 26}[T]
 
 
-def _outcome(solve, *args):
-    try:
-        value, cfg = solve(*args)
-    except InfeasibleBoundary as exc:
-        return "infeasible", str(exc)
-    return value, cfg.molecules
-
-
 def test_infeasible_families_raise_the_same_error():
+    # pattern_upper_bound raises exactly where the forced frame overlaps,
+    # with frame_forced's message; everywhere else some candidate exists
     problems = [
-        (i, j, direction(*pq), 12, (1, 1))
+        InterfaceProblem(i, j, direction(*pq), 12)
         for i in range(9)
         for j in range(9)
         if i != j
         for pq in [(1, 1), (3, -1)]
     ]
-    outcomes = [_outcome(pattern_upper_bound, *args) for args in problems]
-    assert outcomes == [_outcome(ref_pattern_upper_bound, *args) for args in problems]
-    # some glued families overlap, and both messages name the same cell
-    assert any(o[0] == "infeasible" for o in outcomes)
+    infeasible = 0
+    for prob in problems:
+        try:
+            frame_forced(prob)
+        except InfeasibleBoundary as exc:
+            with pytest.raises(InfeasibleBoundary) as raised:
+                pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T)
+            assert str(raised.value) == str(exc)
+            infeasible += 1
+            continue
+        value, cfg = pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T)
+        assert admissible(cfg, prob) and _energy(cfg, prob) == value
+    assert 0 < infeasible < len(problems)

@@ -19,7 +19,6 @@ from chiralattice.interfaces import (
     _cell_meets_window,
     _family_members,
     direction,
-    in_boundary_family,
 )
 from chiralattice.molecules import (
     R_LIKE,
@@ -36,6 +35,7 @@ from chiralattice.molecules import (
 )
 from chiralattice.polygeom import _edges_of, predicate_area
 from conftest import random_configuration
+from test_line_bound import in_boundary_family
 
 
 # -------------------------------------------------------------------

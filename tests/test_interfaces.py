@@ -10,13 +10,13 @@ from chiralattice.interfaces import (
     Direction,
     InfeasibleBoundary,
     InterfaceProblem,
+    NoPattern,
     admissible,
     boundary_family,
     cluster_min_perimeter,
     direction,
     frame_forced,
     glued_family_config,
-    l1_lower_bound,
     meets_frame,
     normalized_density,
     pattern_upper_bound,
@@ -93,9 +93,9 @@ def test_direction_basics():
         Direction(2, 4)
     assert direction(2, 4).as_tuple() == (1, 2)
     assert Direction(3, -1).norm_inf == 3
-    assert l1_lower_bound(Direction(1, 1)) == 2
-    assert l1_lower_bound(Direction(3, -1)) == 4
-    assert l1_lower_bound(Direction(0, 1)) == 1
+    assert Direction(1, 1).norm_l1 == 2
+    assert Direction(3, -1).norm_l1 == 4
+    assert Direction(0, 1).norm_l1 == 1
 
 
 def test_problem_validation():
@@ -261,6 +261,36 @@ def test_pattern_upper_bound_sandwiches_solver():
         assert _energy(cfg, prob) == pv
         res = solve_interface(prob)
         assert res.value <= pv
+
+
+@pytest.mark.parametrize("T", [12, 13])
+def test_pattern_upper_bound_sandwiches_every_feasible_pair(T):
+    # where the glued family overlaps inside the square the bound falls back
+    # to another candidate instead of rejecting a feasible problem
+    feasible = 0
+    for i, j in itertools.permutations(range(9), 2):
+        for pq in [(1, 2), (2, -1)]:
+            prob = InterfaceProblem(i, j, direction(*pq), T)
+            try:
+                frame_forced(prob)
+            except InfeasibleBoundary:
+                continue
+            pv, cfg = pattern_upper_bound(i, j, prob.nu, T)
+            assert admissible(cfg, prob)
+            assert _energy(cfg, prob) == pv
+            assert solve_interface(prob).value <= pv, (i, j, pq)
+            feasible += 1
+    assert feasible == {12: 98, 13: 91}[T]
+    # the solver certifies 34 here; the glued family that skips the
+    # members hitting forced cells attains it
+    prob = InterfaceProblem(2, 6, direction(1, 2), 12)
+    assert pattern_upper_bound(2, 6, prob.nu, 12)[0] == 34 == solve_interface(prob).value
+    # here two interior members overlap, and the forced part alone is the bound
+    prob = InterfaceProblem(2, 1, direction(1, 2), T)
+    with pytest.raises(NoPattern):
+        glued_family_config(prob)
+    pv, cfg = pattern_upper_bound(2, 1, prob.nu, T)
+    assert cfg == frame_forced(prob)
 
 
 def test_pattern_diagonal_is_optimal():

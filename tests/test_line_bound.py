@@ -23,17 +23,20 @@ import pytest
 from chiralattice.interfaces import (
     _MOLECULE_EDGES,
     VOLUME,
+    Direction,
     InfeasibleBoundary,
     InterfaceProblem,
     _cell_inside_inner,
     _energy,
     _scan_order,
+    _side_reach,
     direction,
     frame_forced,
-    in_boundary_family,
     solve_interface,
 )
-from chiralattice.molecules import R, R_LIKE, S, OverlapError, validate
+from chiralattice.molecules import (
+    R, R_LIKE, S, Molecule, OverlapError, phase_label, validate,
+)
 from chiralattice.placements import PlacementTable
 
 
@@ -48,6 +51,19 @@ def row_major_order(prob: InterfaceProblem, cells) -> list:
     corners = [(sx, sy) for sy in (-1, 1) for sx in (-1, 1)]
     sx, sy = min(corners, key=lambda s: (s[0] * h * p + s[1] * h * q, s))
     return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
+
+
+def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
+    """Membership in the glued half-plane family for the ordered pair.
+
+    The solver takes its glued incumbent from the family members instead;
+    this per-molecule test is the reference for them.
+    """
+    if i != 0 and phase_label(m) == i and _side_reach(m, nu, upper=True):
+        return True
+    if j != 0 and phase_label(m) == j and _side_reach(m, nu, upper=False):
+        return True
+    return False
 
 
 def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
