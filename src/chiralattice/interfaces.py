@@ -14,13 +14,18 @@ phase, or none, may appear.
 Because every molecule that is allowed to vary must avoid the width-4
 frame, free molecules live in the concentric inner square of side T - 8.
 The search over that region is an exhaustive branch and bound in scan
-order, with energy accounted incrementally.  The scan order takes the
-inner square column by column, each bottom to top, sweeping right to left
-unless p q < 0; for the diagonals the sweep starts at the bottom corner
-that the seam line x . nu = 0 passes through, so the seam is decided
-while few cells are, and a problem and its mirror (j, i, -nu) are the
-same search.  Its lower bound for surface energies is the
-already-determined boundary (edges whose two cells are decided) plus a
+order.  Each node carries one cost: the deficit for volume energies, and
+for surface energies the weighted length of the boundary edges whose two
+cells are both decided.  The edges that miss every free cell are priced
+once, clipped to Q_T, in the forced part's energy; an edge that meets a
+free cell lies wholly inside Q_T and is counted when its second cell is
+decided.  So at a leaf, where every free cell is decided, the cost is the
+configuration's energy, and no separate energy is tracked.  The scan
+order takes the inner square column by column, each bottom to top,
+sweeping right to left unless p q < 0; for the diagonals the sweep starts
+at the bottom corner that the seam line x . nu = 0 passes through, so the
+seam is decided while few cells are, and a problem and its mirror
+(j, i, -nu) are the same search.  Its lower bound for surface energies is the cost plus a
 line-transition bound: in each row and column of the inner square and
 its always-decided ring, every run of undecided cells between decided
 cells of unlike occupancy must hold a boundary edge that is not
@@ -30,7 +35,7 @@ results do not depend on it.  Cells are encoded as bits of int masks by
 a shared placement table (`chiralattice.placements`) over the inner
 square and its ring in scan order, which sweeps the square line by line:
 the line bound shifts the search's own masks along and across lines.
-The search counts energy in integer units of 1/scale, so all energies
+The search counts its cost in integer units of 1/scale, so all energies
 stay exact rationals.
 
 The solver and the pattern library share one glued construction, built
@@ -63,7 +68,6 @@ from .molecules import (
     Window,
     configuration_to_jsonable,
     decode_entry,
-    perimeter,
     phase_pattern,
     validate,
     volume_deficit,
@@ -290,10 +294,7 @@ def _energy(config: Configuration, prob: InterfaceProblem) -> Fraction:
     window = Window.square(prob.T)
     if prob.energy_kind == VOLUME:
         return volume_deficit(config, window)
-    c_R, c_S = prob.weights
-    if c_R == 1 and c_S == 1:
-        return perimeter(config, window)
-    return weighted_perimeter(config, c_R, c_S, window)
+    return weighted_perimeter(config, *prob.weights, window)
 
 
 # -------------------------------------------------------------------
@@ -334,19 +335,28 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     of exactly `budget` nodes is still exhausted.  Deterministic for fixed
     inputs and budgets.
 
-    A surface node is pruned when det + line >= best.  det is the weighted
-    length of the boundary edges whose two cells are both decided; it can
-    only grow because the weights are positive.  line counts, in every row
-    and column of the inner square plus a one-cell ring (ring cells lie in
-    the frame, so they are always decided), the runs of undecided cells
-    whose two decided ends differ in occupancy, each at the least weight
+    Each node carries one cost, and a leaf's value is its cost.  For
+    surface energies the cost is the weighted length of the boundary edges
+    whose two cells are both decided; it can only grow because the weights
+    are positive.  Cells outside the free zone are decided from the start,
+    and every edge that meets a free cell has both cells in the inner
+    square or its ring, inside Q_T.  So at a leaf, where every cell is
+    decided, the cost has counted every boundary edge of the configuration
+    in Q_T exactly once: it is the energy.  For volume energies the cost
+    is the deficit, lowered by one molecule area per placement.
+
+    A node is pruned when its bound reaches best.  For surface energies
+    the bound is cost + line: line counts, in every row and column of the
+    inner square plus a one-cell ring (ring cells lie in the frame, so
+    they are always decided), the runs of undecided cells whose two
+    decided ends differ in occupancy, each at the least weight
     min(c_R, c_S).  Along such a run the occupancy must change across
-    some edge; that edge has an undecided cell, so det has not counted it,
-    and it lies in one line only.  The bound is therefore admissible, and
-    since the scan order is fixed an exhausted search returns the first
-    optimal leaf in scan order, or the incumbent, whatever the bound.  A
-    volume node is pruned when its energy minus one molecule area per four
-    undecided cells reaches best.  `lower` is the bound at the root, or
+    some edge; that edge has an undecided cell, so the cost has not
+    counted it, and it lies in one line only.  For volume energies the
+    bound is the cost minus one molecule area per four undecided cells.
+    Both bounds are admissible, and since the scan order is fixed an
+    exhausted search returns the first optimal leaf in scan order, or the
+    incumbent, whatever the bound.  `lower` is the bound at the root, or
     the value when the certificate is exact.
     """
     if budget < 1:
@@ -397,14 +407,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     occ_S0 = table.mask(forced_cells) & ~occ_R0
     decided0 = table.all_bits & ~free_bits
 
-    # DET: weighted length of boundary edges both of whose sides are
-    # decided.  It starts at `base` minus the forced boundary edges that
-    # face a free cell, whose far side is not decided yet.
-    base_det = scaled(base)
+    # COST: for surface energies, the weighted length of the boundary
+    # edges both of whose cells are decided.  It starts at `base` minus
+    # the forced boundary edges that face a free cell, whose far side is
+    # not decided yet.  For volume energies it is the deficit itself.
+    cost0 = scaled(base)
     if not volume:
         for i, nbrs in enumerate(table.neighbors):
             if free_bits >> i & 1:
-                base_det -= (
+                cost0 -= (
                     w_R * (nbrs & occ_R0).bit_count()
                     + w_S * (nbrs & occ_S0).bit_count()
                 )
@@ -433,6 +444,12 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         ends = decided & (unknown << width)
         return count + (((fill << width) ^ occ) & ends).bit_count()
 
+    def bound(decided: int, occ: int, cost: int) -> int:
+        """A lower bound on the value of every leaf below the node."""
+        if volume:
+            return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
+        return cost + w_min * line(decided, occ)
+
     # initial incumbents: the forced part alone, then the glued family
     best_val, best_cfg = scaled(base), list(forced.molecules)
     try:
@@ -448,19 +465,16 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     exhausted = True
     placed: list[Molecule] = []
 
-    def dfs(decided: int, occ_R: int, occ_S: int, energy: int, det: int) -> None:
+    def dfs(decided: int, occ_R: int, occ_S: int, cost: int) -> None:
         nonlocal nodes, best_val, best_cfg, exhausted
         i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
         if i >= n:
-            if energy < best_val:
-                best_val = energy
+            if cost < best_val:
+                best_val = cost
                 best_cfg = list(forced.molecules) + list(placed)
             return
-        if volume:
-            undecided = (free_bits & ~decided).bit_count()
-            if energy - molecule_area * (undecided // 4) >= best_val:
-                return
-        elif det >= best_val or det + w_min * line(decided, occ_R | occ_S) >= best_val:
+        occ = occ_R | occ_S
+        if bound(decided, occ, cost) >= best_val:
             return
         # branch 1: cover the cell with each feasible placement
         for p in table.by_pos[i]:
@@ -472,22 +486,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             nodes += 1
             placed.append(p.molecule)
             if volume:
-                dfs(decided | p.mask, occ_R, occ_S, energy - molecule_area, det)
+                dfs(decided | p.mask, occ_R, occ_S, cost - molecule_area)
             else:
-                # every boundary edge of the molecule adds its weight w,
-                # and one that meets an occupied cell also removes that
-                # cell's weight and its own
-                c_r, c_s = p.contacts(occ_R), p.contacts(occ_S)
-                empty = p.contacts(decided & ~(occ_R | occ_S))
+                # the molecule's edges to decided empty cells are boundary
+                # now; those to undecided cells count when they are decided
+                empty = p.contacts(decided & ~occ)
                 if p.molecule.shape.chirality_class == R_LIKE:
-                    w, occ_R_next, occ_S_next = w_R, occ_R | p.mask, occ_S
+                    dfs(decided | p.mask, occ_R | p.mask, occ_S, cost + w_R * empty)
                 else:
-                    w, occ_R_next, occ_S_next = w_S, occ_R, occ_S | p.mask
-                d_energy = w * _MOLECULE_EDGES - (w + w_R) * c_r - (w + w_S) * c_s
-                dfs(
-                    decided | p.mask, occ_R_next, occ_S_next,
-                    energy + d_energy, det + w * empty,
-                )
+                    dfs(decided | p.mask, occ_R, occ_S | p.mask, cost + w_S * empty)
             placed.pop()
         # branch 2: leave the cell empty
         if nodes >= budget:
@@ -496,14 +503,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         nodes += 1
         if not volume:
             nbrs = table.neighbors[i]
-            det += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-        dfs(decided | 1 << i, occ_R, occ_S, energy, det)
+            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+        dfs(decided | 1 << i, occ_R, occ_S, cost)
 
-    if volume:
-        lower = scaled(base) - molecule_area * (free_bits.bit_count() // 4)
-    else:
-        lower = base_det + w_min * line(decided0, occ_R0 | occ_S0)
-    dfs(decided0, occ_R0, occ_S0, scaled(base), base_det)
+    lower = bound(decided0, occ_R0 | occ_S0, cost0)
+    dfs(decided0, occ_R0, occ_S0, cost0)
 
     return SolveResult(
         value=Fraction(best_val, scale),
@@ -604,13 +608,14 @@ def _glued_part(members: list[Molecule], forced: Configuration, T: int) -> Confi
     The interior members are exactly the family's free placements in
     `solve_interface`, so this is also the solver's glued incumbent.  The
     forced part is already validated and no interior member touches it, so
-    OverlapError means two interior members overlap.
+    OverlapError means two interior members overlap.  Members keep their
+    family order.
     """
-    taken = forced.occupancy
+    taken, frame = forced.occupancy, set(forced.molecules)
     return validate(
         m
         for m in members
-        if meets_frame(m, T)
+        if m in frame
         or all(_cell_inside_inner(c, T) and c not in taken for c in m.cells())
     )
 

@@ -320,10 +320,12 @@ def anchored_admissible(
     if omega is None:
         raise InvalidInput("anchoring needs a bounded window")
     omega_set = [tuple((Fraction(x), Fraction(y)) for x, y in omega)]
-    for lab in range(1, 9):
+    # label 0 follows as the complement once 1..8 agree when both sides
+    # are partitions, so it is compared only when both give it explicitly
+    for lab in (*range(1, 9), 0):
         a = part.regions.get(lab, [])
         b = exterior.regions.get(lab, [])
-        if not a and not b:
+        if not ((a or b) if lab else (a and b)):
             continue
         mismatch = predicate_area(
             [a, b, omega_set],
@@ -331,29 +333,25 @@ def anchored_admissible(
         )
         if mismatch != 0:
             return False
-    # label 0 follows as the complement once 1..8 agree when both sides
-    # are partitions; explicit 0 regions are compared the same way
-    a0 = part.regions.get(0, [])
-    b0 = exterior.regions.get(0, [])
-    if a0 and b0:
-        mismatch = predicate_area(
-            [a0, b0, omega_set], lambda pr: (pr[0] != pr[1]) and not pr[2]
-        )
-        if mismatch != 0:
-            return False
     return True
 
 
 def _island_boundary_energy(
-    polys: Iterable[Sequence[Vec]], gauge: GaugePolygon
+    islands: dict[int, list[Sequence[Vec]]],
+    gauges: dict[tuple[int, int], GaugePolygon],
 ) -> Fraction:
-    """Integral of a gauge density over the boundary of a polygon union."""
-    part = PolygonalPartition(regions={1: list(polys)}, window=None)
+    """Integral of a gauge density over the interfaces of labeled islands.
+
+    Each interface between labels i < j is priced by gauges[(i, j)], label
+    0 being the complement of the islands.  `extract_interfaces` checks the
+    cover, so seams inside one label drop out and overlaps raise.
+    """
+    part = PolygonalPartition(regions=islands, window=None)
     total = Fraction(0)
     for seg in extract_interfaces(part):
-        # seg.normal points into A_0; the gauges used here are centrally
-        # symmetric so the orientation does not affect the value
-        total += seg.lattice_length * gauge.gauge(seg.normal)
+        # the gauges used here are centrally symmetric, so the orientation
+        # of seg.normal does not affect the value
+        total += seg.lattice_length * gauges[seg.i, seg.j].gauge(seg.normal)
     return total
 
 
@@ -363,10 +361,7 @@ def spin_lower_bound(polys: Iterable[Sequence[Vec]], model: DensityModel) -> Fra
     This bounds from below every partition energy whose occupied phases
     union to E.
     """
-    polys = list(polys)
-    if not polys:
-        return Fraction(0)
-    return _island_boundary_energy(polys, model.spin_envelope())
+    return _island_boundary_energy({1: list(polys)}, {(0, 1): model.spin_envelope()})
 
 
 def rs_lower_bound(
@@ -376,35 +371,17 @@ def rs_lower_bound(
 ) -> Fraction:
     """Three-term bound for the R/S description of a pair of islands.
 
-    Shared boundary pieces are priced by the convex envelope of the
-    R-against-S contact density; pieces exclusive to one species by the
-    corresponding empty-interface density.
+    E_R and E_S may each be any set of polygons, abutting or not; they are
+    read as the islands A_1 and A_5 of a plane partition.  Shared boundary
+    pieces are priced by the convex envelope of the R-against-S contact
+    density; pieces exclusive to one species by the corresponding
+    empty-interface density.
     """
-    f_r = phi_closed_form(1)
-    f_s = phi_closed_form(5)
-    f0 = model.rs_contact_envelope()
-
-    edges = []
-    for name, polys in (("R", e_r), ("S", e_s)):
-        edges += _polygon_edges(_normalize_polys(polys, f"E_{name}"), name)
-    total = Fraction(0)
-    for (p, q, _offset), pieces in _segment_soup(edges):
-        nn = p * p + q * q
-        for t0, t1, covers in pieces:
-            t = (t1 - t0) / nn
-            names = sorted(c[0] for c in covers)
-            normal = (-q, p)  # sign immaterial: the gauges are even
-            if len(covers) == 1:
-                name, orient = covers[0]
-                gauge = f_r if name == "R" else f_s
-                total += t * gauge.gauge(normal)
-            elif names == ["R", "S"]:
-                (na, oa), (nb, ob) = covers
-                if oa == ob:
-                    raise InvalidPartition("E_R and E_S overlap along an edge")
-                total += t * f0.gauge(normal)
-            elif len({c for c in covers}) < len(covers):
-                raise InvalidPartition("a species covers an edge twice")
-            else:
-                raise InvalidPartition("overlapping species boundaries")
-    return total
+    return _island_boundary_energy(
+        {1: list(e_r), 5: list(e_s)},
+        {
+            (0, 1): phi_closed_form(1),
+            (0, 5): phi_closed_form(5),
+            (1, 5): model.rs_contact_envelope(),
+        },
+    )

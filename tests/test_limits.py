@@ -144,6 +144,11 @@ def test_rs_lower_bound():
     assert rs_lower_bound(er2, es2, MODEL) == v
     with pytest.raises(InvalidPartition):
         rs_lower_bound(er, er, MODEL)
+    # abutting polygons of one species are one island: their seam is not
+    # an interface
+    rectangle = [[(0, 0), (2, 0), (2, 1), (0, 1)]]
+    assert rs_lower_bound(er + es, [], MODEL) == rs_lower_bound(rectangle, [], MODEL) == 11
+    assert rs_lower_bound([], er + es, MODEL) == rs_lower_bound([], rectangle, MODEL)
 
 
 def test_model_monotonicity_under_refinement():

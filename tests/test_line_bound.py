@@ -203,6 +203,8 @@ def assert_matches_reference(prob: InterfaceProblem) -> None:
     assert (res.value, res.certificate, res.config) == (value, certificate, config)
     assert res.nodes_explored <= nodes
     assert res.lower == res.value  # exhaustive solves close the interval
+    # the solver tracks no energy: its leaf cost must be the full recomputation
+    assert res.value == _energy(res.config, prob)
 
 
 TABLE_DIRECTIONS = (
@@ -239,13 +241,21 @@ def test_fractional_weights_odd_t_match_reference(kind):
         )
 
 
-@pytest.mark.parametrize("T", [9, 12])
-def test_every_ordered_pair_matches_reference(T):
-    """All 72 ordered phase pairs in four directions, at an odd and an even T."""
+@pytest.mark.parametrize(
+    "T,weights",
+    [
+        pytest.param(9, (1, 1), id="9"),
+        pytest.param(12, (1, 1), id="12"),
+        pytest.param(9, (F(2, 3), F(1, 4)), id="9-weighted"),
+    ],
+)
+def test_every_ordered_pair_matches_reference(T, weights):
+    """All 72 ordered phase pairs in four directions: at an odd and an even T
+    with unit weights, and at the odd T with fractional weights."""
     solved = 0
     for i, j in itertools.permutations(range(9), 2):
         for pq in [(1, 1), (-1, 1), (0, 1), (3, -1)]:
-            prob = InterfaceProblem(i, j, direction(*pq), T)
+            prob = InterfaceProblem(i, j, direction(*pq), T, weights)
             try:
                 frame_forced(prob)
             except InfeasibleBoundary:
