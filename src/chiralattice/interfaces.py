@@ -43,7 +43,11 @@ from one family build: the forced frame molecules plus the family
 molecules that lie inside the inner square and miss every forced cell
 (`_glued_part`).  It is the solver's second incumbent after the forced
 part alone, and a `pattern_upper_bound` candidate beside the wetting fill
-and the forced part alone, so a feasible problem always has a bound.
+and the forced part alone, so a feasible problem always has a bound.  The
+family build covers Q_T and no more: the frame and the inner square both
+lie in Q_T, and every use of the family keeps only members that meet the
+frame or lie inside the inner square, so a member missing Q_T is never
+used (`_near_family`).
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -182,36 +186,32 @@ class SolveResult:
 # Boundary families
 # -------------------------------------------------------------------
 
-def _side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
-    """Does the molecule meet {x . nu > 2} (upper) or {x . nu < -2}?
+def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molecule]:
+    """All family molecules whose cells intersect the window.
 
-    nu is used as the unit vector (p, q)/sqrt(p^2+q^2); the comparison is
-    done exactly on squared integers.
+    A phase-i molecule belongs when it meets {x . nu > 2} and a phase-j
+    molecule when it meets {x . nu < -2}, with nu used as the unit vector
+    (p, q)/sqrt(p^2+q^2).  The extreme of x . nu over a molecule's closed
+    cells is p a + q b at its anchor (a, b) plus an extreme that depends on
+    the shape alone (over its cell offsets and the unit cell), so each side
+    takes that once and tests each anchor with one exact comparison on
+    squared integers.
     """
     p, q = nu.p, nu.q
-    a, b = m.anchor
-    # the extreme of x.nu over the closed cells: the anchor's value, the
-    # extreme over the shape's offsets, and the extreme over a unit cell
-    if upper:
-        best = p * a + q * b + max(p * c + q * r for c, r in m.shape.cells)
-        best += max(p, 0) + max(q, 0)
-        sign_ok = best > 0
-    else:
-        best = p * a + q * b + min(p * c + q * r for c, r in m.shape.cells)
-        best += min(p, 0) + min(q, 0)
-        sign_ok = best < 0
-    return sign_ok and best * best > 4 * (p * p + q * q)
-
-
-def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molecule]:
-    """All family molecules whose cells intersect the window."""
-    out = [
-        m
-        for lab, upper in ((i, True), (j, False))
-        if lab != 0
-        for m in phase_pattern(lab, window).molecules
-        if _side_reach(m, nu, upper)
-    ]
+    norm4 = 4 * (p * p + q * q)  # (2 |nu|)^2
+    out = []
+    for lab, sign in ((i, 1), (j, -1)):
+        if lab == 0:
+            continue
+        # sign * x . nu at its extreme over the phase's shape anchored at 0
+        shape = R if lab <= 4 else S
+        reach = max(sign * (p * c + q * r) for c, r in shape.cells)
+        reach += max(sign * p, 0) + max(sign * q, 0)
+        for m in phase_pattern(lab, window).molecules:
+            a, b = m.anchor
+            v = sign * (p * a + q * b) + reach
+            if v > 0 and v * v > norm4:
+                out.append(m)
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
 
@@ -253,8 +253,16 @@ def meets_frame(m: Molecule, T: int) -> bool:
 
 
 def _near_family(prob: InterfaceProblem) -> list[Molecule]:
-    """The family molecules meeting Q_{T+8}, a superset of those meeting Q_T."""
-    return _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T + 8))
+    """The family molecules meeting Q_T.
+
+    Every consumer keeps only members that meet the frame, which lies in
+    Q_T, or that lie inside the inner square, which lies in Q_T too: the
+    forced part, the glued part, the wetting fill and the frame check.  A
+    member that misses Q_T is neither, so a larger window would only build
+    molecules that are dropped.  The window's cell test is
+    `_cell_meets_window`'s, odd T included.
+    """
+    return _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T))
 
 
 def _forced_part(members: list[Molecule], prob: InterfaceProblem) -> Configuration:
@@ -580,30 +588,16 @@ def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord
 # Pattern library
 # -------------------------------------------------------------------
 
-def glued_family_config(prob: InterfaceProblem) -> Configuration:
-    """The boundary family continued through the interior of Q_T.
-
-    This single construction realizes the documented interface patterns:
-    for (i, 0) problems it is the striped half plane with its staircase
-    profile (optimal in the diagonal directions and asymptotically optimal
-    in the axis and (3, -1) directions); for mixed pairs it glues the two
-    half families, which meet flush along the anti-diagonal seams that
-    admit meshing and leave an empty gap elsewhere (the constructive form
-    of the subadditive bound).  The glue rule is `_glued_part`'s: the
-    forced frame molecules, plus the family molecules that lie inside the
-    inner square and miss every forced cell.  Raises InfeasibleBoundary
-    when the frame itself is inconsistent, and NoPattern when two of those
-    interior molecules overlap.
-    """
-    members = _near_family(prob)
-    try:
-        return _glued_part(members, _forced_part(members, prob), prob.T)
-    except OverlapError as exc:
-        raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
-
-
 def _glued_part(members: list[Molecule], forced: Configuration, T: int) -> Configuration:
     """The forced part plus the members inside the inner square that miss it.
+
+    This is the boundary family continued through the interior of Q_T, and
+    it realizes the documented interface patterns: for (i, 0) problems the
+    striped half plane with its staircase profile (optimal in the diagonal
+    directions and asymptotically optimal in the axis and (3, -1)
+    directions); for mixed pairs the two half families glued, meeting flush
+    along the anti-diagonal seams that admit meshing and leaving an empty
+    gap elsewhere (the constructive form of the subadditive bound).
 
     The interior members are exactly the family's free placements in
     `solve_interface`, so this is also the solver's glued incumbent.  The
@@ -630,25 +624,20 @@ def _mirror_molecule(m: Molecule) -> Molecule:
     raise NoPattern("mirroring is defined for the built-in pair only")
 
 
-def wetting_config(prob: InterfaceProblem) -> Configuration:
-    """A sparse opposite-chirality chain along a diagonal empty interface.
-
-    For (i, 0) with i in 1..4 and nu = (-1, 1), the striped phase is
-    retracted and its staircase teeth are capped, every other notch, by a
-    single mirror-species molecule; the exposed boundary per unit of
-    interface becomes c_R + 3 c_S instead of 2 c_R, which wins when
-    3 c_S < c_R.  For i in 5..8 and nu = (1, 1) the mirrored construction
-    applies with the weights exchanged.  The chain stays strictly inside
-    the frame, so admissibility is untouched; where the forced frame
-    molecules cut across the seam the plain family fills in.
-    """
-    chain = _wetting_chain(prob)  # raises NoPattern before any family is built
-    members = _near_family(prob)
-    return _wetting_fill(chain, members, _forced_part(members, prob), prob.T)
-
-
 def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
-    """The wetting microstructure over Q_T, before the frame cuts it."""
+    """The wetting microstructure over Q_T, before the frame cuts it.
+
+    A sparse opposite-chirality chain along a diagonal empty interface: for
+    (i, 0) with i in 1..4 and nu = (-1, 1), the striped phase is retracted
+    and its staircase teeth are capped, every other notch, by a single
+    mirror-species molecule; the exposed boundary per unit of interface
+    becomes c_R + 3 c_S instead of 2 c_R, which wins when 3 c_S < c_R.  For
+    i in 5..8 and nu = (1, 1) the mirrored construction applies with the
+    weights exchanged.  `_wetting_fill` keeps the chain strictly inside the
+    frame, so admissibility is untouched; where the forced frame molecules
+    cut across the seam the plain family fills in.  Raises NoPattern
+    elsewhere.
+    """
     i, j, nu, T = prob.i, prob.j, prob.nu, prob.T
     mirrored = False
     if j == 0 and 5 <= i <= 8 and (nu.p, nu.q) == (1, 1):

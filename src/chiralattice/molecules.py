@@ -471,16 +471,15 @@ def phase_pattern(i: int, window: Window) -> Configuration:
     # phase i holds the anchors with n2 + n1 (R) or n2 - n1 (S) = i mod 4
     sign = 1 if shape is R else -1
     dxs = [c for c, _ in shape.cells]
-    dys = [r for _, r in shape.cells]
     xs, ys = window.cell_range()
     mols = []
     for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
+        # the shape's rows whose cells fall in a window column; they are
+        # contiguous, so the anchors meeting the window form one range of b
+        dys = [r for c, r in shape.cells if a + c in xs]
         first = ys.start - max(dys)
         first += (i - sign * a - first) % 4
-        for b in range(first, ys.stop - min(dys), 4):
-            m = Molecule(shape, (a, b))
-            if any(window.contains_cell(c) for c in m.cells()):
-                mols.append(m)
+        mols.extend(Molecule(shape, (a, b)) for b in range(first, ys.stop - min(dys), 4))
     return validate(mols)
 
 

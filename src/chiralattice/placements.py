@@ -26,6 +26,23 @@ def _neighbors(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
     return ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
 
 
+def _rim(shape: MoleculeShape) -> tuple[list[Cell], list[Cell]]:
+    """Offsets of the outside cells sharing one and two edges with the shape.
+
+    Each list is in order of first touch, over the shape's cells and then
+    `_neighbors`, so a placement numbers its rim cells in that order.
+    """
+    touches: dict[Cell, int] = {}
+    for cell in shape.cells:
+        for nb in _neighbors(cell):
+            if nb not in shape.cells:
+                touches[nb] = touches.get(nb, 0) + 1
+    return (
+        [c for c, k in touches.items() if k == 1],
+        [c for c, k in touches.items() if k == 2],
+    )
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Placement:
     """One translate of a shape, as masks over the table's cell bits.
@@ -66,6 +83,7 @@ class PlacementTable:
         self._bit: dict[Cell, int] = {cell: i for i, cell in enumerate(order)}
         self.placements: list[Placement] = []
         self.by_pos: list[list[Placement]] = [[] for _ in order]
+        rims = [_rim(shape) for shape in shapes]
         seen: set[tuple[int, int, int]] = set()
         for cell in order:
             for k, shape in enumerate(shapes):
@@ -76,22 +94,19 @@ class PlacementTable:
                     seen.add((k, x, y))
                     mol = Molecule(shape, (x, y))
                     if keep is None or keep(mol):
-                        self._add(mol)
+                        self._add(mol, *rims[k])
         self.neighbors = [self._number(_neighbors(cell)) for cell in order]
 
-    def _add(self, mol: Molecule) -> None:
+    def _add(self, mol: Molecule, touch1: list[Cell], touch2: list[Cell]) -> None:
+        """Adds the placement; touch1 and touch2 are its shape's rim offsets."""
+        x, y = mol.anchor
         cells = mol.cells()
-        touches: dict[Cell, int] = {}
-        for cell in cells:
-            for nb in _neighbors(cell):
-                if nb not in cells:
-                    touches[nb] = touches.get(nb, 0) + 1
         p = Placement(
             len(self.placements),
             mol,
             self._number(cells),
-            self._number(c for c, k in touches.items() if k == 1),
-            self._number(c for c, k in touches.items() if k == 2),
+            self._number((x + a, y + b) for a, b in touch1),
+            self._number((x + a, y + b) for a, b in touch2),
         )
         self.placements.append(p)
         for cell in cells:

@@ -14,10 +14,6 @@ Vec = tuple[Fraction, Fraction]
 Polygon = tuple[Vec, ...]
 
 
-def vec(x, y) -> Vec:
-    return (Fraction(x), Fraction(y))
-
-
 def cross(o: Vec, a: Vec, b: Vec) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

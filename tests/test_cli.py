@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -524,3 +525,44 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
             capsys.readouterr()
     assert set(codes) <= {0, 2, 3}
     assert {0, 2} <= set(codes)
+
+
+DENSITY_PINS = [
+    # argv, then the sha256 of stdout, of the --csv file (the same bytes:
+    # manifest, header and rows) and of each witness SVG in T order
+    (
+        ["density", "1", "5", "1", "1", "8,12"],
+        "761feee8f7c8baa1d6715767ca0904ca63d4974929cd5ce4bea37b51069553de",
+        "761feee8f7c8baa1d6715767ca0904ca63d4974929cd5ce4bea37b51069553de",
+        [
+            "7fa7363e755f35e661f35a6301afec8d34e6230714265f7e54a15f6671919086",
+            "8e426de67b63c91d5aef11e7ab050708b766f4bbd58879f68f1480eea49af2a9",
+        ],
+    ),
+    (
+        ["density", "1", "0", "-1", "1", "16", "--weights", "1,1/4"],
+        "03e0e5958b49eac33cea84609f2b79083994f5b34dada8fad0c4cb4b2167f7bd",
+        "03e0e5958b49eac33cea84609f2b79083994f5b34dada8fad0c4cb4b2167f7bd",
+        ["3abcc397811363f21692c779621fe30205bd778efbce95dd97afb4fff9c722f9"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_sha, csv_sha, svg_shas", DENSITY_PINS, ids=["1_5_T8_12", "wetting_T16"]
+)
+def test_density_output_bytes_pinned(
+    argv, stdout_sha, csv_sha, svg_shas, tmp_path, monkeypatch, capsys
+):
+    """stdout, the CSV and the witness SVGs keep their bytes; the witnesses
+    draw the solved configurations, so a changed family build shows here."""
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    monkeypatch.chdir(tmp_path)  # relative paths keep the manifest fixed
+    assert main(argv + ["--csv", "rows.csv", "--witness-dir", "wit"]) == 0
+    assert sha(capsys.readouterr().out.encode()) == stdout_sha
+    assert sha((tmp_path / "rows.csv").read_bytes()) == csv_sha
+    svgs = sorted((tmp_path / "wit").glob("*.svg"), key=lambda f: int(f.stem.rsplit("T", 1)[1]))
+    assert [sha(f.read_bytes()) for f in svgs] == svg_shas

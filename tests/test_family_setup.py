@@ -1,20 +1,24 @@
 """Differential tests for the boundary-family set-up of interface problems.
 
-`_side_reach` takes the extreme of x . nu from the shape's offsets plus
-the anchor; the cell loop it replaced is kept below.  `pattern_upper_bound`
-builds the boundary family once and derives the glued configuration, the
-wetting patches and the admissibility check from it; the path it replaced,
-which rebuilt the family for each of them, is kept below as well.  Both
-must give the same answers on the table and wetting rows.  The reference
-glues every interior member and raises when one overlaps the frame; the
-library glues only those that miss the forced cells, and where the glued
-family still overlaps it falls back to the forced part alone, so it raises
-only when the frame itself is inconsistent.
+`_family_members` tests each side of the family once per anchor, against
+an extreme of x . nu taken once per shape; the per-cell loop it replaced
+(`side_reach`) is the reference.  `_near_family` builds the family on Q_T
+itself; the consumers built from it are checked against the same
+consumers on the Q_{T+8} family, which every member they keep also meets.
+`pattern_upper_bound` builds the boundary family once and derives the
+glued configuration, the wetting patches and the admissibility check from
+it; the path it replaced, which rebuilt the family on Q_{T+8} for each of
+them, is kept below as well.  Both must give the same answers on the
+table and wetting rows.  The reference glues every interior member and
+raises when one overlaps the frame; the library glues only those that
+miss the forced cells, and where the glued family still overlaps it falls
+back to the forced part alone, so it raises only when the frame itself is
+inconsistent.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -26,42 +30,30 @@ from chiralattice.interfaces import (
     NoPattern,
     _cell_inside_inner,
     _energy,
+    _family_members,
+    _forced_part,
+    _glued_part,
     _mirror_molecule,
-    _side_reach,
+    _near_family,
     admissible,
     direction,
     frame_forced,
     meets_frame,
     pattern_upper_bound,
-    wetting_config,
 )
-from chiralattice.molecules import Molecule, R, S, Window, phase_pattern, validate
-from test_line_bound import TABLE_DIRECTIONS, _table_rows
+from chiralattice.molecules import (
+    Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, validate,
+)
+from test_fastpaths import FAMILY_DIRECTIONS
+from test_interfaces import wetting_config
+from test_line_bound import TABLE_DIRECTIONS, _table_rows, side_reach
 
 DIRECTIONS = [(1, 1), (1, -1), (1, 0), (0, 1), (3, -1), (-1, 3), (2, 1), (-1, -2)]
 
 
 # -------------------------------------------------------------------
-# References: the per-cell reach and the multi-build pattern path
+# References: the per-cell reach and the multi-build pattern path on Q_{T+8}
 # -------------------------------------------------------------------
-
-def ref_side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
-    p, q = nu.p, nu.q
-    pp = max(p, 0)
-    qp = max(q, 0)
-    best = None
-    for (a, b) in m.cells():
-        if upper:
-            v = p * a + q * b + pp + qp  # max of x.nu over the closed cell
-            best = v if best is None else max(best, v)
-        else:
-            v = p * a + q * b + (p - pp) + (q - qp)  # min over the cell
-            best = v if best is None else min(best, v)
-    rhs4 = 4 * (p * p + q * q)
-    if upper:
-        return best > 0 and best * best > rhs4
-    return best < 0 and best * best > rhs4
-
 
 def ref_family_members(i, j, nu, window):
     out = [
@@ -69,7 +61,7 @@ def ref_family_members(i, j, nu, window):
         for lab, upper in ((i, True), (j, False))
         if lab != 0
         for m in phase_pattern(lab, window).molecules
-        if ref_side_reach(m, nu, upper)
+        if side_reach(m, nu, upper)
     ]
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
@@ -174,19 +166,51 @@ def ref_pattern_upper_bound(i, j, nu, T, weights):
 
 @pytest.mark.parametrize("pq", DIRECTIONS, ids=str)
 def test_side_reach_matches_the_cell_loop(pq):
+    # every anchor in [-12, 12]^2 has a molecule of each shape meeting
+    # Q_26, and the pairs (i, i + 4) and (i + 4, i) put each label on
+    # either side once
     nu = direction(*pq)
-    rng = random.Random(20260808)
-    anchors = {(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(200)}
-    anchors |= {(a, b) for a in range(-4, 5) for b in range(-4, 5)}
-    reached = set()
-    for anchor in sorted(anchors):
-        for shape in (R, S):
-            m = Molecule(shape, anchor)
-            for upper in (True, False):
-                got = _side_reach(m, nu, upper)
-                assert got == ref_side_reach(m, nu, upper), (m, upper)
-                reached.add((upper, got))
-    assert reached == {(True, True), (True, False), (False, True), (False, False)}
+    window = Window.square(26)
+    for i in range(1, 5):
+        for upper, lower in ((i, i + 4), (i + 4, i)):
+            got = _family_members(upper, lower, nu, window)
+            assert got == ref_family_members(upper, lower, nu, window)
+            # each side keeps some of its pattern and drops some
+            for lab in (upper, lower):
+                kept = sum(phase_label(m) == lab for m in got)
+                assert 0 < kept < len(phase_pattern(lab, window).molecules), lab
+
+
+def _glued_or_error(members, forced, T):
+    try:
+        return _glued_part(members, forced, T).molecules
+    except OverlapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("T", [8, 9, 12, 13])
+def test_family_on_q_t_matches_q_t_plus_8(T):
+    # the forced part and the glued part only keep members that meet Q_T,
+    # so the family on Q_T gives them molecule for molecule, in order, and
+    # an inconsistent frame raises the same message
+    feasible = infeasible = 0
+    for (i, j), pq in itertools.product(itertools.permutations(range(9), 2), FAMILY_DIRECTIONS):
+        prob = InterfaceProblem(i, j, direction(*pq), T)
+        far = _family_members(i, j, prob.nu, Window.square(T + 8))
+        try:
+            ref = _forced_part(far, prob)
+        except InfeasibleBoundary as exc:
+            with pytest.raises(InfeasibleBoundary) as raised:
+                frame_forced(prob)
+            assert str(raised.value) == str(exc)
+            infeasible += 1
+            continue
+        near = _near_family(prob)
+        forced = frame_forced(prob)
+        assert forced.molecules == ref.molecules, (i, j, pq)
+        assert _glued_or_error(near, forced, T) == _glued_or_error(far, ref, T), (i, j, pq)
+        feasible += 1
+    assert feasible > 0 and infeasible > 0
 
 
 def _pattern_rows():

@@ -9,10 +9,13 @@ from chiralattice.polygeom import (
     polygon_area,
     predicate_area,
     primitive_direction,
-    vec,
 )
 from chiralattice.rectregions import rect, region_area, symdiff_area
 from conftest import intersection_area
+
+
+def vec(x, y):
+    return (F(x), F(y))
 
 
 def polyset_area(polygons):

@@ -16,16 +16,24 @@ from chiralattice.interfaces import (
     cluster_min_perimeter,
     direction,
     frame_forced,
-    glued_family_config,
     meets_frame,
     normalized_density,
     pattern_upper_bound,
     solve_interface,
-    wetting_config,
 )
-from chiralattice.interfaces import _cell_inside_inner, _energy
+from chiralattice.interfaces import (
+    _cell_inside_inner,
+    _energy,
+    _forced_part,
+    _glued_part,
+    _mirror_molecule,
+    _near_family,
+    _wetting_chain,
+    _wetting_fill,
+)
 from chiralattice.molecules import (
     Molecule,
+    OverlapError,
     R,
     S,
     Window,
@@ -35,6 +43,26 @@ from chiralattice.molecules import (
     validate,
     volume_deficit,
 )
+
+
+def glued_family_config(prob: InterfaceProblem):
+    """The glued family alone (`_glued_part`), as the pattern library builds it.
+
+    Raises InfeasibleBoundary when the frame itself is inconsistent, and
+    NoPattern when two of the interior members overlap.
+    """
+    members = _near_family(prob)
+    try:
+        return _glued_part(members, _forced_part(members, prob), prob.T)
+    except OverlapError as exc:
+        raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
+
+
+def wetting_config(prob: InterfaceProblem):
+    """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
+    chain = _wetting_chain(prob)  # raises NoPattern before any family is built
+    members = _near_family(prob)
+    return _wetting_fill(chain, members, _forced_part(members, prob), prob.T)
 
 
 # -------------------------------------------------------------------
@@ -217,6 +245,42 @@ def test_solver_symmetry_exact():
         b = solve_interface(InterfaceProblem(j, i, -nu, T))
         assert a.value == b.value
         assert a.certificate == b.certificate == "exact"
+
+
+def _reflect_label(i: int) -> int:
+    """x -> -x sends phase i of R to phase i + 4 of S and back; 0 stays."""
+    return i if i == 0 else i + 4 if i <= 4 else i - 4
+
+
+def test_solver_rs_reflection():
+    # x -> -x maps R(n1, n2) to S(-n1, n2) and Q_T, its frame and its inner
+    # square to themselves, so (i, j, (p, q), (c_R, c_S)) and
+    # (si, sj, (-p, q), (c_S, c_R)) are one problem seen in a mirror: the
+    # scan order sweeps the columns from the other side, and the search
+    # must agree on every node
+    feasible = 0
+    for (i, j), pq, weights in itertools.product(
+        itertools.permutations(range(9), 2),
+        [(1, 1), (1, 0), (3, -1), (2, 1)],
+        [(1, 1), (F(2, 3), F(1, 4))],
+    ):
+        prob = InterfaceProblem(i, j, direction(*pq), 9, weights)
+        image = InterfaceProblem(
+            _reflect_label(i), _reflect_label(j), direction(-pq[0], pq[1]), 9, weights[::-1]
+        )
+        try:
+            a = solve_interface(prob)
+        except InfeasibleBoundary:
+            with pytest.raises(InfeasibleBoundary):
+                solve_interface(image)
+            continue
+        b = solve_interface(image)
+        assert (a.value, a.certificate, a.nodes_explored, a.lower) == (
+            b.value, b.certificate, b.nodes_explored, b.lower,
+        ), (i, j, pq, weights)
+        assert validate(_mirror_molecule(m) for m in a.config) == b.config
+        feasible += 1
+    assert feasible == 516
 
 
 def test_normalized_density_diagonal_trend():

@@ -29,7 +29,6 @@ from chiralattice.interfaces import (
     _cell_inside_inner,
     _energy,
     _scan_order,
-    _side_reach,
     direction,
     frame_forced,
     solve_interface,
@@ -53,15 +52,38 @@ def row_major_order(prob: InterfaceProblem, cells) -> list:
     return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
 
 
+def side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
+    """Does the molecule meet {x . nu > 2} (upper) or {x . nu < -2}?
+
+    The cell loop: the extreme of x . nu over each closed cell, compared
+    exactly on squared integers with nu as the unit vector (p, q)/|(p, q)|.
+    """
+    p, q = nu.p, nu.q
+    pp = max(p, 0)
+    qp = max(q, 0)
+    best = None
+    for (a, b) in m.cells():
+        if upper:
+            v = p * a + q * b + pp + qp  # max of x.nu over the closed cell
+            best = v if best is None else max(best, v)
+        else:
+            v = p * a + q * b + (p - pp) + (q - qp)  # min over the cell
+            best = v if best is None else min(best, v)
+    rhs4 = 4 * (p * p + q * q)
+    if upper:
+        return best > 0 and best * best > rhs4
+    return best < 0 and best * best > rhs4
+
+
 def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
     """Membership in the glued half-plane family for the ordered pair.
 
     The solver takes its glued incumbent from the family members instead;
     this per-molecule test is the reference for them.
     """
-    if i != 0 and phase_label(m) == i and _side_reach(m, nu, upper=True):
+    if i != 0 and phase_label(m) == i and side_reach(m, nu, upper=True):
         return True
-    if j != 0 and phase_label(m) == j and _side_reach(m, nu, upper=False):
+    if j != 0 and phase_label(m) == j and side_reach(m, nu, upper=False):
         return True
     return False
 

@@ -25,7 +25,7 @@ from chiralattice.interfaces import (
     direction,
     solve_interface,
 )
-from chiralattice.molecules import Molecule, R, S
+from chiralattice.molecules import R_LIKE, Molecule, MoleculeShape, R, S
 from chiralattice.placements import PlacementTable
 from test_line_bound import ref_solve, row_major_order
 
@@ -72,6 +72,54 @@ def test_contacts_count_boundary_edges():
         )
         assert p.contacts(bits) == expected, p.molecule
         assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
+
+
+def ref_masks(order, molecules):
+    """Each placement's (mask, touch1, touch2), then the neighbour masks.
+
+    The per-placement reference: the rim is counted afresh in a dict for
+    every molecule, and cells get bits in the order the table meets them.
+    """
+    bit = {cell: i for i, cell in enumerate(order)}
+
+    def number(cells):
+        bits = 0
+        for cell in cells:
+            bits |= 1 << bit.setdefault(cell, len(bit))
+        return bits
+
+    masks = []
+    for mol in molecules:
+        cells = mol.cells()
+        touches = {}
+        for cell in cells:
+            for nb in _neighbors(cell):
+                if nb not in cells:
+                    touches[nb] = touches.get(nb, 0) + 1
+        masks.append((
+            number(cells),
+            number(c for c, k in touches.items() if k == 1),
+            number(c for c, k in touches.items() if k == 2),
+        ))
+    return masks, [number(_neighbors(cell)) for cell in order]
+
+
+# a user shape with a two-edge rim cell on either side of its stem
+USER_T = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), R_LIKE)
+
+
+@pytest.mark.parametrize(
+    "shapes", [(R, S), FLAT_PAIR, SKEW_PAIR, (USER_T, S)], ids=["RS", "flat", "skew", "user"]
+)
+def test_placement_masks_match_per_placement_rims(shapes):
+    square = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
+    inner = set(square[20:90])
+    for keep in (None, lambda m: set(m.cells()) <= inner):
+        table = PlacementTable(square, shapes, keep)
+        masks, neighbors = ref_masks(square, [p.molecule for p in table.placements])
+        assert [(p.mask, p.touch1, p.touch2) for p in table.placements] == masks
+        assert table.neighbors == neighbors
+        assert any(p.touch2 for p in table.placements)
 
 
 def _placements_meeting_square(k, shapes):
