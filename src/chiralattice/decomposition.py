@@ -14,6 +14,8 @@ O(epsilon * boundary length).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -85,12 +87,37 @@ def _window_in_lattice(window: Window, epsilon: Fraction) -> Window:
     return Window.square(window.side / epsilon, (cx / epsilon, cy / epsilon))
 
 
+_TILE = [(a, b) for a in range(-2, 2) for b in range(-2, 2)]  # the 4-square about 0
+
+
+def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
+    """The centres n = 4m on one axis whose open 12-interval meets (lo, hi).
+
+    Each entry is (m, inside, bad ends, small ends): whether the 12-interval
+    lies in [lo, hi], and the continuum ends of the 12- and 4-intervals.
+    """
+    return [
+        (m, lo <= 4 * m - 6 and 4 * m + 6 <= hi,
+         (eps * (4 * m - 6), eps * (4 * m + 6)), (eps * (4 * m - 2), eps * (4 * m + 2)))
+        for m in range(math.floor((lo - 6) / 4), math.ceil((hi + 6) / 4) + 1)
+        if 4 * m - 6 < hi and 4 * m + 6 > lo
+    ]
+
+
 def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
     """Classify the covering squares and collect the per-label regions.
 
     The window must be bounded.  Good squares lie inside the window and
     their label-4 squares tile it up to the bad region, so the labeled
     regions together with the bad region cover the window.
+
+    One pass over the occupied cells counts them on the 4x4 tiles
+    [4t-2, 4t+2)^2.  The 12-block centred at n = 4m is made of the tiles
+    m-1..m+1 in each axis and its concentric 4-square is the tile m, so a
+    block's fill is a sum of nine tile counts, added up as three strips of
+    three.  The window tests and the continuum coordinates of the squares
+    are computed once per column and once per row, and phase labels are
+    read only for the centre tile of a full block.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -100,57 +127,37 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     x0, y0, x1, y1 = wlat.bounds()
 
     occ = config.occupancy
-
-    def block_stats(n1: int, n2: int, half: int) -> tuple[int, int]:
-        total = (2 * half) ** 2
-        filled = 0
-        for a in range(n1 - half, n1 + half):
-            for b in range(n2 - half, n2 + half):
-                if (a, b) in occ:
-                    filled += 1
-        return filled, total
-
-    # candidate centers n in 4Z^2 whose open 12-square meets the window
-    import math
-
-    n1_lo = 4 * math.floor((x0 - 6) / 4)
-    n1_hi = 4 * math.ceil((x1 + 6) / 4)
-    n2_lo = 4 * math.floor((y0 - 6) / 4)
-    n2_hi = 4 * math.ceil((y1 + 6) / 4)
+    mols = config.molecules
+    tiles = Counter(((a + 2) >> 2, (b + 2) >> 2) for a, b in occ)
 
     regions: dict[int, list[Rect]] = {lab: [] for lab in range(9)}
     bad: list[Rect] = []
-    bad_count = 0
 
-    for n1 in range(n1_lo, n1_hi + 1, 4):
-        for n2 in range(n2_lo, n2_hi + 1, 4):
-            u0, u1 = Fraction(n1 - 6), Fraction(n1 + 6)
-            v0, v1 = Fraction(n2 - 6), Fraction(n2 + 6)
-            if not (u0 < x1 and u1 > x0 and v0 < y1 and v1 > y0):
-                continue  # does not meet the window
-            inside = u0 >= x0 and u1 <= x1 and v0 >= y0 and v1 <= y1
-            filled, total = block_stats(n1, n2, 6)
-            is_bad = (not inside) or (0 < filled < total)
-            if is_bad:
-                bad_count += 1
-                bad.append(
-                    rect(eps * u0, eps * v0, eps * u1, eps * v1)
-                )
+    cols, rows = _centres(x0, x1, eps), _centres(y0, y1, eps)
+    t2s = range(rows[0][0] - 1, rows[-1][0] + 2)
+    # per tile column, the fill of the three tiles around each row centre
+    strips = [
+        [a + b + c for a, b, c in zip(col, col[1:], col[2:])]
+        for col in (
+            [tiles.get((t1, t2), 0) for t2 in t2s]
+            for t1 in range(cols[0][0] - 1, cols[-1][0] + 2)
+        )
+    ]
+    for k, (m1, inside1, (u0, u1), (s0, s1)) in enumerate(cols):
+        fills = [a + b + c for a, b, c in zip(*strips[k:k + 3])]
+        for (m2, inside2, (v0, v1), (t0, t1)), filled in zip(rows, fills):
+            if not (inside1 and inside2) or 0 < filled < 144:
+                bad.append(rect(u0, v0, u1, v1))
                 continue
-            small = rect(
-                eps * (n1 - 2), eps * (n2 - 2), eps * (n1 + 2), eps * (n2 + 2)
-            )
+            small = rect(s0, t0, s1, t1)
             if filled == 0:
                 regions[0].append(small)
                 continue
             # full 12-block: the unique phase of molecules meeting the
             # 4-square (single by the interior-phase property; checked)
-            labels = set()
-            for a in range(n1 - 2, n1 + 2):
-                for b in range(n2 - 2, n2 + 2):
-                    idx = occ.get((a, b))
-                    if idx is not None:
-                        labels.add(phase_label(config.molecules[idx]))
+            n1, n2 = 4 * m1, 4 * m2
+            owners = dict.fromkeys([occ[n1 + a, n2 + b] for a, b in _TILE])
+            labels = {phase_label(mols[idx]) for idx in owners}
             if len(labels) != 1:
                 raise AssertionError(
                     f"full covering square at {(n1, n2)} carries phases "
@@ -158,13 +165,12 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
                 )
             regions[labels.pop()].append(small)
 
-    c_continuum = eps * perimeter(config, wlat)
     return PhasePartitionApprox(
         epsilon=eps,
-        regions={lab: rects for lab, rects in regions.items()},
+        regions=regions,
         bad_region=bad,
-        bad_count=bad_count,
-        boundary_length=c_continuum,
+        bad_count=len(bad),
+        boundary_length=eps * perimeter(config, wlat),
     )
 
 

@@ -16,16 +16,18 @@ fixed order, so results are deterministic and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, phi_closed_form
-from .molecules import InvalidInput, decode_entry, decode_list
+from .molecules import InvalidInput, decode_entry, decode_list, json_rational
 from .polygeom import (
     Polygon,
     Vec,
+    integer_points,
     polygon_area,
     predicate_area,
     primitive_direction,
@@ -118,16 +120,21 @@ class PolygonalPartition:
     @classmethod
     def from_jsonable(cls, data) -> "PolygonalPartition":
         """Decode a partition file, {"window": polygon | null, "regions":
-        {label: [polygon, ...]}}, a polygon being a list of [x, y] points."""
+        {label: [polygon, ...]}}, a polygon being a list of [x, y] points
+        whose coordinates are integers or rational strings."""
         if not isinstance(data, dict) or not isinstance(data.get("regions"), dict):
             raise InvalidPartition('a partition is an object with a "regions" object')
         window = data.get("window")
+
+        def points(poly) -> list[Vec]:
+            return [(json_rational("coordinate", x), json_rational("coordinate", y)) for x, y in poly]
+
         return cls(
             regions={
-                decode_entry("region label", int, lab): decode_list(f"region {lab}", _points, polys)
+                decode_entry("region label", int, lab): decode_list(f"region {lab}", points, polys)
                 for lab, polys in data["regions"].items()
             },
-            window=None if window is None else decode_entry("window", _points, window),
+            window=None if window is None else decode_entry("window", points, window),
         )
 
     def labels(self) -> list[int]:
@@ -137,59 +144,59 @@ class PolygonalPartition:
 _WINDOW = -1  # pseudo-label for window edges in the segment soup
 
 
-def _polygon_edges(polys: Iterable[Sequence[Vec]], tag) -> Iterator[tuple[Vec, Vec, object]]:
-    for poly in polys:
-        n = len(poly)
-        for k in range(n):
-            yield poly[k], poly[(k + 1) % n], tag
-
-
-def _directed_edges(part: PolygonalPartition) -> list[tuple[Vec, Vec, int]]:
-    edges = [
-        e for lab, polys in part.regions.items() for e in _polygon_edges(polys, lab)
-    ]
+def _scaled_edges(part: PolygonalPartition) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """The common denominator d of the partition's vertices, and its directed
+    edges (ax, ay, bx, by, tag) scaled by d, region by region, then the window."""
+    tagged = [(lab, poly) for lab, ps in part.regions.items() for poly in ps]
     if part.window is not None:
-        edges += _polygon_edges([part.window], _WINDOW)
-    return edges
-
-
-def _line_key(a: Vec, b: Vec):
-    d = (b[0] - a[0], b[1] - a[1])
-    (p, q), _ = primitive_direction(d)
-    if (p, q) < (0, 0) or (p == 0 and q < 0) or (p < 0):
-        p, q = -p, -q
-    offset = Fraction(p) * a[1] - Fraction(q) * a[0]
-    return (p, q, offset)
+        tagged.append((_WINDOW, part.window))
+    d, polys = integer_points([poly for _, poly in tagged])
+    edges = [
+        (*a, *b, tag)
+        for (tag, _), pts in zip(tagged, polys)
+        for a, b in zip(pts, pts[1:] + pts[:1])
+    ]
+    return d, edges
 
 
 def _segment_soup(
-    edges: Iterable[tuple[Vec, Vec, object]],
-) -> Iterator[tuple[tuple, list[tuple[Fraction, Fraction, list]]]]:
-    """Cut tagged directed edges into atomic pieces of their common lines.
+    edges: Iterable[tuple[int, int, int, int, object]],
+) -> Iterator[tuple[tuple[int, int, int], list[tuple[int, int, list]]]]:
+    """Cut tagged directed edges with integer ends into atomic pieces of
+    their common lines.
 
-    Yields ((p, q, offset), pieces) per line in sorted order, where each
-    piece (t0, t1, covers) is a run of the line parameter t = p*x + q*y
-    covered by the edges listed as (tag, orientation) in covers.
+    Yields ((p, q, offset), pieces) per line in sorted order: (p, q) is the
+    primitive direction with p > 0 or p = 0 < q, and offset = p*y - q*x on
+    the line.  Each piece (t0, t1, covers) is a run of the line parameter
+    t = p*x + q*y covered by the edges listed as (tag, orientation) in
+    covers, in edge order.  A sweep over the intervals sorted by start keeps
+    the edges that cover the current piece.
     """
-    lines: dict[tuple, list[tuple[Fraction, Fraction, object, int]]] = {}
-    for a, b, tag in edges:
-        key = _line_key(a, b)
-        p, q, _ = key
-        ta = p * a[0] + q * a[1]
-        tb = p * b[0] + q * b[1]
-        orient = 1 if tb > ta else -1
-        lines.setdefault(key, []).append((min(ta, tb), max(ta, tb), tag, orient))
+    lines: dict[tuple, list[tuple[int, int, int, object, int]]] = {}
+    for n, (ax, ay, bx, by, tag) in enumerate(edges):
+        p, q = bx - ax, by - ay
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if p < 0 or (p == 0 and q < 0):
+            p, q = -p, -q
+        ta, tb = p * ax + q * ay, p * bx + q * by
+        lines.setdefault((p, q, p * ay - q * ax), []).append(
+            (n, min(ta, tb), max(ta, tb), tag, 1 if tb > ta else -1)
+        )
     for key, intervals in sorted(lines.items()):
-        cuts = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
+        cuts = sorted({t for _, lo, hi, _, _ in intervals for t in (lo, hi)})
+        starts = iter(sorted(intervals, key=lambda iv: iv[1]))
+        nxt = next(starts, None)
+        active: list = []
         pieces = []
         for t0, t1 in zip(cuts, cuts[1:]):
-            covers = [
-                (tag, orient)
-                for lo, hi, tag, orient in intervals
-                if lo <= t0 and hi >= t1
-            ]
-            if covers:
-                pieces.append((t0, t1, covers))
+            # every end is a cut, so an interval covers [t0, t1] iff lo <= t0 < hi
+            active = [iv for iv in active if iv[2] > t0]
+            while nxt is not None and nxt[1] <= t0:
+                active.append(nxt)
+                nxt = next(starts, None)
+            if active:
+                pieces.append((t0, t1, [(tag, orient) for _, _, _, tag, orient in sorted(active)]))
         yield key, pieces
 
 
@@ -203,16 +210,15 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     dropped.  Segments are merged per (line, pair) into maximal runs.
     """
     out: list[InterfaceSegment] = []
-    for (p, q, offset), pieces in _segment_soup(_directed_edges(part)):
-        nn = Fraction(p * p + q * q)
+    d, edges = _scaled_edges(part)
+    for (p, q, offset), pieces in _segment_soup(edges):
+        den = (p * p + q * q) * d
 
-        def point_at(t: Fraction) -> Vec:
-            # solve p*x + q*y = t, p*y - q*x = offset
-            x = (p * t - q * offset) / nn
-            y = (q * t + p * offset) / nn
-            return (x, y)
+        def point_at(t: int) -> Vec:
+            # solve p*x + q*y = t, p*y - q*x = offset on the scaled line
+            return (Fraction(p * t - q * offset, den), Fraction(q * t + p * offset, den))
 
-        runs: dict[tuple, list[tuple[Fraction, Fraction]]] = {}
+        runs: dict[tuple, list[tuple[int, int]]] = {}
         for t0, t1, covers in pieces:
             window_covers = [c for c in covers if c[0] == _WINDOW]
             region_covers = [c for c in covers if c[0] != _WINDOW]

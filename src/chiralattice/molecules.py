@@ -78,6 +78,17 @@ def json_int(what: str, value) -> int:
     return value
 
 
+def json_rational(what: str, value) -> Fraction:
+    """A JSON integer or a rational string such as "-3/8"; a float, bool or
+    any other value raises InvalidInput naming `what`."""
+    if type(value) is not int and type(value) is not str:
+        raise InvalidInput(f"invalid {what} {value!r}: expected an integer or a rational string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"invalid {what} {value!r}: {exc}") from exc
+
+
 def decode_list(what: str, decode: Callable, data) -> list:
     """decode(entry) for each entry of a JSON list, naming the entry that fails."""
     if not isinstance(data, list):

@@ -1,7 +1,10 @@
 """Exact rational plane geometry: directions, hulls, and area sweeps.
 
-Polygons are sequences of rational vertices.  Everything here stays in
-`fractions.Fraction`; there are no epsilons anywhere.
+Polygons are sequences of rational vertices.  Every result is an exact
+`fractions.Fraction`; there are no epsilons anywhere.  The area sweep
+scales its vertices once to their common integer denominator and runs on
+ints, building a Fraction only for a proper edge crossing and for the
+result.
 """
 
 from __future__ import annotations
@@ -62,23 +65,28 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
     return hull
 
 
+def integer_points(groups: Sequence[Sequence[Vec]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The least common denominator d of the points' coordinates, and each
+    group of points scaled by d to integer points, in order."""
+    d = math.lcm(*(v.denominator for group in groups for pt in group for v in pt))
+    return d, [
+        [(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)) for x, y in group]
+        for group in groups
+    ]
+
+
 # -------------------------------------------------------------------
 # Area of a boolean combination of polygon sets (exact slab sweep)
 # -------------------------------------------------------------------
 
-Edge = tuple[Vec, Vec]
-
-
-def _edges_of(polygons: Iterable[Sequence[Vec]]) -> list[Edge]:
-    out: list[Edge] = []
-    for poly in polygons:
-        n = len(poly)
-        for i in range(n):
-            a = (Fraction(poly[i][0]), Fraction(poly[i][1]))
-            b = (Fraction(poly[(i + 1) % n][0]), Fraction(poly[(i + 1) % n][1]))
-            if a != b:
-                out.append((a, b))
-    return out
+def _ordinate(c: int, dy: int, dx: int, x) -> Fraction | int:
+    """(c + dy*x) / dx: the height at x of an edge with dx*y = c + dy*x,
+    an int wherever dx divides."""
+    num = c + dy * x
+    if type(num) is int:
+        whole, rest = divmod(num, dx)
+        return whole if rest == 0 else Fraction(num, dx)
+    return num / dx
 
 
 def predicate_area(
@@ -94,44 +102,55 @@ def predicate_area(
 
     The sweep cuts the plane into vertical slabs at every vertex and every
     pairwise edge crossing; inside a slab active edges are orderable, and
-    parity vectors are constant between consecutive edges.  Non-vertical
-    edges are kept as lines y = slope * x + intercept over [x_lo, x_hi],
-    sorted by x_lo, so only pairs whose x-ranges overlap are tested for a
-    crossing.
+    parity vectors are constant between consecutive edges.  The vertices
+    are scaled once to their common denominator D, so every edge has
+    integer ends and is kept as dx*y = c + dy*x over [x_lo, x_hi], sorted
+    by x_lo; only pairs whose x-ranges overlap are tested for a crossing.
+    A pair crosses properly iff the int (y1 - y2)*dx1*dx2 changes sign
+    between the ends of the common x-range, and only such a crossing's
+    abscissa is a Fraction.  Twice the area is summed on the scaled slabs
+    and divided once by 2*D^2.
     """
     if predicate(tuple(False for _ in polygon_sets)):
         raise ValueError("predicate region is unbounded")
-    breaks: set[Fraction] = set()
-    edges: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = []
-    for si, ps in enumerate(polygon_sets):
-        for a, b in _edges_of(ps):
+    tagged = [
+        (si, [(Fraction(x), Fraction(y)) for x, y in poly])
+        for si, ps in enumerate(polygon_sets)
+        for poly in ps
+    ]
+    d, polys = integer_points([poly for _, poly in tagged])
+    breaks: set = set()
+    edges: list[tuple[int, int, int, int, int, int]] = []
+    for (si, _), pts in zip(tagged, polys):
+        for a, b in zip(pts, pts[1:] + pts[:1]):
             breaks.add(a[0])
             breaks.add(b[0])
             if a[0] == b[0]:
                 continue
-            lo, hi = (a, b) if a[0] < b[0] else (b, a)
-            slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
-            edges.append((lo[0], hi[0], slope, lo[1] - slope * lo[0], si))
+            (xl, yl), (xh, yh) = (a, b) if a[0] < b[0] else (b, a)
+            dx, dy = xh - xl, yh - yl
+            edges.append((xl, xh, dx, dy, yl * dx - dy * xl, si))
     if not breaks:
         return Fraction(0)
     edges.sort(key=lambda e: e[0])
 
-    # pairwise crossings of non-vertical edges with overlapping x-ranges
-    for k, (_, x_hi1, slope1, icpt1, _) in enumerate(edges):
+    # proper crossings of non-vertical edges with overlapping x-ranges;
+    # the ends of a common x-range are vertices, hence already breaks
+    for k, (_, x_hi1, dx1, dy1, c1, _) in enumerate(edges):
         for m in range(k + 1, len(edges)):
-            x_lo2, x_hi2, slope2, icpt2, _ = edges[m]
-            if x_lo2 > x_hi1:
+            lo, x_hi2, dx2, dy2, c2, _ = edges[m]
+            if lo > x_hi1:
                 break
-            if slope1 == slope2:
-                continue
-            x = (icpt2 - icpt1) / (slope1 - slope2)
-            if x_lo2 <= x <= x_hi1 and x <= x_hi2:
-                breaks.add(x)
+            hi = min(x_hi1, x_hi2)
+            f_lo = (c1 + dy1 * lo) * dx2 - (c2 + dy2 * lo) * dx1
+            f_hi = (c1 + dy1 * hi) * dx2 - (c2 + dy2 * hi) * dx1
+            if (f_lo < 0 < f_hi) or (f_hi < 0 < f_lo):
+                breaks.add(Fraction(lo * f_hi - hi * f_lo, f_hi - f_lo))
 
     xs = sorted(breaks)
     nsets = len(polygon_sets)
-    total = Fraction(0)
-    active: list[tuple[Fraction, Fraction, Fraction, Fraction, int]] = []
+    twice = 0
+    active: list[tuple[int, int, int, int, int, int]] = []
     pending = iter(edges)
     nxt = next(pending, None)
     for xl, xr in zip(xs, xs[1:]):
@@ -142,8 +161,8 @@ def predicate_area(
             active.append(nxt)
             nxt = next(pending, None)
         ends = sorted(
-            (slope * xl + icpt, slope * xr + icpt, si)
-            for _, _, slope, icpt, si in active
+            (_ordinate(c, dy, dx, xl), _ordinate(c, dy, dx, xr), si)
+            for _, _, dx, dy, c, si in active
         )
         parity = [False] * nsets
         width = xr - xl
@@ -152,5 +171,5 @@ def predicate_area(
             if predicate(tuple(parity)):
                 ya_l, ya_r, _ = ends[ei]
                 yb_l, yb_r, _ = ends[ei + 1]
-                total += width * ((yb_l + yb_r) - (ya_l + ya_r)) / 2
-    return total
+                twice += width * ((yb_l + yb_r) - (ya_l + ya_r))
+    return Fraction(twice, 2 * d * d)

@@ -388,6 +388,11 @@ CORPUS_FILES = {
     "shapes_empty": {},
     "cfg_frac": [{"shape": "R", "anchor": [1.5, 0]}],
     "target": {"1": [["-2", "-2", "0", "2"]]},
+    "target_float": {"1": [[0.1, 0, 1, 1]]},
+    "target_bool": {"1": [[False, 0, 1, 1]]},
+    "target_label": {"9": [[0, 0, 1, 1]]},
+    "part_float": {"window": None, "regions": {"1": [[[0.5, 0], [1, 0], [1, 1], [0, 1]]]}},
+    "part_bool": {"window": None, "regions": {"1": [[[False, 0], [True, 0], [1, 1], [0, 1]]]}},
     **{
         f"shapes_{kind}": [{
             "name": "X", "cells": [[0, 0], [0, 1], [0, 2], [cell, 2]],
@@ -417,6 +422,11 @@ CORPUS_FILES = {
         ["lemma", "3", "--shapes", "shapes_float"],
         ["lemma", "3", "--shapes", "shapes_str"],
         ["lemma", "3", "--shapes", "shapes_bool"],
+        ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_float"],
+        ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_bool"],
+        ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_label"],
+        ["limit", "part_float"],
+        ["limit", "part_bool"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):
@@ -566,3 +576,71 @@ def test_density_output_bytes_pinned(
     assert sha((tmp_path / "rows.csv").read_bytes()) == csv_sha
     svgs = sorted((tmp_path / "wit").glob("*.svg"), key=lambda f: int(f.stem.rsplit("T", 1)[1]))
     assert [sha(f.read_bytes()) for f in svgs] == svg_shas
+
+
+def _seam_file(path: Path, den: int) -> None:
+    """The criterion-10 seam at eps = 1/den as continuum anchors: phase 1
+    left of x = 0 and phase 2 right of it, with an empty column between."""
+    wlat = Window.square(4 * den + 16)
+    mols = [m for m in phase_pattern(1, wlat) if all(c[0] + 1 <= 0 for c in m.cells())]
+    mols += [m for m in phase_pattern(2, wlat) if all(c[0] >= 1 for c in m.cells())]
+    path.write_text(json.dumps([
+        {"shape": "R", "anchor": [str(F(m.anchor[0], den)), str(F(m.anchor[1], den))]}
+        for m in mols
+    ]))
+
+
+def _third_seventh_partition():
+    """A window partition with vertices on the 1/3 and 1/7 grids, and an
+    exterior island whose edges cross its edges between vertices."""
+    w0, w1, w2, w3 = ["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]
+    p, q = ["2/3", "5/7"], ["10/7", "4/3"]
+    part = {
+        "window": [w0, w1, w2, w3],
+        "regions": {
+            "0": [[q, w2, p]], "1": [[w0, w1, p]], "2": [[w1, w2, q]],
+            "3": [[w3, w0, p]], "5": [[p, w1, q]], "7": [[w2, w3, p]],
+        },
+    }
+    exterior = {"window": None, "regions": {"1": [[["-1/3", "-1"], ["3", "1/7"], ["1", "3"]]]}}
+    return part, exterior
+
+
+def test_decompose_and_limit_output_bytes_pinned(tmp_path, monkeypatch, capsys):
+    """stdout and the output files of `decompose` (off-centre window, a
+    target, per-label CSVs) and of `limit` (an exterior, an SVG) keep their
+    bytes."""
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    monkeypatch.chdir(tmp_path)  # relative paths keep the manifest fixed
+    _seam_file(tmp_path / "seam8.json", 8)
+    _seam_file(tmp_path / "seam16.json", 16)
+    (tmp_path / "target.json").write_text(
+        json.dumps({"1": [["-2", "-2", "0", "2"]], "2": [["0", "-2", "2", "2"]]})
+    )
+    assert main([
+        "decompose", "seam8.json", "seam16.json", "--epsilon", "1/8,1/16",
+        "--window", "3,1/3,-1/7", "--target", "target.json", "--regions-csv", "reg",
+    ]) == 0
+    assert sha(capsys.readouterr().out.encode()) == DECOMPOSE_PIN
+    csvs = {f.name: sha(f.read_bytes()) for f in sorted(tmp_path.glob("reg_*.csv"))}
+    assert csvs == DECOMPOSE_CSV_PINS
+
+    part, exterior = _third_seventh_partition()
+    (tmp_path / "part.json").write_text(json.dumps(part))
+    (tmp_path / "ext.json").write_text(json.dumps(exterior))
+    assert main(["limit", "part.json", "--exterior", "ext.json", "--svg", "part.svg"]) == 0
+    assert sha(capsys.readouterr().out.encode()) == LIMIT_PIN
+    assert sha((tmp_path / "part.svg").read_bytes()) == LIMIT_SVG_PIN
+
+
+DECOMPOSE_PIN = "82377675f284aed01c57f72bfd08b5977c6b56fac7d12eb44f23e8b6625dfe77"
+DECOMPOSE_CSV_PINS = {
+    "reg_eps1_16_label1.csv": "fd450d28645c9caa03f8f640b6dab6e8cd1c1640e0b17d21b14f1e91c7c4ae43",
+    "reg_eps1_16_label2.csv": "639fba0659654a7b257c7d72ac34fd18c05cd3bcdfb0103bb8f8c43bad80e32a",
+    "reg_eps1_8_label2.csv": "2e9e1c02756a10e2af7c0ecf69d4786c5a12b5208d05c96ae9bc8395b2b87789",
+}
+LIMIT_PIN = "4551901c3cefd59ad6838d6049ea88ebafb228692e0885f3d38d2c4aaee31595"  # total 503/14
+LIMIT_SVG_PIN = "53441165cd6f0525753b8c44aeb822011d2fb88c6d3e3bada8e54ec836839d41"

@@ -1,0 +1,401 @@
+"""Differential tests: the continuum routines on integers against their
+Fraction forms.
+
+`decompose` counts cells on 4x4 tiles, the rectangle unions and the segment
+soup of `extract_interfaces` scale their inputs to one common integer
+denominator.  Each is checked here for equal results, or the same exception
+type and message, against the plain Fraction formulation that it replaced,
+kept below as the reference.  The polygon sweep has its reference in
+test_fastpaths.py.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from bisect import bisect_left
+from fractions import Fraction as F
+
+import pytest
+
+from chiralattice.altpairs import FLAT_R, FLAT_S
+from chiralattice.decomposition import (
+    PhasePartitionApprox,
+    ScaledConfiguration,
+    _window_in_lattice,
+    decompose,
+)
+from chiralattice.limits import (
+    _WINDOW,
+    InterfaceSegment,
+    InvalidPartition,
+    PolygonalPartition,
+    extract_interfaces,
+)
+from chiralattice.molecules import (
+    Molecule,
+    UnlabeledShape,
+    Window,
+    perimeter,
+    phase_label,
+    phase_pattern,
+    validate,
+)
+from chiralattice.polygeom import primitive_direction
+from chiralattice.rectregions import rect, region_area, symdiff_area
+from conftest import random_configuration
+
+
+# -------------------------------------------------------------------
+# Reference implementations (all Fraction, one cell or interval at a time)
+# -------------------------------------------------------------------
+
+def ref_decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
+    """The block scan: 144 cell lookups per covering square."""
+    eps = scaled.epsilon
+    config = scaled.config
+    wlat = _window_in_lattice(window, eps)
+    x0, y0, x1, y1 = wlat.bounds()
+    occ = config.occupancy
+    regions = {lab: [] for lab in range(9)}
+    bad = []
+    for n1 in range(4 * math.floor((x0 - 6) / 4), 4 * math.ceil((x1 + 6) / 4) + 1, 4):
+        for n2 in range(4 * math.floor((y0 - 6) / 4), 4 * math.ceil((y1 + 6) / 4) + 1, 4):
+            u0, u1 = F(n1 - 6), F(n1 + 6)
+            v0, v1 = F(n2 - 6), F(n2 + 6)
+            if not (u0 < x1 and u1 > x0 and v0 < y1 and v1 > y0):
+                continue
+            inside = u0 >= x0 and u1 <= x1 and v0 >= y0 and v1 <= y1
+            filled = sum(
+                (a, b) in occ for a in range(n1 - 6, n1 + 6) for b in range(n2 - 6, n2 + 6)
+            )
+            if not inside or 0 < filled < 144:
+                bad.append(rect(eps * u0, eps * v0, eps * u1, eps * v1))
+                continue
+            small = rect(eps * (n1 - 2), eps * (n2 - 2), eps * (n1 + 2), eps * (n2 + 2))
+            if filled == 0:
+                regions[0].append(small)
+                continue
+            labels = set()
+            for a in range(n1 - 2, n1 + 2):
+                for b in range(n2 - 2, n2 + 2):
+                    idx = occ.get((a, b))
+                    if idx is not None:
+                        labels.add(phase_label(config.molecules[idx]))
+            if len(labels) != 1:
+                raise AssertionError(
+                    f"full covering square at {(n1, n2)} carries phases "
+                    f"{sorted(labels)}; the single-phase property failed"
+                )
+            regions[labels.pop()].append(small)
+    return PhasePartitionApprox(eps, regions, bad, len(bad), eps * perimeter(config, wlat))
+
+
+def _ref_cells(region, xs, ys) -> set:
+    cells = set()
+    for x0, y0, x1, y1 in region:
+        for i in range(bisect_left(xs, x0), bisect_left(xs, x1)):
+            for j in range(bisect_left(ys, y0), bisect_left(ys, y1)):
+                cells.add((i, j))
+    return cells
+
+
+def ref_symdiff_area(*regions) -> F:
+    """Fraction grid, cells found by bisection; one region gives its area."""
+    xs = sorted({v for region in regions for r in region for v in (r[0], r[2])})
+    ys = sorted({v for region in regions for r in region for v in (r[1], r[3])})
+    odd = set()
+    for region in regions:
+        odd ^= _ref_cells(region, xs, ys)
+    return sum(((xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j]) for i, j in odd), F(0))
+
+
+def _ref_line_key(a, b):
+    (p, q), _ = primitive_direction((b[0] - a[0], b[1] - a[1]))
+    if p < 0 or (p == 0 and q < 0):
+        p, q = -p, -q
+    return (p, q, F(p) * a[1] - F(q) * a[0])
+
+
+def ref_extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
+    """Fraction line keys; every piece scans every interval on its line."""
+    edges = [
+        (poly[k], poly[(k + 1) % len(poly)], tag)
+        for tag, polys in [*part.regions.items(), *([(_WINDOW, [part.window])] if part.window else [])]
+        for poly in polys
+        for k in range(len(poly))
+    ]
+    lines = {}
+    for a, b, tag in edges:
+        key = _ref_line_key(a, b)
+        p, q, _ = key
+        ta, tb = p * a[0] + q * a[1], p * b[0] + q * b[1]
+        lines.setdefault(key, []).append((min(ta, tb), max(ta, tb), tag, 1 if tb > ta else -1))
+    out = []
+    for (p, q, offset), intervals in sorted(lines.items()):
+        nn = F(p * p + q * q)
+        cuts = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
+        runs = {}
+        for t0, t1 in zip(cuts, cuts[1:]):
+            covers = [(tag, o) for lo, hi, tag, o in intervals if lo <= t0 and hi >= t1]
+            if not covers:
+                continue
+            window_covers = [c for c in covers if c[0] == _WINDOW]
+            region_covers = [c for c in covers if c[0] != _WINDOW]
+            if window_covers:
+                if len(window_covers) > 1 or len(region_covers) != 1:
+                    raise InvalidPartition(f"window edge piece covered {len(region_covers)} times")
+                lab, orient = region_covers[0]
+                if orient != window_covers[0][1]:
+                    raise InvalidPartition(f"region A_{lab} lies outside the window")
+                if lab == 0:
+                    continue
+                i, j = lab, 0
+                normal = (-q, p) if orient > 0 else (q, -p)
+            elif len(region_covers) == 2:
+                (la, oa), (lb, ob) = region_covers
+                if oa == ob:
+                    raise InvalidPartition(f"regions A_{la} and A_{lb} overlap along an edge")
+                if la == lb:
+                    continue
+                left, right = (la, lb) if oa > 0 else (lb, la)
+                if left < right:
+                    i, j, normal = left, right, (-q, p)
+                else:
+                    i, j, normal = right, left, (q, -p)
+            elif len(region_covers) == 1 and part.window is None:
+                lab, orient = region_covers[0]
+                if lab == 0:
+                    raise InvalidPartition("label 0 cannot form islands")
+                i, j = 0, lab
+                normal = (q, -p) if orient > 0 else (-q, p)
+            else:
+                raise InvalidPartition(f"edge piece covered {len(region_covers)} times")
+            runs.setdefault((i, j, normal), []).append((t0, t1))
+        for (i, j, normal), spans in sorted(runs.items()):
+            spans.sort()
+            merged = [list(spans[0])]
+            for t0, t1 in spans[1:]:
+                if t0 == merged[-1][1]:
+                    merged[-1][1] = t1
+                else:
+                    merged.append([t0, t1])
+            for t0, t1 in merged:
+                a = ((p * t0 - q * offset) / nn, (q * t0 + p * offset) / nn)
+                b = ((p * t1 - q * offset) / nn, (q * t1 + p * offset) / nn)
+                out.append(InterfaceSegment(a, b, i, j, normal))
+    return out
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# -------------------------------------------------------------------
+# Decomposition
+# -------------------------------------------------------------------
+
+def seam_configuration(rng: random.Random, left, right) -> list[Molecule]:
+    """Two striped halves meeting at a random column, with or without an
+    empty column between them, and a few molecules removed."""
+    cut = rng.randint(-8, 8)
+    gap = rng.choice((0, 1))
+    mols = [m for m in left if all(c[0] < cut for c in m.cells())]
+    mols += [m for m in right if all(c[0] >= cut + gap for c in m.cells())]
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        mols.pop(rng.randrange(len(mols)))
+    return mols
+
+
+def striped(shape, residue) -> list[Molecule]:
+    """The zero-energy tiling of a flat shape with anchors in [-26, 24)^2."""
+    return [
+        Molecule(shape, (a, b))
+        for a in range(-26, 24)
+        for b in range(-26, 24)
+        if residue(a, b) % 4 == 0
+    ]
+
+
+def random_lattice_window(rng: random.Random, eps: F) -> Window:
+    """A window whose lattice side and centre lie on grids of 1, 1/2, 1/3
+    and 1/7, returned in continuum coordinates."""
+    den = rng.choice((1, 2, 3, 7))
+    side = F(rng.randint(6 * den, 40 * den), den)
+    cx, cy = (F(rng.randint(-8 * den, 8 * den), den) for _ in range(2))
+    return Window.square(side * eps, (cx * eps, cy * eps))
+
+
+def test_decompose_matches_block_scan():
+    rng = random.Random(20261018)
+    kinds = {"sparse": 0, "seam": 0, "labelled": 0}
+    for n in range(48):
+        eps = F(1, rng.choice((1, 2, 3, 8)))
+        if n % 3 == 0:
+            mols = list(random_configuration(rng, max_molecules=60).molecules)
+            kinds["sparse"] += 1
+        else:
+            i, j = rng.choice((1, 2, 3, 4, 5, 6, 7, 8)), rng.choice((1, 2, 3, 4, 5, 6, 7, 8))
+            box = Window.square(52)
+            mols = seam_configuration(
+                rng, phase_pattern(i, box).molecules, phase_pattern(j, box).molecules
+            )
+            kinds["seam"] += 1
+        sc = ScaledConfiguration(eps, validate(mols))
+        window = random_lattice_window(rng, eps)
+        got = decompose(sc, window)
+        assert got == ref_decompose(sc, window), (eps, window)
+        kinds["labelled"] += any(got.regions[lab] for lab in range(1, 9))
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_decompose_user_shapes_raise_where_the_block_scan_does():
+    """Flat molecules fill blocks only right of the seam, or on both sides;
+    UnlabeledShape names the shape that the cell scan meets first."""
+    rng = random.Random(5)
+    box = Window.square(52)
+    flat_r = striped(FLAT_R, lambda a, b: a + b)
+    flat_s = striped(FLAT_S, lambda a, b: b - a)
+    messages = set()
+    for left, right in (
+        (phase_pattern(3, box).molecules, flat_r),
+        (flat_s, flat_r),
+        (flat_s, phase_pattern(6, box).molecules),
+    ):
+        for _ in range(6):
+            sc = ScaledConfiguration(F(1, 4), validate(seam_configuration(rng, left, right)))
+            window = random_lattice_window(rng, sc.epsilon)
+            got = outcome(decompose, sc, window)
+            assert got == outcome(ref_decompose, sc, window), window
+            if isinstance(got, tuple):
+                messages.add(got[1])
+    assert {"shape 'FR' has no phase label", "shape 'FS' has no phase label"} <= messages
+
+
+def band_covering() -> list[Molecule]:
+    """A zero-energy covering by both flat shapes: a row of FS molecules at
+    y = 3 between two differently shifted FR tilings."""
+    return [
+        Molecule(FLAT_S, (a, b)) if b == 3 else Molecule(FLAT_R, (a, b))
+        for a in range(-24, 24)
+        for b in range(-24, 24)
+        if (a + b) % 4 == (0 if b <= 3 else 2)
+    ]
+
+
+def test_decompose_names_the_first_unlabeled_shape_in_cell_order():
+    """Only the block centred at (c, 4), whose centre tile holds both
+    shapes, is good; molecule order must not decide which shape is named."""
+    rng = random.Random(3)
+    mols = band_covering()
+    for c in (-8, -4, 0, 4):
+        for _ in range(3):
+            rng.shuffle(mols)
+            sc = ScaledConfiguration(F(1, 3), validate(mols))
+            window = Window.square(4, (F(c, 3), F(4, 3)))
+            got = outcome(decompose, sc, window)
+            assert got == outcome(ref_decompose, sc, window)
+            assert got[0] is UnlabeledShape
+
+
+def test_sparse_user_shapes_decompose():
+    sc = ScaledConfiguration(F(1, 2), validate([Molecule(FLAT_R, (0, 0)), Molecule(FLAT_S, (9, 9))]))
+    approx = decompose(sc, Window.square(12))
+    assert approx == ref_decompose(sc, Window.square(12))
+    assert approx.bad_count > 0
+
+
+# -------------------------------------------------------------------
+# Rectangle unions
+# -------------------------------------------------------------------
+
+def random_rects(rng: random.Random, n: int) -> list:
+    """Rectangles on grids of 1, 1/2, 1/3, 1/5 and 1/7 that overlap often."""
+    out = []
+    for _ in range(n):
+        den = rng.choice((1, 2, 3, 5, 7))
+        x0, x1 = sorted(rng.sample(range(-3 * den, 3 * den + 1), 2))
+        y0, y1 = sorted(rng.sample(range(-3 * den, 3 * den + 1), 2))
+        out.append(rect(F(x0, den), F(y0, den), F(x1, den), F(y1, den)))
+    return out
+
+
+def test_rectangle_unions_match_fraction_grid():
+    rng = random.Random(77)
+    for _ in range(150):
+        a = random_rects(rng, rng.randint(0, 6))
+        b = random_rects(rng, rng.randint(0, 6))
+        got = region_area(a), symdiff_area(a, b)
+        assert got == (ref_symdiff_area(a), ref_symdiff_area(a, b)), (a, b)
+        assert all(type(v) is F for v in got)
+
+
+# -------------------------------------------------------------------
+# The segment soup
+# -------------------------------------------------------------------
+
+def triangulated(rng: random.Random, size: int, windowed: bool):
+    """Labels on the two triangles of every cell of a size x size grid, each
+    cell cut along a random diagonal, mapped by x -> x/3 + 1/7.  Without a
+    window the label-0 triangles are left out."""
+
+    def pt(x, y):
+        return (F(x, 3) + F(1, 7), F(y, 3) + F(1, 7))
+
+    regions: dict[int, list] = {}
+    for x in range(size):
+        for y in range(size):
+            corners = [pt(x, y), pt(x + 1, y), pt(x + 1, y + 1), pt(x, y + 1)]
+            k = rng.randrange(2)
+            for tri in ((corners[k], corners[k + 1], corners[k + 2]),
+                        (corners[k + 2], corners[(k + 3) % 4], corners[k])):
+                lab = rng.choice((0, 0, 1, 2, 5, 8))
+                if windowed or lab:
+                    regions.setdefault(lab, []).append(tri)
+    window = [pt(0, 0), pt(size, 0), pt(size, size), pt(0, size)] if windowed else None
+    return PolygonalPartition(regions=regions, window=window)
+
+
+def test_extract_interfaces_matches_interval_scan():
+    rng = random.Random(11)
+    for n in range(24):
+        part = triangulated(rng, rng.randint(2, 5), windowed=n % 2 == 0)
+        got = extract_interfaces(part)
+        assert got and got == ref_extract_interfaces(part)
+
+
+SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
+WIN = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+
+INVALID = {
+    "double cover": PolygonalPartition(
+        regions={1: [WIN], 2: [WIN]}, window=[(-1, -1), (3, -1), (3, 1), (-1, 1)]
+    ),
+    "outside the window": PolygonalPartition(
+        regions={1: [[(1, 0), (3, F(1, 2)), (1, 1)]]}, window=SQ
+    ),
+    "spilling region": PolygonalPartition(
+        regions={1: [[(1, 0), (3, 0), (3, 1), (1, 1)]]}, window=[(0, 0), (2, 0), (2, 1), (0, 1)]
+    ),
+    "same-orientation overlap": PolygonalPartition(
+        regions={1: [SQ], 2: [[(0, 0), (1, 0), (1, F(1, 3)), (0, F(1, 3))]]}, window=None
+    ),
+    "triple edge": PolygonalPartition(
+        regions={1: [SQ, [(1, 0), (2, 0), (2, 1), (1, 1)]], 2: [[(1, 0), (F(5, 7), 1), (1, 1)]]},
+        window=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_invalid_partitions_fail_like_the_interval_scan(name):
+    part = INVALID[name]
+    with pytest.raises(InvalidPartition) as got:
+        extract_interfaces(part)
+    with pytest.raises(InvalidPartition) as ref:
+        ref_extract_interfaces(part)
+    assert str(got.value) == str(ref.value)

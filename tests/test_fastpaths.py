@@ -33,7 +33,7 @@ from chiralattice.molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from chiralattice.polygeom import _edges_of, predicate_area
+from chiralattice.polygeom import predicate_area
 from conftest import random_configuration
 from test_line_bound import in_boundary_family
 
@@ -145,6 +145,18 @@ def ref_family_members(i, j, nu, window) -> list[Molecule]:
                 if any(ref_contains_cell(bounds, c) for c in m.cells()):
                     out.append(m)
     out.sort(key=lambda m: (m.shape.name, m.anchor))
+    return out
+
+
+def _edges_of(polygons):
+    out = []
+    for poly in polygons:
+        n = len(poly)
+        for i in range(n):
+            a = (F(poly[i][0]), F(poly[i][1]))
+            b = (F(poly[(i + 1) % n][0]), F(poly[(i + 1) % n][1]))
+            if a != b:
+                out.append((a, b))
     return out
 
 

@@ -69,11 +69,33 @@ def test_argument_checks_raise_invalid_input(call, message):
          "region 1 entry 0: TypeError"),
         (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, 0, 1]]}',
          "degenerate rectangle"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '{"9": [[0, 0, 1, 1]]}',
+         "region label: label 9 out of range 0..8"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '{"-1": [[0, 0, 1, 1]]}',
+         "region label: label -1 out of range 0..8"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0.1, 0, 1, 1]]}',
+         "region 1 entry 0: invalid coordinate 0.1: expected an integer or a rational string"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, "1/0", 1]]}',
+         "region 1 entry 0: invalid coordinate '1/0'"),
+        (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
+         '{"regions": {"1": [[[false, 0], [true, 0], [1, 1], [0, 1]]]}}',
+         "region 1 entry 0: invalid coordinate False"),
+        (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
+         '{"window": [[0, 0], [1.5, 0], [1, 1]], "regions": {}}', "window: invalid coordinate 1.5"),
     ],
 )
 def test_decoders_name_the_bad_entry(decode, text, message):
     with pytest.raises(InvalidInput, match=message):
         decode(text)
+
+
+def test_geometry_files_keep_rational_coordinates():
+    regions = regions_from_jsonable({"0": [["-1/3", 0, "2/7", "1"]]})
+    assert regions == {0: [(F(-1, 3), F(0), F(2, 7), F(1))]}
+    part = PolygonalPartition.from_jsonable(
+        {"window": None, "regions": {"1": [[["1/3", 0], [1, "0"], [1, "5/7"]]]}}
+    )
+    assert part.regions[1] == [((F(1, 3), F(0)), (F(1), F(0)), (F(1), F(5, 7)))]
 
 
 def test_configuration_entries_keep_rational_anchors():
