@@ -28,19 +28,18 @@ def seam(eps):
 
 window = Window.square(4)
 target = {1: [rect(-2, -2, 0, 2)], 2: [rect(0, -2, 2, 2)]}
-runs = [(seam(F(1, d)), window) for d in (8, 16, 32)]
+approxes = [decompose(seam(F(1, d)), window) for d in (8, 16, 32)]
 
-for sc, win in runs:
-    approx = decompose(sc, win)
+for approx in approxes:
     print(
-        f"eps = {sc.epsilon}: boundary length C = {approx.boundary_length}, "
+        f"eps = {approx.epsilon}: boundary length C = {approx.boundary_length}, "
         f"bad squares = {approx.bad_count}, bad area = {approx.bad_area()} "
         f"<= bound {float(bad_area_bound(approx)):.1f}"
     )
 
 print()
 print("symmetric differences against the half-plane target:")
-for row in convergence_report(runs, target=target):
+for row in convergence_report(approxes, target=target):
     print(
         f"  eps = {row['epsilon']}: phase 1: {row['symdiff_1']}, "
         f"phase 2: {row['symdiff_2']}"

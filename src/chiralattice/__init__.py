@@ -14,6 +14,7 @@ from .molecules import (  # noqa: F401
     BUILTIN_SHAPES,
     PLANE,
     Configuration,
+    InconsistentScale,
     InvalidInput,
     Molecule,
     MoleculeShape,
@@ -26,8 +27,8 @@ from .molecules import (  # noqa: F401
     configuration_to_json,
     perimeter,
     phase_label,
-    phase_molecule,
     phase_pattern,
+    phase_shape,
     shapes_from_json,
     shapes_to_json,
     validate,
@@ -53,7 +54,6 @@ from .interfaces import (  # noqa: F401
     NoPattern,
     SolveResult,
     admissible,
-    boundary_family,
     cluster_min_perimeter,
     direction,
     normalized_density,
@@ -73,7 +73,6 @@ from .densities import (  # noqa: F401
     subadditive_bound,
 )
 from .decomposition import (  # noqa: F401
-    InconsistentScale,
     PhasePartitionApprox,
     ScaledConfiguration,
     convergence_report,
@@ -83,7 +82,6 @@ from .rectregions import symdiff_area  # noqa: F401
 from .limits import (  # noqa: F401
     InterfaceSegment,
     InvalidPartition,
-    NonRationalEdge,
     PolygonalPartition,
     anchored_admissible,
     extract_interfaces,

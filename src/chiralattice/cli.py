@@ -291,11 +291,11 @@ def cmd_decompose(args) -> int:
 
     outputs = [args.out] if args.out else []
     payload: dict = {"runs": []}
-    for sc, win in runs:
-        approx = decompose(sc, win)
+    approxes = [decompose(sc, win) for sc, win in runs]
+    for approx in approxes:
         payload["runs"].append(
             {
-                "epsilon": str(sc.epsilon),
+                "epsilon": str(approx.epsilon),
                 "bad_area": str(approx.bad_area()),
                 "bad_count": approx.bad_count,
                 "boundary_length": str(approx.boundary_length),
@@ -308,13 +308,13 @@ def cmd_decompose(args) -> int:
             }
         )
     if target:
-        rows = convergence_report(runs, target=target)
+        rows = convergence_report(approxes, target=target)
         payload["convergence"] = [
             {k: str(v) for k, v in row.items()} for row in rows
         ]
     if args.regions_csv:
-        for run_payload, (sc, _) in zip(payload["runs"], runs):
-            eps_tag = str(sc.epsilon).replace("/", "_")
+        for run_payload in payload["runs"]:
+            eps_tag = run_payload["epsilon"].replace("/", "_")
             for lab, rows in run_payload["regions"].items():
                 path = Path(f"{args.regions_csv}_eps{eps_tag}_label{lab}.csv")
                 path.write_text(

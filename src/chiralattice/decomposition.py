@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .molecules import (
     Configuration,
-    InconsistentScale,
     InvalidInput,
     MoleculeShape,
     Window,
@@ -31,16 +30,6 @@ from .molecules import (
     phase_label,
 )
 from .rectregions import Rect, rect, region_area, symdiff_area
-
-__all__ = [
-    "InconsistentScale",
-    "ScaledConfiguration",
-    "PhasePartitionApprox",
-    "decompose",
-    "convergence_report",
-    "symdiff_area",
-]
-
 
 @dataclass(frozen=True)
 class ScaledConfiguration:
@@ -74,9 +63,6 @@ class PhasePartitionApprox:
     bad_region: list[Rect]
     bad_count: int
     boundary_length: Fraction  # H^1(w intersect boundary E), continuum scale
-
-    def region_area(self, label: int) -> Fraction:
-        return region_area(self.regions.get(label, []))
 
     def bad_area(self) -> Fraction:
         return region_area(self.bad_region)
@@ -186,25 +172,23 @@ def bad_area_bound(approx: PhasePartitionApprox) -> Fraction:
 
 
 def convergence_report(
-    runs: Sequence[tuple[ScaledConfiguration, Window]],
+    approxes: Sequence[PhasePartitionApprox],
     target: Mapping[int, Sequence[Rect]] | None = None,
 ) -> list[dict]:
     """Per-epsilon symmetric differences between regions and a target.
 
-    Each run pairs a scaled configuration with its window.  The target
-    maps labels to rectangle unions in continuum coordinates; missing
-    labels compare against the empty region.  Epsilons must be strictly
-    decreasing.
+    Each entry is the decomposition of one run.  The target maps labels to
+    rectangle unions in continuum coordinates; missing labels compare
+    against the empty region.  Epsilons must be strictly decreasing.
     """
-    epss = [sc.epsilon for sc, _ in runs]
+    epss = [approx.epsilon for approx in approxes]
     if any(later >= earlier for later, earlier in zip(epss[1:], epss)):
         raise InvalidInput("epsilons must be strictly decreasing")
     target = dict(target or {})
     rows: list[dict] = []
-    for sc, win in runs:
-        approx = decompose(sc, win)
+    for approx in approxes:
         row: dict = {
-            "epsilon": sc.epsilon,
+            "epsilon": approx.epsilon,
             "bad_area": approx.bad_area(),
             "bad_count": approx.bad_count,
             "boundary_length": approx.boundary_length,

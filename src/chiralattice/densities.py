@@ -31,7 +31,6 @@ from .gauges import (
 )
 from .interfaces import DensityRecord
 from .molecules import InvalidInput
-from .polygeom import convex_hull
 
 IntDir = tuple[int, int]
 
@@ -55,24 +54,20 @@ def sum_gauge(a: GaugePolygon, b: GaugePolygon) -> GaugePolygon:
     normal fans, so its unit level set has vertices exactly on the rays
     through the vertices of both polygons.
     """
-    pts = []
-    for v in a.vertices + b.vertices:
-        val = a.gauge(v) + b.gauge(v)
-        pts.append((v[0] / val, v[1] / val))
-    return GaugePolygon(convex_hull(pts))
+    return envelope_with_points(
+        (), [(v, a.gauge(v) + b.gauge(v)) for v in a.vertices + b.vertices]
+    )
 
 
 def subadditive_bound(i: int, j: int, nu: IntDir) -> Fraction:
-    """f(i,0,nu) + f(0,j,nu) through the closed forms (phi scale)."""
+    """f(i,0,nu) + f(0,j,nu) through the closed forms (phi scale).
+
+    f(0,j,nu) = phi_j(-nu) = phi_j(nu), as both hexagons are centrally
+    symmetric, so the bound is phi_i(nu) + phi_j(nu).
+    """
     if not (1 <= i <= 8 and 1 <= j <= 8) or i == j:
         raise InvalidInput("subadditive bound needs distinct nonzero phases")
-    hexagon = phi_closed_form(1)
-    hexagon_m = phi_closed_form(5)
-    if i <= 4 and j <= 4:
-        return 2 * hexagon.gauge(nu)
-    if i >= 5 and j >= 5:
-        return 2 * hexagon_m.gauge(nu)
-    return hexagon.gauge(nu) + hexagon_m.gauge(nu)
+    return phi_closed_form(i).gauge(nu) + phi_closed_form(j).gauge(nu)
 
 
 @dataclass

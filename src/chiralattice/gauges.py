@@ -9,7 +9,12 @@ strictly inside, through the gauge (Minkowski functional)
     gauge(x) = min { t > 0 : x / t inside the polygon }.
 
 For a polygon whose edge through vertices v, w lies on {a . x = 1}, the
-gauge is max_e (a_e . x), which is how evaluation stays exact.
+gauge is max_e (a_e . x), which is how evaluation stays exact.  Those edge
+functionals are also the vertices of the polar dual, the Wulff shape.
+
+`envelope_with_points` is the one level-set hull routine: the convex
+envelope of a minimum of gauges, refined by finitely many values, is the
+gauge of the convex hull of their level-set points.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .molecules import InvalidInput
+from .molecules import InvalidInput, R, phase_shape
 from .polygeom import Polygon, Vec, convex_hull, cross, polygon_area
 
 IntDir = tuple[int, int]
@@ -63,14 +68,6 @@ class GaugePolygon:
             return Fraction(0)
         return max(ex * px + ey * py for ex, ey in self._funcs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaugePolygon):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
 
 def mirror(polygon: GaugePolygon) -> GaugePolygon:
     """Reflection through the vertical axis, reoriented counterclockwise."""
@@ -103,9 +100,7 @@ def phi_closed_form(i: int) -> GaugePolygon:
     between (3, -1) and (1, -1) and between (-3, 1) and (-1, 1).  The S
     phases (5..8) use the mirror polygon.
     """
-    if not 1 <= i <= 8:
-        raise InvalidInput("phase label must be in 1..8")
-    return _HEX_R if i <= 4 else _HEX_S
+    return _HEX_R if phase_shape(i) is R else _HEX_S
 
 
 def min_envelope(
@@ -122,10 +117,7 @@ def min_envelope(
     def pointwise_min(x) -> Fraction:
         return min(g.gauge(x) for g in gauges)
 
-    hull = GaugePolygon(
-        convex_hull(v for g in gauges for v in g.vertices)
-    )
-    return pointwise_min, hull
+    return pointwise_min, envelope_with_points(gauges, ())
 
 
 def envelope_with_points(
@@ -148,13 +140,7 @@ def wulff_shape(polygon: GaugePolygon) -> Polygon:
     """Polar dual: the minimizer of the induced anisotropic perimeter.
 
     One half-plane {x . v <= 1} per vertex v; the dual's vertices come
-    from adjacent half-plane intersections, exactly.
+    from adjacent half-plane intersections, which are the polygon's edge
+    functionals, exactly.
     """
-    v = polygon.vertices
-    n = len(v)
-    out = []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        det = a[0] * b[1] - a[1] * b[0]
-        out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
-    return _canonical_ccw(out)
+    return _canonical_ccw(polygon._funcs)

@@ -73,6 +73,7 @@ from .molecules import (
     configuration_to_jsonable,
     decode_entry,
     phase_pattern,
+    phase_shape,
     validate,
     volume_deficit,
     weighted_perimeter,
@@ -204,7 +205,7 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
         if lab == 0:
             continue
         # sign * x . nu at its extreme over the phase's shape anchored at 0
-        shape = R if lab <= 4 else S
+        shape = phase_shape(lab)
         reach = max(sign * (p * c + q * r) for c, r in shape.cells)
         reach += max(sign * p, 0) + max(sign * q, 0)
         for m in phase_pattern(lab, window).molecules:
@@ -214,18 +215,6 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
                 out.append(m)
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
-
-
-def boundary_family(i: int, j: int, nu: Direction, region: Window) -> Configuration:
-    """The family molecules intersecting the region, as a validated config."""
-    if i == j:
-        raise InvalidInput("boundary families need distinct phases")
-    try:
-        return validate(_family_members(i, j, nu, region))
-    except OverlapError as exc:
-        raise InfeasibleBoundary(
-            f"boundary family ({i},{j},{nu.as_tuple()}) is inconsistent: {exc}"
-        ) from exc
 
 
 # -------------------------------------------------------------------

@@ -36,10 +36,6 @@ from .polygeom import (
 IntDir = tuple[int, int]
 
 
-class NonRationalEdge(InvalidInput):
-    """Edge with irrational data (cannot occur for rational vertices)."""
-
-
 class InvalidPartition(InvalidInput):
     """Regions overlap, leave gaps, or spill outside the window."""
 

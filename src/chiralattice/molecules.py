@@ -7,6 +7,10 @@ cell at the top); only translations are admitted, never rotations.  All
 geometry is exact: lengths and areas are `fractions.Fraction` values and
 comparisons are never subject to floating-point tolerances.
 
+The phase map lives here and nowhere else: `phase_shape` gives the shape
+of each of the eight modulated phases and `phase_label` the phase of a
+built-in molecule, from the residue of its anchor.
+
 Every object in this module is immutable after construction and every
 function is pure, so concurrent use from multiple threads is safe.
 """
@@ -171,6 +175,17 @@ def phase_label(m: Molecule) -> int:
         r = (n2 - n1) % 4
         return 8 if r == 0 else r + 4
     raise UnlabeledShape(f"shape {m.shape.name!r} has no phase label")
+
+
+def phase_shape(i: int) -> MoleculeShape:
+    """Shape of the molecules of phase i: R for 1..4, S for 5..8.
+
+    With `phase_label` this is the library's one statement of the phase
+    map; every other module reads the species of a phase from here.
+    """
+    if not 1 <= i <= 8:
+        raise InvalidInput("phase label must be in 1..8")
+    return R if i <= 4 else S
 
 
 # -------------------------------------------------------------------
@@ -440,33 +455,6 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
 # The striped zero-energy patterns
 # -------------------------------------------------------------------
 
-def pattern_anchor(i: int, cell: Cell) -> Cell:
-    """Anchor of the unique phase-i molecule covering the given cell.
-
-    For each cell and each phase exactly one of the four candidate anchors
-    has the right residue, which is why each family tiles the plane.
-    """
-    a, b = cell
-    if 1 <= i <= 4:
-        for n in ((a, b), (a, b - 1), (a, b - 2), (a - 1, b - 2)):
-            r = (n[0] + n[1]) % 4
-            if (4 if r == 0 else r) == i:
-                return n
-    elif 5 <= i <= 8:
-        for n in ((a + 1, b), (a + 1, b - 1), (a + 1, b - 2), (a + 2, b - 2)):
-            r = (n[1] - n[0]) % 4
-            if (8 if r == 0 else r + 4) == i:
-                return n
-    else:
-        raise InvalidInput("phase label must be in 1..8")
-    raise AssertionError("unreachable: one candidate anchor always matches")
-
-
-def phase_molecule(i: int, cell: Cell) -> Molecule:
-    """The unique molecule of phase i whose cells contain the given cell."""
-    return Molecule(R if i <= 4 else S, pattern_anchor(i, cell))
-
-
 def phase_pattern(i: int, window: Window) -> Configuration:
     """All phase-i molecules whose cells intersect the window.
 
@@ -476,11 +464,7 @@ def phase_pattern(i: int, window: Window) -> Configuration:
     """
     if window.is_plane:
         raise InvalidInput("a plane-filling pattern is infinite; pass a square")
-    if not 1 <= i <= 8:
-        raise InvalidInput("phase label must be in 1..8")
-    shape = R if i <= 4 else S
-    # phase i holds the anchors with n2 + n1 (R) or n2 - n1 (S) = i mod 4
-    sign = 1 if shape is R else -1
+    shape = phase_shape(i)
     dxs = [c for c, _ in shape.cells]
     xs, ys = window.cell_range()
     mols = []
@@ -489,7 +473,8 @@ def phase_pattern(i: int, window: Window) -> Configuration:
         # contiguous, so the anchors meeting the window form one range of b
         dys = [r for c, r in shape.cells if a + c in xs]
         first = ys.start - max(dys)
-        first += (i - sign * a - first) % 4
+        # within a column the label advances by one per row, mod 4
+        first += (i - phase_label(Molecule(shape, (a, first)))) % 4
         mols.extend(Molecule(shape, (a, b)) for b in range(first, ys.stop - min(dys), 4))
     return validate(mols)
 
@@ -544,15 +529,19 @@ def configuration_entries(
     data, shapes: Mapping[str, MoleculeShape] | None = None
 ) -> list[tuple[MoleculeShape, tuple[Fraction, Fraction]]]:
     """Decode a configuration file, [{"shape": name, "anchor": [x, y]}, ...],
-    to (shape, rational anchor) pairs for `configuration_on_grid`.  Names
-    resolve in `shapes`, then R and S."""
+    to (shape, rational anchor) pairs for `configuration_on_grid`.  Each
+    anchor is two JSON integers or rational strings, read by
+    `json_rational`.  Names resolve in `shapes`, then R and S."""
     table = {**BUILTIN_SHAPES, **(shapes or {})}
 
     def entry(raw) -> tuple[MoleculeShape, tuple[Fraction, Fraction]]:
         shape = table.get(raw["shape"])
         if shape is None:
             raise InvalidInput(f"unknown shape {raw['shape']!r}")
-        return shape, (Fraction(raw["anchor"][0]), Fraction(raw["anchor"][1]))
+        anchor = raw["anchor"]
+        if type(anchor) is not list or len(anchor) != 2:
+            raise InvalidInput(f"invalid anchor {anchor!r}: expected two coordinates")
+        return shape, tuple(json_rational("anchor coordinate", v) for v in anchor)
 
     return decode_list("configuration", entry, data)
 

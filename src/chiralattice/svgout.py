@@ -28,6 +28,8 @@ PHASE_PALETTE = (
 )
 GRAY_R = "#bbbbbb"
 GRAY_S = "#777777"
+_CELL_MARGIN = 1  # cells of background around a configuration
+_POLYGON_PAD = Fraction(1, 2)  # background around polygons
 
 
 def _fmt(v) -> str:
@@ -49,7 +51,6 @@ def _header(x0, y0, x1, y1, comment: str | None) -> list[str]:
 def configuration_svg(
     config: Configuration,
     comment: str | None = None,
-    margin: int = 1,
     palette: Sequence[str] = PHASE_PALETTE,
 ) -> str:
     """Molecules drawn as outlined unit squares, colored by phase."""
@@ -57,8 +58,8 @@ def configuration_svg(
     if cells:
         xs = [c[0] for c in cells]
         ys = [c[1] for c in cells]
-        x0, x1 = min(xs) - margin, max(xs) + 1 + margin
-        y0, y1 = min(ys) - margin, max(ys) + 1 + margin
+        x0, x1 = min(xs) - _CELL_MARGIN, max(xs) + 1 + _CELL_MARGIN
+        y0, y1 = min(ys) - _CELL_MARGIN, max(ys) + 1 + _CELL_MARGIN
     else:
         x0 = y0 = -1
         x1 = y1 = 1
@@ -81,7 +82,6 @@ def configuration_svg(
 def polygons_svg(
     items: Sequence[tuple[Sequence[tuple], str, str]],
     comment: str | None = None,
-    pad: Fraction = Fraction(1, 2),
 ) -> str:
     """Filled polygons given as (vertices, fill, label) triples."""
     all_pts = [p for polygon, _, _ in items for p in polygon]
@@ -89,8 +89,8 @@ def polygons_svg(
         raise ValueError("nothing to draw")
     xs = [Fraction(p[0]) for p in all_pts]
     ys = [Fraction(p[1]) for p in all_pts]
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
+    x0, x1 = min(xs) - _POLYGON_PAD, max(xs) + _POLYGON_PAD
+    y0, y1 = min(ys) - _POLYGON_PAD, max(ys) + _POLYGON_PAD
     lines = _header(x0, y0, x1, y1, comment)
     for polygon, fill, label in items:
         pts = " ".join(f"{_fmt(p[0])},{_fmt(-Fraction(p[1]))}" for p in polygon)

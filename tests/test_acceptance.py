@@ -283,12 +283,11 @@ def test_criterion_10_decomposition_convergence():
 
     w = Window.square(4)
     target = {1: [rect(-2, -2, 0, 2)], 2: [rect(0, -2, 2, 2)]}
-    runs = [(seam(F(1, d)), w) for d in (8, 16, 32)]
+    approxes = [decompose(seam(F(1, d)), w) for d in (8, 16, 32)]
     bounds_ok = True
-    for sc, win in runs:
-        approx = decompose(sc, win)
+    for approx in approxes:
         bounds_ok = bounds_ok and approx.bad_area() <= bad_area_bound(approx)
-    rows = convergence_report(runs, target=target)
+    rows = convergence_report(approxes, target=target)
     dec_ok = all(
         rows[0][f"symdiff_{lab}"] > rows[1][f"symdiff_{lab}"] > rows[2][f"symdiff_{lab}"]
         for lab in (1, 2)

@@ -387,6 +387,9 @@ CORPUS_FILES = {
     "shapes_int": [1],
     "shapes_empty": {},
     "cfg_frac": [{"shape": "R", "anchor": [1.5, 0]}],
+    "cfg_bool": [{"shape": "R", "anchor": [True, 0]}],
+    "cfg_float": [{"shape": "R", "anchor": [0.5, 0]}],
+    "cfg_three": [{"shape": "R", "anchor": [0, 0, 7]}],
     "target": {"1": [["-2", "-2", "0", "2"]]},
     "target_float": {"1": [[0.1, 0, 1, 1]]},
     "target_bool": {"1": [[False, 0, 1, 1]]},
@@ -427,6 +430,11 @@ CORPUS_FILES = {
         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_label"],
         ["limit", "part_float"],
         ["limit", "part_bool"],
+        ["energy", "cfg_bool"],
+        ["energy", "cfg_three"],
+        ["decompose", "cfg_float", "--epsilon", "1/2", "--window", "4"],
+        ["decompose", "cfg_bool", "--epsilon", "1/2", "--window", "4"],
+        ["decompose", "cfg_three", "--epsilon", "1/2", "--window", "4"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):

@@ -5,13 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.decomposition import (
-    InconsistentScale,
     ScaledConfiguration,
     bad_area_bound,
     convergence_report,
     decompose,
 )
-from chiralattice.molecules import Molecule, R, Window, phase_pattern, validate
+from chiralattice.molecules import InconsistentScale, Molecule, R, Window, phase_pattern, validate
 from chiralattice.rectregions import rect, region_area
 from conftest import intersection_area
 
@@ -78,31 +77,30 @@ def test_decompose_labels_inside_window():
 def test_seam_convergence_and_bound():
     w = Window.square(4)
     target = {1: [rect(-2, -2, 0, 2)], 2: [rect(0, -2, 2, 2)]}
-    runs = [(seam_fixture(F(1, d)), w) for d in (8, 16, 32)]
-    rows = convergence_report(runs, target=target)
+    approxes = [decompose(seam_fixture(F(1, d)), w) for d in (8, 16, 32)]
+    rows = convergence_report(approxes, target=target)
     for lab in (1, 2):
         series = [row[f"symdiff_{lab}"] for row in rows]
         assert series[0] > series[1] > series[2]
     bads = [row["bad_area"] for row in rows]
     assert bads[0] > bads[1] > bads[2]
-    for sc, win in runs:
-        approx = decompose(sc, win)
+    for approx in approxes:
         assert approx.boundary_length > 0
         assert approx.bad_area() <= bad_area_bound(approx)
 
 
 def test_convergence_report_epsilon_order():
     w = Window.square(4)
-    runs = [(seam_fixture(F(1, 16)), w), (seam_fixture(F(1, 8)), w)]
+    approxes = [decompose(seam_fixture(F(1, 16)), w), decompose(seam_fixture(F(1, 8)), w)]
     with pytest.raises(ValueError):
-        convergence_report(runs, target={})
+        convergence_report(approxes, target={})
 
 
 def test_mismatched_target_stays_large():
     w = Window.square(4)
     swapped = {2: [rect(-2, -2, 0, 2)], 1: [rect(0, -2, 2, 2)]}
-    runs = [(seam_fixture(F(1, d)), w) for d in (8, 16, 32)]
-    rows = convergence_report(runs, target=swapped)
+    approxes = [decompose(seam_fixture(F(1, d)), w) for d in (8, 16, 32)]
+    rows = convergence_report(approxes, target=swapped)
     for row in rows:
         assert row["symdiff_1"] >= 4  # bounded away from zero
         assert row["symdiff_2"] >= 4

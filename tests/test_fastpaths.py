@@ -26,9 +26,7 @@ from chiralattice.molecules import (
     R,
     S,
     Window,
-    pattern_anchor,
     perimeter,
-    phase_molecule,
     phase_pattern,
     volume_deficit,
     weighted_perimeter,
@@ -114,6 +112,31 @@ def ref_cell_range(window: Window):
         range(math.floor(x0 - 1) + 1, math.ceil(x1) - 1 + 1),
         range(math.floor(y0 - 1) + 1, math.ceil(y1) - 1 + 1),
     )
+
+
+def pattern_anchor(i: int, cell) -> tuple[int, int]:
+    """Anchor of the unique phase-i molecule covering the given cell.
+
+    For each cell and each phase exactly one of the four candidate anchors
+    has the right residue, which is why each family tiles the plane.
+    """
+    a, b = cell
+    if 1 <= i <= 4:
+        for n in ((a, b), (a, b - 1), (a, b - 2), (a - 1, b - 2)):
+            r = (n[0] + n[1]) % 4
+            if (4 if r == 0 else r) == i:
+                return n
+    elif 5 <= i <= 8:
+        for n in ((a + 1, b), (a + 1, b - 1), (a + 1, b - 2), (a + 2, b - 2)):
+            r = (n[1] - n[0]) % 4
+            if (8 if r == 0 else r + 4) == i:
+                return n
+    raise AssertionError("unreachable: one candidate anchor always matches")
+
+
+def phase_molecule(i: int, cell) -> Molecule:
+    """The unique molecule of phase i whose cells contain the given cell."""
+    return Molecule(R if i <= 4 else S, pattern_anchor(i, cell))
 
 
 def ref_phase_pattern(i: int, window: Window) -> list[Molecule]:

@@ -1,0 +1,80 @@
+"""Library hygiene, read from the source with `ast`: no unused import, and no
+module-level private name that the library itself never refers to."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chiralattice"
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read as variables or attributes anywhere in the tree, and the
+    names that an `__all__` list re-exports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def _bound_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for every name an import statement binds."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    return out
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for every module-level `_name` (dunders excepted)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out.extend(
+            (node.lineno, name) for name in names
+            if name.startswith("_") and not name.startswith("__")
+        )
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _references(tree)
+    unused = [
+        f"{module}:{line} {name}" for line, name in _bound_imports(tree) if name not in used
+    ]
+    assert not unused, unused
+
+
+def test_every_private_name_is_referenced_in_the_library():
+    library = set().union(*map(_references, TREES.values()))
+    unreferenced = [
+        f"{module}:{line} {name}"
+        for module, tree in TREES.items()
+        for line, name in _private_definitions(tree)
+        if name not in library
+    ]
+    assert not unreferenced, unreferenced

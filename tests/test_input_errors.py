@@ -11,7 +11,6 @@ from chiralattice import (
     InterfaceProblem,
     InvalidInput,
     InvalidPartition,
-    NonRationalEdge,
     OverlapError,
     PolygonalPartition,
     UnlabeledShape,
@@ -29,7 +28,7 @@ from chiralattice.rectregions import regions_from_jsonable
 @pytest.mark.parametrize(
     "error",
     [OverlapError, UnlabeledShape, InconsistentScale, InfeasibleBoundary,
-     InvalidPartition, NonRationalEdge],
+     InvalidPartition],
 )
 def test_input_errors_are_invalid_input(error):
     assert issubclass(error, InvalidInput) and issubclass(InvalidInput, ValueError)
@@ -54,7 +53,8 @@ def test_argument_checks_raise_invalid_input(call, message):
 @pytest.mark.parametrize(
     "decode, text, message",
     [
-        (configuration_from_json, '[{"shape": "R", "anchor": [1.5, 0]}]', "not on the 1-grid"),
+        (configuration_from_json, '[{"shape": "R", "anchor": [1.5, 0]}]',
+         "configuration entry 0: invalid anchor coordinate 1.5: expected an integer or a rational string"),
         (configuration_from_json, '[{"shape": "Q", "anchor": [0, 0]}]', "unknown shape 'Q'"),
         (configuration_from_json, '[{"shape": "R"}]', "configuration entry 0: KeyError"),
         (configuration_from_json, '{"shape": "R"}', "expected a JSON list"),

@@ -12,7 +12,6 @@ from chiralattice.interfaces import (
     InterfaceProblem,
     NoPattern,
     admissible,
-    boundary_family,
     cluster_min_perimeter,
     direction,
     frame_forced,
@@ -24,6 +23,7 @@ from chiralattice.interfaces import (
 from chiralattice.interfaces import (
     _cell_inside_inner,
     _energy,
+    _family_members,
     _forced_part,
     _glued_part,
     _mirror_molecule,
@@ -32,6 +32,7 @@ from chiralattice.interfaces import (
     _wetting_fill,
 )
 from chiralattice.molecules import (
+    InvalidInput,
     Molecule,
     OverlapError,
     R,
@@ -39,10 +40,22 @@ from chiralattice.molecules import (
     Window,
     perimeter,
     phase_label,
-    phase_molecule,
     validate,
     volume_deficit,
 )
+from test_fastpaths import phase_molecule
+
+
+def boundary_family(i: int, j: int, nu: Direction, region: Window):
+    """The family molecules intersecting the region, as a validated config."""
+    if i == j:
+        raise InvalidInput("boundary families need distinct phases")
+    try:
+        return validate(_family_members(i, j, nu, region))
+    except OverlapError as exc:
+        raise InfeasibleBoundary(
+            f"boundary family ({i},{j},{nu.as_tuple()}) is inconsistent: {exc}"
+        ) from exc
 
 
 def glued_family_config(prob: InterfaceProblem):
