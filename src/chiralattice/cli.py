@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,11 +41,12 @@ from .gauges import phi_closed_form, min_envelope, wulff_shape
 from .interfaces import (
     DEFAULT_BUDGET,
     ClusterCapExceeded,
-    DensityRecord,
     InterfaceProblem,
     cluster_min_perimeter,
     density_record,
+    density_table,
     direction,
+    read_density_table,
     solve_interface,
 )
 from .limits import PolygonalPartition, anchored_admissible, limit_energy
@@ -78,25 +80,44 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def make_manifest(command: str, params: dict, inputs: list[str], outputs: list[str]) -> dict:
-    return {
+def emit(command: str, params: dict, inputs: Sequence[str | None],
+         render: Callable[[dict], str], out: str | None = None,
+         files: Sequence[tuple[str, str]] = (), append: str | None = None) -> None:
+    """Write every file of a run, then its stdout.
+
+    The manifest holds the command, the tool version, the parameters, the
+    digests of the given `inputs` (None entries are options left unset),
+    and as `outputs` exactly the paths written here: the (path, text)
+    `files` and `out`.  `render(manifest)` is the stdout text; `out`
+    receives the same text, or only `append` when it is an existing
+    non-empty file.  Stdout comes last, so a run whose file cannot be
+    written prints nothing before it exits 2.
+    """
+    manifest = {
         "command": command,
         "version": __version__,
         "parameters": {k: params[k] for k in sorted(params)},
-        "inputs": {p: _digest(p) for p in sorted(inputs)},
-        "outputs": sorted(outputs),
+        "inputs": {p: _digest(p) for p in sorted(filter(None, inputs))},
+        "outputs": sorted([path for path, _ in files] + ([out] if out else [])),
     }
-
-
-def emit_json(payload: dict, path: str | None, *files: tuple[str, str]) -> None:
-    """Write the (path, text) files and the JSON payload to `path`, if
-    given, then print the payload.  Stdout comes last, so a command whose
-    output file cannot be written prints nothing before it exits 2."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    for out, content in ((path, text), *files):
-        if out:
-            Path(out).write_text(content)
+    text = render(manifest)
+    for path, content in files:
+        Path(path).write_text(content)
+    if out:
+        path = Path(out)
+        if append is not None and path.exists() and path.stat().st_size > 0:
+            with path.open("a") as fh:
+                fh.write(append)
+        else:
+            path.write_text(text)
     sys.stdout.write(text)
+
+
+def _json(payload: dict):
+    """The renderer of `payload` with its manifest, as indented sorted JSON."""
+    return lambda manifest: json.dumps(
+        {**payload, "manifest": manifest}, sort_keys=True, indent=2
+    ) + "\n"
 
 
 def _read(path: str, decode=json.loads):
@@ -151,14 +172,8 @@ def cmd_energy(args) -> int:
         "volume_deficit": None if window.is_plane else str(volume_deficit(config, window)),
         "molecules": len(config),
     }
-    inputs = [args.config] + ([args.shapes] if args.shapes else [])
-    payload["manifest"] = make_manifest(
-        "energy",
-        {"window": args.window, "weights": args.weights, "config": args.config},
-        inputs,
-        [args.out] if args.out else [],
-    )
-    emit_json(payload, args.out)
+    emit("energy", {"window": args.window, "weights": args.weights, "config": args.config},
+         [args.config, args.shapes], _json(payload), args.out)
     return 0
 
 
@@ -170,44 +185,24 @@ def cmd_density(args) -> int:
         for T in _numbers(args.T, "T", "a comma list of sizes", number=int)
     ]
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    rows = []
-    records = []
-    truncated = False
+    records, witnesses = [], []
     for prob in problems:
         result = solve_interface(prob, budget)
-        rec = density_record(prob, result)
-        records.append(rec)
-        rows.append(rec.csv_row())
-        truncated = truncated or result.certificate != "exact"
+        records.append(density_record(prob, result))
         if args.witness_dir:
-            out = Path(args.witness_dir) / f"witness_{args.i}_{args.j}_{nu.p}_{nu.q}_T{prob.T}.svg"
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(
-                configuration_svg(result.config, comment=f"T={prob.T}", palette=args.palette)
-            )
-    manifest = make_manifest(
-        "density",
-        {
-            "i": args.i, "j": args.j, "p": nu.p, "q": nu.q, "T": args.T,
-            "kind": args.kind, "weights": args.weights, "budget": budget,
-        },
-        [],
-        [args.csv] if args.csv else [],
-    )
-    header = (
-        "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-        + DensityRecord.CSV_COLUMNS + "\n"
-    )
-    body = "\n".join(rows) + "\n"
-    if args.csv:
-        path = Path(args.csv)
-        if path.exists() and path.stat().st_size > 0:
-            with path.open("a") as fh:  # append to an existing table
-                fh.write(body)
-        else:
-            path.write_text(header + body)
-    sys.stdout.write(header + body)
-    if truncated:
+            name = f"witness_{args.i}_{args.j}_{nu.p}_{nu.q}_T{prob.T}.svg"
+            witnesses.append((
+                str(Path(args.witness_dir) / name),
+                configuration_svg(result.config, comment=f"T={prob.T}", palette=args.palette),
+            ))
+    if args.witness_dir:
+        Path(args.witness_dir).mkdir(parents=True, exist_ok=True)
+    params = {"i": args.i, "j": args.j, "p": nu.p, "q": nu.q, "T": args.T,
+              "kind": args.kind, "weights": args.weights, "budget": budget}
+    emit("density", params, [],
+         lambda manifest: density_table(records, json.dumps(manifest, sort_keys=True)),
+         args.csv, witnesses, append=density_table(records))
+    if any(rec.certificate != "exact" for rec in records):
         sys.stderr.write("note: some certificates are upper_bound (budget)\n")
     report = consistency_check(DensityModel.with_patterns(), records)
     if not report.ok:
@@ -231,7 +226,7 @@ def cmd_wulff(args) -> int:
     if args.phase == "all":
         _, envelope = min_envelope([gauges[1], gauges[5]])
         figures.append((payload, "spin_envelope", envelope, "spin envelope", "_envelope"))
-    outputs = []
+    svgs = []
     for entries, key, gauge, comment, suffix in figures:
         wulff = wulff_shape(gauge)
         entries[key] = {
@@ -241,36 +236,24 @@ def cmd_wulff(args) -> int:
         if args.svg:
             base = Path(args.svg)
             path = base.with_name(base.stem + suffix + base.suffix) if suffix else base
-            path.write_text(level_set_and_wulff_svg(gauge.vertices, wulff, comment=comment))
-            outputs.append(str(path))
-    payload["manifest"] = make_manifest(
-        "wulff", {"phase": args.phase}, [], outputs + ([args.json] if args.json else [])
-    )
-    emit_json(payload, args.json)
+            svgs.append(
+                (str(path), level_set_and_wulff_svg(gauge.vertices, wulff, comment=comment))
+            )
+    emit("wulff", {"phase": args.phase}, [], _json(payload), args.json, svgs)
     return 0
 
 
 def cmd_lemma(args) -> int:
     shapes = list(_load_shapes(args.shapes).values())
     report = lemma_check(args.k, shapes, cap=args.cap, inner_margin=args.margin)
-    payload = report.to_jsonable()
-    payload["manifest"] = make_manifest(
-        "lemma",
-        {"k": args.k, "cap": args.cap, "margin": args.margin, "shapes": args.shapes},
-        [args.shapes] if args.shapes else [],
-        [p for p in (args.json, args.witness_svg) if p],
+    svg = (
+        [(args.witness_svg, configuration_svg(
+            report.witness, comment=f"violating covering k={args.k}", palette=args.palette
+        ))]
+        if report.witness is not None and args.witness_svg else []
     )
-    svg = []
-    if report.witness is not None and args.witness_svg:
-        svg.append((
-            args.witness_svg,
-            configuration_svg(
-                report.witness,
-                comment=f"violating covering k={args.k}",
-                palette=args.palette,
-            ),
-        ))
-    emit_json(payload, args.json, *svg)
+    emit("lemma", {"k": args.k, "cap": args.cap, "margin": args.margin, "shapes": args.shapes},
+         [args.shapes], _json(report.to_jsonable()), args.json, svg)
     return 0 if report.complete else 3
 
 
@@ -289,7 +272,6 @@ def cmd_decompose(args) -> int:
     ]
     target = args.target and _read(args.target, lambda t: regions_from_jsonable(json.loads(t)))
 
-    outputs = [args.out] if args.out else []
     payload: dict = {"runs": []}
     approxes = [decompose(sc, win) for sc, win in runs]
     for approx in approxes:
@@ -312,23 +294,16 @@ def cmd_decompose(args) -> int:
         payload["convergence"] = [
             {k: str(v) for k, v in row.items()} for row in rows
         ]
-    if args.regions_csv:
-        for run_payload in payload["runs"]:
-            eps_tag = run_payload["epsilon"].replace("/", "_")
-            for lab, rows in run_payload["regions"].items():
-                path = Path(f"{args.regions_csv}_eps{eps_tag}_label{lab}.csv")
-                path.write_text(
-                    "x0,y0,x1,y1\n"
-                    + "".join(",".join(r) + "\n" for r in rows)
-                )
-                outputs.append(str(path))
-    payload["manifest"] = make_manifest(
-        "decompose",
-        {"epsilon": args.epsilon, "window": args.window, "target": args.target},
-        args.configs + ([args.target] if args.target else []),
-        outputs,
-    )
-    emit_json(payload, args.out)
+    csvs = [
+        (
+            str(Path(f"{args.regions_csv}_eps{run['epsilon'].replace('/', '_')}_label{lab}.csv")),
+            "x0,y0,x1,y1\n" + "".join(",".join(r) + "\n" for r in rows),
+        )
+        for run in (payload["runs"] if args.regions_csv else [])
+        for lab, rows in run["regions"].items()
+    ]
+    emit("decompose", {"epsilon": args.epsilon, "window": args.window, "target": args.target},
+         [*args.configs, args.target], _json(payload), args.out, csvs)
     return 0
 
 
@@ -340,11 +315,7 @@ def cmd_limit(args) -> int:
     part = _load_partition(args.partition)
     model = DensityModel.with_patterns() if args.model == "patterns" else DensityModel.closed_form_only()
     if args.table:
-        model.add_records(_read(args.table, lambda text: [
-            DensityRecord.from_csv_row(line)
-            for line in text.splitlines()
-            if line and not line.startswith(("#", "i,"))
-        ]))
+        model.add_records(_read(args.table, read_density_table))
     total, rows = limit_energy(part, model, detailed=True)
     payload: dict = {
         "total": str(total),
@@ -365,47 +336,28 @@ def cmd_limit(args) -> int:
     if args.exterior:
         exterior = _load_partition(args.exterior)
         payload["anchored_admissible"] = anchored_admissible(part, exterior)
-    outputs = [p for p in (args.out, args.svg) if p]
-    payload["manifest"] = make_manifest(
-        "limit",
-        {"partition": args.partition, "model": args.model, "table": args.table,
-         "exterior": args.exterior},
-        [p for p in (args.partition, args.table, args.exterior) if p],
-        outputs,
+    svg = (
+        [(args.svg, partition_svg(part, rows, comment="partition", palette=args.palette))]
+        if args.svg else []
     )
-    svg = []
-    if args.svg:
-        svg.append(
-            (args.svg, partition_svg(part, rows, comment="partition", palette=args.palette))
-        )
-    emit_json(payload, args.out, *svg)
+    inputs = [args.partition, args.table, args.exterior]
+    emit("limit", {"partition": args.partition, "model": args.model, "table": args.table,
+                   "exterior": args.exterior}, inputs, _json(payload), args.out, svg)
     return 0
 
 
 def cmd_cluster(args) -> int:
     cap = 6 if args.cap is None else args.cap  # after a preset's cluster_cap
     value, config = cluster_min_perimeter(args.r, args.s, cap=cap)
-    payload = {
-        "r": args.r,
-        "s": args.s,
-        "value": str(value),
-        "witness": configuration_to_jsonable(config),
-        "manifest": make_manifest(
-            "cluster",
-            {"r": args.r, "s": args.s, "cap": cap},
-            [],
-            [p for p in (args.json, args.svg) if p],
-        ),
-    }
-    svg = []
-    if args.svg:
-        svg.append((
-            args.svg,
-            configuration_svg(
-                config, comment=f"cluster ({args.r},{args.s})", palette=args.palette
-            ),
-        ))
-    emit_json(payload, args.json, *svg)
+    svg = (
+        [(args.svg, configuration_svg(
+            config, comment=f"cluster ({args.r},{args.s})", palette=args.palette
+        ))]
+        if args.svg else []
+    )
+    payload = {"r": args.r, "s": args.s, "value": str(value),
+               "witness": configuration_to_jsonable(config)}
+    emit("cluster", {"r": args.r, "s": args.s, "cap": cap}, [], _json(payload), args.json, svg)
     return 0
 
 

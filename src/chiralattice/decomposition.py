@@ -73,7 +73,7 @@ def _window_in_lattice(window: Window, epsilon: Fraction) -> Window:
     return Window.square(window.side / epsilon, (cx / epsilon, cy / epsilon))
 
 
-_TILE = [(a, b) for a in range(-2, 2) for b in range(-2, 2)]  # the 4-square about 0
+_TILE = tuple((a, b) for a in range(-2, 2) for b in range(-2, 2))  # the 4-square about 0
 
 
 def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:

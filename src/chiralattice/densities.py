@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .gauges import (
@@ -35,7 +36,7 @@ from .molecules import InvalidInput
 IntDir = tuple[int, int]
 
 # flush-meshing seam pairs along the anti-diagonals; phi-scale value 2
-MESHING_PAIRS: dict[tuple[int, int, IntDir], Fraction] = {
+MESHING_PAIRS: Mapping[tuple[int, int, IntDir], Fraction] = MappingProxyType({
     (1, 7, (1, -1)): Fraction(2),
     (2, 8, (1, -1)): Fraction(2),
     (3, 7, (1, -1)): Fraction(2),
@@ -44,7 +45,7 @@ MESHING_PAIRS: dict[tuple[int, int, IntDir], Fraction] = {
     (2, 7, (-1, 1)): Fraction(2),
     (3, 8, (-1, 1)): Fraction(2),
     (4, 7, (-1, 1)): Fraction(2),
-}
+})
 
 
 def sum_gauge(a: GaugePolygon, b: GaugePolygon) -> GaugePolygon:
@@ -71,17 +72,10 @@ def subadditive_bound(i: int, j: int, nu: IntDir) -> Fraction:
 
 
 @dataclass
-class TableEntry:
-    phi_hat: Fraction
-    certificate: str
-    T: int
-
-
-@dataclass
 class DensityModel:
     """Per-pair density sources with recorded provenance."""
 
-    table: dict[tuple[int, int, IntDir], TableEntry] = field(default_factory=dict)
+    table: dict[tuple[int, int, IntDir], DensityRecord] = field(default_factory=dict)
     use_patterns: bool = True
 
     @classmethod
@@ -104,7 +98,7 @@ class DensityModel:
                 > (old.certificate == "exact", old.T)
             )
             if better:
-                self.table[key] = TableEntry(rec.phi_hat, rec.certificate, rec.T)
+                self.table[key] = rec
 
     def _lookup(self, mapping: Mapping, i: int, j: int, nu: IntDir):
         if (i, j, nu) in mapping:

@@ -520,7 +520,7 @@ def normalized_density(prob: InterfaceProblem, result: SolveResult) -> Fraction:
     return Fraction(prob.nu.norm_inf) * result.value / prob.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityRecord:
     """One row of the density table emitted by solver runs."""
 
@@ -562,6 +562,24 @@ class DensityRecord:
             Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
             f[10], int(f[11]),
         ), f)
+
+
+def density_table(records: Iterable[DensityRecord], manifest: str | None = None) -> str:
+    """The density table as text: a `# manifest: ...` comment line and the
+    CSV_COLUMNS header when a manifest line is given, then one row per
+    record.  Without one it is the rows an existing table is extended by."""
+    head = "" if manifest is None else f"# manifest: {manifest}\n{DensityRecord.CSV_COLUMNS}\n"
+    return head + "".join(rec.csv_row() + "\n" for rec in records)
+
+
+def read_density_table(text: str) -> list[DensityRecord]:
+    """The records of a density table, skipping blank lines, `#` comments
+    and header lines; raises InvalidInput on a malformed row."""
+    return [
+        DensityRecord.from_csv_row(line)
+        for line in text.splitlines()
+        if line and not line.startswith(("#", "i,"))
+    ]
 
 
 def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord:

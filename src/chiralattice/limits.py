@@ -30,7 +30,6 @@ from .polygeom import (
     integer_points,
     polygon_area,
     predicate_area,
-    primitive_direction,
 )
 
 IntDir = tuple[int, int]
@@ -52,10 +51,15 @@ class InterfaceSegment:
 
     @property
     def lattice_length(self) -> Fraction:
-        """t with (b - a) = t * primitive_tangent; contribution scale."""
-        d = (self.b[0] - self.a[0], self.b[1] - self.a[1])
-        _, t = primitive_direction(d)
-        return t
+        """t with (b - a) = t * primitive_tangent; contribution scale.
+
+        The primitive tangent is the normal with its components swapped
+        (up to signs), so t is read off one coordinate of b - a.
+        """
+        p, q = self.normal
+        if q:
+            return abs(self.b[0] - self.a[0]) / abs(q)
+        return abs(self.b[1] - self.a[1]) / abs(p)
 
 
 def _points(poly) -> list[Vec]:

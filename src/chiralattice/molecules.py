@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
@@ -140,7 +141,7 @@ class MoleculeShape:
 R = MoleculeShape("R", ((0, 0), (0, 1), (0, 2), (1, 2)), R_LIKE)
 S = MoleculeShape("S", ((-1, 0), (-1, 1), (-1, 2), (-2, 2)), S_LIKE)
 
-BUILTIN_SHAPES: Mapping[str, MoleculeShape] = {"R": R, "S": S}
+BUILTIN_SHAPES: Mapping[str, MoleculeShape] = MappingProxyType({"R": R, "S": S})
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact rational plane geometry: directions, hulls, and area sweeps.
+"""Exact rational plane geometry: areas, hulls, and area sweeps.
 
 Polygons are sequences of rational vertices.  Every result is an exact
 `fractions.Fraction`; there are no epsilons anywhere.  The area sweep
@@ -19,17 +19,6 @@ Polygon = tuple[Vec, ...]
 
 def cross(o: Vec, a: Vec, b: Vec) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def primitive_direction(d: Vec) -> tuple[tuple[int, int], Fraction]:
-    """Write a nonzero rational vector as t * (p, q), gcd(|p|, |q|) = 1, t > 0."""
-    dx, dy = Fraction(d[0]), Fraction(d[1])
-    if dx == 0 and dy == 0:
-        raise ValueError("zero vector has no direction")
-    scale = math.lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * scale), int(dy * scale)
-    g = math.gcd(abs(ix), abs(iy))
-    return (ix // g, iy // g), Fraction(g, scale)
 
 
 def polygon_area(poly: Sequence[Vec]) -> Fraction:

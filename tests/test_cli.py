@@ -550,8 +550,8 @@ DENSITY_PINS = [
     # manifest, header and rows) and of each witness SVG in T order
     (
         ["density", "1", "5", "1", "1", "8,12"],
-        "761feee8f7c8baa1d6715767ca0904ca63d4974929cd5ce4bea37b51069553de",
-        "761feee8f7c8baa1d6715767ca0904ca63d4974929cd5ce4bea37b51069553de",
+        "3f4c1a454c89b4aa6aa04657727958681d94568bef0efb815e3b0d42a22a2f15",
+        "3f4c1a454c89b4aa6aa04657727958681d94568bef0efb815e3b0d42a22a2f15",
         [
             "7fa7363e755f35e661f35a6301afec8d34e6230714265f7e54a15f6671919086",
             "8e426de67b63c91d5aef11e7ab050708b766f4bbd58879f68f1480eea49af2a9",
@@ -559,8 +559,8 @@ DENSITY_PINS = [
     ),
     (
         ["density", "1", "0", "-1", "1", "16", "--weights", "1,1/4"],
-        "03e0e5958b49eac33cea84609f2b79083994f5b34dada8fad0c4cb4b2167f7bd",
-        "03e0e5958b49eac33cea84609f2b79083994f5b34dada8fad0c4cb4b2167f7bd",
+        "ea5bb5f4113073911abf5dfaa2dd69d3be2e229f601dbfc9f7d2d8ecb3814180",
+        "ea5bb5f4113073911abf5dfaa2dd69d3be2e229f601dbfc9f7d2d8ecb3814180",
         ["3abcc397811363f21692c779621fe30205bd778efbce95dd97afb4fff9c722f9"],
     ),
 ]
@@ -652,3 +652,56 @@ DECOMPOSE_CSV_PINS = {
 }
 LIMIT_PIN = "4551901c3cefd59ad6838d6049ea88ebafb228692e0885f3d38d2c4aaee31595"  # total 503/14
 LIMIT_SVG_PIN = "53441165cd6f0525753b8c44aeb822011d2fb88c6d3e3bada8e54ec836839d41"
+
+
+FLAT_PAIR_FILE = str(Path(__file__).resolve().parent.parent / "data" / "shapes" / "flat_pair.json")
+
+# every subcommand with every output option it takes
+WRITES = {
+    "energy": ["energy", "one.json", "--out", "e.json"],
+    "density_new_table": [
+        "density", "1", "0", "1", "1", "8,12", "--csv", "t.csv", "--witness-dir", "wd",
+    ],
+    "density_existing_table": [
+        "density", "1", "0", "1", "1", "8,12", "--csv", "old.csv", "--witness-dir", "wd",
+    ],
+    "wulff": ["wulff", "1", "--svg", "w.svg", "--json", "w.json"],
+    "wulff_all": ["wulff", "all", "--svg", "w.svg", "--json", "w.json"],
+    "lemma_holds": ["lemma", "4", "--witness-svg", "l.svg", "--json", "l.json"],
+    "lemma_flat_pair": [
+        "lemma", "4", "--shapes", FLAT_PAIR_FILE, "--witness-svg", "l.svg", "--json", "l.json",
+    ],
+    "decompose": [
+        "decompose", "seam8.json", "--epsilon", "1/8", "--window", "4",
+        "--regions-csv", "reg", "--out", "d.json",
+    ],
+    "limit": ["limit", "part.json", "--svg", "p.svg", "--out", "l.json"],
+    "cluster": ["cluster", "1", "0", "--svg", "c.svg", "--json", "c.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITES))
+def test_manifest_lists_exactly_the_files_written(case, tmp_path, monkeypatch, capsys):
+    """`outputs` names each file the run created or changed, and no other."""
+
+    def files() -> dict:
+        return {
+            str(f.relative_to(tmp_path)): f.read_bytes()
+            for f in tmp_path.rglob("*") if f.is_file()
+        }
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.json").write_text('[{"shape": "R", "anchor": [0, 0]}]\n')
+    _seam_file(tmp_path / "seam8.json", 8)
+    (tmp_path / "part.json").write_text(json.dumps(_third_seventh_partition()[0]))
+    assert main(["density", "1", "0", "0", "1", "8", "--csv", "old.csv"]) == 0
+    capsys.readouterr()
+    before = files()
+    assert main(WRITES[case]) == 0
+    out = capsys.readouterr().out
+    manifest = (
+        json.loads(out.splitlines()[0].removeprefix("# manifest: "))
+        if case.startswith("density") else json.loads(out)["manifest"]
+    )
+    written = sorted(path for path, data in files().items() if before.get(path) != data)
+    assert manifest["outputs"] == written

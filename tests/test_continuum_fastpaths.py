@@ -41,7 +41,6 @@ from chiralattice.molecules import (
     phase_pattern,
     validate,
 )
-from chiralattice.polygeom import primitive_direction
 from chiralattice.rectregions import rect, region_area, symdiff_area
 from conftest import random_configuration
 
@@ -49,6 +48,24 @@ from conftest import random_configuration
 # -------------------------------------------------------------------
 # Reference implementations (all Fraction, one cell or interval at a time)
 # -------------------------------------------------------------------
+
+def primitive_direction(d):
+    """Write a nonzero rational vector as t * (p, q), gcd(|p|, |q|) = 1, t > 0."""
+    dx, dy = F(d[0]), F(d[1])
+    if dx == 0 and dy == 0:
+        raise ValueError("zero vector has no direction")
+    scale = math.lcm(dx.denominator, dy.denominator)
+    ix, iy = int(dx * scale), int(dy * scale)
+    g = math.gcd(abs(ix), abs(iy))
+    return (ix // g, iy // g), F(g, scale)
+
+
+def test_primitive_direction():
+    assert primitive_direction((F(3, 2), F(-1, 2))) == ((3, -1), F(1, 2))
+    assert primitive_direction((0, F(5, 3))) == ((0, 1), F(5, 3))
+    with pytest.raises(ValueError):
+        primitive_direction((0, 0))
+
 
 def ref_decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
     """The block scan: 144 cell lookups per covering square."""
@@ -366,6 +383,10 @@ def test_extract_interfaces_matches_interval_scan():
         part = triangulated(rng, rng.randint(2, 5), windowed=n % 2 == 0)
         got = extract_interfaces(part)
         assert got and got == ref_extract_interfaces(part)
+        # the length read off the normal is the primitive tangent's multiple
+        for seg in got:
+            assert seg.lattice_length == primitive_direction(
+                (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1]))[1], seg
 
 
 SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]

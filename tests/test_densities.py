@@ -6,7 +6,6 @@ import pytest
 
 from chiralattice.densities import (
     DensityModel,
-    TableEntry,
     consistency_check,
     subadditive_bound,
     sum_gauge,

@@ -8,7 +8,6 @@ from chiralattice.polygeom import (
     convex_hull,
     polygon_area,
     predicate_area,
-    primitive_direction,
 )
 from chiralattice.rectregions import rect, region_area, symdiff_area
 from conftest import intersection_area
@@ -43,13 +42,6 @@ def test_region_area_overlaps_once():
 def test_rect_validation():
     with pytest.raises(ValueError):
         rect(0, 0, 0, 1)
-
-
-def test_primitive_direction():
-    assert primitive_direction((F(3, 2), F(-1, 2))) == ((3, -1), F(1, 2))
-    assert primitive_direction((0, F(5, 3))) == ((0, 1), F(5, 3))
-    with pytest.raises(ValueError):
-        primitive_direction((0, 0))
 
 
 def test_polygon_area_and_hull():

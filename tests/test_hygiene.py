@@ -1,5 +1,6 @@
-"""Library hygiene, read from the source with `ast`: no unused import, and no
-module-level private name that the library itself never refers to."""
+"""Library hygiene, read from the source with `ast`: no unused import, no
+module-level private name that the library itself never refers to, and no
+module-level mutable container."""
 
 from __future__ import annotations
 
@@ -78,3 +79,31 @@ def test_every_private_name_is_referenced_in_the_library():
         if name not in library
     ]
     assert not unreferenced, unreferenced
+
+
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _binds_mutable(value: ast.expr) -> bool:
+    """A dict, list or set display or comprehension, or a dict(), list() or
+    set() call."""
+    return isinstance(value, _MUTABLE_DISPLAYS) or (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "list", "set")
+    )
+
+
+def test_no_module_level_mutable_state():
+    """No module binds a mutable container at import time: tables are
+    tuples, frozen mappings (`types.MappingProxyType`) or frozensets."""
+    mutable = [
+        f"{module}:{node.lineno} {ast.unparse(target)}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and _binds_mutable(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    assert not mutable, mutable

@@ -1,6 +1,7 @@
 """Interface problems: families, admissibility, solver, patterns, clusters."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -228,6 +229,32 @@ def test_solver_t12_matches_oracle():
         res = solve_interface(prob)
         assert res.certificate == "exact"
         assert res.value == exhaustive_oracle(prob), (i, j, pq)
+
+
+ORACLE_NORMALS = [(1, 1), (-1, -1), (1, -1), (-1, 1), (1, 0), (-1, 0), (0, 1), (0, -1),
+                  (3, -1), (1, 3)]
+
+
+def test_solver_matches_oracle_on_a_seeded_sweep():
+    """300 problems drawn from T = 8..12, every ordered pair of 0..8 and ten
+    normals; every feasible one certifies the oracle's minimum."""
+    space = [
+        (T, i, j, pq)
+        for T in range(8, 13)
+        for i, j in itertools.permutations(range(9), 2)
+        for pq in ORACLE_NORMALS
+    ]
+    feasible = 0
+    for T, i, j, pq in random.Random(20261018).sample(space, 300):
+        prob = InterfaceProblem(i, j, direction(*pq), T)
+        try:
+            res = solve_interface(prob)
+        except InfeasibleBoundary:
+            continue
+        feasible += 1
+        assert res.certificate == "exact", (T, i, j, pq)
+        assert res.value == exhaustive_oracle(prob), (T, i, j, pq)
+    assert feasible > 200
 
 
 def test_solver_result_is_admissible_and_prices_back():

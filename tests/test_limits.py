@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from chiralattice.densities import DensityModel, TableEntry
+from chiralattice.densities import DensityModel
 from chiralattice.gauges import phi_closed_form, wulff_shape
+from chiralattice.interfaces import DensityRecord
 from chiralattice.limits import (
     InvalidPartition,
     PolygonalPartition,
@@ -153,7 +154,9 @@ def test_rs_lower_bound():
 
 def test_model_monotonicity_under_refinement():
     refined = DensityModel.with_patterns()
-    refined.table[(1, 2, (1, 0))] = TableEntry(F(5, 2), "exact", 12)
+    refined.add_records([
+        DensityRecord(1, 2, 1, 0, 12, "surface", F(1), F(1), F(30), F(5, 2), "exact", 0)
+    ])
     win = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
     part = PolygonalPartition(
         regions={
