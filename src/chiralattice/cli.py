@@ -82,16 +82,17 @@ def _digest(path: str) -> str:
 
 def emit(command: str, params: dict, inputs: Sequence[str | None],
          render: Callable[[dict], str], out: str | None = None,
-         files: Sequence[tuple[str, str]] = (), append: str | None = None) -> None:
+         files: Sequence[tuple[str, str]] = (),
+         append: Callable[[dict], str] | None = None) -> None:
     """Write every file of a run, then its stdout.
 
     The manifest holds the command, the tool version, the parameters, the
     digests of the given `inputs` (None entries are options left unset),
     and as `outputs` exactly the paths written here: the (path, text)
     `files` and `out`.  `render(manifest)` is the stdout text; `out`
-    receives the same text, or only `append` when it is an existing
-    non-empty file.  Stdout comes last, so a run whose file cannot be
-    written prints nothing before it exits 2.
+    receives the same text, or only `append(manifest)` when it is an
+    existing non-empty file.  Stdout comes last, so a run whose file
+    cannot be written prints nothing before it exits 2.
     """
     manifest = {
         "command": command,
@@ -107,7 +108,7 @@ def emit(command: str, params: dict, inputs: Sequence[str | None],
         path = Path(out)
         if append is not None and path.exists() and path.stat().st_size > 0:
             with path.open("a") as fh:
-                fh.write(append)
+                fh.write(append(manifest))
         else:
             path.write_text(text)
     sys.stdout.write(text)
@@ -199,9 +200,9 @@ def cmd_density(args) -> int:
         Path(args.witness_dir).mkdir(parents=True, exist_ok=True)
     params = {"i": args.i, "j": args.j, "p": nu.p, "q": nu.q, "T": args.T,
               "kind": args.kind, "weights": args.weights, "budget": budget}
-    emit("density", params, [],
-         lambda manifest: density_table(records, json.dumps(manifest, sort_keys=True)),
-         args.csv, witnesses, append=density_table(records))
+    emit("density", params, [], lambda manifest: density_table(records, manifest),
+         args.csv, witnesses,
+         append=lambda manifest: density_table(records, manifest, header=False))
     if any(rec.certificate != "exact" for rec in records):
         sys.stderr.write("note: some certificates are upper_bound (budget)\n")
     report = consistency_check(DensityModel.with_patterns(), records)

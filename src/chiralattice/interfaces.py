@@ -55,6 +55,7 @@ else here is pure, so concurrent invocation is safe.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -564,11 +565,14 @@ class DensityRecord:
         ), f)
 
 
-def density_table(records: Iterable[DensityRecord], manifest: str | None = None) -> str:
-    """The density table as text: a `# manifest: ...` comment line and the
-    CSV_COLUMNS header when a manifest line is given, then one row per
-    record.  Without one it is the rows an existing table is extended by."""
-    head = "" if manifest is None else f"# manifest: {manifest}\n{DensityRecord.CSV_COLUMNS}\n"
+def density_table(records: Iterable[DensityRecord], manifest: dict, header: bool = True) -> str:
+    """The density table as text: the run manifest as a one-line
+    `# manifest: {...}` comment, the CSV_COLUMNS header, then one row per
+    record.  Without the header it is the section that a run appends to an
+    existing table."""
+    head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n"
+    if header:
+        head += f"{DensityRecord.CSV_COLUMNS}\n"
     return head + "".join(rec.csv_row() + "\n" for rec in records)
 
 

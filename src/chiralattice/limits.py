@@ -137,9 +137,6 @@ class PolygonalPartition:
             window=None if window is None else decode_entry("window", points, window),
         )
 
-    def labels(self) -> list[int]:
-        return sorted(self.regions)
-
 
 _WINDOW = -1  # pseudo-label for window edges in the segment soup
 

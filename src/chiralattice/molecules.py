@@ -7,6 +7,15 @@ cell at the top); only translations are admitted, never rotations.  All
 geometry is exact: lengths and areas are `fractions.Fraction` values and
 comparisons are never subject to floating-point tolerances.
 
+The lattice energies share one sweep and one clipping rule.
+`_boundary_lengths` makes a single pass over the occupied cells and
+charges each unoccupied side to the chirality class of its molecule;
+`perimeter` adds the R-like and S-like lengths and `weighted_perimeter`
+weighs them.  `Window._clip` is the length of a unit interval inside the
+open window, the int 1 or 0 unless the window boundary cuts it.  It clips
+each side, and `volume_deficit` takes a cell's area as the product of its
+two clips.
+
 The phase map lives here and nowhere else: `phase_shape` gives the shape
 of each of the eight modulated phases and `phase_label` the phase of a
 built-in molecule, from the residue of its anchor.
@@ -240,15 +249,6 @@ class Window:
         h = self.side / 2
         return (cx - h, cy - h, cx + h, cy + h)
 
-    def eroded(self, margin) -> "Window":
-        """The concentric open square whose side is shorter by 2*margin."""
-        if self.side is None:
-            return self
-        side = self.side - 2 * Fraction(margin)
-        if side <= 0:
-            raise InvalidInput("erosion margin exceeds the window")
-        return Window(self.center, side)
-
     def cell_range(self) -> tuple[range, range]:
         """Index ranges of lattice cells intersecting the open window."""
         return self._cells
@@ -270,14 +270,16 @@ class Window:
             range(math.ceil(y0), math.floor(y1)),
         )
 
-    @cached_property
-    def _lines(self) -> tuple[range, range]:
-        """Integer coordinates x and y strictly inside the window."""
-        x0, y0, x1, y1 = self._bounds
-        return (
-            range(_int_above(x0), _int_below(x1) + 1),
-            range(_int_above(y0), _int_below(y1) + 1),
-        )
+    def _clip(self, axis: int, k: int) -> int | Fraction:
+        """Length of the unit interval [k, k+1] on axis 0 (x) or 1 (y) inside
+        the open window: the int 1 or 0, and a Fraction only where the
+        window boundary cuts the interval."""
+        if k in self._whole[axis]:
+            return 1
+        if k not in self._cells[axis]:
+            return 0
+        bounds = self._bounds
+        return min(bounds[axis + 2], k + 1) - max(bounds[axis], k)
 
     def contains_cell(self, cell: Cell) -> bool:
         """True iff the open window meets the interior of the closed cell."""
@@ -345,57 +347,50 @@ def validate(molecules: Iterable[Molecule]) -> Configuration:
 # Energies
 # -------------------------------------------------------------------
 
-def _boundary_edges(config: Configuration) -> Iterator[tuple[str, int, int, Cell]]:
-    """Unit edges separating an occupied cell from an unoccupied one.
+def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:
+    """(R-like, S-like) length of the boundary of the union of molecules
+    inside the open window, in one pass over the occupied cells.
 
-    Yields ('V', x, y, owner_cell) for the segment {x} x [y, y+1] and
-    ('H', x, y, owner_cell) for [x, x+1] x {y}; owner_cell is the occupied
-    side, used by the weighted energy.
+    Each unoccupied side of an occupied cell is charged to the chirality
+    class of that cell's molecule.  The window is open, so a side on its
+    boundary counts 0: the side x = p counts only if the cells p - 1 and p
+    both meet the window, and then with the length that `Window._clip`
+    gives the cell's row (likewise for y).  An interior cell costs its four
+    occupancy tests; whole sides are added as ints and only cut ones as
+    Fractions.
     """
     occ = config.occupancy
-    for (a, b) in occ:
-        if (a - 1, b) not in occ:
-            yield ("V", a, b, (a, b))
-        if (a + 1, b) not in occ:
-            yield ("V", a + 1, b, (a, b))
-        if (a, b - 1) not in occ:
-            yield ("H", a, b, (a, b))
-        if (a, b + 1) not in occ:
-            yield ("H", a, b + 1, (a, b))
-
-
-def _edge_length_in(window: Window, kind: str, x: int, y: int) -> int | Fraction:
-    """Exact length of the unit edge clipped to the open window.
-
-    Edges lying on the window boundary contribute 0, matching the open-set
-    convention for the ambient domain.  An edge wholly inside or outside
-    the window gives the int 1 or 0; only an edge that the window boundary
-    cuts is clipped as a Fraction.
-    """
-    if window.side is None:
-        return 1
-    if kind == "V":
-        pos, along, axis = x, y, 1
-    else:
-        pos, along, axis = y, x, 0
-    if pos not in window._lines[1 - axis] or along not in window._cells[axis]:
-        return 0
-    if along in window._whole[axis]:
-        return 1
-    bounds = window._bounds
-    lo, hi = bounds[axis], bounds[axis + 2]
-    return min(Fraction(along + 1), hi) - max(Fraction(along), lo)
-
-
-def _total_length(lengths: Iterable[int | Fraction]) -> Fraction:
-    """Exact sum that adds whole edges as ints and cut edges as Fractions."""
-    whole, cut = 0, Fraction(0)
-    for length in lengths:
-        if length.__class__ is int:
-            whole += length
-        else:
-            cut += length
-    return cut + whole
+    r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
+    whole = [0, 0]  # S-like, R-like
+    cut = [Fraction(0), Fraction(0)]
+    plane = window.is_plane
+    if not plane:
+        xs, ys = window._cells
+        clip = window._clip
+    for (a, b), owner in occ.items():
+        west = (a - 1, b) not in occ
+        east = (a + 1, b) not in occ
+        south = (a, b - 1) not in occ
+        north = (a, b + 1) not in occ
+        if not (west or east or south or north):
+            continue
+        r = r_like[owner]
+        if plane:
+            whole[r] += west + east + south + north
+            continue
+        if a not in xs or b not in ys:
+            continue
+        for sides, axis, k in (
+            ((west and a - 1 in xs) + (east and a + 1 in xs), 1, b),
+            ((south and b - 1 in ys) + (north and b + 1 in ys), 0, a),
+        ):
+            if sides:
+                length = sides * clip(axis, k)
+                if length.__class__ is int:
+                    whole[r] += length
+                else:
+                    cut[r] += length
+    return cut[1] + whole[1], cut[0] + whole[0]
 
 
 def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
@@ -405,10 +400,8 @@ def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
     pairs); with a finite window, edges are clipped exactly to the open
     square.
     """
-    return _total_length(
-        _edge_length_in(window, kind, x, y)
-        for kind, x, y, _ in _boundary_edges(config)
-    )
+    r_length, s_length = _boundary_lengths(config, window)
+    return r_length + s_length
 
 
 def weighted_perimeter(
@@ -422,34 +415,30 @@ def weighted_perimeter(
     c_R, c_S = Fraction(c_R), Fraction(c_S)
     if c_R <= 0 or c_S <= 0:
         raise InvalidInput("weights must be positive")
-    occ = config.occupancy
-    r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
-    lengths: tuple[list, list] = ([], [])  # S-like, R-like
-    for kind, x, y, owner in _boundary_edges(config):
-        lengths[r_like[occ[owner]]].append(_edge_length_in(window, kind, x, y))
-    return c_R * _total_length(lengths[1]) + c_S * _total_length(lengths[0])
+    r_length, s_length = _boundary_lengths(config, window)
+    return c_R * r_length + c_S * s_length
 
 
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
     """Area of the window not covered by molecules, |w \\ E|.
 
-    Cells inside the window count as ints; only the cells that the window
-    boundary cuts are clipped as Fractions.
+    A cell's area inside the window is the product of its two `Window._clip`
+    lengths: whole cells count as ints and only the cells that the window
+    boundary cuts as Fractions.
     """
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
-    x0, y0, x1, y1 = window.bounds()
-    xs, ys = window._cells
-    whole_xs, whole_ys = window._whole
+    clip = window._clip
     whole, cut = 0, Fraction(0)
     for (a, b) in config.occupancy:
-        if a in whole_xs and b in whole_ys:
-            whole += 1
-        elif a in xs and b in ys:
-            w = min(Fraction(a + 1), x1) - max(Fraction(a), x0)
-            h = min(Fraction(b + 1), y1) - max(Fraction(b), y0)
-            cut += w * h
-    return (x1 - x0) * (y1 - y0) - cut - whole
+        width = clip(0, a)
+        if width:
+            area = width * clip(1, b)
+            if area.__class__ is int:
+                whole += area
+            else:
+                cut += area
+    return window.side ** 2 - cut - whole
 
 
 # -------------------------------------------------------------------

@@ -195,9 +195,21 @@ def test_density_csv_appends(tmp_path, capsys):
     assert main(["density", "1", "0", "1", "1", "8", "--csv", str(csv)]) == 0
     assert main(["density", "1", "0", "0", "1", "8", "--csv", str(csv)]) == 0
     lines = [l for l in csv.read_text().splitlines() if l]
-    assert sum(1 for l in lines if l.startswith("# manifest")) == 1
+    assert sum(1 for l in lines if l.startswith("# manifest")) == 2
     assert sum(1 for l in lines if l.startswith("i,")) == 1
     assert len([l for l in lines if not l.startswith(("#", "i,"))]) == 2
+    # each run's manifest heads the rows that run wrote
+    sections = []
+    for line in lines:
+        if line.startswith("# manifest: "):
+            sections.append((json.loads(line[len("# manifest: "):])["parameters"], []))
+        elif not line.startswith("i,"):
+            sections[-1][1].append(line.split(","))
+    assert [(p["p"], p["q"], p["T"]) for p, _ in sections] == [(1, 1, "8"), (0, 1, "8")]
+    for params, rows in sections:
+        assert [row[:5] for row in rows] == [
+            [str(params[k]) for k in ("i", "j", "p", "q", "T")]
+        ]
 
 
 def test_limit_svg_and_table_refinement(tmp_path, capsys):

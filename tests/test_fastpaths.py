@@ -28,6 +28,7 @@ from chiralattice.molecules import (
     Window,
     perimeter,
     phase_pattern,
+    validate,
     volume_deficit,
     weighted_perimeter,
 )
@@ -245,6 +246,29 @@ def random_window(rng: random.Random) -> Window:
     return Window.square(side, center)
 
 
+def assert_lattice_energies(config, window, c_R, c_S):
+    got = (
+        perimeter(config, window),
+        weighted_perimeter(config, c_R, c_S, window),
+        volume_deficit(config, window),
+    )
+    assert got == (
+        ref_perimeter(config, window),
+        ref_weighted(config, c_R, c_S, window),
+        ref_volume(config, window),
+    ), (window, config.molecules)
+    assert all(type(v) is F for v in got)
+    assert got[0] == weighted_perimeter(config, 1, 1, window)
+
+
+def seam(den: int) -> list[Molecule]:
+    """The criterion-10 seam at eps = 1/den on the lattice: phase 1 left of
+    x = 0 and phase 2 right of it, with an empty column between."""
+    wlat = Window.square(4 * den + 16)
+    return ([m for m in phase_pattern(1, wlat) if all(c[0] + 1 <= 0 for c in m.cells())]
+            + [m for m in phase_pattern(2, wlat) if all(c[0] >= 1 for c in m.cells())])
+
+
 def test_lattice_energies_match_fraction_clipping():
     rng = random.Random(20261017)
     cut_cells = 0
@@ -253,20 +277,18 @@ def test_lattice_energies_match_fraction_clipping():
         config = random_configuration(rng, max_molecules=30)
         c_R = F(rng.randint(1, 9), rng.randint(1, 4))
         c_S = F(rng.randint(1, 9), rng.randint(1, 4))
-        got = (
-            perimeter(config, window),
-            weighted_perimeter(config, c_R, c_S, window),
-            volume_deficit(config, window),
-        )
-        assert got == (
-            ref_perimeter(config, window),
-            ref_weighted(config, c_R, c_S, window),
-            ref_volume(config, window),
-        ), (window, config.molecules)
-        assert all(type(v) is F for v in got)
+        assert_lattice_energies(config, window, c_R, c_S)
+        for shape in (R, S):  # one species only
+            one = validate([m for m in config if m.shape is shape])
+            assert_lattice_energies(one, window, c_R, c_S)
         x0, y0, x1, y1 = ref_bounds(window)
         cut_cells += any(v.denominator != 1 for v in (x0, y0, x1, y1))
     assert cut_cells > 100  # the boundary cuts cells in many of the windows
+    # long runs of interior cells; the second window also cuts the seam's rim
+    config = validate(seam(16))
+    for window in (Window.square(F(193, 3), (F(1, 2), F(-2, 7))),
+                   Window.square(F(163, 2), (F(1, 3), 0))):
+        assert_lattice_energies(config, window, F(3, 2), F(5, 7))
 
 
 def test_plane_energies_are_fractions():
@@ -298,7 +320,6 @@ def test_window_is_still_a_plain_value():
     a.contains_cell((0, 0))  # fills the per-instance cache
     b = Window.square(F(7, 2), (F(1, 3), 0))
     assert a == b and hash(a) == hash(b)
-    assert a.eroded(F(1, 2)) == Window.square(F(5, 2), (F(1, 3), 0))
 
 
 def test_frame_cell_tests_match_fraction_formulas():

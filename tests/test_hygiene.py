@@ -1,6 +1,7 @@
 """Library hygiene, read from the source with `ast`: no unused import, no
-module-level private name that the library itself never refers to, and no
-module-level mutable container."""
+module-level private name that the library itself never refers to, no
+public name that only the tests use, and no module-level mutable
+container."""
 
 from __future__ import annotations
 
@@ -9,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chiralattice"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chiralattice"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+# the code that uses the library, tests aside
+USERS = [
+    ast.parse(path.read_text())
+    for folder in (SRC, ROOT / "bench", ROOT / "demos")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -79,6 +87,44 @@ def test_every_private_name_is_referenced_in_the_library():
         if name not in library
     ]
     assert not unreferenced, unreferenced
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[int, str, bool]]:
+    """(line, name, is_method) for every public module-level function or
+    class and every public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name, False))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (item.lineno, f"{node.name}.{item.name}", True) for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [d for d in out if not d[1].rpartition(".")[2].startswith("_")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public function or class is read or imported, and a public method
+    is read as an attribute, somewhere in the library, the benchmark or the
+    demos; what only the tests use is dead code."""
+    attributes, names = set(), set()
+    for tree in USERS:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    names |= attributes
+    unused = [
+        f"{module}:{line} {name}"
+        for module, tree in TREES.items()
+        for line, name, is_method in _public_definitions(tree)
+        if (name.rpartition(".")[2] not in attributes if is_method else name not in names)
+    ]
+    assert not unused, unused
 
 
 _MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
