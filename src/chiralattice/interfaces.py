@@ -12,8 +12,13 @@ frame.  Away from the frame the configuration is free: molecules of any
 phase, or none, may appear.
 
 Because every molecule that is allowed to vary must avoid the width-4
-frame, free molecules live in the concentric inner square of side T - 8.
-The search over that region is an exhaustive branch and bound in scan
+frame, free molecules live in the concentric inner square of side T - 8
+(`_inner`), and they miss the forced frame molecules that reach into it.
+So the free zone of a problem is one cell set, the inner square's cells
+that the forced part leaves empty (`_free_cells`), and a molecule is free
+iff its cells all lie in it.  It is computed once per problem; the
+solver's placement table, the glued pattern and the wetting fill all read
+it.  The search over that region is an exhaustive branch and bound in scan
 order.  Each node carries one cost: the deficit for volume energies, and
 for surface energies the weighted length of the boundary edges whose two
 cells are both decided.  The edges that miss every free cell are priced
@@ -33,21 +38,21 @@ determined yet, and no edge lies in two lines, so each such run adds at
 least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  Cells are encoded as bits of int masks by
 a shared placement table (`chiralattice.placements`) over the inner
-square and its ring in scan order, which sweeps the square line by line:
+square and its ring in scan order, which sweeps the square line by line;
+the table is given the free zone, so it holds the free molecules only:
 the line bound shifts the search's own masks along and across lines.
 The search counts its cost in integer units of 1/scale, so all energies
 stay exact rationals.
 
 The solver and the pattern library share one glued construction, built
 from one family build: the forced frame molecules plus the family
-molecules that lie inside the inner square and miss every forced cell
-(`_glued_part`).  It is the solver's second incumbent after the forced
-part alone, and a `pattern_upper_bound` candidate beside the wetting fill
-and the forced part alone, so a feasible problem always has a bound.  The
-family build covers Q_T and no more: the frame and the inner square both
-lie in Q_T, and every use of the family keeps only members that meet the
-frame or lie inside the inner square, so a member missing Q_T is never
-used (`_near_family`).
+molecules that lie in the free zone (`_glued_part`).  It is the solver's
+second incumbent after the forced part alone, and a `pattern_upper_bound`
+candidate beside the wetting fill and the forced part alone, so a
+feasible problem always has a bound.  The family build covers Q_T and no
+more: the frame and the inner square both lie in Q_T, and every use of
+the family keeps only members that meet the frame or lie in the free
+zone, so a member missing Q_T is never used (`_near_family`).
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -228,16 +233,25 @@ def _cell_meets_window(cell: Cell, T: int) -> bool:
     return -T - 2 < 2 * a < T and -T - 2 < 2 * b < T
 
 
-def _cell_inside_inner(cell: Cell, T: int) -> bool:
-    """Cell contained in the closed concentric square of side T - 8."""
-    a, b = cell
-    return 8 - T <= 2 * a <= T - 10 and 8 - T <= 2 * b <= T - 10
+def _inner(T: int) -> range:
+    """Cell indices of the inner square: cell (a, b) lies in the closed
+    concentric square of side T - 8 iff a and b are both in the range."""
+    return range(-((T - 8) // 2), (T - 10) // 2 + 1)
+
+
+def _free_cells(forced: Configuration, T: int) -> set[Cell]:
+    """The free zone: the cells of the inner square that the forced part
+    leaves empty.  Free molecules are exactly those lying in it."""
+    inner = _inner(T)
+    taken = forced.occupancy
+    return {(a, b) for a in inner for b in inner if (a, b) not in taken}
 
 
 def meets_frame(m: Molecule, T: int) -> bool:
     """Does the molecule intersect the open frame collar of Q_T?"""
+    inner = _inner(T)
     return any(
-        _cell_meets_window(c, T) and not _cell_inside_inner(c, T)
+        _cell_meets_window(c, T) and not (c[0] in inner and c[1] in inner)
         for c in m.cells()
     )
 
@@ -320,13 +334,16 @@ def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
 def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Minimize the Q_T energy over admissible configurations.
 
-    Branch and bound over the cells of the free inner square in scan
-    order (`_scan_order`: columns bottom to top, swept from the bottom
-    corner the seam line passes through for the diagonals); each cell is
-    either covered by one of the feasible molecule placements or left
-    empty.  Starting on the seam corner puts both phases and the seam
-    between them into the first columns, where the line bound sees unlike
-    column ends at once.  The certificate is exact iff the search tree was
+    Branch and bound over the cells of the free zone (`_free_cells`: the
+    inner square's cells that the forced part leaves empty) in scan order
+    (`_scan_order`: columns bottom to top, swept from the bottom corner the
+    seam line passes through for the diagonals); each cell is either
+    covered by one of the free molecules, those lying in the free zone, or
+    left empty.  The free zone is computed once and handed to the
+    placement table, which then holds exactly the free molecules.
+    Starting on the seam corner puts both phases and the seam between them
+    into the first columns, where the line bound sees unlike column ends
+    at once.  The certificate is exact iff the search tree was
     exhausted within the node budget; otherwise the best configuration
     found is returned as an upper bound.  The budget is checked before
     each child is opened, so `nodes_explored` never exceeds it, and a tree
@@ -366,19 +383,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
     # The table numbers the inner square plus its one-cell ring line by
     # line, so its order bits are a width x width grid for the line bound.
-    forced_cells = forced.occupancy
-    lo, hi = -((T - 8) // 2), (T - 10) // 2
-    square = range(lo - 1, hi + 2)
+    # Its placements are the free molecules: those lying in the free zone.
+    inner = _inner(T)
+    square = range(inner.start - 1, inner.stop + 1)
     width = len(square)
     order = _scan_order(prob, [(a, b) for a in square for b in square])
-
-    def free(cell: Cell) -> bool:
-        return _cell_inside_inner(cell, T) and cell not in forced_cells
-
-    # free placements: molecules fully inside the inner square
-    table = PlacementTable(order, (R, S), lambda m: all(map(free, m.cells())))
+    free = _free_cells(forced, T)
+    table = PlacementTable(order, (R, S), free)
     n = table.n
-    free_bits = table.mask(filter(free, order))
+    free_bits = table.mask(free)
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
@@ -402,7 +415,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         if m.shape.chirality_class == R_LIKE
         for c in m.cells()
     )
-    occ_S0 = table.mask(forced_cells) & ~occ_R0
+    occ_S0 = table.mask(forced.occupancy) & ~occ_R0
     decided0 = table.all_bits & ~free_bits
 
     # COST: for surface energies, the weighted length of the boundary
@@ -451,7 +464,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # initial incumbents: the forced part alone, then the glued family
     best_val, best_cfg = scaled(base), list(forced.molecules)
     try:
-        glued = _glued_part(members, forced, T)
+        glued = _glued_part(members, forced, free)
     except OverlapError:
         pass
     else:
@@ -516,7 +529,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     )
 
 
-def normalized_density(prob: InterfaceProblem, result: SolveResult) -> Fraction:
+def normalized_density(prob: InterfaceProblem, result: SolveResult | DensityRecord) -> Fraction:
     """max(|p|, |q|) * value / T: the finite-T one-homogeneous estimate."""
     return Fraction(prob.nu.norm_inf) * result.value / prob.T
 
@@ -554,15 +567,40 @@ class DensityRecord:
 
     @classmethod
     def from_csv_row(cls, line: str) -> "DensityRecord":
-        """Inverse of csv_row; raises InvalidInput on a malformed row."""
+        """Inverse of csv_row; raises InvalidInput on a malformed row.
+
+        A row must state a valid `InterfaceProblem`, a known certificate,
+        a nonnegative value and node count, and the phi_hat that
+        `normalized_density` gives its value.
+        """
         f = line.split(",")
         if len(f) != 12:
             raise InvalidInput(f"density row needs 12 fields, got {len(f)}: {line!r}")
-        return decode_entry(f"density row {line!r}", lambda f: cls(
-            int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
-            Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
-            f[10], int(f[11]),
-        ), f)
+
+        def decode(f: list[str]) -> DensityRecord:
+            rec = cls(
+                int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
+                Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
+                f[10], int(f[11]),
+            )
+            prob = InterfaceProblem(
+                rec.i, rec.j, Direction(rec.p, rec.q), rec.T, (rec.c_R, rec.c_S),
+                rec.energy_kind,
+            )
+            if rec.certificate not in ("exact", "upper_bound"):
+                raise InvalidInput(
+                    f"certificate must be 'exact' or 'upper_bound', not {rec.certificate!r}"
+                )
+            if rec.value < 0 or rec.nodes < 0:
+                raise InvalidInput("value and nodes must be nonnegative")
+            expected = normalized_density(prob, rec)
+            if rec.phi_hat != expected:
+                raise InvalidInput(
+                    f"phi_hat {rec.phi_hat} is not max(|p|, |q|) * value / T = {expected}"
+                )
+            return rec
+
+        return decode_entry(f"density row {line!r}", decode, f)
 
 
 def density_table(records: Iterable[DensityRecord], manifest: dict, header: bool = True) -> str:
@@ -599,8 +637,8 @@ def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord
 # Pattern library
 # -------------------------------------------------------------------
 
-def _glued_part(members: list[Molecule], forced: Configuration, T: int) -> Configuration:
-    """The forced part plus the members inside the inner square that miss it.
+def _glued_part(members: list[Molecule], forced: Configuration, free: set[Cell]) -> Configuration:
+    """The forced part plus the members lying in the free zone `free`.
 
     This is the boundary family continued through the interior of Q_T, and
     it realizes the documented interface patterns: for (i, 0) problems the
@@ -616,13 +654,8 @@ def _glued_part(members: list[Molecule], forced: Configuration, T: int) -> Confi
     OverlapError means two interior members overlap.  Members keep their
     family order.
     """
-    taken, frame = forced.occupancy, set(forced.molecules)
-    return validate(
-        m
-        for m in members
-        if m in frame
-        or all(_cell_inside_inner(c, T) and c not in taken for c in m.cells())
-    )
+    frame = set(forced.molecules)
+    return validate(m for m in members if m in frame or free.issuperset(m.cells()))
 
 
 def _mirror_molecule(m: Molecule) -> Molecule:
@@ -678,25 +711,22 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
 
 
 def _wetting_fill(
-    chain: list[Molecule], members: list[Molecule], forced: Configuration, T: int,
+    chain: list[Molecule], members: list[Molecule], forced: Configuration, free: set[Cell],
 ) -> Configuration:
     """The forced part, then each chain and family molecule that still fits.
 
-    A molecule fits when it lies inside the inner square and meets no cell
-    taken before it; the family fills in where the forced collar cuts the
-    chain.
+    A molecule fits when it lies in what is left of the free zone `free`
+    after the molecules accepted before it; the family fills in where the
+    forced collar cuts the chain.
     """
-    occupied = set(forced.occupancy)
+    left = set(free)
     mols = list(forced.molecules)
     for group in (chain, members):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
             mcells = m.cells()
-            if not all(_cell_inside_inner(cc, T) for cc in mcells):
-                continue
-            if any(cc in occupied for cc in mcells):
-                continue
-            occupied.update(mcells)
-            mols.append(m)
+            if left.issuperset(mcells):
+                left.difference_update(mcells)
+                mols.append(m)
     return validate(mols)
 
 
@@ -720,13 +750,14 @@ def pattern_upper_bound(
     # one family build serves every candidate and the admissibility check
     members = _near_family(prob)
     forced = _forced_part(members, prob)
+    free = _free_cells(forced, T)
     candidates: list[Configuration] = []
     try:
-        candidates.append(_glued_part(members, forced, T))
+        candidates.append(_glued_part(members, forced, free))
     except OverlapError:
         pass
     try:
-        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, T))
+        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, free))
     except NoPattern:
         pass
     candidates.append(forced)

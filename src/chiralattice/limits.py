@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, phi_closed_form
-from .molecules import InvalidInput, decode_entry, decode_list, json_rational
+from .molecules import InvalidInput, decode_entry, decode_regions, json_rational
 from .polygeom import (
     Polygon,
     Vec,
@@ -130,10 +130,7 @@ class PolygonalPartition:
             return [(json_rational("coordinate", x), json_rational("coordinate", y)) for x, y in poly]
 
         return cls(
-            regions={
-                decode_entry("region label", int, lab): decode_list(f"region {lab}", points, polys)
-                for lab, polys in data["regions"].items()
-            },
+            regions=decode_regions(int, points, data["regions"]),
             window=None if window is None else decode_entry("window", points, window),
         )
 

@@ -110,6 +110,19 @@ def decode_list(what: str, decode: Callable, data) -> list:
     return [decode_entry(f"{what} entry {n}", decode, entry) for n, entry in enumerate(data)]
 
 
+def decode_regions(label: Callable, decode: Callable, data: dict) -> dict:
+    """{label(key): [decode(entry), ...]} over a JSON object of labelled
+    lists, naming the key or entry that fails; two keys that decode to one
+    label, such as "1" and "01", raise InvalidInput."""
+    out: dict = {}
+    for key, entries in data.items():
+        lab = decode_entry("region label", label, key)
+        if lab in out:
+            raise InvalidInput(f"region label {lab} is repeated (key {key!r})")
+        out[lab] = decode_list(f"region {key}", decode, entries)
+    return out
+
+
 # -------------------------------------------------------------------
 # Shapes and molecules
 # -------------------------------------------------------------------

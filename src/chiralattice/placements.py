@@ -16,7 +16,7 @@ Tables are immutable after construction and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .molecules import Cell, Molecule, MoleculeShape
 
@@ -64,7 +64,11 @@ class Placement:
 
 
 class PlacementTable:
-    """Every translate that `keep` accepts of a shape covering an order cell.
+    """Every translate of a shape covering an order cell, lying in `within`.
+
+    With `within` given, a placement is kept iff all its cells are in it,
+    and an order cell outside it starts no candidates: a kept placement's
+    cells are all in `within`, its first order cell included.
 
     Placements are numbered in order of their first order cell, then
     shape, then shape cell; by_pos[i] lists the placements covering order
@@ -76,7 +80,7 @@ class PlacementTable:
         self,
         order: Sequence[Cell],
         shapes: Iterable[MoleculeShape],
-        keep: Callable[[Molecule], bool] | None = None,
+        within: set[Cell] | None = None,
     ):
         shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds no placements
         self.n = len(order)
@@ -86,6 +90,8 @@ class PlacementTable:
         rims = [_rim(shape) for shape in shapes]
         seen: set[tuple[int, int, int]] = set()
         for cell in order:
+            if within is not None and cell not in within:
+                continue
             for k, shape in enumerate(shapes):
                 for off in shape.cells:
                     x, y = cell[0] - off[0], cell[1] - off[1]
@@ -93,14 +99,17 @@ class PlacementTable:
                         continue
                     seen.add((k, x, y))
                     mol = Molecule(shape, (x, y))
-                    if keep is None or keep(mol):
-                        self._add(mol, *rims[k])
+                    cells = mol.cells()
+                    if within is None or within.issuperset(cells):
+                        self._add(mol, cells, *rims[k])
         self.neighbors = [self._number(_neighbors(cell)) for cell in order]
 
-    def _add(self, mol: Molecule, touch1: list[Cell], touch2: list[Cell]) -> None:
-        """Adds the placement; touch1 and touch2 are its shape's rim offsets."""
+    def _add(
+        self, mol: Molecule, cells: Sequence[Cell], touch1: list[Cell], touch2: list[Cell],
+    ) -> None:
+        """Adds the placement; cells are its cells, touch1 and touch2 its
+        shape's rim offsets."""
         x, y = mol.anchor
-        cells = mol.cells()
         p = Placement(
             len(self.placements),
             mol,

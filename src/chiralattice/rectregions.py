@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .molecules import InvalidInput, decode_entry, decode_list, json_rational
+from .molecules import InvalidInput, decode_regions, json_rational
 from .polygeom import integer_points
 
 Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, y0, x1, y1
@@ -75,7 +75,4 @@ def regions_from_jsonable(data) -> dict[int, list[Rect]]:
     def row(r) -> Rect:
         return rect(*[json_rational("coordinate", v) for v in r])
 
-    return {
-        decode_entry("region label", _label, lab): decode_list(f"region {lab}", row, rows)
-        for lab, rows in data.items()
-    }
+    return decode_regions(_label, row, data)

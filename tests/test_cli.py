@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from chiralattice.cli import main
+from chiralattice.interfaces import DensityRecord
 from chiralattice.molecules import Window, phase_pattern
 
 
@@ -300,6 +301,26 @@ def test_limit_short_table_row_exit_2(tmp_path, capsys):
     assert "12 fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["1,0,0,1,8,surface,1,1,1,-5,exact,3", "1,0,0,1,8,surface,1,1,40,7,exact,3"],
+    ids=["negative", "phi_hat"],
+)
+def test_limit_inconsistent_table_row_exit_2(tmp_path, capsys, row):
+    # the 2x2 square prices 14 without a table; a row whose phi_hat is not
+    # value / T must not reprice its bottom edge
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps({"regions": {"1": [[[0, 0], [2, 0], [2, 2], [0, 2]]]}}))
+    assert main(["limit", str(ppath)]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == "14"
+    csv = tmp_path / "t.csv"
+    csv.write_text(f"{DensityRecord.CSV_COLUMNS}\n{row}\n")
+    assert main(["limit", str(ppath), "--table", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "phi_hat" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_density_record_csv_round_trip():
     from chiralattice.interfaces import DensityRecord
 
@@ -406,8 +427,12 @@ CORPUS_FILES = {
     "target_float": {"1": [[0.1, 0, 1, 1]]},
     "target_bool": {"1": [[False, 0, 1, 1]]},
     "target_label": {"9": [[0, 0, 1, 1]]},
+    "target_repeat": {"1": [[0, 0, 2, 2]], "01": [[5, 5, 6, 6]]},
     "part_float": {"window": None, "regions": {"1": [[[0.5, 0], [1, 0], [1, 1], [0, 1]]]}},
     "part_bool": {"window": None, "regions": {"1": [[[False, 0], [True, 0], [1, 1], [0, 1]]]}},
+    "part_repeat": {"window": None, "regions": {
+        "1": [[[0, 0], [2, 0], [2, 2], [0, 2]]], "01": [[[5, 5], [6, 5], [6, 6], [5, 6]]],
+    }},
     **{
         f"shapes_{kind}": [{
             "name": "X", "cells": [[0, 0], [0, 1], [0, 2], [cell, 2]],
@@ -442,6 +467,8 @@ CORPUS_FILES = {
         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_label"],
         ["limit", "part_float"],
         ["limit", "part_bool"],
+        ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_repeat"],
+        ["limit", "part_repeat"],
         ["energy", "cfg_bool"],
         ["energy", "cfg_three"],
         ["decompose", "cfg_float", "--epsilon", "1/2", "--window", "4"],

@@ -28,10 +28,10 @@ from chiralattice.interfaces import (
     InfeasibleBoundary,
     InterfaceProblem,
     NoPattern,
-    _cell_inside_inner,
     _energy,
     _family_members,
     _forced_part,
+    _free_cells,
     _glued_part,
     _mirror_molecule,
     _near_family,
@@ -46,7 +46,7 @@ from chiralattice.molecules import (
 )
 from test_fastpaths import FAMILY_DIRECTIONS
 from test_interfaces import wetting_config
-from test_line_bound import TABLE_DIRECTIONS, _table_rows, side_reach
+from test_line_bound import TABLE_DIRECTIONS, _table_rows, inside_inner, side_reach
 
 DIRECTIONS = [(1, 1), (1, -1), (1, 0), (0, 1), (3, -1), (-1, 3), (2, 1), (-1, -2)]
 
@@ -97,7 +97,7 @@ def ref_glued_family_config(prob):
         m
         for m in members
         if meets_frame(m, prob.T)
-        or all(_cell_inside_inner(c, prob.T) for c in m.cells())
+        or all(inside_inner(c, prob.T) for c in m.cells())
     ]
     try:
         return validate(relevant)
@@ -134,7 +134,7 @@ def ref_wetting_config(prob):
     for group in (structure, patches):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
             mcells = m.cells()
-            if not all(_cell_inside_inner(cc, T) for cc in mcells):
+            if not all(inside_inner(cc, T) for cc in mcells):
                 continue
             if any(cc in occupied for cc in mcells):
                 continue
@@ -183,7 +183,7 @@ def test_side_reach_matches_the_cell_loop(pq):
 
 def _glued_or_error(members, forced, T):
     try:
-        return _glued_part(members, forced, T).molecules
+        return _glued_part(members, forced, _free_cells(forced, T)).molecules
     except OverlapError as exc:
         return str(exc)
 

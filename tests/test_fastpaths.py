@@ -15,9 +15,9 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.interfaces import (
-    _cell_inside_inner,
     _cell_meets_window,
     _family_members,
+    _inner,
     direction,
 )
 from chiralattice.molecules import (
@@ -34,7 +34,7 @@ from chiralattice.molecules import (
 )
 from chiralattice.polygeom import predicate_area
 from conftest import random_configuration
-from test_line_bound import in_boundary_family
+from test_line_bound import in_boundary_family, inside_inner
 
 
 # -------------------------------------------------------------------
@@ -323,15 +323,17 @@ def test_window_is_still_a_plain_value():
 
 
 def test_frame_cell_tests_match_fraction_formulas():
-    for T in range(8, 30):
+    for T in range(8, 41):
         h = F(T, 2)
+        inner_range = _inner(T)
         for a in range(-T, T + 1):
             for b in (-T // 2 - 1, -T // 2, 0, T // 2 - 5, T // 2 - 4, T // 2):
                 cell = (a, b)
                 meets = a < h and a + 1 > -h and b < h and b + 1 > -h
                 inner = -h + 4 <= a and a + 1 <= h - 4 and -h + 4 <= b and b + 1 <= h - 4
                 assert _cell_meets_window(cell, T) == meets
-                assert _cell_inside_inner(cell, T) == inner
+                in_range = a in inner_range and b in inner_range
+                assert in_range == inside_inner(cell, T) == inner
 
 
 # -------------------------------------------------------------------

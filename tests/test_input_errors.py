@@ -21,6 +21,7 @@ from chiralattice import (
     shapes_from_json,
     solve_interface,
 )
+from chiralattice.interfaces import DensityRecord
 from chiralattice.molecules import configuration_entries
 from chiralattice.rectregions import regions_from_jsonable
 
@@ -82,6 +83,25 @@ def test_argument_checks_raise_invalid_input(call, message):
          "region 1 entry 0: invalid coordinate False"),
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
          '{"window": [[0, 0], [1.5, 0], [1, 1]], "regions": {}}', "window: invalid coordinate 1.5"),
+        # "1" and "01" are one label: the second must not replace the first
+        (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
+         '{"regions": {"1": [[[0, 0], [2, 0], [2, 2], [0, 2]]], "01": [[[5, 5], [6, 5], [6, 6], [5, 6]]]}}',
+         "region label 1 is repeated \\(key '01'\\)"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, 2, 2]], "01": [[5, 5, 6, 6]]}',
+         "region label 1 is repeated \\(key '01'\\)"),
+        # density rows: each field valid alone, the row not
+        (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,1,-5,exact,3",
+         "density row '1,0,0,1,8,surface,1,1,1,-5,exact,3': phi_hat -5 is not"),
+        (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,40,7,exact,3",
+         "phi_hat 7 is not max\\(\\|p\\|, \\|q\\|\\) \\* value / T = 5"),
+        (DensityRecord.from_csv_row, "9,0,0,1,8,surface,1,1,40,5,exact,3",
+         "phase labels must be in 0..8"),
+        (DensityRecord.from_csv_row, "1,0,2,2,8,surface,1,1,40,10,exact,3",
+         "direction components must be coprime"),
+        (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,40,5,proven,3",
+         "certificate must be 'exact' or 'upper_bound', not 'proven'"),
+        (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,-8,-1,exact,3",
+         "value and nodes must be nonnegative"),
     ],
 )
 def test_decoders_name_the_bad_entry(decode, text, message):

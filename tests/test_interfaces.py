@@ -22,10 +22,10 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.interfaces import (
-    _cell_inside_inner,
     _energy,
     _family_members,
     _forced_part,
+    _free_cells,
     _glued_part,
     _mirror_molecule,
     _near_family,
@@ -45,6 +45,7 @@ from chiralattice.molecules import (
     volume_deficit,
 )
 from test_fastpaths import phase_molecule
+from test_line_bound import inside_inner
 
 
 def boundary_family(i: int, j: int, nu: Direction, region: Window):
@@ -66,8 +67,9 @@ def glued_family_config(prob: InterfaceProblem):
     NoPattern when two of the interior members overlap.
     """
     members = _near_family(prob)
+    forced = _forced_part(members, prob)
     try:
-        return _glued_part(members, _forced_part(members, prob), prob.T)
+        return _glued_part(members, forced, _free_cells(forced, prob.T))
     except OverlapError as exc:
         raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
 
@@ -76,7 +78,8 @@ def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
     members = _near_family(prob)
-    return _wetting_fill(chain, members, _forced_part(members, prob), prob.T)
+    forced = _forced_part(members, prob)
+    return _wetting_fill(chain, members, forced, _free_cells(forced, prob.T))
 
 
 # -------------------------------------------------------------------
@@ -100,7 +103,7 @@ def exhaustive_oracle(prob: InterfaceProblem):
                     seen.add((shape.name, anchor))
                     mol = Molecule(shape, anchor)
                     cells = mol.cells()
-                    if not all(_cell_inside_inner(c, T) for c in cells):
+                    if not all(inside_inner(c, T) for c in cells):
                         continue
                     if any(c in occupied for c in cells):
                         continue
@@ -205,7 +208,7 @@ def test_admissible():
     for cell in [(-1, -1), (0, 0), (-1, 0), (0, -1), (1, 0)]:
         m = phase_molecule(5, cell)
         if all(
-            _cell_inside_inner(c, 12) and c not in forced.occupancy
+            inside_inner(c, 12) and c not in forced.occupancy
             for c in m.cells()
         ):
             extra = m

@@ -26,7 +26,6 @@ from chiralattice.interfaces import (
     Direction,
     InfeasibleBoundary,
     InterfaceProblem,
-    _cell_inside_inner,
     _energy,
     _scan_order,
     direction,
@@ -50,6 +49,15 @@ def row_major_order(prob: InterfaceProblem, cells) -> list:
     corners = [(sx, sy) for sy in (-1, 1) for sx in (-1, 1)]
     sx, sy = min(corners, key=lambda s: (s[0] * h * p + s[1] * h * q, s))
     return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
+
+
+def inside_inner(cell, T: int) -> bool:
+    """Is the cell contained in the closed concentric square of side T - 8?
+
+    The arithmetic test on 2a against T: the reference for `_inner`.
+    """
+    a, b = cell
+    return 8 - T <= 2 * a <= T - 10 and 8 - T <= 2 * b <= T - 10
 
 
 def side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
@@ -102,15 +110,9 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
         (a, b)
         for a in range(-T // 2 + 4, T // 2 - 4)
         for b in range(-T // 2 + 4, T // 2 - 4)
-        if _cell_inside_inner((a, b), T) and (a, b) not in forced_cells
+        if inside_inner((a, b), T) and (a, b) not in forced_cells
     ]
-    table = PlacementTable(
-        order(prob, free_cells),
-        (R, S),
-        lambda m: all(
-            _cell_inside_inner(c, T) and c not in forced_cells for c in m.cells()
-        ),
-    )
+    table = PlacementTable(order(prob, free_cells), (R, S), set(free_cells))
     n = table.n
 
     base = _energy(forced, prob)

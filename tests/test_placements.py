@@ -23,11 +23,14 @@ from chiralattice.interfaces import (
     InterfaceProblem,
     cluster_min_perimeter,
     direction,
+    frame_forced,
     solve_interface,
 )
 from chiralattice.molecules import R_LIKE, Molecule, MoleculeShape, R, S
 from chiralattice.placements import PlacementTable
-from test_line_bound import ref_solve, row_major_order
+from test_line_bound import (
+    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order,
+)
 
 
 def _neighbors(cell):
@@ -52,9 +55,9 @@ def test_table_numbers_order_cells_first():
     assert table.placements[0].molecule == Molecule(R, (0, 0))
 
 
-def test_keep_filters_placements():
+def test_within_filters_placements():
     order = [(c, r) for c in range(3) for r in range(3)]
-    table = PlacementTable(order, (R, S), lambda m: set(m.cells()) <= set(order))
+    table = PlacementTable(order, (R, S), set(order))
     assert {p.molecule for p in table.placements} == {
         Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
     }
@@ -114,12 +117,71 @@ USER_T = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), R_LIKE)
 def test_placement_masks_match_per_placement_rims(shapes):
     square = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
     inner = set(square[20:90])
-    for keep in (None, lambda m: set(m.cells()) <= inner):
-        table = PlacementTable(square, shapes, keep)
+    for within in (None, inner):
+        table = PlacementTable(square, shapes, within)
         masks, neighbors = ref_masks(square, [p.molecule for p in table.placements])
         assert [(p.mask, p.touch1, p.touch2) for p in table.placements] == masks
         assert table.neighbors == neighbors
         assert any(p.touch2 for p in table.placements)
+
+
+def ref_table(order, shapes, keep):
+    """The table as built with a `keep` callback on molecules.
+
+    Every translate of a shape covering an order cell is a candidate, each
+    order cell starting candidates, and `keep` filters the candidates after
+    they are built.  Returns the placements as (molecule, mask, touch1,
+    touch2), by_pos as lists of placement indices, and the neighbour masks.
+    """
+    shapes = tuple(dict.fromkeys(shapes))
+    molecules, seen = [], set()
+    for cell in order:
+        for k, shape in enumerate(shapes):
+            for off in shape.cells:
+                anchor = (cell[0] - off[0], cell[1] - off[1])
+                if (k, anchor) not in seen:
+                    seen.add((k, anchor))
+                    mol = Molecule(shape, anchor)
+                    if keep(mol):
+                        molecules.append(mol)
+    masks, neighbors = ref_masks(order, molecules)
+    by_pos = [
+        [index for index, (mask, _, _) in enumerate(masks) if mask >> i & 1]
+        for i in range(len(order))
+    ]
+    return [(m, *ms) for m, ms in zip(molecules, masks)], by_pos, neighbors
+
+
+def _solver_problems():
+    yield from _table_rows()
+    for T in (9, 13):
+        for i, j, nu in TABLE_DIRECTIONS:
+            yield InterfaceProblem(i, j, direction(*nu), T)
+            yield InterfaceProblem(j, i, -direction(*nu), T)
+
+
+def test_solver_tables_match_the_keep_callback(monkeypatch):
+    # the solver's table over its free zone holds the placements that the
+    # callback on the inner square and the forced cells kept, in order
+    built = []
+
+    def recording_table(order, shapes, within):
+        built.append((order, shapes, PlacementTable(order, shapes, within)))
+        return built[-1][2]
+
+    monkeypatch.setattr(interfaces, "PlacementTable", recording_table)
+    for prob in _solver_problems():
+        solve_interface(prob, budget=1)
+        order, shapes, table = built.pop()
+        taken = frame_forced(prob).occupancy
+        placements, by_pos, neighbors = ref_table(
+            order, shapes,
+            lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
+        )
+        got = [(p.molecule, p.mask, p.touch1, p.touch2) for p in table.placements]
+        assert got == placements, prob
+        assert [[p.index for p in ps] for ps in table.by_pos] == by_pos, prob
+        assert table.neighbors == neighbors, prob
 
 
 def _placements_meeting_square(k, shapes):
