@@ -58,6 +58,7 @@ from .molecules import (
     configuration_from_json,
     configuration_to_jsonable,
     json_int,
+    load_json,
     perimeter,
     shapes_from_json,
     volume_deficit,
@@ -121,7 +122,7 @@ def _json(payload: dict):
     ) + "\n"
 
 
-def _read(path: str, decode=json.loads):
+def _read(path: str, decode=load_json):
     """decode(text) of a user-named file, naming the file in input errors."""
     try:
         return decode(Path(path).read_text())
@@ -268,10 +269,10 @@ def cmd_decompose(args) -> int:
     shapes = _load_shapes(args.shapes)
     runs = [
         (_read(path, lambda text: ScaledConfiguration.from_continuum(
-            eps, configuration_entries(json.loads(text), shapes))), window)
+            eps, configuration_entries(load_json(text), shapes))), window)
         for path, eps in zip(args.configs, epsilons)
     ]
-    target = args.target and _read(args.target, lambda t: regions_from_jsonable(json.loads(t)))
+    target = args.target and _read(args.target, lambda t: regions_from_jsonable(load_json(t)))
 
     payload: dict = {"runs": []}
     approxes = [decompose(sc, win) for sc, win in runs]
@@ -309,7 +310,7 @@ def cmd_decompose(args) -> int:
 
 
 def _load_partition(path: str) -> PolygonalPartition:
-    return _read(path, lambda text: PolygonalPartition.from_jsonable(json.loads(text)))
+    return _read(path, lambda text: PolygonalPartition.from_jsonable(load_json(text)))
 
 
 def cmd_limit(args) -> int:

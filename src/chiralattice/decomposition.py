@@ -21,12 +21,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .molecules import (
+    Cell,
     Configuration,
     InvalidInput,
     MoleculeShape,
     Window,
+    _boundary_lengths,
     configuration_on_grid,
-    perimeter,
     phase_label,
 )
 from .rectregions import Rect, rect, region_area, symdiff_area
@@ -90,6 +91,24 @@ def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
     ]
 
 
+def _seam_cells(occ: Mapping[Cell, int], tiles: Counter) -> list[tuple[Cell, int]]:
+    """The (cell, owner) pairs of the occupied cells outside the tiles that
+    are full and whose four edge-adjacent tiles are full as well.
+
+    A cell of such a tile has its four neighbours occupied, in its own tile
+    or in an adjacent one, so it has no boundary side.
+    """
+    full = {t for t, filled in tiles.items() if filled == 16}
+    cells = [
+        (4 * t1 + a, 4 * t2 + b)
+        for t1, t2 in tiles
+        if not ((t1, t2) in full and (t1 - 1, t2) in full and (t1 + 1, t2) in full
+                and (t1, t2 - 1) in full and (t1, t2 + 1) in full)
+        for a, b in _TILE
+    ]
+    return [(cell, occ[cell]) for cell in cells if cell in occ]
+
+
 def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
     """Classify the covering squares and collect the per-label regions.
 
@@ -103,7 +122,9 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     block's fill is a sum of nine tile counts, added up as three strips of
     three.  The window tests and the continuum coordinates of the squares
     are computed once per column and once per row, and phase labels are
-    read only for the centre tile of a full block.
+    read only for the centre tile of a full block.  The boundary length
+    comes from the same tiles: the lattice boundary sweep visits only the
+    cells of tiles that are not full or that touch a tile that is not full.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -156,7 +177,7 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
         regions=regions,
         bad_region=bad,
         bad_count=len(bad),
-        boundary_length=eps * perimeter(config, wlat),
+        boundary_length=eps * sum(_boundary_lengths(config, wlat, _seam_cells(occ, tiles))),
     )
 
 

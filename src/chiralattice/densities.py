@@ -19,6 +19,7 @@ f(i, i, .) = 0 and f(i, j, nu) = f(j, i, -nu) by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -236,8 +237,6 @@ def consistency_check(
                             f"at T={T}: {v} > {vals[(i, k)]} + {vals[(k, j)]}"
                         )
     # Lipschitz screen on unit-normalized values (float, reported only)
-    import math
-
     by_pair: dict[tuple, list[DensityRecord]] = {}
     for r in rows:
         by_pair.setdefault((r.i, r.j, r.T, r.energy_kind, r.c_R, r.c_S), []).append(r)

@@ -10,7 +10,11 @@ strictly inside, through the gauge (Minkowski functional)
 
 For a polygon whose edge through vertices v, w lies on {a . x = 1}, the
 gauge is max_e (a_e . x), which is how evaluation stays exact.  Those edge
-functionals are also the vertices of the polar dual, the Wulff shape.
+functionals are also the vertices of the polar dual, the Wulff shape.  A
+polygon stores them once, as integer pairs over one common denominator D;
+`gauge` scales its argument to integers over the argument's own common
+denominator e, takes the largest integer dot product and builds a single
+`Fraction` from it and D*e.
 
 `envelope_with_points` is the one level-set hull routine: the convex
 envelope of a minimum of gauges, refined by finitely many values, is the
@@ -24,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .molecules import InvalidInput, R, phase_shape
-from .polygeom import Polygon, Vec, convex_hull, cross, polygon_area
+from .polygeom import Polygon, Vec, convex_hull, cross, integer_points, polygon_area
 
 IntDir = tuple[int, int]
 
@@ -59,14 +63,19 @@ class GaugePolygon:
             # edge lies on {e . x = 1}; solve from the two vertices
             det = a[0] * b[1] - a[1] * b[0]
             funcs.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
-        object.__setattr__(self, "_funcs", tuple(funcs))
+        # the functionals as integer pairs over their common denominator
+        den, (ints,) = integer_points([funcs])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_funcs", tuple(ints))
 
     def gauge(self, x) -> Fraction:
-        """Exact gauge value at a rational vector (0 at the origin)."""
-        px, py = Fraction(x[0]), Fraction(x[1])
-        if px == 0 and py == 0:
-            return Fraction(0)
-        return max(ex * px + ey * py for ex, ey in self._funcs)
+        """Exact gauge value at a rational vector (0 at the origin).
+
+        x is scaled to integers over its common denominator e; the value is
+        the largest integer functional over D * e.
+        """
+        e, [[(X, Y)]] = integer_points([[x]])
+        return Fraction(max(ex * X + ey * Y for ex, ey in self._funcs), self._den * e)
 
 
 def mirror(polygon: GaugePolygon) -> GaugePolygon:
@@ -143,4 +152,5 @@ def wulff_shape(polygon: GaugePolygon) -> Polygon:
     from adjacent half-plane intersections, which are the polygon's edge
     functionals, exactly.
     """
-    return _canonical_ccw(polygon._funcs)
+    den = polygon._den
+    return _canonical_ccw([(Fraction(ex, den), Fraction(ey, den)) for ex, ey in polygon._funcs])

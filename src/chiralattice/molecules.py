@@ -8,13 +8,15 @@ geometry is exact: lengths and areas are `fractions.Fraction` values and
 comparisons are never subject to floating-point tolerances.
 
 The lattice energies share one sweep and one clipping rule.
-`_boundary_lengths` makes a single pass over the occupied cells and
-charges each unoccupied side to the chirality class of its molecule;
-`perimeter` adds the R-like and S-like lengths and `weighted_perimeter`
-weighs them.  `Window._clip` is the length of a unit interval inside the
-open window, the int 1 or 0 unless the window boundary cuts it.  It clips
-each side, and `volume_deficit` takes a cell's area as the product of its
-two clips.
+`_boundary_lengths` sweeps occupied cells and charges each unoccupied
+side to the chirality class of its molecule; `perimeter` adds the R-like
+and S-like lengths and `weighted_perimeter` weighs them.  Both sweep every
+occupied cell; `decomposition.decompose` hands the sweep only the cells
+near a 4x4 tile that is not full, as no other cell has a free side.
+`Window._clip` is the length of a unit interval inside the open window,
+the int 1 or 0 unless the window boundary cuts it.  It clips each side,
+and `volume_deficit` counts a cell inside the closed window as 1 and takes
+any other cell's area as the product of its two clips.
 
 The phase map lives here and nowhere else: `phase_shape` gives the shape
 of each of the eight modulated phases and `phase_label` the phase of a
@@ -73,6 +75,22 @@ _DECODE_ERRORS = (
     TypeError, ValueError, KeyError, IndexError, AttributeError,
     ZeroDivisionError, OverflowError,
 )
+
+
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    """The members of one JSON object; a repeated key raises InvalidInput."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise InvalidInput(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
+def load_json(text: str):
+    """The JSON value of `text`.  An object that repeats a key raises
+    InvalidInput naming it, where `json.loads` would keep the last value."""
+    return json.loads(text, object_pairs_hook=_unique_members)
 
 
 def decode_entry(what: str, decode: Callable, value):
@@ -360,17 +378,21 @@ def validate(molecules: Iterable[Molecule]) -> Configuration:
 # Energies
 # -------------------------------------------------------------------
 
-def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:
+def _boundary_lengths(
+    config: Configuration, window: Window, cells: Iterable[tuple[Cell, int]] | None = None
+) -> tuple[Fraction, Fraction]:
     """(R-like, S-like) length of the boundary of the union of molecules
-    inside the open window, in one pass over the occupied cells.
+    inside the open window, in one pass over the given occupied cells.
 
-    Each unoccupied side of an occupied cell is charged to the chirality
-    class of that cell's molecule.  The window is open, so a side on its
-    boundary counts 0: the side x = p counts only if the cells p - 1 and p
-    both meet the window, and then with the length that `Window._clip`
-    gives the cell's row (likewise for y).  An interior cell costs its four
-    occupancy tests; whole sides are added as ints and only cut ones as
-    Fractions.
+    `cells` holds the (cell, owner) pairs to sweep, all of the occupancy by
+    default; a caller that knows cells whose four neighbours are occupied
+    may leave them out, as they have no boundary side.  Each unoccupied
+    side of an occupied cell is charged to the chirality class of that
+    cell's molecule.  The window is open, so a side on its boundary counts
+    0: the side x = p counts only if the cells p - 1 and p both meet the
+    window, and then with the length that `Window._clip` gives the cell's
+    row (likewise for y).  An interior cell costs its four occupancy
+    tests; whole sides are added as ints and only cut ones as Fractions.
     """
     occ = config.occupancy
     r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
@@ -380,7 +402,7 @@ def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, 
     if not plane:
         xs, ys = window._cells
         clip = window._clip
-    for (a, b), owner in occ.items():
+    for (a, b), owner in occ.items() if cells is None else cells:
         west = (a - 1, b) not in occ
         east = (a + 1, b) not in occ
         south = (a, b - 1) not in occ
@@ -435,22 +457,24 @@ def weighted_perimeter(
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
     """Area of the window not covered by molecules, |w \\ E|.
 
-    A cell's area inside the window is the product of its two `Window._clip`
-    lengths: whole cells count as ints and only the cells that the window
-    boundary cuts as Fractions.
+    A cell inside the closed window counts the int 1.  The area of any
+    other cell is the product of its two `Window._clip` lengths, which is
+    nonzero only where the window boundary cuts the cell.
     """
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
     clip = window._clip
+    xs, ys = window._whole
     whole, cut = 0, Fraction(0)
     for (a, b) in config.occupancy:
+        if a in xs and b in ys:
+            whole += 1
+            continue
         width = clip(0, a)
         if width:
-            area = width * clip(1, b)
-            if area.__class__ is int:
-                whole += area
-            else:
-                cut += area
+            height = clip(1, b)
+            if height:
+                cut += width * height
     return window.side ** 2 - cut - whole
 
 
@@ -515,7 +539,7 @@ def shapes_from_json(text: str) -> dict[str, MoleculeShape]:
             raise InvalidInput(f"duplicate shape name {shape.name!r}")
         out[shape.name] = shape
 
-    decode_list("shape file", entry, decode_entry("shape file", json.loads, text))
+    decode_list("shape file", entry, decode_entry("shape file", load_json, text))
     return out
 
 
@@ -570,5 +594,5 @@ def configuration_from_json(
     text: str, shapes: Mapping[str, MoleculeShape] | None = None
 ) -> Configuration:
     """Decode a lattice configuration file; anchors must be integers."""
-    data = decode_entry("configuration", json.loads, text)
+    data = decode_entry("configuration", load_json, text)
     return configuration_on_grid(1, configuration_entries(data, shapes))

@@ -1,7 +1,8 @@
 """Differential tests: the continuum routines on integers against their
 Fraction forms.
 
-`decompose` counts cells on 4x4 tiles, the rectangle unions and the segment
+`decompose` counts cells on 4x4 tiles and sweeps for boundary only the
+cells near a tile that is not full, the rectangle unions and the segment
 soup of `extract_interfaces` scale their inputs to one common integer
 denominator.  Each is checked here for equal results, or the same exception
 type and message, against the plain Fraction formulation that it replaced,
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -268,6 +270,38 @@ def test_decompose_matches_block_scan():
         assert got == ref_decompose(sc, window), (eps, window)
         kinds["labelled"] += any(got.regions[lab] for lab in range(1, 9))
     assert min(kinds.values()) >= 10, kinds
+
+
+def criterion_seam(eps: F) -> ScaledConfiguration:
+    """Phase 1 left of x = 0 and phase 2 right of it on Q_(4/eps + 16), with
+    an uncovered seam column, as in the benchmark's continuum workload."""
+    box = Window.square(4 / eps + 16)
+    left = [m for m in phase_pattern(1, box) if all(c[0] + 1 <= 0 for c in m.cells())]
+    right = [m for m in phase_pattern(2, box) if all(c[0] >= 1 for c in m.cells())]
+    return ScaledConfiguration(eps, validate(left + right))
+
+
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 32), F(1, 64)])
+def test_seam_sweep_matches_full_perimeter(eps):
+    """The boundary length read from the seam tiles equals the sweep over
+    every cell, in the centred window and in an off-centre window with
+    rational bounds that reaches past the configuration's rim."""
+    sc = criterion_seam(eps)
+    occ = sc.config.occupancy
+    tiles = Counter(((a + 2) >> 2, (b + 2) >> 2) for a, b in occ)
+    # full tiles meet tiles that are not full at the seam and at the rim
+    rim = max(t1 for t1, _ in tiles)
+    for t1, step in ((-1, 1), (1, -1), (rim - 1, 1)):
+        assert any(n == 16 and tiles[t1 + step, t2] < 16
+                   for (c, t2), n in tiles.items() if c == t1), (t1, step)
+    for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7)))):
+        wlat = _window_in_lattice(window, eps)
+        expected = eps * perimeter(sc.config, wlat)
+        assert decompose(sc, window).boundary_length == expected, window
+        if window.center != (0, 0):
+            x0, y0, x1, y1 = wlat.bounds()
+            assert x1 > max(a for a, _ in occ) + 1 and y0 < min(b for _, b in occ)
+            assert all(bound.denominator > 1 for bound in (x0, y0, x1, y1))
 
 
 def test_decompose_user_shapes_raise_where_the_block_scan_does():

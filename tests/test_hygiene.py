@@ -1,7 +1,7 @@
 """Library hygiene, read from the source with `ast`: no unused import, no
-module-level private name that the library itself never refers to, no
-public name that only the tests use, and no module-level mutable
-container."""
+import inside a function body, no module-level private name that the
+library itself never refers to, no public name that only the tests use,
+and no module-level mutable container."""
 
 from __future__ import annotations
 
@@ -76,6 +76,20 @@ def test_every_import_is_used(module):
         f"{module}:{line} {name}" for line, name in _bound_imports(tree) if name not in used
     ]
     assert not unused, unused
+
+
+def test_imports_are_at_module_level():
+    """Every import is stated once at the top of its module, where the
+    unused-import check sees it; none hides inside a function body."""
+    nested = [
+        f"{module}:{node.lineno} in {func.name}"
+        for module, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, nested
 
 
 def test_every_private_name_is_referenced_in_the_library():

@@ -21,6 +21,7 @@ from chiralattice import (
     shapes_from_json,
     solve_interface,
 )
+from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord
 from chiralattice.molecules import configuration_entries
 from chiralattice.rectregions import regions_from_jsonable
@@ -121,3 +122,35 @@ def test_geometry_files_keep_rational_coordinates():
 def test_configuration_entries_keep_rational_anchors():
     entries = configuration_entries([{"shape": "S", "anchor": ["1/2", 3]}])
     assert entries[0][0].name == "S" and entries[0][1] == (F(1, 2), F(3))
+
+
+SQUARE = "[[0, 0], [2, 0], [2, 2], [0, 2]]"
+UNIT = "[[5, 5], [6, 5], [6, 6], [5, 6]]"
+
+
+@pytest.mark.parametrize(
+    "kind, text, argv",
+    [
+        ("preset", '{"budget": 10, "budget": 20}', ["--preset", "FILE", "energy", "CFG"]),
+        ("configuration", '[{"shape": "R", "shape": "S", "anchor": [0, 0]}]', ["energy", "FILE"]),
+        ("shapes", '[{"name": "X", "name": "Y", "cells": [[0, 0], [0, 1], [0, 2], [1, 2]], '
+                   '"chirality_class": "R-like"}]', ["energy", "CFG", "--shapes", "FILE"]),
+        ("decompose configuration", '[{"shape": "R", "anchor": [0, 0], "anchor": [4, 0]}]',
+         ["decompose", "FILE", "--epsilon", "1", "--window", "4"]),
+        ("decompose target", '{"1": [[0, 0, 2, 2]], "1": [[5, 5, 6, 6]]}',
+         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "FILE"]),
+        ("partition", f'{{"regions": {{"1": [{SQUARE}], "1": [{UNIT}]}}}}', ["limit", "FILE"]),
+    ],
+)
+def test_repeated_json_keys_exit_2(tmp_path, capsys, kind, text, argv):
+    """json.loads keeps the last of two equal keys; every file the command
+    line reads rejects them instead, naming the key."""
+    cfg, path = tmp_path / "cfg.json", tmp_path / "file.json"
+    cfg.write_text('[{"shape": "R", "anchor": [0, 0]}]')
+    path.write_text(text)
+    argv = [{"CFG": str(cfg), "FILE": str(path)}.get(a, a) for a in argv]
+    assert main(argv) == 2, kind
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "repeated JSON key" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

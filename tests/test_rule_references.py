@@ -4,7 +4,9 @@ The phase map is stated once in `molecules.phase_shape`, and the level-set
 hull once in `gauges.envelope_with_points`.  The routines that used to
 restate them (the species branches of `subadditive_bound`, the dual loop
 of `wulff_shape`, the hulls of `min_envelope` and `sum_gauge`) are kept
-below as references and must agree exactly.
+below as references and must agree exactly.  So is the `Fraction` edge
+functional evaluation that `GaugePolygon.gauge` replaced with integer
+functionals over one common denominator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from chiralattice.densities import DensityModel, subadditive_bound, sum_gauge
 from chiralattice.gauges import (
     GaugePolygon,
     _canonical_ccw,
+    envelope_with_points,
     min_envelope,
+    mirror,
     phi_closed_form,
     wulff_shape,
 )
@@ -42,7 +46,8 @@ def ref_subadditive_bound(i: int, j: int, nu) -> F:
     return hexagon.gauge(nu) + hexagon_m.gauge(nu)
 
 
-def ref_wulff_shape(polygon: GaugePolygon):
+def ref_functionals(polygon: GaugePolygon) -> list:
+    """The edge functionals e with e . x = 1 on each edge, as Fractions."""
     v = polygon.vertices
     n = len(v)
     out = []
@@ -50,7 +55,18 @@ def ref_wulff_shape(polygon: GaugePolygon):
         a, b = v[i], v[(i + 1) % n]
         det = a[0] * b[1] - a[1] * b[0]
         out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
-    return _canonical_ccw(out)
+    return out
+
+
+def ref_gauge(functionals: list, x) -> F:
+    px, py = F(x[0]), F(x[1])
+    if px == 0 and py == 0:
+        return F(0)
+    return max(ex * px + ey * py for ex, ey in functionals)
+
+
+def ref_wulff_shape(polygon: GaugePolygon):
+    return _canonical_ccw(ref_functionals(polygon))
 
 
 def ref_min_envelope_hull(gauges) -> GaugePolygon:
@@ -99,6 +115,23 @@ NORMALS = [
 ]
 
 
+def gauge_polygons() -> list[GaugePolygon]:
+    """Every polygon the library prices with, and seeded random refined hulls."""
+    closed = [phi_closed_form(i) for i in range(1, 9)]
+    out = closed + [mirror(g) for g in closed]
+    out.append(min_envelope([phi_closed_form(1), phi_closed_form(5)])[1])
+    out += [model.rs_contact_envelope()
+            for model in (DensityModel.closed_form_only(), DensityModel.with_patterns())]
+    out += [sum_gauge(a, b) for a, b in itertools.permutations(closed, 2)]
+    rng = random.Random(17)
+    for _ in range(30):
+        points = [((F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))),
+                   F(rng.randint(1, 30), rng.randint(1, 5))) for _ in range(rng.randint(1, 6))]
+        out.append(envelope_with_points([random_gauge(rng)],
+                                        [(x, val) for x, val in points if x != (0, 0)]))
+    return list(dict.fromkeys(out))
+
+
 # -------------------------------------------------------------------
 # Tests
 # -------------------------------------------------------------------
@@ -138,6 +171,21 @@ def test_min_envelope_hull_matches_vertex_hull():
 def test_sum_gauge_matches_level_set_loop():
     for a, b in PAIRS:
         assert sum_gauge(a, b).vertices == ref_sum_gauge(a, b).vertices
+
+
+def test_gauge_matches_fraction_functionals():
+    rng = random.Random(29)
+    rationals = [
+        (F(rng.randint(-60, 60), rng.randint(1, 12)), F(rng.randint(-60, 60), rng.randint(1, 12)))
+        for _ in range(40)
+    ]
+    assert len(NORMALS) == 80
+    for polygon in gauge_polygons():
+        functionals = ref_functionals(polygon)
+        for x in NORMALS + rationals + [(0, 0), (F(0), F(0))]:
+            got = polygon.gauge(x)
+            assert got == ref_gauge(functionals, x) and type(got) is F, (polygon, x)
+        assert wulff_shape(polygon) == ref_wulff_shape(polygon)
 
 
 def test_gauge_polygon_equality_ignores_the_starting_vertex():
