@@ -57,6 +57,7 @@ from .interfaces import (  # noqa: F401
     cluster_min_perimeter,
     direction,
     normalized_density,
+    oriented,
     pattern_upper_bound,
     solve_interface,
 )

@@ -91,24 +91,6 @@ def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
     ]
 
 
-def _seam_cells(occ: Mapping[Cell, int], tiles: Counter) -> list[tuple[Cell, int]]:
-    """The (cell, owner) pairs of the occupied cells outside the tiles that
-    are full and whose four edge-adjacent tiles are full as well.
-
-    A cell of such a tile has its four neighbours occupied, in its own tile
-    or in an adjacent one, so it has no boundary side.
-    """
-    full = {t for t, filled in tiles.items() if filled == 16}
-    cells = [
-        (4 * t1 + a, 4 * t2 + b)
-        for t1, t2 in tiles
-        if not ((t1, t2) in full and (t1 - 1, t2) in full and (t1 + 1, t2) in full
-                and (t1, t2 - 1) in full and (t1, t2 + 1) in full)
-        for a, b in _TILE
-    ]
-    return [(cell, occ[cell]) for cell in cells if cell in occ]
-
-
 def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
     """Classify the covering squares and collect the per-label regions.
 
@@ -123,8 +105,11 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     three.  The window tests and the continuum coordinates of the squares
     are computed once per column and once per row, and phase labels are
     read only for the centre tile of a full block.  The boundary length
-    comes from the same tiles: the lattice boundary sweep visits only the
-    cells of tiles that are not full or that touch a tile that is not full.
+    comes from the same blocks: the lattice boundary sweep visits only the
+    centre tiles of the blocks that are neither full nor empty.  An
+    occupied cell with a free side has that side's cell in its own tile or
+    a neighbouring one, so its block is such a block, and every cell that
+    meets the window is in the centre tile of a block of the grid.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -150,10 +135,16 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
             for t1 in range(cols[0][0] - 1, cols[-1][0] + 2)
         )
     ]
+    seam: list[tuple[Cell, int]] = []
     for k, (m1, inside1, (u0, u1), (s0, s1)) in enumerate(cols):
         fills = [a + b + c for a, b, c in zip(*strips[k:k + 3])]
         for (m2, inside2, (v0, v1), (t0, t1)), filled in zip(rows, fills):
-            if not (inside1 and inside2) or 0 < filled < 144:
+            n1, n2 = 4 * m1, 4 * m2
+            partial = 0 < filled < 144
+            if partial:
+                cells = ((n1 + a, n2 + b) for a, b in _TILE)
+                seam += [(cell, occ[cell]) for cell in cells if cell in occ]
+            if partial or not (inside1 and inside2):
                 bad.append(rect(u0, v0, u1, v1))
                 continue
             small = rect(s0, t0, s1, t1)
@@ -162,7 +153,6 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
                 continue
             # full 12-block: the unique phase of molecules meeting the
             # 4-square (single by the interior-phase property; checked)
-            n1, n2 = 4 * m1, 4 * m2
             owners = dict.fromkeys([occ[n1 + a, n2 + b] for a, b in _TILE])
             labels = {phase_label(mols[idx]) for idx in owners}
             if len(labels) != 1:
@@ -177,7 +167,7 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
         regions=regions,
         bad_region=bad,
         bad_count=len(bad),
-        boundary_length=eps * sum(_boundary_lengths(config, wlat, _seam_cells(occ, tiles))),
+        boundary_length=eps * sum(_boundary_lengths(config, wlat, seam)),
     )
 
 

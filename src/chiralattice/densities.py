@@ -14,7 +14,9 @@ precedence per ordered pair and direction:
   closed_form  the crystalline hexagon gauges, for pairs involving the
                empty phase.
 
-f(i, i, .) = 0 and f(i, j, nu) = f(j, i, -nu) by construction.
+f(i, i, .) = 0, and f(i, j, nu) = f(j, i, -nu) because the table, the
+meshing pairs and every lookup key an interface by `interfaces.oriented`,
+smaller label first.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .gauges import (
     min_envelope,
     phi_closed_form,
 )
-from .interfaces import DensityRecord
-from .molecules import InvalidInput
+from .interfaces import DensityRecord, oriented
+from .molecules import InvalidInput, R, S, phase_shape
 
 IntDir = tuple[int, int]
 
-# flush-meshing seam pairs along the anti-diagonals; phi-scale value 2
+# flush-meshing seam pairs along the anti-diagonals, `oriented`; phi-scale value 2
 MESHING_PAIRS: Mapping[tuple[int, int, IntDir], Fraction] = MappingProxyType({
     (1, 7, (1, -1)): Fraction(2),
     (2, 8, (1, -1)): Fraction(2),
@@ -88,11 +90,12 @@ class DensityModel:
         return cls(table={}, use_patterns=True)
 
     def add_records(self, records: Iterable[DensityRecord]) -> None:
-        """Fold solver rows in, keeping the largest exactly-solved T."""
+        """Fold solver rows in, keeping the largest exactly-solved T; a row
+        and its mirror (j, i, -nu) share one `oriented` key and entry."""
         for rec in records:
             if rec.energy_kind != "surface" or (rec.c_R, rec.c_S) != (1, 1):
                 continue
-            key = (rec.i, rec.j, (rec.p, rec.q))
+            key = oriented(rec.i, rec.j, (rec.p, rec.q))
             old = self.table.get(key)
             better = old is None or (
                 (rec.certificate == "exact", rec.T)
@@ -101,29 +104,19 @@ class DensityModel:
             if better:
                 self.table[key] = rec
 
-    def _lookup(self, mapping: Mapping, i: int, j: int, nu: IntDir):
-        if (i, j, nu) in mapping:
-            return mapping[(i, j, nu)]
-        swapped = (j, i, (-nu[0], -nu[1]))
-        if swapped in mapping:
-            return mapping[swapped]
-        return None
-
     def value_and_source(self, i: int, j: int, nu: IntDir) -> tuple[Fraction, str]:
         """phi-scale value at a primitive integer normal, with provenance."""
         if i == j:
             return Fraction(0), "zero"
-        entry = self._lookup(self.table, i, j, nu)
+        key = i, j, nu = oriented(i, j, nu)
+        entry = self.table.get(key)
         if entry is not None:
             return entry.phi_hat, f"table(T={entry.T},{entry.certificate})"
-        if i == 0 or j == 0:
-            lab = j if i == 0 else i
-            # f(i,0,nu) = phi_i(nu); f(0,j,nu) = phi_j(-nu) = phi_j(nu)
-            return phi_closed_form(lab).gauge(nu), "closed_form"
-        if self.use_patterns:
-            val = self._lookup(MESHING_PAIRS, i, j, nu)
-            if val is not None:
-                return val, "pattern"
+        if i == 0:
+            # f(0,j,nu) = phi_j(-nu) = phi_j(nu): the hexagons are centrally symmetric
+            return phi_closed_form(j).gauge(nu), "closed_form"
+        if self.use_patterns and key in MESHING_PAIRS:
+            return MESHING_PAIRS[key], "pattern"
         return subadditive_bound(i, j, nu), "subadditive"
 
     def value(self, i: int, j: int, nu: IntDir) -> Fraction:
@@ -137,19 +130,18 @@ class DensityModel:
         return hull
 
     def rs_contact_envelope(self) -> GaugePolygon:
-        """Convex envelope of f_0 = min over R-phase/S-phase pairs."""
+        """Convex envelope of f_0 = min over R-phase/S-phase pairs.
+
+        The keys are `oriented`, so an R/S key has the R phase first and
+        gives a point at its own normal.
+        """
         base = sum_gauge(phi_closed_form(1), phi_closed_form(5))
-        points = []
-        if self.use_patterns:
-            for (i, j, nu), val in MESHING_PAIRS.items():
-                points.append(((Fraction(nu[0]), Fraction(nu[1])), val))
-                points.append(((Fraction(-nu[0]), Fraction(-nu[1])), val))
-        for (i, j, nu), entry in self.table.items():
-            if 1 <= i <= 4 and 5 <= j <= 8:
-                points.append(((Fraction(nu[0]), Fraction(nu[1])), entry.phi_hat))
-            if 5 <= i <= 8 and 1 <= j <= 4:
-                points.append(((Fraction(-nu[0]), Fraction(-nu[1])), entry.phi_hat))
-        return envelope_with_points([base], points)
+        values = [(nu, val) for (_, _, nu), val in MESHING_PAIRS.items() if self.use_patterns]
+        values += [
+            (nu, entry.phi_hat) for (i, j, nu), entry in self.table.items()
+            if i and phase_shape(i) is R and phase_shape(j) is S
+        ]
+        return envelope_with_points([base], [((Fraction(p), Fraction(q)), v) for (p, q), v in values])
 
 
 # -------------------------------------------------------------------

@@ -145,6 +145,19 @@ def direction(p: int, q: int) -> Direction:
     return Direction(p // g, q // g)
 
 
+def oriented(i: int, j: int, nu: tuple[int, int]) -> tuple[int, int, tuple[int, int]]:
+    """The one key of the interface (i, j, nu), smaller label first.
+
+    Phase i lies on the side x . nu > 0 and phase j on x . nu < 0, so for
+    i != j the triples (i, j, nu) and (j, i, -nu) name one interface, and
+    f(i, j, nu) = f(j, i, -nu).  Every table, pattern and segment keyed by
+    an interface is keyed through this function.
+    """
+    if i < j:
+        return i, j, nu
+    return j, i, (-nu[0], -nu[1])
+
+
 @dataclass(frozen=True)
 class InterfaceProblem:
     i: int
@@ -672,29 +685,25 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
     """The wetting microstructure over Q_T, before the frame cuts it.
 
     A sparse opposite-chirality chain along a diagonal empty interface: for
-    (i, 0) with i in 1..4 and nu = (-1, 1), the striped phase is retracted
-    and its staircase teeth are capped, every other notch, by a single
-    mirror-species molecule; the exposed boundary per unit of interface
-    becomes c_R + 3 c_S instead of 2 c_R, which wins when 3 c_S < c_R.  For
-    i in 5..8 and nu = (1, 1) the mirrored construction applies with the
-    weights exchanged.  `_wetting_fill` keeps the chain strictly inside the
-    frame, so admissibility is untouched; where the forced frame molecules
-    cut across the seam the plain family fills in.  Raises NoPattern
-    elsewhere.
+    the oriented problem (0, i, (1, -1)) with i an R phase, the striped
+    phase is retracted and its staircase teeth are capped, every other
+    notch, by a single mirror-species molecule; the exposed boundary per
+    unit of interface becomes c_R + 3 c_S instead of 2 c_R, which wins when
+    3 c_S < c_R.  For an S phase i and (0, i, (-1, -1)) the mirrored
+    construction applies with the weights exchanged.  `_wetting_fill` keeps
+    the chain strictly inside the frame, so admissibility is untouched;
+    where the forced frame molecules cut across the seam the plain family
+    fills in.  Raises NoPattern elsewhere.
     """
-    i, j, nu, T = prob.i, prob.j, prob.nu, prob.T
-    mirrored = False
-    if j == 0 and 5 <= i <= 8 and (nu.p, nu.q) == (1, 1):
-        mirrored = True
-        i = i - 4
-    elif not (j == 0 and 1 <= i <= 4 and (nu.p, nu.q) == (-1, 1)):
-        raise NoPattern(
-            "wetting pattern covers (i in 1..4, j=0, nu=(-1,1)) and its mirror"
-        )
+    zero, i, nu = oriented(prob.i, prob.j, prob.nu.as_tuple())
+    mirrored = zero == 0 and phase_shape(i) is S
+    if zero != 0 or nu != ((-1, -1) if mirrored else (1, -1)):
+        raise NoPattern("wetting pattern covers (0, R phase, (1, -1)) and (0, S phase, (-1, -1))")
 
-    # periodic seam microstructure for phase i at nu = (-1, 1); the phase
-    # offset shifts the baseline (i = 1) vertically by i - 1
-    c = i - 1
+    # periodic seam microstructure for the R phase of the same offset at
+    # (0, i, (1, -1)); the offset shifts the baseline (phase 1) vertically
+    c = (i - 1) % 4
+    T = prob.T
     lo = -T // 2
     hi = T // 2
     structure: list[Molecule] = []

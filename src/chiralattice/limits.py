@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, phi_closed_form
+from .interfaces import oriented
 from .molecules import InvalidInput, decode_entry, decode_regions, json_rational
 from .polygeom import (
     Polygon,
@@ -41,12 +42,16 @@ class InvalidPartition(InvalidInput):
 
 @dataclass(frozen=True)
 class InterfaceSegment:
-    """A maximal shared edge between two labels, canonically oriented."""
+    """A maximal shared edge between two labels, canonically oriented.
+
+    A seam between two regions or an island's edge carries the `oriented`
+    key, i < j; an edge on the window carries (label, 0).
+    """
 
     a: Vec
     b: Vec
-    i: int  # smaller label
-    j: int  # larger label
+    i: int
+    j: int
     normal: IntDir  # primitive integer normal pointing into A_i
 
     @property
@@ -200,8 +205,9 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     Every region edge must pair, piece by piece, with exactly one edge of
     another region (opposite orientation) or lie on the window (same
     orientation); anything else raises InvalidPartition.  Edges between a
-    label and the window are emitted against label 0; 0-0 interfaces are
-    dropped.  Segments are merged per (line, pair) into maximal runs.
+    label and the window are emitted as (label, 0, inner normal), every
+    other piece under its `oriented` key; 0-0 interfaces are dropped.
+    Segments are merged per (line, pair) into maximal runs.
     """
     out: list[InterfaceSegment] = []
     d, edges = _scaled_edges(part)
@@ -228,9 +234,8 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                     )
                 if lab == 0:
                     continue
-                i, j = lab, 0
-                # inner normal of the region = left normal of its direction
-                normal = (-q, p) if orient > 0 else (q, -p)
+                # inner normal of a region = left normal of its edge
+                i, j, normal = lab, 0, (-q, p) if orient > 0 else (q, -p)
             elif len(region_covers) == 2:
                 (la, oa), (lb, ob) = region_covers
                 if oa == ob:
@@ -239,19 +244,12 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                     )
                 if la == lb:
                     continue  # internal seam of one region
-                left = la if oa > 0 else lb
-                right = lb if oa > 0 else la
-                if left < right:
-                    i, j, normal = left, right, (-q, p)
-                else:
-                    i, j, normal = right, left, (q, -p)
+                i, j, normal = oriented(la, lb, (-q, p) if oa > 0 else (q, -p))
             elif len(region_covers) == 1 and part.window is None:
                 lab, orient = region_covers[0]
                 if lab == 0:
                     raise InvalidPartition("label 0 cannot form islands")
-                i, j = 0, lab
-                # normal into A_0 = away from the island
-                normal = (q, -p) if orient > 0 else (-q, p)
+                i, j, normal = oriented(lab, 0, (-q, p) if orient > 0 else (q, -p))
             else:
                 raise InvalidPartition(
                     f"edge piece covered {len(region_covers)} times"
@@ -342,15 +340,16 @@ def _island_boundary_energy(
 ) -> Fraction:
     """Integral of a gauge density over the interfaces of labeled islands.
 
-    Each interface between labels i < j is priced by gauges[(i, j)], label
-    0 being the complement of the islands.  `extract_interfaces` checks the
-    cover, so seams inside one label drop out and overlaps raise.
+    Each interface (i, j, nu), keyed i < j by `oriented` as the gauge keys
+    are, is priced by gauges[(i, j)] at nu, label 0 being the complement
+    of the islands.  `extract_interfaces` checks the cover, so seams inside
+    one label drop out and overlaps raise.
     """
     part = PolygonalPartition(regions=islands, window=None)
     total = Fraction(0)
     for seg in extract_interfaces(part):
-        # the gauges used here are centrally symmetric, so the orientation
-        # of seg.normal does not affect the value
+        # seg.normal points into A_i, as each key's gauge expects; the
+        # (0, k) gauges are centrally symmetric, so nu and -nu agree there
         total += seg.lattice_length * gauges[seg.i, seg.j].gauge(seg.normal)
     return total
 

@@ -11,8 +11,9 @@ The lattice energies share one sweep and one clipping rule.
 `_boundary_lengths` sweeps occupied cells and charges each unoccupied
 side to the chirality class of its molecule; `perimeter` adds the R-like
 and S-like lengths and `weighted_perimeter` weighs them.  Both sweep every
-occupied cell; `decomposition.decompose` hands the sweep only the cells
-near a 4x4 tile that is not full, as no other cell has a free side.
+occupied cell; `decomposition.decompose` hands the sweep only the centre
+tiles of its 12x12 blocks that are neither full nor empty, as no other
+cell that meets the window has a free side.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
 and `volume_deficit` counts a cell inside the closed window as 1 and takes
@@ -385,14 +386,15 @@ def _boundary_lengths(
     inside the open window, in one pass over the given occupied cells.
 
     `cells` holds the (cell, owner) pairs to sweep, all of the occupancy by
-    default; a caller that knows cells whose four neighbours are occupied
-    may leave them out, as they have no boundary side.  Each unoccupied
-    side of an occupied cell is charged to the chirality class of that
-    cell's molecule.  The window is open, so a side on its boundary counts
-    0: the side x = p counts only if the cells p - 1 and p both meet the
-    window, and then with the length that `Window._clip` gives the cell's
-    row (likewise for y).  An interior cell costs its four occupancy
-    tests; whole sides are added as ints and only cut ones as Fractions.
+    default; a caller may leave out cells whose four neighbours are
+    occupied, as they have no boundary side, and cells missing the window.
+    Each unoccupied side of an occupied cell is charged to the chirality
+    class of that cell's molecule.  The window is open, so a side on its
+    boundary counts 0: the side x = p counts only if the cells p - 1 and p
+    both meet the window, and then with the length that `Window._clip`
+    gives the cell's row (likewise for y).  An interior cell costs its four
+    occupancy tests; whole sides are added as ints and only cut ones as
+    Fractions.
     """
     occ = config.occupancy
     r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]

@@ -417,10 +417,15 @@ def test_extract_interfaces_matches_interval_scan():
         part = triangulated(rng, rng.randint(2, 5), windowed=n % 2 == 0)
         got = extract_interfaces(part)
         assert got and got == ref_extract_interfaces(part)
-        # the length read off the normal is the primitive tangent's multiple
+        rim = ({x for x, _ in part.window}, {y for _, y in part.window}) if part.window else ((), ())
         for seg in got:
+            # the length read off the normal is the primitive tangent's multiple
             assert seg.lattice_length == primitive_direction(
                 (seg.b[0] - seg.a[0], seg.b[1] - seg.a[1]))[1], seg
+            # pair and island pieces carry the `oriented` key; only an edge
+            # on the window carries (label, 0)
+            on_rim = any(seg.a[k] == seg.b[k] and seg.a[k] in rim[k] for k in (0, 1))
+            assert seg.i < seg.j or (on_rim and seg.j == 0 < seg.i), seg
 
 
 SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]

@@ -1,5 +1,6 @@
 """Density model: sources, precedence, symmetry, consistency checks."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -62,6 +63,51 @@ def test_model_table_override():
         [DensityRecord(1, 2, 1, 1, 20, "surface", F(1), F(1), F(40), F(2), "upper_bound", 9)]
     )
     assert model.value(1, 2, (1, 1)) == F(15, 8)
+
+
+NORMALS = [
+    (p, q) for p in range(-5, 6) for q in range(-5, 6)
+    if (p, q) != (0, 0) and math.gcd(p, q) == 1
+]
+
+
+def mixed_table_model() -> DensityModel:
+    """Two solver rows of one seam at different T, each under its own
+    orientation, and a mirror pair whose rows differ in certificate."""
+    model = DensityModel.with_patterns()
+    model.add_records([
+        DensityRecord(1, 7, 1, -1, 16, "surface", F(1), F(1), F(30), F(15, 8), "exact", 9),
+        DensityRecord(7, 1, -1, 1, 12, "surface", F(1), F(1), F(22), F(11, 6), "exact", 5),
+        DensityRecord(0, 2, -1, -1, 16, "surface", F(1), F(1), F(28), F(7, 4), "upper_bound", 7),
+        DensityRecord(2, 0, 1, 1, 12, "surface", F(1), F(1), F(20), F(5, 3), "exact", 3),
+    ])
+    return model
+
+
+@pytest.mark.parametrize(
+    "model", [DensityModel.with_patterns(), DensityModel.closed_form_only(), mixed_table_model()],
+    ids=["with_patterns", "closed_form_only", "mixed_table"],
+)
+def test_mirror_identity(model):
+    """f(i, j, nu) = f(j, i, -nu), with the same provenance, for every
+    ordered pair and every primitive normal with |p|, |q| <= 5."""
+    assert len(NORMALS) == 80
+    for i in range(9):
+        for j in range(9):
+            if i == j:
+                continue
+            for p, q in NORMALS:
+                assert model.value_and_source(i, j, (p, q)) == model.value_and_source(
+                    j, i, (-p, -q)), (i, j, (p, q))
+
+
+def test_mirror_rows_share_one_entry():
+    model = mixed_table_model()
+    assert len(model.table) == 2
+    assert model.value_and_source(7, 1, (-1, 1)) == (F(15, 8), "table(T=16,exact)")
+    assert model.value_and_source(0, 2, (-1, -1)) == (F(5, 3), "table(T=12,exact)")
+    # one seam row, at its own normal, enters the R/S contact envelope
+    assert model.rs_contact_envelope().gauge((1, -1)) == F(15, 8)
 
 
 def test_sum_gauge():

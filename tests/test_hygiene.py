@@ -1,7 +1,8 @@
 """Library hygiene, read from the source with `ast`: no unused import, no
 import inside a function body, no module-level private name that the
 library itself never refers to, no public name that only the tests use,
-and no module-level mutable container."""
+no module-level mutable container, and no restatement of the species
+split outside `molecules`."""
 
 from __future__ import annotations
 
@@ -167,3 +168,22 @@ def test_no_module_level_mutable_state():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     ]
     assert not mutable, mutable
+
+
+def test_species_split_is_stated_once():
+    """Phases 1..4 are R and 5..8 are S, and only `molecules` says so
+    (`phase_shape`, `phase_label`): no comparison elsewhere in the library
+    has the constant 4 or 5 as an operand."""
+    split = [
+        f"{module}:{node.lineno} {ast.unparse(node)}"
+        for module, tree in TREES.items()
+        if module != "molecules.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Constant)
+            and type(operand.value) is int and operand.value in (4, 5)
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+    assert not split, split

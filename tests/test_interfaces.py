@@ -429,6 +429,13 @@ def test_wetting_pattern():
         assert (wv < pv) == wins
         best, cfg = pattern_upper_bound(1, 0, nu, 16, weights)
         assert best == min(pv, wv)
+        # the mirror problem (0, 1, (1, -1)) is the same interface
+        assert pattern_upper_bound(0, 1, -nu, 16, weights)[0] == best
+    # the bench's wetting row and its mirror, and the mirrored S case
+    for T in (12, 16):
+        for (i, j, mnu), weights in [((1, 0, nu), (1, F(1, 4))), ((5, 0, Direction(1, 1)), (1, 4))]:
+            original = pattern_upper_bound(i, j, mnu, T, weights)[0]
+            assert pattern_upper_bound(j, i, -mnu, T, weights)[0] == original, (i, j, T)
     # at weights (4,1) the wetting construction is exactly optimal at T=16
     prob = InterfaceProblem(1, 0, nu, 16, (4, 1))
     assert _energy(wetting_config(prob), prob) == solve_interface(prob).value
