@@ -106,10 +106,11 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     are computed once per column and once per row, and phase labels are
     read only for the centre tile of a full block.  The boundary length
     comes from the same blocks: the lattice boundary sweep visits only the
-    centre tiles of the blocks that are neither full nor empty.  An
-    occupied cell with a free side has that side's cell in its own tile or
-    a neighbouring one, so its block is such a block, and every cell that
-    meets the window is in the centre tile of a block of the grid.
+    cells that meet the window in the centre tiles of the blocks that are
+    neither full nor empty.  An occupied cell with a free side has that
+    side's cell in its own tile or a neighbouring one, so its block is such
+    a block, and every cell that meets the window is in the centre tile of
+    a block of the grid; the sweep prices no cell that misses the window.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -135,14 +136,18 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
             for t1 in range(cols[0][0] - 1, cols[-1][0] + 2)
         )
     ]
+    # per centre tile column and row, its cells that meet the window
+    xs, ys = wlat.cell_range()
+    seen_x = [[a for a in range(4 * m - 2, 4 * m + 2) if a in xs] for m, *_ in cols]
+    seen_y = [[b for b in range(4 * m - 2, 4 * m + 2) if b in ys] for m, *_ in rows]
     seam: list[tuple[Cell, int]] = []
     for k, (m1, inside1, (u0, u1), (s0, s1)) in enumerate(cols):
         fills = [a + b + c for a, b, c in zip(*strips[k:k + 3])]
-        for (m2, inside2, (v0, v1), (t0, t1)), filled in zip(rows, fills):
+        for (m2, inside2, (v0, v1), (t0, t1)), filled, bs in zip(rows, fills, seen_y):
             n1, n2 = 4 * m1, 4 * m2
             partial = 0 < filled < 144
             if partial:
-                cells = ((n1 + a, n2 + b) for a, b in _TILE)
+                cells = ((a, b) for a in seen_x[k] for b in bs)
                 seam += [(cell, occ[cell]) for cell in cells if cell in occ]
             if partial or not (inside1 and inside2):
                 bad.append(rect(u0, v0, u1, v1))

@@ -44,15 +44,28 @@ the line bound shifts the search's own masks along and across lines.
 The search counts its cost in integer units of 1/scale, so all energies
 stay exact rationals.
 
-The solver and the pattern library share one glued construction, built
-from one family build: the forced frame molecules plus the family
-molecules that lie in the free zone (`_glued_part`).  It is the solver's
-second incumbent after the forced part alone, and a `pattern_upper_bound`
-candidate beside the wetting fill and the forced part alone, so a
-feasible problem always has a bound.  The family build covers Q_T and no
-more: the frame and the inner square both lie in Q_T, and every use of
-the family keeps only members that meet the frame or lie in the free
-zone, so a member missing Q_T is never used (`_near_family`).
+The solver and the pattern library share one set-up (`_set_up`), built on
+one window Q_T: the family, read off the patterns' anchor columns
+(`pattern_columns`) with each column cut once by the reach inequality;
+the forced part, from one frame test per member; the free zone; and the
+glued family, the forced frame molecules plus the family molecules that
+lie in the free zone.  The glued family is the solver's second incumbent
+after the forced part alone, and a `pattern_upper_bound` candidate beside
+the wetting fill and the forced part alone, so a feasible problem always
+has a bound.  The family build covers Q_T and no more: the frame and the
+inner square both lie in Q_T, and every use of the family keeps only
+members that meet the frame or lie in the free zone, so a member missing
+Q_T is never used.  The solver sweeps the lattice once per problem, to
+price the forced part; it prices the glued family on its own bitboards as
+the leaf that places its free members (`_glued_cost`).  The pattern
+library prices every candidate through the lattice sweep, which is the
+independent check on those integer prices.
+
+A truncated solve reports an interval [lower, value]: on the way out of
+the search each node on the stack folds in the bounds of its children not
+opened yet, so `lower` is the least of those bounds, capped by the
+incumbent and never below the root bound.  Exhausted solves pay nothing
+for it.
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -60,6 +73,7 @@ else here is pure, so concurrent invocation is safe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -78,13 +92,13 @@ from .molecules import (
     Window,
     configuration_to_jsonable,
     decode_entry,
-    phase_pattern,
+    pattern_columns,
     phase_shape,
     validate,
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import PlacementTable
+from .placements import Placement, PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -189,9 +203,13 @@ class SolveResult:
     config: Configuration
     certificate: str  # "exact" | "upper_bound"
     nodes_explored: int
-    # a proven lower bound on the optimum; equal to value when exact.  It
-    # is not serialised, so outputs do not change with the bound.
+    # a proven lower bound on the optimum; equal to value when exact.  On
+    # truncation it is the least bound over the children that the search
+    # had not opened, capped by the incumbent, and at least `root`, the
+    # bound at the root.  Neither is serialised, so outputs do not change
+    # with the bounds.
     lower: Fraction
+    root: Fraction
 
     def to_jsonable(self) -> dict:
         return {
@@ -212,26 +230,34 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
     A phase-i molecule belongs when it meets {x . nu > 2} and a phase-j
     molecule when it meets {x . nu < -2}, with nu used as the unit vector
     (p, q)/sqrt(p^2+q^2).  The extreme of x . nu over a molecule's closed
-    cells is p a + q b at its anchor (a, b) plus an extreme that depends on
-    the shape alone (over its cell offsets and the unit cell), so each side
-    takes that once and tests each anchor with one exact comparison on
-    squared integers.
+    cells is p a + q b at its anchor (a, b) plus a reach that depends on the
+    shape alone (over its cell offsets and the unit cell), and it must
+    exceed 2 |nu|, so the integer p a + q b + reach must reach
+    isqrt(4 (p^2 + q^2)) + 1.  The anchors come from the pattern's columns
+    (`pattern_columns`); in each column that inequality is linear in b, so
+    it cuts the column's range once, and only members are built.
     """
     p, q = nu.p, nu.q
-    norm4 = 4 * (p * p + q * q)  # (2 |nu|)^2
+    least = math.isqrt(4 * (p * p + q * q)) + 1  # the least integer above 2 |nu|
     out = []
     for lab, sign in ((i, 1), (j, -1)):
         if lab == 0:
             continue
-        # sign * x . nu at its extreme over the phase's shape anchored at 0
         shape = phase_shape(lab)
-        reach = max(sign * (p * c + q * r) for c, r in shape.cells)
-        reach += max(sign * p, 0) + max(sign * q, 0)
-        for m in phase_pattern(lab, window).molecules:
-            a, b = m.anchor
-            v = sign * (p * a + q * b) + reach
-            if v > 0 and v * v > norm4:
-                out.append(m)
+        sp, sq = sign * p, sign * q
+        # sign * x . nu at its extreme over the phase's shape anchored at 0
+        reach = max(sp * c + sq * r for c, r in shape.cells) + max(sp, 0) + max(sq, 0)
+        for a, bs in pattern_columns(lab, window):
+            need = least - reach - sp * a  # a member has sq * b >= need
+            if sq > 0:
+                lo = -(-need // sq)  # the least b with sq * b >= need
+                bs = bs[max(0, -((bs.start - lo) // 4)):]
+            elif sq < 0:
+                hi = need // sq  # the greatest b with sq * b >= need
+                bs = bs[:max(0, (hi - bs.start) // 4 + 1)]
+            elif need > 0:
+                continue
+            out.extend(Molecule(shape, (a, b)) for b in bs)
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
 
@@ -240,10 +266,10 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
 # Frame geometry
 # -------------------------------------------------------------------
 
-def _cell_meets_window(cell: Cell, T: int) -> bool:
-    """Cell meeting the open square Q_T, tested on 2a against T."""
-    a, b = cell
-    return -T - 2 < 2 * a < T and -T - 2 < 2 * b < T
+def _window_cells(T: int) -> range:
+    """Cell indices of Q_T: cell (a, b) meets the open square iff a and b
+    are both in the range, that is -T - 2 < 2a < T and likewise for b."""
+    return range(-((T + 1) // 2), (T - 1) // 2 + 1)
 
 
 def _inner(T: int) -> range:
@@ -261,31 +287,20 @@ def _free_cells(forced: Configuration, T: int) -> set[Cell]:
 
 
 def meets_frame(m: Molecule, T: int) -> bool:
-    """Does the molecule intersect the open frame collar of Q_T?"""
-    inner = _inner(T)
-    return any(
-        _cell_meets_window(c, T) and not (c[0] in inner and c[1] in inner)
-        for c in m.cells()
-    )
+    """Does the molecule intersect the open frame collar of Q_T?  It does
+    iff one of its cells meets Q_T outside the inner square, wherever the
+    molecule lies."""
+    window, inner = _window_cells(T), _inner(T)
+    for a, b in m.cells():
+        if a in window and b in window and not (a in inner and b in inner):
+            return True
+    return False
 
 
-def _near_family(prob: InterfaceProblem) -> list[Molecule]:
-    """The family molecules meeting Q_T.
-
-    Every consumer keeps only members that meet the frame, which lies in
-    Q_T, or that lie inside the inner square, which lies in Q_T too: the
-    forced part, the glued part, the wetting fill and the frame check.  A
-    member that misses Q_T is neither, so a larger window would only build
-    molecules that are dropped.  The window's cell test is
-    `_cell_meets_window`'s, odd T included.
-    """
-    return _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T))
-
-
-def _forced_part(members: list[Molecule], prob: InterfaceProblem) -> Configuration:
-    """The members meeting the frame, validated."""
+def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configuration:
+    """The family members meeting the frame, validated."""
     try:
-        return validate(m for m in members if meets_frame(m, prob.T))
+        return validate(frame)
     except OverlapError as exc:
         raise InfeasibleBoundary(
             f"boundary family ({prob.i},{prob.j},{prob.nu.as_tuple()}) forces "
@@ -293,9 +308,44 @@ def _forced_part(members: list[Molecule], prob: InterfaceProblem) -> Configurati
         ) from exc
 
 
+def _set_up(
+    prob: InterfaceProblem, window: Window
+) -> tuple[list[Molecule], Configuration, set[Cell], list[Molecule]]:
+    """(family, forced part, free zone, glued family): the set-up that the
+    solver and the pattern library share, from one family build on the
+    window Q_T, with one frame test per member.
+
+    Every consumer keeps only family members that meet the frame, which
+    lies in Q_T, or that lie inside the inner square, which lies in Q_T
+    too, so a member that misses Q_T is never used.  The window's cells are
+    the ones `_window_cells` gives, odd T included.
+
+    The glued family is the forced part plus the members lying in the free
+    zone, in family order: the boundary family continued through the
+    interior of Q_T.  It realizes the documented interface patterns: for
+    (i, 0) problems the striped half plane with its staircase profile
+    (optimal in the diagonal directions and asymptotically optimal in the
+    axis and (3, -1) directions); for mixed pairs the two half families
+    glued, meeting flush along the anti-diagonal seams that admit meshing
+    and leaving an empty gap elsewhere (the constructive form of the
+    subadditive bound).  Its interior members are free placements of the
+    solver, so it is both the solver's glued incumbent and a
+    `pattern_upper_bound` candidate.  The forced part is validated and no
+    interior member touches it, so the glued family overlaps exactly when
+    two interior members do.
+    """
+    T = prob.T
+    members = _family_members(prob.i, prob.j, prob.nu, window)
+    framed = [meets_frame(m, T) for m in members]
+    forced = _forced_part(itertools.compress(members, framed), prob)
+    free = _free_cells(forced, T)
+    glued = [m for m, f in zip(members, framed) if f or free.issuperset(m.cells())]
+    return members, forced, free, glued
+
+
 def frame_forced(prob: InterfaceProblem) -> Configuration:
     """Family molecules meeting the frame: the forced part of any config."""
-    return _forced_part(_near_family(prob), prob)
+    return _set_up(prob, Window.square(prob.T))[1]
 
 
 def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
@@ -315,8 +365,8 @@ def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
     return _matches_frame(config, frame_forced(prob), prob.T)
 
 
-def _energy(config: Configuration, prob: InterfaceProblem) -> Fraction:
-    window = Window.square(prob.T)
+def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fraction:
+    """The problem's energy of config in the window Q_T, by the lattice sweep."""
     if prob.energy_kind == VOLUME:
         return volume_deficit(config, window)
     return weighted_perimeter(config, *prob.weights, window)
@@ -384,14 +434,23 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     bound is the cost minus one molecule area per four undecided cells.
     Both bounds are admissible, and since the scan order is fixed an
     exhausted search returns the first optimal leaf in scan order, or the
-    incumbent, whatever the bound.  `lower` is the bound at the root, or
-    the value when the certificate is exact.
+    incumbent, whatever the bound.  `root` is the bound at the root.
+    `lower` is the value when the certificate is exact; on truncation it is
+    the least bound over the children that the nodes on the stack had not
+    opened, capped by the incumbent and at least `root`, since every leaf
+    below an opened child was priced or pruned against the incumbent.
+
+    Set-up, shared with `pattern_upper_bound` (`_set_up`): one window Q_T,
+    one family build from the patterns' anchor columns, one frame test per
+    member, and one lattice sweep, for the forced part.  The incumbents are
+    the forced part alone and the glued family, priced on the bitboards as
+    the leaf that places its free members (`_glued_cost`).
     """
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
-    members = _near_family(prob)
-    forced = _forced_part(members, prob)
     T = prob.T
+    window = Window.square(T)
+    _, forced, free, glued = _set_up(prob, window)
     volume = prob.energy_kind == VOLUME
 
     # The table numbers the inner square plus its one-cell ring line by
@@ -401,14 +460,13 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     square = range(inner.start - 1, inner.stop + 1)
     width = len(square)
     order = _scan_order(prob, [(a, b) for a in square for b in square])
-    free = _free_cells(forced, T)
     table = PlacementTable(order, (R, S), free)
     n = table.n
     free_bits = table.mask(free)
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
-    base = _energy(forced, prob)
+    base = _energy(forced, prob, window)
     c_R, c_S = prob.weights
     scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
     w_R, w_S = int(c_R * scale), int(c_S * scale)
@@ -421,14 +479,17 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         return v.numerator
 
     # State: decided cells (placed, left empty, or outside the free zone)
-    # and the cells occupied by R-like and S-like molecules.
-    occ_R0 = table.mask(
-        c
-        for m in forced.molecules
-        if m.shape.chirality_class == R_LIKE
-        for c in m.cells()
-    )
-    occ_S0 = table.mask(forced.occupancy) & ~occ_R0
+    # and the order cells occupied by R-like and S-like molecules; order
+    # cell k has bit k.  Occupancy is only ever read on order cells: the
+    # neighbours of free cells, the rims of free molecules and the lines.
+    occ_R0 = occ_S0 = 0
+    for k, cell in enumerate(order):
+        owner = forced.occupancy.get(cell)
+        if owner is not None:
+            if forced.molecules[owner].shape.chirality_class == R_LIKE:
+                occ_R0 |= 1 << k
+            else:
+                occ_S0 |= 1 << k
     decided0 = table.all_bits & ~free_bits
 
     # COST: for surface energies, the weighted length of the boundary
@@ -443,6 +504,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                     w_R * (nbrs & occ_R0).bit_count()
                     + w_S * (nbrs & occ_S0).bit_count()
                 )
+    root = (decided0, occ_R0, occ_S0, cost0)
 
     # LINE: each line starts and ends on a ring cell, which is always
     # decided, so no run of undecided cells crosses into the next line.  A
@@ -476,21 +538,38 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
     # initial incumbents: the forced part alone, then the glued family
     best_val, best_cfg = scaled(base), list(forced.molecules)
-    try:
-        glued = _glued_part(members, forced, free)
-    except OverlapError:
-        pass
-    else:
-        value = scaled(_energy(glued, prob))
-        if value < best_val:
-            best_val, best_cfg = value, list(glued.molecules)
+    value = _glued_cost(table, glued, root, None if volume else (w_R, w_S), molecule_area)
+    if value is not None and value < best_val:
+        best_val, best_cfg = value, glued
 
     nodes = 0
     exhausted = True
+    cut = best_val  # on truncation, the least bound over the unopened children
     placed: list[Molecule] = []
 
+    def stop(i: int, rest: list[Placement], decided: int, occ_R: int, occ_S: int, cost: int) -> None:
+        """The budget ran out at a node whose first undecided cell is i:
+        fold into `cut` the bounds of its children not opened yet, the
+        placements in `rest` and the empty branch, priced as `dfs` would."""
+        nonlocal exhausted, cut
+        exhausted = False
+        occ = occ_R | occ_S
+        empty = decided & ~occ
+        for p in rest:
+            if not p.mask & decided:
+                if volume:
+                    child = cost - molecule_area
+                else:
+                    w = w_R if p.molecule.shape.chirality_class == R_LIKE else w_S
+                    child = cost + w * p.contacts(empty)
+                cut = min(cut, bound(decided | p.mask, occ | p.mask, child))
+        if not volume:
+            nbrs = table.neighbors[i]
+            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+        cut = min(cut, bound(decided | 1 << i, occ, cost))
+
     def dfs(decided: int, occ_R: int, occ_S: int, cost: int) -> None:
-        nonlocal nodes, best_val, best_cfg, exhausted
+        nonlocal nodes, best_val, best_cfg
         i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
         if i >= n:
             if cost < best_val:
@@ -501,11 +580,12 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         if bound(decided, occ, cost) >= best_val:
             return
         # branch 1: cover the cell with each feasible placement
-        for p in table.by_pos[i]:
+        options = table.by_pos[i]
+        for p in options:
             if p.mask & decided:
                 continue
             if nodes >= budget:
-                exhausted = False
+                stop(i, options[options.index(p):], decided, occ_R, occ_S, cost)
                 return
             nodes += 1
             placed.append(p.molecule)
@@ -522,7 +602,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             placed.pop()
         # branch 2: leave the cell empty
         if nodes >= budget:
-            exhausted = False
+            stop(i, [], decided, occ_R, occ_S, cost)
             return
         nodes += 1
         if not volume:
@@ -530,16 +610,74 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
         dfs(decided | 1 << i, occ_R, occ_S, cost)
 
-    lower = bound(decided0, occ_R0 | occ_S0, cost0)
-    dfs(decided0, occ_R0, occ_S0, cost0)
+    root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
+    dfs(*root)
+    if exhausted:
+        lower = best_val
+    else:
+        # every leaf below an opened child was priced or pruned against an
+        # incumbent no better than best_val; the root bound holds as well
+        lower = max(root_bound, min(cut, best_val))
 
     return SolveResult(
         value=Fraction(best_val, scale),
         config=validate(best_cfg),
         certificate="exact" if exhausted else "upper_bound",
         nodes_explored=nodes,
-        lower=Fraction(best_val if exhausted else min(lower, best_val), scale),
+        lower=Fraction(lower, scale),
+        root=Fraction(root_bound, scale),
     )
+
+
+def _glued_cost(
+    table: PlacementTable,
+    glued: list[Molecule],
+    root: tuple[int, int, int, int],
+    weights: tuple[int, int] | None,
+    area: int,
+) -> int | None:
+    """The solver's cost at the leaf that places the glued family's free
+    members, in its integer units, or None when two of them overlap.
+
+    `root` is the search's root state (decided, occ_R, occ_S, cost), which
+    holds the forced part; a member is free when the table holds it.  For
+    volume energies (weights None) each placement lowers the cost by
+    `area`.  For surface energies, with weights (w_R, w_S), the leaf adds
+    to the root cost the weights of the occupied neighbours of each free
+    cell left empty, and each placement's contacts with the decided empty
+    cells outside the free zone: these are the boundary edges that meet a
+    free cell, each once, as the search counts them.
+    """
+    decided, occ_R, occ_S, cost = root
+    at = {(p.molecule.shape.name, p.molecule.anchor): p for p in table.placements}
+    placed = []
+    mask = 0
+    for m in glued:
+        p = at.get((m.shape.name, m.anchor))
+        if p is None:
+            continue  # a forced member
+        if p.mask & mask:
+            return None
+        mask |= p.mask
+        placed.append(p)
+    if weights is None:
+        return cost - area * len(placed)
+    w_R, w_S = weights
+    outside = decided & ~(occ_R | occ_S)  # decided empty cells
+    for p in placed:
+        if p.molecule.shape.chirality_class == R_LIKE:
+            occ_R |= p.mask
+            cost += w_R * p.contacts(outside)
+        else:
+            occ_S |= p.mask
+            cost += w_S * p.contacts(outside)
+    empty = table.all_bits & ~decided & ~mask
+    while empty:
+        low = empty & -empty
+        empty ^= low
+        nbrs = table.neighbors[low.bit_length() - 1]
+        cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+    return cost
 
 
 def normalized_density(prob: InterfaceProblem, result: SolveResult | DensityRecord) -> Fraction:
@@ -650,27 +788,6 @@ def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord
 # Pattern library
 # -------------------------------------------------------------------
 
-def _glued_part(members: list[Molecule], forced: Configuration, free: set[Cell]) -> Configuration:
-    """The forced part plus the members lying in the free zone `free`.
-
-    This is the boundary family continued through the interior of Q_T, and
-    it realizes the documented interface patterns: for (i, 0) problems the
-    striped half plane with its staircase profile (optimal in the diagonal
-    directions and asymptotically optimal in the axis and (3, -1)
-    directions); for mixed pairs the two half families glued, meeting flush
-    along the anti-diagonal seams that admit meshing and leaving an empty
-    gap elsewhere (the constructive form of the subadditive bound).
-
-    The interior members are exactly the family's free placements in
-    `solve_interface`, so this is also the solver's glued incumbent.  The
-    forced part is already validated and no interior member touches it, so
-    OverlapError means two interior members overlap.  Members keep their
-    family order.
-    """
-    frame = set(forced.molecules)
-    return validate(m for m in members if m in frame or free.issuperset(m.cells()))
-
-
 def _mirror_molecule(m: Molecule) -> Molecule:
     """Reflection through a vertical axis: R(n1, n2) <-> S(-n1, n2)."""
     n1, n2 = m.anchor
@@ -757,12 +874,11 @@ def pattern_upper_bound(
     """
     prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
     # one family build serves every candidate and the admissibility check
-    members = _near_family(prob)
-    forced = _forced_part(members, prob)
-    free = _free_cells(forced, T)
+    window = Window.square(T)
+    members, forced, free, glued = _set_up(prob, window)
     candidates: list[Configuration] = []
     try:
-        candidates.append(_glued_part(members, forced, free))
+        candidates.append(validate(glued))
     except OverlapError:
         pass
     try:
@@ -770,7 +886,7 @@ def pattern_upper_bound(
     except NoPattern:
         pass
     candidates.append(forced)
-    value, cfg = min(((_energy(c, prob), c) for c in candidates), key=lambda t: t[0])
+    value, cfg = min(((_energy(c, prob, window), c) for c in candidates), key=lambda t: t[0])
     if not _matches_frame(cfg, forced, T):
         raise NoPattern("library construction failed the admissibility check")
     return value, cfg

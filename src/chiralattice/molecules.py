@@ -11,9 +11,10 @@ The lattice energies share one sweep and one clipping rule.
 `_boundary_lengths` sweeps occupied cells and charges each unoccupied
 side to the chirality class of its molecule; `perimeter` adds the R-like
 and S-like lengths and `weighted_perimeter` weighs them.  Both sweep every
-occupied cell; `decomposition.decompose` hands the sweep only the centre
-tiles of its 12x12 blocks that are neither full nor empty, as no other
-cell that meets the window has a free side.
+occupied cell; `decomposition.decompose` hands the sweep only the cells
+that meet the window in the centre tiles of its 12x12 blocks that are
+neither full nor empty, as no other cell that meets the window has a free
+side.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
 and `volume_deficit` counts a cell inside the closed window as 1 and takes
@@ -484,28 +485,44 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
 # The striped zero-energy patterns
 # -------------------------------------------------------------------
 
+def pattern_columns(i: int, window: Window) -> list[tuple[int, range]]:
+    """The anchors of the phase-i molecules whose cells intersect the window,
+    column by column: (a, bs) for each anchor column a, with the molecules
+    (phase_shape(i), (a, b)) for b in bs.
+
+    This is the one statement of the stripe geometry.  Each column's anchors
+    form one range of step 4: the label of anchor (a, b) is, mod 4, its
+    label at the origin plus one per row and `step` per column, read off
+    `phase_label`; and the shape's rows whose cells fall in a window column
+    are contiguous, so the anchors meeting the window are consecutive.
+    """
+    if window.is_plane:
+        raise InvalidInput("a plane-filling pattern is infinite; pass a square")
+    shape = phase_shape(i)
+    origin = phase_label(Molecule(shape, (0, 0)))
+    step = phase_label(Molecule(shape, (1, 0))) - origin
+    dxs = [c for c, _ in shape.cells]
+    xs, ys = window.cell_range()
+    out = []
+    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
+        dys = [r for c, r in shape.cells if a + c in xs]
+        first = ys.start - max(dys)
+        first += (i - origin - step * a - first) % 4
+        out.append((a, range(first, ys.stop - min(dys), 4)))
+    return out
+
+
 def phase_pattern(i: int, window: Window) -> Configuration:
-    """All phase-i molecules whose cells intersect the window.
+    """All phase-i molecules whose cells intersect the window, validated, in
+    the column order of `pattern_columns`.
 
     The result covers every cell of the window, has zero perimeter on the
     erosion of the window by 3, and consists of molecules that all carry
     phase label i.
     """
-    if window.is_plane:
-        raise InvalidInput("a plane-filling pattern is infinite; pass a square")
+    columns = pattern_columns(i, window)
     shape = phase_shape(i)
-    dxs = [c for c, _ in shape.cells]
-    xs, ys = window.cell_range()
-    mols = []
-    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
-        # the shape's rows whose cells fall in a window column; they are
-        # contiguous, so the anchors meeting the window form one range of b
-        dys = [r for c, r in shape.cells if a + c in xs]
-        first = ys.start - max(dys)
-        # within a column the label advances by one per row, mod 4
-        first += (i - phase_label(Molecule(shape, (a, first)))) % 4
-        mols.extend(Molecule(shape, (a, b)) for b in range(first, ys.stop - min(dys), 4))
-    return validate(mols)
+    return validate(Molecule(shape, (a, b)) for a, bs in columns for b in bs)
 
 
 # -------------------------------------------------------------------

@@ -83,53 +83,63 @@ class PlacementTable:
         within: set[Cell] | None = None,
     ):
         shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds no placements
-        self.n = len(order)
+        self.n = n = len(order)
         self._bit: dict[Cell, int] = {cell: i for i, cell in enumerate(order)}
         self.placements: list[Placement] = []
         self.by_pos: list[list[Placement]] = [[] for _ in order]
-        rims = [_rim(shape) for shape in shapes]
-        seen: set[tuple[int, int, int]] = set()
-        for cell in order:
-            if within is not None and cell not in within:
-                continue
-            for k, shape in enumerate(shapes):
-                for off in shape.cells:
-                    x, y = cell[0] - off[0], cell[1] - off[1]
-                    if (k, x, y) in seen:
+        starts = order if within is None else [c for c in order if c in within]
+        # per shape, the anchors of its candidates not numbered yet: with
+        # `within`, those whose cells all lie in it, else those covering an
+        # order cell; each is numbered at the first order cell it covers
+        kinds = []
+        for shape in shapes:
+            if within is None:
+                todo = {(a - x, b - y) for a, b in order for x, y in shape.cells}
+            else:
+                todo = set.intersection(
+                    *({(a - x, b - y) for a, b in within} for x, y in shape.cells)
+                )
+            touch1, touch2 = _rim(shape)
+            k1 = len(shape.cells)
+            # its cell offsets then its rim's, and where the rim's two parts start
+            offsets = shape.cells + tuple(touch1) + tuple(touch2)
+            kinds.append((shape, todo, offsets, k1, k1 + len(touch1)))
+        by_pos = self.by_pos
+        for a, b in starts:
+            for shape, todo, offsets, k1, k2 in kinds:
+                for dx, dy in shape.cells:
+                    anchor = (a - dx, b - dy)
+                    if anchor not in todo:
                         continue
-                    seen.add((k, x, y))
-                    mol = Molecule(shape, (x, y))
-                    cells = mol.cells()
-                    if within is None or within.issuperset(cells):
-                        self._add(mol, cells, *rims[k])
-        self.neighbors = [self._number(_neighbors(cell)) for cell in order]
+                    todo.remove(anchor)
+                    x, y = anchor
+                    # the bits are distinct, so each sum is a union
+                    bits = self._bits([(x + c, y + r) for c, r in offsets])
+                    p = Placement(
+                        len(self.placements),
+                        Molecule(shape, anchor),
+                        sum(bits[:k1]),
+                        sum(bits[k1:k2]),
+                        sum(bits[k2:]),
+                    )
+                    self.placements.append(p)
+                    for cell_bit in bits[:k1]:
+                        i = cell_bit.bit_length() - 1
+                        if i < n:
+                            by_pos[i].append(p)
+        self.neighbors = [sum(self._bits(_neighbors(cell))) for cell in order]
 
-    def _add(
-        self, mol: Molecule, cells: Sequence[Cell], touch1: list[Cell], touch2: list[Cell],
-    ) -> None:
-        """Adds the placement; cells are its cells, touch1 and touch2 its
-        shape's rim offsets."""
-        x, y = mol.anchor
-        p = Placement(
-            len(self.placements),
-            mol,
-            self._number(cells),
-            self._number((x + a, y + b) for a, b in touch1),
-            self._number((x + a, y + b) for a, b in touch2),
-        )
-        self.placements.append(p)
+    def _bits(self, cells: Iterable[Cell]) -> list[int]:
+        """The bit 1 << i of each given cell, giving new cells the next free
+        bits in the order given."""
+        bit = self._bit
+        out = []
         for cell in cells:
-            i = self._bit[cell]
-            if i < self.n:
-                self.by_pos[i].append(p)
-
-    def _number(self, cells: Iterable[Cell]) -> int:
-        """Bits of the given cells, giving new cells the next free bits."""
-        bits = 0
-        for cell in cells:
-            i = self._bit.setdefault(cell, len(self._bit))
-            bits |= 1 << i
-        return bits
+            i = bit.get(cell)
+            if i is None:
+                i = bit[cell] = len(bit)
+            out.append(1 << i)
+        return out
 
     def mask(self, cells: Iterable[Cell]) -> int:
         """Bits of the given cells; cells that have no bit are skipped."""

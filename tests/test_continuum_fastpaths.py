@@ -20,6 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from chiralattice import decomposition
 from chiralattice.altpairs import FLAT_R, FLAT_S
 from chiralattice.decomposition import (
     PhasePartitionApprox,
@@ -282,10 +283,19 @@ def criterion_seam(eps: F) -> ScaledConfiguration:
 
 
 @pytest.mark.parametrize("eps", [F(1, 16), F(1, 32), F(1, 64)])
-def test_seam_sweep_matches_full_perimeter(eps):
+def test_seam_sweep_matches_full_perimeter(eps, monkeypatch):
     """The boundary length read from the seam tiles equals the sweep over
     every cell, in the centred window and in an off-centre window with
-    rational bounds that reaches past the configuration's rim."""
+    rational bounds that reaches past the configuration's rim; the seam
+    sweep visits only cells that meet the window."""
+    swept = []
+
+    def recording(config, window, cells=None):
+        swept.append((window, list(cells)))
+        return sweep(config, window, cells)
+
+    sweep = decomposition._boundary_lengths
+    monkeypatch.setattr(decomposition, "_boundary_lengths", recording)
     sc = criterion_seam(eps)
     occ = sc.config.occupancy
     tiles = Counter(((a + 2) >> 2, (b + 2) >> 2) for a, b in occ)
@@ -298,6 +308,10 @@ def test_seam_sweep_matches_full_perimeter(eps):
         wlat = _window_in_lattice(window, eps)
         expected = eps * perimeter(sc.config, wlat)
         assert decompose(sc, window).boundary_length == expected, window
+        (swept_window, cells), = swept
+        swept.clear()
+        xs, ys = swept_window.cell_range()
+        assert cells and all(a in xs and b in ys for (a, b), _ in cells), window
         if window.center != (0, 0):
             x0, y0, x1, y1 = wlat.bounds()
             assert x1 > max(a for a, _ in occ) + 1 and y0 < min(b for _, b in occ)

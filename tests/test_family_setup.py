@@ -1,10 +1,18 @@
 """Differential tests for the boundary-family set-up of interface problems.
 
-`_family_members` tests each side of the family once per anchor, against
-an extreme of x . nu taken once per shape; the per-cell loop it replaced
-(`side_reach`) is the reference.  `_near_family` builds the family on Q_T
-itself; the consumers built from it are checked against the same
-consumers on the Q_{T+8} family, which every member they keep also meets.
+`_family_members` takes each phase's anchors from the pattern's columns
+and cuts each column once by the reach inequality; the per-cell loop it
+replaced (`side_reach`) is one reference, and the filter over two full
+`phase_pattern`s on Q_T that came before it (`ref_near_family`) is
+another.  `_set_up` builds the family on Q_T itself, tests each member
+against the frame once, and states the glued family once for the solver
+and the pattern library; the forced and glued parts are checked against
+the same parts on the Q_{T+8} family, which every member they keep also
+meets.  The solver prices its glued incumbent on its own bitboards
+(`_glued_cost`); the validated glued configuration priced by the lattice
+sweep (`ref_glued_part`, then `ref_energy`) is the reference for its
+value, its overlap verdict and its molecule order.
+
 `pattern_upper_bound` builds the boundary family once and derives the
 glued configuration, the wetting patches and the admissibility check from
 it; the path it replaced, which rebuilt the family on Q_{T+8} for each of
@@ -19,34 +27,37 @@ inconsistent.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from chiralattice import interfaces, molecules
 from chiralattice.interfaces import (
     Direction,
     InfeasibleBoundary,
     InterfaceProblem,
     NoPattern,
-    _energy,
     _family_members,
     _forced_part,
     _free_cells,
-    _glued_part,
     _mirror_molecule,
-    _near_family,
+    _set_up,
     admissible,
     direction,
     frame_forced,
     meets_frame,
     pattern_upper_bound,
+    solve_interface,
 )
 from chiralattice.molecules import (
-    Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, validate,
+    Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, phase_shape, validate,
 )
 from test_fastpaths import FAMILY_DIRECTIONS
 from test_interfaces import wetting_config
-from test_line_bound import TABLE_DIRECTIONS, _table_rows, inside_inner, side_reach
+from test_line_bound import (
+    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, side_reach,
+)
 
 DIRECTIONS = [(1, 1), (1, -1), (1, 0), (0, 1), (3, -1), (-1, 3), (2, 1), (-1, -2)]
 
@@ -65,6 +76,34 @@ def ref_family_members(i, j, nu, window):
     ]
     out.sort(key=lambda m: (m.shape.name, m.anchor))
     return out
+
+
+def ref_near_family(prob):
+    """The family meeting Q_T as two full phase patterns on Q_T, each
+    validated, filtered by the reach of x . nu over each shape."""
+    p, q = prob.nu.p, prob.nu.q
+    norm4 = 4 * (p * p + q * q)  # (2 |nu|)^2
+    window = Window.square(prob.T)
+    out = []
+    for lab, sign in ((prob.i, 1), (prob.j, -1)):
+        if lab == 0:
+            continue
+        shape = phase_shape(lab)
+        reach = max(sign * (p * c + q * r) for c, r in shape.cells)
+        reach += max(sign * p, 0) + max(sign * q, 0)
+        for m in phase_pattern(lab, window).molecules:
+            a, b = m.anchor
+            v = sign * (p * a + q * b) + reach
+            if v > 0 and v * v > norm4:
+                out.append(m)
+    out.sort(key=lambda m: (m.shape.name, m.anchor))
+    return out
+
+
+def ref_glued_part(members, forced, free):
+    """The forced part plus the members lying in the free zone, validated."""
+    frame = set(forced.molecules)
+    return validate(m for m in members if m in frame or free.issuperset(m.cells()))
 
 
 def ref_frame_forced(prob):
@@ -147,10 +186,10 @@ def ref_pattern_upper_bound(i, j, nu, T, weights):
     prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
     candidates = []
     cfg = ref_glued_family_config(prob)
-    candidates.append((_energy(cfg, prob), cfg))
+    candidates.append((ref_energy(cfg, prob), cfg))
     try:
         wet = ref_wetting_config(prob)
-        candidates.append((_energy(wet, prob), wet))
+        candidates.append((ref_energy(wet, prob), wet))
     except NoPattern:
         pass
     candidates.sort(key=lambda t: t[0])
@@ -181,9 +220,9 @@ def test_side_reach_matches_the_cell_loop(pq):
                 assert 0 < kept < len(phase_pattern(lab, window).molecules), lab
 
 
-def _glued_or_error(members, forced, T):
+def _glued_or_error(glued):
     try:
-        return _glued_part(members, forced, _free_cells(forced, T)).molecules
+        return validate(glued).molecules
     except OverlapError as exc:
         return str(exc)
 
@@ -192,23 +231,25 @@ def _glued_or_error(members, forced, T):
 def test_family_on_q_t_matches_q_t_plus_8(T):
     # the forced part and the glued part only keep members that meet Q_T,
     # so the family on Q_T gives them molecule for molecule, in order, and
-    # an inconsistent frame raises the same message
+    # an inconsistent frame raises the same message; the frame test sees
+    # the members of the Q_{T+8} family that miss Q_T
     feasible = infeasible = 0
     for (i, j), pq in itertools.product(itertools.permutations(range(9), 2), FAMILY_DIRECTIONS):
         prob = InterfaceProblem(i, j, direction(*pq), T)
         far = _family_members(i, j, prob.nu, Window.square(T + 8))
         try:
-            ref = _forced_part(far, prob)
+            ref = _forced_part([m for m in far if meets_frame(m, T)], prob)
         except InfeasibleBoundary as exc:
             with pytest.raises(InfeasibleBoundary) as raised:
                 frame_forced(prob)
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
-        near = _near_family(prob)
-        forced = frame_forced(prob)
+        _, forced, free, glued = _set_up(prob, Window.square(T))
         assert forced.molecules == ref.molecules, (i, j, pq)
-        assert _glued_or_error(near, forced, T) == _glued_or_error(far, ref, T), (i, j, pq)
+        ref_free = _free_cells(ref, T)
+        ref_glued = [m for m in far if meets_frame(m, T) or ref_free.issuperset(m.cells())]
+        assert _glued_or_error(glued) == _glued_or_error(ref_glued), (i, j, pq)
         feasible += 1
     assert feasible > 0 and infeasible > 0
 
@@ -241,7 +282,7 @@ def test_pattern_upper_bound_matches_the_multi_build_path(T):
         assert value == ref_value, (i, j, nu, weights)
         assert cfg.molecules == ref_cfg.molecules, (i, j, nu, weights)
         prob = InterfaceProblem(i, j, nu, T, weights)
-        wetting_wins += value < _energy(ref_glued_family_config(prob), prob)
+        wetting_wins += value < ref_energy(ref_glued_family_config(prob), prob)
         # the chain on its own, also where the glued family ties with it
         assert _wetting(wetting_config, prob) == _wetting(ref_wetting_config, prob)
     # the wetting rows run at T=12 and 16, where the chain wins on some,
@@ -271,5 +312,104 @@ def test_infeasible_families_raise_the_same_error():
             infeasible += 1
             continue
         value, cfg = pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T)
-        assert admissible(cfg, prob) and _energy(cfg, prob) == value
+        assert admissible(cfg, prob) and ref_energy(cfg, prob) == value
     assert 0 < infeasible < len(problems)
+
+
+# -------------------------------------------------------------------
+# The solver's glued incumbent against the validated, swept reference
+# -------------------------------------------------------------------
+
+def _glued_rows():
+    """The table rows; the table directions and their mirrors at odd T,
+    which cuts cells, with the two uneven weights and as volume rows; every
+    ordered pair at two normals; and every ordered pair at (1, 3) at T=16,
+    where some glued families overlap."""
+    yield from _table_rows()
+    for T in (9, 13):
+        for i, j, nu in TABLE_DIRECTIONS:
+            for weights, kind in (
+                ((1, 1), "surface"), ((1, F(1, 4)), "surface"), ((F(1, 4), 1), "surface"),
+                ((1, 1), "volume"),
+            ):
+                yield InterfaceProblem(i, j, direction(*nu), T, weights, kind)
+                yield InterfaceProblem(j, i, -direction(*nu), T, weights, kind)
+    for (i, j), nu in itertools.product(itertools.permutations(range(9), 2), [(1, 1), (3, -1)]):
+        yield InterfaceProblem(i, j, direction(*nu), 12)
+    for i, j in itertools.permutations(range(9), 2):
+        yield InterfaceProblem(i, j, direction(1, 3), 16)
+
+
+def test_glued_incumbent_matches_the_reference(monkeypatch):
+    # the family equals the phase-pattern filter, and the bitboard price of
+    # the glued family equals the lattice sweep of the validated glued
+    # configuration, with the same overlap verdict and molecule order
+    seen = []
+    priced = interfaces._glued_cost
+
+    def recording(table, glued, root, weights, area):
+        seen.append((list(glued), priced(table, glued, root, weights, area)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(interfaces, "_glued_cost", recording)
+    rows = overlaps = infeasible = 0
+    for prob in _glued_rows():
+        members = ref_near_family(prob)
+        assert _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T)) == members, prob
+        try:
+            solve_interface(prob, budget=1)
+        except InfeasibleBoundary:
+            infeasible += 1
+            continue
+        glued, value = seen.pop()
+        forced = validate(m for m in members if meets_frame(m, prob.T))
+        free = {
+            (a, b) for a in range(-prob.T, prob.T) for b in range(-prob.T, prob.T)
+            if inside_inner((a, b), prob.T) and (a, b) not in forced.occupancy
+        }
+        try:
+            ref = ref_glued_part(members, forced, free)
+        except OverlapError:
+            assert value is None, prob
+            overlaps += 1
+            continue
+        base = ref_energy(forced, prob)
+        c_R, c_S = prob.weights
+        scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
+        assert glued == list(ref.molecules), prob
+        assert F(value, scale) == ref_energy(ref, prob), prob
+        rows += 1
+    assert not seen
+    assert rows > 200 and overlaps > 0 and infeasible > 0
+
+
+# -------------------------------------------------------------------
+# Set-up work
+# -------------------------------------------------------------------
+
+def test_set_up_work_guard(monkeypatch):
+    # over the table problems, a solve sweeps the lattice once, for the
+    # forced part, and builds no full phase pattern
+    calls = {"sweep": 0, "pattern": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        molecules, "_boundary_lengths", counted("sweep", molecules._boundary_lengths)
+    )
+    monkeypatch.setattr(
+        interfaces, "volume_deficit", counted("sweep", interfaces.volume_deficit)
+    )
+    monkeypatch.setattr(molecules, "phase_pattern", counted("pattern", phase_pattern))
+    monkeypatch.setattr(
+        interfaces, "phase_pattern", counted("pattern", phase_pattern), raising=False
+    )
+    for prob in _table_rows():
+        for budget in (1, 5_000_000):
+            calls.update(sweep=0, pattern=0)
+            solve_interface(prob, budget=budget)
+            assert calls == {"sweep": 1, "pattern": 0}, (prob, budget)

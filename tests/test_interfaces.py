@@ -22,13 +22,9 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.interfaces import (
-    _energy,
     _family_members,
-    _forced_part,
-    _free_cells,
-    _glued_part,
     _mirror_molecule,
-    _near_family,
+    _set_up,
     _wetting_chain,
     _wetting_fill,
 )
@@ -45,7 +41,7 @@ from chiralattice.molecules import (
     volume_deficit,
 )
 from test_fastpaths import phase_molecule
-from test_line_bound import inside_inner
+from test_line_bound import inside_inner, ref_energy
 
 
 def boundary_family(i: int, j: int, nu: Direction, region: Window):
@@ -61,15 +57,14 @@ def boundary_family(i: int, j: int, nu: Direction, region: Window):
 
 
 def glued_family_config(prob: InterfaceProblem):
-    """The glued family alone (`_glued_part`), as the pattern library builds it.
+    """The glued family alone (`_set_up`), as the pattern library builds it.
 
     Raises InfeasibleBoundary when the frame itself is inconsistent, and
     NoPattern when two of the interior members overlap.
     """
-    members = _near_family(prob)
-    forced = _forced_part(members, prob)
+    glued = _set_up(prob, Window.square(prob.T))[3]
     try:
-        return _glued_part(members, forced, _free_cells(forced, prob.T))
+        return validate(glued)
     except OverlapError as exc:
         raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
 
@@ -77,9 +72,8 @@ def glued_family_config(prob: InterfaceProblem):
 def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
-    members = _near_family(prob)
-    forced = _forced_part(members, prob)
-    return _wetting_fill(chain, members, forced, _free_cells(forced, prob.T))
+    members, forced, free, _ = _set_up(prob, Window.square(prob.T))
+    return _wetting_fill(chain, members, forced, free)
 
 
 # -------------------------------------------------------------------
@@ -123,7 +117,7 @@ def exhaustive_oracle(prob: InterfaceProblem):
         if not ok:
             continue
         cfg = validate(list(forced.molecules) + [m for m, _ in chosen])
-        val = _energy(cfg, prob)
+        val = ref_energy(cfg, prob)
         if best is None or val < best:
             best = val
     return best
@@ -365,7 +359,7 @@ def test_pattern_upper_bound_sandwiches_solver():
         pv, cfg = pattern_upper_bound(i, j, nu, T)
         prob = InterfaceProblem(i, j, nu, T)
         assert admissible(cfg, prob)
-        assert _energy(cfg, prob) == pv
+        assert ref_energy(cfg, prob) == pv
         res = solve_interface(prob)
         assert res.value <= pv
 
@@ -384,7 +378,7 @@ def test_pattern_upper_bound_sandwiches_every_feasible_pair(T):
                 continue
             pv, cfg = pattern_upper_bound(i, j, prob.nu, T)
             assert admissible(cfg, prob)
-            assert _energy(cfg, prob) == pv
+            assert ref_energy(cfg, prob) == pv
             assert solve_interface(prob).value <= pv, (i, j, pq)
             feasible += 1
     assert feasible == {12: 98, 13: 91}[T]
@@ -423,8 +417,8 @@ def test_wetting_pattern():
     for weights, wins in [((1, 1), False), ((4, 1), True), ((8, 1), True)]:
         prob = InterfaceProblem(1, 0, nu, 16, weights)
         wet = wetting_config(prob)
-        pv = _energy(plain, prob)
-        wv = _energy(wet, prob)
+        pv = ref_energy(plain, prob)
+        wv = ref_energy(wet, prob)
         assert admissible(wet, prob)
         assert (wv < pv) == wins
         best, cfg = pattern_upper_bound(1, 0, nu, 16, weights)
@@ -438,10 +432,10 @@ def test_wetting_pattern():
             assert pattern_upper_bound(j, i, -mnu, T, weights)[0] == original, (i, j, T)
     # at weights (4,1) the wetting construction is exactly optimal at T=16
     prob = InterfaceProblem(1, 0, nu, 16, (4, 1))
-    assert _energy(wetting_config(prob), prob) == solve_interface(prob).value
+    assert ref_energy(wetting_config(prob), prob) == solve_interface(prob).value
     # mirrored variant: S phases against the other diagonal, weights swapped
     probm = InterfaceProblem(5, 0, Direction(1, 1), 16, (1, 4))
-    assert _energy(wetting_config(probm), probm) == _energy(
+    assert ref_energy(wetting_config(probm), probm) == ref_energy(
         wetting_config(prob), prob
     )
 
@@ -526,11 +520,11 @@ def test_solver_fractional_weights_odd_t_matches_oracle():
     # denominators
     weights = (F(2, 3), F(1, 4))
     vol = InterfaceProblem(1, 0, Direction(1, 1), 13, weights, "volume")
-    assert _energy(frame_forced(vol), vol) == F(411, 4)
+    assert ref_energy(frame_forced(vol), vol) == F(411, 4)
     for kind in ("surface", "volume"):
         for i, j, pq in [(1, 0, (1, 1)), (1, 0, (0, 1)), (1, 2, (1, 1)), (1, 0, (-1, 1))]:
             prob = InterfaceProblem(i, j, direction(*pq), 13, weights, kind)
             res = solve_interface(prob)
             assert res.certificate == "exact"
             assert res.value == exhaustive_oracle(prob), (kind, i, j, pq)
-            assert res.value == _energy(res.config, prob)
+            assert res.value == ref_energy(res.config, prob)

@@ -26,14 +26,14 @@ from chiralattice.interfaces import (
     Direction,
     InfeasibleBoundary,
     InterfaceProblem,
-    _energy,
     _scan_order,
     direction,
     frame_forced,
     solve_interface,
 )
 from chiralattice.molecules import (
-    R, R_LIKE, S, Molecule, OverlapError, phase_label, validate,
+    R, R_LIKE, S, Molecule, OverlapError, Window, phase_label, validate, volume_deficit,
+    weighted_perimeter,
 )
 from chiralattice.placements import PlacementTable
 
@@ -58,6 +58,15 @@ def inside_inner(cell, T: int) -> bool:
     """
     a, b = cell
     return 8 - T <= 2 * a <= T - 10 and 8 - T <= 2 * b <= T - 10
+
+
+def ref_energy(config, prob: InterfaceProblem) -> F:
+    """The problem's energy of config in Q_T by the lattice sweep, on a
+    window of its own: the pricing that every incumbent is checked against."""
+    window = Window.square(prob.T)
+    if prob.energy_kind == VOLUME:
+        return volume_deficit(config, window)
+    return weighted_perimeter(config, *prob.weights, window)
 
 
 def side_reach(m: Molecule, nu: Direction, upper: bool) -> bool:
@@ -115,7 +124,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     table = PlacementTable(order(prob, free_cells), (R, S), set(free_cells))
     n = table.n
 
-    base = _energy(forced, prob)
+    base = ref_energy(forced, prob)
     c_R, c_S = prob.weights
     scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
     w_R, w_S = int(c_R * scale), int(c_S * scale)
@@ -144,7 +153,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
 
     def evaluate(mols):
         cfg = validate(list(forced.molecules) + mols)
-        return _energy(cfg, prob), cfg
+        return ref_energy(cfg, prob), cfg
 
     incumbents = [evaluate([])]
     family_fill = [
@@ -228,7 +237,7 @@ def assert_matches_reference(prob: InterfaceProblem) -> None:
     assert res.nodes_explored <= nodes
     assert res.lower == res.value  # exhaustive solves close the interval
     # the solver tracks no energy: its leaf cost must be the full recomputation
-    assert res.value == _energy(res.config, prob)
+    assert res.value == ref_energy(res.config, prob)
 
 
 TABLE_DIRECTIONS = (
@@ -303,6 +312,29 @@ def test_lower_bounds_a_truncated_solve():
     res = solve_interface(vol, budget=1)
     assert res.certificate == "upper_bound"
     assert res.lower <= 119 <= res.value
+
+
+# (i, j, nu) at T=24: the bound at the root and the certified value
+# (700,834 and 208,893 nodes to certify)
+TRUNCATED_T24 = [((1, 7, (1, -1)), 14, 46), ((1, 0, (0, 1)), 31, 47)]
+
+
+@pytest.mark.parametrize("row", TRUNCATED_T24, ids=lambda r: str(r[0]).replace(" ", ""))
+def test_truncated_solve_reports_an_interval(row):
+    # a truncated solve's lower bound is the least bound over the children
+    # that the stack had not opened, capped by the incumbent; it lies
+    # between the root bound and the optimum, and above the root bound once
+    # the search has refuted the cheapest seams
+    (i, j, nu), root, certified = row
+    prob = InterfaceProblem(i, j, direction(*nu), 24)
+    lowers = []
+    for budget in (2_000, 10_000, 50_000):
+        res = solve_interface(prob, budget=budget)
+        assert (res.certificate, res.nodes_explored, res.root) == ("upper_bound", budget, root)
+        assert root <= res.lower <= certified <= res.value, budget
+        lowers.append(res.lower)
+    if (i, j) == (1, 7):
+        assert lowers[-1] > root
 
 
 def test_line_bound_certifies_the_incumbent_at_the_root():

@@ -261,7 +261,7 @@ def test_solver_nodes_pinned_t16(spec, expected, nodes):
     assert (res.value, res.certificate, res.nodes_explored) == (*expected[:2], nodes)
 
 
-# solve_interface(prob, budget=1).lower on the surface rows of SOLVES_T16:
+# solve_interface(prob, budget=1).root on the surface rows of SOLVES_T16:
 # the root bound, det + line, which no scan order changes
 ROOT_LOWER_T16 = [28, 23, 19, 21, 28, 14, 32, 26, F(39, 2)]
 
@@ -273,7 +273,7 @@ def test_root_bound_pinned_t16(scan, monkeypatch):
     got = [
         solve_interface(
             InterfaceProblem(i, j, direction(*nu), 16, weights, kind), budget=1
-        ).lower
+        ).root
         for (i, j, nu, weights, kind), _ in SOLVES_T16[:len(ROOT_LOWER_T16)]
     ]
     assert got == ROOT_LOWER_T16
