@@ -266,6 +266,11 @@ def lemma_check(
     shapes = tuple(shapes) if shapes is not None else (BUILTIN_SHAPES["R"], BUILTIN_SHAPES["S"])
     if not shapes:
         raise InvalidInput("lemma_check needs at least one shape")
+    # user shapes are told apart by name
+    named: dict[str, MoleculeShape] = {}
+    for shape in shapes:
+        if named.setdefault(shape.name, shape) != shape:
+            raise InvalidInput(f"two distinct shapes are named {shape.name!r}")
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
     table = _square_table(k, shapes)
     stats = SearchStats(placements=len(table.placements))

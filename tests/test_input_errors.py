@@ -1,6 +1,7 @@
 """Library input errors: one InvalidInput type, raised by checks and decoders."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from chiralattice import (
     shapes_from_json,
     solve_interface,
 )
+from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord
 from chiralattice.molecules import configuration_entries
@@ -45,6 +47,9 @@ def test_input_errors_are_invalid_input(error):
         (lambda: lemma_check(4, []), "at least one shape"),
         (lambda: cluster_min_perimeter(1, 0, cap=0), "cap must be at least 1"),
         (lambda: InterfaceProblem(1, 1, direction(1, 0), 8), "distinct phases"),
+        # renamed alike, the flat pair would read as one shape and pass
+        (lambda: lemma_check(4, [replace(s, name="X") for s in FLAT_PAIR]),
+         "two distinct shapes are named 'X'"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

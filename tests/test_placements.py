@@ -1,5 +1,10 @@
 """The shared placement kernel, and the search trees built on it.
 
+The table builds a placement inside a grid order by shifting its shape's
+templates and looks up the others; `ref_masks` and `ref_table` number
+every placement afresh, cell by cell, and are the references for both
+paths, on grid orders stepping either way and on an order that is no grid.
+
 The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
 the bitboard searches walk the same trees.  The lemma trees at k=7..9 and
@@ -17,7 +22,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
-from chiralattice.coverings import lemma_check
+from chiralattice.coverings import _square_table, lemma_check
 from chiralattice import interfaces
 from chiralattice.interfaces import (
     InterfaceProblem,
@@ -31,6 +36,10 @@ from chiralattice.placements import PlacementTable
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order,
 )
+
+
+# the frontier problem: the (1,1) diagonal at T=20, certified at the root
+FRONTIER = InterfaceProblem(1, 0, direction(1, 1), 20)
 
 
 def _neighbors(cell):
@@ -115,14 +124,30 @@ USER_T = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), R_LIKE)
     "shapes", [(R, S), FLAT_PAIR, SKEW_PAIR, (USER_T, S)], ids=["RS", "flat", "skew", "user"]
 )
 def test_placement_masks_match_per_placement_rims(shapes):
-    square = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
-    inner = set(square[20:90])
-    for within in (None, inner):
-        table = PlacementTable(square, shapes, within)
-        masks, neighbors = ref_masks(square, [p.molecule for p in table.placements])
-        assert [(p.mask, p.touch1, p.touch2) for p in table.placements] == masks
-        assert table.neighbors == neighbors
-        assert any(p.touch2 for p in table.placements)
+    # the table shifts templates on a grid order, columns stepping either
+    # way, and looks up the placements that straddle the grid's edge and
+    # every placement of an order that is no grid (here line by line)
+    down = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
+    up = [(c, r) for c in range(-5, 6) for r in range(-5, 6)]
+    lines = sorted(up, key=lambda cell: (cell[1], cell[0]))
+    # a free zone: an inner square with holes, as the solver's
+    free = {(c, r) for c in range(-4, 5) for r in range(-4, 5) if (3 * c + r) % 7}
+    for square in (down, up, lines):
+        for within in (None, set(square[20:90]), free):
+            table = PlacementTable(square, shapes, within)
+            masks, neighbors = ref_masks(square, [p.molecule for p in table.placements])
+            assert [(p.mask, p.touch1, p.touch2) for p in table.placements] == masks
+            assert table.neighbors == neighbors
+            assert any(p.touch2 for p in table.placements)
+            placements, by_pos, _ = ref_table(
+                square, shapes, lambda m: within is None or within.issuperset(m.cells())
+            )
+            assert [p.molecule for p in table.placements] == [m for m, *_ in placements]
+            assert [[p.index for p in ps] for ps in table.by_pos] == by_pos
+        # with no `within`, placements overhang the square
+        assert not set(square).issuperset(
+            c for p in PlacementTable(square, shapes).placements for c in p.molecule.cells()
+        )
 
 
 def ref_table(order, shapes, keep):
@@ -158,6 +183,9 @@ def _solver_problems():
         for i, j, nu in TABLE_DIRECTIONS:
             yield InterfaceProblem(i, j, direction(*nu), T)
             yield InterfaceProblem(j, i, -direction(*nu), T)
+    # the largest table: the frontier problem and its mirror
+    yield FRONTIER
+    yield InterfaceProblem(0, 1, -direction(1, 1), 20)
 
 
 def test_solver_tables_match_the_keep_callback(monkeypatch):
@@ -182,6 +210,36 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
         assert got == placements, prob
         assert [[p.index for p in ps] for ps in table.by_pos] == by_pos, prob
         assert table.neighbors == neighbors, prob
+
+
+def test_lookups_only_for_straddling_placements(monkeypatch):
+    # a placement whose cells and rim lie in the order's grid is built by a
+    # shift; one that straddles the grid's edge looks its cells and rim up
+    # in one `_bits` call (a neighbour mask looks up four cells)
+    looked_up = []
+    bits = PlacementTable._bits
+
+    def counting(self, cells):
+        cells = list(cells)
+        if len(cells) > 4:
+            looked_up.append(cells)
+        return bits(self, cells)
+
+    monkeypatch.setattr(PlacementTable, "_bits", counting)
+    for prob in [*_table_rows(), FRONTIER]:
+        solve_interface(prob, budget=1)
+        assert looked_up == [], prob
+    for k in (4, 5, 6):
+        table = _square_table(k, (R, S))
+        square = {(c, r) for c in range(-k, k) for r in range(-k, k)}
+        straddling = [
+            p for p in table.placements
+            if not square.issuperset(
+                nb for c in p.molecule.cells() for nb in (c, *_neighbors(c))
+            )
+        ]
+        assert 0 < len(looked_up) == len(straddling) < len(table.placements), k
+        looked_up.clear()
 
 
 def _placements_meeting_square(k, shapes):
