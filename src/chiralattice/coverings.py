@@ -271,6 +271,7 @@ def lemma_check(
     for shape in shapes:
         if named.setdefault(shape.name, shape) != shape:
             raise InvalidInput(f"two distinct shapes are named {shape.name!r}")
+    shapes = tuple(named.values())  # a shape passed twice is searched and named once
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
     table = _square_table(k, shapes)
     stats = SearchStats(placements=len(table.placements))

@@ -61,11 +61,13 @@ the leaf that places its free members (`_glued_cost`).  The pattern
 library prices every candidate through the lattice sweep, which is the
 independent check on those integer prices.
 
-A truncated solve reports an interval [lower, value]: on the way out of
-the search each node on the stack folds in the bounds of its children not
-opened yet, so `lower` is the least of those bounds, capped by the
-incumbent and never below the root bound.  Exhausted solves pay nothing
-for it.
+The search is one loop over an explicit stack of nodes, so its depth is
+not capped by the interpreter's recursion limit.  A truncated solve
+reports an interval [lower, value]: once the budget is spent the same loop
+keeps walking the stack, pricing each child that its nodes had not opened
+and folding the child's bound into `lower` without descending into it, so
+`lower` is the least of those bounds, capped by the incumbent and never
+below the root bound.  Exhausted solves pay nothing for it.
 
 Searches are deterministic for fixed inputs and node budgets; everything
 else here is pure, so concurrent invocation is safe.
@@ -98,7 +100,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import Placement, PlacementTable
+from .placements import PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -406,12 +408,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     placement table, which then holds exactly the free molecules.
     Starting on the seam corner puts both phases and the seam between them
     into the first columns, where the line bound sees unlike column ends
-    at once.  The certificate is exact iff the search tree was
-    exhausted within the node budget; otherwise the best configuration
-    found is returned as an upper bound.  The budget is checked before
-    each child is opened, so `nodes_explored` never exceeds it, and a tree
-    of exactly `budget` nodes is still exhausted.  Deterministic for fixed
-    inputs and budgets.
+    at once.  The search is one loop over an explicit stack, so its depth
+    is not capped by the recursion limit: each pass prices the top node's
+    next child, one of its placements or else the empty branch, and opens
+    it.  The certificate is exact iff the search tree was exhausted within
+    the node budget; otherwise the best configuration found is returned as
+    an upper bound.  The budget is checked before each child is opened, so
+    `nodes_explored` never exceeds it, and a tree of exactly `budget`
+    nodes is still exhausted.  Deterministic for fixed inputs and budgets.
 
     Each node carries one cost, and a leaf's value is its cost.  For
     surface energies the cost is the weighted length of the boundary edges
@@ -435,10 +439,12 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     Both bounds are admissible, and since the scan order is fixed an
     exhausted search returns the first optimal leaf in scan order, or the
     incumbent, whatever the bound.  `root` is the bound at the root.
-    `lower` is the value when the certificate is exact; on truncation it is
-    the least bound over the children that the nodes on the stack had not
-    opened, capped by the incumbent and at least `root`, since every leaf
-    below an opened child was priced or pruned against the incumbent.
+    `lower` is the value when the certificate is exact.  Once the budget
+    is spent the loop goes on walking the stack without opening anything:
+    it prices each child that the nodes on the stack had not opened and
+    folds its bound into `lower`, which is the least of those bounds,
+    capped by the incumbent and at least `root`, since every leaf below an
+    opened child was priced or pruned against the incumbent.
 
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one window Q_T,
     one family build from the patterns' anchor columns, one frame test per
@@ -545,73 +551,62 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     nodes = 0
     exhausted = True
     cut = best_val  # on truncation, the least bound over the unopened children
-    placed: list[Molecule] = []
 
-    def stop(i: int, rest: list[Placement], decided: int, occ_R: int, occ_S: int, cost: int) -> None:
-        """The budget ran out at a node whose first undecided cell is i:
-        fold into `cut` the bounds of its children not opened yet, the
-        placements in `rest` and the empty branch, priced as `dfs` would."""
-        nonlocal exhausted, cut
-        exhausted = False
-        occ = occ_R | occ_S
-        empty = decided & ~occ
-        for p in rest:
-            if not p.mask & decided:
-                if volume:
-                    child = cost - molecule_area
-                else:
-                    w = w_R if p.molecule.shape.chirality_class == R_LIKE else w_S
-                    child = cost + w * p.contacts(empty)
-                cut = min(cut, bound(decided | p.mask, occ | p.mask, child))
-        if not volume:
-            nbrs = table.neighbors[i]
-            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-        cut = min(cut, bound(decided | 1 << i, occ, cost))
-
-    def dfs(decided: int, occ_R: int, occ_S: int, cost: int) -> None:
-        nonlocal nodes, best_val, best_cfg
-        i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
-        if i >= n:
-            if cost < best_val:
-                best_val = cost
-                best_cfg = list(forced.molecules) + list(placed)
-            return
-        occ = occ_R | occ_S
-        if bound(decided, occ, cost) >= best_val:
-            return
-        # branch 1: cover the cell with each feasible placement
-        options = table.by_pos[i]
-        for p in options:
+    # A frame is [decided, occ_R, occ_S, cost, i, untried, mol]: a node's
+    # state, its first undecided cell i, an iterator over the placements at
+    # i not tried yet (None once the empty branch is open) and the molecule
+    # placed to reach the node.
+    root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
+    i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
+    stack = [[*root, i, iter(table.by_pos[i]), None]] if i < n and root_bound < best_val else []
+    while stack:
+        frame = stack[-1]
+        decided, occ_R, occ_S, cost, i, untried, _ = frame
+        if untried is None:
+            stack.pop()
+            continue
+        # the next child: cover cell i with the next feasible placement
+        for p in untried:
             if p.mask & decided:
                 continue
-            if nodes >= budget:
-                stop(i, options[options.index(p):], decided, occ_R, occ_S, cost)
-                return
-            nodes += 1
-            placed.append(p.molecule)
+            mol = p.molecule
             if volume:
-                dfs(decided | p.mask, occ_R, occ_S, cost - molecule_area)
+                cost -= molecule_area
             else:
                 # the molecule's edges to decided empty cells are boundary
                 # now; those to undecided cells count when they are decided
-                empty = p.contacts(decided & ~occ)
-                if p.molecule.shape.chirality_class == R_LIKE:
-                    dfs(decided | p.mask, occ_R | p.mask, occ_S, cost + w_R * empty)
+                empty = p.contacts(decided & ~(occ_R | occ_S))
+                if mol.shape.chirality_class == R_LIKE:
+                    occ_R |= p.mask
+                    cost += w_R * empty
                 else:
-                    dfs(decided | p.mask, occ_R, occ_S | p.mask, cost + w_S * empty)
-            placed.pop()
-        # branch 2: leave the cell empty
+                    occ_S |= p.mask
+                    cost += w_S * empty
+            decided |= p.mask
+            break
+        else:
+            # or leave it empty: its edges to occupied decided cells are
+            # boundary now
+            frame[5] = mol = None
+            if not volume:
+                nbrs = table.neighbors[i]
+                cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+            decided |= 1 << i
         if nodes >= budget:
-            stop(i, [], decided, occ_R, occ_S, cost)
-            return
+            exhausted = False
+            cut = min(cut, bound(decided, occ_R | occ_S, cost))
+            continue
         nodes += 1
-        if not volume:
-            nbrs = table.neighbors[i]
-            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-        dfs(decided | 1 << i, occ_R, occ_S, cost)
+        i = (~decided & (decided + 1)).bit_length() - 1
+        if i >= n:
+            if cost < best_val:
+                best_val = cost
+                best_cfg = [*forced.molecules, *(f[6] for f in stack if f[6] is not None)]
+                if mol is not None:
+                    best_cfg.append(mol)
+        elif bound(decided, occ_R | occ_S, cost) < best_val:
+            stack.append([decided, occ_R, occ_S, cost, i, iter(table.by_pos[i]), mol])
 
-    root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
-    dfs(*root)
     if exhausted:
         lower = best_val
     else:

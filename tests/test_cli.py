@@ -288,6 +288,15 @@ def test_density_small_t_exit_2(capsys):
     assert "direction cannot be zero" in capsys.readouterr().err
 
 
+def test_deep_truncated_density_exits_0(capsys):
+    # a volume solve deep enough to have overflowed a recursive search
+    argv = ["density", "1", "0", "1", "1", "72", "--kind", "volume", "--budget", "5000"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].endswith(",upper_bound,5000")
+    assert err == "note: some certificates are upper_bound (budget)\n"
+
+
 def test_limit_short_table_row_exit_2(tmp_path, capsys):
     part = {
         "window": None,

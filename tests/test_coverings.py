@@ -157,6 +157,13 @@ def test_lemma_check_builtins_k4():
     assert report.search_space.coverings == 288
 
 
+def test_lemma_check_names_a_repeated_shape_once():
+    # a shape passed twice is one shape of the search, and of its report
+    twice, once = lemma_check(4, [R, S, R]), lemma_check(4, [R, S])
+    assert twice.shapes == once.shapes == ("R", "S")
+    assert (twice.holds, twice.search_space) == (once.holds, once.search_space)
+
+
 def test_lemma_check_r_only_k4():
     report = lemma_check(4, [R])
     assert report.holds is True

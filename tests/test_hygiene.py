@@ -187,3 +187,44 @@ def test_species_split_is_stated_once():
         )
     ]
     assert not split, split
+
+
+# the one recursive search: cluster growth, whose depth is r + s <= cap
+_RECURSIVE = {("interfaces.py", "cluster_min_perimeter.grow")}
+
+
+def _self_calls(tree: ast.Module) -> set[str]:
+    """Dotted names of the functions that call themselves by name, or as a
+    method through `self` or `cls`."""
+    out = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and (
+                        isinstance(call.func, ast.Name) and call.func.id == child.name
+                        or isinstance(call.func, ast.Attribute)
+                        and call.func.attr == child.name
+                        and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id in ("self", "cls")
+                    )
+                    for call in ast.walk(child)
+                ):
+                    out.add(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_no_recursion():
+    """No library function calls itself, so no search depth is capped by
+    the interpreter's recursion limit; the searches walk explicit stacks."""
+    recursive = {
+        (module, name) for module, tree in TREES.items() for name in _self_calls(tree)
+    }
+    assert recursive == _RECURSIVE

@@ -14,7 +14,9 @@ searches.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -22,6 +24,7 @@ import pytest
 
 from chiralattice.interfaces import (
     _MOLECULE_EDGES,
+    DEFAULT_BUDGET,
     VOLUME,
     Direction,
     InfeasibleBoundary,
@@ -32,8 +35,8 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import (
-    R, R_LIKE, S, Molecule, OverlapError, Window, phase_label, validate, volume_deficit,
-    weighted_perimeter,
+    R, R_LIKE, S, Molecule, OverlapError, Window, configuration_to_jsonable, phase_label,
+    validate, volume_deficit, weighted_perimeter,
 )
 from chiralattice.placements import PlacementTable
 
@@ -314,9 +317,22 @@ def test_lower_bounds_a_truncated_solve():
     assert res.lower <= 119 <= res.value
 
 
-# (i, j, nu) at T=24: the bound at the root and the certified value
-# (700,834 and 208,893 nodes to certify)
-TRUNCATED_T24 = [((1, 7, (1, -1)), 14, 46), ((1, 0, (0, 1)), 31, 47)]
+def _config_json(res) -> str:
+    return json.dumps(configuration_to_jsonable(res.config), sort_keys=True)
+
+
+def _config_digest(res) -> str:
+    """The first 16 hex digits of the SHA-256 of a result's config JSON."""
+    return hashlib.sha256(_config_json(res).encode()).hexdigest()[:16]
+
+
+# (i, j, nu) at T=24: the bound at the root, the certified value (700,834
+# and 208,893 nodes to certify), and the value, lower bound and config
+# digest of the solves truncated at 2,000, 10,000 and 50,000 nodes
+TRUNCATED_T24 = [
+    ((1, 7, (1, -1)), 14, 46, (46, 18, "e5928a5ddfc15610")),
+    ((1, 0, (0, 1)), 31, 47, (47, 31, "5b63e72cd1f96c24")),
+]
 
 
 @pytest.mark.parametrize("row", TRUNCATED_T24, ids=lambda r: str(r[0]).replace(" ", ""))
@@ -325,16 +341,55 @@ def test_truncated_solve_reports_an_interval(row):
     # that the stack had not opened, capped by the incumbent; it lies
     # between the root bound and the optimum, and above the root bound once
     # the search has refuted the cheapest seams
-    (i, j, nu), root, certified = row
+    (i, j, nu), root, certified, pinned = row
     prob = InterfaceProblem(i, j, direction(*nu), 24)
     lowers = []
     for budget in (2_000, 10_000, 50_000):
         res = solve_interface(prob, budget=budget)
         assert (res.certificate, res.nodes_explored, res.root) == ("upper_bound", budget, root)
         assert root <= res.lower <= certified <= res.value, budget
+        assert (res.value, res.lower, _config_digest(res)) == pinned, budget
         lowers.append(res.lower)
     if (i, j) == (1, 7):
         assert lowers[-1] > root
+
+
+def test_truncated_t28_solve_pinned():
+    res = solve_interface(InterfaceProblem(1, 5, direction(1, 1), 28), budget=50_000)
+    assert (res.certificate, res.nodes_explored) == ("upper_bound", 50_000)
+    assert (res.value, res.lower, res.root) == (70, 34, 28)
+    assert _config_digest(res) == "79fba84c7baad157"
+
+
+# SHA-256 of the (value, certificate, nodes, lower, root, config JSON) of
+# the 50 table rows, in order, at each budget
+TABLE_DIGESTS = {
+    1: "4a2826b668e0c069313f387f57d099a9a408d1f1a59db6174723d8d3202383ea",
+    50: "05fad7aba81f4ccde8e6b119b6e28d85bf461307bdeb6aa82eac512c6444985c",
+    DEFAULT_BUDGET: "27983f03bca43b2e76fb3a06a1d86a2f637dd86cb7aa8039e0a3ed599e632d25",
+}
+
+
+@pytest.mark.parametrize("budget", sorted(TABLE_DIGESTS))
+def test_table_rows_pinned(budget):
+    digest = hashlib.sha256()
+    for prob in _table_rows():
+        res = solve_interface(prob, budget=budget)
+        digest.update(repr((
+            str(res.value), res.certificate, res.nodes_explored, str(res.lower), str(res.root),
+            _config_json(res),
+        )).encode())
+    assert digest.hexdigest() == TABLE_DIGESTS[budget]
+
+
+@pytest.mark.parametrize("T", [72, 96])
+def test_deep_volume_solve_returns_an_interval(T):
+    # the search's depth grows with the free zone; it walks an explicit
+    # stack, so no depth raises RecursionError
+    prob = InterfaceProblem(1, 0, direction(1, 1), T, energy_kind=VOLUME)
+    res = solve_interface(prob, budget=5000)
+    assert (res.certificate, res.nodes_explored) == ("upper_bound", 5000)
+    assert res.root <= res.lower <= res.value
 
 
 def test_line_bound_certifies_the_incumbent_at_the_root():
