@@ -30,7 +30,7 @@ from .molecules import (
     configuration_on_grid,
     phase_label,
 )
-from .rectregions import Rect, rect, region_area, symdiff_area
+from .rectregions import Rect, region_area, symdiff_area
 
 @dataclass(frozen=True)
 class ScaledConfiguration:
@@ -81,14 +81,18 @@ def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
     """The centres n = 4m on one axis whose open 12-interval meets (lo, hi).
 
     Each entry is (m, inside, bad ends, small ends): whether the 12-interval
-    lies in [lo, hi], and the continuum ends of the 12- and 4-intervals.
+    lies in [lo, hi], and the continuum ends of the 12- and 4-intervals, as
+    Fractions in increasing order, checked here once per column or row.
     """
-    return [
+    out = [
         (m, lo <= 4 * m - 6 and 4 * m + 6 <= hi,
          (eps * (4 * m - 6), eps * (4 * m + 6)), (eps * (4 * m - 2), eps * (4 * m + 2)))
         for m in range(math.floor((lo - 6) / 4), math.ceil((hi + 6) / 4) + 1)
         if 4 * m - 6 < hi and 4 * m + 6 > lo
     ]
+    if any(u0 >= u1 or s0 >= s1 for _, _, (u0, u1), (s0, s1) in out):
+        raise InvalidInput(f"degenerate covering squares at epsilon {eps}")
+    return out
 
 
 def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:
@@ -103,14 +107,16 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     m-1..m+1 in each axis and its concentric 4-square is the tile m, so a
     block's fill is a sum of nine tile counts, added up as three strips of
     three.  The window tests and the continuum coordinates of the squares
-    are computed once per column and once per row, and phase labels are
-    read only for the centre tile of a full block.  The boundary length
-    comes from the same blocks: the lattice boundary sweep visits only the
-    cells that meet the window in the centre tiles of the blocks that are
-    neither full nor empty.  An occupied cell with a free side has that
-    side's cell in its own tile or a neighbouring one, so its block is such
-    a block, and every cell that meets the window is in the centre tile of
-    a block of the grid; the sweep prices no cell that misses the window.
+    are computed once per column and once per row, so each block's
+    rectangle is a plain tuple of the ends of its column and row, and phase
+    labels are read only for the centre tile of a full block.  The boundary
+    length comes from the same blocks: the lattice boundary sweep visits
+    only the cells that meet the window in the centre tiles of the blocks
+    that are neither full nor empty.  An occupied cell with a free side has
+    that side's cell in its own tile or a neighbouring one, so its block is
+    such a block, and every cell that meets the window is in the centre
+    tile of a block of the grid; the sweep prices no cell that misses the
+    window.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -150,9 +156,9 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
                 cells = ((a, b) for a in seen_x[k] for b in bs)
                 seam += [(cell, occ[cell]) for cell in cells if cell in occ]
             if partial or not (inside1 and inside2):
-                bad.append(rect(u0, v0, u1, v1))
+                bad.append((u0, v0, u1, v1))
                 continue
-            small = rect(s0, t0, s1, t1)
+            small = (s0, t0, s1, t1)
             if filled == 0:
                 regions[0].append(small)
                 continue

@@ -29,8 +29,8 @@ from .polygeom import (
     Polygon,
     Vec,
     integer_points,
-    polygon_area,
     predicate_area,
+    shoelace,
 )
 
 IntDir = tuple[int, int]
@@ -68,22 +68,34 @@ class InterfaceSegment:
 
 
 def _points(poly) -> list[Vec]:
-    return [(Fraction(x), Fraction(y)) for x, y in poly]
+    return [
+        (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
+        for x, y in poly
+    ]
 
 
-def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> list[Polygon]:
+def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Polygon], Fraction]:
+    """The polygons oriented counterclockwise, and the sum of their areas.
+
+    The polygons are scaled once to their common integer denominator d;
+    edges are compared and shoelace sums taken on ints, and the one
+    Fraction built is the total, the sums over 2*d^2.
+    """
+    polys = [tuple(_points(poly)) for poly in polys]
+    d, scaled = integer_points(polys)
     out = []
-    for poly in polys:
-        verts = tuple(_points(poly))
+    total = 0
+    for verts, pts in zip(polys, scaled):
         if len(verts) < 3:
             raise InvalidPartition(f"{what}: polygon needs 3+ vertices")
-        if any(verts[k - 1] == v for k, v in enumerate(verts)):
+        if any(pts[k - 1] == v for k, v in enumerate(pts)):
             raise InvalidPartition(f"{what}: polygon has a zero-length edge")
-        area = polygon_area(verts)
-        if area == 0:
+        twice = shoelace(pts)
+        if twice == 0:
             raise InvalidPartition(f"{what}: degenerate polygon")
-        out.append(verts if area > 0 else tuple(reversed(verts)))
-    return out
+        out.append(verts if twice > 0 else tuple(reversed(verts)))
+        total += abs(twice)
+    return out, Fraction(total, 2 * d * d)
 
 
 @dataclass
@@ -91,8 +103,12 @@ class PolygonalPartition:
     """Labeled polygon sets partitioning a window (or islands in the plane).
 
     With a window, the regions (labels 0..8, including the empty phase 0)
-    must tile it; with window None, label 0 is implicit as the complement
-    of the labeled islands and must not be given explicitly.
+    must tile it, and their areas, summed as each polygon is oriented,
+    must add up to the window's; with window None, label 0 is implicit as
+    the complement of the labeled islands and must not be given
+    explicitly.  Construction checks each polygon on its own;
+    `extract_interfaces` checks how the polygons meet, and that islands do
+    not overlap.
     """
 
     regions: dict[int, list[Polygon]]
@@ -100,20 +116,17 @@ class PolygonalPartition:
 
     def __post_init__(self):
         regions: dict[int, list[Polygon]] = {}
+        areas: dict[int, Fraction] = {}
         for lab, polys in self.regions.items():
             lab = int(lab)
             if not 0 <= lab <= 8:
                 raise InvalidPartition(f"label {lab} out of range 0..8")
             if polys:
-                regions[lab] = _normalize_polys(polys, f"A_{lab}")
+                regions[lab], areas[lab] = _normalize_polys(polys, f"A_{lab}")
         self.regions = regions
         if self.window is not None:
-            self.window = _normalize_polys([self.window], "window")[0]
-            total = sum(
-                (polygon_area(p) for polys in regions.values() for p in polys),
-                Fraction(0),
-            )
-            if total != polygon_area(self.window):
+            (self.window,), window_area = _normalize_polys([self.window], "window")
+            if sum(areas.values(), Fraction(0)) != window_area:
                 raise InvalidPartition(
                     "region areas do not add up to the window area"
                 )
@@ -204,10 +217,13 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
 
     Every region edge must pair, piece by piece, with exactly one edge of
     another region (opposite orientation) or lie on the window (same
-    orientation); anything else raises InvalidPartition.  Edges between a
-    label and the window are emitted as (label, 0, inner normal), every
-    other piece under its `oriented` key; 0-0 interfaces are dropped.
-    Segments are merged per (line, pair) into maximal runs.
+    orientation); anything else raises InvalidPartition.  Without a window
+    the islands must not overlap either: after the edge checks, the area of
+    all islands taken as one even-odd set (`predicate_area`) must equal the
+    sum of their areas, or InvalidPartition("islands overlap") is raised.
+    Edges between a label and the window are emitted as (label, 0, inner
+    normal), every other piece under its `oriented` key; 0-0 interfaces are
+    dropped.  Segments are merged per (line, pair) into maximal runs.
     """
     out: list[InterfaceSegment] = []
     d, edges = _scaled_edges(part)
@@ -271,6 +287,13 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                 out.append(
                     InterfaceSegment(point_at(t0), point_at(t1), i, j, normal)
                 )
+    if part.window is None:
+        # the islands, read as one even-odd set, cover their area sum
+        # only if no two overlap; pairs of edges are checked above
+        islands = [poly for polys in part.regions.values() for poly in polys]
+        twice = sum(ax * by - bx * ay for ax, ay, bx, by, _ in edges)
+        if predicate_area([islands], lambda inside: inside[0]) != Fraction(twice, 2 * d * d):
+            raise InvalidPartition("islands overlap")
     return out
 
 
@@ -343,7 +366,7 @@ def _island_boundary_energy(
     Each interface (i, j, nu), keyed i < j by `oriented` as the gauge keys
     are, is priced by gauges[(i, j)] at nu, label 0 being the complement
     of the islands.  `extract_interfaces` checks the cover, so seams inside
-    one label drop out and overlaps raise.
+    one label drop out, and overlaps, along an edge or of areas, raise.
     """
     part = PolygonalPartition(regions=islands, window=None)
     total = Fraction(0)
@@ -370,11 +393,11 @@ def rs_lower_bound(
 ) -> Fraction:
     """Three-term bound for the R/S description of a pair of islands.
 
-    E_R and E_S may each be any set of polygons, abutting or not; they are
-    read as the islands A_1 and A_5 of a plane partition.  Shared boundary
-    pieces are priced by the convex envelope of the R-against-S contact
-    density; pieces exclusive to one species by the corresponding
-    empty-interface density.
+    E_R and E_S may each be any set of polygons, abutting or not, but not
+    overlapping; they are read as the islands A_1 and A_5 of a plane
+    partition.  Shared boundary pieces are priced by the convex envelope of
+    the R-against-S contact density; pieces exclusive to one species by the
+    corresponding empty-interface density.
     """
     return _island_boundary_energy(
         {1: list(e_r), 5: list(e_s)},

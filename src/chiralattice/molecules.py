@@ -18,7 +18,8 @@ side.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
 and `volume_deficit` counts a cell inside the closed window as 1 and takes
-any other cell's area as the product of its two clips.
+any other cell's area as the product of its two clips.  Both count the
+sides and cells on a cut line as ints and price each cut line once.
 
 The phase map lives here and nowhere else: `phase_shape` gives the shape
 of each of the eight modulated phases and `phase_label` the phase of a
@@ -393,19 +394,24 @@ def _boundary_lengths(
     class of that cell's molecule.  The window is open, so a side on its
     boundary counts 0: the side x = p counts only if the cells p - 1 and p
     both meet the window, and then with the length that `Window._clip`
-    gives the cell's row (likewise for y).  An interior cell costs its four
-    occupancy tests; whole sides are added as ints and only cut ones as
-    Fractions.
+    gives the cell's row (likewise for y).  A cell that misses the window
+    costs its range test, and an interior cell its four occupancy tests.
+    Sides on a whole line are added as ints; sides on a line the window
+    boundary cuts are counted as ints per (class, axis, line), and only cut
+    lines become Fractions: each is priced once by `Window._clip` at the
+    end.
     """
     occ = config.occupancy
     r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
     whole = [0, 0]  # S-like, R-like
-    cut = [Fraction(0), Fraction(0)]
+    cut: dict[tuple[int, int, int], int] = {}  # (class, axis, line) -> sides
     plane = window.is_plane
     if not plane:
         xs, ys = window._cells
-        clip = window._clip
+        whole_xs, whole_ys = window._whole
     for (a, b), owner in occ.items() if cells is None else cells:
+        if not (plane or a in xs and b in ys):
+            continue
         west = (a - 1, b) not in occ
         east = (a + 1, b) not in occ
         south = (a, b - 1) not in occ
@@ -416,19 +422,22 @@ def _boundary_lengths(
         if plane:
             whole[r] += west + east + south + north
             continue
-        if a not in xs or b not in ys:
-            continue
-        for sides, axis, k in (
-            ((west and a - 1 in xs) + (east and a + 1 in xs), 1, b),
-            ((south and b - 1 in ys) + (north and b + 1 in ys), 0, a),
-        ):
-            if sides:
-                length = sides * clip(axis, k)
-                if length.__class__ is int:
-                    whole[r] += length
-                else:
-                    cut[r] += length
-    return cut[1] + whole[1], cut[0] + whole[0]
+        sides = (west and a - 1 in xs) + (east and a + 1 in xs)
+        if sides:
+            if b in whole_ys:
+                whole[r] += sides
+            else:
+                cut[r, 1, b] = cut.get((r, 1, b), 0) + sides
+        sides = (south and b - 1 in ys) + (north and b + 1 in ys)
+        if sides:
+            if a in whole_xs:
+                whole[r] += sides
+            else:
+                cut[r, 0, a] = cut.get((r, 0, a), 0) + sides
+    lengths = [Fraction(whole[0]), Fraction(whole[1])]
+    for (r, axis, k), sides in cut.items():
+        lengths[r] += sides * window._clip(axis, k)
+    return lengths[1], lengths[0]
 
 
 def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
@@ -460,25 +469,31 @@ def weighted_perimeter(
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
     """Area of the window not covered by molecules, |w \\ E|.
 
-    A cell inside the closed window counts the int 1.  The area of any
-    other cell is the product of its two `Window._clip` lengths, which is
-    nonzero only where the window boundary cuts the cell.
+    A cell inside the closed window counts the int 1.  Any other cell that
+    meets the window lies in a column or a row that the window boundary
+    cuts; such cells are counted as ints per (cut column, cut row), a whole
+    column or row keyed None, and each cut line is priced once at the end
+    by `Window._clip`, its length inside the window.
     """
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
-    clip = window._clip
-    xs, ys = window._whole
-    whole, cut = 0, Fraction(0)
+    xs, ys = window._cells
+    whole_xs, whole_ys = window._whole
+    whole = 0
+    cut: dict[tuple[int | None, int | None], int] = {}
     for (a, b) in config.occupancy:
-        if a in xs and b in ys:
+        in_x = a in whole_xs
+        if in_x and b in whole_ys:
             whole += 1
-            continue
-        width = clip(0, a)
-        if width:
-            height = clip(1, b)
-            if height:
-                cut += width * height
-    return window.side ** 2 - cut - whole
+        elif (in_x or a in xs) and b in ys:
+            key = (None if in_x else a, None if b in whole_ys else b)
+            cut[key] = cut.get(key, 0) + 1
+    lines = {(axis, k) for key in cut for axis, k in enumerate(key)}
+    clip = {line: 1 if line[1] is None else window._clip(*line) for line in lines}
+    covered = Fraction(whole)
+    for (a, b), cells in cut.items():
+        covered += cells * clip[0, a] * clip[1, b]
+    return window.side ** 2 - covered
 
 
 # -------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Exact rational plane geometry: areas, hulls, and area sweeps.
 
 Polygons are sequences of rational vertices.  Every result is an exact
-`fractions.Fraction`; there are no epsilons anywhere.  The area sweep
-scales its vertices once to their common integer denominator and runs on
-ints, building a Fraction only for a proper edge crossing and for the
-result.
+`fractions.Fraction`; there are no epsilons anywhere.  The polygon area
+and the area sweep scale their vertices once to their common integer
+denominator and run on ints, building a Fraction only for a proper edge
+crossing and for the result.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, Fraction]
@@ -21,15 +22,25 @@ def cross(o: Vec, a: Vec, b: Vec) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def polygon_area(poly: Sequence[Vec]) -> Fraction:
-    """Signed area (positive for counterclockwise orientation)."""
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
+def shoelace(pts: Sequence[tuple[int, int]]) -> int:
+    """Twice the signed area of a polygon with integer vertices."""
+    total = 0
+    x0, y0 = pts[-1] if pts else (0, 0)
+    for x1, y1 in pts:
         total += x0 * y1 - x1 * y0
-    return total / 2
+        x0, y0 = x1, y1
+    return total
+
+
+def polygon_area(poly: Sequence[Vec]) -> Fraction:
+    """Signed area (positive for counterclockwise orientation).
+
+    The vertices are scaled once by `integer_points` to the common
+    denominator d of their coordinates, the shoelace sum is taken on ints,
+    and the one Fraction built is the result, that sum over 2*d^2.
+    """
+    d, (pts,) = integer_points([poly])
+    return Fraction(shoelace(pts), 2 * d * d)
 
 
 def convex_hull(points: Iterable[Vec]) -> Polygon:
@@ -56,12 +67,15 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
 
 def integer_points(groups: Sequence[Sequence[Vec]]) -> tuple[int, list[list[tuple[int, int]]]]:
     """The least common denominator d of the points' coordinates, and each
-    group of points scaled by d to integer points, in order."""
-    d = math.lcm(*(v.denominator for group in groups for pt in group for v in pt))
-    return d, [
-        [(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)) for x, y in group]
-        for group in groups
-    ]
+    group of points scaled by d to integer points, in order.
+
+    Coordinates are ints or Fractions, each read once by as_integer_ratio.
+    """
+    ratios = [v.as_integer_ratio() for group in groups for pt in group for v in pt]
+    d = math.lcm(*{q for _, q in ratios})
+    scaled = iter([p * (d // q) for p, q in ratios])
+    points = zip(scaled, scaled)
+    return d, [list(islice(points, len(group))) for group in groups]
 
 
 # -------------------------------------------------------------------
@@ -90,25 +104,26 @@ def predicate_area(
     memberships are False).
 
     The sweep cuts the plane into vertical slabs at every vertex and every
-    pairwise edge crossing; inside a slab active edges are orderable, and
+    proper edge crossing; inside a slab active edges are orderable, and
     parity vectors are constant between consecutive edges.  The vertices
     are scaled once to their common denominator D, so every edge has
-    integer ends and is kept as dx*y = c + dy*x over [x_lo, x_hi], sorted
-    by x_lo; only pairs whose x-ranges overlap are tested for a crossing.
-    A pair crosses properly iff the int (y1 - y2)*dx1*dx2 changes sign
-    between the ends of the common x-range, and only such a crossing's
-    abscissa is a Fraction.  Twice the area is summed on the scaled slabs
-    and divided once by 2*D^2.
+    integer ends and is kept as dx*y = c + dy*x over [x_lo, x_hi].
+    Crossings are searched slab by slab, after Bentley and Ottmann: in the
+    slab between two consecutive vertex abscissas the spanning edges are
+    sorted by their ordinate at its left end (ties by the right end), and
+    a pair crosses inside the slab iff that order is strictly inverted at
+    the right end.  A proper crossing of two edges, a strict sign change of
+    the linear gap between them over their common x-range, lies strictly
+    inside one vertex slab or on a vertex abscissa, which is a break
+    already; so these are the breaks an all-pairs search finds.  Only a
+    crossing's abscissa and the ordinates on it are Fractions.  Twice the
+    area is summed on the scaled slabs and divided once by 2*D^2.
     """
     if predicate(tuple(False for _ in polygon_sets)):
         raise ValueError("predicate region is unbounded")
-    tagged = [
-        (si, [(Fraction(x), Fraction(y)) for x, y in poly])
-        for si, ps in enumerate(polygon_sets)
-        for poly in ps
-    ]
+    tagged = [(si, poly) for si, ps in enumerate(polygon_sets) for poly in ps]
     d, polys = integer_points([poly for _, poly in tagged])
-    breaks: set = set()
+    breaks: set[int] = set()
     edges: list[tuple[int, int, int, int, int, int]] = []
     for (si, _), pts in zip(tagged, polys):
         for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -123,42 +138,54 @@ def predicate_area(
         return Fraction(0)
     edges.sort(key=lambda e: e[0])
 
-    # proper crossings of non-vertical edges with overlapping x-ranges;
-    # the ends of a common x-range are vertices, hence already breaks
-    for k, (_, x_hi1, dx1, dy1, c1, _) in enumerate(edges):
-        for m in range(k + 1, len(edges)):
-            lo, x_hi2, dx2, dy2, c2, _ = edges[m]
-            if lo > x_hi1:
-                break
-            hi = min(x_hi1, x_hi2)
-            f_lo = (c1 + dy1 * lo) * dx2 - (c2 + dy2 * lo) * dx1
-            f_hi = (c1 + dy1 * hi) * dx2 - (c2 + dy2 * hi) * dx1
-            if (f_lo < 0 < f_hi) or (f_hi < 0 < f_lo):
-                breaks.add(Fraction(lo * f_hi - hi * f_lo, f_hi - f_lo))
-
-    xs = sorted(breaks)
     nsets = len(polygon_sets)
     twice = 0
-    active: list[tuple[int, int, int, int, int, int]] = []
-    pending = iter(edges)
-    nxt = next(pending, None)
-    for xl, xr in zip(xs, xs[1:]):
-        # an edge spans the slab iff x_lo <= xl < x_hi, since every x_hi
-        # is a breakpoint
-        active = [e for e in active if e[1] > xl]
-        while nxt is not None and nxt[0] <= xl:
-            active.append(nxt)
-            nxt = next(pending, None)
-        ends = sorted(
-            (_ordinate(c, dy, dx, xl), _ordinate(c, dy, dx, xr), si)
-            for _, _, dx, dy, c, si in active
-        )
+
+    def add_slab(xl, xr, ends) -> None:
+        # ends: (y at xl, y at xr, set) of the spanning edges, sorted
+        nonlocal twice
         parity = [False] * nsets
         width = xr - xl
         for ei in range(len(ends) - 1):
             parity[ends[ei][2]] = not parity[ends[ei][2]]
             if predicate(tuple(parity)):
-                ya_l, ya_r, _ = ends[ei]
-                yb_l, yb_r, _ = ends[ei + 1]
+                ya_l, ya_r = ends[ei][:2]
+                yb_l, yb_r = ends[ei + 1][:2]
                 twice += width * ((yb_l + yb_r) - (ya_l + ya_r))
+
+    xs = sorted(breaks)
+    active: list[tuple[int, int, int, int, int, int]] = []
+    pending = iter(edges)
+    nxt = next(pending, None)
+    for xl, xr in zip(xs, xs[1:]):
+        # an edge spans the slab iff x_lo <= xl < x_hi, since every x_hi
+        # is a vertex abscissa
+        active = [e for e in active if e[1] > xl]
+        while nxt is not None and nxt[0] <= xl:
+            active.append(nxt)
+            nxt = next(pending, None)
+        ends = sorted(
+            (_ordinate(c, dy, dx, xl), _ordinate(c, dy, dx, xr), si, (c, dy, dx))
+            for _, _, dx, dy, c, si in active
+        )
+        # insertion by the right ordinate meets every strictly inverted pair
+        cuts: set = set()
+        order: list = []
+        for end in ends:
+            k = len(order)
+            while k and order[k - 1][1] > end[1]:
+                k -= 1
+                (c1, dy1, dx1), (c2, dy2, dx2) = order[k][3], end[3]
+                f_l = (c1 + dy1 * xl) * dx2 - (c2 + dy2 * xl) * dx1
+                f_r = (c1 + dy1 * xr) * dx2 - (c2 + dy2 * xr) * dx1
+                cuts.add(Fraction(xl * f_r - xr * f_l, f_r - f_l))
+            order.insert(k, end)
+        if not cuts:
+            add_slab(xl, xr, ends)
+            continue
+        sub = [xl, *sorted(cuts), xr]
+        for x0, x1 in zip(sub, sub[1:]):
+            add_slab(x0, x1, sorted(
+                (_ordinate(*line, x0), _ordinate(*line, x1), si) for _, _, si, line in ends
+            ))
     return Fraction(twice, 2 * d * d)

@@ -439,6 +439,9 @@ CORPUS_FILES = {
     "target_repeat": {"1": [[0, 0, 2, 2]], "01": [[5, 5, 6, 6]]},
     "part_float": {"window": None, "regions": {"1": [[[0.5, 0], [1, 0], [1, 1], [0, 1]]]}},
     "part_bool": {"window": None, "regions": {"1": [[[False, 0], [True, 0], [1, 1], [0, 1]]]}},
+    "part_nested": {"window": None, "regions": {
+        "1": [[[0, 0], [4, 0], [4, 4], [0, 4]]], "2": [[[1, 1], [2, 1], [2, 2], [1, 2]]],
+    }},
     "part_repeat": {"window": None, "regions": {
         "1": [[[0, 0], [2, 0], [2, 2], [0, 2]]], "01": [[[5, 5], [6, 5], [6, 6], [5, 6]]],
     }},
@@ -483,6 +486,7 @@ CORPUS_FILES = {
         ["decompose", "cfg_float", "--epsilon", "1/2", "--window", "4"],
         ["decompose", "cfg_bool", "--epsilon", "1/2", "--window", "4"],
         ["decompose", "cfg_three", "--epsilon", "1/2", "--window", "4"],
+        ["limit", "part_nested"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):

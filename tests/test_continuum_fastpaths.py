@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from chiralattice import decomposition
+from chiralattice import decomposition, rectregions
 from chiralattice.altpairs import FLAT_R, FLAT_S
 from chiralattice.decomposition import (
     PhasePartitionApprox,
@@ -316,6 +316,22 @@ def test_seam_sweep_matches_full_perimeter(eps, monkeypatch):
             x0, y0, x1, y1 = wlat.bounds()
             assert x1 > max(a for a, _ in occ) + 1 and y0 < min(b for _, b in occ)
             assert all(bound.denominator > 1 for bound in (x0, y0, x1, y1))
+
+
+def test_decompose_builds_rectangles_without_rect(monkeypatch):
+    """Block rectangles are tuples of four Fractions in increasing order,
+    built from the column and row ends without calling `rect`."""
+    calls = []
+    monkeypatch.setattr(rectregions, "rect", lambda *args: calls.append(args))
+    for eps in (F(1, 16), F(1, 8)):
+        for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7)))):
+            approx = decompose(criterion_seam(eps), window)
+            rects = [r for region in (*approx.regions.values(), approx.bad_region) for r in region]
+            assert rects and approx.regions[1] and approx.regions[2]
+            for r in rects:
+                assert type(r) is tuple and len(r) == 4 and all(type(v) is F for v in r), r
+                assert r[0] < r[2] and r[1] < r[3], r
+    assert calls == []
 
 
 def test_decompose_user_shapes_raise_where_the_block_scan_does():

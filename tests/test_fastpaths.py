@@ -1,8 +1,8 @@
 """Differential tests: integer fast paths against the Fraction reference code.
 
-The lattice energies, the window cell tests, the family enumeration and the
-polygon sweep count whole edges, cells and anchors with ints and prune the
-crossing pairs.  Each is checked here for exact equality against the plain
+The lattice energies, the window cell tests, the family enumeration, the
+polygon area and the polygon sweep count whole edges, cells and anchors
+with ints, price each cut line once and search crossings slab by slab.  Each is checked here for exact equality against the plain
 Fraction formulation that it replaced, kept below as the reference.
 """
 
@@ -32,7 +32,7 @@ from chiralattice.molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from chiralattice.polygeom import predicate_area
+from chiralattice.polygeom import polygon_area, predicate_area
 from conftest import random_configuration
 from test_line_bound import in_boundary_family, inside_inner
 
@@ -184,6 +184,15 @@ def _edges_of(polygons):
     return out
 
 
+def ref_polygon_area(poly) -> F:
+    """The Fraction shoelace, one product pair per vertex."""
+    total = F(0)
+    for k in range(len(poly)):
+        (x0, y0), (x1, y1) = poly[k], poly[(k + 1) % len(poly)]
+        total += F(x0) * F(y1) - F(x1) * F(y0)
+    return total / 2
+
+
 def ref_predicate_area(polygon_sets, predicate) -> F:
     """The all-pairs slab sweep, slopes rebuilt per pair and per slab."""
     edge_sets = [_edges_of(ps) for ps in polygon_sets]
@@ -301,6 +310,37 @@ def test_plane_energies_are_fractions():
         assert all(type(v) is F for v in got)
 
 
+def test_cut_lines_are_priced_once(monkeypatch):
+    """On the criterion-10 seam, in the two windows above that cut cells,
+    each energy prices a cut line with `Window._clip` at most once per
+    chirality class (once in all for the deficit), and only cut lines."""
+    calls = []
+
+    def recording(self, axis, k):
+        calls.append((axis, k))
+        return clip(self, axis, k)
+
+    clip = Window._clip
+    monkeypatch.setattr(Window, "_clip", recording)
+    config = validate(seam(16))
+    for window in (Window.square(F(193, 3), (F(1, 2), F(-2, 7))),
+                   Window.square(F(163, 2), (F(1, 3), 0))):
+        cells, whole = window.cell_range(), window._whole
+        cut_lines = {(axis, k) for axis in (0, 1) for k in cells[axis] if k not in whole[axis]}
+        for energy, per_line in (
+            (lambda: perimeter(config, window), 2),
+            (lambda: weighted_perimeter(config, F(3, 2), F(5, 7), window), 2),
+            (lambda: volume_deficit(config, window), 1),
+        ):
+            calls.clear()
+            assert type(energy()) is F
+            assert calls and set(calls) <= cut_lines, window
+            assert max(calls.count(line) for line in calls) <= per_line, (window, calls)
+        monkeypatch.setattr(Window, "_clip", clip)
+        assert_lattice_energies(config, window, F(3, 2), F(5, 7))
+        monkeypatch.setattr(Window, "_clip", recording)
+
+
 def test_contains_cell_and_cell_range_match_fraction_bounds():
     rng = random.Random(42)
     for _ in range(400):
@@ -414,12 +454,87 @@ PREDICATES = {
 }
 
 
+def _star(rng: random.Random, n: int, step: int, den: int) -> tuple:
+    """The star polygon {n/step} on n rational points taken in angular
+    order around a random centre on the 1/den grid."""
+    cx, cy = F(rng.randint(0, 4 * den), den), F(rng.randint(0, 4 * den), den)
+    pts = []
+    for k in range(n):
+        angle = 2 * math.pi * (k + rng.random() / 2) / n
+        r = rng.randint(2 * den, 4 * den)
+        pts.append((cx + F(round(r * math.cos(angle)), den), cy + F(round(r * math.sin(angle)), den)))
+    return tuple(pts[(k * step) % n] for k in range(n))
+
+
+def crossing_heavy_sets(rng: random.Random) -> list:
+    """Fixed and random polygon sets whose edges cross a lot: star polygons,
+    crossings on a vertex abscissa, collinear overlaps, vertical edges and
+    sets that share vertices."""
+    pentagram = ((0, 3), (2, -3), (-3, 1), (3, 1), (-2, -3))
+    fixed = [
+        [[pentagram]],
+        [[pentagram], [((-3, -3), (3, -3), (3, 3), (-3, 3))]],
+        # the X crosses at x = 1, a vertex abscissa of the third triangle
+        [[((0, 0), (2, 2), (0, 2))], [((0, 2), (2, 0), (2, 2))], [((1, 3), (3, 3), (2, 4))]],
+        # an edge through another set's vertex, and a crossing on its abscissa
+        [[((0, 0), (4, 4), (0, 4))], [((2, 2), (5, 0), (5, 3))], [((2, -1), (3, 5), (1, 5))]],
+        # collinear overlapping edges, one set inside the other's hull
+        [[((0, 0), (4, 4), (0, 4))], [((1, 1), (3, 3), (3, 0))], [((2, 2), (6, 6), (6, 2))]],
+        # vertical edges crossed by slanted ones and stacked on a line
+        [[((1, 0), (1, 4), (3, 4), (3, 0))], [((0, 1), (4, 3), (0, 3))],
+         [((1, 1), (1, 2), (F(5, 2), 5)), ((3, 0), (3, 2), (4, 1))]],
+        # every set drawn from one pool of five points
+        [[((0, 0), (4, 1), (1, 4))], [((4, 1), (1, 4), (3, 3))],
+         [((0, 0), (3, 3), (4, 1)), ((0, 0), (1, 4), (2, 1))]],
+    ]
+    pool = [_grid_point(rng, 2) for _ in range(6)]
+    randoms = []
+    for _ in range(12):
+        den = rng.choice((1, 2, 3, 5))
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            polys = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    n = rng.choice((5, 7, 8))
+                    polys.append(_star(rng, n, rng.choice([k for k in (2, 3) if math.gcd(n, k) == 1]), den))
+                elif kind == 1:
+                    polys.append(tuple(rng.sample(pool, rng.randint(3, 5))))
+                else:
+                    x0, x1 = sorted(rng.sample(range(0, 4 * den + 1), 2))
+                    polys.append(((F(x0, den), 0), (F(x1, den), F(rng.randint(1, 4 * den), den)),
+                                  (F(x1, den), 4), (F(x0, den), F(rng.randint(0, 4 * den), den))))
+            sets.append(polys)
+        randoms.append(sets)
+    return fixed + randoms
+
+
 @pytest.mark.parametrize("name", sorted(PREDICATES))
 def test_predicate_area_matches_all_pairs_sweep(name):
     predicate = PREDICATES[name]
     rng = random.Random(sorted(PREDICATES).index(name))
-    for _ in range(40):
-        sets = [random_polygon_set(rng) for _ in range(rng.randint(1, 4))]
+    cases = [[random_polygon_set(rng) for _ in range(rng.randint(1, 4))] for _ in range(40)]
+    for sets in cases + crossing_heavy_sets(rng):
         got = predicate_area(sets, predicate)
         assert type(got) is F
         assert got == ref_predicate_area(sets, predicate), sets
+    # even-odd parity differs from the signed area only through crossings
+    pentagram = ((0, 3), (2, -3), (-3, 1), (3, 1), (-2, -3))
+    assert 0 < predicate_area([[pentagram]], lambda p: p[0]) < abs(polygon_area(pentagram))
+
+
+def test_polygon_area_matches_fraction_shoelace():
+    rng = random.Random(2026)
+    for n in range(300):
+        size = rng.randint(3, 8)
+        if n % 3 == 0:
+            poly = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(size)]
+        else:
+            poly = [(F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 7, 12))),
+                     F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 7, 12)))) for _ in range(size)]
+        for verts in (poly, poly[::-1]):
+            got = polygon_area(verts)
+            assert type(got) is F
+            assert got == ref_polygon_area(verts), verts
+        assert polygon_area(poly[::-1]) == -polygon_area(poly)

@@ -189,6 +189,36 @@ def test_invalid_partitions_rejected():
         extract_interfaces(part)
 
 
+BIG = [(0, 0), (4, 0), (4, 4), (0, 4)]
+INNER = [(1, 1), (2, 1), (2, 2), (1, 2)]
+
+
+def test_overlapping_islands_rejected():
+    # a unit square inside a 4x4 one shares no edge with it: every price
+    # would count the overlap twice
+    for price in (
+        lambda: limit_energy(PolygonalPartition(regions={1: [BIG], 2: [INNER]}), MODEL),
+        lambda: spin_lower_bound([BIG, INNER], MODEL),
+        lambda: rs_lower_bound([BIG], [INNER], MODEL),
+    ):
+        with pytest.raises(InvalidPartition, match="^islands overlap$"):
+            price()
+    # two triangles that cross properly, of one label or of two
+    tri, crossing = [(0, 0), (4, 0), (2, 4)], [(0, 3), (2, -1), (4, 3)]
+    # and a self-crossing island, whose two lobes wind opposite ways
+    bow_tie = [(0, 0), (4, 2), (4, 0), (0, 1)]
+    for regions in ({1: [tri, crossing]}, {1: [tri], 5: [crossing]}, {1: [bow_tie]}):
+        with pytest.raises(InvalidPartition, match="^islands overlap$"):
+            extract_interfaces(PolygonalPartition(regions=regions))
+    # abutting islands, and islands that touch at a corner, still price
+    assert limit_energy(PolygonalPartition(regions={1: [BIG]}), MODEL) == 28
+    assert spin_lower_bound([BIG], MODEL) == 4 * spin_lower_bound([SQ], MODEL)
+    halves = [[(0, 0), (4, 0), (4, 4)], [(0, 0), (4, 4), (0, 4)]]
+    assert spin_lower_bound(halves, MODEL) == spin_lower_bound([BIG], MODEL)
+    corner = [(4, 4), (5, 4), (5, 5), (4, 5)]
+    assert spin_lower_bound([BIG, corner], MODEL) == 5 * spin_lower_bound([SQ], MODEL)
+
+
 def test_anchored_admissible():
     big = [(-4, -4), (4, -4), (4, 4), (-4, 4)]
     ext = PolygonalPartition(regions={1: [big]}, window=None)
