@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -92,15 +93,23 @@ def emit(command: str, params: dict, inputs: Sequence[str | None],
     and as `outputs` exactly the paths written here: the (path, text)
     `files` and `out`.  `render(manifest)` is the stdout text; `out`
     receives the same text, or only `append(manifest)` when it is an
-    existing non-empty file.  Stdout comes last, so a run whose file
-    cannot be written prints nothing before it exits 2.
+    existing non-empty file.  Two outputs with one absolute path are
+    invalid input, reported before anything is written.  Stdout comes
+    last, so a run whose file cannot be written prints nothing before it
+    exits 2.
     """
+    outputs = [path for path, _ in files] + ([out] if out else [])
+    written: set[str] = set()
+    for path in outputs:
+        if os.path.abspath(path) in written:
+            raise InvalidInput(f"output {path} would be written twice")
+        written.add(os.path.abspath(path))
     manifest = {
         "command": command,
         "version": __version__,
         "parameters": {k: params[k] for k in sorted(params)},
         "inputs": {p: _digest(p) for p in sorted(filter(None, inputs))},
-        "outputs": sorted([path for path, _ in files] + ([out] if out else [])),
+        "outputs": sorted(outputs),
     }
     text = render(manifest)
     for path, content in files:

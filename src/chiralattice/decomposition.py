@@ -10,6 +10,11 @@ molecules meeting the concentric square of side 4*epsilon, or the label
 0 when that square is empty.  The per-label unions of the small squares
 approximate the limiting partition; the bad squares have total area
 O(epsilon * boundary length).
+
+`decompose` reads the configuration once, molecule by molecule, onto
+4x4 tiles: a tile's cell count and the phases of the molecules meeting it
+classify every block, so it pays one range test per molecule, a few steps
+per molecule near the window and one per block, not one per cell.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .molecules import (
     Cell,
     Configuration,
     InvalidInput,
+    Molecule,
     MoleculeShape,
+    UnlabeledShape,
     Window,
     _boundary_lengths,
     configuration_on_grid,
@@ -74,7 +81,57 @@ def _window_in_lattice(window: Window, epsilon: Fraction) -> Window:
     return Window.square(window.side / epsilon, (cx / epsilon, cy / epsilon))
 
 
-_TILE = tuple((a, b) for a in range(-2, 2) for b in range(-2, 2))  # the 4-square about 0
+def _tile_table(shape: MoleculeShape, tiles: tuple[range, range], stride: int) -> tuple:
+    """How a molecule of this shape meets the 4x4 tiles [4t-2, 4t+2)^2.
+
+    The cell x + c lies in tile (x >> 2) + ((x & 3) + c + 2 >> 2), and alike
+    on the second axis, so the tiles a molecule meets, its cell count in
+    each and the label of a built-in molecule depend only on the shape and
+    the anchor mod 4.  Returns the anchor ranges [xa, xb) and [ya, yb) of
+    the molecules that meet the tile ranges and, per residue (x & 3) << 2 |
+    y & 3, the phase bit (32 << label, or 32 without a label) and each
+    tile's (offset, count).  An offset plus (x >> 2) * stride + (y >> 2)
+    indexes a flat array over the tile ranges with a spare tile on every
+    side, which holds every tile of such a molecule: an edge-connected
+    shape spans at most two tiles on each axis.
+    """
+    cols, rows = tiles
+    origin = (1 - cols.start) * stride + 1 - rows.start
+    table = []
+    for a in range(4):
+        for b in range(4):
+            try:
+                bit = 32 << phase_label(Molecule(shape, (a, b)))
+            except UnlabeledShape:
+                bit = 32
+            counts = Counter(
+                ((a + c + 2) >> 2) * stride + ((b + r + 2) >> 2) + origin
+                for c, r in shape.cells
+            )
+            table.append((bit, tuple(counts.items())))
+    xs = [c for c, _ in shape.cells]
+    ys = [r for _, r in shape.cells]
+    return (
+        4 * cols.start - 2 - max(xs), 4 * cols.stop - 2 - min(xs),
+        4 * rows.start - 2 - max(ys), 4 * rows.stop - 2 - min(ys),
+        table,
+    )
+
+
+def _owner_phase(config: Configuration, n1: int, n2: int) -> int:
+    """The phase of the molecules meeting the 4-square about (n1, n2), read
+    from its cells' owners in cell order; raises where there is not one."""
+    occ = config.occupancy
+    owners = dict.fromkeys(
+        occ[a, b] for a in range(n1 - 2, n1 + 2) for b in range(n2 - 2, n2 + 2)
+    )
+    labels = {phase_label(config.molecules[idx]) for idx in owners}
+    if len(labels) != 1:
+        raise AssertionError(
+            f"full covering square at {(n1, n2)} carries phases "
+            f"{sorted(labels)}; the single-phase property failed"
+        )
+    return labels.pop()
 
 
 def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
@@ -102,14 +159,20 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     their label-4 squares tile it up to the bad region, so the labeled
     regions together with the bad region cover the window.
 
-    One pass over the occupied cells counts them on the 4x4 tiles
-    [4t-2, 4t+2)^2.  The 12-block centred at n = 4m is made of the tiles
-    m-1..m+1 in each axis and its concentric 4-square is the tile m, so a
-    block's fill is a sum of nine tile counts, added up as three strips of
-    three.  The window tests and the continuum coordinates of the squares
-    are computed once per column and once per row, so each block's
-    rectangle is a plain tuple of the ends of its column and row, and phase
-    labels are read only for the centre tile of a full block.  The boundary
+    One pass over the molecules counts their cells on the 4x4 tiles
+    [4t-2, 4t+2)^2 and records per tile the OR of their phase bits; a
+    molecule adds to at most four tiles, read from a table per shape and
+    anchor residue mod 4, and a molecule that meets none of the tiles the
+    blocks read is skipped by one range test on its anchor.  The 12-block
+    centred at n = 4m is made of the tiles m-1..m+1 in each axis and its
+    concentric 4-square is the tile m, so a block's fill is a sum of nine
+    tile counts, added up as three strips of three, and a full block reads
+    its phase off its centre tile.  Only a centre tile that is mixed or
+    holds a shape without a label sends its block back to the owners of its
+    16 cells, read in cell order, which raise the block scan's exception.
+    The window tests and the continuum coordinates of the squares are
+    computed once per column and once per row, so each block's rectangle
+    is a plain tuple of the ends of its column and row.  The boundary
     length comes from the same blocks: the lattice boundary sweep visits
     only the cells that meet the window in the centre tiles of the blocks
     that are neither full nor empty.  An occupied cell with a free side has
@@ -126,20 +189,38 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     x0, y0, x1, y1 = wlat.bounds()
 
     occ = config.occupancy
-    mols = config.molecules
-    tiles = Counter(((a + 2) >> 2, (b + 2) >> 2) for a, b in occ)
-
     regions: dict[int, list[Rect]] = {lab: [] for lab in range(9)}
     bad: list[Rect] = []
 
     cols, rows = _centres(x0, x1, eps), _centres(y0, y1, eps)
-    t2s = range(rows[0][0] - 1, rows[-1][0] + 2)
+    # the tiles the blocks read, in a flat array with a spare tile around;
+    # a tile holds at most 16 cells, so its count takes the low five bits
+    # of its entry and the OR of its molecules' phase bits sits above them
+    tiles = range(cols[0][0] - 1, cols[-1][0] + 2), range(rows[0][0] - 1, rows[-1][0] + 2)
+    stride = len(tiles[1]) + 2
+    acc = [0] * ((len(tiles[0]) + 2) * stride)
+    # keyed by identity: `phase_label` labels only the built-in shape objects
+    by_shape: dict[int, tuple] = {}
+    shape = None
+    for mol in config.molecules:
+        if mol.shape is not shape:  # molecules mostly come in runs of one shape
+            shape = mol.shape
+            reach = by_shape.get(id(shape))
+            if reach is None:
+                reach = by_shape[id(shape)] = _tile_table(shape, tiles, stride)
+            xa, xb, ya, yb, table = reach
+        x, y = mol.anchor
+        if xa <= x < xb and ya <= y < yb:
+            bit, counts = table[(x & 3) << 2 | y & 3]
+            base = (x >> 2) * stride + (y >> 2)
+            for d, n in counts:
+                acc[base + d] = acc[base + d] + n | bit
     # per tile column, the fill of the three tiles around each row centre
     strips = [
         [a + b + c for a, b, c in zip(col, col[1:], col[2:])]
         for col in (
-            [tiles.get((t1, t2), 0) for t2 in t2s]
-            for t1 in range(cols[0][0] - 1, cols[-1][0] + 2)
+            [v & 31 for v in acc[k * stride + 1:(k + 1) * stride - 1]]
+            for k in range(1, len(tiles[0]) + 1)
         )
     ]
     # per centre tile column and row, its cells that meet the window
@@ -149,8 +230,9 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     seam: list[tuple[Cell, int]] = []
     for k, (m1, inside1, (u0, u1), (s0, s1)) in enumerate(cols):
         fills = [a + b + c for a, b, c in zip(*strips[k:k + 3])]
-        for (m2, inside2, (v0, v1), (t0, t1)), filled, bs in zip(rows, fills, seen_y):
-            n1, n2 = 4 * m1, 4 * m2
+        first = (k + 2) * stride + 2  # the centre tile of the column's first block
+        centres = acc[first:first + len(rows)]
+        for (m2, inside2, (v0, v1), (t0, t1)), filled, bs, tile in zip(rows, fills, seen_y, centres):
             partial = 0 < filled < 144
             if partial:
                 cells = ((a, b) for a in seen_x[k] for b in bs)
@@ -162,16 +244,15 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
             if filled == 0:
                 regions[0].append(small)
                 continue
-            # full 12-block: the unique phase of molecules meeting the
-            # 4-square (single by the interior-phase property; checked)
-            owners = dict.fromkeys([occ[n1 + a, n2 + b] for a, b in _TILE])
-            labels = {phase_label(mols[idx]) for idx in owners}
-            if len(labels) != 1:
-                raise AssertionError(
-                    f"full covering square at {(n1, n2)} carries phases "
-                    f"{sorted(labels)}; the single-phase property failed"
-                )
-            regions[labels.pop()].append(small)
+            # full 12-block: the unique phase of the molecules meeting the
+            # 4-square (single by the interior-phase property; checked), one
+            # phase bit unless the tile is mixed or holds a shape without a
+            # label, where the owner read raises as the block scan does
+            bits = tile >> 5
+            if bits & (bits - 1) or bits & 1:
+                regions[_owner_phase(config, 4 * m1, 4 * m2)].append(small)
+            else:
+                regions[bits.bit_length() - 1].append(small)
 
     return PhasePartitionApprox(
         epsilon=eps,

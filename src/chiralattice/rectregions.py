@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .molecules import InvalidInput, decode_regions, json_rational
@@ -20,28 +19,44 @@ def rect(x0, y0, x1, y1) -> Rect:
 
 
 def _odd_cover_area(*regions: Sequence[Rect]) -> Fraction:
-    """Area of the cells of the regions' common grid that an odd number
-    of the regions cover, each region counted as its union.
+    """Area of the points that an odd number of the regions cover, each
+    region counted as its union.
 
     The corners are scaled once to the common denominator D of all their
-    coordinates; cells are marked by int indices and their areas summed
-    as ints, so only the result is a Fraction.
+    coordinates, and their abscissas and ordinates cut the plane into
+    columns and y-slabs.  Each column is one int whose bit j stands for
+    slab j.  A rectangle ORs the run of bits of its slabs into each of its
+    columns, so overlaps within one region count once, and the regions'
+    columns are XOR-ed.  Columns with equal bits are summed by width; the
+    height of a column is the sum over its runs of set bits, whose ends are
+    the set bits of m ^ (m << 1).  All of this is int arithmetic, and only
+    the result is a Fraction.
     """
-    d, corners = integer_points([(r[:2], r[2:]) for region in regions for r in region])
-    xs = sorted({x for pair in corners for x, _ in pair})
-    ys = sorted({y for pair in corners for _, y in pair})
+    d, corners = integer_points([[p for r in region for p in (r[:2], r[2:])] for region in regions])
+    xs = sorted({x for points in corners for x, _ in points})
+    ys = sorted({y for points in corners for _, y in points})
     xi = {x: i for i, x in enumerate(xs)}
     yi = {y: j for j, y in enumerate(ys)}
-    odd: set[tuple[int, int]] = set()
-    pairs = iter(corners)
-    for region in regions:
-        cells = set()
-        for (x0, y0), (x1, y1) in islice(pairs, len(region)):
-            js = range(yi[y0], yi[y1])
+    odd = [0] * (len(xs) - 1)
+    for points in corners:
+        cover = [0] * len(odd)
+        pairs = iter(points)
+        for (x0, y0), (x1, y1) in zip(pairs, pairs):
+            run = (1 << yi[y1]) - (1 << yi[y0])
             for i in range(xi[x0], xi[x1]):
-                cells.update((i, j) for j in js)
-        odd ^= cells
-    total = sum((xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j]) for i, j in odd)
+                cover[i] |= run
+        odd = [a ^ b for a, b in zip(odd, cover)]
+    widths: dict[int, int] = {}
+    for i, m in enumerate(odd):
+        widths[m] = widths.get(m, 0) + xs[i + 1] - xs[i]
+    total = 0
+    for m, width in widths.items():
+        ends, height, sign = m ^ (m << 1), 0, -1
+        while ends:
+            height += sign * ys[(ends & -ends).bit_length() - 1]
+            ends &= ends - 1
+            sign = -sign
+        total += width * height
     return Fraction(total, d * d)
 
 

@@ -445,6 +445,11 @@ CORPUS_FILES = {
     "part_repeat": {"window": None, "regions": {
         "1": [[[0, 0], [2, 0], [2, 2], [0, 2]]], "01": [[[5, 5], [6, 5], [6, 6], [5, 6]]],
     }},
+    # phase 1 on the eps = 1/2 grid, so a window of 20 has label-1 squares
+    "cfg_phase1": [
+        {"shape": "R", "anchor": [f"{a}/2", f"{b}/2"]}
+        for a in range(-24, 24) for b in range(-24, 24) if (a + b) % 4 == 1
+    ],
     **{
         f"shapes_{kind}": [{
             "name": "X", "cells": [[0, 0], [0, 1], [0, 2], [cell, 2]],
@@ -487,6 +492,9 @@ CORPUS_FILES = {
         ["decompose", "cfg_bool", "--epsilon", "1/2", "--window", "4"],
         ["decompose", "cfg_three", "--epsilon", "1/2", "--window", "4"],
         ["limit", "part_nested"],
+        ["decompose", "cfg_phase1", "cfg_phase1", "--epsilon", "1/2,1/2", "--window", "20",
+         "--regions-csv", "cfg_phase1"],
+        ["wulff", "1", "--svg", "target", "--json", "target"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):

@@ -1,9 +1,10 @@
 """Differential tests: the continuum routines on integers against their
 Fraction forms.
 
-`decompose` counts cells on 4x4 tiles and sweeps for boundary only the
-cells near a tile that is not full, the rectangle unions and the segment
-soup of `extract_interfaces` scale their inputs to one common integer
+`decompose` counts each molecule's cells on 4x4 tiles and sweeps for
+boundary only the cells near a tile that is not full, the rectangle unions
+mark columns of an integer grid as bitsets, and they and the segment soup
+of `extract_interfaces` scale their inputs to one common integer
 denominator.  Each is checked here for equal results, or the same exception
 type and message, against the plain Fraction formulation that it replaced,
 kept below as the reference.  The polygon sweep has its reference in
@@ -36,6 +37,8 @@ from chiralattice.limits import (
     extract_interfaces,
 )
 from chiralattice.molecules import (
+    R,
+    S,
     Molecule,
     UnlabeledShape,
     Window,
@@ -318,6 +321,65 @@ def test_seam_sweep_matches_full_perimeter(eps, monkeypatch):
             assert all(bound.denominator > 1 for bound in (x0, y0, x1, y1))
 
 
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 32)])
+def test_decompose_matches_block_scan_on_the_criterion_seam(eps, monkeypatch):
+    """The seam of the benchmark, in the two windows of the sweep test;
+    every full block reads its phase off its centre tile, none from the
+    owners of its cells."""
+    sc = criterion_seam(eps)
+    windows = (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7))))
+    expected = [outcome(ref_decompose, sc, window) for window in windows]
+    monkeypatch.setattr(decomposition, "_owner_phase", None)
+    for window, want in zip(windows, expected):
+        got = outcome(decompose, sc, window)
+        assert got == want, window
+        assert got.regions[1] and got.regions[2], window
+
+
+def test_builtin_phase_labels_depend_on_the_anchor_mod_4():
+    """`decompose` reads a built-in molecule's label from a table per shape
+    and anchor residue mod 4, built from the anchors in [0, 4)^2."""
+    for shape in (R, S):
+        for x in range(-20, 20):
+            for y in range(-20, 20):
+                residue = Molecule(shape, (x % 4, y % 4))
+                assert phase_label(Molecule(shape, (x, y))) == phase_label(residue), (x, y)
+
+
+def test_decompose_skips_molecules_beyond_the_block_grid():
+    """Small windows onto a seam of side 100 with flat molecules further out:
+    molecules lie beyond the tiles the blocks read on every side (the tiles
+    cover the cells within 12 of the lattice window), the flat ones among
+    them never named, and molecules straddle the tiles' edge."""
+    rng = random.Random(23)
+    box = Window.square(100)
+    patterns = {i: phase_pattern(i, box).molecules for i in (1, 2, 6, 7)}
+    far = [Molecule(m.shape, (m.anchor[0] + 100, m.anchor[1])) for m in striped(FLAT_R, lambda a, b: a + b)]
+    sides = Counter()
+    for _ in range(10):
+        i, j = rng.choice(sorted(patterns)), rng.choice(sorted(patterns))
+        mols = seam_configuration(rng, patterns[i], patterns[j])
+        sc = ScaledConfiguration(F(1, rng.choice((1, 2, 8))), validate(mols + far))
+        den = rng.choice((1, 3, 7))
+        side = F(rng.randint(20 * den, 40 * den), den)
+        cx, cy = (F(rng.randint(-8 * den, 8 * den), den) for _ in range(2))
+        window = Window.square(side * sc.epsilon, (cx * sc.epsilon, cy * sc.epsilon))
+        got = outcome(decompose, sc, window)
+        assert got == outcome(ref_decompose, sc, window), window
+        sides["labelled"] += any(got.regions[lab] for lab in range(1, 9))
+        # the cells within 12 of the lattice window lie in [xa, xb) x [ya, yb)
+        x0, y0, x1, y1 = _window_in_lattice(window, sc.epsilon).bounds()
+        xa, ya, xb, yb = math.floor(x0) - 12, math.floor(y0) - 12, math.ceil(x1) + 12, math.ceil(y1) + 12
+        for m in sc.config:
+            xs, ys = [a for a, _ in m.cells()], [b for _, b in m.cells()]
+            sides["left"] += max(xs) < xa
+            sides["right"] += min(xs) >= xb
+            sides["below"] += max(ys) < ya
+            sides["above"] += min(ys) >= yb
+            sides["straddle"] += min(xs) < xa <= max(xs)
+    assert sides["labelled"] >= 7 and min(sides.values()) >= 10, sides
+
+
 def test_decompose_builds_rectangles_without_rect(monkeypatch):
     """Block rectangles are tuples of four Fractions in increasing order,
     built from the column and row ends without calling `rect`."""
@@ -413,6 +475,36 @@ def test_rectangle_unions_match_fraction_grid():
         got = region_area(a), symdiff_area(a, b)
         assert got == (ref_symdiff_area(a), ref_symdiff_area(a, b)), (a, b)
         assert all(type(v) is F for v in got)
+
+
+def test_rectangle_unions_match_fraction_grid_on_decompositions():
+    """The 12-squares of a bad region overlap heavily; each label's squares
+    against a target, and three or more regions with a rectangle spanning
+    every column of the grid."""
+    rng = random.Random(41)
+    box = Window.square(52)
+    runs = [(criterion_seam(F(1, 16)), window)
+            for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7))))]
+    mols = seam_configuration(rng, phase_pattern(3, box).molecules, phase_pattern(6, box).molecules)
+    runs.append((ScaledConfiguration(F(1, 7), validate(mols)), Window.square(F(36, 7), (F(1, 7), 0))))
+    target = {1: [rect(-2, -2, 0, 2)], 2: [rect(0, -2, 2, 2)], 3: [rect(-3, -2, F(1, 3), 3)]}
+    for sc, window in runs:
+        approx = decompose(sc, window)
+        assert len(approx.bad_region) > 20 and sum(map(len, approx.regions.values())) > 20
+        got = region_area(approx.bad_region)
+        assert type(got) is F and got == ref_symdiff_area(approx.bad_region) > 0
+        for lab in range(9):
+            region, goal = approx.regions[lab], target.get(lab, [])
+            got = symdiff_area(region, goal)
+            assert type(got) is F and got == ref_symdiff_area(region, goal), lab
+        nonempty = [r for r in approx.regions.values() if r]
+        x0 = min(r[0] for r in approx.bad_region)
+        x1 = max(r[2] for r in approx.bad_region)
+        across = [rect(x0, F(-1, 5), x1, F(2, 5))]
+        for regions in ([approx.bad_region, *nonempty], [*nonempty, across], [across, approx.bad_region, across]):
+            assert len(regions) >= 3
+            got = rectregions._odd_cover_area(*regions)
+            assert type(got) is F and got == ref_symdiff_area(*regions)
 
 
 # -------------------------------------------------------------------
