@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -448,6 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COLOR = re.compile(r"#(?:[0-9A-Fa-f]{3}){1,2}|[A-Za-z]+")
+
+
 def _apply_preset(args) -> None:
     """Fill unset options from a preset file (weights, budget, cap, palette)."""
     preset = _read(args.preset)
@@ -465,6 +469,12 @@ def _apply_preset(args) -> None:
     if palette:
         if not isinstance(palette, list) or len(palette) != 9:
             raise InvalidInput("palette preset needs exactly 9 colors")
+        for color in palette:
+            # each entry is written into SVG attributes as it stands
+            if not isinstance(color, str) or not _COLOR.fullmatch(color):
+                raise InvalidInput(
+                    f"invalid palette color {color!r}: expected #RGB, #RRGGBB or a color name"
+                )
         args.palette = tuple(palette)
 
 

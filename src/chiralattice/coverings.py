@@ -137,14 +137,14 @@ def _frontiers(table: PlacementTable) -> list[int]:
     """frontier[i]: the bits on which the subtree below a node depends.
 
     Below a node whose first free order cell is i, only placements whose
-    lowest order bit is >= i can still be chosen, so the subtree depends
-    on the order bits and on the cells of those placements only.
+    first order cell is i or later can still be chosen, so the subtree
+    depends on the order bits and on the cells of those placements only.
     """
     reach = [0] * table.n
-    for p in table.placements:
-        low = p.mask & -p.mask  # order cells have the lowest bits
-        reach[low.bit_length() - 1] |= p.mask
     bits = table.order_bits
+    for p in table.placements:
+        first = p.mask & bits
+        reach[(first & -first).bit_length() - 1] |= p.mask
     for i in reversed(range(table.n)):
         bits |= reach[i]
         reach[i] = bits
@@ -162,7 +162,7 @@ def _iter_coverings(
     targets = table.order_bits
     occupied = 0
     chosen: list[Placement] = []
-    stack = [iter(table.by_pos[0])]
+    stack = [iter(table.by_pos[(targets & -targets).bit_length() - 1])]
     while stack:
         for p in stack[-1]:
             if p.mask & occupied:
@@ -199,6 +199,8 @@ def enumerate_coverings(
     """
     if k < 2:
         raise InvalidInput("k must be at least 2")
+    if cap is not None and cap < 1:
+        raise InvalidInput("cap must be at least 1")
     table = _square_table(k, tuple(shapes))
     stats = SearchStats(placements=len(table.placements))
     for chosen in _iter_coverings(table, stats):
@@ -297,6 +299,9 @@ def lemma_check(
     memo: dict[int, tuple[int, int]] = {}
     names = tuple(s.name for s in shapes)
     n = table.n
+    # the cells that no covering needs: a node's first free order cell is
+    # the lowest clear bit of its occupied cells and these
+    blocked = table.all_bits & ~table.order_bits
     nodes = coverings = 0
 
     def report(holds: bool | None, witness: Configuration | None) -> LemmaReport:
@@ -306,7 +311,8 @@ def lemma_check(
     occupied = 0
     chosen: list[Placement] = []
     # frames: (options, phase state, memo key, nodes and coverings on entry)
-    stack = [(iter(options[0]), 0, 0, 0, 0)]
+    first = (blocked ^ (blocked + 1)).bit_length() - 1
+    stack = [(iter(options[first]), 0, 0, 0, 0)]
     while stack:
         frame = stack[-1]
         phase = frame[1]
@@ -316,7 +322,8 @@ def lemma_check(
             nodes += 1
             child = phase if c == 0 or c == phase else (c if phase == 0 else mixed)
             occ = occupied | mask
-            i = (occ ^ (occ + 1)).bit_length() - 1  # the first free cell
+            done = occ | blocked
+            i = (done ^ (done + 1)).bit_length() - 1  # the first free order cell
             if i >= n:
                 coverings += 1
                 if child == mixed:

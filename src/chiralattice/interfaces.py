@@ -460,8 +460,10 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     volume = prob.energy_kind == VOLUME
 
     # The table numbers the inner square plus its one-cell ring line by
-    # line, so its order bits are a width x width grid for the line bound.
-    # Its placements are the free molecules: those lying in the free zone.
+    # line, so its order bits are a width x width grid for the line bound;
+    # the free zone lies inside the ring, so the table adds no margin and
+    # order cell k has bit k.  Its placements are the free molecules: those
+    # lying in the free zone.
     inner = _inner(T)
     square = range(inner.start - 1, inner.stop + 1)
     width = len(square)
@@ -902,10 +904,15 @@ def cluster_min_perimeter(
     grow from a seed at the origin by one placement touching the cluster,
     tried in (shape name, anchor) order, and each translation class of
     clusters is grown once.  Placements are ranked once in that order, so
-    a node's candidates are the set bits of an int over ranks; a class is
-    keyed by an int with one bit per (anchor, shape), shifted down to the
-    cluster's lowest anchor column and row.  The first cluster of least
-    perimeter in that order is returned.
+    a node's candidates are the set bits of an int over ranks.  A class is
+    keyed by its occupancy mask shifted down to its lowest set bit, with
+    its count of R molecules: the table's numbering is affine, so a
+    translate has the same key, and since the cluster is edge-connected
+    and shorter than a line of the table, the key gives back its cell
+    union up to translation.  Two clusters with one key are decompositions
+    of one cell union with equal counts, whose subtrees are identical, so
+    growing the first alone keeps the first cluster of least perimeter in
+    that order, which is returned.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise InvalidInput("need r + s >= 1 with nonnegative counts")
@@ -932,30 +939,18 @@ def cluster_min_perimeter(
         while cells:
             low = cells & -cells
             cells ^= low
-            i = low.bit_length() - 1
-            if i < table.n:
-                bits |= covering[i]
+            bits |= covering[low.bit_length() - 1]
         near.append(bits)
     of_shape = {
         shape: sum(1 << rank for rank, p in enumerate(ranked) if p.molecule.shape is shape)
         for shape in (R, S)
     }
-    x0 = min(p.molecule.anchor[0] for p in ranked)
-    y0 = min(p.molecule.anchor[1] for p in ranked)
-    width = max(p.molecule.anchor[1] for p in ranked) - y0 + 1
-    col = [p.molecule.anchor[0] - x0 for p in ranked]
-    row = [p.molecule.anchor[1] - y0 for p in ranked]
-    key_bit = [
-        1 << 2 * (x * width + y) + (p.molecule.shape is S) for x, y, p in zip(col, row, ranked)
-    ]
+    count_bits = r.bit_length()  # a key's low bits hold its R count
 
     best: tuple[int, tuple[Molecule, ...]] | None = None
     seen: set[int] = set()
 
-    def grow(
-        mols: list[Molecule], occ: int, cand: int, bits: int, low_x: int, low_y: int,
-        per: int, nr: int, ns: int,
-    ):
+    def grow(mols: list[Molecule], occ: int, cand: int, per: int, nr: int, ns: int):
         nonlocal best
         last = len(mols) + 1 == total
         # candidate placements: those covering a cell adjacent to the cluster
@@ -974,17 +969,16 @@ def cluster_min_perimeter(
                 if best is None or grown_per < best[0]:
                     best = (grown_per, (*mols, p.molecule))
                 continue
-            x = col[rank] if col[rank] < low_x else low_x
-            y = row[rank] if row[rank] < low_y else low_y
-            grown = bits | key_bit[rank]
-            key = grown >> 2 * (x * width + y)
+            mol = p.molecule
+            grown = occ | p.mask
+            grown_nr = nr + (mol.shape is R)
+            key = (grown >> (grown & -grown).bit_length() - 1) << count_bits | grown_nr
             if key in seen:
                 continue
             seen.add(key)
-            mol = p.molecule
             grow(
-                mols + [mol], occ | p.mask, cand | near[rank], grown, x, y,
-                grown_per, nr + (mol.shape is R), ns + (mol.shape is S),
+                mols + [mol], grown, cand | near[rank], grown_per, grown_nr,
+                ns + (mol.shape is S),
             )
 
     for shape, count in ((R, r), (S, s)):
@@ -998,8 +992,8 @@ def cluster_min_perimeter(
             best = (_MOLECULE_EDGES, (ranked[rank].molecule,))
             break
         grow(
-            [ranked[rank].molecule], ranked[rank].mask, near[rank], key_bit[rank],
-            col[rank], row[rank], _MOLECULE_EDGES, int(shape is R), int(shape is S),
+            [ranked[rank].molecule], ranked[rank].mask, near[rank], _MOLECULE_EDGES,
+            int(shape is R), int(shape is S),
         )
 
     assert best is not None

@@ -3,23 +3,25 @@
 A search over molecule placements (the covering DFS, the interface branch
 and bound, cluster growth) keeps its state as int masks over a fixed
 numbering of lattice cells.  This module is the only place that numbers
-cells: the cells of the search order get bits 0..n-1, so a search's next
-undecided cell is the lowest clear bit of its state, and every other cell
-that a placement covers or touches, or that touches an order cell, gets
-the next free bit.  A search that wants a geometric numbering passes an
-order with that geometry: the interface solver lists a square line by
-line, so its order bits form a grid that shifts move along.
+cells, and it has one numbering.
 
-Every search here passes a grid order: w columns of h cells, each column
-bottom to top, the columns stepping one cell left or right.  On a grid,
-order cell (x, y) has bit col(x) * h + (y - y0), so a translate of a shape
-whose cells and rim are all order cells has masks equal to one per-shape
-template shifted by one amount, and its cells' bits are that amount plus
-fixed offsets: the table builds it by a shift, with no lookup and no new
-bit.  The other placements (those that straddle the grid's edge, and all
-placements of an order that is not a grid) look up each cell's bit, in
-placement order, so the cells outside the order get their bits in order
-of first touch.
+Every search passes a grid order: w lines of h cells, each line stepping
+one cell along one axis, either way, and each line one cell across from
+the last, either way (the covering DFS and cluster growth list columns
+bottom to top, the interface solver lists a square line by line).  The
+table numbers the cells of that grid, padded by a margin of m cells on
+each side, line by line: with H = h + 2m cells to a padded line, the cell
+at place r of padded line c has bit c * H + r.  The numbering is affine
+in the cell's coordinates, so the order cells' bits increase along the
+order, a search's next undecided order cell is the lowest clear bit of
+its state outside the order cells, and every placement's masks are its
+shape's templates shifted by one amount.
+
+The margin is worked out from the input.  It is 0 when `within` lies at
+least one cell inside the grid: the kept placements and their rims are
+then grid cells, and the order cells have bits 0..n-1.  Otherwise it is
+the shapes' reach plus one rim cell, so every placement covering an order
+cell, and its rim, lies in the padded grid.
 
 Tables are immutable after construction and safe for concurrent use.
 """
@@ -27,25 +29,18 @@ Tables are immutable after construction and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .molecules import Cell, Molecule, MoleculeShape
 
-
-def _neighbors(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
-    a, b = cell
-    return ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+_UNIT = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _rim(shape: MoleculeShape) -> tuple[list[Cell], list[Cell]]:
-    """Offsets of the outside cells sharing one and two edges with the shape.
-
-    Each list is in order of first touch, over the shape's cells and then
-    `_neighbors`, so a placement numbers its rim cells in that order.
-    """
+    """Offsets of the outside cells sharing one and two edges with the shape."""
     touches: dict[Cell, int] = {}
-    for cell in shape.cells:
-        for nb in _neighbors(cell):
+    for a, b in shape.cells:
+        for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
             if nb not in shape.cells:
                 touches[nb] = touches.get(nb, 0) + 1
     return (
@@ -74,72 +69,32 @@ class Placement:
         return (self.touch1 & bits).bit_count() + 2 * (self.touch2 & bits).bit_count()
 
 
-def _grid(order: Sequence[Cell]) -> tuple[int, int] | None:
-    """(sx, h) if order lists columns of h cells bottom to top from its
-    first cell, each column one step sx = +1 or -1 in x from the last."""
+def _grid(order: Sequence[Cell]) -> tuple[Cell, Cell, int]:
+    """(along, across, h) when order lists lines of h cells from its first
+    cell, each cell one unit step `along` from the last and each line one
+    step `across`, perpendicular to it; raises ValueError otherwise."""
     n = len(order)
     if not n:
-        return None
+        raise ValueError("a placement order needs at least one cell")
     x0, y0 = order[0]
+    along = (order[1][0] - x0, order[1][1] - y0) if n > 1 else (0, 1)
     h = 1
-    while h < n and order[h] == (x0, y0 + h):
+    while h < n and order[h] == (x0 + h * along[0], y0 + h * along[1]):
         h += 1
-    sx = order[h][0] - x0 if h < n else 1
-    if n % h or sx not in (1, -1):
-        return None
-    expected = [(x0 + sx * c, y0 + r) for c in range(n // h) for r in range(h)]
-    return (sx, h) if list(order) == expected else None
-
-
-def _block(cols: range, rows: range, h: int) -> int:
-    """Bits of the cells in columns `cols` and rows `rows` of a grid of
-    columns of h cells."""
-    column = (1 << len(rows)) - 1
-    return sum(column << c * h + rows.start for c in cols)
-
-
-class _Kind:
-    """A shape's offsets, and its templates on the order's grid, if any.
-
-    offsets are its cells, then its rim's one-edge and two-edge cells,
-    which start at k1 and k2.  An anchor is inside when all its offsets
-    are grid cells; `inside` has the lowest cell bit of each such anchor
-    set.  An inside placement's lowest cell is shape.cells[low], its
-    cells' bits are its lowest bit plus `steps`, and its masks are the
-    templates (mask, touch1, touch2) shifted left by its lowest bit minus
-    `lift`.
-    """
-
-    __slots__ = ("shape", "offsets", "k1", "k2", "inside", "low", "lift", "steps", "templates")
-
-    def __init__(self, shape: MoleculeShape, grid: tuple[int, int] | None, n: int):
-        touch1, touch2 = _rim(shape)
-        self.shape = shape
-        self.offsets = offsets = shape.cells + tuple(touch1) + tuple(touch2)
-        self.k1 = k1 = len(shape.cells)
-        self.k2 = k2 = k1 + len(touch1)
-        if grid is None:
-            self.inside = self.low = self.lift = 0
-            self.steps, self.templates = (), (0, 0, 0)
-            return
-        sx, h = grid
-        # each offset's bit minus the anchor's
-        d = [sx * c * h + r for c, r in offsets]
-        self.low = low = min(range(k1), key=d.__getitem__)
-        base = min(d)
-        # each offset's grid column and row (column sx * x, row y) minus
-        # the lowest cell's: an anchor is inside when its lowest cell's
-        # column c and row r keep every c + col in [0, w) and r + row in [0, h)
-        cols = [sx * (c - shape.cells[low][0]) for c, _ in offsets]
-        rows = [r - shape.cells[low][1] for _, r in offsets]
-        self.inside = _block(
-            range(-min(cols), n // h - max(cols)), range(-min(rows), h - max(rows)), h
-        )
-        self.lift = d[low] - base
-        self.steps = tuple(e - d[low] for e in d[:k1])
-        self.templates = tuple(
-            sum(1 << e - base for e in part) for part in (d[:k1], d[k1:k2], d[k2:])
-        )
+    across = (order[h][0] - x0, order[h][1] - y0) if h < n else (along[1], along[0])
+    expected = [
+        (x0 + c * across[0] + r * along[0], y0 + c * across[1] + r * along[1])
+        for c in range(n // h)
+        for r in range(h)
+    ]
+    if (
+        along not in _UNIT
+        or across not in _UNIT
+        or along[0] * across[0] + along[1] * across[1]
+        or list(order) != expected
+    ):
+        raise ValueError("a placement order must list a grid line by line")
+    return along, across, h
 
 
 class PlacementTable:
@@ -149,22 +104,23 @@ class PlacementTable:
     and an order cell outside it starts no candidates: a kept placement's
     cells are all in `within`, its first order cell included.
 
-    Placements are numbered in order of their first order cell, then
-    shape, then shape cell; by_pos[i] lists the placements covering order
-    cell i in that numbering, and neighbors[i] is the mask of its four
-    neighbours.
+    The cells of the order's padded grid (see the module docstring) have
+    bits 0..n-1, and order_bits marks the order cells.  Placements are
+    numbered in order of their first order cell, then shape, then shape
+    cell; by_pos[i] lists the placements covering cell i in that numbering
+    (none when i is no order cell), and neighbors[i] is the mask of its
+    neighbours in the padded grid.
 
-    When the order is a grid (see the module docstring), a placement whose
-    cells and rim are grid cells is built from its shape's templates by a
-    shift, and a cell off the grid's edge, of bit i, has the neighbours
-    i +- 1 and i +- h; the other placements and the edge cells look their
-    cells up (`_bits`).  The candidates inside the grid are read off the
-    bitboard of `within`, ANDed with its shifts by the shape's cell steps.
-    Every other candidate has a cell off the grid or on its edge (a shape
-    is edge-connected, so one that leaves the grid, or whose rim does,
-    crosses the edge), and is found from those cells.  Both kinds are
-    keyed by their place in the numbering, so the numbering and every bit
-    are those of the lookup alone.
+    A placement whose shape cell j lies on order cell f has f as its first
+    order cell iff its cells are in `within` and those below f (of lower
+    bit) are not order cells.  So the first order cells of the placements
+    of each shape and shape cell are read off the bitboard of `within`,
+    ANDed with its shifts by the shape's cell steps, and each placement's
+    masks are its shape's templates shifted to f.  No shift wraps from one
+    line into the next: with a margin, every placement covering an order
+    cell lies in the padded grid, and without one, a placement leaving
+    the grid crosses its edge, whose cells are not in `within` (a shape is
+    edge-connected).
     """
 
     def __init__(
@@ -174,114 +130,113 @@ class PlacementTable:
         within: set[Cell] | None = None,
     ):
         shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds no placements
-        self.n = n = len(order)
-        self._bit: dict[Cell, int] = {cell: i for i, cell in enumerate(order)}
+        along, across, h = _grid(order)
+        w = len(order) // h
+        self._axes = (order[0], along, across)
+        if within is not None and all(
+            0 < c < w - 1 and 0 < r < h - 1 for c, r in self._places(within)
+        ):
+            margin = 0
+        else:
+            # a placement covering an order cell reaches its shape's span
+            # less one beyond it, and its rim one cell further
+            margin = 1 + max(
+                (
+                    max(cell[a] for cell in shape.cells) - min(cell[a] for cell in shape.cells)
+                    for shape in shapes
+                    for a in (0, 1)
+                ),
+                default=0,
+            )
+        self._margin = margin
+        self._height = height = h + 2 * margin
+        self._width = width = w + 2 * margin
+        self.n = n = width * height
+        all_bits = self.all_bits
+        # the order cells' bits, in order
+        cell_bits = [(c + margin) * height + margin + r for c in range(w) for r in range(h)]
+        self.order_bits = order_bits = sum(1 << i for i in cell_bits)
+        free = all_bits if within is None else self.mask(within)
+        # a placement's cells below its first order cell are free cells
+        # outside the order
+        outside = free & ~order_bits
+
+        # a step of one cell in x or y moves a bit by sx or sy
+        sx = across[0] * height + along[0]
+        sy = across[1] * height + along[1]
+        # specs[shape * 4 + shape cell j]: the shape, cell j, the shift of its
+        # templates and its cells' bits, each minus the bit f of cell j, and
+        # its templates; keys[k]: f * len(specs) + the spec of placement k
+        specs = []
+        keys = []
+        stride = 4 * len(shapes)
+        for shape in shapes:
+            touch1, touch2 = _rim(shape)
+            parts = [[a * sx + b * sy for a, b in part] for part in (shape.cells, touch1, touch2)]
+            base = min(min(part) for part in parts if part)
+            templates = tuple(sum(1 << e - base for e in part) for part in parts)
+            for cell, dj in zip(shape.cells, parts[0]):
+                steps = [e - dj for e in parts[0]]
+                firsts = order_bits
+                for e in steps:
+                    firsts &= free >> e if e >= 0 else outside << -e
+                while firsts:
+                    first = firsts & -firsts
+                    firsts ^= first
+                    keys.append((first.bit_length() - 1) * stride + len(specs))
+                specs.append((shape, cell, base - dj, steps, templates))
+
         self.placements: list[Placement] = []
-        self.by_pos: list[list[Placement]] = [[] for _ in order]
-        bit = self._bit
-        grid = _grid(order)
-        # the grid's cells off its edge; none when the order is no grid
-        h = grid[1] if grid else 0
-        interior = _block(range(1, n // h - 1), range(1, h - 1), h) if grid else 0
-        # the cells that can start a candidate not inside: those of `within`
-        # (or of the order) off the grid or on its edge
-        outer = [
-            cell for cell in (order if within is None else within)
-            if not interior >> bit.get(cell, n) & 1  # n: off the order
+        self.by_pos: list[list[Placement]] = [[] for _ in range(n)]
+        placements, by_pos = self.placements, self.by_pos
+        cell_at = dict(zip(cell_bits, order))
+        keys.sort()
+        for index, key in enumerate(keys):
+            first, code = divmod(key, stride)
+            shape, (a, b), lift, steps, (mask, touch1, touch2) = specs[code]
+            x, y = cell_at[first]
+            shift = first + lift
+            p = Placement(
+                index,
+                Molecule(shape, (x - a, y - b)),
+                mask << shift,
+                touch1 << shift,
+                touch2 << shift,
+            )
+            for e in steps:
+                if first + e in cell_at:
+                    by_pos[first + e].append(p)
+            placements.append(p)
+
+        # a cell's neighbours are its bit +- 1 in its line and +- height:
+        # line[r] holds those of place r of the middle of three lines
+        line = [
+            1 << r | ((5 << r >> 1) & (1 << height) - 1) << height | 1 << 2 * height + r
+            for r in range(height)
         ]
-        free = self.order_bits if within is None else self.mask(within)
-
-        # keys[(first order cell * len(shapes) + shape) * 4 + shape cell]:
-        # None for a placement built by a shift, else its anchor
-        keys: dict[int, Cell | None] = {}
-        kinds = [_Kind(shape, grid, n) for shape in shapes]
-        for s, kind in enumerate(kinds):
-            firsts = kind.inside
-            for step in kind.steps:
-                firsts &= free >> step
-            code = s * 4 + kind.low
-            while firsts:
-                first = firsts & -firsts
-                firsts ^= first
-                keys[(first.bit_length() - 1) * len(shapes) * 4 + code] = None
-            shape = kind.shape
-            for x, y in {(a - c, b - r) for a, b in outer for c, r in shape.cells}:
-                cell_bits = [bit.get((x + c, y + r), n) for c, r in shape.cells]
-                first = min(cell_bits)
-                if first == n or kind.inside >> cell_bits[kind.low] & 1:
-                    continue  # off the order, or inside: keyed above
-                if within is None or within.issuperset(
-                    [(x + c, y + r) for c, r in shape.cells]
-                ):
-                    keys[(first * len(shapes) + s) * 4 + cell_bits.index(first)] = (x, y)
-
-        by_pos = self.by_pos
-        for key in sorted(keys):
-            first, code = divmod(key, 4 * len(shapes))
-            kind = kinds[code >> 2]
-            anchor = keys[key]
-            if anchor is None:
-                # inside: every bit is a template's, shifted
-                a, b = order[first]
-                c, r = kind.shape.cells[kind.low]
-                shift = first - kind.lift
-                mask, touch1, touch2 = kind.templates
-                p = Placement(
-                    len(self.placements),
-                    Molecule(kind.shape, (a - c, b - r)),
-                    mask << shift,
-                    touch1 << shift,
-                    touch2 << shift,
-                )
-                for step in kind.steps:
-                    by_pos[first + step].append(p)
-            else:
-                x, y = anchor
-                # the bits are distinct, so each sum is a union
-                bits = self._bits([(x + c, y + r) for c, r in kind.offsets])
-                p = Placement(
-                    len(self.placements),
-                    Molecule(kind.shape, anchor),
-                    sum(bits[:kind.k1]),
-                    sum(bits[kind.k1:kind.k2]),
-                    sum(bits[kind.k2:]),
-                )
-                for cell_bit in bits[:kind.k1]:
-                    i = cell_bit.bit_length() - 1
-                    if i < n:
-                        by_pos[i].append(p)
-            self.placements.append(p)
-
-        # an interior grid cell's neighbours are its bit +- 1 and +- h
-        vertical = 1 | 1 << 2 * h
         self.neighbors = [
-            5 << i - 1 | vertical << i - h
-            if interior >> i & 1
-            else sum(self._bits(_neighbors(cell)))
-            for i, cell in enumerate(order)
+            t << c * height >> height & all_bits for c in range(width) for t in line
         ]
 
-    def _bits(self, cells: Iterable[Cell]) -> list[int]:
-        """The bit 1 << i of each given cell, giving new cells the next free
-        bits in the order given."""
-        bit = self._bit
-        out = []
-        for cell in cells:
-            i = bit.get(cell)
-            if i is None:
-                i = bit[cell] = len(bit)
-            out.append(1 << i)
-        return out
+    def _places(self, cells: Iterable[Cell]) -> Iterator[tuple[int, int]]:
+        """Each cell's line and place in it, counted on the unpadded grid."""
+        (x0, y0), (ax, ay), (cx, cy) = self._axes
+        for x, y in cells:
+            x -= x0
+            y -= y0
+            yield x * cx + y * cy, x * ax + y * ay
 
     def mask(self, cells: Iterable[Cell]) -> int:
-        """Bits of the given cells; cells that have no bit are skipped."""
-        return sum(1 << self._bit[c] for c in set(cells) if c in self._bit)
+        """Bits of the given cells; cells off the padded grid are skipped."""
+        margin, height, width = self._margin, self._height, self._width
+        bits = 0
+        for c, r in self._places(cells):
+            c += margin
+            r += margin
+            if 0 <= c < width and 0 <= r < height:
+                bits |= 1 << c * height + r
+        return bits
 
     @property
     def all_bits(self) -> int:
-        return (1 << len(self._bit)) - 1
-
-    @property
-    def order_bits(self) -> int:
         return (1 << self.n) - 1
-

@@ -457,6 +457,9 @@ CORPUS_FILES = {
         }]
         for kind, cell in (("float", 1.7), ("str", "1"), ("bool", True))
     },
+    "palette_int": {"palette": list(range(1, 10))},
+    "palette_attr": {"palette": ['x" onload="alert(1)', *["#abc"] * 8]},
+    "palette_hex": {"palette": ["#12345", *["red"] * 8]},
 }
 
 
@@ -495,6 +498,9 @@ CORPUS_FILES = {
         ["decompose", "cfg_phase1", "cfg_phase1", "--epsilon", "1/2,1/2", "--window", "20",
          "--regions-csv", "cfg_phase1"],
         ["wulff", "1", "--svg", "target", "--json", "target"],
+        ["--preset", "palette_int", "cluster", "1", "0", "--svg", "target"],
+        ["--preset", "palette_attr", "cluster", "1", "0", "--svg", "target"],
+        ["--preset", "palette_hex", "cluster", "1", "0", "--svg", "target"],
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, single_r, argv):

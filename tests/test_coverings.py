@@ -12,6 +12,7 @@ from chiralattice.coverings import (
     verify_interior_phase,
 )
 from chiralattice.molecules import (
+    InvalidInput,
     Molecule,
     R,
     S,
@@ -100,6 +101,12 @@ def test_cap_exceeded():
         for cfg in gen:
             got.append(cfg)
     assert len(got) == 3
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_non_positive_cap_rejected(cap):
+    with pytest.raises(InvalidInput, match="cap must be at least 1"):
+        next(enumerate_coverings(2, [R, S], cap=cap))
 
 
 def test_verify_interior_phase_on_pattern():

@@ -111,21 +111,23 @@ def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
 def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     """(value, certificate, config, nodes) of the det-only branch and bound.
 
-    order(prob, cells) lists the free cells in the order they are decided.
+    order(prob, cells) lists the cells of the inner square and its one-cell
+    ring line by line; the free cells are decided in that order.
     """
     forced = frame_forced(prob)
     T = prob.T
     volume = prob.energy_kind == VOLUME
 
     forced_cells = forced.occupancy
-    free_cells = [
-        (a, b)
-        for a in range(-T // 2 + 4, T // 2 - 4)
-        for b in range(-T // 2 + 4, T // 2 - 4)
+    # the inner square plus its ring: the closed square of side T - 6
+    square = [a for a in range(-T, T) if inside_inner((a, a), T + 2)]
+    free_cells = {
+        (a, b) for a in square for b in square
         if inside_inner((a, b), T) and (a, b) not in forced_cells
-    ]
-    table = PlacementTable(order(prob, free_cells), (R, S), set(free_cells))
+    }
+    table = PlacementTable(order(prob, [(a, b) for a in square for b in square]), (R, S), free_cells)
     n = table.n
+    free_bits = table.mask(free_cells)
 
     base = ref_energy(forced, prob)
     c_R, c_S = prob.weights
@@ -145,14 +147,15 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
         for c in m.cells()
     )
     occ_S0 = table.mask(forced_cells) & ~occ_R0
-    decided0 = table.all_bits & ~table.order_bits
+    decided0 = table.all_bits & ~free_bits
 
     base_det = scaled(base)
     if not volume:
-        for nbrs in table.neighbors:
-            base_det -= (
-                w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
-            )
+        for i, nbrs in enumerate(table.neighbors):
+            if free_bits >> i & 1:
+                base_det -= (
+                    w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
+                )
 
     def evaluate(mols):
         cfg = validate(list(forced.molecules) + mols)
@@ -191,7 +194,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
         if not volume and det >= best_val:
             return
         if volume:
-            undecided = n - (decided & table.order_bits).bit_count()
+            undecided = (free_bits & ~decided).bit_count()
             if energy - molecule_area * (undecided // 4) >= best_val:
                 return
         for p in table.by_pos[i]:

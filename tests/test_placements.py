@@ -1,9 +1,11 @@
 """The shared placement kernel, and the search trees built on it.
 
-The table builds a placement inside a grid order by shifting its shape's
-templates and looks up the others; `ref_masks` and `ref_table` number
-every placement afresh, cell by cell, and are the references for both
-paths, on grid orders stepping either way and on an order that is no grid.
+The table numbers the cells of its order's grid, padded when placements
+may overhang it, and builds every placement by shifting its shape's
+templates.  `ref_table` builds every placement afresh, cell by cell, and
+the table is compared with it on cells, its masks decoded through its own
+numbering, on grid orders with lines along either axis, stepping either
+way; an order that is no grid is refused.
 
 The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
@@ -22,7 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
-from chiralattice.coverings import _square_table, lemma_check
+from chiralattice.coverings import lemma_check
 from chiralattice import interfaces
 from chiralattice.interfaces import (
     InterfaceProblem,
@@ -50,18 +52,38 @@ def _neighbors(cell):
 def test_table_numbers_order_cells_first():
     order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     table = PlacementTable(order, (R, S))
-    assert table.n == 4
-    assert [table.mask([c]) for c in order] == [1, 2, 4, 8]
+    bits = [table.mask([c]) for c in order]
+    assert bits == sorted(bits) and len(set(bits)) == 4  # increasing along the order
+    assert table.order_bits == sum(bits)
     assert table.mask([(99, 99)]) == 0  # a cell without a bit
-    for i, cell in enumerate(order):
+    for cell, bit in zip(order, bits):
+        i = bit.bit_length() - 1
         assert table.by_pos[i], cell
         for p in table.by_pos[i]:
             assert cell in p.molecule.cells()
-            assert p.mask >> i & 1
+            assert p.mask & bit
         assert table.neighbors[i] == table.mask(_neighbors(cell))
+    # only order cells list placements
+    assert all(not ps for i, ps in enumerate(table.by_pos) if not table.order_bits >> i & 1)
     # placements are numbered by first order cell, then shape, then offset
     assert [p.index for p in table.placements] == list(range(len(table.placements)))
     assert table.placements[0].molecule == Molecule(R, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [],
+        [(0, 0), (1, 1)],  # a diagonal step
+        [(0, 0), (0, 1), (1, 1), (1, 0)],  # a snake: lines not all one way
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)],  # a short last line
+        [(0, 0), (0, 1), (2, 0), (2, 1)],  # lines two apart
+        [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (0, 1)],  # a repeated line
+    ],
+)
+def test_non_grid_order_raises(order):
+    with pytest.raises(ValueError):
+        PlacementTable(order, (R, S))
 
 
 def test_within_filters_placements():
@@ -86,34 +108,84 @@ def test_contacts_count_boundary_edges():
         assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
 
 
-def ref_masks(order, molecules):
-    """Each placement's (mask, touch1, touch2), then the neighbour masks.
+def decode(table, order):
+    """{bit: cell} over the order's bounding box padded by 6 cells: every
+    numbered cell there, with no bit given twice."""
+    xs = [x for x, _ in order]
+    ys = [y for _, y in order]
+    cell_of = {}
+    for x in range(min(xs) - 6, max(xs) + 7):
+        for y in range(min(ys) - 6, max(ys) + 7):
+            bit = table.mask([(x, y)])
+            if bit:
+                assert bit.bit_count() == 1 and bit not in cell_of
+                cell_of[bit] = (x, y)
+    assert sorted(cell_of) == [1 << i for i in range(table.n)]
+    return cell_of
 
-    The per-placement reference: the rim is counted afresh in a dict for
-    every molecule, and cells get bits in the order the table meets them.
+
+def cells(bits, cell_of):
+    """The cells of a mask, decoded through the table's numbering."""
+    return {cell for bit, cell in cell_of.items() if bits & bit}
+
+
+def ref_table(order, shapes, keep):
+    """The table as built with a `keep` callback on molecules, as cells.
+
+    Every translate of a shape covering an order cell is a candidate, each
+    order cell starting candidates, and `keep` filters the candidates after
+    they are built.  The rim of each molecule is counted afresh in a dict.
+    Returns the placements as (molecule, cells, touch1 cells, touch2
+    cells), by_pos as lists of placement indices per order cell, and the
+    neighbours of each order cell.
     """
-    bit = {cell: i for i, cell in enumerate(order)}
+    shapes = tuple(dict.fromkeys(shapes))
+    placements, seen = [], set()
+    for cell in order:
+        for k, shape in enumerate(shapes):
+            for off in shape.cells:
+                anchor = (cell[0] - off[0], cell[1] - off[1])
+                if (k, anchor) in seen:
+                    continue
+                seen.add((k, anchor))
+                mol = Molecule(shape, anchor)
+                if not keep(mol):
+                    continue
+                mol_cells = set(mol.cells())
+                touches = {}
+                for c in mol_cells:
+                    for nb in _neighbors(c):
+                        if nb not in mol_cells:
+                            touches[nb] = touches.get(nb, 0) + 1
+                placements.append((
+                    mol,
+                    mol_cells,
+                    {c for c, k in touches.items() if k == 1},
+                    {c for c, k in touches.items() if k == 2},
+                ))
+    by_pos = [
+        [index for index, (_, mol_cells, _, _) in enumerate(placements) if cell in mol_cells]
+        for cell in order
+    ]
+    return placements, by_pos, [set(_neighbors(cell)) for cell in order]
 
-    def number(cells):
-        bits = 0
-        for cell in cells:
-            bits |= 1 << bit.setdefault(cell, len(bit))
-        return bits
 
-    masks = []
-    for mol in molecules:
-        cells = mol.cells()
-        touches = {}
-        for cell in cells:
-            for nb in _neighbors(cell):
-                if nb not in cells:
-                    touches[nb] = touches.get(nb, 0) + 1
-        masks.append((
-            number(cells),
-            number(c for c, k in touches.items() if k == 1),
-            number(c for c, k in touches.items() if k == 2),
-        ))
-    return masks, [number(_neighbors(cell)) for cell in order]
+def assert_matches_ref_table(table, order, shapes, keep):
+    """The table's placements, by_pos and in-grid neighbours, decoded into
+    cells, are those of `ref_table`."""
+    cell_of = decode(table, order)
+    placements, by_pos, neighbors = ref_table(order, shapes, keep)
+    assert [
+        (p.molecule, cells(p.mask, cell_of), cells(p.touch1, cell_of), cells(p.touch2, cell_of))
+        for p in table.placements
+    ] == placements
+    bit = [table.mask([cell]).bit_length() - 1 for cell in order]
+    assert [[p.index for p in table.by_pos[i]] for i in bit] == by_pos
+    assert sum(map(len, table.by_pos)) == sum(map(len, by_pos))  # none off the order
+    numbered = set(cell_of.values())
+    assert [cells(table.neighbors[i], cell_of) for i in bit] == [
+        nbs & numbered for nbs in neighbors
+    ]
 
 
 # a user shape with a two-edge rim cell on either side of its stem
@@ -124,57 +196,28 @@ USER_T = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), R_LIKE)
     "shapes", [(R, S), FLAT_PAIR, SKEW_PAIR, (USER_T, S)], ids=["RS", "flat", "skew", "user"]
 )
 def test_placement_masks_match_per_placement_rims(shapes):
-    # the table shifts templates on a grid order, columns stepping either
-    # way, and looks up the placements that straddle the grid's edge and
-    # every placement of an order that is no grid (here line by line)
+    # grid orders with columns stepping either way, and with lines along x
+    # (row-major, either way), as the solver's patched-in orders
     down = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
     up = [(c, r) for c in range(-5, 6) for r in range(-5, 6)]
     lines = sorted(up, key=lambda cell: (cell[1], cell[0]))
+    back = sorted(up, key=lambda cell: (-cell[1], -cell[0]))
     # a free zone: an inner square with holes, as the solver's
     free = {(c, r) for c in range(-4, 5) for r in range(-4, 5) if (3 * c + r) % 7}
-    for square in (down, up, lines):
+    for square in (down, up, lines, back):
         for within in (None, set(square[20:90]), free):
             table = PlacementTable(square, shapes, within)
-            masks, neighbors = ref_masks(square, [p.molecule for p in table.placements])
-            assert [(p.mask, p.touch1, p.touch2) for p in table.placements] == masks
-            assert table.neighbors == neighbors
-            assert any(p.touch2 for p in table.placements)
-            placements, by_pos, _ = ref_table(
-                square, shapes, lambda m: within is None or within.issuperset(m.cells())
+            assert_matches_ref_table(
+                table, square, shapes,
+                lambda m: within is None or within.issuperset(m.cells()),
             )
-            assert [p.molecule for p in table.placements] == [m for m, *_ in placements]
-            assert [[p.index for p in ps] for ps in table.by_pos] == by_pos
+            assert any(p.touch2 for p in table.placements)
+            # the free zone lies inside the grid, so only the grid is numbered
+            assert (table.order_bits == table.all_bits) == (within is free)
         # with no `within`, placements overhang the square
         assert not set(square).issuperset(
             c for p in PlacementTable(square, shapes).placements for c in p.molecule.cells()
         )
-
-
-def ref_table(order, shapes, keep):
-    """The table as built with a `keep` callback on molecules.
-
-    Every translate of a shape covering an order cell is a candidate, each
-    order cell starting candidates, and `keep` filters the candidates after
-    they are built.  Returns the placements as (molecule, mask, touch1,
-    touch2), by_pos as lists of placement indices, and the neighbour masks.
-    """
-    shapes = tuple(dict.fromkeys(shapes))
-    molecules, seen = [], set()
-    for cell in order:
-        for k, shape in enumerate(shapes):
-            for off in shape.cells:
-                anchor = (cell[0] - off[0], cell[1] - off[1])
-                if (k, anchor) not in seen:
-                    seen.add((k, anchor))
-                    mol = Molecule(shape, anchor)
-                    if keep(mol):
-                        molecules.append(mol)
-    masks, neighbors = ref_masks(order, molecules)
-    by_pos = [
-        [index for index, (mask, _, _) in enumerate(masks) if mask >> i & 1]
-        for i in range(len(order))
-    ]
-    return [(m, *ms) for m, ms in zip(molecules, masks)], by_pos, neighbors
 
 
 def _solver_problems():
@@ -190,7 +233,8 @@ def _solver_problems():
 
 def test_solver_tables_match_the_keep_callback(monkeypatch):
     # the solver's table over its free zone holds the placements that the
-    # callback on the inner square and the forced cells kept, in order
+    # callback on the inner square and the forced cells kept, in order; the
+    # free zone lies inside its grid, so the table numbers the grid alone
     built = []
 
     def recording_table(order, shapes, within):
@@ -198,48 +242,17 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
         return built[-1][2]
 
     monkeypatch.setattr(interfaces, "PlacementTable", recording_table)
-    for prob in _solver_problems():
-        solve_interface(prob, budget=1)
-        order, shapes, table = built.pop()
-        taken = frame_forced(prob).occupancy
-        placements, by_pos, neighbors = ref_table(
-            order, shapes,
-            lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
-        )
-        got = [(p.molecule, p.mask, p.touch1, p.touch2) for p in table.placements]
-        assert got == placements, prob
-        assert [[p.index for p in ps] for ps in table.by_pos] == by_pos, prob
-        assert table.neighbors == neighbors, prob
-
-
-def test_lookups_only_for_straddling_placements(monkeypatch):
-    # a placement whose cells and rim lie in the order's grid is built by a
-    # shift; one that straddles the grid's edge looks its cells and rim up
-    # in one `_bits` call (a neighbour mask looks up four cells)
-    looked_up = []
-    bits = PlacementTable._bits
-
-    def counting(self, cells):
-        cells = list(cells)
-        if len(cells) > 4:
-            looked_up.append(cells)
-        return bits(self, cells)
-
-    monkeypatch.setattr(PlacementTable, "_bits", counting)
-    for prob in [*_table_rows(), FRONTIER]:
-        solve_interface(prob, budget=1)
-        assert looked_up == [], prob
-    for k in (4, 5, 6):
-        table = _square_table(k, (R, S))
-        square = {(c, r) for c in range(-k, k) for r in range(-k, k)}
-        straddling = [
-            p for p in table.placements
-            if not square.issuperset(
-                nb for c in p.molecule.cells() for nb in (c, *_neighbors(c))
+    for scan in (interfaces._scan_order, row_major_order):
+        monkeypatch.setattr(interfaces, "_scan_order", scan)
+        for prob in _solver_problems():
+            solve_interface(prob, budget=1)
+            order, shapes, table = built.pop()
+            assert table.order_bits == table.all_bits == (1 << len(order)) - 1, prob
+            taken = frame_forced(prob).occupancy
+            assert_matches_ref_table(
+                table, order, shapes,
+                lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
             )
-        ]
-        assert 0 < len(looked_up) == len(straddling) < len(table.placements), k
-        looked_up.clear()
 
 
 def _placements_meeting_square(k, shapes):

@@ -2,9 +2,10 @@
 
 `lemma_check` memoises its covering DFS on the frontier state, and
 `cluster_min_perimeter` ranks candidates once and keys translation
-classes by ints.  The plain forms that they replaced are kept below as the
-reference; verdicts, node and covering counts, cap stops and witnesses
-must be equal.
+classes by their occupancy masks and R counts.  The plain forms that they
+replaced are kept below as the reference, each walk starting from the
+table's first order cell; verdicts, node and covering counts, cap stops
+and witnesses must be equal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def ref_coverings(table, stats):
     targets = table.order_bits
     occupied = 0
     chosen = []
-    stack = [iter(table.by_pos[0])]
+    stack = [iter(table.by_pos[(targets & -targets).bit_length() - 1])]
     while stack:
         for p in stack[-1]:
             if p.mask & occupied:
