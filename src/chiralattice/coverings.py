@@ -203,8 +203,9 @@ def enumerate_coverings(
         raise InvalidInput("cap must be at least 1")
     table = _square_table(k, tuple(shapes))
     stats = SearchStats(placements=len(table.placements))
+    molecules = [p.molecule for p in table.placements]  # shared by the coverings
     for chosen in _iter_coverings(table, stats):
-        yield validate(p.molecule for p in chosen)
+        yield validate(molecules[p.index] for p in chosen)
         if cap is not None and stats.coverings >= cap:
             raise CapExceeded(
                 f"covering cap {cap} reached before exhausting the search", stats

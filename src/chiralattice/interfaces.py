@@ -100,7 +100,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import PlacementTable
+from .placements import Placement, PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -448,9 +448,12 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one window Q_T,
     one family build from the patterns' anchor columns, one frame test per
-    member, and one lattice sweep, for the forced part.  The incumbents are
-    the forced part alone and the glued family, priced on the bitboards as
-    the leaf that places its free members (`_glued_cost`).
+    member, and one lattice sweep, for the forced part.  The placement
+    table walks the free zone once, and the search reads its bits off the
+    table.  The incumbents are the forced part alone and the glued family,
+    priced on the bitboards as the leaf that places its free members
+    (`_glued_cost`).  Placements carry masks, shapes and anchors, and
+    molecules are built once, for the configuration returned.
     """
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
@@ -470,7 +473,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     order = _scan_order(prob, [(a, b) for a in square for b in square])
     table = PlacementTable(order, (R, S), free)
     n = table.n
-    free_bits = table.mask(free)
+    free_bits = table.within_bits
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
@@ -508,10 +511,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     if not volume:
         for i, nbrs in enumerate(table.neighbors):
             if free_bits >> i & 1:
-                cost0 -= (
-                    w_R * (nbrs & occ_R0).bit_count()
-                    + w_S * (nbrs & occ_S0).bit_count()
-                )
+                cost0 -= w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
     root = (decided0, occ_R0, occ_S0, cost0)
 
     # LINE: each line starts and ends on a ring cell, which is always
@@ -544,8 +544,9 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
         return cost + w_min * line(decided, occ)
 
-    # initial incumbents: the forced part alone, then the glued family
-    best_val, best_cfg = scaled(base), list(forced.molecules)
+    # incumbents: the forced part alone, the glued family, then the forced
+    # part and placements of a leaf, whose molecules are built for the result
+    best_val, best_cfg, best_placed = scaled(base), forced.molecules, []
     value = _glued_cost(table, glued, root, None if volume else (w_R, w_S), molecule_area)
     if value is not None and value < best_val:
         best_val, best_cfg = value, glued
@@ -554,10 +555,10 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     exhausted = True
     cut = best_val  # on truncation, the least bound over the unopened children
 
-    # A frame is [decided, occ_R, occ_S, cost, i, untried, mol]: a node's
-    # state, its first undecided cell i, an iterator over the placements at
-    # i not tried yet (None once the empty branch is open) and the molecule
-    # placed to reach the node.
+    # A frame is [decided, occ_R, occ_S, cost, i, untried, placed]: a
+    # node's state, its first undecided cell i, an iterator over the
+    # placements at i not tried yet (None once the empty branch is open)
+    # and the placement made to reach the node.
     root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
     i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
     stack = [[*root, i, iter(table.by_pos[i]), None]] if i < n and root_bound < best_val else []
@@ -571,14 +572,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         for p in untried:
             if p.mask & decided:
                 continue
-            mol = p.molecule
+            placed = p
             if volume:
                 cost -= molecule_area
             else:
                 # the molecule's edges to decided empty cells are boundary
                 # now; those to undecided cells count when they are decided
                 empty = p.contacts(decided & ~(occ_R | occ_S))
-                if mol.shape.chirality_class == R_LIKE:
+                if p.shape.chirality_class == R_LIKE:
                     occ_R |= p.mask
                     cost += w_R * empty
                 else:
@@ -589,7 +590,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         else:
             # or leave it empty: its edges to occupied decided cells are
             # boundary now
-            frame[5] = mol = None
+            frame[5] = placed = None
             if not volume:
                 nbrs = table.neighbors[i]
                 cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
@@ -602,12 +603,10 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         i = (~decided & (decided + 1)).bit_length() - 1
         if i >= n:
             if cost < best_val:
-                best_val = cost
-                best_cfg = [*forced.molecules, *(f[6] for f in stack if f[6] is not None)]
-                if mol is not None:
-                    best_cfg.append(mol)
+                best_val, best_cfg = cost, forced.molecules
+                best_placed = [*(f[6] for f in stack), placed]  # None: an empty branch
         elif bound(decided, occ_R | occ_S, cost) < best_val:
-            stack.append([decided, occ_R, occ_S, cost, i, iter(table.by_pos[i]), mol])
+            stack.append([decided, occ_R, occ_S, cost, i, iter(table.by_pos[i]), placed])
 
     if exhausted:
         lower = best_val
@@ -618,7 +617,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
     return SolveResult(
         value=Fraction(best_val, scale),
-        config=validate(best_cfg),
+        config=validate([*best_cfg, *(p.molecule for p in best_placed if p is not None)]),
         certificate="exact" if exhausted else "upper_bound",
         nodes_explored=nodes,
         lower=Fraction(lower, scale),
@@ -646,7 +645,7 @@ def _glued_cost(
     free cell, each once, as the search counts them.
     """
     decided, occ_R, occ_S, cost = root
-    at = {(p.molecule.shape.name, p.molecule.anchor): p for p in table.placements}
+    at = {(p.shape.name, p.anchor): p for p in table.placements}
     placed = []
     mask = 0
     for m in glued:
@@ -662,7 +661,7 @@ def _glued_cost(
     w_R, w_S = weights
     outside = decided & ~(occ_R | occ_S)  # decided empty cells
     for p in placed:
-        if p.molecule.shape.chirality_class == R_LIKE:
+        if p.shape.chirality_class == R_LIKE:
             occ_R |= p.mask
             cost += w_R * p.contacts(outside)
         else:
@@ -912,7 +911,7 @@ def cluster_min_perimeter(
     union up to translation.  Two clusters with one key are decompositions
     of one cell union with equal counts, whose subtrees are identical, so
     growing the first alone keeps the first cluster of least perimeter in
-    that order, which is returned.
+    that order: its placements, whose molecules are built for the result.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise InvalidInput("need r + s >= 1 with nonnegative counts")
@@ -928,7 +927,7 @@ def cluster_min_perimeter(
         [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
         (R, S),
     )
-    ranked = sorted(table.placements, key=lambda p: (p.molecule.shape.name, p.molecule.anchor))
+    ranked = sorted(table.placements, key=lambda p: (p.shape.name, p.anchor))
     rank_of = {p.index: rank for rank, p in enumerate(ranked)}
     # ranks of the placements covering each order cell
     covering = [sum(1 << rank_of[p.index] for p in ps) for ps in table.by_pos]
@@ -942,17 +941,17 @@ def cluster_min_perimeter(
             bits |= covering[low.bit_length() - 1]
         near.append(bits)
     of_shape = {
-        shape: sum(1 << rank for rank, p in enumerate(ranked) if p.molecule.shape is shape)
+        shape: sum(1 << rank for rank, p in enumerate(ranked) if p.shape is shape)
         for shape in (R, S)
     }
     count_bits = r.bit_length()  # a key's low bits hold its R count
 
-    best: tuple[int, tuple[Molecule, ...]] | None = None
+    best: tuple[int, tuple[Placement, ...]] | None = None
     seen: set[int] = set()
 
-    def grow(mols: list[Molecule], occ: int, cand: int, per: int, nr: int, ns: int):
+    def grow(placed: list[Placement], occ: int, cand: int, per: int, nr: int, ns: int):
         nonlocal best
-        last = len(mols) + 1 == total
+        last = len(placed) + 1 == total
         # candidate placements: those covering a cell adjacent to the cluster
         rest = cand & ((of_shape[R] if nr < r else 0) | (of_shape[S] if ns < s else 0))
         while rest:
@@ -967,18 +966,17 @@ def cluster_min_perimeter(
                 # a repeated class ties with its first visit, so complete
                 # clusters are not keyed
                 if best is None or grown_per < best[0]:
-                    best = (grown_per, (*mols, p.molecule))
+                    best = (grown_per, (*placed, p))
                 continue
-            mol = p.molecule
             grown = occ | p.mask
-            grown_nr = nr + (mol.shape is R)
+            grown_nr = nr + (p.shape is R)
             key = (grown >> (grown & -grown).bit_length() - 1) << count_bits | grown_nr
             if key in seen:
                 continue
             seen.add(key)
             grow(
-                mols + [mol], grown, cand | near[rank], grown_per, grown_nr,
-                ns + (mol.shape is S),
+                placed + [p], grown, cand | near[rank], grown_per, grown_nr,
+                ns + (p.shape is S),
             )
 
     for shape, count in ((R, r), (S, s)):
@@ -987,15 +985,15 @@ def cluster_min_perimeter(
         # of an optimal cluster can be either kind
         if count == 0:
             continue
-        rank = next(n for n, p in enumerate(ranked) if p.molecule == Molecule(shape, (0, 0)))
+        rank = next(n for n, p in enumerate(ranked) if p.shape is shape and p.anchor == (0, 0))
         if total == 1:
-            best = (_MOLECULE_EDGES, (ranked[rank].molecule,))
+            best = (_MOLECULE_EDGES, (ranked[rank],))
             break
         grow(
-            [ranked[rank].molecule], ranked[rank].mask, near[rank], _MOLECULE_EDGES,
+            [ranked[rank]], ranked[rank].mask, near[rank], _MOLECULE_EDGES,
             int(shape is R), int(shape is S),
         )
 
     assert best is not None
-    value, mols = best
-    return Fraction(value), validate(mols)
+    value, placed = best
+    return Fraction(value), validate(p.molecule for p in placed)

@@ -3,7 +3,8 @@
 A search over molecule placements (the covering DFS, the interface branch
 and bound, cluster growth) keeps its state as int masks over a fixed
 numbering of lattice cells.  This module is the only place that numbers
-cells, and it has one numbering.
+cells, and it has one numbering.  A placement holds its shape, anchor and
+masks; the searches read the masks, and its `Molecule` is built on request.
 
 Every search passes a grid order: w lines of h cells, each line stepping
 one cell along one axis, either way, and each line one cell across from
@@ -17,19 +18,20 @@ order, a search's next undecided order cell is the lowest clear bit of
 its state outside the order cells, and every placement's masks are its
 shape's templates shifted by one amount.
 
-The margin is worked out from the input.  It is 0 when `within` lies at
-least one cell inside the grid: the kept placements and their rims are
-then grid cells, and the order cells have bits 0..n-1.  Otherwise it is
-the shapes' reach plus one rim cell, so every placement covering an order
-cell, and its rim, lies in the padded grid.
+The margin is worked out from the input, in the one walk over `within`
+that also gives its bits.  It is 0 when `within` lies at least one cell
+inside the grid: the kept placements and their rims are then grid cells,
+and the order cells have bits 0..n-1.  Otherwise it is the shapes' reach
+plus one rim cell, so every placement covering an order cell, and its
+rim, lies in the padded grid.
 
 Tables are immutable after construction and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .molecules import Cell, Molecule, MoleculeShape
 
@@ -38,31 +40,31 @@ _UNIT = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 def _rim(shape: MoleculeShape) -> tuple[list[Cell], list[Cell]]:
     """Offsets of the outside cells sharing one and two edges with the shape."""
-    touches: dict[Cell, int] = {}
-    for a, b in shape.cells:
-        for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
-            if nb not in shape.cells:
-                touches[nb] = touches.get(nb, 0) + 1
-    return (
-        [c for c, k in touches.items() if k == 1],
-        [c for c, k in touches.items() if k == 2],
+    touches = Counter(
+        nb for a, b in shape.cells for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1))
+        if nb not in shape.cells
     )
+    return [c for c, k in touches.items() if k == 1], [c for c, k in touches.items() if k == 2]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Placement:
-    """One translate of a shape, as masks over the table's cell bits.
-
-    touch1 and touch2 mark the outside cells sharing one edge and two
-    edges with the molecule; no cell can share three edges with a
-    connected 4-cell shape.
+class Placement(NamedTuple):
+    """One translate of a shape, by its anchor, as masks over the table's
+    cell bits: mask marks its cells, touch1 and touch2 the outside cells
+    sharing one edge and two with it (no cell shares three with a connected
+    4-cell shape).  Immutable; its molecule is built on request.
     """
 
     index: int
-    molecule: Molecule
+    shape: MoleculeShape
+    anchor: Cell
     mask: int
     touch1: int
     touch2: int
+
+    @property
+    def molecule(self) -> Molecule:
+        """The placed molecule, built anew on each read."""
+        return Molecule(self.shape, self.anchor)
 
     def contacts(self, bits: int) -> int:
         """Boundary edges of the molecule whose outer cell is in bits."""
@@ -105,7 +107,8 @@ class PlacementTable:
     cells are all in `within`, its first order cell included.
 
     The cells of the order's padded grid (see the module docstring) have
-    bits 0..n-1, and order_bits marks the order cells.  Placements are
+    bits 0..n-1, order_bits marks the order cells and within_bits the
+    cells of `within` (all_bits when it is None).  Placements are
     numbered in order of their first order cell, then shape, then shape
     cell; by_pos[i] lists the placements covering cell i in that numbering
     (none when i is no order cell), and neighbors[i] is the mask of its
@@ -124,39 +127,42 @@ class PlacementTable:
     """
 
     def __init__(
-        self,
-        order: Sequence[Cell],
-        shapes: Iterable[MoleculeShape],
-        within: set[Cell] | None = None,
+        self, order: Sequence[Cell], shapes: Iterable[MoleculeShape], within: set[Cell] | None = None
     ):
         shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds no placements
         along, across, h = _grid(order)
         w = len(order) // h
         self._axes = (order[0], along, across)
-        if within is not None and all(
-            0 < c < w - 1 and 0 < r < h - 1 for c, r in self._places(within)
-        ):
-            margin = 0
-        else:
-            # a placement covering an order cell reaches its shape's span
-            # less one beyond it, and its rim one cell further
-            margin = 1 + max(
-                (
-                    max(cell[a] for cell in shape.cells) - min(cell[a] for cell in shape.cells)
-                    for shape in shapes
-                    for a in (0, 1)
-                ),
-                default=0,
-            )
+        # one walk over `within`: its bits, if it lies inside the grid (no margin)
+        inside = within is not None
+        free = 0
+        for c, r in self._places(within or ()):
+            if not (0 < c < w - 1 and 0 < r < h - 1):
+                inside = False
+                break
+            free |= 1 << c * h + r
+        # a margin is the reach of a placement covering an order cell beyond
+        # it (its shape's span less one) plus one cell for its rim
+        margin = 0 if inside else 1 + max((
+            max(c[a] for c in s.cells) - min(c[a] for c in s.cells)
+            for s in shapes for a in (0, 1)
+        ), default=0)
         self._margin = margin
         self._height = height = h + 2 * margin
         self._width = width = w + 2 * margin
         self.n = n = width * height
         all_bits = self.all_bits
-        # the order cells' bits, in order
-        cell_bits = [(c + margin) * height + margin + r for c in range(w) for r in range(h)]
-        self.order_bits = order_bits = sum(1 << i for i in cell_bits)
-        free = all_bits if within is None else self.mask(within)
+        # cell_at[bit]: the order cell of that bit, None off the order
+        cell_at: list[Cell | None] = [None] * n
+        order_bits = 0
+        for c in range(w):
+            start = (c + margin) * height + margin
+            cell_at[start:start + h] = order[c * h:(c + 1) * h]
+            order_bits |= (1 << h) - 1 << start
+        self.order_bits = order_bits
+        if not inside:
+            free = all_bits if within is None else self.mask(within)
+        self.within_bits = free
         # a placement's cells below its first order cell are free cells
         # outside the order
         outside = free & ~order_bits
@@ -184,29 +190,26 @@ class PlacementTable:
                     first = firsts & -firsts
                     firsts ^= first
                     keys.append((first.bit_length() - 1) * stride + len(specs))
-                specs.append((shape, cell, base - dj, steps, templates))
+                specs.append((shape, *cell, base - dj, steps, *templates))
 
         self.placements: list[Placement] = []
         self.by_pos: list[list[Placement]] = [[] for _ in range(n)]
         placements, by_pos = self.placements, self.by_pos
-        cell_at = dict(zip(cell_bits, order))
         keys.sort()
+        new = tuple.__new__  # skips the Python frame of Placement.__new__
         for index, key in enumerate(keys):
             first, code = divmod(key, stride)
-            shape, (a, b), lift, steps, (mask, touch1, touch2) = specs[code]
+            shape, a, b, lift, steps, mask, touch1, touch2 = specs[code]
             x, y = cell_at[first]
             shift = first + lift
-            p = Placement(
-                index,
-                Molecule(shape, (x - a, y - b)),
-                mask << shift,
-                touch1 << shift,
-                touch2 << shift,
-            )
+            p = new(Placement, (
+                index, shape, (x - a, y - b), mask << shift, touch1 << shift, touch2 << shift
+            ))
             for e in steps:
-                if first + e in cell_at:
-                    by_pos[first + e].append(p)
+                by_pos[first + e].append(p)
             placements.append(p)
+        if margin:  # by_pos lists placements at order cells only
+            by_pos[:] = [ps if cell is not None else [] for ps, cell in zip(by_pos, cell_at)]
 
         # a cell's neighbours are its bit +- 1 in its line and +- height:
         # line[r] holds those of place r of the middle of three lines
@@ -228,13 +231,11 @@ class PlacementTable:
 
     def mask(self, cells: Iterable[Cell]) -> int:
         """Bits of the given cells; cells off the padded grid are skipped."""
-        margin, height, width = self._margin, self._height, self._width
+        m, height, width = self._margin, self._height, self._width
         bits = 0
         for c, r in self._places(cells):
-            c += margin
-            r += margin
-            if 0 <= c < width and 0 <= r < height:
-                bits |= 1 << c * height + r
+            if -m <= c < width - m and -m <= r < height - m:
+                bits |= 1 << (c + m) * height + r + m
         return bits
 
     @property

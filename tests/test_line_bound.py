@@ -385,6 +385,11 @@ def test_table_rows_pinned(budget):
     assert digest.hexdigest() == TABLE_DIGESTS[budget]
 
 
+# (value, lower, root) of the truncated volume solves at budget 5000:
+# tables of thousands of placements over a free zone with no margin
+DEEP_VOLUME = {72: (651, 559, 559), 96: (879, 751, 751)}
+
+
 @pytest.mark.parametrize("T", [72, 96])
 def test_deep_volume_solve_returns_an_interval(T):
     # the search's depth grows with the free zone; it walks an explicit
@@ -392,7 +397,7 @@ def test_deep_volume_solve_returns_an_interval(T):
     prob = InterfaceProblem(1, 0, direction(1, 1), T, energy_kind=VOLUME)
     res = solve_interface(prob, budget=5000)
     assert (res.certificate, res.nodes_explored) == ("upper_bound", 5000)
-    assert res.root <= res.lower <= res.value
+    assert (res.value, res.lower, res.root) == DEEP_VOLUME[T]
 
 
 def test_line_bound_certifies_the_incumbent_at_the_root():

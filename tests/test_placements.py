@@ -24,7 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
-from chiralattice.coverings import lemma_check
+from chiralattice.coverings import enumerate_coverings, lemma_check
 from chiralattice import interfaces
 from chiralattice.interfaces import (
     InterfaceProblem,
@@ -34,7 +34,7 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import R_LIKE, Molecule, MoleculeShape, R, S
-from chiralattice.placements import PlacementTable
+from chiralattice.placements import Placement, PlacementTable
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order,
 )
@@ -52,6 +52,7 @@ def _neighbors(cell):
 def test_table_numbers_order_cells_first():
     order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     table = PlacementTable(order, (R, S))
+    assert_placements_hold_their_molecules(table, order, None)
     bits = [table.mask([c]) for c in order]
     assert bits == sorted(bits) and len(set(bits)) == 4  # increasing along the order
     assert table.order_bits == sum(bits)
@@ -68,6 +69,8 @@ def test_table_numbers_order_cells_first():
     # placements are numbered by first order cell, then shape, then offset
     assert [p.index for p in table.placements] == list(range(len(table.placements)))
     assert table.placements[0].molecule == Molecule(R, (0, 0))
+    with pytest.raises(AttributeError):  # placements are immutable
+        table.placements[0].mask = 0
 
 
 @pytest.mark.parametrize(
@@ -89,6 +92,7 @@ def test_non_grid_order_raises(order):
 def test_within_filters_placements():
     order = [(c, r) for c in range(3) for r in range(3)]
     table = PlacementTable(order, (R, S), set(order))
+    assert_placements_hold_their_molecules(table, order, set(order))
     assert {p.molecule for p in table.placements} == {
         Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
     }
@@ -97,6 +101,7 @@ def test_within_filters_placements():
 def test_contacts_count_boundary_edges():
     order = [(c, r) for c in range(-3, 4) for r in range(-3, 4)]
     table = PlacementTable(order, (R, S))
+    assert_placements_hold_their_molecules(table, order, None)
     occupied = {(0, 0), (1, 1), (2, 2), (-1, 2), (0, 3), (-2, -1), (1, 3)}
     bits = table.mask(occupied)
     for p in table.placements:
@@ -127,6 +132,17 @@ def decode(table, order):
 def cells(bits, cell_of):
     """The cells of a mask, decoded through the table's numbering."""
     return {cell for bit, cell in cell_of.items() if bits & bit}
+
+
+def assert_placements_hold_their_molecules(table, order, within):
+    """Each placement's molecule is its shape at its anchor, covering the
+    cells of its mask; within_bits are the bits of `within`, or every bit
+    when it is None."""
+    cell_of = decode(table, order)
+    for p in table.placements:
+        assert p.molecule == Molecule(p.shape, p.anchor)
+        assert cells(p.mask, cell_of) == set(p.molecule.cells())
+    assert table.within_bits == (table.all_bits if within is None else table.mask(within))
 
 
 def ref_table(order, shapes, keep):
@@ -170,9 +186,11 @@ def ref_table(order, shapes, keep):
     return placements, by_pos, [set(_neighbors(cell)) for cell in order]
 
 
-def assert_matches_ref_table(table, order, shapes, keep):
+def assert_matches_ref_table(table, order, shapes, within, keep):
     """The table's placements, by_pos and in-grid neighbours, decoded into
-    cells, are those of `ref_table`."""
+    cells, are those of `ref_table`, and its placements hold their
+    molecules."""
+    assert_placements_hold_their_molecules(table, order, within)
     cell_of = decode(table, order)
     placements, by_pos, neighbors = ref_table(order, shapes, keep)
     assert [
@@ -208,7 +226,7 @@ def test_placement_masks_match_per_placement_rims(shapes):
         for within in (None, set(square[20:90]), free):
             table = PlacementTable(square, shapes, within)
             assert_matches_ref_table(
-                table, square, shapes,
+                table, square, shapes, within,
                 lambda m: within is None or within.issuperset(m.cells()),
             )
             assert any(p.touch2 for p in table.placements)
@@ -238,21 +256,51 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
     built = []
 
     def recording_table(order, shapes, within):
-        built.append((order, shapes, PlacementTable(order, shapes, within)))
-        return built[-1][2]
+        built.append((order, shapes, within, PlacementTable(order, shapes, within)))
+        return built[-1][3]
 
     monkeypatch.setattr(interfaces, "PlacementTable", recording_table)
     for scan in (interfaces._scan_order, row_major_order):
         monkeypatch.setattr(interfaces, "_scan_order", scan)
         for prob in _solver_problems():
             solve_interface(prob, budget=1)
-            order, shapes, table = built.pop()
+            order, shapes, within, table = built.pop()
             assert table.order_bits == table.all_bits == (1 << len(order)) - 1, prob
             taken = frame_forced(prob).occupancy
             assert_matches_ref_table(
-                table, order, shapes,
+                table, order, shapes, within,
                 lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
             )
+
+
+def test_searches_build_molecules_for_their_results_only(monkeypatch):
+    # placements hold masks, shapes and anchors; a search builds molecules
+    # for the configuration it returns, each once
+    reads = []
+
+    def molecule(p):
+        reads.append(p)
+        return Molecule(p.shape, p.anchor)
+
+    monkeypatch.setattr(Placement, "molecule", property(molecule))
+    # certified at the root: the result is the glued family, built in set-up
+    res = solve_interface(FRONTIER)
+    assert (res.nodes_explored, reads) == (0, [])
+    _, config = cluster_min_perimeter(3, 2)
+    assert [Molecule(p.shape, p.anchor) for p in reads] == list(config.molecules)
+    reads.clear()
+    # a solve that opens nodes and returns a leaf reads the leaf's free
+    # molecules, whatever its incumbent improvements
+    prob = InterfaceProblem(1, 5, direction(1, 1), 12)
+    res = solve_interface(prob)
+    forced = frame_forced(prob).molecules
+    free = [m for m in res.config.molecules if m not in forced]
+    assert res.nodes_explored > 0 and len(free) == 1
+    assert [Molecule(p.shape, p.anchor) for p in reads] == free
+    reads.clear()
+    # the coverings share one molecule per placement
+    assert sum(1 for _ in enumerate_coverings(4, (R, S))) == 288
+    assert len(reads) == 176
 
 
 def _placements_meeting_square(k, shapes):

@@ -15,7 +15,7 @@ import pytest
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
 from chiralattice.coverings import _square_table, lemma_check
 from chiralattice.interfaces import cluster_min_perimeter
-from chiralattice.molecules import BUILTIN_SHAPES, Molecule, R, S, phase_label, validate
+from chiralattice.molecules import BUILTIN_SHAPES, R, S, phase_label, validate
 from chiralattice.placements import PlacementTable
 
 _MOLECULE_EDGES = 10
@@ -85,7 +85,7 @@ def ref_cluster(r, s):
         [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
         (R, S),
     )
-    seeds = {p.molecule: p for p in table.placements if p.molecule.anchor == (0, 0)}
+    seeds = {p.shape: p for p in table.placements if p.anchor == (0, 0)}
     best = None
     seen = set()
 
@@ -94,49 +94,48 @@ def ref_cluster(r, s):
         min_y = min(b for _, (_, b) in mols)
         return frozenset((n, (a - min_x, b - min_y)) for n, (a, b) in mols)
 
-    def grow(mols, occ, halo, per, nr, ns):
+    def grow(placed, occ, halo, per, nr, ns):
         nonlocal best
-        if len(mols) == total:
+        if len(placed) == total:
             if best is None or per < best[0]:
-                best = (per, tuple(mols))
+                best = (per, tuple(placed))
             return
         shapes = ([R] if nr < r else []) + ([S] if ns < s else [])
-        cand = set()
+        cand = {}  # by index: a placement hashes all of its fields
         rest = halo
         while rest:
             low = rest & -rest
             rest ^= low
             cand.update(
-                p for p in table.by_pos[low.bit_length() - 1] if p.molecule.shape in shapes
+                (p.index, p) for p in table.by_pos[low.bit_length() - 1] if p.shape in shapes
             )
-        for p in sorted(cand, key=lambda p: (p.molecule.shape.name, p.molecule.anchor)):
+        for p in sorted(cand.values(), key=lambda p: (p.shape.name, p.anchor)):
             if p.mask & occ:
                 continue
-            mol = p.molecule
             key = canonical(frozenset(
-                [(m.shape.name, m.anchor) for m in mols] + [(mol.shape.name, mol.anchor)]
+                [(q.shape.name, q.anchor) for q in placed] + [(p.shape.name, p.anchor)]
             ))
             if key in seen:
                 continue
             seen.add(key)
             grow(
-                mols + [mol],
+                placed + [p],
                 occ | p.mask,
                 (halo | p.touch1 | p.touch2) & ~p.mask,
                 per + _MOLECULE_EDGES - 2 * p.contacts(occ),
-                nr + (mol.shape is R),
-                ns + (mol.shape is S),
+                nr + (p.shape is R),
+                ns + (p.shape is S),
             )
 
     for shape, count in ((R, r), (S, s)):
         if count:
-            seed = seeds[Molecule(shape, (0, 0))]
+            seed = seeds[shape]
             grow(
-                [seed.molecule], seed.mask, seed.touch1 | seed.touch2,
+                [seed], seed.mask, seed.touch1 | seed.touch2,
                 _MOLECULE_EDGES, int(shape is R), int(shape is S),
             )
-    value, mols = best
-    return value, _molecules(validate(mols))
+    value, placed = best
+    return value, _molecules(validate(p.molecule for p in placed))
 
 
 def _molecules(config):
