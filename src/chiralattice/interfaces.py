@@ -37,10 +37,10 @@ cells of unlike occupancy must hold a boundary edge that is not
 determined yet, and no edge lies in two lines, so each such run adds at
 least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  Cells are encoded as bits of int masks by
-a shared placement table (`chiralattice.placements`) over the inner
-square and its ring in scan order, which sweeps the square line by line;
-the table is given the free zone, so it holds the free molecules only:
-the line bound shifts the search's own masks along and across lines.
+a shared placement grid (`chiralattice.placements`) over the inner
+square and its ring, numbered line by line from the scan order's spec;
+given the free zone, its placements are the free molecules only: the
+line bound shifts the search's own masks along and across lines.
 The search counts its cost in integer units of 1/scale, so all energies
 stay exact rationals.
 
@@ -80,7 +80,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .molecules import (
     Cell,
@@ -100,7 +100,7 @@ from .molecules import (
     volume_deficit,
     weighted_perimeter,
 )
-from .placements import Placement, PlacementTable
+from .placements import GridSpec, Placement, PlacementGrid, PlacementTable
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -288,15 +288,22 @@ def _free_cells(forced: Configuration, T: int) -> set[Cell]:
     return {(a, b) for a in inner for b in inner if (a, b) not in taken}
 
 
+def _frame_test(T: int) -> Callable[[Molecule], bool]:
+    """`meets_frame` at T, its cell ranges built once for every molecule."""
+    window, inner = _window_cells(T), _inner(T)
+    def meets(m: Molecule) -> bool:
+        for a, b in m.cells():
+            if a in window and b in window and not (a in inner and b in inner):
+                return True
+        return False
+    return meets
+
+
 def meets_frame(m: Molecule, T: int) -> bool:
     """Does the molecule intersect the open frame collar of Q_T?  It does
     iff one of its cells meets Q_T outside the inner square, wherever the
     molecule lies."""
-    window, inner = _window_cells(T), _inner(T)
-    for a, b in m.cells():
-        if a in window and b in window and not (a in inner and b in inner):
-            return True
-    return False
+    return _frame_test(T)(m)
 
 
 def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configuration:
@@ -338,7 +345,7 @@ def _set_up(
     """
     T = prob.T
     members = _family_members(prob.i, prob.j, prob.nu, window)
-    framed = [meets_frame(m, T) for m in members]
+    framed = list(map(_frame_test(T), members))
     forced = _forced_part(itertools.compress(members, framed), prob)
     free = _free_cells(forced, T)
     glued = [m for m, f in zip(members, framed) if f or free.issuperset(m.cells())]
@@ -352,9 +359,8 @@ def frame_forced(prob: InterfaceProblem) -> Configuration:
 
 def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
     """Are the molecules of config meeting the frame exactly those of forced?"""
-    actual = {
-        (m.shape.name, m.anchor) for m in config.molecules if meets_frame(m, T)
-    }
+    meets = _frame_test(T)
+    actual = {(m.shape.name, m.anchor) for m in config.molecules if meets(m)}
     return actual == {(m.shape.name, m.anchor) for m in forced.molecules}
 
 
@@ -378,8 +384,9 @@ def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fr
 # Branch and bound
 # -------------------------------------------------------------------
 
-def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
-    """Columns bottom to top, swept left to right if p q < 0, else right to left.
+def _scan_order(prob: InterfaceProblem, square: range) -> GridSpec:
+    """The grid spec of the square square x square: columns bottom to top,
+    swept left to right if p q < 0, else right to left.
 
     For the diagonals the sweep starts at the bottom corner that the seam
     line x . nu = 0 passes through, so the first columns decided hold both
@@ -387,13 +394,9 @@ def _scan_order(prob: InterfaceProblem, cells: Iterable[Cell]) -> list[Cell]:
     column ends early, and a wrong seam is refuted before the bulk is
     filled.  The rule depends on nu only through the sign of p q, so nu
     and -nu (a problem and its mirror) are searched in the same order.
-
-    `solve_interface` relies on the order sweeping a square line by line:
-    listed in this order, the cells of a square of side w are numbered so
-    that a step of 1 moves along a line and a step of w across lines.
     """
     sx = 1 if prob.nu.p * prob.nu.q < 0 else -1
-    return sorted(cells, key=lambda c: (sx * c[0], c[1]))
+    return (square[0] if sx > 0 else square[-1], square[0]), (0, 1), (sx, 0), len(square), len(square)
 
 
 def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -449,10 +452,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one window Q_T,
     one family build from the patterns' anchor columns, one frame test per
     member, and one lattice sweep, for the forced part.  The placement
-    table walks the free zone once, and the search reads its bits off the
-    table.  The incumbents are the forced part alone and the glued family,
-    priced on the bitboards as the leaf that places its free members
-    (`_glued_cost`).  Placements carry masks, shapes and anchors, and
+    grid numbers the scan order's grid spec and walks the free zone once;
+    the search reads its bits off the grid.  The incumbents are the forced
+    part alone and the glued family, priced on the bitboards as the leaf
+    that places its free members (`_glued_cost`).  The free placements are
+    enumerated only when the root bound is below the incumbent, and
     molecules are built once, for the configuration returned.
     """
     if budget < 1:
@@ -462,16 +466,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     _, forced, free, glued = _set_up(prob, window)
     volume = prob.energy_kind == VOLUME
 
-    # The table numbers the inner square plus its one-cell ring line by
+    # The grid numbers the inner square plus its one-cell ring line by
     # line, so its order bits are a width x width grid for the line bound;
-    # the free zone lies inside the ring, so the table adds no margin and
+    # the free zone lies inside the ring, so the grid adds no margin and
     # order cell k has bit k.  Its placements are the free molecules: those
     # lying in the free zone.
     inner = _inner(T)
-    square = range(inner.start - 1, inner.stop + 1)
-    width = len(square)
-    order = _scan_order(prob, [(a, b) for a in square for b in square])
-    table = PlacementTable(order, (R, S), free)
+    spec = _scan_order(prob, range(inner.start - 1, inner.stop + 1))
+    table = PlacementGrid(spec, (R, S), free)
     n = table.n
     free_bits = table.within_bits
 
@@ -493,14 +495,19 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # and the order cells occupied by R-like and S-like molecules; order
     # cell k has bit k.  Occupancy is only ever read on order cells: the
     # neighbours of free cells, the rims of free molecules and the lines.
-    occ_R0 = occ_S0 = 0
-    for k, cell in enumerate(order):
-        owner = forced.occupancy.get(cell)
-        if owner is not None:
-            if forced.molecules[owner].shape.chirality_class == R_LIKE:
-                occ_R0 |= 1 << k
-            else:
-                occ_S0 |= 1 << k
+    occ_R0 = occ_S0 = k = 0
+    (x0, y0), (ax, ay), (cx, cy), width, lines = spec
+    owners = forced.occupancy
+    for c in range(lines):
+        x, y = x0 + c * cx, y0 + c * cy
+        for _ in range(width):
+            owner = owners.get((x, y))
+            if owner is not None:
+                if forced.molecules[owner].shape.chirality_class == R_LIKE:
+                    occ_R0 |= 1 << k
+                else:
+                    occ_S0 |= 1 << k
+            x, y, k = x + ax, y + ay, k + 1
     decided0 = table.all_bits & ~free_bits
 
     # COST: for surface energies, the weighted length of the boundary
@@ -561,7 +568,10 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # and the placement made to reach the node.
     root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
     i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
-    stack = [[*root, i, iter(table.by_pos[i]), None]] if i < n and root_bound < best_val else []
+    stack = []
+    if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
+        by_pos = table.enumerate_placements()[1]
+        stack.append([*root, i, iter(by_pos[i]), None])
     while stack:
         frame = stack[-1]
         decided, occ_R, occ_S, cost, i, untried, _ = frame
@@ -606,7 +616,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 best_val, best_cfg = cost, forced.molecules
                 best_placed = [*(f[6] for f in stack), placed]  # None: an empty branch
         elif bound(decided, occ_R | occ_S, cost) < best_val:
-            stack.append([decided, occ_R, occ_S, cost, i, iter(table.by_pos[i]), placed])
+            stack.append([decided, occ_R, occ_S, cost, i, iter(by_pos[i]), placed])
 
     if exhausted:
         lower = best_val
@@ -626,7 +636,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
 
 def _glued_cost(
-    table: PlacementTable,
+    table: PlacementGrid,
     glued: list[Molecule],
     root: tuple[int, int, int, int],
     weights: tuple[int, int] | None,
@@ -636,43 +646,45 @@ def _glued_cost(
     members, in its integer units, or None when two of them overlap.
 
     `root` is the search's root state (decided, occ_R, occ_S, cost), which
-    holds the forced part; a member is free when the table holds it.  For
-    volume energies (weights None) each placement lowers the cost by
-    `area`.  For surface energies, with weights (w_R, w_S), the leaf adds
-    to the root cost the weights of the occupied neighbours of each free
-    cell left empty, and each placement's contacts with the decided empty
-    cells outside the free zone: these are the boundary edges that meet a
-    free cell, each once, as the search counts them.
+    holds the forced part; a member is free when all its cells are free
+    bits of the grid.  For volume energies (weights None) each free member
+    lowers the cost by `area`.  For surface energies, with weights (w_R,
+    w_S), the leaf adds to the root cost, for each free cell, the weights
+    of its occupied neighbours if it is left empty, and otherwise its
+    molecule's weight per neighbour that is a decided empty cell outside
+    the free zone: these are the boundary edges that meet a free cell,
+    each once, as the search counts them.
     """
     decided, occ_R, occ_S, cost = root
-    at = {(p.shape.name, p.anchor): p for p in table.placements}
-    placed = []
-    mask = 0
+    free = table.within_bits
+    placed_R = placed_S = count = 0
     for m in glued:
-        p = at.get((m.shape.name, m.anchor))
-        if p is None:
-            continue  # a forced member
-        if p.mask & mask:
+        bits = table.mask(m.cells())
+        if bits & ~free or bits.bit_count() < len(m.shape.cells):
+            continue  # a forced member: not all its cells are free bits
+        if bits & (placed_R | placed_S):
             return None
-        mask |= p.mask
-        placed.append(p)
+        count += 1
+        if m.shape.chirality_class == R_LIKE:
+            placed_R |= bits
+        else:
+            placed_S |= bits
     if weights is None:
-        return cost - area * len(placed)
+        return cost - area * count
     w_R, w_S = weights
     outside = decided & ~(occ_R | occ_S)  # decided empty cells
-    for p in placed:
-        if p.shape.chirality_class == R_LIKE:
-            occ_R |= p.mask
-            cost += w_R * p.contacts(outside)
-        else:
-            occ_S |= p.mask
-            cost += w_S * p.contacts(outside)
-    empty = table.all_bits & ~decided & ~mask
-    while empty:
-        low = empty & -empty
-        empty ^= low
+    occ_R |= placed_R
+    occ_S |= placed_S
+    while free:
+        low = free & -free
+        free ^= low
         nbrs = table.neighbors[low.bit_length() - 1]
-        cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+        if low & placed_R:
+            cost += w_R * (nbrs & outside).bit_count()
+        elif low & placed_S:
+            cost += w_S * (nbrs & outside).bit_count()
+        else:
+            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
     return cost
 
 
@@ -923,10 +935,7 @@ def cluster_min_perimeter(
     # a connected cluster grown from a seed at the origin stays within
     # 3 cells per molecule of it, so its halo cells are all order cells
     reach = 3 * total
-    table = PlacementTable(
-        [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
-        (R, S),
-    )
+    table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
     ranked = sorted(table.placements, key=lambda p: (p.shape.name, p.anchor))
     rank_of = {p.index: rank for rank, p in enumerate(ranked)}
     # ranks of the placements covering each order cell

@@ -184,10 +184,15 @@ def test_lemma_soundness_every_covering_single_phase():
 
 
 def test_lemma_margin2_recorded():
-    report = lemma_check(4, [R, S], inner_margin=2)
-    # empirical record for the sharper margin; not asserted by the theory
-    assert report.holds is True
-    assert report.inner_margin == 2
+    # the measured record for the sharper margin, which no proof covers: it
+    # fails at k = 3 and holds from k = 4, with 288 * 2**(k - 4) coverings
+    failed = lemma_check(3, [R, S], inner_margin=2)
+    assert failed.holds is False and failed.witness is not None
+    for k in (4, 5):
+        report = lemma_check(k, [R, S], inner_margin=2)
+        assert report.holds is True
+        assert report.search_space.coverings == 288 * 2 ** (k - 4)
+        assert report.inner_margin == 2
 
 
 def test_lemma_falsified_for_flat_pair():

@@ -45,13 +45,23 @@ from chiralattice.placements import PlacementTable
 # Reference implementation (determined-boundary bound only)
 # -------------------------------------------------------------------
 
-def row_major_order(prob: InterfaceProblem, cells) -> list:
-    """Row-major order starting at the corner most negative along nu."""
+def row_major_order(prob: InterfaceProblem, square: range) -> tuple:
+    """The grid spec of the row-major order of square x square, starting at
+    the corner most negative along nu: rows as lines, stepping (sx, 0)
+    along them and (0, sy) across them."""
     p, q = prob.nu.p, prob.nu.q
     h = F(prob.T, 2)
     corners = [(sx, sy) for sy in (-1, 1) for sx in (-1, 1)]
     sx, sy = min(corners, key=lambda s: (s[0] * h * p + s[1] * h * q, s))
-    return sorted(cells, key=lambda c: (sy * c[1], sx * c[0]))
+    first = (square[0] if sx > 0 else square[-1], square[0] if sy > 0 else square[-1])
+    return first, (sx, 0), (0, sy), len(square), len(square)
+
+
+def spec_cells(spec) -> list:
+    """The cells of a grid spec, line by line: the order in which a table
+    over it numbers them."""
+    (x0, y0), (ax, ay), (cx, cy), h, w = spec
+    return [(x0 + c * cx + r * ax, y0 + c * cy + r * ay) for c in range(w) for r in range(h)]
 
 
 def inside_inner(cell, T: int) -> bool:
@@ -111,8 +121,10 @@ def in_boundary_family(m: Molecule, i: int, j: int, nu: Direction) -> bool:
 def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     """(value, certificate, config, nodes) of the det-only branch and bound.
 
-    order(prob, cells) lists the cells of the inner square and its one-cell
-    ring line by line; the free cells are decided in that order.
+    order(prob, square) is the grid spec of the inner square and its
+    one-cell ring, square x square; the free cells are decided line by line
+    in that order.  The masks of the forced and free cells are read off the
+    spec's cell list, not off the table.
     """
     forced = frame_forced(prob)
     T = prob.T
@@ -125,9 +137,13 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
         (a, b) for a in square for b in square
         if inside_inner((a, b), T) and (a, b) not in forced_cells
     }
-    table = PlacementTable(order(prob, [(a, b) for a in square for b in square]), (R, S), free_cells)
+    spec = order(prob, range(square[0], square[-1] + 1))
+    bit = {cell: 1 << k for k, cell in enumerate(spec_cells(spec))}
+    assert sorted(bit) == sorted((a, b) for a in square for b in square)
+    table = PlacementTable(spec, (R, S), free_cells)
     n = table.n
-    free_bits = table.mask(free_cells)
+    assert n == len(bit)
+    free_bits = sum(bit[c] for c in free_cells)
 
     base = ref_energy(forced, prob)
     c_R, c_S = prob.weights
@@ -140,13 +156,13 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
         assert v.denominator == 1
         return v.numerator
 
-    occ_R0 = table.mask(
-        c
+    occ_R0 = sum(
+        bit.get(c, 0)
         for m in forced.molecules
         if m.shape.chirality_class == R_LIKE
         for c in m.cells()
     )
-    occ_S0 = table.mask(forced_cells) & ~occ_R0
+    occ_S0 = sum(bit.get(c, 0) for c in forced_cells) & ~occ_R0
     decided0 = table.all_bits & ~free_bits
 
     base_det = scaled(base)
@@ -418,12 +434,10 @@ def test_mirror_rows_agree_in_row_major_order(i, j, pq):
     backward = ref_solve(mirror, row_major_order)
     assert forward[:2] == backward[:2] == (solve_interface(prob).value, "exact")
     # the corners most negative along nu and -nu differ
-    cells = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    assert row_major_order(prob, cells) != row_major_order(mirror, cells)
+    assert row_major_order(prob, range(-1, 2)) != row_major_order(mirror, range(-1, 2))
 
 
 def test_scan_order_is_the_seam_corner_column_sweep():
-    cells = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     right_to_left = [(a, b) for a in (1, 0, -1) for b in (-1, 0, 1)]
     left_to_right = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     for pq, expected in [
@@ -432,7 +446,11 @@ def test_scan_order_is_the_seam_corner_column_sweep():
     ]:
         for nu in (direction(*pq), -direction(*pq)):
             prob = InterfaceProblem(1, 0, nu, 12)
-            assert _scan_order(prob, reversed(cells)) == expected, nu
+            assert spec_cells(_scan_order(prob, range(-1, 2))) == expected, nu
+    # the frontier's spec: columns right to left, each bottom to top
+    assert _scan_order(InterfaceProblem(1, 0, direction(1, 1), 20), range(-7, 7)) == (
+        (6, -7), (0, 1), (-1, 0), 14, 14
+    )
 
 
 @pytest.mark.parametrize("budget", [1, 10, 1000])

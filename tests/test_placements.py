@@ -1,11 +1,13 @@
 """The shared placement kernel, and the search trees built on it.
 
-The table numbers the cells of its order's grid, padded when placements
+The table numbers the cells of its grid spec, padded when placements
 may overhang it, and builds every placement by shifting its shape's
-templates.  `ref_table` builds every placement afresh, cell by cell, and
-the table is compared with it on cells, its masks decoded through its own
-numbering, on grid orders with lines along either axis, stepping either
-way; an order that is no grid is refused.
+templates.  `ref_table` builds every placement afresh, cell by cell, over
+the spec's cell list (`spec_cells`), and the table is compared with it on
+cells, its masks decoded through its own numbering, on grids with lines
+along either axis, stepping either way; a spec that is no grid is refused.
+The solver builds the numbering alone, and enumerates the placements only
+when its root leaves a search.
 
 The pinned values were recorded with the earlier per-search
 implementations (set- and Fraction-based); equal node counts show that
@@ -20,6 +22,7 @@ trees, in its own order, are pinned separately.
 """
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -27,16 +30,19 @@ from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
 from chiralattice.coverings import enumerate_coverings, lemma_check
 from chiralattice import interfaces
 from chiralattice.interfaces import (
+    InfeasibleBoundary,
     InterfaceProblem,
     cluster_min_perimeter,
     direction,
     frame_forced,
     solve_interface,
 )
-from chiralattice.molecules import R_LIKE, Molecule, MoleculeShape, R, S
-from chiralattice.placements import Placement, PlacementTable
+from chiralattice.molecules import (
+    R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, Window, validate,
+)
+from chiralattice.placements import Placement, PlacementGrid, PlacementTable
 from test_line_bound import (
-    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order,
+    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order, spec_cells,
 )
 
 
@@ -50,9 +56,11 @@ def _neighbors(cell):
 
 
 def test_table_numbers_order_cells_first():
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    table = PlacementTable(order, (R, S))
-    assert_placements_hold_their_molecules(table, order, None)
+    spec = ((0, 0), (0, 1), (1, 0), 2, 2)
+    order = spec_cells(spec)
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    table = PlacementTable(spec, (R, S))
+    assert_placements_hold_their_molecules(table, spec, None)
     bits = [table.mask([c]) for c in order]
     assert bits == sorted(bits) and len(set(bits)) == 4  # increasing along the order
     assert table.order_bits == sum(bits)
@@ -74,34 +82,40 @@ def test_table_numbers_order_cells_first():
 
 
 @pytest.mark.parametrize(
-    "order",
+    "spec",
     [
-        [],
-        [(0, 0), (1, 1)],  # a diagonal step
-        [(0, 0), (0, 1), (1, 1), (1, 0)],  # a snake: lines not all one way
-        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)],  # a short last line
-        [(0, 0), (0, 1), (2, 0), (2, 1)],  # lines two apart
-        [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (0, 1)],  # a repeated line
+        ((0, 0), (0, 1), (1, 0), 0, 3),  # lines of no cell
+        ((0, 0), (0, 1), (1, 0), 3, 0),  # no line
+        ((0, 0), (0, 1), (1, 0), -2, 3),  # a negative size
+        ((0, 0), (0, 1), (1, 0), 3, -1),
+        ((0, 0), (1, 1), (1, -1), 3, 3),  # diagonal steps
+        ((0, 0), (0, 2), (1, 0), 3, 3),  # a step of two cells
+        ((0, 0), (0, 1), (0, 0), 3, 3),  # a zero step
+        ((0, 0), (0, 1), (0, 1), 3, 3),  # parallel steps
+        ((0, 0), (1, 0), (-1, 0), 3, 3),  # antiparallel steps
     ],
 )
-def test_non_grid_order_raises(order):
+def test_invalid_grid_spec_raises(spec):
     with pytest.raises(ValueError):
-        PlacementTable(order, (R, S))
+        PlacementGrid(spec, (R, S))
+    with pytest.raises(ValueError):
+        PlacementTable(spec, (R, S))
 
 
 def test_within_filters_placements():
-    order = [(c, r) for c in range(3) for r in range(3)]
-    table = PlacementTable(order, (R, S), set(order))
-    assert_placements_hold_their_molecules(table, order, set(order))
+    spec = ((0, 0), (0, 1), (1, 0), 3, 3)
+    within = set(spec_cells(spec))
+    table = PlacementTable(spec, (R, S), within)
+    assert_placements_hold_their_molecules(table, spec, within)
     assert {p.molecule for p in table.placements} == {
         Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
     }
 
 
 def test_contacts_count_boundary_edges():
-    order = [(c, r) for c in range(-3, 4) for r in range(-3, 4)]
-    table = PlacementTable(order, (R, S))
-    assert_placements_hold_their_molecules(table, order, None)
+    spec = ((-3, -3), (0, 1), (1, 0), 7, 7)
+    table = PlacementTable(spec, (R, S))
+    assert_placements_hold_their_molecules(table, spec, None)
     occupied = {(0, 0), (1, 1), (2, 2), (-1, 2), (0, 3), (-2, -1), (1, 3)}
     bits = table.mask(occupied)
     for p in table.placements:
@@ -113,9 +127,10 @@ def test_contacts_count_boundary_edges():
         assert p.contacts(table.all_bits & ~p.mask) == 10  # all boundary edges
 
 
-def decode(table, order):
-    """{bit: cell} over the order's bounding box padded by 6 cells: every
-    numbered cell there, with no bit given twice."""
+def decode(table, spec):
+    """{bit: cell} over the bounding box of the spec's cells padded by 6
+    cells: every numbered cell there, with no bit given twice."""
+    order = spec_cells(spec)
     xs = [x for x, _ in order]
     ys = [y for _, y in order]
     cell_of = {}
@@ -134,27 +149,31 @@ def cells(bits, cell_of):
     return {cell for bit, cell in cell_of.items() if bits & bit}
 
 
-def assert_placements_hold_their_molecules(table, order, within):
+def assert_placements_hold_their_molecules(table, spec, within):
     """Each placement's molecule is its shape at its anchor, covering the
     cells of its mask; within_bits are the bits of `within`, or every bit
-    when it is None."""
-    cell_of = decode(table, order)
+    when it is None; the spec's cells have increasing bits along its lines
+    and make up order_bits."""
+    cell_of = decode(table, spec)
+    bits = [table.mask([c]) for c in spec_cells(spec)]
+    assert bits == sorted(bits) and sum(bits) == table.order_bits
     for p in table.placements:
         assert p.molecule == Molecule(p.shape, p.anchor)
         assert cells(p.mask, cell_of) == set(p.molecule.cells())
     assert table.within_bits == (table.all_bits if within is None else table.mask(within))
 
 
-def ref_table(order, shapes, keep):
+def ref_table(spec, shapes, keep):
     """The table as built with a `keep` callback on molecules, as cells.
 
-    Every translate of a shape covering an order cell is a candidate, each
-    order cell starting candidates, and `keep` filters the candidates after
-    they are built.  The rim of each molecule is counted afresh in a dict.
-    Returns the placements as (molecule, cells, touch1 cells, touch2
-    cells), by_pos as lists of placement indices per order cell, and the
-    neighbours of each order cell.
+    Every translate of a shape covering a cell of the spec is a candidate,
+    each cell in the spec's order starting candidates, and `keep` filters
+    the candidates after they are built.  The rim of each molecule is
+    counted afresh in a dict.  Returns the placements as (molecule, cells,
+    touch1 cells, touch2 cells), by_pos as lists of placement indices per
+    order cell, and the neighbours of each order cell.
     """
+    order = spec_cells(spec)
     shapes = tuple(dict.fromkeys(shapes))
     placements, seen = [], set()
     for cell in order:
@@ -186,13 +205,14 @@ def ref_table(order, shapes, keep):
     return placements, by_pos, [set(_neighbors(cell)) for cell in order]
 
 
-def assert_matches_ref_table(table, order, shapes, within, keep):
+def assert_matches_ref_table(table, spec, shapes, within, keep):
     """The table's placements, by_pos and in-grid neighbours, decoded into
     cells, are those of `ref_table`, and its placements hold their
     molecules."""
-    assert_placements_hold_their_molecules(table, order, within)
-    cell_of = decode(table, order)
-    placements, by_pos, neighbors = ref_table(order, shapes, keep)
+    assert_placements_hold_their_molecules(table, spec, within)
+    cell_of = decode(table, spec)
+    placements, by_pos, neighbors = ref_table(spec, shapes, keep)
+    order = spec_cells(spec)
     assert [
         (p.molecule, cells(p.mask, cell_of), cells(p.touch1, cell_of), cells(p.touch2, cell_of))
         for p in table.placements
@@ -214,27 +234,30 @@ USER_T = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), R_LIKE)
     "shapes", [(R, S), FLAT_PAIR, SKEW_PAIR, (USER_T, S)], ids=["RS", "flat", "skew", "user"]
 )
 def test_placement_masks_match_per_placement_rims(shapes):
-    # grid orders with columns stepping either way, and with lines along x
-    # (row-major, either way), as the solver's patched-in orders
-    down = [(c, r) for c in range(5, -6, -1) for r in range(-5, 6)]
-    up = [(c, r) for c in range(-5, 6) for r in range(-5, 6)]
-    lines = sorted(up, key=lambda cell: (cell[1], cell[0]))
-    back = sorted(up, key=lambda cell: (-cell[1], -cell[0]))
+    # grid specs with columns stepping either way, and with lines along x
+    # (row-major, either way), as the solver's patched-in orders, on the
+    # square [-5, 5]^2, and a grid of 11 lines of 7 cells
+    down = ((5, -5), (0, 1), (-1, 0), 11, 11)
+    up = ((-5, -5), (0, 1), (1, 0), 11, 11)
+    lines = ((-5, -5), (1, 0), (0, 1), 11, 11)
+    back = ((5, 5), (-1, 0), (0, -1), 11, 11)
+    rows = ((5, -3), (-1, 0), (0, 1), 11, 7)
     # a free zone: an inner square with holes, as the solver's
     free = {(c, r) for c in range(-4, 5) for r in range(-4, 5) if (3 * c + r) % 7}
-    for square in (down, up, lines, back):
+    for spec in (down, up, lines, back, rows):
+        square = spec_cells(spec)
         for within in (None, set(square[20:90]), free):
-            table = PlacementTable(square, shapes, within)
+            table = PlacementTable(spec, shapes, within)
             assert_matches_ref_table(
-                table, square, shapes, within,
+                table, spec, shapes, within,
                 lambda m: within is None or within.issuperset(m.cells()),
             )
             assert any(p.touch2 for p in table.placements)
-            # the free zone lies inside the grid, so only the grid is numbered
-            assert (table.order_bits == table.all_bits) == (within is free)
-        # with no `within`, placements overhang the square
+            # a free zone inside the grid: only the grid is numbered
+            assert (table.order_bits == table.all_bits) == (within is free and spec is not rows)
+        # with no `within`, placements overhang the grid
         assert not set(square).issuperset(
-            c for p in PlacementTable(square, shapes).placements for c in p.molecule.cells()
+            c for p in PlacementTable(spec, shapes).placements for c in p.molecule.cells()
         )
 
 
@@ -250,25 +273,25 @@ def _solver_problems():
 
 
 def test_solver_tables_match_the_keep_callback(monkeypatch):
-    # the solver's table over its free zone holds the placements that the
-    # callback on the inner square and the forced cells kept, in order; the
-    # free zone lies inside its grid, so the table numbers the grid alone
+    # the placements of the solver's grid over its free zone are those that
+    # the callback on the inner square and the forced cells kept, in order;
+    # the free zone lies inside its grid, so the grid is numbered alone
     built = []
 
-    def recording_table(order, shapes, within):
-        built.append((order, shapes, within, PlacementTable(order, shapes, within)))
+    def recording_grid(spec, shapes, within):
+        built.append((spec, shapes, within, PlacementTable(spec, shapes, within)))
         return built[-1][3]
 
-    monkeypatch.setattr(interfaces, "PlacementTable", recording_table)
+    monkeypatch.setattr(interfaces, "PlacementGrid", recording_grid)
     for scan in (interfaces._scan_order, row_major_order):
         monkeypatch.setattr(interfaces, "_scan_order", scan)
         for prob in _solver_problems():
             solve_interface(prob, budget=1)
-            order, shapes, within, table = built.pop()
-            assert table.order_bits == table.all_bits == (1 << len(order)) - 1, prob
+            spec, shapes, within, table = built.pop()
+            assert table.order_bits == table.all_bits == (1 << spec[3] * spec[4]) - 1, prob
             taken = frame_forced(prob).occupancy
             assert_matches_ref_table(
-                table, order, shapes, within,
+                table, spec, shapes, within,
                 lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
             )
 
@@ -301,6 +324,68 @@ def test_searches_build_molecules_for_their_results_only(monkeypatch):
     # the coverings share one molecule per placement
     assert sum(1 for _ in enumerate_coverings(4, (R, S))) == 288
     assert len(reads) == 176
+
+
+def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatch):
+    calls = []
+    enumerate_placements = PlacementGrid.enumerate_placements
+
+    def spy(grid):
+        calls.append(grid)
+        return enumerate_placements(grid)
+
+    monkeypatch.setattr(PlacementGrid, "enumerate_placements", spy)
+    # the frontier and the diagonal (i, 0) rows certify at the root
+    diagonals = [
+        InterfaceProblem(i, 0, direction(*nu), T)
+        for T in range(20, 33, 3)
+        for i in range(1, 9)
+        for nu in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    for prob in [FRONTIER, *diagonals]:
+        res = solve_interface(prob)
+        assert (res.certificate, res.nodes_explored, calls) == ("exact", 0, []), prob
+    # a table row enumerates once iff its root bound is below its value
+    searched = 0
+    for prob in _table_rows():
+        res = solve_interface(prob)
+        assert len(calls) == (res.root < res.value), prob
+        searched += len(calls)
+        calls.clear()
+    assert searched == 26
+
+
+def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
+    # the solver's price of the glued family on its masks, over the scale,
+    # is the lattice sweep of the validated glued configuration, and it is
+    # None exactly when validating that configuration raises OverlapError
+    seen = []
+    glued_cost = interfaces._glued_cost
+
+    def recording(table, glued, root, weights, area):
+        seen.append((glued, area // 4, glued_cost(table, glued, root, weights, area)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(interfaces, "_glued_cost", recording)
+    # and every ordered pair at (1, 3) at T=16, where some glued families
+    # overlap and some frames do
+    pairs = [InterfaceProblem(i, j, direction(1, 3), 16) for i, j in permutations(range(9), 2)]
+    overlaps = 0
+    for prob in [*_solver_problems(), *pairs]:
+        try:
+            solve_interface(prob, budget=1)
+        except InfeasibleBoundary:
+            continue
+        glued, scale, value = seen.pop()
+        try:
+            config = validate(glued)
+        except OverlapError:
+            assert value is None, prob
+            overlaps += 1
+            continue
+        assert value is not None, prob
+        assert F(value, scale) == interfaces._energy(config, prob, Window.square(prob.T)), prob
+    assert not seen and overlaps == 10
 
 
 def _placements_meeting_square(k, shapes):

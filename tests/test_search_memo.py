@@ -81,10 +81,7 @@ def ref_cluster(r, s):
     """(value, witness molecules) by growth with frozenset class keys."""
     total = r + s
     reach = 3 * total
-    table = PlacementTable(
-        [(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)],
-        (R, S),
-    )
+    table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
     seeds = {p.shape: p for p in table.placements if p.anchor == (0, 0)}
     best = None
     seen = set()
