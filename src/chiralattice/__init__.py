@@ -56,7 +56,6 @@ from .interfaces import (  # noqa: F401
     admissible,
     cluster_min_perimeter,
     direction,
-    meets_frame,
     normalized_density,
     oriented,
     pattern_upper_bound,

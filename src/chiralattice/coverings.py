@@ -5,27 +5,28 @@ whose union contains the open square Q_2k (side 2k, centered at the
 origin).  Molecules may overhang the square; any molecule meeting Q_2k
 lies inside Q_2k+6, which bounds the search space.
 
-The enumeration branches on the lexicographically first uncovered cell of
-the square and tries every placement covering it.  That canonical order
-makes the search exhaustive and duplicate-free: each covering is produced
-exactly once, as the sequence of its molecules sorted by the first target
-cell they cover.  Cells are encoded as bits of int masks by a shared
-placement table (`chiralattice.placements`).  `enumerate_coverings` walks
-this tree plainly and yields every covering.
+The search branches on the lexicographically first uncovered cell of the
+square and tries every placement covering it.  That canonical order makes
+it exhaustive and duplicate-free: each covering is produced exactly once,
+as the sequence of its molecules sorted by the first target cell they
+cover.  Cells are encoded as bits of int masks by a shared placement table
+(`chiralattice.placements`).  One walk of this tree serves both
+operations: `enumerate_coverings` reads every covering from it, and
+`lemma_check` the first mixed one.
 
-`lemma_check` walks the same tree memoised on its frontier.  Below a node
-whose first free order cell is i, only placements whose lowest order bit
-is >= i can be chosen, so the subtree depends only on the occupied cells
-in frontier[i] (every order cell plus the cells of those placements) and
-on the inner-phase state of the prefix: no molecule meeting the inner
-square yet, all of one phase (or shape), or mixed.  A mixed prefix is a
-state, not a verdict, since its subtree may still be a dead end.  The memo
-maps that key to the (nodes, coverings) of a subtree that was walked to
-the end without a violation, stored only once the walk has finished.  A
-hit adds those counts and skips the subtree, except when it would reach
-the cap, in which case the subtree is walked.  A violation is never
-inside a skipped subtree, so the node and covering counts, the first
-witness and the cap stop are exactly those of the plain walk.
+The walk is memoised on its frontier.  Below a node whose first free
+order cell is i, only placements whose lowest order bit is >= i can be
+chosen, so the subtree depends only on the occupied cells in frontier[i]
+(every order cell plus the cells of those placements) and on the
+inner-phase state of the prefix: no molecule meeting the inner square
+yet, all of one phase (or shape), or mixed.  A mixed prefix is a state,
+not a verdict, since its subtree may still be a dead end.  A subtree
+walked to the end that yielded nothing (a dead end for the enumeration,
+a subtree without a violation for `lemma_check`) is memoised under that
+key as its (nodes, coverings).  A hit adds those counts and skips the
+subtree, except when it would reach the cap, in which case the subtree
+is walked.  No yield is ever inside a skipped subtree, so the coverings,
+their order, the counts and the cap stop are those of the plain walk.
 
 For coverings of built-in molecules the interior single-phase property is
 checked through phase labels; for user shape sets, where no phase map
@@ -41,7 +42,7 @@ here are pure and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .molecules import (
     BUILTIN_SHAPES,
@@ -83,7 +84,8 @@ class SearchStats:
 
     nodes counts placements tried, coverings the complete coverings and
     placements the table size; states is the number of frontier states
-    that `lemma_check` memoised.
+    that the covering walk memoised, for both searches: `lemma_check`'s
+    report and the `CapExceeded` of `enumerate_coverings` carry them.
     """
 
     nodes: int = 0
@@ -150,36 +152,99 @@ def _frontiers(table: PlacementTable) -> list[int]:
     return reach
 
 
-def _iter_coverings(
-    table: PlacementTable, stats: SearchStats
-) -> Iterator[tuple[Placement, ...]]:
-    """Depth-first stream of all coverings of the order cells.
+def _check_input(
+    k: int, cap: int | None, shapes: Iterable[MoleculeShape]
+) -> tuple[MoleculeShape, ...]:
+    """The shapes of a covering search, each once, once k and cap are
+    checked.  User shapes are told apart by name, so two distinct shapes
+    may not share one; a shape passed twice is searched and named once."""
+    if k < 2:
+        raise InvalidInput("k must be at least 2")
+    if cap is not None and cap < 1:
+        raise InvalidInput("cap must be at least 1")
+    named: dict[str, MoleculeShape] = {}
+    for shape in shapes:
+        if named.setdefault(shape.name, shape) != shape:
+            raise InvalidInput(f"two distinct shapes are named {shape.name!r}")
+    return tuple(named.values())
 
-    Each level branches on the first uncovered order cell; overhanging
-    cells take part in the overlap test only.
-    """
-    targets = table.order_bits
+
+def _walk(
+    table: PlacementTable,
+    stats: SearchStats,
+    cap: int | None,
+    inner_key: Callable[[Molecule], int | str | None] | None = None,
+) -> Iterator[tuple[Placement, ...]]:
+    """The memoised covering DFS: every covering, or with inner_key only
+    the mixed ones, where two molecules have different keys other than
+    None.  It stops after the cap-th covering; stats holds its counts at
+    each yield and at the end."""
+    # inner-phase states: 0 before any molecule with a key is placed, c
+    # for "all such molecules have key code c", `mixed` for two keys
+    codes: dict[int | str, int] = {}
+    code = [0] * len(table.placements)
+    if inner_key is not None:
+        for p in table.placements:
+            label = inner_key(p.molecule)
+            if label is not None:
+                code[p.index] = codes.setdefault(label, len(codes) + 1)
+    mixed = len(codes) + 1
+    width = mixed.bit_length()
+    # the state of the coverings that are yielded
+    wanted = 0 if inner_key is None else mixed
+    frontier = _frontiers(table)
+    options = [[(p.mask, code[p.index], p) for p in ps] for ps in table.by_pos]
+    memo: dict[int, tuple[int, int]] = {}
+    n = table.n
+    # the cells that no covering needs: a node's first free order cell is
+    # the lowest clear bit of its occupied cells and these
+    blocked = table.all_bits & ~table.order_bits
+    nodes = coverings = yields = 0
     occupied = 0
     chosen: list[Placement] = []
-    stack = [iter(table.by_pos[(targets & -targets).bit_length() - 1])]
+    # frames: (options, phase state, memo key, and the nodes, coverings
+    # and yields on entry)
+    first = (blocked ^ (blocked + 1)).bit_length() - 1
+    stack = [(iter(options[first]), 0, 0, 0, 0, 0)]
     while stack:
-        for p in stack[-1]:
-            if p.mask & occupied:
+        frame = stack[-1]
+        phase = frame[1]
+        for mask, c, p in frame[0]:
+            if mask & occupied:
                 continue
-            stats.nodes += 1
-            occupied |= p.mask
+            nodes += 1
+            child = phase if c == 0 or c == phase else (c if phase == 0 else mixed)
+            occ = occupied | mask
+            done = occ | blocked
+            i = (done ^ (done + 1)).bit_length() - 1  # the first free order cell
+            if i >= n:
+                coverings += 1
+                if child == wanted:
+                    yields += 1
+                    stats.nodes, stats.coverings, stats.states = nodes, coverings, len(memo)
+                    yield (*chosen, p)
+                if cap is not None and coverings >= cap:
+                    stack.clear()  # the cap stop ends the walk
+                    break
+                continue
+            key = (occ & frontier[i]) << width | child
+            hit = memo.get(key)
+            # a hit that would reach the cap is walked, so the stop is exact
+            if hit is not None and (cap is None or coverings + hit[1] < cap):
+                nodes += hit[0]
+                coverings += hit[1]
+                continue
+            occupied = occ
             chosen.append(p)
-            free = targets & ~occupied
-            if free:
-                stack.append(iter(table.by_pos[(free & -free).bit_length() - 1]))
-                break
-            stats.coverings += 1
-            yield tuple(chosen)
-            occupied ^= chosen.pop().mask
+            stack.append((iter(options[i]), child, key, nodes, coverings, yields))
+            break
         else:
             stack.pop()
             if chosen:
+                if yields == frame[5]:
+                    memo[frame[2]] = (nodes - frame[3], coverings - frame[4])
                 occupied ^= chosen.pop().mask
+    stats.nodes, stats.coverings, stats.states = nodes, coverings, len(memo)
 
 
 # -------------------------------------------------------------------
@@ -196,19 +261,13 @@ def enumerate_coverings(
     Emits validated configurations; raises CapExceeded after `cap`
     coverings if the stream is truncated.  Exhaustive and duplicate-free.
     """
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
-    if cap is not None and cap < 1:
-        raise InvalidInput("cap must be at least 1")
-    table = _square_table(k, tuple(shapes))
+    table = _square_table(k, _check_input(k, cap, shapes))
     stats = SearchStats(placements=len(table.placements))
     molecules = [p.molecule for p in table.placements]  # shared by the coverings
-    for chosen in _iter_coverings(table, stats):
+    for chosen in _walk(table, stats, cap):
         yield validate(molecules[p.index] for p in chosen)
-        if cap is not None and stats.coverings >= cap:
-            raise CapExceeded(
-                f"covering cap {cap} reached before exhausting the search", stats
-            )
+    if cap is not None and stats.coverings >= cap:
+        raise CapExceeded(f"covering cap {cap} reached before exhausting the search", stats)
 
 
 def verify_interior_phase(
@@ -260,21 +319,13 @@ def lemma_check(
     here on the built-in pair it fails at k = 2 and 3 and holds at
     k = 4..9, each with 288 * 2**(k - 4) coverings.
     """
-    if k < 2:
-        raise InvalidInput("k must be at least 2")
+    if shapes is None:
+        shapes = (BUILTIN_SHAPES["R"], BUILTIN_SHAPES["S"])
+    shapes = _check_input(k, cap, shapes)
     if inner_margin not in (2, 4):
         raise InvalidInput("inner margin must be 2 or 4")
-    if cap is not None and cap < 1:
-        raise InvalidInput("cap must be at least 1")
-    shapes = tuple(shapes) if shapes is not None else (BUILTIN_SHAPES["R"], BUILTIN_SHAPES["S"])
     if not shapes:
         raise InvalidInput("lemma_check needs at least one shape")
-    # user shapes are told apart by name
-    named: dict[str, MoleculeShape] = {}
-    for shape in shapes:
-        if named.setdefault(shape.name, shape) != shape:
-            raise InvalidInput(f"two distinct shapes are named {shape.name!r}")
-    shapes = tuple(named.values())  # a shape passed twice is searched and named once
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
     table = _square_table(k, shapes)
     stats = SearchStats(placements=len(table.placements))
@@ -286,66 +337,12 @@ def lemma_check(
             return None
         return phase_label(mol) if builtin else mol.shape.name
 
-    # inner-phase states: 0 before any molecule meets the inner square,
-    # c for "all such molecules have key code c", `mixed` for two keys
-    codes: dict[int | str, int] = {}
-    code = []
-    for p in table.placements:
-        label = inner_key(p.molecule)
-        code.append(0 if label is None else codes.setdefault(label, len(codes) + 1))
-    mixed = len(codes) + 1
-    width = mixed.bit_length()
-    frontier = _frontiers(table)
-    options = [[(p.mask, code[p.index], p) for p in ps] for ps in table.by_pos]
-    memo: dict[int, tuple[int, int]] = {}
+    violation = next(_walk(table, stats, cap, inner_key), None)
+    if violation is not None:
+        holds, witness = False, validate(p.molecule for p in violation)
+    elif cap is not None and stats.coverings >= cap:
+        holds, witness = None, None  # the cap stopped the walk before a verdict
+    else:
+        holds, witness = True, None
     names = tuple(s.name for s in shapes)
-    n = table.n
-    # the cells that no covering needs: a node's first free order cell is
-    # the lowest clear bit of its occupied cells and these
-    blocked = table.all_bits & ~table.order_bits
-    nodes = coverings = 0
-
-    def report(holds: bool | None, witness: Configuration | None) -> LemmaReport:
-        stats.nodes, stats.coverings, stats.states = nodes, coverings, len(memo)
-        return LemmaReport(k, names, holds, witness, stats, holds is not None, inner_margin)
-
-    occupied = 0
-    chosen: list[Placement] = []
-    # frames: (options, phase state, memo key, nodes and coverings on entry)
-    first = (blocked ^ (blocked + 1)).bit_length() - 1
-    stack = [(iter(options[first]), 0, 0, 0, 0)]
-    while stack:
-        frame = stack[-1]
-        phase = frame[1]
-        for mask, c, p in frame[0]:
-            if mask & occupied:
-                continue
-            nodes += 1
-            child = phase if c == 0 or c == phase else (c if phase == 0 else mixed)
-            occ = occupied | mask
-            done = occ | blocked
-            i = (done ^ (done + 1)).bit_length() - 1  # the first free order cell
-            if i >= n:
-                coverings += 1
-                if child == mixed:
-                    return report(False, validate([q.molecule for q in chosen] + [p.molecule]))
-                if cap is not None and coverings >= cap:
-                    return report(None, None)
-                continue
-            key = (occ & frontier[i]) << width | child
-            hit = memo.get(key)
-            # a hit that would reach the cap is walked, so the stop is exact
-            if hit is not None and (cap is None or coverings + hit[1] < cap):
-                nodes += hit[0]
-                coverings += hit[1]
-                continue
-            occupied = occ
-            chosen.append(p)
-            stack.append((iter(options[i]), child, key, nodes, coverings))
-            break
-        else:
-            stack.pop()
-            if chosen:
-                memo[frame[2]] = (nodes - frame[3], coverings - frame[4])
-                occupied ^= chosen.pop().mask
-    return report(True, None)
+    return LemmaReport(k, names, holds, witness, stats, holds is not None, inner_margin)

@@ -289,7 +289,10 @@ def _free_cells(forced: Configuration, T: int) -> set[Cell]:
 
 
 def _frame_test(T: int) -> Callable[[Molecule], bool]:
-    """`meets_frame` at T, its cell ranges built once for every molecule."""
+    """The test at T of whether a molecule intersects the open frame collar
+    of Q_T, with its cell ranges built once for every molecule.  A molecule
+    does iff one of its cells meets Q_T outside the inner square, wherever
+    the molecule lies."""
     window, inner = _window_cells(T), _inner(T)
     def meets(m: Molecule) -> bool:
         for a, b in m.cells():
@@ -297,13 +300,6 @@ def _frame_test(T: int) -> Callable[[Molecule], bool]:
                 return True
         return False
     return meets
-
-
-def meets_frame(m: Molecule, T: int) -> bool:
-    """Does the molecule intersect the open frame collar of Q_T?  It does
-    iff one of its cells meets Q_T outside the inner square, wherever the
-    molecule lies."""
-    return _frame_test(T)(m)
 
 
 def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configuration:
@@ -924,6 +920,8 @@ def cluster_min_perimeter(
     of one cell union with equal counts, whose subtrees are identical, so
     growing the first alone keeps the first cluster of least perimeter in
     that order: its placements, whose molecules are built for the result.
+    The growth is depth first on an explicit stack of clusters, each with
+    the ranks it has still to try, so no recursion limit bounds the cap.
     """
     if r < 0 or s < 0 or r + s < 1:
         raise InvalidInput("need r + s >= 1 with nonnegative counts")
@@ -957,12 +955,19 @@ def cluster_min_perimeter(
 
     best: tuple[int, tuple[Placement, ...]] | None = None
     seen: set[int] = set()
-
-    def grow(placed: list[Placement], occ: int, cand: int, per: int, nr: int, ns: int):
-        nonlocal best
+    # frames: (placements, occupancy, ranks near the cluster, perimeter,
+    # R count, ranks still to try).  Fixing the first molecule at the
+    # origin removes translations; with mixed species both seeds are tried
+    # since the first molecule of an optimal cluster can be either kind,
+    # so the seeds are the candidates of the empty cluster.
+    seeds = sum(1 << rank for rank, p in enumerate(ranked) if p.anchor == (0, 0))
+    stack = [((), 0, 0, 0, 0, seeds)]
+    while stack:
+        placed, occ, cand, per, nr, rest = stack.pop()
         last = len(placed) + 1 == total
-        # candidate placements: those covering a cell adjacent to the cluster
-        rest = cand & ((of_shape[R] if nr < r else 0) | (of_shape[S] if ns < s else 0))
+        # candidate placements: those covering a cell adjacent to the
+        # cluster, of a species still short
+        rest &= (of_shape[R] if nr < r else 0) | (of_shape[S] if len(placed) - nr < s else 0)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -983,25 +988,11 @@ def cluster_min_perimeter(
             if key in seen:
                 continue
             seen.add(key)
-            grow(
-                placed + [p], grown, cand | near[rank], grown_per, grown_nr,
-                ns + (p.shape is S),
-            )
-
-    for shape, count in ((R, r), (S, s)):
-        # fixing the first molecule at the origin removes translations;
-        # with mixed species both seeds are tried since the first molecule
-        # of an optimal cluster can be either kind
-        if count == 0:
-            continue
-        rank = next(n for n, p in enumerate(ranked) if p.shape is shape and p.anchor == (0, 0))
-        if total == 1:
-            best = (_MOLECULE_EDGES, (ranked[rank],))
+            # depth first: this cluster's other candidates wait below the child
+            stack.append((placed, occ, cand, per, nr, rest))
+            grown_cand = cand | near[rank]
+            stack.append(((*placed, p), grown, grown_cand, grown_per, grown_nr, grown_cand))
             break
-        grow(
-            [ranked[rank]], ranked[rank].mask, near[rank], _MOLECULE_EDGES,
-            int(shape is R), int(shape is S),
-        )
 
     assert best is not None
     value, placed = best

@@ -1,5 +1,7 @@
 """Covering enumeration and the single-phase interior property."""
 
+import dataclasses
+
 import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
@@ -92,6 +94,16 @@ def test_striped_patterns_among_coverings():
 
 def test_empty_shape_set_gives_empty_stream():
     assert list(enumerate_coverings(2, [])) == []
+
+
+def test_two_shapes_with_one_name_rejected():
+    # a configuration names its molecules' shapes, so two distinct shapes
+    # named "R" would make it ambiguous; both searches refuse them
+    impostor = dataclasses.replace(S, name="R")
+    with pytest.raises(InvalidInput, match="two distinct shapes are named 'R'"):
+        next(enumerate_coverings(2, [R, impostor]))
+    with pytest.raises(InvalidInput, match="two distinct shapes are named 'R'"):
+        lemma_check(2, [R, impostor])
 
 
 def test_cap_exceeded():

@@ -40,13 +40,13 @@ from chiralattice.interfaces import (
     NoPattern,
     _family_members,
     _forced_part,
+    _frame_test,
     _free_cells,
     _mirror_molecule,
     _set_up,
     admissible,
     direction,
     frame_forced,
-    meets_frame,
     pattern_upper_bound,
     solve_interface,
 )
@@ -111,7 +111,7 @@ def ref_frame_forced(prob):
     members = [
         m
         for m in ref_family_members(prob.i, prob.j, prob.nu, search)
-        if meets_frame(m, prob.T)
+        if _frame_test(prob.T)(m)
     ]
     try:
         return validate(members)
@@ -125,7 +125,7 @@ def ref_frame_forced(prob):
 def ref_admissible(config, prob):
     forced = {(m.shape.name, m.anchor) for m in ref_frame_forced(prob).molecules}
     actual = {
-        (m.shape.name, m.anchor) for m in config.molecules if meets_frame(m, prob.T)
+        (m.shape.name, m.anchor) for m in config.molecules if _frame_test(prob.T)(m)
     }
     return actual == forced
 
@@ -135,7 +135,7 @@ def ref_glued_family_config(prob):
     relevant = [
         m
         for m in members
-        if meets_frame(m, prob.T)
+        if _frame_test(prob.T)(m)
         or all(inside_inner(c, prob.T) for c in m.cells())
     ]
     try:
@@ -238,7 +238,7 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
         prob = InterfaceProblem(i, j, direction(*pq), T)
         far = _family_members(i, j, prob.nu, Window.square(T + 8))
         try:
-            ref = _forced_part([m for m in far if meets_frame(m, T)], prob)
+            ref = _forced_part([m for m in far if _frame_test(T)(m)], prob)
         except InfeasibleBoundary as exc:
             with pytest.raises(InfeasibleBoundary) as raised:
                 frame_forced(prob)
@@ -248,7 +248,7 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
         _, forced, free, glued = _set_up(prob, Window.square(T))
         assert forced.molecules == ref.molecules, (i, j, pq)
         ref_free = _free_cells(ref, T)
-        ref_glued = [m for m in far if meets_frame(m, T) or ref_free.issuperset(m.cells())]
+        ref_glued = [m for m in far if _frame_test(T)(m) or ref_free.issuperset(m.cells())]
         assert _glued_or_error(glued) == _glued_or_error(ref_glued), (i, j, pq)
         feasible += 1
     assert feasible > 0 and infeasible > 0
@@ -362,7 +362,7 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
             infeasible += 1
             continue
         glued, value = seen.pop()
-        forced = validate(m for m in members if meets_frame(m, prob.T))
+        forced = validate(m for m in members if _frame_test(prob.T)(m))
         free = {
             (a, b) for a in range(-prob.T, prob.T) for b in range(-prob.T, prob.T)
             if inside_inner((a, b), prob.T) and (a, b) not in forced.occupancy

@@ -16,13 +16,13 @@ from chiralattice.interfaces import (
     cluster_min_perimeter,
     direction,
     frame_forced,
-    meets_frame,
     normalized_density,
     pattern_upper_bound,
     solve_interface,
 )
 from chiralattice.interfaces import (
     _family_members,
+    _frame_test,
     _mirror_molecule,
     _set_up,
     _wetting_chain,
@@ -189,12 +189,12 @@ def test_admissible():
     fam = boundary_family(1, 0, Direction(1, 1), Window.square(18))
     assert admissible(fam, prob)
     # dropping one frame molecule breaks admissibility
-    frame_mols = [m for m in fam.molecules if meets_frame(m, 12)]
+    frame_mols = [m for m in fam.molecules if _frame_test(12)(m)]
     partial = validate([m for m in fam.molecules if m is not frame_mols[0]])
     assert not admissible(partial, prob)
     # a third-phase molecule on the frame breaks admissibility
     bad = validate(list(fam.molecules) + [Molecule(S, (-2, -8))])
-    if any(meets_frame(m, 12) and phase_label(m) != 1 for m in bad.molecules):
+    if any(_frame_test(12)(m) and phase_label(m) != 1 for m in bad.molecules):
         assert not admissible(bad, prob)
     # interior extras leave admissibility untouched
     forced = frame_forced(prob)

@@ -1,11 +1,11 @@
 """Differential tests: the memoised searches against the plain ones.
 
-`lemma_check` memoises its covering DFS on the frontier state, and
-`cluster_min_perimeter` ranks candidates once and keys translation
-classes by their occupancy masks and R counts.  The plain forms that they
-replaced are kept below as the reference, each walk starting from the
-table's first order cell; verdicts, node and covering counts, cap stops
-and witnesses must be equal.
+`enumerate_coverings` and `lemma_check` read one covering DFS memoised on
+the frontier state, and `cluster_min_perimeter` ranks candidates once and
+keys translation classes by their occupancy masks and R counts.  The
+plain forms that they replaced are kept below as the reference, each walk
+starting from the table's first order cell; coverings, verdicts, node and
+covering counts, cap stops and witnesses must be equal.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
-from chiralattice.coverings import _square_table, lemma_check
+from chiralattice.coverings import (
+    CapExceeded, _square_table, enumerate_coverings, lemma_check,
+)
 from chiralattice.interfaces import cluster_min_perimeter
 from chiralattice.molecules import BUILTIN_SHAPES, R, S, phase_label, validate
 from chiralattice.placements import PlacementTable
@@ -75,6 +77,19 @@ def ref_lemma(k, shapes, cap, inner_margin):
         if cap is not None and stats["coverings"] >= cap:
             return result(None, None)
     return result(True, None)
+
+
+def ref_enumeration(k, shapes, cap):
+    """(coverings as (shape name, anchor) tuples, (nodes, coverings,
+    placements) at the cap stop or None when the stream ends first)."""
+    table = _square_table(k, shapes)
+    stats = {"nodes": 0, "coverings": 0}
+    out = []
+    for chosen in ref_coverings(table, stats):
+        out.append(tuple((p.shape.name, p.anchor) for p in chosen))
+        if cap is not None and stats["coverings"] >= cap:
+            return out, (stats["nodes"], stats["coverings"], len(table.placements))
+    return out, None
 
 
 def ref_cluster(r, s):
@@ -167,6 +182,38 @@ def test_lemma_equals_plain_dfs(k, margin, shapes):
             None if rep.witness is None else _molecules(rep.witness),
         )
         assert got == ref_lemma(k, SHAPE_SETS[shapes], cap, margin), cap
+
+
+def _enumeration(k, shapes, cap):
+    """`ref_enumeration`'s record of `enumerate_coverings`."""
+    out = []
+    try:
+        for config in enumerate_coverings(k, shapes, cap=cap):
+            out.append(tuple((m.shape.name, m.anchor) for m in config.molecules))
+    except CapExceeded as exc:
+        return out, (exc.stats.nodes, exc.stats.coverings, exc.stats.placements)
+    return out, None
+
+
+# coverings compared per case: the flat pair has 672,736 at k = 6 and the
+# skew pair 337,872 at k = 3, so longer streams are compared up to here
+ENUMERATION_LIMIT = 3000
+
+
+@pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
+@pytest.mark.parametrize("k", range(2, 7))
+def test_enumeration_equals_plain_dfs(k, shapes):
+    got = _enumeration(k, SHAPE_SETS[shapes], ENUMERATION_LIMIT)
+    assert got == ref_enumeration(k, SHAPE_SETS[shapes], ENUMERATION_LIMIT)
+    caps = [cap for cap in CAPS if cap is not None]
+    if got[1] is None:
+        # the whole stream was compared; a cap at its last covering stops
+        # the stream on the next read all the same
+        caps.append(len(got[0]))
+    for cap in caps:
+        assert _enumeration(k, SHAPE_SETS[shapes], cap) == ref_enumeration(
+            k, SHAPE_SETS[shapes], cap
+        ), cap
 
 
 @pytest.mark.parametrize(
