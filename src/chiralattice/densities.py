@@ -29,14 +29,13 @@ from typing import Iterable, Mapping
 
 from .gauges import (
     GaugePolygon,
+    IntDir,
     envelope_with_points,
     min_envelope,
     phi_closed_form,
 )
 from .interfaces import DensityRecord, oriented
 from .molecules import InvalidInput, R, S, phase_shape
-
-IntDir = tuple[int, int]
 
 # flush-meshing seam pairs along the anti-diagonals, `oriented`; phi-scale value 2
 MESHING_PAIRS: Mapping[tuple[int, int, IntDir], Fraction] = MappingProxyType({

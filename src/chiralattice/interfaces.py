@@ -49,17 +49,19 @@ one window Q_T: the family, read off the patterns' anchor columns
 (`pattern_columns`) with each column cut once by the reach inequality;
 the forced part, from one frame test per member; the free zone; and the
 glued family, the forced frame molecules plus the family molecules that
-lie in the free zone.  The glued family is the solver's second incumbent
-after the forced part alone, and a `pattern_upper_bound` candidate beside
-the wetting fill and the forced part alone, so a feasible problem always
-has a bound.  The family build covers Q_T and no more: the frame and the
-inner square both lie in Q_T, and every use of the family keeps only
-members that meet the frame or lie in the free zone, so a member missing
-Q_T is never used.  The solver sweeps the lattice once per problem, to
-price the forced part; it prices the glued family on its own bitboards as
-the leaf that places its free members (`_glued_cost`).  The pattern
-library prices every candidate through the lattice sweep, which is the
-independent check on those integer prices.
+lie in the free zone, with those free members also listed alone.  The
+glued family is the solver's second incumbent after the forced part
+alone, and a `pattern_upper_bound` candidate beside the wetting fill and
+the forced part alone, so a feasible problem always has a bound.  The
+family build covers Q_T and no more: the frame and the inner square both
+lie in Q_T, and every use of the family keeps only members that meet the
+frame or lie in the free zone, so a member missing Q_T is never used.
+The solver sweeps the lattice once per problem, to price the forced part;
+the rest it reads off its placement grid, and it prices the glued family
+as the leaf that places its free members (`_glued_cost`), counting edges
+by shifts of bitboards (`_edge_cost`).  The pattern library prices every
+candidate through the lattice sweep, which is the independent check on
+those integer prices.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -94,6 +96,7 @@ from .molecules import (
     Window,
     configuration_to_jsonable,
     decode_entry,
+    json_int,
     pattern_columns,
     phase_shape,
     validate,
@@ -134,6 +137,8 @@ class Direction:
     q: int
 
     def __post_init__(self):
+        json_int("direction component", self.p)
+        json_int("direction component", self.q)
         if self.p == 0 and self.q == 0:
             raise InvalidInput("direction cannot be zero")
         if math.gcd(abs(self.p), abs(self.q)) != 1:
@@ -155,7 +160,8 @@ class Direction:
 
 
 def direction(p: int, q: int) -> Direction:
-    g = math.gcd(abs(p), abs(q))
+    """The primitive direction of the integer vector (p, q)."""
+    g = math.gcd(json_int("direction component", p), json_int("direction component", q))
     if g == 0:
         raise InvalidInput("direction cannot be zero")
     return Direction(p // g, q // g)
@@ -184,17 +190,23 @@ class InterfaceProblem:
     energy_kind: str = SURFACE
 
     def __post_init__(self):
-        if not (0 <= self.i <= 8 and 0 <= self.j <= 8):
+        if not all(0 <= json_int("phase label", lab) <= 8 for lab in (self.i, self.j)):
             raise InvalidInput("phase labels must be in 0..8")
         if self.i == self.j:
             raise InvalidInput("interface problems need distinct phases")
-        if self.T < 8:
+        if json_int("T", self.T) < 8:
             raise InvalidInput("T must be at least 8 so the frame fits")
+        if not isinstance(self.nu, Direction):
+            raise InvalidInput(f"nu must be a Direction, not {self.nu!r}")
         if self.energy_kind not in (SURFACE, VOLUME):
             raise InvalidInput("energy_kind must be 'surface' or 'volume'")
-        object.__setattr__(
-            self, "weights", (Fraction(self.weights[0]), Fraction(self.weights[1]))
-        )
+        if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 2:
+            raise InvalidInput(f"weights must be a pair (c_R, c_S), not {self.weights!r}")
+        try:
+            weights = (Fraction(self.weights[0]), Fraction(self.weights[1]))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise InvalidInput(f"invalid weights {self.weights!r}: {exc}") from exc
+        object.__setattr__(self, "weights", weights)
         if self.weights[0] <= 0 or self.weights[1] <= 0:
             raise InvalidInput("weights must be positive")
 
@@ -315,10 +327,10 @@ def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configura
 
 def _set_up(
     prob: InterfaceProblem, window: Window
-) -> tuple[list[Molecule], Configuration, set[Cell], list[Molecule]]:
-    """(family, forced part, free zone, glued family): the set-up that the
-    solver and the pattern library share, from one family build on the
-    window Q_T, with one frame test per member.
+) -> tuple[list[Molecule], Configuration, set[Cell], list[Molecule], list[Molecule]]:
+    """(family, forced part, free zone, glued family, its free members):
+    the set-up that the solver and the pattern library share, from one
+    family build on the window Q_T, with one frame test per member.
 
     Every consumer keeps only family members that meet the frame, which
     lies in Q_T, or that lie inside the inner square, which lies in Q_T
@@ -337,15 +349,17 @@ def _set_up(
     solver, so it is both the solver's glued incumbent and a
     `pattern_upper_bound` candidate.  The forced part is validated and no
     interior member touches it, so the glued family overlaps exactly when
-    two interior members do.
+    two interior members do.  The interior members, those that miss the
+    frame, are returned apart in family order for the solver to price.
     """
     T = prob.T
     members = _family_members(prob.i, prob.j, prob.nu, window)
     framed = list(map(_frame_test(T), members))
     forced = _forced_part(itertools.compress(members, framed), prob)
     free = _free_cells(forced, T)
-    glued = [m for m, f in zip(members, framed) if f or free.issuperset(m.cells())]
-    return members, forced, free, glued
+    inside = [not f and free.issuperset(m.cells()) for m, f in zip(members, framed)]
+    glued = [m for m, f, g in zip(members, framed, inside) if f or g]
+    return members, forced, free, glued, list(itertools.compress(members, inside))
 
 
 def frame_forced(prob: InterfaceProblem) -> Configuration:
@@ -449,17 +463,18 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     one family build from the patterns' anchor columns, one frame test per
     member, and one lattice sweep, for the forced part.  The placement
     grid numbers the scan order's grid spec and walks the free zone once;
-    the search reads its bits off the grid.  The incumbents are the forced
-    part alone and the glued family, priced on the bitboards as the leaf
-    that places its free members (`_glued_cost`).  The free placements are
-    enumerated only when the root bound is below the incumbent, and
-    molecules are built once, for the configuration returned.
+    the root's occupancy is its mask of the forced cells, and its cost
+    `base` less the forced edges facing free cells (`_edge_cost`).  The
+    incumbents are the forced part alone and the glued family, priced on
+    the bitboards as the leaf that places its free members (`_glued_cost`).
+    The free placements are enumerated only when the root bound is below
+    the incumbent, and molecules are built once, for the result.
     """
     if budget < 1:
         raise InvalidInput("budget must be at least 1")
     T = prob.T
     window = Window.square(T)
-    _, forced, free, glued = _set_up(prob, window)
+    _, forced, free, glued, interior = _set_up(prob, window)
     volume = prob.energy_kind == VOLUME
 
     # The grid numbers the inner square plus its one-cell ring line by
@@ -491,19 +506,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # and the order cells occupied by R-like and S-like molecules; order
     # cell k has bit k.  Occupancy is only ever read on order cells: the
     # neighbours of free cells, the rims of free molecules and the lines.
-    occ_R0 = occ_S0 = k = 0
-    (x0, y0), (ax, ay), (cx, cy), width, lines = spec
-    owners = forced.occupancy
-    for c in range(lines):
-        x, y = x0 + c * cx, y0 + c * cy
-        for _ in range(width):
-            owner = owners.get((x, y))
-            if owner is not None:
-                if forced.molecules[owner].shape.chirality_class == R_LIKE:
-                    occ_R0 |= 1 << k
-                else:
-                    occ_S0 |= 1 << k
-            x, y, k = x + ax, y + ay, k + 1
+    # The grid numbers the forced molecules' cells; those off it are skipped.
+    cells_R, cells_S = [], []
+    for m in forced.molecules:
+        (cells_R if m.shape.chirality_class == R_LIKE else cells_S).extend(m.cells())
+    occ_R0, occ_S0 = table.mask(cells_R), table.mask(cells_S)
     decided0 = table.all_bits & ~free_bits
 
     # COST: for surface energies, the weighted length of the boundary
@@ -512,15 +519,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # not decided yet.  For volume energies it is the deficit itself.
     cost0 = scaled(base)
     if not volume:
-        for i, nbrs in enumerate(table.neighbors):
-            if free_bits >> i & 1:
-                cost0 -= w_R * (nbrs & occ_R0).bit_count() + w_S * (nbrs & occ_S0).bit_count()
+        cost0 -= _edge_cost(table, free_bits, occ_R0, occ_S0, (w_R, w_S))
     root = (decided0, occ_R0, occ_S0, cost0)
 
     # LINE: each line starts and ends on a ring cell, which is always
     # decided, so no run of undecided cells crosses into the next line.  A
     # run is at most width - 2 long, so the doubling shifts of the
     # cross-line fill carry each run's first decided end across it.
+    width = spec[3]
     order_bits = table.order_bits
     shifts = [width << k for k in range((width - 2).bit_length())]
 
@@ -550,7 +556,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # incumbents: the forced part alone, the glued family, then the forced
     # part and placements of a leaf, whose molecules are built for the result
     best_val, best_cfg, best_placed = scaled(base), forced.molecules, []
-    value = _glued_cost(table, glued, root, None if volume else (w_R, w_S), molecule_area)
+    value = _glued_cost(table, interior, root, None if volume else (w_R, w_S), molecule_area)
     if value is not None and value < best_val:
         best_val, best_cfg = value, glued
 
@@ -633,55 +639,55 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
 def _glued_cost(
     table: PlacementGrid,
-    glued: list[Molecule],
+    interior: list[Molecule],
     root: tuple[int, int, int, int],
     weights: tuple[int, int] | None,
     area: int,
 ) -> int | None:
     """The solver's cost at the leaf that places the glued family's free
-    members, in its integer units, or None when two of them overlap.
+    members `interior` (as `_set_up` gives them), in its integer units, or
+    None when two of them overlap.
 
     `root` is the search's root state (decided, occ_R, occ_S, cost), which
-    holds the forced part; a member is free when all its cells are free
-    bits of the grid.  For volume energies (weights None) each free member
+    holds the forced part.  For volume energies (weights None) each member
     lowers the cost by `area`.  For surface energies, with weights (w_R,
-    w_S), the leaf adds to the root cost, for each free cell, the weights
-    of its occupied neighbours if it is left empty, and otherwise its
-    molecule's weight per neighbour that is a decided empty cell outside
-    the free zone: these are the boundary edges that meet a free cell,
-    each once, as the search counts them.
+    w_S), the leaf adds to the root cost the boundary edges that meet a
+    free cell, each once, as the search counts them: those between a free
+    cell left empty and an occupied cell, and those between a placed
+    member and a decided empty cell outside the free zone.
     """
     decided, occ_R, occ_S, cost = root
-    free = table.within_bits
-    placed_R = placed_S = count = 0
-    for m in glued:
+    placed_R = placed_S = 0
+    for m in interior:
         bits = table.mask(m.cells())
-        if bits & ~free or bits.bit_count() < len(m.shape.cells):
-            continue  # a forced member: not all its cells are free bits
         if bits & (placed_R | placed_S):
             return None
-        count += 1
         if m.shape.chirality_class == R_LIKE:
             placed_R |= bits
         else:
             placed_S |= bits
     if weights is None:
-        return cost - area * count
-    w_R, w_S = weights
+        return cost - area * len(interior)
     outside = decided & ~(occ_R | occ_S)  # decided empty cells
-    occ_R |= placed_R
-    occ_S |= placed_S
-    while free:
-        low = free & -free
-        free ^= low
-        nbrs = table.neighbors[low.bit_length() - 1]
-        if low & placed_R:
-            cost += w_R * (nbrs & outside).bit_count()
-        elif low & placed_S:
-            cost += w_S * (nbrs & outside).bit_count()
-        else:
-            cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-    return cost
+    empty = table.within_bits & ~(placed_R | placed_S)
+    return (
+        cost + _edge_cost(table, empty, occ_R | placed_R, occ_S | placed_S, weights)
+        + _edge_cost(table, outside, placed_R, placed_S, weights)
+    )
+
+
+def _edge_cost(
+    table: PlacementGrid, cells: int, occ_R: int, occ_S: int, weights: tuple[int, int]
+) -> int:
+    """w_R times the edges between `cells` and occ_R plus w_S times those
+    between `cells` and occ_S, by shifts of +-1 along a line and +- the
+    line length across lines.  Exact when one of the two sets misses the
+    grid's border, as the free zone does: no shift then leaves its line."""
+    h = table.height
+    return sum(
+        w * sum((cells & occ << s).bit_count() + (cells & occ >> s).bit_count() for s in (1, h))
+        for w, occ in zip(weights, (occ_R, occ_S))
+    )
 
 
 def normalized_density(prob: InterfaceProblem, result: SolveResult | DensityRecord) -> Fraction:
@@ -879,7 +885,7 @@ def pattern_upper_bound(
     prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
     # one family build serves every candidate and the admissibility check
     window = Window.square(T)
-    members, forced, free, glued = _set_up(prob, window)
+    members, forced, free, glued, _ = _set_up(prob, window)
     candidates: list[Configuration] = []
     try:
         candidates.append(validate(glued))

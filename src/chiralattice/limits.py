@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
-from .gauges import GaugePolygon, phi_closed_form
+from .gauges import GaugePolygon, IntDir, phi_closed_form
 from .interfaces import oriented
 from .molecules import InvalidInput, decode_entry, decode_regions, json_rational
 from .polygeom import (
@@ -32,8 +32,6 @@ from .polygeom import (
     predicate_area,
     shoelace,
 )
-
-IntDir = tuple[int, int]
 
 
 class InvalidPartition(InvalidInput):

@@ -80,10 +80,11 @@ class Placement(NamedTuple):
 class PlacementGrid:
     """The numbering of a spec's padded grid, without its placements.
 
-    The padded grid's cells have bits 0..n-1; order_bits marks the spec's
-    cells, within_bits the cells of `within` (all_bits when it is None),
-    and neighbors[i] is the mask of the neighbours of cell i in the padded
-    grid.  `enumerate_placements` builds the placements on request.
+    The padded grid's cells have bits 0..n-1, `height` to a line; order_bits
+    marks the spec's cells, within_bits the cells of `within` (all_bits when
+    it is None), and neighbors[i] is the mask of the neighbours of cell i in
+    the padded grid: bits i +- 1 in its line and i +- height.
+    `enumerate_placements` builds the placements on request.
     """
 
     def __init__(
@@ -113,7 +114,7 @@ class PlacementGrid:
             max(c[a] for c in s.cells) - min(c[a] for c in s.cells)
             for s in shapes for a in (0, 1)
         ), default=0)
-        self._height = height = h + 2 * margin
+        self.height = height = h + 2 * margin
         self._width = width = w + 2 * margin
         self.n = width * height
         self.all_bits = all_bits = (1 << self.n) - 1
@@ -132,7 +133,7 @@ class PlacementGrid:
     def mask(self, cells: Iterable[Cell]) -> int:
         """Bits of the given cells; cells off the padded grid are skipped."""
         (x0, y0), (ax, ay), (cx, cy), _, _ = self._spec
-        m, height, width = self._margin, self._height, self._width
+        m, height, width = self._margin, self.height, self._width
         bits = 0
         for x, y in cells:
             x -= x0
@@ -147,7 +148,7 @@ class PlacementGrid:
         order cell and lying in `within`, and the lists of those covering
         each cell, as `PlacementTable` describes them."""
         (x0, y0), (ax, ay), (cx, cy), _, _ = self._spec
-        margin, height, order_bits = self._margin, self._height, self.order_bits
+        margin, height, order_bits = self._margin, self.height, self.order_bits
         free = self.within_bits
         # a placement's cells below its first order cell are free cells
         # outside the order

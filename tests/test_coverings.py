@@ -1,9 +1,12 @@
 """Covering enumeration and the single-phase interior property."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
+from chiralattice import coverings
 from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
 from chiralattice.coverings import (
     CapExceeded,
@@ -156,6 +159,88 @@ def test_verify_interior_phase_unlabeled():
     cfg = validate(mols)
     with pytest.raises((UnlabeledShape, NotCovered)):
         verify_interior_phase(cfg, (0, 0), 3)
+
+
+def ref_verify_interior_phase(config, center, k):
+    """The scan that `verify_interior_phase` replaced: after the same cover
+    check, every molecule of the configuration is tested against the inner
+    window, in the configuration's order."""
+    if k < 3:
+        raise InvalidInput("k must be at least 3 so the inner square is nonempty")
+    cx, cy = center
+    occ = config.occupancy
+    for c in range(cx - k, cx + k):
+        for r in range(cy - k, cy + k):
+            if (c, r) not in occ:
+                raise NotCovered(f"cell {(c, r)} of Q_{2 * k}({center}) is empty")
+    inner = Window.square(2 * k - 4, center)
+    found = {}
+    for m in config.molecules:
+        if not any(inner.contains_cell(c) for c in m.cells()):
+            continue
+        lab = coverings.phase_label(m)
+        if lab not in found:
+            found[lab] = m
+            if len(found) > 1:
+                a, b = list(found.values())[:2]
+                return MixedPhases(a, b)
+    if not found:
+        raise NotCovered("no labeled molecule meets the inner square")
+    return next(iter(found))
+
+
+def _same_verdict(config, centers, ks):
+    """Both scans give the same label, MixedPhases pair or error; returns
+    the verdicts' kinds."""
+    kinds = set()
+    for center in centers:
+        for k in ks:
+            outs = []
+            for verify in (verify_interior_phase, ref_verify_interior_phase):
+                try:
+                    outs.append(verify(config, center, k))
+                except (NotCovered, UnlabeledShape) as exc:
+                    outs.append((type(exc), str(exc)))
+            assert outs[0] == outs[1], (center, k)
+            kinds.add(outs[0][0] if isinstance(outs[0], tuple) else type(outs[0]))
+    return kinds
+
+
+def test_verify_interior_phase_reads_the_owners_like_the_full_scan(monkeypatch):
+    rng = random.Random(11)
+    near = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    # the lemma's k = 4 coverings, and k = 3 squares inside them
+    for cfg in enumerate_coverings(4, [R, S]):
+        assert _same_verdict(cfg, [(0, 0)], [4]) == {int}
+        assert _same_verdict(cfg, near, [3]) == {int}
+    # a two-phase seam, uncovered along x = 0, read across it
+    half = Window.square(40)
+    left = [m for m in phase_pattern(1, half) if all(c[0] < 0 for c in m.cells())]
+    right = [m for m in phase_pattern(5, half) if all(c[0] >= 1 for c in m.cells())]
+    seam = validate(left + right)
+    centers = [(x, y) for x in range(-14, 15, 2) for y in (-3, 0, 5)]
+    assert _same_verdict(seam, centers, [3, 4, 6]) == {int, NotCovered}
+    # flat-pair fills of Q_6, alone and mixed with R and S molecules, in a
+    # shuffled order: each scan names the first unlabeled molecule
+    for shapes in (FLAT_PAIR, (*FLAT_PAIR, R, S)):
+        for cfg in itertools.islice(enumerate_coverings(3, shapes), 0, 4000, 20):
+            mols = list(cfg.molecules)
+            rng.shuffle(mols)
+            assert _same_verdict(validate(mols), [(0, 0)], [3]) == {UnlabeledShape}
+    # a phase pattern over Q_64 with molecules far outside it, before and
+    # after the pattern in the configuration's order
+    far = [Molecule(R, (400 + 4 * t, 400)) for t in range(20)]
+    pattern = list(phase_pattern(3, Window.square(64)))
+    cfg = validate(far[:10] + pattern + far[10:])
+    centers = [(x, y) for x in range(-24, 25, 6) for y in range(-24, 25, 8)]
+    assert _same_verdict(cfg, centers, [3, 5, 8, 12]) == {int, NotCovered}
+    # labels that split the pattern at x = 0 (a mixed seam the lemma rules
+    # out for the real phases): the same MixedPhases pair, in a shuffled order
+    monkeypatch.setattr(coverings, "phase_label", lambda m: 1 + (m.anchor[0] >= 0))
+    rng.shuffle(pattern)
+    cfg = validate(pattern)
+    centers = [(x, y) for x in range(-10, 11, 2) for y in (-4, 0, 4)]
+    assert _same_verdict(cfg, centers, [3, 4, 6]) == {int, MixedPhases}
 
 
 def test_mixed_phases_detection_unit():

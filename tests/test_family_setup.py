@@ -11,7 +11,7 @@ the same parts on the Q_{T+8} family, which every member they keep also
 meets.  The solver prices its glued incumbent on its own bitboards
 (`_glued_cost`); the validated glued configuration priced by the lattice
 sweep (`ref_glued_part`, then `ref_energy`) is the reference for its
-value, its overlap verdict and its molecule order.
+value, its overlap verdict and the order of the free members it prices.
 
 `pattern_upper_bound` builds the boundary family once and derives the
 glued configuration, the wetting patches and the admissibility check from
@@ -245,11 +245,12 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
-        _, forced, free, glued = _set_up(prob, Window.square(T))
+        _, forced, free, glued, interior = _set_up(prob, Window.square(T))
         assert forced.molecules == ref.molecules, (i, j, pq)
         ref_free = _free_cells(ref, T)
         ref_glued = [m for m in far if _frame_test(T)(m) or ref_free.issuperset(m.cells())]
         assert _glued_or_error(glued) == _glued_or_error(ref_glued), (i, j, pq)
+        assert interior == [m for m in ref_glued if not _frame_test(T)(m)], (i, j, pq)
         feasible += 1
     assert feasible > 0 and infeasible > 0
 
@@ -343,12 +344,13 @@ def _glued_rows():
 def test_glued_incumbent_matches_the_reference(monkeypatch):
     # the family equals the phase-pattern filter, and the bitboard price of
     # the glued family equals the lattice sweep of the validated glued
-    # configuration, with the same overlap verdict and molecule order
+    # configuration, with the same overlap verdict; the solver's free
+    # members are the reference's members off the frame, in its order
     seen = []
     priced = interfaces._glued_cost
 
-    def recording(table, glued, root, weights, area):
-        seen.append((list(glued), priced(table, glued, root, weights, area)))
+    def recording(table, interior, root, weights, area):
+        seen.append((list(interior), priced(table, interior, root, weights, area)))
         return seen[-1][1]
 
     monkeypatch.setattr(interfaces, "_glued_cost", recording)
@@ -361,8 +363,9 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
         except InfeasibleBoundary:
             infeasible += 1
             continue
-        glued, value = seen.pop()
+        interior, value = seen.pop()
         forced = validate(m for m in members if _frame_test(prob.T)(m))
+        assert forced == frame_forced(prob), prob
         free = {
             (a, b) for a in range(-prob.T, prob.T) for b in range(-prob.T, prob.T)
             if inside_inner((a, b), prob.T) and (a, b) not in forced.occupancy
@@ -376,7 +379,7 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
         base = ref_energy(forced, prob)
         c_R, c_S = prob.weights
         scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
-        assert glued == list(ref.molecules), prob
+        assert interior == [m for m in ref.molecules if m not in forced.molecules], prob
         assert F(value, scale) == ref_energy(ref, prob), prob
         rows += 1
     assert not seen

@@ -24,7 +24,7 @@ from chiralattice import (
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
-from chiralattice.interfaces import DensityRecord
+from chiralattice.interfaces import DensityRecord, Direction
 from chiralattice.molecules import configuration_entries
 from chiralattice.rectregions import regions_from_jsonable
 
@@ -50,6 +50,19 @@ def test_input_errors_are_invalid_input(error):
         # renamed alike, the flat pair would read as one shape and pass
         (lambda: lemma_check(4, [replace(s, name="X") for s in FLAT_PAIR]),
          "two distinct shapes are named 'X'"),
+        # weights are a pair: a short tuple, a string and a long tuple
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1,)), "weights must be a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, "11"), "weights must be a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1, 1, 1)), "weights must be a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (None, 1)), "invalid weights"),
+        # labels, T and direction components are ints: no float, no bool
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8.0), "invalid T 8.0: expected an integer"),
+        (lambda: InterfaceProblem(1.0, 0, direction(1, 1), 8), "invalid phase label 1.0"),
+        (lambda: InterfaceProblem(1, True, direction(1, 1), 8), "invalid phase label True"),
+        (lambda: direction(1.5, 1), "invalid direction component 1.5"),
+        (lambda: Direction(1, 0.5), "invalid direction component 0.5"),
+        (lambda: Direction(True, 0), "invalid direction component True"),
+        (lambda: InterfaceProblem(1, 0, (1, 1), 8), "nu must be a Direction"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -72,7 +72,7 @@ def glued_family_config(prob: InterfaceProblem):
 def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
-    members, forced, free, _ = _set_up(prob, Window.square(prob.T))
+    members, forced, free, _, _ = _set_up(prob, Window.square(prob.T))
     return _wetting_fill(chain, members, forced, free)
 
 

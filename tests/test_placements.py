@@ -21,6 +21,7 @@ solver itself with the row-major order patched in.  The solver's own
 trees, in its own order, are pinned separately.
 """
 
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -296,6 +297,48 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
             )
 
 
+def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
+    # the solver's four-shift edge count equals the per-cell sum over the
+    # grid's neighbour masks, on every solver grid, for random subsets of its
+    # free zone against random cell sets of the whole grid, either way round
+    grids = []
+
+    def recording_grid(spec, shapes, within):
+        grids.append(PlacementGrid(spec, shapes, within))
+        return grids[-1]
+
+    monkeypatch.setattr(interfaces, "PlacementGrid", recording_grid)
+    for prob in _solver_problems():
+        solve_interface(prob, budget=1)
+
+    def per_cell(table, cells, occ_R, occ_S, weights):
+        w_R, w_S = weights
+        return sum(
+            w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
+            for i, nbrs in enumerate(table.neighbors) if cells >> i & 1
+        )
+
+    rng = random.Random(7)
+    for table in grids:
+        free, n = table.within_bits, table.n
+        cases = [(free, table.all_bits & ~free, table.all_bits & ~free)]
+        cases += [
+            (free & rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)) for _ in range(20)
+        ]
+        for cells, occ_R, occ_S in cases:
+            weights = rng.randint(1, 9), rng.randint(1, 9)
+            got = interfaces._edge_cost(table, cells, occ_R, occ_S, weights)
+            assert got == per_cell(table, cells, occ_R, occ_S, weights)
+            # the free cells as the weighted side, the other set anywhere
+            sub_R = cells & rng.getrandbits(n)
+            sub_S = cells & ~sub_R
+            got = interfaces._edge_cost(table, occ_R, sub_R, sub_S, weights)
+            assert got == per_cell(table, sub_R, occ_R, 0, weights) + per_cell(
+                table, sub_S, 0, occ_R, weights
+            )
+    assert len(grids) == len(list(_solver_problems()))
+
+
 def test_searches_build_molecules_for_their_results_only(monkeypatch):
     # placements hold masks, shapes and anchors; a search builds molecules
     # for the configuration it returns, each once
@@ -357,13 +400,14 @@ def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatc
 
 def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
     # the solver's price of the glued family on its masks, over the scale,
-    # is the lattice sweep of the validated glued configuration, and it is
-    # None exactly when validating that configuration raises OverlapError
+    # is the lattice sweep of the validated glued configuration (the forced
+    # part and the glued family's free members), and it is None exactly when
+    # validating that configuration raises OverlapError
     seen = []
     glued_cost = interfaces._glued_cost
 
-    def recording(table, glued, root, weights, area):
-        seen.append((glued, area // 4, glued_cost(table, glued, root, weights, area)))
+    def recording(table, interior, root, weights, area):
+        seen.append((interior, area // 4, glued_cost(table, interior, root, weights, area)))
         return seen[-1][2]
 
     monkeypatch.setattr(interfaces, "_glued_cost", recording)
@@ -376,9 +420,9 @@ def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
             solve_interface(prob, budget=1)
         except InfeasibleBoundary:
             continue
-        glued, scale, value = seen.pop()
+        interior, scale, value = seen.pop()
         try:
-            config = validate(glued)
+            config = validate([*frame_forced(prob).molecules, *interior])
         except OverlapError:
             assert value is None, prob
             overlaps += 1
