@@ -52,6 +52,7 @@ from .molecules import (
     MoleculeShape,
     Window,
     configuration_to_jsonable,
+    json_int,
     phase_label,
     validate,
 )
@@ -158,9 +159,9 @@ def _check_input(
     """The shapes of a covering search, each once, once k and cap are
     checked.  User shapes are told apart by name, so two distinct shapes
     may not share one; a shape passed twice is searched and named once."""
-    if k < 2:
+    if json_int("k", k) < 2:
         raise InvalidInput("k must be at least 2")
-    if cap is not None and cap < 1:
+    if cap is not None and json_int("cap", cap) < 1:
         raise InvalidInput("cap must be at least 1")
     named: dict[str, MoleculeShape] = {}
     for shape in shapes:

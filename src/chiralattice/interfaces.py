@@ -14,54 +14,50 @@ phase, or none, may appear.
 Because every molecule that is allowed to vary must avoid the width-4
 frame, free molecules live in the concentric inner square of side T - 8
 (`_inner`), and they miss the forced frame molecules that reach into it.
-So the free zone of a problem is one cell set, the inner square's cells
-that the forced part leaves empty (`_free_cells`), and a molecule is free
-iff its cells all lie in it.  It is computed once per problem; the
-solver's placement table, the glued pattern and the wetting fill all read
-it.  The search over that region is an exhaustive branch and bound in scan
+So the free zone of a problem is the inner square's cells that the forced
+part leaves empty, and a molecule is free iff its cells all lie in it.
+The search over that region is an exhaustive branch and bound in scan
 order.  Each node carries one cost: the deficit for volume energies, and
 for surface energies the weighted length of the boundary edges whose two
 cells are both decided.  The edges that miss every free cell are priced
 once, clipped to Q_T, in the forced part's energy; an edge that meets a
 free cell lies wholly inside Q_T and is counted when its second cell is
-decided.  So at a leaf, where every free cell is decided, the cost is the
-configuration's energy, and no separate energy is tracked.  The scan
+decided.  So at a leaf the cost is the configuration's energy.  The scan
 order takes the inner square column by column, each bottom to top,
 sweeping right to left unless p q < 0; for the diagonals the sweep starts
 at the bottom corner that the seam line x . nu = 0 passes through, so the
 seam is decided while few cells are, and a problem and its mirror
-(j, i, -nu) are the same search.  Its lower bound for surface energies is the cost plus a
-line-transition bound: in each row and column of the inner square and
-its always-decided ring, every run of undecided cells between decided
-cells of unlike occupancy must hold a boundary edge that is not
-determined yet, and no edge lies in two lines, so each such run adds at
-least min(c_R, c_S).  The bound is admissible, so exhaustive
-results do not depend on it.  Cells are encoded as bits of int masks by
-a shared placement grid (`chiralattice.placements`) over the inner
-square and its ring, numbered line by line from the scan order's spec;
-given the free zone, its placements are the free molecules only: the
-line bound shifts the search's own masks along and across lines.
-The search counts its cost in integer units of 1/scale, so all energies
-stay exact rationals.
+(j, i, -nu) are the same search.  Its lower bound for surface energies is
+the cost plus a line-transition bound: in each row and column of the
+inner square and its always-decided ring, every run of undecided cells
+between decided cells of unlike occupancy must hold a boundary edge that
+is not determined yet, and no edge lies in two lines, so each such run
+adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
+results do not depend on it.  The search's cells are bits of int masks
+of a placement grid (`chiralattice.placements`) over the inner square
+and its ring, whose placements are the free molecules only; the line
+bound shifts those masks along and across lines.  Costs are integers in
+units of 1/scale, so all energies stay exact rationals.
 
-The solver and the pattern library share one set-up (`_set_up`), built on
-one window Q_T: the family, read off the patterns' anchor columns
-(`pattern_columns`) with each column cut once by the reach inequality;
-the forced part, from one frame test per member; the free zone; and the
-glued family, the forced frame molecules plus the family molecules that
-lie in the free zone, with those free members also listed alone.  The
-glued family is the solver's second incumbent after the forced part
-alone, and a `pattern_upper_bound` candidate beside the wetting fill and
-the forced part alone, so a feasible problem always has a bound.  The
-family build covers Q_T and no more: the frame and the inner square both
-lie in Q_T, and every use of the family keeps only members that meet the
-frame or lie in the free zone, so a member missing Q_T is never used.
-The solver sweeps the lattice once per problem, to price the forced part;
-the rest it reads off its placement grid, and it prices the glued family
-as the leaf that places its free members (`_glued_cost`), counting edges
-by shifts of bitboards (`_edge_cost`).  The pattern library prices every
-candidate through the lattice sweep, which is the independent check on
-those integer prices.
+The solver and the pattern library share one set-up (`_set_up`) on one
+window Q_T and one grid numbering Q_T in the scan order's orientation:
+the family, read off the patterns' anchor columns (`pattern_columns`)
+with each column cut once by the reach inequality, each member a mask;
+the forced part, the members whose masks meet the frame; the free zone,
+as a mask; and the glued family, the forced part plus the members lying
+in the free zone, with those free members also listed alone.  The glued
+family is the solver's second incumbent after the forced part alone, and
+a `pattern_upper_bound` candidate beside the wetting fill and the forced
+part alone, so a feasible problem always has a bound.  Every use of the
+family keeps only members that meet the frame or lie in the free zone,
+both in Q_T, so the family build covers Q_T and no more.  A solve never
+sweeps the lattice: it prices the forced part by shifts of the set-up
+masks (`_forced_energy`), reads its search grid's root state off them,
+one shift and mask per line, prices the glued family as the leaf that
+places its free members (`_glued_cost`, counting edges by `_edge_cost`),
+and validates one configuration, its result.  The pattern library
+validates what it returns and prices every candidate through the lattice
+sweep, the independent check on those integer prices.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -77,7 +73,6 @@ else here is pure, so concurrent invocation is safe.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -85,7 +80,6 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .molecules import (
-    Cell,
     Configuration,
     InvalidInput,
     Molecule,
@@ -97,6 +91,7 @@ from .molecules import (
     configuration_to_jsonable,
     decode_entry,
     json_int,
+    json_rational,
     pattern_columns,
     phase_shape,
     validate,
@@ -202,10 +197,7 @@ class InterfaceProblem:
             raise InvalidInput("energy_kind must be 'surface' or 'volume'")
         if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 2:
             raise InvalidInput(f"weights must be a pair (c_R, c_S), not {self.weights!r}")
-        try:
-            weights = (Fraction(self.weights[0]), Fraction(self.weights[1]))
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise InvalidInput(f"invalid weights {self.weights!r}: {exc}") from exc
+        weights = tuple(json_rational("weights", w) for w in self.weights)
         object.__setattr__(self, "weights", weights)
         if self.weights[0] <= 0 or self.weights[1] <= 0:
             raise InvalidInput("weights must be positive")
@@ -292,14 +284,6 @@ def _inner(T: int) -> range:
     return range(-((T - 8) // 2), (T - 10) // 2 + 1)
 
 
-def _free_cells(forced: Configuration, T: int) -> set[Cell]:
-    """The free zone: the cells of the inner square that the forced part
-    leaves empty.  Free molecules are exactly those lying in it."""
-    inner = _inner(T)
-    taken = forced.occupancy
-    return {(a, b) for a in inner for b in inner if (a, b) not in taken}
-
-
 def _frame_test(T: int) -> Callable[[Molecule], bool]:
     """The test at T of whether a molecule intersects the open frame collar
     of Q_T, with its cell ranges built once for every molecule.  A molecule
@@ -325,46 +309,54 @@ def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configura
         ) from exc
 
 
-def _set_up(
-    prob: InterfaceProblem, window: Window
-) -> tuple[list[Molecule], Configuration, set[Cell], list[Molecule], list[Molecule]]:
-    """(family, forced part, free zone, glued family, its free members):
-    the set-up that the solver and the pattern library share, from one
-    family build on the window Q_T, with one frame test per member.
+def _set_up(prob: InterfaceProblem, window: Window) -> tuple:
+    """(family, forced part, glued family, its free members, grid, occ_R,
+    occ_S, free): the set-up that the solver and the pattern library
+    share, from one family build on the window Q_T, as masks over one grid.
 
-    Every consumer keeps only family members that meet the frame, which
-    lies in Q_T, or that lie inside the inner square, which lies in Q_T
-    too, so a member that misses Q_T is never used.  The window's cells are
-    the ones `_window_cells` gives, odd T included.
+    The grid numbers Q_T padded by the shapes' reach, in the scan order's
+    orientation, so it holds every member, which meets Q_T; each member's
+    mask is its shape's template shifted once.  The forced part is the
+    members whose masks meet the frame, Q_T less the inner square; occ_R
+    and occ_S mark its R-like and S-like cells, and their running OR finds
+    an overlap, which `_forced_part` reports; it is not validated here.
+    The free zone `free` is the inner square less the forced cells.
 
     The glued family is the forced part plus the members lying in the free
-    zone, in family order: the boundary family continued through the
-    interior of Q_T.  It realizes the documented interface patterns: for
-    (i, 0) problems the striped half plane with its staircase profile
-    (optimal in the diagonal directions and asymptotically optimal in the
-    axis and (3, -1) directions); for mixed pairs the two half families
-    glued, meeting flush along the anti-diagonal seams that admit meshing
-    and leaving an empty gap elsewhere (the constructive form of the
-    subadditive bound).  Its interior members are free placements of the
-    solver, so it is both the solver's glued incumbent and a
-    `pattern_upper_bound` candidate.  The forced part is validated and no
-    interior member touches it, so the glued family overlaps exactly when
-    two interior members do.  The interior members, those that miss the
-    frame, are returned apart in family order for the solver to price.
+    zone, in family order: the boundary family continued through Q_T.  It
+    realizes the documented interface patterns: for (i, 0) problems the
+    striped half plane with its staircase profile; for mixed pairs the two
+    half families glued, meeting flush along the anti-diagonal seams that
+    admit meshing and leaving an empty gap elsewhere (the constructive
+    form of the subadditive bound).  Its interior members, returned apart
+    in family order, are free placements of the solver, so it is both the
+    solver's glued incumbent and a `pattern_upper_bound` candidate; it
+    overlaps exactly when two of them do.
     """
     T = prob.T
     members = _family_members(prob.i, prob.j, prob.nu, window)
-    framed = list(map(_frame_test(T), members))
-    forced = _forced_part(itertools.compress(members, framed), prob)
-    free = _free_cells(forced, T)
-    inside = [not f and free.issuperset(m.cells()) for m, f in zip(members, framed)]
-    glued = [m for m, f, g in zip(members, framed, inside) if f or g]
-    return members, forced, free, glued, list(itertools.compress(members, inside))
+    grid = PlacementGrid(_scan_order(prob, _window_cells(T)), (R, S))
+    inner, h = grid.order_bits, grid.height  # Q_T, peeled to the inner square a ring a pass
+    for _ in range(len(_window_cells(T)) - len(_inner(T)) >> 1):
+        inner &= inner << 1 & inner >> 1 & inner << h & inner >> h
+    frame = grid.order_bits & ~inner
+    masks = grid.masks(members)
+    forced, occ = [], [0, 0]  # the forced part, its S-like and R-like cells
+    for m, bits in zip(members, masks):
+        if bits & frame:
+            if bits & (occ[0] | occ[1]):
+                _forced_part([*forced, m], prob)  # raises InfeasibleBoundary
+            forced.append(m)
+            occ[m.shape.chirality_class == R_LIKE] |= bits
+    free = inner & ~(occ[0] | occ[1])
+    glued = [m for m, bits in zip(members, masks) if bits & frame or not bits & ~free]
+    interior = [m for m, bits in zip(members, masks) if not bits & ~free]
+    return members, forced, glued, interior, grid, occ[1], occ[0], free
 
 
 def frame_forced(prob: InterfaceProblem) -> Configuration:
     """Family molecules meeting the frame: the forced part of any config."""
-    return _set_up(prob, Window.square(prob.T))[1]
+    return validate(_set_up(prob, Window.square(prob.T))[1])
 
 
 def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
@@ -390,6 +382,30 @@ def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fr
     return weighted_perimeter(config, *prob.weights, window)
 
 
+def _forced_energy(
+    prob: InterfaceProblem, window: Window, grid: PlacementGrid, occ_R: int, occ_S: int
+) -> Fraction:
+    """The lattice sweep's Q_T energy of the forced part, whose R-like and
+    S-like cells are occ_R and occ_S on the set-up grid: the edges between
+    an occupied and an empty cell of Q_T, by shifts, or the area covered.
+    Q_T is a square about the origin, so its four outer lines have one
+    clip, below 1 at odd T only; the edges along them (those joining two of
+    their cells) and their cells are priced with it once."""
+    q_t, h = grid.order_bits, grid.height
+    cut = window._clip(0, _window_cells(prob.T)[0]) - 1
+    ends = q_t & ~(q_t << 1 & q_t >> 1)  # the first and last cell of each line
+    sides = q_t & ~(q_t << h & q_t >> h)  # the first and last line
+    occ_R, occ_S = occ_R & q_t, occ_S & q_t
+    occ = occ_R | occ_S
+    if prob.energy_kind == VOLUME:
+        cells = occ.bit_count() + cut * ((occ & ends).bit_count() + (occ & sides).bit_count())
+        return window.side ** 2 - cells - cut * cut * (occ & ends & sides).bit_count()
+    return sum(
+        k * _edge_cost(grid, q_t & ~occ & m, occ_R & m, occ_S & m, prob.weights)
+        for k, m in ((1, q_t), (cut, ends | sides))
+    )
+
+
 # -------------------------------------------------------------------
 # Branch and bound
 # -------------------------------------------------------------------
@@ -412,23 +428,21 @@ def _scan_order(prob: InterfaceProblem, square: range) -> GridSpec:
 def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Minimize the Q_T energy over admissible configurations.
 
-    Branch and bound over the cells of the free zone (`_free_cells`: the
-    inner square's cells that the forced part leaves empty) in scan order
-    (`_scan_order`: columns bottom to top, swept from the bottom corner the
-    seam line passes through for the diagonals); each cell is either
-    covered by one of the free molecules, those lying in the free zone, or
-    left empty.  The free zone is computed once and handed to the
-    placement table, which then holds exactly the free molecules.
-    Starting on the seam corner puts both phases and the seam between them
+    Branch and bound over the cells of the free zone (the inner square's
+    cells that the forced part leaves empty) in scan order (`_scan_order`:
+    columns bottom to top, swept from the bottom corner the seam line
+    passes through for the diagonals, which puts both phases and the seam
     into the first columns, where the line bound sees unlike column ends
-    at once.  The search is one loop over an explicit stack, so its depth
-    is not capped by the recursion limit: each pass prices the top node's
-    next child, one of its placements or else the empty branch, and opens
-    it.  The certificate is exact iff the search tree was exhausted within
-    the node budget; otherwise the best configuration found is returned as
-    an upper bound.  The budget is checked before each child is opened, so
-    `nodes_explored` never exceeds it, and a tree of exactly `budget`
-    nodes is still exhausted.  Deterministic for fixed inputs and budgets.
+    at once); each cell is either covered by one of the free molecules,
+    those lying in the free zone, or left empty.  The search is one loop
+    over an explicit stack, so its depth is not capped by the recursion
+    limit: each pass prices the top node's next child, one of its
+    placements or else the empty branch, and opens it.  The certificate is
+    exact iff the search tree was exhausted within the node budget;
+    otherwise the best configuration found is returned as an upper bound.
+    The budget is checked before each child is opened, so `nodes_explored`
+    never exceeds it, and a tree of exactly `budget` nodes is still
+    exhausted.  Deterministic for fixed inputs and budgets.
 
     Each node carries one cost, and a leaf's value is its cost.  For
     surface energies the cost is the weighted length of the boundary edges
@@ -459,38 +473,26 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     capped by the incumbent and at least `root`, since every leaf below an
     opened child was priced or pruned against the incumbent.
 
-    Set-up, shared with `pattern_upper_bound` (`_set_up`): one window Q_T,
-    one family build from the patterns' anchor columns, one frame test per
-    member, and one lattice sweep, for the forced part.  The placement
-    grid numbers the scan order's grid spec and walks the free zone once;
-    the root's occupancy is its mask of the forced cells, and its cost
-    `base` less the forced edges facing free cells (`_edge_cost`).  The
-    incumbents are the forced part alone and the glued family, priced on
-    the bitboards as the leaf that places its free members (`_glued_cost`).
-    The free placements are enumerated only when the root bound is below
-    the incumbent, and molecules are built once, for the result.
+    Set-up, shared with `pattern_upper_bound` (`_set_up`): one family
+    build, as masks over one grid of Q_T.  The forced part is priced on
+    those masks (`_forced_energy`), the root cost is `base` less the
+    forced edges facing free cells (`_edge_cost`), and the incumbents are
+    the forced part alone and the glued family, priced as the leaf that
+    places its free members (`_glued_cost`).  The search grid's free zone
+    and forced occupancy are cropped from the set-up masks, its free
+    placements are enumerated only when the root bound is below the
+    incumbent, and molecules are built and validated once, for the result.
     """
-    if budget < 1:
+    if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
     T = prob.T
     window = Window.square(T)
-    _, forced, free, glued, interior = _set_up(prob, window)
+    _, forced, glued, interior, grid, occ_R, occ_S, free = _set_up(prob, window)
     volume = prob.energy_kind == VOLUME
-
-    # The grid numbers the inner square plus its one-cell ring line by
-    # line, so its order bits are a width x width grid for the line bound;
-    # the free zone lies inside the ring, so the grid adds no margin and
-    # order cell k has bit k.  Its placements are the free molecules: those
-    # lying in the free zone.
-    inner = _inner(T)
-    spec = _scan_order(prob, range(inner.start - 1, inner.stop + 1))
-    table = PlacementGrid(spec, (R, S), free)
-    n = table.n
-    free_bits = table.within_bits
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
-    base = _energy(forced, prob, window)
+    base = _forced_energy(prob, window, grid, occ_R, occ_S)
     c_R, c_S = prob.weights
     scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
     w_R, w_S = int(c_R * scale), int(c_S * scale)
@@ -502,24 +504,32 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         assert v.denominator == 1, "energies are multiples of 1/scale"
         return v.numerator
 
-    # State: decided cells (placed, left empty, or outside the free zone)
-    # and the order cells occupied by R-like and S-like molecules; order
-    # cell k has bit k.  Occupancy is only ever read on order cells: the
-    # neighbours of free cells, the rims of free molecules and the lines.
-    # The grid numbers the forced molecules' cells; those off it are skipped.
-    cells_R, cells_S = [], []
-    for m in forced.molecules:
-        (cells_R if m.shape.chirality_class == R_LIKE else cells_S).extend(m.cells())
-    occ_R0, occ_S0 = table.mask(cells_R), table.mask(cells_S)
-    decided0 = table.all_bits & ~free_bits
-
     # COST: for surface energies, the weighted length of the boundary
     # edges both of whose cells are decided.  It starts at `base` minus
     # the forced boundary edges that face a free cell, whose far side is
     # not decided yet.  For volume energies it is the deficit itself.
     cost0 = scaled(base)
     if not volume:
-        cost0 -= _edge_cost(table, free_bits, occ_R0, occ_S0, (w_R, w_S))
+        cost0 -= _edge_cost(grid, free, occ_R, occ_S, (w_R, w_S))
+
+    # incumbents: the forced part alone, the glued family, then the forced
+    # part and placements of a leaf, whose molecules are built for the result
+    best_val, best_cfg, best_placed = scaled(base), forced, []
+    set_up_root = (grid.all_bits & ~free, occ_R, occ_S, cost0)
+    value = _glued_cost(grid, interior, set_up_root, None if volume else (w_R, w_S), molecule_area)
+    if value is not None and value < best_val:
+        best_val, best_cfg = value, glued
+
+    # The search grid: the inner square and its one-cell ring, in the
+    # set-up grid's orientation, with no margin (order cell k has bit k),
+    # its placements the free molecules.  State: decided cells and the
+    # cells occupied by R-like and S-like molecules, read on order cells.
+    inner = _inner(T)
+    spec = _scan_order(prob, range(inner.start - 1, inner.stop + 1))
+    free_bits, occ_R0, occ_S0 = grid.crop(spec, free, occ_R, occ_S)
+    table = PlacementGrid(spec, (R, S), free_bits)
+    n = table.n
+    decided0 = table.all_bits & ~free_bits
     root = (decided0, occ_R0, occ_S0, cost0)
 
     # LINE: each line starts and ends on a ring cell, which is always
@@ -553,13 +563,6 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
         return cost + w_min * line(decided, occ)
 
-    # incumbents: the forced part alone, the glued family, then the forced
-    # part and placements of a leaf, whose molecules are built for the result
-    best_val, best_cfg, best_placed = scaled(base), forced.molecules, []
-    value = _glued_cost(table, interior, root, None if volume else (w_R, w_S), molecule_area)
-    if value is not None and value < best_val:
-        best_val, best_cfg = value, glued
-
     nodes = 0
     exhausted = True
     cut = best_val  # on truncation, the least bound over the unopened children
@@ -572,7 +575,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
     stack = []
     if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
-        by_pos = table.enumerate_placements()[1]
+        by_pos, neighbors = table.enumerate_placements()[1], table.neighbors
         stack.append([*root, i, iter(by_pos[i]), None])
     while stack:
         frame = stack[-1]
@@ -604,7 +607,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             # boundary now
             frame[5] = placed = None
             if not volume:
-                nbrs = table.neighbors[i]
+                nbrs = neighbors[i]
                 cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
             decided |= 1 << i
         if nodes >= budget:
@@ -615,7 +618,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         i = (~decided & (decided + 1)).bit_length() - 1
         if i >= n:
             if cost < best_val:
-                best_val, best_cfg = cost, forced.molecules
+                best_val, best_cfg = cost, forced
                 best_placed = [*(f[6] for f in stack), placed]  # None: an empty branch
         elif bound(decided, occ_R | occ_S, cost) < best_val:
             stack.append([decided, occ_R, occ_S, cost, i, iter(by_pos[i]), placed])
@@ -648,28 +651,26 @@ def _glued_cost(
     members `interior` (as `_set_up` gives them), in its integer units, or
     None when two of them overlap.
 
-    `root` is the search's root state (decided, occ_R, occ_S, cost), which
-    holds the forced part.  For volume energies (weights None) each member
-    lowers the cost by `area`.  For surface energies, with weights (w_R,
-    w_S), the leaf adds to the root cost the boundary edges that meet a
-    free cell, each once, as the search counts them: those between a free
-    cell left empty and an occupied cell, and those between a placed
-    member and a decided empty cell outside the free zone.
+    `root` is the root state (decided, occ_R, occ_S, cost) on the set-up
+    grid `table`: the free zone undecided, the forced part placed.  For
+    volume energies (weights None) each member lowers the cost by `area`.
+    For surface energies, with weights (w_R, w_S), the leaf adds to the
+    root cost the boundary edges that meet a free cell, each once, as the
+    search counts them: those between a free cell left empty and an
+    occupied cell, and those between a placed member and a decided empty
+    cell outside the free zone.
     """
     decided, occ_R, occ_S, cost = root
-    placed_R = placed_S = 0
-    for m in interior:
-        bits = table.mask(m.cells())
-        if bits & (placed_R | placed_S):
+    placed = [0, 0]  # S-like and R-like cells
+    for m, bits in zip(interior, table.masks(interior)):
+        if bits & (placed[0] | placed[1]):
             return None
-        if m.shape.chirality_class == R_LIKE:
-            placed_R |= bits
-        else:
-            placed_S |= bits
+        placed[m.shape.chirality_class == R_LIKE] |= bits
+    placed_S, placed_R = placed
     if weights is None:
         return cost - area * len(interior)
     outside = decided & ~(occ_R | occ_S)  # decided empty cells
-    empty = table.within_bits & ~(placed_R | placed_S)
+    empty = table.all_bits & ~decided & ~(placed_R | placed_S)
     return (
         cost + _edge_cost(table, empty, occ_R | placed_R, occ_S | placed_S, weights)
         + _edge_cost(table, outside, placed_R, placed_S, weights)
@@ -847,21 +848,22 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
 
 
 def _wetting_fill(
-    chain: list[Molecule], members: list[Molecule], forced: Configuration, free: set[Cell],
+    chain: list[Molecule], members: list[Molecule], forced: Configuration,
+    grid: PlacementGrid, free: int,
 ) -> Configuration:
     """The forced part, then each chain and family molecule that still fits.
 
-    A molecule fits when it lies in what is left of the free zone `free`
-    after the molecules accepted before it; the family fills in where the
-    forced collar cuts the chain.
+    A molecule fits when it lies in what is left of the free zone, the
+    bits `free` of the set-up grid (so its cells have as many bits), after
+    the molecules accepted before it; the family fills in where the forced
+    collar cuts the chain.
     """
-    left = set(free)
     mols = list(forced.molecules)
     for group in (chain, members):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
-            mcells = m.cells()
-            if left.issuperset(mcells):
-                left.difference_update(mcells)
+            bits = grid.mask(m.cells())
+            if bits.bit_count() == len(m.shape.cells) and not bits & ~free:
+                free ^= bits
                 mols.append(m)
     return validate(mols)
 
@@ -882,17 +884,18 @@ def pattern_upper_bound(
     and the realizing admissible configuration.  Raises InfeasibleBoundary
     exactly when `frame_forced` does.
     """
-    prob = InterfaceProblem(i, j, Direction(nu.p, nu.q), T, weights)
+    prob = InterfaceProblem(i, j, nu, T, weights)
     # one family build serves every candidate and the admissibility check
     window = Window.square(T)
-    members, forced, free, glued, _ = _set_up(prob, window)
+    members, forced, glued, _, grid, _, _, free = _set_up(prob, window)
+    forced = validate(forced)
     candidates: list[Configuration] = []
     try:
         candidates.append(validate(glued))
     except OverlapError:
         pass
     try:
-        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, free))
+        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, grid, free))
     except NoPattern:
         pass
     candidates.append(forced)
@@ -929,9 +932,9 @@ def cluster_min_perimeter(
     The growth is depth first on an explicit stack of clusters, each with
     the ranks it has still to try, so no recursion limit bounds the cap.
     """
-    if r < 0 or s < 0 or r + s < 1:
+    if json_int("r", r) < 0 or json_int("s", s) < 0 or r + s < 1:
         raise InvalidInput("need r + s >= 1 with nonnegative counts")
-    if cap < 1:
+    if json_int("cap", cap) < 1:
         raise InvalidInput("cap must be at least 1")
     if r + s > cap:
         raise ClusterCapExceeded(f"cluster size {r + s} exceeds cap {cap}")

@@ -114,9 +114,9 @@ def json_int(what: str, value) -> int:
 
 
 def json_rational(what: str, value) -> Fraction:
-    """A JSON integer or a rational string such as "-3/8"; a float, bool or
-    any other value raises InvalidInput naming `what`."""
-    if type(value) is not int and type(value) is not str:
+    """A JSON integer, a rational string such as "-3/8" or a Fraction; a
+    float, bool or any other value raises InvalidInput naming `what`."""
+    if type(value) is not int and type(value) is not str and type(value) is not Fraction:
         raise InvalidInput(f"invalid {what} {value!r}: expected an integer or a rational string")
     try:
         return Fraction(value)
@@ -457,9 +457,10 @@ def weighted_perimeter(
     """Boundary length with R-like edges weighted c_R and S-like edges c_S.
 
     Every boundary edge is adjacent to exactly one molecule; that
-    molecule's chirality class selects the weight.
+    molecule's chirality class selects the weight.  A weight is read by
+    `json_rational`, so a float or bool raises InvalidInput.
     """
-    c_R, c_S = Fraction(c_R), Fraction(c_S)
+    c_R, c_S = json_rational("weight", c_R), json_rational("weight", c_S)
     if c_R <= 0 or c_S <= 0:
         raise InvalidInput("weights must be positive")
     r_length, s_length = _boundary_lengths(config, window)

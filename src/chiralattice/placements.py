@@ -16,25 +16,27 @@ cells to a padded line, the cell at place r of padded line c has bit
 c * H + r, and a bit's cell is read back by `divmod`.  The numbering is
 affine in the cell's coordinates, so the order cells' bits increase along
 the lines, a search's next undecided order cell is the lowest clear bit
-of its state outside the order cells, and every placement's masks are its
-shape's templates shifted by one amount.
+of its state outside the order cells, a molecule's masks are its shape's
+templates shifted by one amount (`masks`), and a grid with the same steps
+inside the padded grid is read off one line at a time (`crop`).
 
-The margin is worked out from the input, in the one walk over `within`
-that also gives its bits.  It is 0 when `within` lies at least one cell
-inside the grid: the kept placements and their rims are then grid cells,
-and the order cells have bits 0..n-1.  Otherwise it is the shapes' reach
-plus one rim cell, so every placement covering an order cell, and its
-rim, lies in the padded grid.
+The margin is 0 when `within`, a cell set walked once for this test and
+its bits or the bits themselves, lies at least one cell inside the grid:
+the kept placements and their rims are then grid cells, and the order
+cells have bits 0..n-1.  Otherwise it is the shapes' reach plus one rim
+cell, so every placement covering an order cell, and its rim, lies in
+the padded grid.
 
 The numbering (`PlacementGrid`) is kept apart from the placements
 (`PlacementTable`), so a search that may finish at its root builds the
-numbering alone.  Grids and tables are immutable after construction and
-safe for concurrent use.
+numbering alone, and its neighbour masks only on first read.  Grids and
+tables are safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .molecules import Cell, Molecule, MoleculeShape
@@ -82,25 +84,26 @@ class PlacementGrid:
 
     The padded grid's cells have bits 0..n-1, `height` to a line; order_bits
     marks the spec's cells, within_bits the cells of `within` (all_bits when
-    it is None), and neighbors[i] is the mask of the neighbours of cell i in
-    the padded grid: bits i +- 1 in its line and i +- height.
+    it is None; an int `within` is those bits on the grid without margin,
+    and misses its border), and neighbors[i] is the mask of the neighbours
+    of cell i in the padded grid: bits i +- 1 in its line and i +- height.
     `enumerate_placements` builds the placements on request.
     """
 
     def __init__(
-        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: set[Cell] | None = None
+        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: set[Cell] | int | None = None
     ):
-        _, along, across, h, w = self._spec = spec
+        (x0, y0), along, across, h, w = self._spec = spec
         if h < 1 or w < 1:
             raise ValueError("a grid spec needs lines of at least one cell")
         if along not in _UNIT or across not in _UNIT or along[0] * across[0] + along[1] * across[1]:
             raise ValueError("a grid spec steps by two perpendicular unit vectors")
         self._shapes = shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds nothing
-        # one walk over `within`: its bits, if it lies inside the grid (no margin)
+        # one walk over a `within` set: its bits, if it lies inside the grid
         inside = within is not None
-        free = 0
-        (x0, y0), (ax, ay), (cx, cy) = spec[:3]
-        for x, y in within or ():
+        free = within if type(within) is int else 0
+        (ax, ay), (cx, cy) = along, across
+        for x, y in () if type(within) is int else within or ():
             x -= x0
             y -= y0
             c, r = x * cx + y * cy, x * ax + y * ay
@@ -120,15 +123,21 @@ class PlacementGrid:
         self.all_bits = all_bits = (1 << self.n) - 1
         self.order_bits = sum((1 << h) - 1 << (c + margin) * height + margin for c in range(w))
         self.within_bits = free if inside else all_bits if within is None else self.mask(within)
-        # a cell's neighbours are its bit +- 1 in its line and +- height:
+        # a step of one cell in x or y moves a bit by sx or sy, and the
+        # numbering is affine: cell (x, y) has bit x * sx + y * sy + origin
+        self._steps = sx, sy = cx * height + ax, cy * height + ay
+        self._origin = margin * (height + 1) - x0 * sx - y0 * sy
+
+    @cached_property
+    def neighbors(self) -> list[int]:
+        """The neighbour masks, built on first read."""
+        height, all_bits = self.height, self.all_bits
         # line[r] holds those of place r of the middle of three lines
         line = [
             1 << r | ((5 << r >> 1) & (1 << height) - 1) << height | 1 << 2 * height + r
             for r in range(height)
         ]
-        self.neighbors = [
-            t << c * height >> height & all_bits for c in range(width) for t in line
-        ]
+        return [t << c * height >> height & all_bits for c in range(self._width) for t in line]
 
     def mask(self, cells: Iterable[Cell]) -> int:
         """Bits of the given cells; cells off the padded grid are skipped."""
@@ -143,6 +152,34 @@ class PlacementGrid:
                 bits |= 1 << c * height + r
         return bits
 
+    def masks(self, molecules: Iterable[Molecule]) -> list[int]:
+        """The mask of each molecule, which must lie in the padded grid: its
+        shape's template shifted once from its anchor's bit."""
+        sx, sy = self._steps
+        out, shape = [], None
+        for m in molecules:
+            if m.shape is not shape:  # a run of one shape shares its template
+                shape = m.shape
+                offsets = [a * sx + b * sy for a, b in shape.cells]
+                base = min(offsets)
+                template = sum(1 << e - base for e in offsets)
+                lift = self._origin + base
+            a, b = m.anchor
+            out.append(template << a * sx + b * sy + lift)
+        return out
+
+    def crop(self, spec: GridSpec, *masks: int) -> list[int]:
+        """Each mask read on the cells of `spec`, numbered as a grid over
+        `spec` with no margin numbers them, one shift and mask per line:
+        `spec` has this grid's steps, and its cells lie in the padded grid."""
+        (x, y), along, across, h, w = spec
+        height = self.height
+        c, r = divmod(x * self._steps[0] + y * self._steps[1] + self._origin, height)
+        if (along, across) != self._spec[1:3] or c < 0 or c + w > self._width or r + h > height:
+            raise ValueError("a cropped grid keeps the steps and lies in the padded grid")
+        first, line = c * height + r, (1 << h) - 1
+        return [sum((b >> first + k * height & line) << k * h for k in range(w)) for b in masks]
+
     def enumerate_placements(self) -> tuple[list[Placement], list[list[Placement]]]:
         """(placements, by_pos): every translate of a shape covering an
         order cell and lying in `within`, and the lists of those covering
@@ -153,10 +190,8 @@ class PlacementGrid:
         # a placement's cells below its first order cell are free cells
         # outside the order
         outside = free & ~order_bits
-        # a step of one cell in x or y moves a bit by sx or sy, and bit
-        # c * height + r is cell (ox, oy) + c * across + r * along
-        sx = cx * height + ax
-        sy = cy * height + ay
+        # bit c * height + r is cell (ox, oy) + c * across + r * along
+        sx, sy = self._steps
         ox, oy = x0 - margin * (cx + ax), y0 - margin * (cy + ay)
         # kinds[shape * 4 + shape cell j]: the shape, the origin less cell j,
         # the shift of its templates and its cells' bits, each minus the bit

@@ -8,7 +8,10 @@ another.  `_set_up` builds the family on Q_T itself, tests each member
 against the frame once, and states the glued family once for the solver
 and the pattern library; the forced and glued parts are checked against
 the same parts on the Q_{T+8} family, which every member they keep also
-meets.  The solver prices its glued incumbent on its own bitboards
+meets.  It works on masks over one grid of Q_T, and prices the forced
+part by shifts of them (`_forced_energy`); the per-cell set-up it
+replaced, with its cell-set free zone (`free_cells`) and the lattice
+sweep of the forced part, is kept below as the reference (`ref_set_up`).  The solver prices its glued incumbent on its own bitboards
 (`_glued_cost`); the validated glued configuration priced by the lattice
 sweep (`ref_glued_part`, then `ref_energy`) is the reference for its
 value, its overlap verdict and the order of the free members it prices.
@@ -39,11 +42,14 @@ from chiralattice.interfaces import (
     InterfaceProblem,
     NoPattern,
     _family_members,
+    _forced_energy,
     _forced_part,
     _frame_test,
-    _free_cells,
+    _inner,
     _mirror_molecule,
     _set_up,
+    _wetting_chain,
+    _window_cells,
     admissible,
     direction,
     frame_forced,
@@ -51,12 +57,14 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import (
-    Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, phase_shape, validate,
+    R_LIKE, Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, phase_shape,
+    validate,
 )
-from test_fastpaths import FAMILY_DIRECTIONS
+from chiralattice.placements import PlacementGrid
+from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS
 from test_interfaces import wetting_config
 from test_line_bound import (
-    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, side_reach,
+    TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, row_major_order, side_reach,
 )
 
 DIRECTIONS = [(1, 1), (1, -1), (1, 0), (0, 1), (3, -1), (-1, 3), (2, 1), (-1, -2)]
@@ -104,6 +112,36 @@ def ref_glued_part(members, forced, free):
     """The forced part plus the members lying in the free zone, validated."""
     frame = set(forced.molecules)
     return validate(m for m in members if m in frame or free.issuperset(m.cells()))
+
+
+def free_cells(forced, T):
+    """The free zone: the cells of the inner square that the forced part
+    leaves empty.  Free molecules are exactly those lying in it."""
+    inner = _inner(T)
+    taken = forced.occupancy
+    return {(a, b) for a in inner for b in inner if (a, b) not in taken}
+
+
+def ref_set_up(prob):
+    """(family, forced part, free zone, glued family, its free members) by
+    the per-cell set-up that `_set_up` replaced: one frame test per member,
+    the forced part validated, the free zone as a cell set and a subset
+    test per member."""
+    members = _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T))
+    framed = list(map(_frame_test(prob.T), members))
+    forced = _forced_part(itertools.compress(members, framed), prob)
+    free = free_cells(forced, prob.T)
+    inside = [not f and free.issuperset(m.cells()) for m, f in zip(members, framed)]
+    glued = [m for m, f, g in zip(members, framed, inside) if f or g]
+    return members, forced, free, glued, list(itertools.compress(members, inside))
+
+
+def decode(grid, bits, T):
+    """The cells of Q_T among the bits, which must all be cells of Q_T."""
+    window = _window_cells(T)
+    cells = {c for c in itertools.product(window, window) if grid.mask([c]) & bits}
+    assert grid.mask(cells) == bits
+    return cells
 
 
 def ref_frame_forced(prob):
@@ -245,13 +283,64 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
-        _, forced, free, glued, interior = _set_up(prob, Window.square(T))
-        assert forced.molecules == ref.molecules, (i, j, pq)
-        ref_free = _free_cells(ref, T)
+        _, forced, glued, interior, grid, _, _, free = _set_up(prob, Window.square(T))
+        assert forced == list(ref.molecules), (i, j, pq)
+        ref_free = free_cells(ref, T)
+        assert decode(grid, free, T) == ref_free, (i, j, pq)
         ref_glued = [m for m in far if _frame_test(T)(m) or ref_free.issuperset(m.cells())]
         assert _glued_or_error(glued) == _glued_or_error(ref_glued), (i, j, pq)
         assert interior == [m for m in ref_glued if not _frame_test(T)(m)], (i, j, pq)
         feasible += 1
+    assert feasible > 0 and infeasible > 0
+
+
+def _set_up_keys():
+    """(i, j, nu): each family pair at each family direction, and the
+    table keys with their mirrors."""
+    for (i, j), pq in itertools.product(FAMILY_PAIRS, FAMILY_DIRECTIONS):
+        yield i, j, direction(*pq)
+    for i, j, pq in TABLE_DIRECTIONS:
+        yield i, j, direction(*pq)
+        yield j, i, -direction(*pq)
+
+
+@pytest.mark.parametrize("T", range(8, 22))
+def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
+    # the masks give the per-cell set-up's family, forced part, glued
+    # family, free members and free zone, in both scan orders, and the
+    # forced part's price on them is its lattice sweep at every weight and
+    # energy kind; an inconsistent frame raises the same message
+    weights = [((1, 1), "surface"), ((1, F(1, 4)), "surface"), ((F(1, 3), 2), "surface"),
+               ((1, 1), "volume")]
+    feasible = infeasible = 0
+    for scan in (interfaces._scan_order, row_major_order):
+        monkeypatch.setattr(interfaces, "_scan_order", scan)
+        for i, j, nu in _set_up_keys():
+            prob = InterfaceProblem(i, j, nu, T)
+            window = Window.square(T)
+            try:
+                members, forced, free, glued, interior = ref_set_up(prob)
+            except InfeasibleBoundary as exc:
+                with pytest.raises(InfeasibleBoundary) as raised:
+                    _set_up(prob, window)
+                assert str(raised.value) == str(exc)
+                infeasible += 1
+                continue
+            got = _set_up(prob, window)
+            grid, occ_R, occ_S = got[4:7]
+            assert got[:4] == (members, list(forced.molecules), glued, interior), prob
+            assert decode(grid, got[7], T) == free, prob
+            assert grid.order_bits == grid.mask(itertools.product(*[_window_cells(T)] * 2))
+            assert (occ_R, occ_S) == tuple(
+                grid.mask(c for m in forced if (m.shape.chirality_class == R_LIKE) == r_like
+                          for c in m.cells())
+                for r_like in (True, False)
+            ), prob
+            for w, kind in weights:
+                priced = InterfaceProblem(i, j, nu, T, w, kind)
+                base = _forced_energy(priced, window, grid, occ_R, occ_S)
+                assert base == ref_energy(forced, priced), priced
+            feasible += 1
     assert feasible > 0 and infeasible > 0
 
 
@@ -390,11 +479,8 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
 # Set-up work
 # -------------------------------------------------------------------
 
-def test_set_up_work_guard(monkeypatch):
-    # over the table problems, a solve sweeps the lattice once, for the
-    # forced part, and builds no full phase pattern
-    calls = {"sweep": 0, "pattern": 0}
-
+def _count_sweeps(monkeypatch, calls):
+    """Count lattice sweeps and full phase patterns into `calls`."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -411,8 +497,77 @@ def test_set_up_work_guard(monkeypatch):
     monkeypatch.setattr(
         interfaces, "phase_pattern", counted("pattern", phase_pattern), raising=False
     )
+
+
+def test_set_up_work_guard(monkeypatch):
+    # over the table problems, a solve never sweeps the lattice: it prices
+    # the forced part on its masks; and it builds no full phase pattern
+    calls = {"sweep": 0, "pattern": 0}
+    _count_sweeps(monkeypatch, calls)
     for prob in _table_rows():
         for budget in (1, 5_000_000):
             calls.update(sweep=0, pattern=0)
             solve_interface(prob, budget=budget)
-            assert calls == {"sweep": 1, "pattern": 0}, (prob, budget)
+            assert calls == {"sweep": 0, "pattern": 0}, (prob, budget)
+
+
+def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):
+    # the pattern library prices each candidate by the lattice sweep, the
+    # independent check: the glued family when it does not overlap, the
+    # wetting fill where it applies, and the forced part alone; with the
+    # pairs at (1, 3) at T=16, where some glued families overlap and some
+    # frames do, which raises before any sweep
+    calls = {"sweep": 0, "pattern": 0}
+    _count_sweeps(monkeypatch, calls)
+    kinds = set()
+    pairs = [(i, j, direction(1, 3), 16, (1, 1)) for i, j in itertools.permutations(range(9), 2)]
+    for i, j, nu, T, weights in [*_pattern_rows(), *pairs]:
+        prob = InterfaceProblem(i, j, nu, T, weights)
+        calls.update(sweep=0, pattern=0)
+        try:
+            glued = _glued_or_error(ref_set_up(prob)[3])
+        except InfeasibleBoundary:
+            with pytest.raises(InfeasibleBoundary):
+                pattern_upper_bound(i, j, nu, T, weights)
+            assert calls == {"sweep": 0, "pattern": 0}, prob
+            kinds.add(None)
+            continue
+        try:
+            _wetting_chain(prob)
+            wetting = True
+        except NoPattern:
+            wetting = False
+        calls.update(sweep=0, pattern=0)
+        pattern_upper_bound(i, j, nu, T, weights)
+        expected = 1 + (not isinstance(glued, str)) + wetting
+        assert calls == {"sweep": expected, "pattern": 0}, prob
+        kinds.add((isinstance(glued, str), wetting))
+    assert kinds == {(False, False), (False, True), (True, False), None}
+
+
+def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
+    # a solve that certifies at the root masks no cell list, and reads the
+    # cells of each molecule once, when it validates its result
+    calls = {"mask": 0, "cells": 0}
+    mask, cells = PlacementGrid.mask, Molecule.cells
+
+    def counted_mask(grid, cells):
+        calls["mask"] += 1
+        return mask(grid, cells)
+
+    def counted_cells(m):
+        calls["cells"] += 1
+        return cells(m)
+
+    monkeypatch.setattr(PlacementGrid, "mask", counted_mask)
+    monkeypatch.setattr(Molecule, "cells", counted_cells)
+    rows = [InterfaceProblem(1, 0, direction(1, 1), 20), *_table_rows()]
+    certified = 0
+    for prob in rows:
+        calls.update(mask=0, cells=0)
+        res = solve_interface(prob)
+        if res.nodes_explored == 0:
+            assert res.certificate == "exact", prob
+            assert calls == {"mask": 0, "cells": len(res.config.molecules)}, prob
+            certified += 1
+    assert certified > 20

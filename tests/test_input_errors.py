@@ -18,14 +18,18 @@ from chiralattice import (
     cluster_min_perimeter,
     configuration_from_json,
     direction,
+    enumerate_coverings,
     lemma_check,
+    pattern_upper_bound,
     shapes_from_json,
     solve_interface,
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction
-from chiralattice.molecules import configuration_entries
+from chiralattice.molecules import (
+    Molecule, R, S, configuration_entries, validate, weighted_perimeter,
+)
 from chiralattice.rectregions import regions_from_jsonable
 
 
@@ -63,11 +67,40 @@ def test_input_errors_are_invalid_input(error):
         (lambda: Direction(1, 0.5), "invalid direction component 0.5"),
         (lambda: Direction(True, 0), "invalid direction component True"),
         (lambda: InterfaceProblem(1, 0, (1, 1), 8), "nu must be a Direction"),
+        # counts are ints: no string, float or bool
+        (lambda: solve_interface(InterfaceProblem(1, 0, direction(1, 1), 8), budget="5"),
+         "invalid budget '5'"),
+        (lambda: solve_interface(InterfaceProblem(1, 0, direction(1, 1), 8), budget=2.5),
+         "invalid budget 2.5"),
+        (lambda: solve_interface(InterfaceProblem(1, 0, direction(1, 1), 8), budget=True),
+         "invalid budget True"),
+        (lambda: cluster_min_perimeter(1.5, 0), "invalid r 1.5"),
+        (lambda: cluster_min_perimeter(1, 0, cap=6.0), "invalid cap 6.0"),
+        (lambda: lemma_check(4.0), "invalid k 4.0"),
+        (lambda: next(enumerate_coverings(2.0, [R, S])), "invalid k 2.0"),
+        (lambda: next(enumerate_coverings(2, [R, S], cap=3.0)), "invalid cap 3.0"),
+        (lambda: pattern_upper_bound(1, 0, (1, 1)), "nu must be a Direction, not"),
+        (lambda: pattern_upper_bound(1, 0, direction(1, 1), 12.0), "invalid T 12.0"),
+        # weights are exact: no float, no bool
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 12, (0.1, 1)), "invalid weights 0.1"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 12, (1, True)), "invalid weights True"),
+        (lambda: weighted_perimeter(validate([Molecule(R, (0, 0))]), 0.5, 1), "invalid weight 0.5"),
+        (lambda: weighted_perimeter(validate([Molecule(R, (0, 0))]), 1, True),
+         "invalid weight True"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):
     with pytest.raises(InvalidInput, match=message):
         call()
+
+
+def test_exact_weights_are_accepted():
+    # ints, Fractions and rational strings give the same exact weights
+    single = validate([Molecule(R, (0, 0))])
+    for c_R in (1, F(1), "1", "2/2"):
+        prob = InterfaceProblem(1, 0, direction(1, 1), 12, (c_R, "1/4"))
+        assert prob.weights == (F(1), F(1, 4))
+        assert weighted_perimeter(single, c_R, F(1, 4)) == 10
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def glued_family_config(prob: InterfaceProblem):
     Raises InfeasibleBoundary when the frame itself is inconsistent, and
     NoPattern when two of the interior members overlap.
     """
-    glued = _set_up(prob, Window.square(prob.T))[3]
+    glued = _set_up(prob, Window.square(prob.T))[2]
     try:
         return validate(glued)
     except OverlapError as exc:
@@ -72,8 +72,8 @@ def glued_family_config(prob: InterfaceProblem):
 def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
-    members, forced, free, _, _ = _set_up(prob, Window.square(prob.T))
-    return _wetting_fill(chain, members, forced, free)
+    members, forced, _, _, grid, _, _, free = _set_up(prob, Window.square(prob.T))
+    return _wetting_fill(chain, members, validate(forced), grid, free)
 
 
 # -------------------------------------------------------------------

@@ -274,22 +274,32 @@ def _solver_problems():
 
 
 def test_solver_tables_match_the_keep_callback(monkeypatch):
-    # the placements of the solver's grid over its free zone are those that
+    # a solve builds two grids: the set-up grid over Q_T, padded, and the
+    # search grid over the inner square and its ring, in one orientation.
+    # The placements of the search grid over its free zone are those that
     # the callback on the inner square and the forced cells kept, in order;
-    # the free zone lies inside its grid, so the grid is numbered alone
+    # the free zone lies inside its grid, so the grid is numbered alone and
+    # order cell k has bit k of the free zone handed to it
     built = []
 
-    def recording_grid(spec, shapes, within):
-        built.append((spec, shapes, within, PlacementTable(spec, shapes, within)))
-        return built[-1][3]
+    def recording_grid(spec, shapes, within=None):
+        grid = PlacementGrid(spec, shapes) if within is None else PlacementTable(spec, shapes, within)
+        built.append((spec, shapes, within, grid))
+        return grid
 
     monkeypatch.setattr(interfaces, "PlacementGrid", recording_grid)
     for scan in (interfaces._scan_order, row_major_order):
         monkeypatch.setattr(interfaces, "_scan_order", scan)
         for prob in _solver_problems():
+            built.clear()
             solve_interface(prob, budget=1)
-            spec, shapes, within, table = built.pop()
+            (q_spec, _, q_within, q_grid), (spec, shapes, within, table) = built
+            window = interfaces._window_cells(prob.T)
+            assert q_within is None and q_spec == scan(prob, window), prob
+            assert q_grid.order_bits == q_grid.mask(spec_cells(q_spec)), prob
+            assert spec[1:3] == q_spec[1:3] and set(spec_cells(spec)) <= set(spec_cells(q_spec))
             assert table.order_bits == table.all_bits == (1 << spec[3] * spec[4]) - 1, prob
+            within = {c for k, c in enumerate(spec_cells(spec)) if within >> k & 1}
             taken = frame_forced(prob).occupancy
             assert_matches_ref_table(
                 table, spec, shapes, within,
@@ -299,14 +309,24 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
 
 def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
     # the solver's four-shift edge count equals the per-cell sum over the
-    # grid's neighbour masks, on every solver grid, for random subsets of its
-    # free zone against random cell sets of the whole grid, either way round
+    # grid's neighbour masks, on every set-up grid and every search grid,
+    # for random subsets of its free zone against random cell sets of the
+    # whole grid, either way round
     grids = []
+    set_up = interfaces._set_up
 
-    def recording_grid(spec, shapes, within):
-        grids.append(PlacementGrid(spec, shapes, within))
-        return grids[-1]
+    def recording_set_up(prob, window):
+        out = set_up(prob, window)
+        grids.append((out[4], out[7]))  # the set-up grid and its free zone
+        return out
 
+    def recording_grid(spec, shapes, within=None):
+        grid = PlacementGrid(spec, shapes, within)
+        if within is not None:  # the search grid, whose free zone it holds
+            grids.append((grid, grid.within_bits))
+        return grid
+
+    monkeypatch.setattr(interfaces, "_set_up", recording_set_up)
     monkeypatch.setattr(interfaces, "PlacementGrid", recording_grid)
     for prob in _solver_problems():
         solve_interface(prob, budget=1)
@@ -319,8 +339,8 @@ def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
         )
 
     rng = random.Random(7)
-    for table in grids:
-        free, n = table.within_bits, table.n
+    for table, free in grids:
+        n = table.n
         cases = [(free, table.all_bits & ~free, table.all_bits & ~free)]
         cases += [
             (free & rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)) for _ in range(20)
@@ -336,7 +356,7 @@ def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
             assert got == per_cell(table, sub_R, occ_R, 0, weights) + per_cell(
                 table, sub_S, 0, occ_R, weights
             )
-    assert len(grids) == len(list(_solver_problems()))
+    assert len(grids) == 2 * len(list(_solver_problems()))
 
 
 def test_searches_build_molecules_for_their_results_only(monkeypatch):
