@@ -39,25 +39,29 @@ and its ring, whose placements are the free molecules only; the line
 bound shifts those masks along and across lines.  Costs are integers in
 units of 1/scale, so all energies stay exact rationals.
 
-The solver and the pattern library share one set-up (`_set_up`) on one
-window Q_T and one grid numbering Q_T in the scan order's orientation:
-the family, read off the patterns' anchor columns (`pattern_columns`)
-with each column cut once by the reach inequality, each member a mask;
-the forced part, the members whose masks meet the frame; the free zone,
-as a mask; and the glued family, the forced part plus the members lying
-in the free zone, with those free members also listed alone.  The glued
-family is the solver's second incumbent after the forced part alone, and
-a `pattern_upper_bound` candidate beside the wetting fill and the forced
+The solver and the pattern library share one set-up (`_set_up`) on Q_T
+read as an integer cell range (`_window_cells`), with no `Window`, and one
+grid numbering Q_T in the scan order's orientation: the family, read off
+the patterns' anchor columns (`pattern_columns`) with each column cut
+once by the reach inequality and its members built column by column, in
+family order with no sort, each member a mask; the forced part, the
+members whose masks meet the frame; the free zone, as a mask; and the
+glued family, the forced part plus the members lying in the free zone,
+with those free members also listed alone.  The glued family is the
+solver's second incumbent after the forced part alone, and a
+`pattern_upper_bound` candidate beside the wetting fill and the forced
 part alone, so a feasible problem always has a bound.  Every use of the
 family keeps only members that meet the frame or lie in the free zone,
 both in Q_T, so the family build covers Q_T and no more.  A solve never
 sweeps the lattice: it prices the forced part by shifts of the set-up
-masks (`_forced_energy`), reads its search grid's root state off them,
-one shift and mask per line, prices the glued family as the leaf that
-places its free members (`_glued_cost`, counting edges by `_edge_cost`),
-and validates one configuration, its result.  The pattern library
-validates what it returns and prices every candidate through the lattice
-sweep, the independent check on those integer prices.
+masks (`_forced_energy`, with Q_T's outer clip and area read from T),
+reads its search grid's root state off them, one shift and mask per
+line, prices the glued family as the leaf that places its free members
+(`_glued_cost`, counting edges by `_edge_cost`), and validates one
+configuration, its result.  The pattern library builds one `Window` for
+its lattice sweeps, validates what it returns and prices every candidate
+through the sweep, the independent check on those integer prices; its
+wetting chain holds only the molecules that lie in the inner square.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -73,10 +77,12 @@ else here is pure, so concurrent invocation is safe.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable
 
 from .molecules import (
@@ -230,8 +236,9 @@ class SolveResult:
 # Boundary families
 # -------------------------------------------------------------------
 
-def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molecule]:
-    """All family molecules whose cells intersect the window.
+def _family_members(i: int, j: int, nu: Direction, cells: tuple[range, range]) -> list[Molecule]:
+    """All family molecules with a cell in xs x ys, for the integer cell
+    ranges cells = (xs, ys), in (shape name, anchor) order.
 
     A phase-i molecule belongs when it meets {x . nu > 2} and a phase-j
     molecule when it meets {x . nu < -2}, with nu used as the unit vector
@@ -241,11 +248,15 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
     exceed 2 |nu|, so the integer p a + q b + reach must reach
     isqrt(4 (p^2 + q^2)) + 1.  The anchors come from the pattern's columns
     (`pattern_columns`); in each column that inequality is linear in b, so
-    it cuts the column's range once, and only members are built.
+    it cuts the column's range once, and only members are built, column by
+    column.  Each phase's columns come in anchor order, so no sort is
+    needed: two phases of different shapes are joined in name order, and
+    two of one shape, whose columns are the same, are merged column by
+    column by b.
     """
     p, q = nu.p, nu.q
     least = math.isqrt(4 * (p * p + q * q)) + 1  # the least integer above 2 |nu|
-    out = []
+    runs = []  # (shape, [(a, bs), ...]) for each phase, in anchor order
     for lab, sign in ((i, 1), (j, -1)):
         if lab == 0:
             continue
@@ -253,7 +264,8 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
         sp, sq = sign * p, sign * q
         # sign * x . nu at its extreme over the phase's shape anchored at 0
         reach = max(sp * c + sq * r for c, r in shape.cells) + max(sp, 0) + max(sq, 0)
-        for a, bs in pattern_columns(lab, window):
+        columns = []
+        for a, bs in pattern_columns(lab, cells):
             need = least - reach - sp * a  # a member has sq * b >= need
             if sq > 0:
                 lo = -(-need // sq)  # the least b with sq * b >= need
@@ -262,10 +274,16 @@ def _family_members(i: int, j: int, nu: Direction, window: Window) -> list[Molec
                 hi = need // sq  # the greatest b with sq * b >= need
                 bs = bs[:max(0, (hi - bs.start) // 4 + 1)]
             elif need > 0:
-                continue
-            out.extend(Molecule(shape, (a, b)) for b in bs)
-    out.sort(key=lambda m: (m.shape.name, m.anchor))
-    return out
+                bs = bs[:0]
+            columns.append((a, bs))
+        runs.append((shape, columns))
+    if len(runs) == 2:
+        (first, ours), (second, theirs) = runs
+        if first is second:
+            runs = [(first, [(a, heapq.merge(x, y)) for (a, x), (_, y) in zip(ours, theirs)])]
+        elif first.name > second.name:
+            runs.reverse()
+    return [Molecule(shape, (a, b)) for shape, columns in runs for a, bs in columns for b in bs]
 
 
 # -------------------------------------------------------------------
@@ -309,18 +327,22 @@ def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configura
         ) from exc
 
 
-def _set_up(prob: InterfaceProblem, window: Window) -> tuple:
+def _set_up(prob: InterfaceProblem) -> tuple:
     """(family, forced part, glued family, its free members, grid, occ_R,
     occ_S, free): the set-up that the solver and the pattern library
-    share, from one family build on the window Q_T, as masks over one grid.
+    share, from one family build on Q_T's integer cell range
+    (`_window_cells`), as masks over one grid; no `Window` is built.
 
     The grid numbers Q_T padded by the shapes' reach, in the scan order's
     orientation, so it holds every member, which meets Q_T; each member's
     mask is its shape's template shifted once.  The forced part is the
     members whose masks meet the frame, Q_T less the inner square; occ_R
-    and occ_S mark its R-like and S-like cells, and their running OR finds
-    an overlap, which `_forced_part` reports; it is not validated here.
-    The free zone `free` is the inner square less the forced cells.
+    and occ_S mark its R-like and S-like cells.  Every mask has four bits,
+    so the forced part overlaps iff their OR has fewer than four per
+    member, and only then does `_forced_part` validate it, to report the
+    first overlap; it is not validated here.  The free zone `free` is the
+    inner square less the forced cells, and a member lies in it iff its
+    mask misses the complement.
 
     The glued family is the forced part plus the members lying in the free
     zone, in family order: the boundary family continued through Q_T.  It
@@ -334,29 +356,32 @@ def _set_up(prob: InterfaceProblem, window: Window) -> tuple:
     overlaps exactly when two of them do.
     """
     T = prob.T
-    members = _family_members(prob.i, prob.j, prob.nu, window)
-    grid = PlacementGrid(_scan_order(prob, _window_cells(T)), (R, S))
+    square = _window_cells(T)
+    members = _family_members(prob.i, prob.j, prob.nu, (square, square))
+    grid = PlacementGrid(_scan_order(prob, square), (R, S))
     inner, h = grid.order_bits, grid.height  # Q_T, peeled to the inner square a ring a pass
-    for _ in range(len(_window_cells(T)) - len(_inner(T)) >> 1):
+    for _ in range(len(square) - len(_inner(T)) >> 1):
         inner &= inner << 1 & inner >> 1 & inner << h & inner >> h
     frame = grid.order_bits & ~inner
     masks = grid.masks(members)
-    forced, occ = [], [0, 0]  # the forced part, its S-like and R-like cells
-    for m, bits in zip(members, masks):
-        if bits & frame:
-            if bits & (occ[0] | occ[1]):
-                _forced_part([*forced, m], prob)  # raises InfeasibleBoundary
-            forced.append(m)
-            occ[m.shape.chirality_class == R_LIKE] |= bits
-    free = inner & ~(occ[0] | occ[1])
-    glued = [m for m, bits in zip(members, masks) if bits & frame or not bits & ~free]
-    interior = [m for m, bits in zip(members, masks) if not bits & ~free]
-    return members, forced, glued, interior, grid, occ[1], occ[0], free
+    framed = [bits & frame for bits in masks]  # nonzero iff the member meets the frame
+    forced = list(compress(members, framed))
+    occ = [0, 0]  # the forced part's S-like and R-like cells
+    for m, bits in zip(forced, compress(masks, framed)):
+        occ[m.shape.chirality_class == R_LIKE] |= bits
+    taken = occ[0] | occ[1]
+    if taken.bit_count() != 4 * len(forced):  # every mask has four cells
+        _forced_part(forced, prob)  # raises InfeasibleBoundary
+    free = inner & ~taken
+    outside = ~free
+    inside = [not bits & outside for bits in masks]
+    glued = [m for m, f, i in zip(members, framed, inside) if f or i]
+    return members, forced, glued, list(compress(members, inside)), grid, occ[1], occ[0], free
 
 
 def frame_forced(prob: InterfaceProblem) -> Configuration:
     """Family molecules meeting the frame: the forced part of any config."""
-    return validate(_set_up(prob, Window.square(prob.T))[1])
+    return validate(_set_up(prob)[1])
 
 
 def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
@@ -382,27 +407,36 @@ def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fr
     return weighted_perimeter(config, *prob.weights, window)
 
 
+def _outer_clip(T: int) -> int | Fraction:
+    """The length inside Q_T of a unit interval of its outer cells: Q_T
+    runs from -T/2 to T/2, so 1 at even T, where its boundary lies on
+    lattice lines, and 1/2 at odd T, where it halves the outer cells."""
+    return Fraction(1, 2) if T & 1 else 1
+
+
 def _forced_energy(
-    prob: InterfaceProblem, window: Window, grid: PlacementGrid, occ_R: int, occ_S: int
-) -> Fraction:
+    prob: InterfaceProblem, grid: PlacementGrid, occ_R: int, occ_S: int
+) -> int | Fraction:
     """The lattice sweep's Q_T energy of the forced part, whose R-like and
     S-like cells are occ_R and occ_S on the set-up grid: the edges between
-    an occupied and an empty cell of Q_T, by shifts, or the area covered.
-    Q_T is a square about the origin, so its four outer lines have one
-    clip, below 1 at odd T only; the edges along them (those joining two of
-    their cells) and their cells are priced with it once."""
+    an occupied and an empty cell of Q_T, by shifts, or T^2 less the area
+    covered.  Q_T is a square about the origin, so its four outer lines
+    have one clip (`_outer_clip`), below 1 at odd T only; the edges along
+    them (those joining two of their cells) and their cells are priced
+    with it once.  The value is an int at even T, read from T alone, with
+    no `Window`."""
     q_t, h = grid.order_bits, grid.height
-    cut = window._clip(0, _window_cells(prob.T)[0]) - 1
+    cut = _outer_clip(prob.T) - 1
     ends = q_t & ~(q_t << 1 & q_t >> 1)  # the first and last cell of each line
     sides = q_t & ~(q_t << h & q_t >> h)  # the first and last line
     occ_R, occ_S = occ_R & q_t, occ_S & q_t
     occ = occ_R | occ_S
     if prob.energy_kind == VOLUME:
         cells = occ.bit_count() + cut * ((occ & ends).bit_count() + (occ & sides).bit_count())
-        return window.side ** 2 - cells - cut * cut * (occ & ends & sides).bit_count()
+        return prob.T ** 2 - cells - cut * cut * (occ & ends & sides).bit_count()
     return sum(
         k * _edge_cost(grid, q_t & ~occ & m, occ_R & m, occ_S & m, prob.weights)
-        for k, m in ((1, q_t), (cut, ends | sides))
+        for k, m in ((1, q_t), (cut, ends | sides)) if k
     )
 
 
@@ -486,13 +520,12 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
     T = prob.T
-    window = Window.square(T)
-    _, forced, glued, interior, grid, occ_R, occ_S, free = _set_up(prob, window)
+    _, forced, glued, interior, grid, occ_R, occ_S, free = _set_up(prob)
     volume = prob.energy_kind == VOLUME
 
     # Energies are integers in units of 1/scale, so the search never
     # touches a Fraction.
-    base = _forced_energy(prob, window, grid, occ_R, occ_S)
+    base = _forced_energy(prob, grid, occ_R, occ_S)
     c_R, c_S = prob.weights
     scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
     w_R, w_S = int(c_R * scale), int(c_S * scale)
@@ -810,7 +843,8 @@ def _mirror_molecule(m: Molecule) -> Molecule:
 
 
 def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
-    """The wetting microstructure over Q_T, before the frame cuts it.
+    """The molecules of the wetting microstructure that lie in the inner
+    square of Q_T, in (shape name, anchor) order.
 
     A sparse opposite-chirality chain along a diagonal empty interface: for
     the oriented problem (0, i, (1, -1)) with i an R phase, the striped
@@ -822,6 +856,12 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
     the chain strictly inside the frame, so admissibility is untouched;
     where the forced frame molecules cut across the seam the plain family
     fills in.  Raises NoPattern elsewhere.
+
+    Only a molecule lying in the inner square can join the fill, so only
+    those are built: the three seam rows' anchors are tested one by one,
+    and each bulk column is cut to the inner square.  The inner square's
+    cells are symmetric under the mirror x -> -x - 1, so the R
+    construction is cut before it is mirrored.
     """
     zero, i, nu = oriented(prob.i, prob.j, prob.nu.as_tuple())
     mirrored = zero == 0 and phase_shape(i) is S
@@ -834,16 +874,32 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
     T = prob.T
     lo = -T // 2
     hi = T // 2
-    structure: list[Molecule] = []
-    for t in range(lo - 2, hi + 2):
-        structure.append(Molecule(R, (2 * t, 2 * t + 1 + c)))      # teeth row
-        structure.append(Molecule(R, (2 * t + 1, 2 * t + 4 + c)))  # cap row
-        structure.append(Molecule(S, (2 * t + 1, 2 * t - 2 + c)))  # wetting
-    for n1 in range(lo - 2, hi + 2):
-        for d in range(5 + c, 2 * T):
-            structure.append(Molecule(R, (n1, n1 + d)))            # bulk
+    inner = _inner(T)
+    # the anchors (a, b) of the molecules of each shape lying in the inner square
+    within = {
+        shape: [range(inner.start - min(ks), inner.stop - max(ks)) for ks in zip(*shape.cells)]
+        for shape in (R, S)
+    }
+    seam = (
+        (shape, a, b)
+        for t in range(lo - 2, hi + 2)
+        for shape, a, b in (
+            (R, 2 * t, 2 * t + 1 + c),      # teeth row
+            (R, 2 * t + 1, 2 * t + 4 + c),  # cap row
+            (S, 2 * t + 1, 2 * t - 2 + c),  # wetting
+        )
+    )
+    structure = [
+        Molecule(shape, (a, b)) for shape, a, b in seam
+        if a in within[shape][0] and b in within[shape][1]
+    ]
+    xs, ys = within[R]
+    for n1 in range(max(lo - 2, xs.start), min(hi + 2, xs.stop)):
+        for d in range(max(5 + c, ys.start - n1), min(2 * T, ys.stop - n1)):
+            structure.append(Molecule(R, (n1, n1 + d)))  # bulk
     if mirrored:
         structure = [_mirror_molecule(m) for m in structure]
+    structure.sort(key=lambda m: (m.shape.name, m.anchor))
     return structure
 
 
@@ -853,16 +909,15 @@ def _wetting_fill(
 ) -> Configuration:
     """The forced part, then each chain and family molecule that still fits.
 
-    A molecule fits when it lies in what is left of the free zone, the
-    bits `free` of the set-up grid (so its cells have as many bits), after
-    the molecules accepted before it; the family fills in where the forced
-    collar cuts the chain.
+    Both lists come in (shape name, anchor) order, each molecule once.  A
+    molecule fits when its mask on the set-up grid lies in what is left
+    of the free zone, the bits `free`, after the molecules accepted before
+    it; the family fills in where the forced collar cuts the chain.
     """
     mols = list(forced.molecules)
     for group in (chain, members):
-        for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
-            bits = grid.mask(m.cells())
-            if bits.bit_count() == len(m.shape.cells) and not bits & ~free:
+        for m, bits in zip(group, grid.masks(group)):
+            if not bits & ~free:
                 free ^= bits
                 mols.append(m)
     return validate(mols)
@@ -887,7 +942,7 @@ def pattern_upper_bound(
     prob = InterfaceProblem(i, j, nu, T, weights)
     # one family build serves every candidate and the admissibility check
     window = Window.square(T)
-    members, forced, glued, _, grid, _, _, free = _set_up(prob, window)
+    members, forced, glued, _, grid, _, _, free = _set_up(prob)
     forced = validate(forced)
     candidates: list[Configuration] = []
     try:

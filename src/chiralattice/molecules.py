@@ -164,14 +164,30 @@ def _edge_connected(cells: Iterable[Cell]) -> bool:
 
 @dataclass(frozen=True)
 class MoleculeShape:
-    """A named 4-cell shape with a chirality tag used by weighted energies."""
+    """A named 4-cell shape with a chirality tag used by weighted energies.
+
+    Its cells are a tuple of exactly four distinct, edge-connected pairs of
+    ints, each read by `json_int` (so a bool is refused), and anything else
+    raises InvalidInput: every molecule has four distinct cells, which
+    `validate`'s size test relies on.
+    """
 
     name: str
     cells: tuple[Cell, Cell, Cell, Cell]
     chirality_class: str
 
     def __post_init__(self):
-        if len(set(self.cells)) != 4:
+        cells = self.cells
+        if type(cells) is not tuple or len(cells) != 4 or not all(
+            type(cell) is tuple and len(cell) == 2 for cell in cells
+        ):
+            raise InvalidInput(
+                f"shape {self.name!r} needs 4 distinct cells, a tuple of pairs (c, r)"
+            )
+        for c, r in cells:
+            json_int("shape cell coordinate", c)
+            json_int("shape cell coordinate", r)
+        if len(set(cells)) != 4:
             raise InvalidInput(f"shape {self.name!r} needs 4 distinct cells")
         if not _edge_connected(self.cells):
             raise InvalidInput(f"shape {self.name!r} is not edge-connected")
@@ -187,8 +203,12 @@ S = MoleculeShape("S", ((-1, 0), (-1, 1), (-1, 2), (-2, 2)), S_LIKE)
 BUILTIN_SHAPES: Mapping[str, MoleculeShape] = MappingProxyType({"R": R, "S": S})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Molecule:
+    """One translate of a shape: its cells are the shape's cells shifted by
+    the anchor.  Slotted, so an instance holds its two fields and no
+    `__dict__`; equal molecules have equal shapes and anchors."""
+
     shape: MoleculeShape
     anchor: Cell
 
@@ -365,15 +385,24 @@ class Configuration:
 
 
 def validate(molecules: Iterable[Molecule]) -> Configuration:
-    """Build a Configuration, raising OverlapError on the first conflict."""
+    """Build a Configuration, raising OverlapError on the first conflict.
+
+    The occupancy is one dict over every molecule's cells in order.  Each
+    shape has four distinct cells, so the molecules are disjoint iff it
+    holds four cells per molecule; only when it holds fewer are the cells
+    walked one by one, to name the first cell claimed twice and its two
+    molecules.
+    """
     mols = tuple(molecules)
-    occupancy: dict[Cell, int] = {}
-    for i, m in enumerate(mols):
-        for cell in m.cells():
-            j = occupancy.get(cell)
-            if j is not None:
-                raise OverlapError(cell, j, i)
-            occupancy[cell] = i
+    occupancy = {cell: i for i, m in enumerate(mols) for cell in m.cells()}
+    if len(occupancy) != 4 * len(mols):
+        occupancy = {}
+        for i, m in enumerate(mols):
+            for cell in m.cells():
+                j = occupancy.get(cell)
+                if j is not None:
+                    raise OverlapError(cell, j, i)
+                occupancy[cell] = i
     return Configuration(mols, occupancy)
 
 
@@ -501,42 +530,59 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
 # The striped zero-energy patterns
 # -------------------------------------------------------------------
 
-def pattern_columns(i: int, window: Window) -> list[tuple[int, range]]:
-    """The anchors of the phase-i molecules whose cells intersect the window,
-    column by column: (a, bs) for each anchor column a, with the molecules
-    (phase_shape(i), (a, b)) for b in bs.
+def pattern_columns(i: int, cells: tuple[range, range]) -> list[tuple[int, range]]:
+    """The anchors of the phase-i molecules with a cell in xs x ys, for the
+    integer cell ranges cells = (xs, ys), xs not empty, column by column:
+    (a, bs) for each anchor column a in increasing order, with the
+    molecules (phase_shape(i), (a, b)) for b in bs.
 
     This is the one statement of the stripe geometry.  Each column's anchors
     form one range of step 4: the label of anchor (a, b) is, mod 4, its
     label at the origin plus one per row and `step` per column, read off
-    `phase_label`; and the shape's rows whose cells fall in a window column
-    are contiguous, so the anchors meeting the window are consecutive.
+    `phase_label`; and the shape's rows whose cells fall in a cell column
+    are contiguous, so the anchors meeting the cells are consecutive.  In
+    an interior column every cell of the shape falls in xs, so the interior
+    columns share one span of anchors, which `step` cuts into four ranges
+    taken in turn; only the edge columns, which the shape overhangs, are
+    worked out one by one.
     """
-    if window.is_plane:
-        raise InvalidInput("a plane-filling pattern is infinite; pass a square")
+    xs, ys = cells
     shape = phase_shape(i)
     origin = phase_label(Molecule(shape, (0, 0)))
     step = phase_label(Molecule(shape, (1, 0))) - origin
-    dxs = [c for c, _ in shape.cells]
-    xs, ys = window.cell_range()
-    out = []
-    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
-        dys = [r for c, r in shape.cells if a + c in xs]
+
+    def rows(a: int, dys: list[int]) -> range:
         first = ys.start - max(dys)
-        first += (i - origin - step * a - first) % 4
-        out.append((a, range(first, ys.stop - min(dys), 4)))
-    return out
+        return range(first + (i - origin - step * a - first) % 4, ys.stop - min(dys), 4)
+
+    def edge(a: int) -> tuple[int, range]:
+        return a, rows(a, [r for c, r in shape.cells if a + c in xs])
+
+    dxs = [c for c, _ in shape.cells]
+    dys = [r for _, r in shape.cells]
+    start, stop = xs.start - max(dxs), xs.stop - min(dxs)  # every column
+    # the interior columns, none when xs is narrower than the shape
+    mid_start = min(xs.start - min(dxs), stop)
+    mid_stop = max(xs.stop - max(dxs), mid_start)
+    interior = [rows(a, dys) for a in range(4)]  # by a mod 4
+    return [
+        *map(edge, range(start, mid_start)),
+        *((a, interior[a % 4]) for a in range(mid_start, mid_stop)),
+        *map(edge, range(mid_stop, stop)),
+    ]
 
 
 def phase_pattern(i: int, window: Window) -> Configuration:
     """All phase-i molecules whose cells intersect the window, validated, in
-    the column order of `pattern_columns`.
+    the column order of `pattern_columns` over the window's cells.
 
     The result covers every cell of the window, has zero perimeter on the
     erosion of the window by 3, and consists of molecules that all carry
     phase label i.
     """
-    columns = pattern_columns(i, window)
+    if window.is_plane:
+        raise InvalidInput("a plane-filling pattern is infinite; pass a square")
+    columns = pattern_columns(i, window.cell_range())
     shape = phase_shape(i)
     return validate(Molecule(shape, (a, b)) for a, bs in columns for b in bs)
 
@@ -562,14 +608,7 @@ def shapes_from_json(text: str) -> dict[str, MoleculeShape]:
     out: dict[str, MoleculeShape] = {}
 
     def entry(raw) -> None:
-        shape = MoleculeShape(
-            raw["name"],
-            tuple(
-                (json_int("shape cell", c), json_int("shape cell", r))
-                for c, r in raw["cells"]
-            ),
-            raw["chirality_class"],
-        )
+        shape = MoleculeShape(raw["name"], tuple(map(tuple, raw["cells"])), raw["chirality_class"])
         if shape.name in out:
             raise InvalidInput(f"duplicate shape name {shape.name!r}")
         out[shape.name] = shape

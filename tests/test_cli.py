@@ -457,6 +457,15 @@ CORPUS_FILES = {
         }]
         for kind, cell in (("float", 1.7), ("str", "1"), ("bool", True))
     },
+    # a fifth cell repeating the first: four distinct cells, but not four cells
+    "shapes_five": [{
+        "name": "X", "cells": [[0, 0], [0, 0], [0, 1], [0, 2], [1, 2]],
+        "chirality_class": "R-like",
+    }],
+    "shapes_triple": [{
+        "name": "X", "cells": [[0, 0], [0, 1], [0, 2], [1, 2, 0]],
+        "chirality_class": "R-like",
+    }],
     "palette_int": {"palette": list(range(1, 10))},
     "palette_attr": {"palette": ['x" onload="alert(1)', *["#abc"] * 8]},
     "palette_hex": {"palette": ["#12345", *["red"] * 8]},
@@ -482,6 +491,9 @@ CORPUS_FILES = {
         ["lemma", "3", "--shapes", "shapes_float"],
         ["lemma", "3", "--shapes", "shapes_str"],
         ["lemma", "3", "--shapes", "shapes_bool"],
+        ["energy", "CFG", "--shapes", "shapes_five"],
+        ["lemma", "3", "--shapes", "shapes_five"],
+        ["energy", "CFG", "--shapes", "shapes_triple"],
         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_float"],
         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_bool"],
         ["decompose", "CFG", "--epsilon", "1", "--window", "4", "--target", "target_label"],

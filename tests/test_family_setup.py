@@ -127,7 +127,7 @@ def ref_set_up(prob):
     the per-cell set-up that `_set_up` replaced: one frame test per member,
     the forced part validated, the free zone as a cell set and a subset
     test per member."""
-    members = _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T))
+    members = _family_members(prob.i, prob.j, prob.nu, (_window_cells(prob.T),) * 2)
     framed = list(map(_frame_test(prob.T), members))
     forced = _forced_part(itertools.compress(members, framed), prob)
     free = free_cells(forced, prob.T)
@@ -250,7 +250,7 @@ def test_side_reach_matches_the_cell_loop(pq):
     window = Window.square(26)
     for i in range(1, 5):
         for upper, lower in ((i, i + 4), (i + 4, i)):
-            got = _family_members(upper, lower, nu, window)
+            got = _family_members(upper, lower, nu, window.cell_range())
             assert got == ref_family_members(upper, lower, nu, window)
             # each side keeps some of its pattern and drops some
             for lab in (upper, lower):
@@ -274,7 +274,7 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
     feasible = infeasible = 0
     for (i, j), pq in itertools.product(itertools.permutations(range(9), 2), FAMILY_DIRECTIONS):
         prob = InterfaceProblem(i, j, direction(*pq), T)
-        far = _family_members(i, j, prob.nu, Window.square(T + 8))
+        far = _family_members(i, j, prob.nu, Window.square(T + 8).cell_range())
         try:
             ref = _forced_part([m for m in far if _frame_test(T)(m)], prob)
         except InfeasibleBoundary as exc:
@@ -283,7 +283,7 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
-        _, forced, glued, interior, grid, _, _, free = _set_up(prob, Window.square(T))
+        _, forced, glued, interior, grid, _, _, free = _set_up(prob)
         assert forced == list(ref.molecules), (i, j, pq)
         ref_free = free_cells(ref, T)
         assert decode(grid, free, T) == ref_free, (i, j, pq)
@@ -317,16 +317,15 @@ def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
         monkeypatch.setattr(interfaces, "_scan_order", scan)
         for i, j, nu in _set_up_keys():
             prob = InterfaceProblem(i, j, nu, T)
-            window = Window.square(T)
             try:
                 members, forced, free, glued, interior = ref_set_up(prob)
             except InfeasibleBoundary as exc:
                 with pytest.raises(InfeasibleBoundary) as raised:
-                    _set_up(prob, window)
+                    _set_up(prob)
                 assert str(raised.value) == str(exc)
                 infeasible += 1
                 continue
-            got = _set_up(prob, window)
+            got = _set_up(prob)
             grid, occ_R, occ_S = got[4:7]
             assert got[:4] == (members, list(forced.molecules), glued, interior), prob
             assert decode(grid, got[7], T) == free, prob
@@ -338,7 +337,7 @@ def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
             ), prob
             for w, kind in weights:
                 priced = InterfaceProblem(i, j, nu, T, w, kind)
-                base = _forced_energy(priced, window, grid, occ_R, occ_S)
+                base = _forced_energy(priced, grid, occ_R, occ_S)
                 assert base == ref_energy(forced, priced), priced
             feasible += 1
     assert feasible > 0 and infeasible > 0
@@ -379,6 +378,75 @@ def test_pattern_upper_bound_matches_the_multi_build_path(T):
     # so both candidates are compared
     assert (wetting_wins > 0) == (T > 8)
     assert len(rows) == len(TABLE_DIRECTIONS) * 2 + {8: 0, 12: 24, 16: 26}[T]
+
+
+def ref_wetting_chain(prob):
+    """The wetting microstructure over Q_T that `_wetting_chain` cut to the
+    inner square: O(T^2) molecules, most of which miss it."""
+    zero, i, nu = interfaces.oriented(prob.i, prob.j, prob.nu.as_tuple())
+    mirrored = zero == 0 and phase_shape(i) is S
+    if zero != 0 or nu != ((-1, -1) if mirrored else (1, -1)):
+        raise NoPattern("no wetting pattern")
+    c = (i - 1) % 4
+    T = prob.T
+    lo, hi = -T // 2, T // 2
+    structure = []
+    for t in range(lo - 2, hi + 2):
+        structure.append(Molecule(R, (2 * t, 2 * t + 1 + c)))
+        structure.append(Molecule(R, (2 * t + 1, 2 * t + 4 + c)))
+        structure.append(Molecule(S, (2 * t + 1, 2 * t - 2 + c)))
+    for n1 in range(lo - 2, hi + 2):
+        for d in range(5 + c, 2 * T):
+            structure.append(Molecule(R, (n1, n1 + d)))
+    if mirrored:
+        structure = [_mirror_molecule(m) for m in structure]
+    return structure
+
+
+def ref_wetting_fill(chain, members, forced, grid, free):
+    """The fill that `_wetting_fill` replaced: each group deduplicated and
+    sorted, and each molecule's cells masked one by one."""
+    mols = list(forced.molecules)
+    for group in (chain, members):
+        for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
+            bits = grid.mask(m.cells())
+            if bits.bit_count() == len(m.shape.cells) and not bits & ~free:
+                free ^= bits
+                mols.append(m)
+    return validate(mols)
+
+
+def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
+    # the chain cut to the inner square gives the fill of the full chain,
+    # and pattern_upper_bound the same value and configuration, at T =
+    # 8..40 and both weight orders, for two R and two S phases, which take
+    # the chain's four offsets; a chain molecule that misses the inner
+    # square never fits
+    rows = [
+        InterfaceProblem(i, 0, direction(*((-1, 1) if i <= 4 else (1, 1))), T)
+        for T in range(8, 41) for i in (1, 2, 7, 8)
+    ]
+    weights = [(1, F(1, 4)), (F(1, 4), 1)]
+    got = []
+    for prob in rows:
+        chain = _wetting_chain(prob)
+        assert chain == sorted(chain, key=lambda m: (m.shape.name, m.anchor)), prob
+        assert len(chain) == len(set(chain)) and set(chain) < set(ref_wetting_chain(prob)), prob
+        got.append((wetting_config(prob).molecules, [
+            pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w) for w in weights
+        ]))
+    monkeypatch.setattr(interfaces, "_wetting_chain", ref_wetting_chain)
+    monkeypatch.setattr(interfaces, "_wetting_fill", ref_wetting_fill)
+    wins = 0
+    for prob, (fill, bounds) in zip(rows, got):
+        chain = ref_wetting_chain(prob)
+        members, forced, _, _, grid, _, _, free = _set_up(prob)
+        assert fill == ref_wetting_fill(chain, members, validate(forced), grid, free).molecules, prob
+        for w, (value, cfg) in zip(weights, bounds):
+            ref_value, ref_cfg = pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w)
+            assert (value, cfg.molecules) == (ref_value, ref_cfg.molecules), (prob, w)
+            wins += cfg.molecules == fill
+    assert wins > 0
 
 
 def test_infeasible_families_raise_the_same_error():
@@ -446,7 +514,7 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
     rows = overlaps = infeasible = 0
     for prob in _glued_rows():
         members = ref_near_family(prob)
-        assert _family_members(prob.i, prob.j, prob.nu, Window.square(prob.T)) == members, prob
+        assert _family_members(prob.i, prob.j, prob.nu, (_window_cells(prob.T),) * 2) == members, prob
         try:
             solve_interface(prob, budget=1)
         except InfeasibleBoundary:
@@ -546,10 +614,11 @@ def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):
 
 
 def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
-    # a solve that certifies at the root masks no cell list, and reads the
+    # no solve builds a Window: Q_T is read as integer cell ranges; and a
+    # solve that certifies at the root masks no cell list, and reads the
     # cells of each molecule once, when it validates its result
-    calls = {"mask": 0, "cells": 0}
-    mask, cells = PlacementGrid.mask, Molecule.cells
+    calls = {"mask": 0, "cells": 0, "window": 0}
+    mask, cells, window = PlacementGrid.mask, Molecule.cells, Window.__init__
 
     def counted_mask(grid, cells):
         calls["mask"] += 1
@@ -559,15 +628,23 @@ def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
         calls["cells"] += 1
         return cells(m)
 
+    def counted_window(w, *args):
+        calls["window"] += 1
+        window(w, *args)
+
     monkeypatch.setattr(PlacementGrid, "mask", counted_mask)
     monkeypatch.setattr(Molecule, "cells", counted_cells)
+    monkeypatch.setattr(Window, "__init__", counted_window)
+    Window.square(8)
+    assert calls["window"] == 1  # the counter sees a Window built
     rows = [InterfaceProblem(1, 0, direction(1, 1), 20), *_table_rows()]
     certified = 0
     for prob in rows:
-        calls.update(mask=0, cells=0)
+        calls.update(mask=0, cells=0, window=0)
         res = solve_interface(prob)
+        assert calls["window"] == 0, prob
         if res.nodes_explored == 0:
             assert res.certificate == "exact", prob
-            assert calls == {"mask": 0, "cells": len(res.config.molecules)}, prob
+            assert calls == {"mask": 0, "cells": len(res.config.molecules), "window": 0}, prob
             certified += 1
     assert certified > 20

@@ -17,6 +17,7 @@ import pytest
 from chiralattice.interfaces import (
     _family_members,
     _inner,
+    _outer_clip,
     _window_cells,
     direction,
 )
@@ -26,8 +27,11 @@ from chiralattice.molecules import (
     R,
     S,
     Window,
+    pattern_columns,
     perimeter,
+    phase_label,
     phase_pattern,
+    phase_shape,
     validate,
     volume_deficit,
     weighted_perimeter,
@@ -388,6 +392,51 @@ def test_phase_pattern_matches_cell_sweep():
             assert list(phase_pattern(i, window).molecules) == ref_phase_pattern(i, window)
 
 
+def ref_pattern_columns(i: int, window: Window) -> list[tuple[int, range]]:
+    """The per-column loop that `pattern_columns` replaced: every column's
+    rows worked out one by one, on the window's cell ranges."""
+    shape = phase_shape(i)
+    origin = phase_label(Molecule(shape, (0, 0)))
+    step = phase_label(Molecule(shape, (1, 0))) - origin
+    dxs = [c for c, _ in shape.cells]
+    xs, ys = window.cell_range()
+    out = []
+    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
+        dys = [r for c, r in shape.cells if a + c in xs]
+        first = ys.start - max(dys)
+        first += (i - origin - step * a - first) % 4
+        out.append((a, range(first, ys.stop - min(dys), 4)))
+    return out
+
+
+def test_pattern_columns_match_the_per_column_loop():
+    # every label on windows of integer and fractional sides from 1 to 21,
+    # at lattice and off-lattice centres; sides below the shape's width
+    # leave no interior column
+    sides = [F(k) for k in range(1, 22)] + [F(1, 2), F(5, 3), F(7, 2), F(19, 4), F(41, 4), F(62, 3)]
+    centres = [(0, 0), (F(1, 2), 0), (F(1, 3), F(-2, 7)), (F(-5, 4), F(7, 3))]
+    windows = [Window.square(side, centre) for side in sides for centre in centres]
+    checked = 0
+    for window in windows:
+        for i in range(1, 9):
+            got = pattern_columns(i, window.cell_range())
+            assert got == ref_pattern_columns(i, window), (i, window)
+            checked += 1
+    assert checked == 864
+
+
+def test_outer_clip_matches_the_window():
+    # the clip of Q_T's outer lines read from T's parity is the Fraction
+    # window's, on both axes and at both ends; the next line is whole
+    for T in range(8, 41):
+        window, cells = Window.square(T), _window_cells(T)
+        for axis in (0, 1):
+            for k in (cells[0], cells[-1]):
+                assert _outer_clip(T) == window._clip(axis, k), T
+            assert window._clip(axis, cells[1]) == window._clip(axis, cells[-2]) == 1, T
+        assert _outer_clip(T) == (1 if T % 2 == 0 else F(1, 2)), T
+
+
 FAMILY_PAIRS = (
     (1, 0), (2, 0), (5, 0), (8, 0), (0, 3), (0, 6),
     (1, 2), (1, 5), (1, 7), (5, 6), (4, 8), (7, 3),
@@ -401,7 +450,8 @@ def test_family_members_match_cell_sweep(T):
     for i, j in FAMILY_PAIRS:
         for p, q in FAMILY_DIRECTIONS:
             nu = direction(p, q)
-            assert _family_members(i, j, nu, window) == ref_family_members(i, j, nu, window)
+            got = _family_members(i, j, nu, window.cell_range())
+            assert got == ref_family_members(i, j, nu, window)
 
 
 def test_family_members_every_pair_on_off_grid_windows():
@@ -410,7 +460,7 @@ def test_family_members_every_pair_on_off_grid_windows():
     for i, j in pairs:
         window = random_window(rng)
         nu = direction(*rng.choice(FAMILY_DIRECTIONS))
-        got = _family_members(i, j, nu, window)
+        got = _family_members(i, j, nu, window.cell_range())
         assert got == ref_family_members(i, j, nu, window)
 
 

@@ -1,8 +1,8 @@
 """Library hygiene, read from the source with `ast`: no unused import, no
 import inside a function body, no module-level private name that the
 library itself never refers to, no public name that only the tests use,
-no module-level mutable container, and no restatement of the species
-split outside `molecules`."""
+no module-level mutable container, no restatement of the species split
+outside `molecules`, and no instance dict on a molecule."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from chiralattice.molecules import Molecule, R
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chiralattice"
@@ -224,3 +226,10 @@ def test_no_recursion():
         f"{module} {name}" for module, tree in TREES.items() for name in _self_calls(tree)
     ]
     assert not recursive, recursive
+
+
+def test_molecules_hold_no_instance_dict():
+    """A molecule is slotted: its shape and anchor, and no `__dict__`."""
+    m = Molecule(R, (0, 0))
+    assert not hasattr(m, "__dict__")
+    assert Molecule.__slots__ == ("shape", "anchor")

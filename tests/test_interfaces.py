@@ -49,7 +49,7 @@ def boundary_family(i: int, j: int, nu: Direction, region: Window):
     if i == j:
         raise InvalidInput("boundary families need distinct phases")
     try:
-        return validate(_family_members(i, j, nu, region))
+        return validate(_family_members(i, j, nu, region.cell_range()))
     except OverlapError as exc:
         raise InfeasibleBoundary(
             f"boundary family ({i},{j},{nu.as_tuple()}) is inconsistent: {exc}"
@@ -62,7 +62,7 @@ def glued_family_config(prob: InterfaceProblem):
     Raises InfeasibleBoundary when the frame itself is inconsistent, and
     NoPattern when two of the interior members overlap.
     """
-    glued = _set_up(prob, Window.square(prob.T))[2]
+    glued = _set_up(prob)[2]
     try:
         return validate(glued)
     except OverlapError as exc:
@@ -72,7 +72,7 @@ def glued_family_config(prob: InterfaceProblem):
 def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
-    members, forced, _, _, grid, _, _, free = _set_up(prob, Window.square(prob.T))
+    members, forced, _, _, grid, _, _, free = _set_up(prob)
     return _wetting_fill(chain, members, validate(forced), grid, free)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.molecules import (
+    InvalidInput,
     Molecule,
     MoleculeShape,
     OverlapError,
@@ -40,6 +41,93 @@ def test_shape_validation():
         MoleculeShape("bad", ((0, 0), (0, 1), (2, 2), (2, 3)), "R-like")
     with pytest.raises(ValueError):
         MoleculeShape("bad", ((0, 0), (0, 1), (0, 2), (1, 2)), "L-like")
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ((0, 0), (0, 0), (0, 1), (0, 2), (1, 2)),  # five cells, four of them distinct
+        ((0, 0), (0, 1), (0, 2)),  # three cells
+        [(0, 0), (0, 1), (0, 2), (1, 2)],  # a list
+        [[0, 0], [0, 1], [0, 2], [1, 2]],  # a list of lists
+        ((0, 0), (0, 1), (0, 2), [1, 2]),  # a cell that is a list
+        ((0, 0), (0, 1), (0, 2), (1, 2, 0)),  # a cell of three coordinates
+        ((0, 0), (0, 1), (0, 2), (True, 2)),  # a bool coordinate
+        ((0, 0), (0, 1), (0, 2), (1.0, 2)),  # a float coordinate
+    ],
+    ids=["five", "three", "list", "lists", "list-cell", "triple", "bool", "float"],
+)
+def test_shape_cells_are_four_distinct_int_pairs(cells):
+    # a shape is a tuple of exactly four distinct pairs of ints, read by
+    # `json_int`, so each molecule has four distinct cells
+    with pytest.raises(InvalidInput):
+        MoleculeShape("bad", cells, "R-like")
+
+
+def test_molecule_eq_hash_and_repr():
+    # slotted: a molecule compares, hashes and prints by shape and anchor
+    a, b = Molecule(R, (1, 2)), Molecule(R, (1, 2))
+    assert a == b and hash(a) == hash(b) and a != Molecule(S, (1, 2))
+    assert repr(a) == (
+        "Molecule(shape=MoleculeShape(name='R', cells=((0, 0), (0, 1), (0, 2), (1, 2)), "
+        "chirality_class='R-like'), anchor=(1, 2))"
+    )
+
+
+def ref_validate(molecules):
+    """The per-cell walk that `validate` replaced: (molecules, occupancy),
+    raising OverlapError at the first cell claimed twice."""
+    mols = tuple(molecules)
+    occupancy = {}
+    for i, m in enumerate(mols):
+        for cell in m.cells():
+            j = occupancy.get(cell)
+            if j is not None:
+                raise OverlapError(cell, j, i)
+            occupancy[cell] = i
+    return mols, occupancy
+
+
+def _overlap(build, mols):
+    """(cell, index_a, index_b) of the OverlapError that build raises."""
+    with pytest.raises(OverlapError) as err:
+        build(mols)
+    return err.value.cell, err.value.index_a, err.value.index_b
+
+
+def test_validate_matches_the_per_cell_walk():
+    # on seeded random molecule lists the one-dict occupancy equals the
+    # walk's, item by item; with a repeated molecule, or a molecule that
+    # clashes with the first or is the last one, both raise at the same
+    # cell with the same two indices
+    rng = random.Random(13)
+
+    def clash(m):
+        """A molecule sharing a cell with m."""
+        shape = rng.choice((R, S))
+        (a, b), (c, r) = rng.choice(m.cells()), rng.choice(shape.cells)
+        return Molecule(shape, (a - c, b - r))
+
+    raised = 0
+    for _ in range(300):
+        mols = list(random_configuration(rng, 30).molecules)
+        rng.shuffle(mols)
+        got = validate(mols)
+        ref_mols, ref_occupancy = ref_validate(mols)
+        assert got.molecules == ref_mols
+        assert list(got.occupancy.items()) == list(ref_occupancy.items())
+        if not mols:
+            continue
+        k = rng.randrange(len(mols))
+        at = rng.randrange(len(mols) + 1)
+        for bad in (
+            [*mols[:at], mols[k], *mols[at:]],  # a repeated molecule
+            [mols[0], *mols[1:at], clash(mols[0]), *mols[at:]],  # a clash with the first
+            [*mols, clash(rng.choice(mols))],  # a clash at the last
+        ):
+            assert _overlap(validate, bad) == _overlap(ref_validate, bad)
+            raised += 1
+    assert raised > 600
 
 
 def test_validate_interlocking_pair():

@@ -315,8 +315,8 @@ def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
     grids = []
     set_up = interfaces._set_up
 
-    def recording_set_up(prob, window):
-        out = set_up(prob, window)
+    def recording_set_up(prob):
+        out = set_up(prob)
         grids.append((out[4], out[7]))  # the set-up grid and its free zone
         return out
 
