@@ -36,8 +36,9 @@ adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  The search's cells are bits of int masks
 of a placement grid (`chiralattice.placements`) over the inner square
 and its ring, whose placements are the free molecules only; the line
-bound shifts those masks along and across lines.  Costs are integers in
-units of 1/scale, so all energies stay exact rationals.
+bound shifts those masks along and across lines.  From set-up to result
+a solve prices in ints, in one unit 1/scale (`_units`), and builds
+`Fraction`s for its result alone.
 
 The solver and the pattern library share one set-up (`_set_up`) on Q_T
 read as an integer cell range (`_window_cells`), with no `Window`, and one
@@ -47,14 +48,14 @@ once by the reach inequality and its members built column by column, in
 family order with no sort, each member a mask; the forced part, the
 members whose masks meet the frame; the free zone, as a mask; and the
 glued family, the forced part plus the members lying in the free zone,
-with those free members also listed alone.  The glued family is the
+whose occupancy tells whether they overlap.  The glued family is the
 solver's second incumbent after the forced part alone, and a
 `pattern_upper_bound` candidate beside the wetting fill and the forced
 part alone, so a feasible problem always has a bound.  Every use of the
 family keeps only members that meet the frame or lie in the free zone,
 both in Q_T, so the family build covers Q_T and no more.  A solve never
 sweeps the lattice: it prices the forced part by shifts of the set-up
-masks (`_forced_energy`, with Q_T's outer clip and area read from T),
+masks (`_forced_energy`, with the odd-T half cells read from T),
 reads its search grid's root state off them, one shift and mask per
 line, prices the glued family as the leaf that places its free members
 (`_glued_cost`, counting edges by `_edge_cost`), and validates one
@@ -327,22 +328,30 @@ def _forced_part(frame: Iterable[Molecule], prob: InterfaceProblem) -> Configura
         ) from exc
 
 
+def _occupancy(members: Iterable[Molecule], masks: Iterable[int]) -> tuple[int, int] | None:
+    """(occ_R, occ_S), the ORs of the R-like and S-like members' masks, or
+    None when two members overlap: their OR then has under 4 bits a mask."""
+    occ, bits = [0, 0], 0  # S-like and R-like cells, and 4 bits a member
+    for m, mask in zip(members, masks):
+        occ[m.shape.chirality_class == R_LIKE] |= mask
+        bits += 4
+    return (occ[1], occ[0]) if (occ[0] | occ[1]).bit_count() == bits else None
+
+
 def _set_up(prob: InterfaceProblem) -> tuple:
-    """(family, forced part, glued family, its free members, grid, occ_R,
-    occ_S, free): the set-up that the solver and the pattern library
-    share, from one family build on Q_T's integer cell range
-    (`_window_cells`), as masks over one grid; no `Window` is built.
+    """(family, forced part, glued family, placed, grid, occ_R, occ_S,
+    free): the set-up that the solver and the pattern library share, from
+    one family build on Q_T's integer cell range (`_window_cells`), as
+    masks over one grid; no `Window` is built.
 
     The grid numbers Q_T padded by the shapes' reach, in the scan order's
     orientation, so it holds every member, which meets Q_T; each member's
     mask is its shape's template shifted once.  The forced part is the
     members whose masks meet the frame, Q_T less the inner square; occ_R
-    and occ_S mark its R-like and S-like cells.  Every mask has four bits,
-    so the forced part overlaps iff their OR has fewer than four per
-    member, and only then does `_forced_part` validate it, to report the
-    first overlap; it is not validated here.  The free zone `free` is the
-    inner square less the forced cells, and a member lies in it iff its
-    mask misses the complement.
+    and occ_S mark its R-like and S-like cells (`_occupancy`), and only if
+    they overlap does `_forced_part` validate it, to report the first
+    overlap.  The free zone `free` is the inner square less the forced
+    cells, and a member lies in it iff its mask misses the complement.
 
     The glued family is the forced part plus the members lying in the free
     zone, in family order: the boundary family continued through Q_T.  It
@@ -350,10 +359,10 @@ def _set_up(prob: InterfaceProblem) -> tuple:
     striped half plane with its staircase profile; for mixed pairs the two
     half families glued, meeting flush along the anti-diagonal seams that
     admit meshing and leaving an empty gap elsewhere (the constructive
-    form of the subadditive bound).  Its interior members, returned apart
-    in family order, are free placements of the solver, so it is both the
-    solver's glued incumbent and a `pattern_upper_bound` candidate; it
-    overlaps exactly when two of them do.
+    form of the subadditive bound).  Its interior members are free
+    placements of the solver, so it is both the solver's glued incumbent
+    and a `pattern_upper_bound` candidate; it overlaps exactly when two of
+    them do, when their occupancy `placed` (`_occupancy`) is None.
     """
     T = prob.T
     square = _window_cells(T)
@@ -366,17 +375,16 @@ def _set_up(prob: InterfaceProblem) -> tuple:
     masks = grid.masks(members)
     framed = [bits & frame for bits in masks]  # nonzero iff the member meets the frame
     forced = list(compress(members, framed))
-    occ = [0, 0]  # the forced part's S-like and R-like cells
-    for m, bits in zip(forced, compress(masks, framed)):
-        occ[m.shape.chirality_class == R_LIKE] |= bits
-    taken = occ[0] | occ[1]
-    if taken.bit_count() != 4 * len(forced):  # every mask has four cells
+    occ = _occupancy(forced, compress(masks, framed))
+    if occ is None:
         _forced_part(forced, prob)  # raises InfeasibleBoundary
-    free = inner & ~taken
+    occ_R, occ_S = occ
+    free = inner & ~(occ_R | occ_S)
     outside = ~free
     inside = [not bits & outside for bits in masks]
     glued = [m for m, f, i in zip(members, framed, inside) if f or i]
-    return members, forced, glued, list(compress(members, inside)), grid, occ[1], occ[0], free
+    placed = _occupancy(compress(members, inside), compress(masks, inside))
+    return members, forced, glued, placed, grid, occ_R, occ_S, free
 
 
 def frame_forced(prob: InterfaceProblem) -> Configuration:
@@ -407,37 +415,44 @@ def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fr
     return weighted_perimeter(config, *prob.weights, window)
 
 
-def _outer_clip(T: int) -> int | Fraction:
-    """The length inside Q_T of a unit interval of its outer cells: Q_T
-    runs from -T/2 to T/2, so 1 at even T, where its boundary lies on
-    lattice lines, and 1/2 at odd T, where it halves the outer cells."""
-    return Fraction(1, 2) if T & 1 else 1
+def _units(prob: InterfaceProblem) -> tuple[int, int, int]:
+    """(scale, w_R, w_S): a solve's unit 1/scale, and c_R and c_S in it.
+    At odd T, Q_T halves its outer cells (an edge along an outer line is
+    clipped to 1/2, a corner cell to 1/4 of its area), so the scale is
+    lcm(c_R.denominator, c_S.denominator), doubled at odd T, or for volume
+    energies, which price no edge, 4 at odd T and 1 at even T."""
+    odd = prob.T & 1
+    if prob.energy_kind == VOLUME:
+        return (4 if odd else 1), 0, 0
+    c_R, c_S = prob.weights
+    scale = math.lcm(c_R.denominator, c_S.denominator) << odd
+    return scale, c_R.numerator * scale // c_R.denominator, c_S.numerator * scale // c_S.denominator
 
 
 def _forced_energy(
-    prob: InterfaceProblem, grid: PlacementGrid, occ_R: int, occ_S: int
-) -> int | Fraction:
+    prob: InterfaceProblem, units: tuple[int, int, int], grid: PlacementGrid, occ_R: int, occ_S: int
+) -> int:
     """The lattice sweep's Q_T energy of the forced part, whose R-like and
-    S-like cells are occ_R and occ_S on the set-up grid: the edges between
-    an occupied and an empty cell of Q_T, by shifts, or T^2 less the area
-    covered.  Q_T is a square about the origin, so its four outer lines
-    have one clip (`_outer_clip`), below 1 at odd T only; the edges along
-    them (those joining two of their cells) and their cells are priced
-    with it once.  The value is an int at even T, read from T alone, with
-    no `Window`."""
+    S-like cells are occ_R and occ_S on the set-up grid, as an int in the
+    `units` of `_units`: the edges between an occupied and an empty cell
+    of Q_T, by shifts, or T^2 less the area covered.  Q_T is a square about
+    the origin, so at odd T its four outer lines lie half in it, and the
+    edges along them (those joining two of their cells) are priced again at
+    minus w >> 1, their cells' area halved.  Read from T, with no `Window`."""
+    scale, w_R, w_S = units
     q_t, h = grid.order_bits, grid.height
-    cut = _outer_clip(prob.T) - 1
     ends = q_t & ~(q_t << 1 & q_t >> 1)  # the first and last cell of each line
     sides = q_t & ~(q_t << h & q_t >> h)  # the first and last line
     occ_R, occ_S = occ_R & q_t, occ_S & q_t
     occ = occ_R | occ_S
-    if prob.energy_kind == VOLUME:
-        cells = occ.bit_count() + cut * ((occ & ends).bit_count() + (occ & sides).bit_count())
-        return prob.T ** 2 - cells - cut * cut * (occ & ends & sides).bit_count()
-    return sum(
-        k * _edge_cost(grid, q_t & ~occ & m, occ_R & m, occ_S & m, prob.weights)
-        for k, m in ((1, q_t), (cut, ends | sides)) if k
-    )
+    if prob.energy_kind == VOLUME:  # scale >> 1 and scale >> 2 are 0 at even T
+        value = scale * (prob.T ** 2 - occ.bit_count()) - (scale >> 2) * (occ & ends & sides).bit_count()
+        return value + (scale >> 1) * ((occ & ends).bit_count() + (occ & sides).bit_count())
+    value = _edge_cost(grid, q_t & ~occ, occ_R, occ_S, (w_R, w_S))
+    if prob.T & 1:
+        m = ends | sides
+        value -= _edge_cost(grid, q_t & ~occ & m, occ_R & m, occ_S & m, (w_R >> 1, w_S >> 1))
+    return value
 
 
 # -------------------------------------------------------------------
@@ -508,56 +523,50 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     opened child was priced or pruned against the incumbent.
 
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one family
-    build, as masks over one grid of Q_T.  The forced part is priced on
-    those masks (`_forced_energy`), the root cost is `base` less the
-    forced edges facing free cells (`_edge_cost`), and the incumbents are
-    the forced part alone and the glued family, priced as the leaf that
-    places its free members (`_glued_cost`).  The search grid's free zone
-    and forced occupancy are cropped from the set-up masks, its free
-    placements are enumerated only when the root bound is below the
-    incumbent, and molecules are built and validated once, for the result.
+    build, as masks over one grid of Q_T.  Every price is an int in the
+    unit of `_units`.  The forced part is priced on those masks
+    (`_forced_energy`), the root cost is `base` less the forced edges
+    facing free cells (`_edge_cost`), and the incumbents are the forced
+    part alone and, unless its free members overlap, the glued family,
+    priced as the leaf that places them (`_glued_cost`).  The search
+    grid's free zone and forced occupancy are cropped from the set-up
+    masks, its free placements are enumerated only when the root bound is
+    below the incumbent, and molecules are built and validated once, for
+    the result.
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
-    T = prob.T
-    _, forced, glued, interior, grid, occ_R, occ_S, free = _set_up(prob)
+    _, forced, glued, placed, grid, occ_R, occ_S, free = _set_up(prob)
     volume = prob.energy_kind == VOLUME
 
-    # Energies are integers in units of 1/scale, so the search never
-    # touches a Fraction.
-    base = _forced_energy(prob, grid, occ_R, occ_S)
-    c_R, c_S = prob.weights
-    scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
-    w_R, w_S = int(c_R * scale), int(c_S * scale)
+    # Energies are integers in units of 1/scale (`_units`), so the search
+    # never touches a Fraction.
+    units = scale, w_R, w_S = _units(prob)
+    base = _forced_energy(prob, units, grid, occ_R, occ_S)
     w_min = min(w_R, w_S)
-    molecule_area = 4 * scale
-
-    def scaled(value: Fraction) -> int:
-        v = value * scale
-        assert v.denominator == 1, "energies are multiples of 1/scale"
-        return v.numerator
+    molecule_area = 4 * scale if volume else 0  # a surface energy prices edges alone
 
     # COST: for surface energies, the weighted length of the boundary
     # edges both of whose cells are decided.  It starts at `base` minus
     # the forced boundary edges that face a free cell, whose far side is
-    # not decided yet.  For volume energies it is the deficit itself.
-    cost0 = scaled(base)
-    if not volume:
-        cost0 -= _edge_cost(grid, free, occ_R, occ_S, (w_R, w_S))
+    # not decided yet.  For volume energies, whose weights are 0, it is the
+    # deficit itself.
+    cost0 = base - _edge_cost(grid, free, occ_R, occ_S, (w_R, w_S))
 
     # incumbents: the forced part alone, the glued family, then the forced
     # part and placements of a leaf, whose molecules are built for the result
-    best_val, best_cfg, best_placed = scaled(base), forced, []
-    set_up_root = (grid.all_bits & ~free, occ_R, occ_S, cost0)
-    value = _glued_cost(grid, interior, set_up_root, None if volume else (w_R, w_S), molecule_area)
-    if value is not None and value < best_val:
-        best_val, best_cfg = value, glued
+    best_val, best_cfg, best_placed = base, forced, []
+    if placed is not None:
+        set_up_root = (grid.all_bits & ~free, occ_R, occ_S, cost0)
+        value = _glued_cost(grid, placed, set_up_root, (w_R, w_S), molecule_area)
+        if value < best_val:
+            best_val, best_cfg = value, glued
 
     # The search grid: the inner square and its one-cell ring, in the
     # set-up grid's orientation, with no margin (order cell k has bit k),
     # its placements the free molecules.  State: decided cells and the
     # cells occupied by R-like and S-like molecules, read on order cells.
-    inner = _inner(T)
+    inner = _inner(prob.T)
     spec = _scan_order(prob, range(inner.start - 1, inner.stop + 1))
     free_bits, occ_R0, occ_S0 = grid.crop(spec, free, occ_R, occ_S)
     table = PlacementGrid(spec, (R, S), free_bits)
@@ -675,37 +684,30 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
 def _glued_cost(
     table: PlacementGrid,
-    interior: list[Molecule],
+    placed: tuple[int, int],
     root: tuple[int, int, int, int],
-    weights: tuple[int, int] | None,
+    weights: tuple[int, int],
     area: int,
-) -> int | None:
-    """The solver's cost at the leaf that places the glued family's free
-    members `interior` (as `_set_up` gives them), in its integer units, or
-    None when two of them overlap.
+) -> int:
+    """The solver's cost, an int in the units of `_units`, at the leaf
+    that places the glued family's free members, whose R-like and S-like
+    cells are `placed` (as `_set_up` gives them, not overlapping).
 
     `root` is the root state (decided, occ_R, occ_S, cost) on the set-up
-    grid `table`: the free zone undecided, the forced part placed.  For
-    volume energies (weights None) each member lowers the cost by `area`.
-    For surface energies, with weights (w_R, w_S), the leaf adds to the
-    root cost the boundary edges that meet a free cell, each once, as the
-    search counts them: those between a free cell left empty and an
-    occupied cell, and those between a placed member and a decided empty
-    cell outside the free zone.
+    grid `table`: the free zone undecided, the forced part placed.  Each
+    member lowers the root cost by `area`, 0 for surface energies, and the
+    boundary edges that meet a free cell add their weights (w_R, w_S), 0
+    for volume energies, each once, as the search counts them: those
+    between a free cell left empty and an occupied cell, and those between
+    a placed member and a decided empty cell outside the free zone.
     """
     decided, occ_R, occ_S, cost = root
-    placed = [0, 0]  # S-like and R-like cells
-    for m, bits in zip(interior, table.masks(interior)):
-        if bits & (placed[0] | placed[1]):
-            return None
-        placed[m.shape.chirality_class == R_LIKE] |= bits
-    placed_S, placed_R = placed
-    if weights is None:
-        return cost - area * len(interior)
+    placed_R, placed_S = placed
     outside = decided & ~(occ_R | occ_S)  # decided empty cells
     empty = table.all_bits & ~decided & ~(placed_R | placed_S)
     return (
-        cost + _edge_cost(table, empty, occ_R | placed_R, occ_S | placed_S, weights)
+        cost - area * ((placed_R | placed_S).bit_count() // 4)
+        + _edge_cost(table, empty, occ_R | placed_R, occ_S | placed_S, weights)
         + _edge_cost(table, outside, placed_R, placed_S, weights)
     )
 
@@ -942,13 +944,9 @@ def pattern_upper_bound(
     prob = InterfaceProblem(i, j, nu, T, weights)
     # one family build serves every candidate and the admissibility check
     window = Window.square(T)
-    members, forced, glued, _, grid, _, _, free = _set_up(prob)
+    members, forced, glued, placed, grid, _, _, free = _set_up(prob)
     forced = validate(forced)
-    candidates: list[Configuration] = []
-    try:
-        candidates.append(validate(glued))
-    except OverlapError:
-        pass
+    candidates = [] if placed is None else [validate(glued)]
     try:
         candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, grid, free))
     except NoPattern:

@@ -20,12 +20,11 @@ of its state outside the order cells, a molecule's masks are its shape's
 templates shifted by one amount (`masks`), and a grid with the same steps
 inside the padded grid is read off one line at a time (`crop`).
 
-The margin is 0 when `within`, a cell set walked once for this test and
-its bits or the bits themselves, lies at least one cell inside the grid:
-the kept placements and their rims are then grid cells, and the order
-cells have bits 0..n-1.  Otherwise it is the shapes' reach plus one rim
-cell, so every placement covering an order cell, and its rim, lies in
-the padded grid.
+The margin is 0 when `within` is given: it is the bits of a cell set on
+the grid without margin, the order cells having bits 0..n-1, and it
+misses the grid's border, so the kept placements and their rims are grid
+cells.  Otherwise it is the shapes' reach plus one rim cell, so every
+placement covering an order cell, and its rim, lies in the padded grid.
 
 The numbering (`PlacementGrid`) is kept apart from the placements
 (`PlacementTable`), so a search that may finish at its root builds the
@@ -84,14 +83,14 @@ class PlacementGrid:
 
     The padded grid's cells have bits 0..n-1, `height` to a line; order_bits
     marks the spec's cells, within_bits the cells of `within` (all_bits when
-    it is None; an int `within` is those bits on the grid without margin,
-    and misses its border), and neighbors[i] is the mask of the neighbours
-    of cell i in the padded grid: bits i +- 1 in its line and i +- height.
+    it is None; `within` is bits on the grid without margin, and misses its
+    border), and neighbors[i] is the mask of the neighbours of cell i in
+    the padded grid: bits i +- 1 in its line and i +- height.
     `enumerate_placements` builds the placements on request.
     """
 
     def __init__(
-        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: set[Cell] | int | None = None
+        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: int | None = None
     ):
         (x0, y0), along, across, h, w = self._spec = spec
         if h < 1 or w < 1:
@@ -99,21 +98,10 @@ class PlacementGrid:
         if along not in _UNIT or across not in _UNIT or along[0] * across[0] + along[1] * across[1]:
             raise ValueError("a grid spec steps by two perpendicular unit vectors")
         self._shapes = shapes = tuple(dict.fromkeys(shapes))  # a repeated shape adds nothing
-        # one walk over a `within` set: its bits, if it lies inside the grid
-        inside = within is not None
-        free = within if type(within) is int else 0
         (ax, ay), (cx, cy) = along, across
-        for x, y in () if type(within) is int else within or ():
-            x -= x0
-            y -= y0
-            c, r = x * cx + y * cy, x * ax + y * ay
-            if not (0 < c < w - 1 and 0 < r < h - 1):
-                inside = False
-                break
-            free |= 1 << c * h + r
         # a margin is the reach of a placement covering an order cell beyond
         # it (its shape's span less one) plus one cell for its rim
-        self._margin = margin = 0 if inside else 1 + max((
+        self._margin = margin = 0 if within is not None else 1 + max((
             max(c[a] for c in s.cells) - min(c[a] for c in s.cells)
             for s in shapes for a in (0, 1)
         ), default=0)
@@ -122,7 +110,7 @@ class PlacementGrid:
         self.n = width * height
         self.all_bits = all_bits = (1 << self.n) - 1
         self.order_bits = sum((1 << h) - 1 << (c + margin) * height + margin for c in range(w))
-        self.within_bits = free if inside else all_bits if within is None else self.mask(within)
+        self.within_bits = all_bits if within is None else within
         # a step of one cell in x or y moves a bit by sx or sy, and the
         # numbering is affine: cell (x, y) has bit x * sx + y * sy + origin
         self._steps = sx, sy = cx * height + ax, cy * height + ay
@@ -262,7 +250,7 @@ class PlacementTable(PlacementGrid):
     """
 
     def __init__(
-        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: set[Cell] | None = None
+        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: int | None = None
     ):
         super().__init__(spec, shapes, within)
         self.placements, self.by_pos = self.enumerate_placements()

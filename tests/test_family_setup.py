@@ -11,10 +11,12 @@ the same parts on the Q_{T+8} family, which every member they keep also
 meets.  It works on masks over one grid of Q_T, and prices the forced
 part by shifts of them (`_forced_energy`); the per-cell set-up it
 replaced, with its cell-set free zone (`free_cells`) and the lattice
-sweep of the forced part, is kept below as the reference (`ref_set_up`).  The solver prices its glued incumbent on its own bitboards
-(`_glued_cost`); the validated glued configuration priced by the lattice
-sweep (`ref_glued_part`, then `ref_energy`) is the reference for its
-value, its overlap verdict and the order of the free members it prices.
+sweep of the forced part, is kept below as the reference (`ref_set_up`).
+The forced price is an int in the units of `_units`.  The solver prices
+its glued incumbent on its own bitboards (`_glued_cost`); the validated
+glued configuration priced by the lattice sweep (`ref_glued_part`, then
+`ref_energy`) is the reference for its value, its overlap verdict and the
+occupancy of the free members it prices (`ref_placed`).
 
 `pattern_upper_bound` builds the boundary family once and derives the
 glued configuration, the wetting patches and the admissibility check from
@@ -29,8 +31,10 @@ inconsistent.
 
 from __future__ import annotations
 
+import fractions
 import itertools
-import math
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +52,7 @@ from chiralattice.interfaces import (
     _inner,
     _mirror_molecule,
     _set_up,
+    _units,
     _wetting_chain,
     _window_cells,
     admissible,
@@ -134,6 +139,21 @@ def ref_set_up(prob):
     inside = [not f and free.issuperset(m.cells()) for m, f in zip(members, framed)]
     glued = [m for m, f, g in zip(members, framed, inside) if f or g]
     return members, forced, free, glued, list(itertools.compress(members, inside))
+
+
+def ref_placed(grid, members):
+    """The occupancy that `_set_up` gives a list of members: the masks of
+    their R-like and S-like cells, cell by cell, or None when two of them
+    overlap."""
+    try:
+        validate(members)
+    except OverlapError:
+        return None
+    return tuple(
+        grid.mask(c for m in members if (m.shape.chirality_class == R_LIKE) == r_like
+                  for c in m.cells())
+        for r_like in (True, False)
+    )
 
 
 def decode(grid, bits, T):
@@ -283,13 +303,14 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
-        _, forced, glued, interior, grid, _, _, free = _set_up(prob)
+        _, forced, glued, placed, grid, _, _, free = _set_up(prob)
         assert forced == list(ref.molecules), (i, j, pq)
         ref_free = free_cells(ref, T)
         assert decode(grid, free, T) == ref_free, (i, j, pq)
         ref_glued = [m for m in far if _frame_test(T)(m) or ref_free.issuperset(m.cells())]
         assert _glued_or_error(glued) == _glued_or_error(ref_glued), (i, j, pq)
-        assert interior == [m for m in ref_glued if not _frame_test(T)(m)], (i, j, pq)
+        interior = [m for m in ref_glued if not _frame_test(T)(m)]
+        assert placed == ref_placed(grid, interior), (i, j, pq)
         feasible += 1
     assert feasible > 0 and infeasible > 0
 
@@ -307,11 +328,13 @@ def _set_up_keys():
 @pytest.mark.parametrize("T", range(8, 22))
 def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
     # the masks give the per-cell set-up's family, forced part, glued
-    # family, free members and free zone, in both scan orders, and the
-    # forced part's price on them is its lattice sweep at every weight and
-    # energy kind; an inconsistent frame raises the same message
+    # family, free members' occupancy and free zone, in both scan orders,
+    # and the forced part's price on them is an int in the units of
+    # `_units` and over their scale its lattice sweep, at every weight
+    # (among them even denominators on both sides) and energy kind; an
+    # inconsistent frame raises the same message
     weights = [((1, 1), "surface"), ((1, F(1, 4)), "surface"), ((F(1, 3), 2), "surface"),
-               ((1, 1), "volume")]
+               ((F(1, 2), F(3, 4)), "surface"), ((1, 1), "volume")]
     feasible = infeasible = 0
     for scan in (interfaces._scan_order, row_major_order):
         monkeypatch.setattr(interfaces, "_scan_order", scan)
@@ -327,18 +350,17 @@ def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
                 continue
             got = _set_up(prob)
             grid, occ_R, occ_S = got[4:7]
-            assert got[:4] == (members, list(forced.molecules), glued, interior), prob
+            assert got[:3] == (members, list(forced.molecules), glued), prob
+            assert got[3] == ref_placed(grid, interior), prob
             assert decode(grid, got[7], T) == free, prob
             assert grid.order_bits == grid.mask(itertools.product(*[_window_cells(T)] * 2))
-            assert (occ_R, occ_S) == tuple(
-                grid.mask(c for m in forced if (m.shape.chirality_class == R_LIKE) == r_like
-                          for c in m.cells())
-                for r_like in (True, False)
-            ), prob
+            assert (occ_R, occ_S) == ref_placed(grid, forced.molecules), prob
             for w, kind in weights:
                 priced = InterfaceProblem(i, j, nu, T, w, kind)
-                base = _forced_energy(priced, grid, occ_R, occ_S)
-                assert base == ref_energy(forced, priced), priced
+                units = _units(priced)
+                base = _forced_energy(priced, units, grid, occ_R, occ_S)
+                assert type(base) is int, priced
+                assert F(base, units[0]) == ref_energy(forced, priced), priced
             feasible += 1
     assert feasible > 0 and infeasible > 0
 
@@ -501,14 +523,15 @@ def _glued_rows():
 def test_glued_incumbent_matches_the_reference(monkeypatch):
     # the family equals the phase-pattern filter, and the bitboard price of
     # the glued family equals the lattice sweep of the validated glued
-    # configuration, with the same overlap verdict; the solver's free
-    # members are the reference's members off the frame, in its order
+    # configuration, with the same overlap verdict: the solver prices it
+    # only when its free members do not overlap; their occupancy is that
+    # of the reference's members off the frame
     seen = []
     priced = interfaces._glued_cost
 
-    def recording(table, interior, root, weights, area):
-        seen.append((list(interior), priced(table, interior, root, weights, area)))
-        return seen[-1][1]
+    def recording(table, placed, root, weights, area):
+        seen.append((table, placed, priced(table, placed, root, weights, area)))
+        return seen[-1][2]
 
     monkeypatch.setattr(interfaces, "_glued_cost", recording)
     rows = overlaps = infeasible = 0
@@ -520,7 +543,6 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
         except InfeasibleBoundary:
             infeasible += 1
             continue
-        interior, value = seen.pop()
         forced = validate(m for m in members if _frame_test(prob.T)(m))
         assert forced == frame_forced(prob), prob
         free = {
@@ -530,13 +552,14 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
         try:
             ref = ref_glued_part(members, forced, free)
         except OverlapError:
-            assert value is None, prob
+            assert not seen, prob  # the overlap verdict: the glued family is not priced
             overlaps += 1
             continue
-        base = ref_energy(forced, prob)
-        c_R, c_S = prob.weights
-        scale = math.lcm(c_R.denominator, c_S.denominator, base.denominator)
-        assert interior == [m for m in ref.molecules if m not in forced.molecules], prob
+        table, placed, value = seen.pop()
+        scale = _units(prob)[0]
+        assert type(value) is int, prob
+        interior = [m for m in ref.molecules if m not in forced.molecules]
+        assert placed == ref_placed(table, interior), prob
         assert F(value, scale) == ref_energy(ref, prob), prob
         rows += 1
     assert not seen
@@ -567,16 +590,44 @@ def _count_sweeps(monkeypatch, calls):
     )
 
 
+def _fraction_frames(solve):
+    """A count by name of the Python frames of the `fractions` module that
+    solve() enters, run under `sys.setprofile`."""
+    frames = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            frames[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        solve()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
 def test_set_up_work_guard(monkeypatch):
-    # over the table problems, a solve never sweeps the lattice: it prices
-    # the forced part on its masks; and it builds no full phase pattern
+    # over the frontier row, the table problems and a weighted and a
+    # volume row at odd T, a solve never sweeps the lattice: it prices the
+    # forced part on its masks; it builds no full phase pattern; and it
+    # prices in ints from set-up to result: its only Fractions are the
+    # result's value, lower and root, and it does no Fraction arithmetic,
+    # reading a weight's numerator and denominator alone
     calls = {"sweep": 0, "pattern": 0}
     _count_sweeps(monkeypatch, calls)
-    for prob in _table_rows():
+    rows = [
+        InterfaceProblem(1, 0, direction(1, 1), 20), *_table_rows(),
+        InterfaceProblem(1, 0, direction(0, 1), 9, (F(1, 2), 1)),
+        InterfaceProblem(1, 0, direction(0, 1), 9, energy_kind="volume"),
+    ]
+    for prob in rows:
         for budget in (1, 5_000_000):
             calls.update(sweep=0, pattern=0)
-            solve_interface(prob, budget=budget)
+            frames = _fraction_frames(lambda: solve_interface(prob, budget=budget))
             assert calls == {"sweep": 0, "pattern": 0}, (prob, budget)
+            assert frames.pop("__new__", 0) == 3, (prob, budget)
+            assert set(frames) <= {"numerator", "denominator"}, (prob, budget, frames)
 
 
 def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):

@@ -15,9 +15,10 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice.interfaces import (
+    InterfaceProblem,
     _family_members,
     _inner,
-    _outer_clip,
+    _units,
     _window_cells,
     direction,
 )
@@ -426,15 +427,31 @@ def test_pattern_columns_match_the_per_column_loop():
 
 
 def test_outer_clip_matches_the_window():
-    # the clip of Q_T's outer lines read from T's parity is the Fraction
-    # window's, on both axes and at both ends; the next line is whole
+    # the clip of Q_T's outer lines is the Fraction window's, on both axes
+    # and at both ends, and the next line is whole; in the units of
+    # `_units` an edge along them costs w less w >> 1 at odd T, with every
+    # int weight w even there, and an outer cell's area is scale less
+    # scale >> 1, a corner cell's that less scale >> 1 plus scale >> 2
+    weights = [(1, 1), (1, F(1, 4)), (F(1, 3), 2), (F(1, 2), F(3, 4)), (F(2, 3), F(1, 4))]
     for T in range(8, 41):
+        odd = T & 1
+        clips = set()
+        for w in weights:
+            scale, *ints = _units(InterfaceProblem(1, 0, direction(1, 1), T, w))
+            for c, w_int in zip(w, ints):
+                assert F(w_int, scale) == c and w_int % (1 + odd) == 0, (T, w)
+                clips.add(F(w_int - odd * (w_int >> 1), w_int))
+        scale, _, _ = _units(InterfaceProblem(1, 0, direction(1, 1), T, energy_kind="volume"))
+        clips.add(F(scale - odd * (scale >> 1), scale))
+        (clip,) = clips
+        corner = scale - odd * 2 * (scale >> 1) + odd * (scale >> 2)
+        assert F(corner, scale) == clip * clip, T
         window, cells = Window.square(T), _window_cells(T)
         for axis in (0, 1):
             for k in (cells[0], cells[-1]):
-                assert _outer_clip(T) == window._clip(axis, k), T
+                assert clip == window._clip(axis, k), T
             assert window._clip(axis, cells[1]) == window._clip(axis, cells[-2]) == 1, T
-        assert _outer_clip(T) == (1 if T % 2 == 0 else F(1, 2)), T
+        assert clip == (1 if T % 2 == 0 else F(1, 2)), T
 
 
 FAMILY_PAIRS = (

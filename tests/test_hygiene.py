@@ -2,7 +2,8 @@
 import inside a function body, no module-level private name that the
 library itself never refers to, no public name that only the tests use,
 no module-level mutable container, no restatement of the species split
-outside `molecules`, and no instance dict on a molecule."""
+outside `molecules`, no instance dict on a molecule, and no `Fraction` in
+an interface solve's integer prices."""
 
 from __future__ import annotations
 
@@ -233,3 +234,38 @@ def test_molecules_hold_no_instance_dict():
     m = Molecule(R, (0, 0))
     assert not hasattr(m, "__dict__")
     assert Molecule.__slots__ == ("shape", "anchor")
+
+
+# the interface solver's integer price path: its unit, the forced part's
+# price, the glued family's cost, the edge count, the set-up and the
+# occupancy helper
+_INTEGER_PRICED = ("_units", "_forced_energy", "_glued_cost", "_edge_cost", "_set_up", "_occupancy")
+
+
+def _fraction_uses(node: ast.AST) -> list[ast.AST]:
+    """The nodes under node that name `Fraction`, as a name or an attribute."""
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id == "Fraction"
+        or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+    ]
+
+
+def test_solves_price_in_ints():
+    """A solve prices in ints from set-up to result: `Fraction` appears in
+    none of the functions of its price path, and in `solve_interface` only
+    inside the `SolveResult(...)` call that builds its result."""
+    functions = {
+        node.name: node for node in TREES["interfaces.py"].body if isinstance(node, ast.FunctionDef)
+    }
+    found = {name: [n.lineno for n in _fraction_uses(functions[name])] for name in _INTEGER_PRICED}
+    solve = functions["solve_interface"]
+    result = [
+        node for node in ast.walk(solve)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "SolveResult"
+    ]
+    allowed = {id(n) for call in result for n in _fraction_uses(call)}
+    found["solve_interface"] = [n.lineno for n in _fraction_uses(solve) if id(n) not in allowed]
+    assert not any(found.values()), found
+    assert len(result) == 1 and allowed  # the result's Fractions are seen

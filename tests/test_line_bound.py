@@ -140,10 +140,10 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     spec = order(prob, range(square[0], square[-1] + 1))
     bit = {cell: 1 << k for k, cell in enumerate(spec_cells(spec))}
     assert sorted(bit) == sorted((a, b) for a in square for b in square)
-    table = PlacementTable(spec, (R, S), free_cells)
+    free_bits = sum(bit[c] for c in free_cells)
+    table = PlacementTable(spec, (R, S), free_bits)
     n = table.n
     assert n == len(bit)
-    free_bits = sum(bit[c] for c in free_cells)
 
     base = ref_energy(forced, prob)
     c_R, c_S = prob.weights

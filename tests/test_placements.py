@@ -103,10 +103,20 @@ def test_invalid_grid_spec_raises(spec):
         PlacementTable(spec, (R, S))
 
 
+def within_bits(spec, zone):
+    """The bits of the cells `zone` on a grid over `spec` with no margin,
+    where the spec's k-th cell (`spec_cells`) has bit k; the zone must lie
+    in the grid and miss its border."""
+    (_, _, _, h, w), order = spec, spec_cells(spec)
+    inside = {c for k, c in enumerate(order) if 0 < k % h < h - 1 and 0 < k // h < w - 1}
+    assert inside.issuperset(zone)
+    return sum(1 << k for k, c in enumerate(order) if c in zone)
+
+
 def test_within_filters_placements():
-    spec = ((0, 0), (0, 1), (1, 0), 3, 3)
-    within = set(spec_cells(spec))
-    table = PlacementTable(spec, (R, S), within)
+    spec = ((-1, -1), (0, 1), (1, 0), 5, 5)
+    within = {(x, y) for x in range(3) for y in range(3)}
+    table = PlacementTable(spec, (R, S), within_bits(spec, within))
     assert_placements_hold_their_molecules(table, spec, within)
     assert {p.molecule for p in table.placements} == {
         Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
@@ -243,19 +253,21 @@ def test_placement_masks_match_per_placement_rims(shapes):
     lines = ((-5, -5), (1, 0), (0, 1), 11, 11)
     back = ((5, 5), (-1, 0), (0, -1), 11, 11)
     rows = ((5, -3), (-1, 0), (0, 1), 11, 7)
-    # a free zone: an inner square with holes, as the solver's
+    # a free zone: an inner square with holes, as the solver's, cut to
+    # the cells off the border of the grid of 7 lines
     free = {(c, r) for c in range(-4, 5) for r in range(-4, 5) if (3 * c + r) % 7}
     for spec in (down, up, lines, back, rows):
         square = spec_cells(spec)
-        for within in (None, set(square[20:90]), free):
-            table = PlacementTable(spec, shapes, within)
+        zone = {c for c in free if spec is not rows or -3 < c[1] < 3}
+        for within in (None, zone):
+            table = PlacementTable(spec, shapes, None if within is None else within_bits(spec, within))
             assert_matches_ref_table(
                 table, spec, shapes, within,
                 lambda m: within is None or within.issuperset(m.cells()),
             )
             assert any(p.touch2 for p in table.placements)
             # a free zone inside the grid: only the grid is numbered
-            assert (table.order_bits == table.all_bits) == (within is free and spec is not rows)
+            assert (table.order_bits == table.all_bits) == (within is not None)
         # with no `within`, placements overhang the grid
         assert not set(square).issuperset(
             c for p in PlacementTable(spec, shapes).placements for c in p.molecule.cells()
@@ -421,14 +433,15 @@ def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatc
 def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
     # the solver's price of the glued family on its masks, over the scale,
     # is the lattice sweep of the validated glued configuration (the forced
-    # part and the glued family's free members), and it is None exactly when
-    # validating that configuration raises OverlapError
+    # part and the glued family's free members), and the solver prices it
+    # exactly when validating that configuration does not raise
+    # OverlapError, when the set-up's free members have an occupancy
     seen = []
     glued_cost = interfaces._glued_cost
 
-    def recording(table, interior, root, weights, area):
-        seen.append((interior, area // 4, glued_cost(table, interior, root, weights, area)))
-        return seen[-1][2]
+    def recording(table, placed, root, weights, area):
+        seen.append(glued_cost(table, placed, root, weights, area))
+        return seen[-1]
 
     monkeypatch.setattr(interfaces, "_glued_cost", recording)
     # and every ordered pair at (1, 3) at T=16, where some glued families
@@ -440,14 +453,16 @@ def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
             solve_interface(prob, budget=1)
         except InfeasibleBoundary:
             continue
-        interior, scale, value = seen.pop()
+        _, forced, glued, placed, *_ = interfaces._set_up(prob)
+        interior = [m for m in glued if m not in forced]  # the glued family's free members
         try:
             config = validate([*frame_forced(prob).molecules, *interior])
         except OverlapError:
-            assert value is None, prob
+            assert (placed, seen) == (None, []), prob
             overlaps += 1
             continue
-        assert value is not None, prob
+        assert placed is not None, prob
+        value, scale = seen.pop(), interfaces._units(prob)[0]
         assert F(value, scale) == interfaces._energy(config, prob, Window.square(prob.T)), prob
     assert not seen and overlaps == 10
 
