@@ -173,13 +173,13 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     The window tests and the continuum coordinates of the squares are
     computed once per column and once per row, so each block's rectangle
     is a plain tuple of the ends of its column and row.  The boundary
-    length comes from the same blocks: the lattice boundary sweep visits
-    only the cells that meet the window in the centre tiles of the blocks
-    that are neither full nor empty.  An occupied cell with a free side has
+    length comes from the same blocks: `_boundary_lengths` counts the sides
+    of only the occupied cells that meet the window in the centre tiles of
+    the blocks that are neither full nor empty, on boards of those cells
+    and their occupied neighbours.  An occupied cell with a free side has
     that side's cell in its own tile or a neighbouring one, so its block is
     such a block, and every cell that meets the window is in the centre
-    tile of a block of the grid; the sweep prices no cell that misses the
-    window.
+    tile of a block of the grid.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")

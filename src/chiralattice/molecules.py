@@ -7,26 +7,28 @@ cell at the top); only translations are admitted, never rotations.  All
 geometry is exact: lengths and areas are `fractions.Fraction` values and
 comparisons are never subject to floating-point tolerances.
 
-The lattice energies share one sweep and one clipping rule.
-`_boundary_lengths` sweeps occupied cells and charges each unoccupied
-side to the chirality class of its molecule; `perimeter` adds the R-like
-and S-like lengths and `weighted_perimeter` weighs them.  Both sweep every
-occupied cell; `decomposition.decompose` hands the sweep only the cells
-that meet the window in the centre tiles of its 12x12 blocks that are
-neither full nor empty, as no other cell that meets the window has a free
-side.
+The lattice energies count on a configuration's boards, built on its
+first energy read: an int per chirality class over its cells' box, the
+box halved until it spans at most 64 bits a cell (`_boards`).
+`_boundary_lengths` charges each unoccupied side to the chirality class of
+its molecule, a popcount per class and direction of shifted masks;
+`perimeter` adds the R-like and S-like lengths and `weighted_perimeter`
+weighs them.  `decomposition.decompose` hands it only the cells that meet
+the window in the centre tiles of its 12x12 blocks that are neither full
+nor empty, and it builds boards of those and their occupied neighbours.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
-and `volume_deficit` counts a cell inside the closed window as 1 and takes
-any other cell's area as the product of its two clips.  Both count the
-sides and cells on a cut line as ints and price each cut line once.
+and `volume_deficit` takes each cell's area as the product of its two
+clips.  Each cut line is priced once per window (`Window._cuts`).
 
 The phase map lives here and nowhere else: `phase_shape` gives the shape
 of each of the eight modulated phases and `phase_label` the phase of a
 built-in molecule, from the residue of its anchor.
 
-Every object in this module is immutable after construction and every
-function is pure, so concurrent use from multiple threads is safe.
+Every object in this module is immutable after construction, but for the
+boards slot a Configuration fills on its first energy read, and every
+function is pure.  Two threads that race to fill the slot build equal
+boards, so the race is benign and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -279,10 +281,12 @@ class Window:
 
     @classmethod
     def square(cls, side, center=(0, 0)) -> "Window":
-        side = Fraction(side)
+        """An open square; `json_rational` reads its side and centre."""
+        side = json_rational("window side", side)
         if side <= 0:
             raise InvalidInput("window side must be positive")
-        return cls((Fraction(center[0]), Fraction(center[1])), side)
+        cx, cy = (json_rational("window centre coordinate", c) for c in center)
+        return cls((cx, cy), side)
 
     @classmethod
     def plane(cls) -> "Window":
@@ -324,6 +328,16 @@ class Window:
             range(math.ceil(y0), math.floor(y1)),
         )
 
+    @cached_property
+    def _cuts(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(unit, cuts): (axis, k, e) for each line k of `_cells` that the
+        window boundary cuts, only ever a first or last one, priced once by
+        `_clip`: clip - 1 = e / unit, unit the clips' least common denominator."""
+        cuts = [(axis, k, self._clip(axis, k)) for axis, cells in enumerate(self._cells)
+                for k in dict.fromkeys((cells[0], cells[-1])) if k not in self._whole[axis]]
+        unit = math.lcm(*(clip.denominator for *_, clip in cuts))
+        return unit, tuple((axis, k, int(clip * unit) - unit) for axis, k, clip in cuts)
+
     def _clip(self, axis: int, k: int) -> int | Fraction:
         """Length of the unit interval [k, k+1] on axis 0 (x) or 1 (y) inside
         the open window: the int 1 or 0, and a Fraction only where the
@@ -354,14 +368,27 @@ class Configuration:
     """A validated family of pairwise essentially-disjoint molecules.
 
     The occupancy index maps every occupied cell to the index of its owning
-    molecule in `molecules`.  Instances are immutable.
+    molecule in `molecules`.  The boards of its cells (`_boards`, a layer
+    per chirality class) are built on the first energy read and kept in a
+    slot; otherwise instances are immutable.
     """
 
-    __slots__ = ("molecules", "_occupancy")
+    __slots__ = ("molecules", "_occupancy", "_boards")
 
     def __init__(self, molecules: tuple[Molecule, ...], occupancy: dict):
         self.molecules = molecules
         self._occupancy = occupancy
+        self._boards = None
+
+    def _cells_boards(self) -> list[tuple]:
+        """The boards of the molecules, a group per shape, built on first read."""
+        if self._boards is None:
+            mols = self.molecules
+            self._boards = _boards([
+                (s.chirality_class == R_LIKE, s.cells, [m.anchor for m in mols if m.shape is s])
+                for s in {id(m.shape): m.shape for m in mols}.values()
+            ])
+        return self._boards
 
     @property
     def occupancy(self) -> Mapping[Cell, int]:
@@ -410,63 +437,143 @@ def validate(molecules: Iterable[Molecule]) -> Configuration:
 # Energies
 # -------------------------------------------------------------------
 
+def _boards(
+    groups: list[tuple[int, tuple[Cell, ...], list[Cell]]], occupancy: Mapping | None = None
+) -> list[tuple]:
+    """Boards of the cells translated by the offsets of each (layer, cells,
+    offsets) group.  A board (x0, y0, height, width, layers, own) spans its
+    cells' box and an empty rim: bit (a - x0) * height + b - y0 of
+    layers[k] marks cell (a, b) in layer 0 (S-like), 1 (R-like) or 2
+    (occupied, no class), so a shift by 1 or height moves a bit onto a
+    neighbour's, never across a line.  It counts the cells in its `own`
+    ranges ((xlo, xhi), (ylo, yhi)) and holds every translate with a cell
+    in or next to them.  A box of more than 64 bits a cell, plus 64 x 64,
+    is halved across its longer side until none is, however far apart the
+    cells lie."""
+    boards, parts = [], [(groups, None)]
+    while parts:
+        groups, own = parts.pop()
+        spans = []
+        for _, cells, offsets in groups:
+            (px, py), (dx, dy) = zip(*offsets), zip(*cells)
+            spans.append((min(px) + min(dx), min(py) + min(dy), max(px) + max(dx), max(py) + max(dy)))
+        if not spans:
+            continue
+        x0, y0 = (min(span[k] for span in spans) - 1 for k in (0, 1))
+        width, height = (max(span[k] for span in spans) + 2 - low for k, low in ((2, x0), (3, y0)))
+        own = own or ((x0, x0 + width), (y0, y0 + height))
+        if width * height <= 64 * (sum(len(cells) * len(offsets) for _, cells, offsets in groups) + 64):
+            boards.append(_build_board(groups, occupancy, x0, y0, height, width, own))
+            continue
+        # the box juts out of `own` by at most 4 cells and spans more than
+        # 64 on this axis, so its middle line is well inside `own`
+        axis = width < height
+        mid = (x0, y0)[axis] + (width, height)[axis] // 2
+        for lo, hi in ((own[axis][0], mid), (mid, own[axis][1])):
+            part = []
+            for layer, cells, offsets in groups:
+                ds = [cell[axis] for cell in cells]
+                top, bottom = hi - min(ds), lo - 1 - max(ds)  # a cell in lo - 1 .. hi
+                part.append((layer, cells, [p for p in offsets if bottom <= p[axis] <= top]))
+            parts.append(([g for g in part if g[2]], (own[0], (lo, hi)) if axis else ((lo, hi), own[1])))
+    return boards
+
+
+def _build_board(
+    groups: list, occupancy: Mapping | None, x0: int, y0: int, height: int, width: int, own
+) -> tuple:
+    """The board of the groups over the box at (x0, y0).  A group's offsets
+    are one numeral that `int` reads once, shifted once per cell: linear in
+    cells.  Given an occupancy, layer 2 holds the occupied cells next to
+    the groups' cells and not among them, each looked up once."""
+    n = width * height
+    layers = [0, 0, 0]
+    for layer, cells, offsets in groups:
+        shifts = [c * height + r for c, r in cells]
+        low = min(shifts)
+        top = n - 1 + x0 * height + y0 - low  # the numeral's last character is bit 0
+        numeral = bytearray(b"0") * n
+        for a, b in offsets:
+            numeral[top - a * height - b] = 49  # "1" at the translate's lowest cell
+        translates = int(numeral, 2)
+        for shift in shifts:
+            layers[layer] |= translates << shift - low
+    if occupancy is not None:
+        occ = layers[0] | layers[1]
+        # character i of both numerals is bit n - i; the "1" of bit n fixes the length
+        near = format((occ << 1 | occ >> 1 | occ << height | occ >> height) & ~occ | 1 << n, "b")
+        numeral = bytearray(b"0") * (n + 1)
+        i = near.find("1", 1)
+        while i >= 0:
+            c, r = divmod(n - i, height)
+            if (x0 + c, y0 + r) in occupancy:
+                numeral[i] = 49
+            i = near.find("1", i + 1)
+        layers[2] = int(numeral, 2)
+    return x0, y0, height, width, tuple(layers), own
+
+
+def _window_bits(board: tuple, window: Window) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(inside, mine, lines): the bits of the board's cells that meet the
+    window, those of them in its `own` ranges, and the window's `_cuts`
+    with each line k read as its bits of the latter."""
+    x0, y0, height, width, _, own = board
+    ones = ((1 << width * height) - 1) // ((1 << height) - 1)  # bit 0 of each line
+
+    def span(axis: int, lo: int, hi: int) -> int:  # the cells whose coordinate on the axis is in lo .. hi - 1
+        lo, hi = (min(max(v - (x0, y0)[axis], 0), (width, height)[axis]) for v in (lo, hi))
+        if hi <= lo:
+            return 0
+        return (1 << hi * height) - (1 << lo * height) if axis == 0 else ((1 << hi) - (1 << lo)) * ones
+
+    mine = span(0, *own[0]) & span(1, *own[1])
+    if window.is_plane:
+        return -1, mine, []
+    xs, ys = window._cells
+    inside = span(0, xs.start, xs.stop) & span(1, ys.start, ys.stop)
+    mine &= inside
+    return inside, mine, [(axis, e, mine & span(axis, k, k + 1)) for axis, k, e in window._cuts[1]]
+
+
 def _boundary_lengths(
     config: Configuration, window: Window, cells: Iterable[tuple[Cell, int]] | None = None
 ) -> tuple[Fraction, Fraction]:
     """(R-like, S-like) length of the boundary of the union of molecules
-    inside the open window, in one pass over the given occupied cells.
+    inside the open window, counted on the configuration's boards.
 
-    `cells` holds the (cell, owner) pairs to sweep, all of the occupancy by
-    default; a caller may leave out cells whose four neighbours are
-    occupied, as they have no boundary side, and cells missing the window.
     Each unoccupied side of an occupied cell is charged to the chirality
-    class of that cell's molecule.  The window is open, so a side on its
-    boundary counts 0: the side x = p counts only if the cells p - 1 and p
-    both meet the window, and then with the length that `Window._clip`
-    gives the cell's row (likewise for y).  A cell that misses the window
-    costs its range test, and an interior cell its four occupancy tests.
-    Sides on a whole line are added as ints; sides on a line the window
-    boundary cuts are counted as ints per (class, axis, line), and only cut
-    lines become Fractions: each is priced once by `Window._clip` at the
-    end.
+    class of that cell's molecule.  The window is open, so a side counts
+    only if the cells on both its sides meet the window: per board, class
+    and direction, a popcount of the class's cells inside and the vacant
+    cells inside shifted by one cell.  A side on a cut line counts its clip.
+    Given `cells`, (cell, owner) pairs of at least the occupied cells with
+    a free side in the window, the boards hold them and, with no class,
+    their occupied neighbours; only the given cells' sides count.
     """
-    occ = config.occupancy
-    r_like = [m.shape.chirality_class == R_LIKE for m in config.molecules]
-    whole = [0, 0]  # S-like, R-like
-    cut: dict[tuple[int, int, int], int] = {}  # (class, axis, line) -> sides
-    plane = window.is_plane
-    if not plane:
-        xs, ys = window._cells
-        whole_xs, whole_ys = window._whole
-    for (a, b), owner in occ.items() if cells is None else cells:
-        if not (plane or a in xs and b in ys):
-            continue
-        west = (a - 1, b) not in occ
-        east = (a + 1, b) not in occ
-        south = (a, b - 1) not in occ
-        north = (a, b + 1) not in occ
-        if not (west or east or south or north):
-            continue
-        r = r_like[owner]
-        if plane:
-            whole[r] += west + east + south + north
-            continue
-        sides = (west and a - 1 in xs) + (east and a + 1 in xs)
-        if sides:
-            if b in whole_ys:
-                whole[r] += sides
-            else:
-                cut[r, 1, b] = cut.get((r, 1, b), 0) + sides
-        sides = (south and b - 1 in ys) + (north and b + 1 in ys)
-        if sides:
-            if a in whole_xs:
-                whole[r] += sides
-            else:
-                cut[r, 0, a] = cut.get((r, 0, a), 0) + sides
-    lengths = [Fraction(whole[0]), Fraction(whole[1])]
-    for (r, axis, k), sides in cut.items():
-        lengths[r] += sides * window._clip(axis, k)
-    return lengths[1], lengths[0]
+    if cells is None:
+        boards = config._cells_boards()
+    else:
+        mols = config.molecules
+        points: tuple[list[Cell], list[Cell]] = ([], [])
+        for cell, owner in cells:
+            points[mols[owner].shape.chirality_class == R_LIKE].append(cell)
+        boards = _boards([(k, ((0, 0),), p) for k, p in enumerate(points) if p], config.occupancy)
+    unit = 1 if window.is_plane else window._cuts[0]
+    lengths = [0, 0]
+    for board in boards:
+        height, (s_like, r_like, held) = board[2], board[4]
+        inside, mine, lines = _window_bits(board, window)
+        vacant = inside & ~(s_like | r_like | held)
+        # the counted cells whose west, east, south and north neighbours are vacant
+        open_sides = [mine & v for v in (vacant << height, vacant >> height, vacant << 1, vacant >> 1)]
+        for k, bits in enumerate((r_like, s_like)):
+            sides = [bits & o for o in open_sides]
+            lengths[k] += sum(side.bit_count() for side in sides) * unit
+            for axis, excess, line in lines:
+                # a cut column clips its cells' south and north sides, a cut row their west and east
+                along = sides[2:] if axis == 0 else sides[:2]
+                lengths[k] += excess * sum((side & line).bit_count() for side in along)
+    return Fraction(lengths[0], unit), Fraction(lengths[1], unit)
 
 
 def perimeter(config: Configuration, window: Window = PLANE) -> Fraction:
@@ -499,31 +606,21 @@ def weighted_perimeter(
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
     """Area of the window not covered by molecules, |w \\ E|.
 
-    A cell inside the closed window counts the int 1.  Any other cell that
-    meets the window lies in a column or a row that the window boundary
-    cuts; such cells are counted as ints per (cut column, cut row), a whole
-    column or row keyed None, and each cut line is priced once at the end
-    by `Window._clip`, its length inside the window.
+    On the configuration's boards each occupied cell in the window counts
+    1, less 1 - clip per cut line through it, plus (1 - clip_x)(1 - clip_y)
+    on a cut column and row: the product of its clips.  Each is a popcount.
     """
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
-    xs, ys = window._cells
-    whole_xs, whole_ys = window._whole
-    whole = 0
-    cut: dict[tuple[int | None, int | None], int] = {}
-    for (a, b) in config.occupancy:
-        in_x = a in whole_xs
-        if in_x and b in whole_ys:
-            whole += 1
-        elif (in_x or a in xs) and b in ys:
-            key = (None if in_x else a, None if b in whole_ys else b)
-            cut[key] = cut.get(key, 0) + 1
-    lines = {(axis, k) for key in cut for axis, k in enumerate(key)}
-    clip = {line: 1 if line[1] is None else window._clip(*line) for line in lines}
-    covered = Fraction(whole)
-    for (a, b), cells in cut.items():
-        covered += cells * clip[0, a] * clip[1, b]
-    return window.side ** 2 - covered
+    unit, covered = window._cuts[0], 0
+    for board in config._cells_boards():
+        occ = board[4][0] | board[4][1]
+        _, mine, lines = _window_bits(board, window)
+        lines = [(axis, excess, occ & bits) for axis, excess, bits in lines]
+        cells = (occ & mine).bit_count() * unit + sum(e * bits.bit_count() for _, e, bits in lines)
+        corners = (ex * ey * (c & r).bit_count() for ax, ex, c in lines for ay, ey, r in lines if ax < ay)
+        covered += cells * unit + sum(corners)
+    return window.side ** 2 - Fraction(covered, unit * unit)
 
 
 # -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A search over molecule placements (the covering DFS, the interface branch
 and bound, cluster growth) keeps its state as int masks over a fixed
-numbering of lattice cells.  This module is the only place that numbers
-cells, and it has one numbering.  A placement holds its shape, anchor and
+numbering of lattice cells, the searches' only one (the lattice energies
+count on a board of their own).  A placement holds its shape, anchor and
 masks; the searches read the masks, and its `Molecule` is built on request.
 
 Every search passes a grid spec (first, along, across, h, w): w lines of
@@ -126,19 +126,6 @@ class PlacementGrid:
             for r in range(height)
         ]
         return [t << c * height >> height & all_bits for c in range(self._width) for t in line]
-
-    def mask(self, cells: Iterable[Cell]) -> int:
-        """Bits of the given cells; cells off the padded grid are skipped."""
-        (x0, y0), (ax, ay), (cx, cy), _, _ = self._spec
-        m, height, width = self._margin, self.height, self._width
-        bits = 0
-        for x, y in cells:
-            x -= x0
-            y -= y0
-            c, r = x * cx + y * cy + m, x * ax + y * ay + m  # line and place, padded
-            if 0 <= c < width and 0 <= r < height:
-                bits |= 1 << c * height + r
-        return bits
 
     def masks(self, molecules: Iterable[Molecule]) -> list[int]:
         """The mask of each molecule, which must lie in the padded grid: its

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from chiralattice.molecules import Configuration, Molecule, R, S, validate
+from typing import Iterable
+
+from chiralattice.molecules import Cell, Configuration, Molecule, R, S, validate
+from chiralattice.placements import PlacementGrid
 from chiralattice.rectregions import region_area
 
 
@@ -14,16 +17,35 @@ def intersection_area(a, b) -> Fraction:
     return region_area(a) + region_area(b) - region_area(list(a) + list(b))
 
 
-def random_configuration(rng: random.Random, max_molecules: int = 50) -> Configuration:
-    """A seeded random valid configuration built by rejection."""
+def grid_mask(grid: PlacementGrid, cells: Iterable[Cell]) -> int:
+    """Bits of the given cells in the grid's padded numbering; cells off the
+    padded grid are skipped.  The tests read grids back through it, cell by
+    cell; the library masks molecules by template (`PlacementGrid.masks`)."""
+    (x0, y0), (ax, ay), (cx, cy), _, _ = grid._spec
+    m, height, width = grid._margin, grid.height, grid._width
+    bits = 0
+    for x, y in cells:
+        x -= x0
+        y -= y0
+        c, r = x * cx + y * cy + m, x * ax + y * ay + m  # line and place, padded
+        if 0 <= c < width and 0 <= r < height:
+            bits |= 1 << c * height + r
+    return bits
+
+
+def random_configuration(
+    rng: random.Random, max_molecules: int = 50, shapes: tuple = (R, S), span: int = 20
+) -> Configuration:
+    """A seeded random valid configuration of the given shapes, anchors in
+    [-span, span]^2, built by rejection."""
     n_target = rng.randint(0, max_molecules)
     mols = []
     occupied = set()
     attempts = 0
     while len(mols) < n_target and attempts < 20 * max_molecules:
         attempts += 1
-        shape = R if rng.random() < 0.5 else S
-        anchor = (rng.randint(-20, 20), rng.randint(-20, 20))
+        shape = shapes[int(rng.random() * len(shapes))]
+        anchor = (rng.randint(-span, span), rng.randint(-span, span))
         mol = Molecule(shape, anchor)
         cells = mol.cells()
         if any(c in occupied for c in cells):

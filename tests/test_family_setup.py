@@ -66,6 +66,7 @@ from chiralattice.molecules import (
     validate,
 )
 from chiralattice.placements import PlacementGrid
+from conftest import grid_mask
 from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS
 from test_interfaces import wetting_config
 from test_line_bound import (
@@ -150,8 +151,8 @@ def ref_placed(grid, members):
     except OverlapError:
         return None
     return tuple(
-        grid.mask(c for m in members if (m.shape.chirality_class == R_LIKE) == r_like
-                  for c in m.cells())
+        grid_mask(grid, (c for m in members if (m.shape.chirality_class == R_LIKE) == r_like
+                         for c in m.cells()))
         for r_like in (True, False)
     )
 
@@ -159,8 +160,8 @@ def ref_placed(grid, members):
 def decode(grid, bits, T):
     """The cells of Q_T among the bits, which must all be cells of Q_T."""
     window = _window_cells(T)
-    cells = {c for c in itertools.product(window, window) if grid.mask([c]) & bits}
-    assert grid.mask(cells) == bits
+    cells = {c for c in itertools.product(window, window) if grid_mask(grid, [c]) & bits}
+    assert grid_mask(grid, cells) == bits
     return cells
 
 
@@ -353,7 +354,7 @@ def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
             assert got[:3] == (members, list(forced.molecules), glued), prob
             assert got[3] == ref_placed(grid, interior), prob
             assert decode(grid, got[7], T) == free, prob
-            assert grid.order_bits == grid.mask(itertools.product(*[_window_cells(T)] * 2))
+            assert grid.order_bits == grid_mask(grid, itertools.product(*[_window_cells(T)] * 2))
             assert (occ_R, occ_S) == ref_placed(grid, forced.molecules), prob
             for w, kind in weights:
                 priced = InterfaceProblem(i, j, nu, T, w, kind)
@@ -431,7 +432,7 @@ def ref_wetting_fill(chain, members, forced, grid, free):
     mols = list(forced.molecules)
     for group in (chain, members):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
-            bits = grid.mask(m.cells())
+            bits = grid_mask(grid, m.cells())
             if bits.bit_count() == len(m.shape.cells) and not bits & ~free:
                 free ^= bits
                 mols.append(m)
@@ -666,14 +667,12 @@ def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):
 
 def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
     # no solve builds a Window: Q_T is read as integer cell ranges; and a
-    # solve that certifies at the root masks no cell list, and reads the
-    # cells of each molecule once, when it validates its result
-    calls = {"mask": 0, "cells": 0, "window": 0}
-    mask, cells, window = PlacementGrid.mask, Molecule.cells, Window.__init__
-
-    def counted_mask(grid, cells):
-        calls["mask"] += 1
-        return mask(grid, cells)
+    # solve that certifies at the root masks no cell list, as a grid has no
+    # cell-list mask (the tests' is `grid_mask`), and reads the cells of
+    # each molecule once, when it validates its result
+    assert not hasattr(PlacementGrid, "mask")
+    calls = {"cells": 0, "window": 0}
+    cells, window = Molecule.cells, Window.__init__
 
     def counted_cells(m):
         calls["cells"] += 1
@@ -683,7 +682,6 @@ def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
         calls["window"] += 1
         window(w, *args)
 
-    monkeypatch.setattr(PlacementGrid, "mask", counted_mask)
     monkeypatch.setattr(Molecule, "cells", counted_cells)
     monkeypatch.setattr(Window, "__init__", counted_window)
     Window.square(8)
@@ -691,11 +689,11 @@ def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
     rows = [InterfaceProblem(1, 0, direction(1, 1), 20), *_table_rows()]
     certified = 0
     for prob in rows:
-        calls.update(mask=0, cells=0, window=0)
+        calls.update(cells=0, window=0)
         res = solve_interface(prob)
         assert calls["window"] == 0, prob
         if res.nodes_explored == 0:
             assert res.certificate == "exact", prob
-            assert calls == {"mask": 0, "cells": len(res.config.molecules), "window": 0}, prob
+            assert calls == {"cells": len(res.config.molecules), "window": 0}, prob
             certified += 1
     assert certified > 20

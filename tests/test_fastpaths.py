@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from chiralattice import decomposition, molecules
+from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
+from chiralattice.decomposition import ScaledConfiguration, decompose
 from chiralattice.interfaces import (
     InterfaceProblem,
     _family_members,
@@ -283,6 +289,18 @@ def seam(den: int) -> list[Molecule]:
             + [m for m in phase_pattern(2, wlat) if all(c[0] >= 1 for c in m.cells())])
 
 
+def droplet(eps: F) -> ScaledConfiguration:
+    """Phase 1 inside a disk of radius 5/4 about the origin, phase 2 outside
+    it, on Q_(4/eps + 16): a curved seam, as `decompose` reads it."""
+    box, n = Window.square(4 / eps + 16), int(1 / eps)
+
+    def inside(m):  # the cells' centres inside the disk of radius 5n/4
+        return [25 * n * n > 4 * ((2 * a + 1) ** 2 + (2 * b + 1) ** 2) for a, b in m.cells()]
+
+    return ScaledConfiguration(eps, validate([m for m in phase_pattern(1, box) if all(inside(m))]
+                                             + [m for m in phase_pattern(2, box) if not any(inside(m))]))
+
+
 def test_lattice_energies_match_fraction_clipping():
     rng = random.Random(20261017)
     cut_cells = 0
@@ -298,11 +316,65 @@ def test_lattice_energies_match_fraction_clipping():
         x0, y0, x1, y1 = ref_bounds(window)
         cut_cells += any(v.denominator != 1 for v in (x0, y0, x1, y1))
     assert cut_cells > 100  # the boundary cuts cells in many of the windows
-    # long runs of interior cells; the second window also cuts the seam's rim
-    config = validate(seam(16))
-    for window in (Window.square(F(193, 3), (F(1, 2), F(-2, 7))),
-                   Window.square(F(163, 2), (F(1, 3), 0))):
+    # the other pairs, and all six shapes at once: several shapes per class
+    for shapes in (FLAT_PAIR, SKEW_PAIR, (R, S, *FLAT_PAIR, *SKEW_PAIR)):
+        for _ in range(40):
+            config = random_configuration(rng, max_molecules=25, shapes=shapes, span=12)
+            assert_lattice_energies(config, random_window(rng), F(2, 3), F(5, 4))
+    # the empty configuration, and windows that miss the configuration or
+    # are far larger than its board
+    config = random_configuration(random.Random(5), max_molecules=20, span=12)
+    assert len(config) > 10
+    for window in (Window.square(F(7, 2), (F(1, 3), 40)), Window.square(5, (-30, -30)),
+                   Window.square(F(801, 2), (F(1, 2), F(-1, 3))), Window.square(1000)):
+        assert_lattice_energies(validate([]), window, F(3, 2), F(5, 7))
         assert_lattice_energies(config, window, F(3, 2), F(5, 7))
+    # sparse configurations, boxes far larger than their cells, on several
+    # boards: two molecules 10^5 apart, a diagonal staircase, an L of two
+    # strips of touching molecules, cut across, and molecules scattered over
+    # up to 2 * 10^5 cells, in windows around one molecule or over many
+    far = validate([Molecule(R, (0, 0)), Molecule(S, (100_000, 100_000))])
+    stair = validate([Molecule(R, (3 * i, 3 * i)) for i in range(300)])
+    ell = validate([m for m in phase_pattern(1, Window.square(1300, (600, 600))) if all(
+        0 <= a < 600 and 0 <= b < 4 or 0 <= a < 4 and 0 <= b < 600 for a, b in m.cells())])
+    for config, windows in (
+        (far, [Window.square(5, (F(1, 2), 1)), Window.square(9, (100_000, F(100_003, 3))),
+               Window.square(F(400_003, 2), (50_000, F(100_001, 2)))]),
+        (stair, [Window.square(F(1801, 2), (450, 450)), Window.square(F(61, 3), (F(301, 2), 150))]),
+        (ell, [Window.square(F(1201, 2), (300, 300)), Window.square(F(601, 3), (300, F(3, 2))),
+               Window.square(F(17, 2), (F(599, 2), F(1, 3))), Window.square(7, (F(3, 2), F(601, 2)))]),
+    ):
+        assert perimeter(config) == ref_perimeter(config, Window.plane())
+        for window in windows:
+            assert_lattice_energies(config, window, F(3, 2), F(5, 7))
+        assert len(config._boards) > 1
+    for _ in range(40):
+        span = rng.choice((300, 100_000))
+        config = random_configuration(rng, max_molecules=30, span=span)
+        assert perimeter(config) == ref_perimeter(config, Window.plane())
+        a, b = rng.choice(config.molecules).anchor if len(config) else (0, 0)
+        window = Window.square(F(rng.randint(1, 8 * span), rng.choice((1, 3))),
+                               (a + F(rng.randint(-9, 9), 5), b + F(rng.randint(-9, 9), 2)))
+        assert_lattice_energies(config, window, F(3, 2), F(5, 7))
+    # one configuration, its board built once, read through several windows
+    # in turn and on the plane
+    config = validate(seam(16))
+    windows = [Window.square(F(193, 3), (F(1, 2), F(-2, 7))), Window.square(F(163, 2), (F(1, 3), 0)),
+               Window.square(F(17, 4), (F(-1, 2), 3)), Window.square(24, (F(1, 7), 0))]
+    for window in windows + windows[::-1]:
+        assert_lattice_energies(config, window, F(3, 2), F(5, 7))
+        assert perimeter(config) == ref_perimeter(config, Window.plane())
+
+
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 32)])
+def test_decompose_prices_a_curved_seam(eps):
+    """On a droplet's curved seam, in a centred and an off-centre window,
+    the boundary length `decompose` counts from the seam cells equals the
+    windowed perimeter of the whole configuration."""
+    sc = droplet(eps)
+    for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7)))):
+        wlat = decomposition._window_in_lattice(window, eps)
+        assert decompose(sc, window).boundary_length == eps * perimeter(sc.config, wlat)
 
 
 def test_plane_energies_are_fractions():
@@ -316,9 +388,9 @@ def test_plane_energies_are_fractions():
 
 
 def test_cut_lines_are_priced_once(monkeypatch):
-    """On the criterion-10 seam, in the two windows above that cut cells,
-    each energy prices a cut line with `Window._clip` at most once per
-    chirality class (once in all for the deficit), and only cut lines."""
+    """On the criterion-10 seam, in two windows that cut cells, the three
+    energies together price each cut line with `Window._clip` at most once
+    in all, and only cut lines."""
     calls = []
 
     def recording(self, axis, k):
@@ -332,18 +404,136 @@ def test_cut_lines_are_priced_once(monkeypatch):
                    Window.square(F(163, 2), (F(1, 3), 0))):
         cells, whole = window.cell_range(), window._whole
         cut_lines = {(axis, k) for axis in (0, 1) for k in cells[axis] if k not in whole[axis]}
-        for energy, per_line in (
-            (lambda: perimeter(config, window), 2),
-            (lambda: weighted_perimeter(config, F(3, 2), F(5, 7), window), 2),
-            (lambda: volume_deficit(config, window), 1),
-        ):
-            calls.clear()
-            assert type(energy()) is F
-            assert calls and set(calls) <= cut_lines, window
-            assert max(calls.count(line) for line in calls) <= per_line, (window, calls)
+        calls.clear()
+        energies = (
+            perimeter(config, window),
+            weighted_perimeter(config, F(3, 2), F(5, 7), window),
+            volume_deficit(config, window),
+        )
+        assert all(type(v) is F for v in energies)
+        assert calls and set(calls) <= cut_lines, window
+        assert len(calls) == len(set(calls)), (window, calls)
         monkeypatch.setattr(Window, "_clip", clip)
         assert_lattice_energies(config, window, F(3, 2), F(5, 7))
         monkeypatch.setattr(Window, "_clip", recording)
+
+
+class CountedOccupancy(dict):
+    """An occupancy that records each cell it is asked about."""
+
+    def __init__(self, occupancy):
+        super().__init__(occupancy)
+        self.reads = []
+
+    def __contains__(self, cell):
+        self.reads.append(cell)
+        return super().__contains__(cell)
+
+    def __getitem__(self, cell):
+        self.reads.append(cell)
+        return super().__getitem__(cell)
+
+    def get(self, cell, default=None):
+        self.reads.append(cell)
+        return super().get(cell, default)
+
+
+def test_energy_work_guard(monkeypatch):
+    """The three energies on one configuration build its board once and
+    look up no cell of its occupancy; `decompose` on the eps = 1/64 seam
+    builds one board, of the seam's cells, never the configuration's, and
+    looks up only cells of the seam's tiles and their neighbours.  Boards
+    take at most 64 bits a cell plus 64 x 64 bits each, however far apart
+    the cells lie: two molecules 10^5 apart, whose box has 10^10 cells, are
+    read in less than 100 kB of traced memory."""
+    builds = []
+
+    def counted(groups, occupancy, x0, y0, height, width, own):
+        builds.append((sum(len(cells) * len(offsets) for _, cells, offsets in groups), height * width))
+        return build(groups, occupancy, x0, y0, height, width, own)
+
+    build = molecules._build_board
+    monkeypatch.setattr(molecules, "_build_board", counted)
+    config = validate(seam(16))
+    config._occupancy = occ = CountedOccupancy(config.occupancy)
+    window = Window.square(F(193, 3), (F(1, 2), F(-2, 7)))
+    for _ in range(2):
+        perimeter(config)
+        perimeter(config, window)
+        weighted_perimeter(config, 1, F(1, 4), window)
+        volume_deficit(config, window)
+    assert [cells for cells, _ in builds] == [4 * len(config)] and occ.reads == []
+
+    swept = []
+
+    def recording(config, window, cells=None):
+        swept.extend(cell for cell, _ in cells)
+        return sweep(config, window, cells)
+
+    sweep = decomposition._boundary_lengths
+    monkeypatch.setattr(decomposition, "_boundary_lengths", recording)
+    builds.clear()
+    sc = ScaledConfiguration(F(1, 64), validate(seam(64)))
+    sc.config._occupancy = occ = CountedOccupancy(sc.config.occupancy)
+    decompose(sc, Window.square(4))
+    assert [cells for cells, _ in builds] == [len(swept)] and sc.config._boards is None
+    # the cells of the seam's tiles [4t-2, 4t+2)^2, and their neighbours
+    tiles = {((a + 2) >> 2, (b + 2) >> 2) for a, b in swept}
+    region = {(4 * t1 - 2 + i, 4 * t2 - 2 + j) for t1, t2 in tiles for i in range(4) for j in range(4)}
+    near = region | {(a + da, b + db) for a, b in region for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    assert set(occ.reads) <= near
+    assert len(occ.reads) <= 2 * len(near) < len(occ) // 10
+
+    # sparse: two molecules 10^5 apart and a diagonal staircase of 2,000
+    # molecules in a box 6,000 cells square; and the curved seam of a
+    # droplet, read by `decompose`
+    def bounded(read) -> int:
+        builds.clear()
+        tracemalloc.start()
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sum(area for _, area in builds) <= 64 * sum(cells + 64 for cells, _ in builds), builds
+        return peak
+
+    far = validate([Molecule(R, (0, 0)), Molecule(S, (100_000, 100_000))])
+    assert bounded(lambda: volume_deficit(far, Window.square(200_010, (50_000, 50_000)))) < 100_000
+    assert len(builds) == 2
+    stair = validate([Molecule(R, (3 * i, 3 * i)) for i in range(2000)])
+    assert bounded(lambda: perimeter(stair)) < 1_000_000
+    assert sum(cells for cells, _ in builds) < 2 * 8000
+    sc = droplet(F(1, 32))
+    swept.clear()
+    bounded(lambda: decompose(sc, Window.square(4)))
+    assert builds and sum(cells for cells, _ in builds) == len(swept)
+
+
+def test_threads_racing_for_the_board_read_equal_energies():
+    # a configuration fills its board slot on its first energy read; eight
+    # threads reading one fresh configuration at once may each build the
+    # board, and every thread reads the energies of a lone reader
+    window = Window.square(F(193, 3), (F(1, 2), F(-2, 7)))
+    mols = seam(16)
+
+    def read(config):
+        return (perimeter(config), weighted_perimeter(config, 1, F(1, 4), window),
+                volume_deficit(config, window))
+
+    expected = read(validate(mols))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            config, results = validate(mols), []
+            threads = [threading.Thread(target=lambda: results.append(read(config))) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_contains_cell_and_cell_range_match_fraction_bounds():

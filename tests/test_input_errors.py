@@ -28,7 +28,7 @@ from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction
 from chiralattice.molecules import (
-    Molecule, R, S, configuration_entries, validate, weighted_perimeter,
+    Molecule, R, S, Window, configuration_entries, validate, weighted_perimeter,
 )
 from chiralattice.rectregions import regions_from_jsonable
 
@@ -87,6 +87,10 @@ def test_input_errors_are_invalid_input(error):
         (lambda: weighted_perimeter(validate([Molecule(R, (0, 0))]), 0.5, 1), "invalid weight 0.5"),
         (lambda: weighted_perimeter(validate([Molecule(R, (0, 0))]), 1, True),
          "invalid weight True"),
+        # so are a window's side and centre
+        (lambda: Window.square(0.1), "invalid window side 0.1"),
+        (lambda: Window.square(True), "invalid window side True"),
+        (lambda: Window.square(4, (0.5, 0)), "invalid window centre coordinate 0.5"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -42,6 +42,7 @@ from chiralattice.molecules import (
     R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, Window, validate,
 )
 from chiralattice.placements import Placement, PlacementGrid, PlacementTable
+from conftest import grid_mask
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_solve, row_major_order, spec_cells,
 )
@@ -62,17 +63,17 @@ def test_table_numbers_order_cells_first():
     assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
     table = PlacementTable(spec, (R, S))
     assert_placements_hold_their_molecules(table, spec, None)
-    bits = [table.mask([c]) for c in order]
+    bits = [grid_mask(table, [c]) for c in order]
     assert bits == sorted(bits) and len(set(bits)) == 4  # increasing along the order
     assert table.order_bits == sum(bits)
-    assert table.mask([(99, 99)]) == 0  # a cell without a bit
+    assert grid_mask(table, [(99, 99)]) == 0  # a cell without a bit
     for cell, bit in zip(order, bits):
         i = bit.bit_length() - 1
         assert table.by_pos[i], cell
         for p in table.by_pos[i]:
             assert cell in p.molecule.cells()
             assert p.mask & bit
-        assert table.neighbors[i] == table.mask(_neighbors(cell))
+        assert table.neighbors[i] == grid_mask(table, _neighbors(cell))
     # only order cells list placements
     assert all(not ps for i, ps in enumerate(table.by_pos) if not table.order_bits >> i & 1)
     # placements are numbered by first order cell, then shape, then offset
@@ -128,7 +129,7 @@ def test_contacts_count_boundary_edges():
     table = PlacementTable(spec, (R, S))
     assert_placements_hold_their_molecules(table, spec, None)
     occupied = {(0, 0), (1, 1), (2, 2), (-1, 2), (0, 3), (-2, -1), (1, 3)}
-    bits = table.mask(occupied)
+    bits = grid_mask(table, occupied)
     for p in table.placements:
         cells = set(p.molecule.cells())
         expected = sum(
@@ -147,7 +148,7 @@ def decode(table, spec):
     cell_of = {}
     for x in range(min(xs) - 6, max(xs) + 7):
         for y in range(min(ys) - 6, max(ys) + 7):
-            bit = table.mask([(x, y)])
+            bit = grid_mask(table, [(x, y)])
             if bit:
                 assert bit.bit_count() == 1 and bit not in cell_of
                 cell_of[bit] = (x, y)
@@ -166,12 +167,12 @@ def assert_placements_hold_their_molecules(table, spec, within):
     when it is None; the spec's cells have increasing bits along its lines
     and make up order_bits."""
     cell_of = decode(table, spec)
-    bits = [table.mask([c]) for c in spec_cells(spec)]
+    bits = [grid_mask(table, [c]) for c in spec_cells(spec)]
     assert bits == sorted(bits) and sum(bits) == table.order_bits
     for p in table.placements:
         assert p.molecule == Molecule(p.shape, p.anchor)
         assert cells(p.mask, cell_of) == set(p.molecule.cells())
-    assert table.within_bits == (table.all_bits if within is None else table.mask(within))
+    assert table.within_bits == (table.all_bits if within is None else grid_mask(table, within))
 
 
 def ref_table(spec, shapes, keep):
@@ -228,7 +229,7 @@ def assert_matches_ref_table(table, spec, shapes, within, keep):
         (p.molecule, cells(p.mask, cell_of), cells(p.touch1, cell_of), cells(p.touch2, cell_of))
         for p in table.placements
     ] == placements
-    bit = [table.mask([cell]).bit_length() - 1 for cell in order]
+    bit = [grid_mask(table, [cell]).bit_length() - 1 for cell in order]
     assert [[p.index for p in table.by_pos[i]] for i in bit] == by_pos
     assert sum(map(len, table.by_pos)) == sum(map(len, by_pos))  # none off the order
     numbered = set(cell_of.values())
@@ -308,7 +309,7 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
             (q_spec, _, q_within, q_grid), (spec, shapes, within, table) = built
             window = interfaces._window_cells(prob.T)
             assert q_within is None and q_spec == scan(prob, window), prob
-            assert q_grid.order_bits == q_grid.mask(spec_cells(q_spec)), prob
+            assert q_grid.order_bits == grid_mask(q_grid, spec_cells(q_spec)), prob
             assert spec[1:3] == q_spec[1:3] and set(spec_cells(spec)) <= set(spec_cells(q_spec))
             assert table.order_bits == table.all_bits == (1 << spec[3] * spec[4]) - 1, prob
             within = {c for k, c in enumerate(spec_cells(spec)) if within >> k & 1}
