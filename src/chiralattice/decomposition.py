@@ -14,7 +14,8 @@ O(epsilon * boundary length).
 `decompose` reads the configuration once, molecule by molecule, onto
 4x4 tiles: a tile's cell count and the phases of the molecules meeting it
 classify every block, so it pays one range test per molecule, a few steps
-per molecule near the window and one per block, not one per cell.
+per molecule near the window and one per block, not one per cell.  Its
+boundary length is `perimeter` on the configuration's own boards.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .molecules import (
-    Cell,
     Configuration,
     InvalidInput,
     Molecule,
     MoleculeShape,
     UnlabeledShape,
     Window,
-    _boundary_lengths,
     configuration_on_grid,
+    json_rational,
+    perimeter,
     phase_label,
 )
 from .rectregions import Rect, region_area, symdiff_area
@@ -47,7 +48,7 @@ class ScaledConfiguration:
     config: Configuration
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", json_rational("epsilon", self.epsilon))
         if self.epsilon <= 0:
             raise InvalidInput("epsilon must be positive")
 
@@ -58,7 +59,7 @@ class ScaledConfiguration:
         molecules: Iterable[tuple[MoleculeShape, tuple[Fraction, Fraction]]],
     ) -> "ScaledConfiguration":
         """Build from continuum anchor coordinates (must lie on eps * Z^2)."""
-        epsilon = Fraction(epsilon)
+        epsilon = json_rational("epsilon", epsilon)
         return cls(epsilon, configuration_on_grid(epsilon, molecules))
 
 
@@ -173,13 +174,8 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     The window tests and the continuum coordinates of the squares are
     computed once per column and once per row, so each block's rectangle
     is a plain tuple of the ends of its column and row.  The boundary
-    length comes from the same blocks: `_boundary_lengths` counts the sides
-    of only the occupied cells that meet the window in the centre tiles of
-    the blocks that are neither full nor empty, on boards of those cells
-    and their occupied neighbours.  An occupied cell with a free side has
-    that side's cell in its own tile or a neighbouring one, so its block is
-    such a block, and every cell that meets the window is in the centre
-    tile of a block of the grid.
+    length is eps * `perimeter` in the lattice window, on the boards the
+    configuration builds on its first energy read and keeps.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")
@@ -188,7 +184,6 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     wlat = _window_in_lattice(window, eps)
     x0, y0, x1, y1 = wlat.bounds()
 
-    occ = config.occupancy
     regions: dict[int, list[Rect]] = {lab: [] for lab in range(9)}
     bad: list[Rect] = []
 
@@ -223,21 +218,12 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
             for k in range(1, len(tiles[0]) + 1)
         )
     ]
-    # per centre tile column and row, its cells that meet the window
-    xs, ys = wlat.cell_range()
-    seen_x = [[a for a in range(4 * m - 2, 4 * m + 2) if a in xs] for m, *_ in cols]
-    seen_y = [[b for b in range(4 * m - 2, 4 * m + 2) if b in ys] for m, *_ in rows]
-    seam: list[tuple[Cell, int]] = []
     for k, (m1, inside1, (u0, u1), (s0, s1)) in enumerate(cols):
         fills = [a + b + c for a, b, c in zip(*strips[k:k + 3])]
         first = (k + 2) * stride + 2  # the centre tile of the column's first block
         centres = acc[first:first + len(rows)]
-        for (m2, inside2, (v0, v1), (t0, t1)), filled, bs, tile in zip(rows, fills, seen_y, centres):
-            partial = 0 < filled < 144
-            if partial:
-                cells = ((a, b) for a in seen_x[k] for b in bs)
-                seam += [(cell, occ[cell]) for cell in cells if cell in occ]
-            if partial or not (inside1 and inside2):
+        for (m2, inside2, (v0, v1), (t0, t1)), filled, tile in zip(rows, fills, centres):
+            if 0 < filled < 144 or not (inside1 and inside2):
                 bad.append((u0, v0, u1, v1))
                 continue
             small = (s0, t0, s1, t1)
@@ -259,7 +245,7 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
         regions=regions,
         bad_region=bad,
         bad_count=len(bad),
-        boundary_length=eps * sum(_boundary_lengths(config, wlat, seam)),
+        boundary_length=eps * perimeter(config, wlat),
     )
 
 

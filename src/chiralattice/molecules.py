@@ -13,9 +13,8 @@ box halved until it spans at most 64 bits a cell (`_boards`).
 `_boundary_lengths` charges each unoccupied side to the chirality class of
 its molecule, a popcount per class and direction of shifted masks;
 `perimeter` adds the R-like and S-like lengths and `weighted_perimeter`
-weighs them.  `decomposition.decompose` hands it only the cells that meet
-the window in the centre tiles of its 12x12 blocks that are neither full
-nor empty, and it builds boards of those and their occupied neighbours.
+weighs them.  `decomposition.decompose` prices its boundary with
+`perimeter`, on the same boards.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
 and `volume_deficit` takes each cell's area as the product of its two
@@ -285,6 +284,8 @@ class Window:
         side = json_rational("window side", side)
         if side <= 0:
             raise InvalidInput("window side must be positive")
+        if not isinstance(center, (tuple, list)) or len(center) != 2:
+            raise InvalidInput(f"window centre must be a pair (cx, cy), not {center!r}")
         cx, cy = (json_rational("window centre coordinate", c) for c in center)
         return cls((cx, cy), side)
 
@@ -383,11 +384,14 @@ class Configuration:
     def _cells_boards(self) -> list[tuple]:
         """The boards of the molecules, a group per shape, built on first read."""
         if self._boards is None:
-            mols = self.molecules
-            self._boards = _boards([
-                (s.chirality_class == R_LIKE, s.cells, [m.anchor for m in mols if m.shape is s])
-                for s in {id(m.shape): m.shape for m in mols}.values()
-            ])
+            groups: dict[int, tuple] = {}
+            shape = None
+            for m in self.molecules:
+                if m.shape is not shape:  # molecules mostly come in runs of one shape
+                    shape = m.shape
+                    anchors = groups.setdefault(id(shape), (shape.chirality_class == R_LIKE, shape.cells, []))[2]
+                anchors.append(m.anchor)
+            self._boards = _boards(list(groups.values()))
         return self._boards
 
     @property
@@ -437,19 +441,16 @@ def validate(molecules: Iterable[Molecule]) -> Configuration:
 # Energies
 # -------------------------------------------------------------------
 
-def _boards(
-    groups: list[tuple[int, tuple[Cell, ...], list[Cell]]], occupancy: Mapping | None = None
-) -> list[tuple]:
+def _boards(groups: list[tuple[int, tuple[Cell, ...], list[Cell]]]) -> list[tuple]:
     """Boards of the cells translated by the offsets of each (layer, cells,
     offsets) group.  A board (x0, y0, height, width, layers, own) spans its
     cells' box and an empty rim: bit (a - x0) * height + b - y0 of
-    layers[k] marks cell (a, b) in layer 0 (S-like), 1 (R-like) or 2
-    (occupied, no class), so a shift by 1 or height moves a bit onto a
-    neighbour's, never across a line.  It counts the cells in its `own`
-    ranges ((xlo, xhi), (ylo, yhi)) and holds every translate with a cell
-    in or next to them.  A box of more than 64 bits a cell, plus 64 x 64,
-    is halved across its longer side until none is, however far apart the
-    cells lie."""
+    layers[k] marks cell (a, b) in layer 0 (S-like) or 1 (R-like), so a
+    shift by 1 or height moves a bit onto a neighbour's, never across a
+    line.  It counts the cells in its `own` ranges ((xlo, xhi), (ylo, yhi))
+    and holds every translate with a cell in or next to them.  A box of
+    more than 64 bits a cell, plus 64 x 64, is halved across its longer
+    side until none is, however far apart the cells lie."""
     boards, parts = [], [(groups, None)]
     while parts:
         groups, own = parts.pop()
@@ -463,7 +464,7 @@ def _boards(
         width, height = (max(span[k] for span in spans) + 2 - low for k, low in ((2, x0), (3, y0)))
         own = own or ((x0, x0 + width), (y0, y0 + height))
         if width * height <= 64 * (sum(len(cells) * len(offsets) for _, cells, offsets in groups) + 64):
-            boards.append(_build_board(groups, occupancy, x0, y0, height, width, own))
+            boards.append(_build_board(groups, x0, y0, height, width, own))
             continue
         # the box juts out of `own` by at most 4 cells and spans more than
         # 64 on this axis, so its middle line is well inside `own`
@@ -479,15 +480,12 @@ def _boards(
     return boards
 
 
-def _build_board(
-    groups: list, occupancy: Mapping | None, x0: int, y0: int, height: int, width: int, own
-) -> tuple:
+def _build_board(groups: list, x0: int, y0: int, height: int, width: int, own) -> tuple:
     """The board of the groups over the box at (x0, y0).  A group's offsets
     are one numeral that `int` reads once, shifted once per cell: linear in
-    cells.  Given an occupancy, layer 2 holds the occupied cells next to
-    the groups' cells and not among them, each looked up once."""
+    cells."""
     n = width * height
-    layers = [0, 0, 0]
+    layers = [0, 0]
     for layer, cells, offsets in groups:
         shifts = [c * height + r for c, r in cells]
         low = min(shifts)
@@ -498,18 +496,6 @@ def _build_board(
         translates = int(numeral, 2)
         for shift in shifts:
             layers[layer] |= translates << shift - low
-    if occupancy is not None:
-        occ = layers[0] | layers[1]
-        # character i of both numerals is bit n - i; the "1" of bit n fixes the length
-        near = format((occ << 1 | occ >> 1 | occ << height | occ >> height) & ~occ | 1 << n, "b")
-        numeral = bytearray(b"0") * (n + 1)
-        i = near.find("1", 1)
-        while i >= 0:
-            c, r = divmod(n - i, height)
-            if (x0 + c, y0 + r) in occupancy:
-                numeral[i] = 49
-            i = near.find("1", i + 1)
-        layers[2] = int(numeral, 2)
     return x0, y0, height, width, tuple(layers), own
 
 
@@ -535,9 +521,7 @@ def _window_bits(board: tuple, window: Window) -> tuple[int, int, list[tuple[int
     return inside, mine, [(axis, e, mine & span(axis, k, k + 1)) for axis, k, e in window._cuts[1]]
 
 
-def _boundary_lengths(
-    config: Configuration, window: Window, cells: Iterable[tuple[Cell, int]] | None = None
-) -> tuple[Fraction, Fraction]:
+def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:
     """(R-like, S-like) length of the boundary of the union of molecules
     inside the open window, counted on the configuration's boards.
 
@@ -546,24 +530,13 @@ def _boundary_lengths(
     only if the cells on both its sides meet the window: per board, class
     and direction, a popcount of the class's cells inside and the vacant
     cells inside shifted by one cell.  A side on a cut line counts its clip.
-    Given `cells`, (cell, owner) pairs of at least the occupied cells with
-    a free side in the window, the boards hold them and, with no class,
-    their occupied neighbours; only the given cells' sides count.
     """
-    if cells is None:
-        boards = config._cells_boards()
-    else:
-        mols = config.molecules
-        points: tuple[list[Cell], list[Cell]] = ([], [])
-        for cell, owner in cells:
-            points[mols[owner].shape.chirality_class == R_LIKE].append(cell)
-        boards = _boards([(k, ((0, 0),), p) for k, p in enumerate(points) if p], config.occupancy)
     unit = 1 if window.is_plane else window._cuts[0]
     lengths = [0, 0]
-    for board in boards:
-        height, (s_like, r_like, held) = board[2], board[4]
+    for board in config._cells_boards():
+        height, (s_like, r_like) = board[2], board[4]
         inside, mine, lines = _window_bits(board, window)
-        vacant = inside & ~(s_like | r_like | held)
+        vacant = inside & ~(s_like | r_like)
         # the counted cells whose west, east, south and north neighbours are vacant
         open_sides = [mine & v for v in (vacant << height, vacant >> height, vacant << 1, vacant >> 1)]
         for k, bits in enumerate((r_like, s_like)):

@@ -1,8 +1,7 @@
 """Differential tests: the continuum routines on integers against their
 Fraction forms.
 
-`decompose` counts each molecule's cells on 4x4 tiles and sweeps for
-boundary only the cells near a tile that is not full, the rectangle unions
+`decompose` counts each molecule's cells on 4x4 tiles, the rectangle unions
 mark columns of an integer grid as bitsets, and they and the segment soup
 of `extract_interfaces` scale their inputs to one common integer
 denominator.  Each is checked here for equal results, or the same exception
@@ -42,13 +41,13 @@ from chiralattice.molecules import (
     Molecule,
     UnlabeledShape,
     Window,
-    perimeter,
     phase_label,
     phase_pattern,
     validate,
 )
 from chiralattice.rectregions import rect, region_area, symdiff_area
 from conftest import random_configuration
+from test_fastpaths import ref_perimeter
 
 
 # -------------------------------------------------------------------
@@ -111,7 +110,7 @@ def ref_decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartition
                     f"{sorted(labels)}; the single-phase property failed"
                 )
             regions[labels.pop()].append(small)
-    return PhasePartitionApprox(eps, regions, bad, len(bad), eps * perimeter(config, wlat))
+    return PhasePartitionApprox(eps, regions, bad, len(bad), eps * ref_perimeter(config, wlat))
 
 
 def _ref_cells(region, xs, ys) -> set:
@@ -286,19 +285,10 @@ def criterion_seam(eps: F) -> ScaledConfiguration:
 
 
 @pytest.mark.parametrize("eps", [F(1, 16), F(1, 32), F(1, 64)])
-def test_seam_sweep_matches_full_perimeter(eps, monkeypatch):
-    """The boundary length read from the seam tiles equals the sweep over
-    every cell, in the centred window and in an off-centre window with
-    rational bounds that reaches past the configuration's rim; the seam
-    sweep visits only cells that meet the window."""
-    swept = []
-
-    def recording(config, window, cells=None):
-        swept.append((window, list(cells)))
-        return sweep(config, window, cells)
-
-    sweep = decomposition._boundary_lengths
-    monkeypatch.setattr(decomposition, "_boundary_lengths", recording)
+def test_seam_sweep_matches_full_perimeter(eps):
+    """The boundary length `decompose` reports equals the per-edge Fraction
+    reference over every cell, in the centred window and in an off-centre
+    window with rational bounds that reaches past the configuration's rim."""
     sc = criterion_seam(eps)
     occ = sc.config.occupancy
     tiles = Counter(((a + 2) >> 2, (b + 2) >> 2) for a, b in occ)
@@ -309,12 +299,7 @@ def test_seam_sweep_matches_full_perimeter(eps, monkeypatch):
                    for (c, t2), n in tiles.items() if c == t1), (t1, step)
     for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7)))):
         wlat = _window_in_lattice(window, eps)
-        expected = eps * perimeter(sc.config, wlat)
-        assert decompose(sc, window).boundary_length == expected, window
-        (swept_window, cells), = swept
-        swept.clear()
-        xs, ys = swept_window.cell_range()
-        assert cells and all(a in xs and b in ys for (a, b), _ in cells), window
+        assert decompose(sc, window).boundary_length == eps * ref_perimeter(sc.config, wlat), window
         if window.center != (0, 0):
             x0, y0, x1, y1 = wlat.bounds()
             assert x1 > max(a for a, _ in occ) + 1 and y0 < min(b for _, b in occ)

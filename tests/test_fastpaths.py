@@ -369,12 +369,12 @@ def test_lattice_energies_match_fraction_clipping():
 @pytest.mark.parametrize("eps", [F(1, 16), F(1, 32)])
 def test_decompose_prices_a_curved_seam(eps):
     """On a droplet's curved seam, in a centred and an off-centre window,
-    the boundary length `decompose` counts from the seam cells equals the
-    windowed perimeter of the whole configuration."""
+    the boundary length `decompose` reports equals the per-edge Fraction
+    reference over every cell of the configuration."""
     sc = droplet(eps)
     for window in (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7)))):
         wlat = decomposition._window_in_lattice(window, eps)
-        assert decompose(sc, window).boundary_length == eps * perimeter(sc.config, wlat)
+        assert decompose(sc, window).boundary_length == eps * ref_perimeter(sc.config, wlat)
 
 
 def test_plane_energies_are_fractions():
@@ -441,16 +441,16 @@ class CountedOccupancy(dict):
 def test_energy_work_guard(monkeypatch):
     """The three energies on one configuration build its board once and
     look up no cell of its occupancy; `decompose` on the eps = 1/64 seam
-    builds one board, of the seam's cells, never the configuration's, and
-    looks up only cells of the seam's tiles and their neighbours.  Boards
-    take at most 64 bits a cell plus 64 x 64 bits each, however far apart
-    the cells lie: two molecules 10^5 apart, whose box has 10^10 cells, are
-    read in less than 100 kB of traced memory."""
+    builds the configuration's board once and looks up no cell of its
+    occupancy, and a second `decompose` and a later `perimeter` on it build
+    none.  Boards take at most 64 bits a cell plus 64 x 64 bits each,
+    however far apart the cells lie: two molecules 10^5 apart, whose box
+    has 10^10 cells, are read in less than 100 kB of traced memory."""
     builds = []
 
-    def counted(groups, occupancy, x0, y0, height, width, own):
+    def counted(groups, x0, y0, height, width, own):
         builds.append((sum(len(cells) * len(offsets) for _, cells, offsets in groups), height * width))
-        return build(groups, occupancy, x0, y0, height, width, own)
+        return build(groups, x0, y0, height, width, own)
 
     build = molecules._build_board
     monkeypatch.setattr(molecules, "_build_board", counted)
@@ -464,25 +464,15 @@ def test_energy_work_guard(monkeypatch):
         volume_deficit(config, window)
     assert [cells for cells, _ in builds] == [4 * len(config)] and occ.reads == []
 
-    swept = []
-
-    def recording(config, window, cells=None):
-        swept.extend(cell for cell, _ in cells)
-        return sweep(config, window, cells)
-
-    sweep = decomposition._boundary_lengths
-    monkeypatch.setattr(decomposition, "_boundary_lengths", recording)
     builds.clear()
     sc = ScaledConfiguration(F(1, 64), validate(seam(64)))
     sc.config._occupancy = occ = CountedOccupancy(sc.config.occupancy)
     decompose(sc, Window.square(4))
-    assert [cells for cells, _ in builds] == [len(swept)] and sc.config._boards is None
-    # the cells of the seam's tiles [4t-2, 4t+2)^2, and their neighbours
-    tiles = {((a + 2) >> 2, (b + 2) >> 2) for a, b in swept}
-    region = {(4 * t1 - 2 + i, 4 * t2 - 2 + j) for t1, t2 in tiles for i in range(4) for j in range(4)}
-    near = region | {(a + da, b + db) for a, b in region for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1))}
-    assert set(occ.reads) <= near
-    assert len(occ.reads) <= 2 * len(near) < len(occ) // 10
+    assert [cells for cells, _ in builds] == [4 * len(sc.config)] and occ.reads == []
+    builds.clear()
+    decompose(sc, Window.square(4))
+    perimeter(sc.config, window)
+    assert builds == [] and occ.reads == []
 
     # sparse: two molecules 10^5 apart and a diagonal staircase of 2,000
     # molecules in a box 6,000 cells square; and the curved seam of a
@@ -503,9 +493,8 @@ def test_energy_work_guard(monkeypatch):
     assert bounded(lambda: perimeter(stair)) < 1_000_000
     assert sum(cells for cells, _ in builds) < 2 * 8000
     sc = droplet(F(1, 32))
-    swept.clear()
     bounded(lambda: decompose(sc, Window.square(4)))
-    assert builds and sum(cells for cells, _ in builds) == len(swept)
+    assert builds and sum(cells for cells, _ in builds) == 4 * len(sc.config)
 
 
 def test_threads_racing_for_the_board_read_equal_energies():

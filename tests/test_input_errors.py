@@ -14,6 +14,7 @@ from chiralattice import (
     InvalidPartition,
     OverlapError,
     PolygonalPartition,
+    ScaledConfiguration,
     UnlabeledShape,
     cluster_min_perimeter,
     configuration_from_json,
@@ -91,6 +92,14 @@ def test_input_errors_are_invalid_input(error):
         (lambda: Window.square(0.1), "invalid window side 0.1"),
         (lambda: Window.square(True), "invalid window side True"),
         (lambda: Window.square(4, (0.5, 0)), "invalid window centre coordinate 0.5"),
+        # a window's centre is a pair: a long tuple and a number
+        (lambda: Window.square(4, (1, 2, 3)), "window centre must be a pair"),
+        (lambda: Window.square(4, 5), "window centre must be a pair"),
+        # a scale is exact too: no float, no bool
+        (lambda: ScaledConfiguration(0.1, validate([])), "invalid epsilon 0.1"),
+        (lambda: ScaledConfiguration(True, validate([])), "invalid epsilon True"),
+        (lambda: ScaledConfiguration.from_continuum(0.5, []), "invalid epsilon 0.5"),
+        (lambda: ScaledConfiguration.from_continuum(True, []), "invalid epsilon True"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):
