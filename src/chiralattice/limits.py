@@ -10,8 +10,10 @@ and the unit-normal density is phi(p, q) / sqrt(p^2 + q^2) with
 (p, q) = (-b, a) primitive, so each contribution reduces to the exact
 rational t * phi(p, q); no irrational arithmetic is ever needed.
 
-Evaluation is pure: segments are priced independently and summed in a
-fixed order, so results are deterministic and thread-safe.
+Evaluation is pure: the interfaces are read once as integer runs on
+the partition's lines, scaled to one common denominator, and each key
+(i, j, nu) is priced once and weighted by its total lattice length, so
+results are exact, deterministic and thread-safe.
 """
 
 from __future__ import annotations
@@ -210,8 +212,11 @@ def _segment_soup(
         yield key, pieces
 
 
-def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
-    """Atomic shared segments between distinct labels, validated.
+def _interface_runs(part: PolygonalPartition) -> tuple[int, list[tuple]]:
+    """The common denominator d of the partition's vertices, and its
+    interfaces as maximal runs ((i, j, normal), p, q, offset, t0, t1), all
+    ints: the run covers t0 <= t <= t1 on the line (p, q, offset) of
+    `_segment_soup`, scaled by d.
 
     Every region edge must pair, piece by piece, with exactly one edge of
     another region (opposite orientation) or lie on the window (same
@@ -219,19 +224,14 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     the islands must not overlap either: after the edge checks, the area of
     all islands taken as one even-odd set (`predicate_area`) must equal the
     sum of their areas, or InvalidPartition("islands overlap") is raised.
-    Edges between a label and the window are emitted as (label, 0, inner
-    normal), every other piece under its `oriented` key; 0-0 interfaces are
-    dropped.  Segments are merged per (line, pair) into maximal runs.
+    Edges between a label and the window carry (label, 0, inner normal),
+    every other piece its `oriented` key; 0-0 interfaces are dropped.
+    Pieces are merged per (line, key) into maximal runs, in line order and
+    then key order.
     """
-    out: list[InterfaceSegment] = []
+    out: list[tuple] = []
     d, edges = _scaled_edges(part)
     for (p, q, offset), pieces in _segment_soup(edges):
-        den = (p * p + q * q) * d
-
-        def point_at(t: int) -> Vec:
-            # solve p*x + q*y = t, p*y - q*x = offset on the scaled line
-            return (Fraction(p * t - q * offset, den), Fraction(q * t + p * offset, den))
-
         runs: dict[tuple, list[tuple[int, int]]] = {}
         for t0, t1, covers in pieces:
             window_covers = [c for c in covers if c[0] == _WINDOW]
@@ -249,7 +249,7 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                 if lab == 0:
                     continue
                 # inner normal of a region = left normal of its edge
-                i, j, normal = lab, 0, (-q, p) if orient > 0 else (q, -p)
+                key = lab, 0, (-q, p) if orient > 0 else (q, -p)
             elif len(region_covers) == 2:
                 (la, oa), (lb, ob) = region_covers
                 if oa == ob:
@@ -258,33 +258,27 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
                     )
                 if la == lb:
                     continue  # internal seam of one region
-                i, j, normal = oriented(la, lb, (-q, p) if oa > 0 else (q, -p))
+                key = oriented(la, lb, (-q, p) if oa > 0 else (q, -p))
             elif len(region_covers) == 1 and part.window is None:
                 lab, orient = region_covers[0]
                 if lab == 0:
                     raise InvalidPartition("label 0 cannot form islands")
-                i, j, normal = oriented(lab, 0, (-q, p) if orient > 0 else (q, -p))
+                key = oriented(lab, 0, (-q, p) if orient > 0 else (q, -p))
             else:
                 raise InvalidPartition(
                     f"edge piece covered {len(region_covers)} times"
                 )
-            runs.setdefault((i, j, normal), []).append((t0, t1))
+            runs.setdefault(key, []).append((t0, t1))
 
-        for (i, j, normal), spans in sorted(runs.items()):
+        for key, spans in sorted(runs.items()):
             spans.sort()
             start, end = spans[0]
-            merged = []
             for t0, t1 in spans[1:]:
-                if t0 == end:
-                    end = t1
-                else:
-                    merged.append((start, end))
-                    start, end = t0, t1
-            merged.append((start, end))
-            for t0, t1 in merged:
-                out.append(
-                    InterfaceSegment(point_at(t0), point_at(t1), i, j, normal)
-                )
+                if t0 != end:
+                    out.append((key, p, q, offset, start, end))
+                    start = t0
+                end = t1
+            out.append((key, p, q, offset, start, end))
     if part.window is None:
         # the islands, read as one even-odd set, cover their area sum
         # only if no two overlap; pairs of edges are checked above
@@ -292,7 +286,31 @@ def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
         twice = sum(ax * by - bx * ay for ax, ay, bx, by, _ in edges)
         if predicate_area([islands], lambda inside: inside[0]) != Fraction(twice, 2 * d * d):
             raise InvalidPartition("islands overlap")
-    return out
+    return d, out
+
+
+def _segment(d: int, run: tuple) -> InterfaceSegment:
+    """The run's segment: p*x + q*y = t, p*y - q*x = offset solved on the line scaled by d."""
+    (i, j, normal), p, q, offset, t0, t1 = run
+    den = (p * p + q * q) * d
+    a, b = ((Fraction(p * t - q * offset, den), Fraction(q * t + p * offset, den)) for t in (t0, t1))
+    return InterfaceSegment(a, b, i, j, normal)
+
+
+def _key_lengths(d: int, runs: list[tuple]) -> dict[tuple, Fraction]:
+    """The total lattice length of each key (i, j, normal): its runs'
+    t1 - t0 summed on ints, over d times the normal's squared norm."""
+    sums: dict[tuple, int] = {}
+    for key, _, _, _, t0, t1 in runs:
+        sums[key] = sums.get(key, 0) + t1 - t0
+    return {key: Fraction(n, (key[2][0] ** 2 + key[2][1] ** 2) * d) for key, n in sums.items()}
+
+
+def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
+    """Atomic shared segments between distinct labels, validated: one per
+    run of `_interface_runs`, which states the checks, keys and order."""
+    d, runs = _interface_runs(part)
+    return [_segment(d, run) for run in runs]
 
 
 @dataclass
@@ -308,20 +326,24 @@ def limit_energy(
 ):
     """Total interfacial energy of the partition under the density model.
 
-    Exact rational: each segment contributes t * phi(i, j, normal) with t
-    its lattice length.
+    Exact rational: the sum over the interface keys (i, j, nu) of
+    phi(i, j, nu) times the key's total lattice length, each key priced
+    once.  With detailed, also one PricedSegment per segment of
+    `extract_interfaces`, in its order, each contributing its lattice
+    length times its key's price.
     """
-    segments = extract_interfaces(part)
-    total = Fraction(0)
+    d, runs = _interface_runs(part)
+    lengths = _key_lengths(d, runs)
+    prices = {key: model.value_and_source(*key) for key in lengths}
+    total = sum((prices[key][0] * length for key, length in lengths.items()), Fraction(0))
+    if not detailed:
+        return total
     rows: list[PricedSegment] = []
-    for seg in segments:
-        price, source = model.value_and_source(seg.i, seg.j, seg.normal)
-        contribution = seg.lattice_length * price
-        total += contribution
-        rows.append(PricedSegment(seg, price, source, contribution))
-    if detailed:
-        return total, rows
-    return total
+    for run in runs:
+        seg = _segment(d, run)
+        price, source = prices[run[0]]
+        rows.append(PricedSegment(seg, price, source, seg.lattice_length * price))
+    return total, rows
 
 
 def anchored_admissible(
@@ -361,18 +383,16 @@ def _island_boundary_energy(
 ) -> Fraction:
     """Integral of a gauge density over the interfaces of labeled islands.
 
-    Each interface (i, j, nu), keyed i < j by `oriented` as the gauge keys
-    are, is priced by gauges[(i, j)] at nu, label 0 being the complement
-    of the islands.  `extract_interfaces` checks the cover, so seams inside
-    one label drop out, and overlaps, along an edge or of areas, raise.
+    Each interface key (i, j, nu), keyed i < j by `oriented` as the gauge
+    keys are, is priced once by gauges[(i, j)] at nu and weighted by its
+    total lattice length, label 0 being the complement of the islands.
+    `_interface_runs` checks the cover, so seams inside one label drop
+    out, and overlaps, along an edge or of areas, raise.
     """
-    part = PolygonalPartition(regions=islands, window=None)
-    total = Fraction(0)
-    for seg in extract_interfaces(part):
-        # seg.normal points into A_i, as each key's gauge expects; the
-        # (0, k) gauges are centrally symmetric, so nu and -nu agree there
-        total += seg.lattice_length * gauges[seg.i, seg.j].gauge(seg.normal)
-    return total
+    lengths = _key_lengths(*_interface_runs(PolygonalPartition(regions=islands, window=None)))
+    # nu points into A_i, as each key's gauge expects; the (0, k) gauges
+    # are centrally symmetric, so nu and -nu agree there
+    return sum((gauges[i, j].gauge(nu) * n for (i, j, nu), n in lengths.items()), Fraction(0))
 
 
 def spin_lower_bound(polys: Iterable[Sequence[Vec]], model: DensityModel) -> Fraction:

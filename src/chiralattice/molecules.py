@@ -116,10 +116,16 @@ def json_int(what: str, value) -> int:
 
 def json_rational(what: str, value) -> Fraction:
     """A JSON integer, a rational string such as "-3/8" or a Fraction; a
-    float, bool or any other value raises InvalidInput naming `what`."""
+    float, bool or any other value raises InvalidInput naming `what`.
+
+    A string of ASCII digits with at most one leading "-" is read with
+    `int`, which accepts exactly what `Fraction` does there; any other
+    string goes through `Fraction`'s parser."""
     if type(value) is not int and type(value) is not str and type(value) is not Fraction:
         raise InvalidInput(f"invalid {what} {value!r}: expected an integer or a rational string")
     try:
+        if type(value) is str and value.isascii() and (value[1:] if value[:1] == "-" else value).isdigit():
+            return Fraction(int(value))
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"invalid {what} {value!r}: {exc}") from exc
@@ -721,16 +727,23 @@ def configuration_on_grid(
     epsilon, entries: Iterable[tuple[MoleculeShape, tuple]]
 ) -> Configuration:
     """Validated configuration of the lattice anchors a / epsilon, which
-    must be integer points; epsilon = 1 reads a lattice file."""
+    must be integer points; epsilon = 1 reads a lattice file.
+
+    Epsilon and each anchor coordinate, ints or Fractions, are read once
+    with `as_integer_ratio`: x = xn / xd over epsilon = en / ed is
+    (xn * ed) / (xd * en), an integer iff that division leaves no remainder."""
+    en, ed = epsilon.as_integer_ratio()
     mols = []
     for n, (shape, anchor) in enumerate(entries):
-        ax, ay = Fraction(anchor[0]) / epsilon, Fraction(anchor[1]) / epsilon
-        if ax.denominator != 1 or ay.denominator != 1:
+        (xn, xd), (yn, yd) = anchor[0].as_integer_ratio(), anchor[1].as_integer_ratio()
+        ax, rx = divmod(xn * ed, xd * en)
+        ay, ry = divmod(yn * ed, yd * en)
+        if rx or ry:
             raise InconsistentScale(
                 f"anchor ({anchor[0]}, {anchor[1]}) of molecule #{n} "
                 f"is not on the {epsilon}-grid"
             )
-        mols.append(Molecule(shape, (int(ax), int(ay))))
+        mols.append(Molecule(shape, (ax, ay)))
     return validate(mols)
 
 

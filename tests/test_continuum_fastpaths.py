@@ -4,7 +4,9 @@ Fraction forms.
 `decompose` counts each molecule's cells on 4x4 tiles, the rectangle unions
 mark columns of an integer grid as bitsets, and they and the segment soup
 of `extract_interfaces` scale their inputs to one common integer
-denominator.  Each is checked here for equal results, or the same exception
+denominator; the limit energy and the two island bounds price each
+interface key once, and `configuration_on_grid` divides anchors by epsilon
+on ints.  Each is checked here for equal results, or the same exception
 type and message, against the plain Fraction formulation that it replaced,
 kept below as the reference.  The polygon sweep has its reference in
 test_fastpaths.py.
@@ -12,6 +14,7 @@ test_fastpaths.py.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from bisect import bisect_left
@@ -28,19 +31,28 @@ from chiralattice.decomposition import (
     _window_in_lattice,
     decompose,
 )
+from chiralattice.densities import DensityModel
+from chiralattice.gauges import GaugePolygon, phi_closed_form
 from chiralattice.limits import (
     _WINDOW,
     InterfaceSegment,
     InvalidPartition,
     PolygonalPartition,
+    PricedSegment,
     extract_interfaces,
+    limit_energy,
+    rs_lower_bound,
+    spin_lower_bound,
 )
 from chiralattice.molecules import (
     R,
     S,
+    InconsistentScale,
     Molecule,
     UnlabeledShape,
     Window,
+    configuration_entries,
+    configuration_on_grid,
     phase_label,
     phase_pattern,
     validate,
@@ -566,3 +578,162 @@ def test_invalid_partitions_fail_like_the_interval_scan(name):
     with pytest.raises(InvalidPartition) as ref:
         ref_extract_interfaces(part)
     assert str(got.value) == str(ref.value)
+
+
+# -------------------------------------------------------------------
+# Limit pricing per interface key
+# -------------------------------------------------------------------
+
+def ref_island_energy(islands: dict, gauges: dict) -> F:
+    """Each segment of the interval scan priced on its own by its key's gauge."""
+    part = PolygonalPartition(regions=islands, window=None)
+    return sum((seg.lattice_length * gauges[seg.i, seg.j].gauge(seg.normal)
+                for seg in ref_extract_interfaces(part)), F(0))
+
+
+def ref_limit_energy(part: PolygonalPartition, model: DensityModel):
+    """The total and the rows, one density lookup and product per segment."""
+    rows = []
+    for seg in ref_extract_interfaces(part):
+        price, source = model.value_and_source(seg.i, seg.j, seg.normal)
+        rows.append(PricedSegment(seg, price, source, seg.lattice_length * price))
+    return sum((r.contribution for r in rows), F(0)), rows
+
+
+def island_sets(part: PolygonalPartition):
+    """The spin bound's one island set, all polygons of labels 1..8, and the
+    R/S bound's two, the polygons of the least of them against the rest."""
+    labels = sorted(lab for lab in part.regions if lab)
+    everything = [poly for lab in labels for poly in part.regions[lab]]
+    rest = [poly for lab in labels[1:] for poly in part.regions[lab]]
+    return everything, part.regions[labels[0]], rest
+
+
+def spin_gauges(model):
+    return {(0, 1): model.spin_envelope()}
+
+
+def rs_gauges(model):
+    return {(0, 1): phi_closed_form(1), (0, 5): phi_closed_form(5), (1, 5): model.rs_contact_envelope()}
+
+
+def test_limit_pricing_per_key_matches_per_segment_sums():
+    """`limit_energy` in both modes and the two island bounds on the seeded
+    triangulations, windowed and plane, against per-segment pricing."""
+    rng = random.Random(11)
+    model = DensityModel.with_patterns()
+    spin, rs = spin_gauges(model), rs_gauges(model)
+    merged = 0
+    for n in range(24):
+        part = triangulated(rng, rng.randint(2, 5), windowed=n % 2 == 0)
+        total, rows = ref_limit_energy(part, model)
+        assert limit_energy(part, model) == total
+        assert limit_energy(part, model, detailed=True) == (total, rows)
+        merged += len(rows) > len({(r.segment.i, r.segment.j, r.segment.normal) for r in rows})
+        everything, first, rest = island_sets(part)
+        assert spin_lower_bound(everything, model) == ref_island_energy({1: everything}, spin)
+        assert rs_lower_bound(first, rest, model) == ref_island_energy({1: first, 5: rest}, rs)
+    assert merged >= 12
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_invalid_partitions_fail_alike_in_limit_pricing(name):
+    """A broken partition raises the interval scan's message through
+    `limit_energy`; its regions read as islands by the two bounds raise as
+    the per-segment reference does, or price as it does."""
+    part = INVALID[name]
+    want = outcome(ref_limit_energy, part, DensityModel.with_patterns())
+    assert want[0] is InvalidPartition
+    model = DensityModel.with_patterns()
+    assert outcome(limit_energy, part, model) == want
+    assert outcome(limit_energy, part, model, True) == want
+    everything, first, rest = island_sets(part)
+    assert outcome(spin_lower_bound, everything, model) == outcome(
+        ref_island_energy, {1: everything}, spin_gauges(model))
+    assert outcome(rs_lower_bound, first, rest, model) == outcome(
+        ref_island_energy, {1: first, 5: rest}, rs_gauges(model))
+
+
+def test_limit_pricing_looks_up_each_key_once(monkeypatch):
+    """On a triangulation with more segments than keys, `limit_energy` calls
+    `value_and_source` once per key in either mode, and the two bounds call
+    `gauge` once per key of their island sets."""
+    part = triangulated(random.Random(4), 6, windowed=True)
+    model = DensityModel.with_patterns()
+    everything, first, rest = island_sets(part)
+    cases = [
+        (lambda: limit_energy(part, model), part),
+        (lambda: limit_energy(part, model, detailed=True), part),
+        (lambda: spin_lower_bound(everything, model), PolygonalPartition({1: everything})),
+        (lambda: rs_lower_bound(first, rest, model), PolygonalPartition({1: first, 5: rest})),
+    ]
+    # the envelopes are built before counting: building them reads gauges
+    monkeypatch.setattr(model, "spin_envelope", lambda env=model.spin_envelope(): env)
+    monkeypatch.setattr(model, "rs_contact_envelope", lambda env=model.rs_contact_envelope(): env)
+    lookups, reads = [], []
+    value_and_source, gauge = DensityModel.value_and_source, GaugePolygon.gauge
+    monkeypatch.setattr(DensityModel, "value_and_source",
+                        lambda self, i, j, nu: lookups.append((i, j, nu)) or value_and_source(self, i, j, nu))
+    monkeypatch.setattr(GaugePolygon, "gauge", lambda self, nu: reads.append(nu) or gauge(self, nu))
+    for run, priced in cases:
+        segments = extract_interfaces(priced)
+        keys = {(seg.i, seg.j, seg.normal) for seg in segments}
+        assert len(segments) > len(keys) + 20
+        lookups.clear()
+        reads.clear()
+        run()
+        if priced is part:
+            assert sorted(lookups) == sorted(keys)
+        else:
+            assert lookups == [] and sorted(reads) == sorted(nu for _, _, nu in keys)
+
+
+# -------------------------------------------------------------------
+# Continuum anchors on the epsilon grid
+# -------------------------------------------------------------------
+
+def ref_configuration_on_grid(epsilon, entries) -> list[Molecule]:
+    """Each anchor coordinate divided by epsilon as a Fraction."""
+    mols = []
+    for n, (shape, anchor) in enumerate(entries):
+        ax, ay = F(anchor[0]) / epsilon, F(anchor[1]) / epsilon
+        if ax.denominator != 1 or ay.denominator != 1:
+            raise InconsistentScale(
+                f"anchor ({anchor[0]}, {anchor[1]}) of molecule #{n} "
+                f"is not on the {epsilon}-grid"
+            )
+        mols.append(Molecule(shape, (int(ax), int(ay))))
+    return list(validate(mols).molecules)
+
+
+def on_grid(epsilon, entries) -> list[Molecule]:
+    return list(configuration_on_grid(epsilon, entries).molecules)
+
+
+def test_configuration_on_grid_matches_fraction_division():
+    """The 1/64 seam read back from a continuum file, anchors on coarser
+    grids and an epsilon that is not a unit fraction, and anchors off the
+    grid, which raise InconsistentScale with the same message."""
+    eps = F(1, 64)
+    seam_file = json.dumps([
+        {"shape": m.shape.name, "anchor": [str(eps * m.anchor[0]), str(eps * m.anchor[1])]}
+        for m in criterion_seam(eps).config
+    ])
+    entries = configuration_entries(json.loads(seam_file))
+    assert len(entries) > 10_000 and any(F(v).denominator == 64 for _, a in entries for v in a)
+    cases = [(eps, entries), (F(1, 64), entries[:50] + [(R, (F(1, 128), F(3, 4)))])]
+    for epsilon in (1, F(1), F(2, 3), F(1, 7), F(-1, 2)):
+        spread = [(R if n % 2 else S, (epsilon * (5 * n - 40), epsilon * (3 - 7 * n))) for n in range(12)]
+        cases.append((epsilon, spread))
+        for off in ((epsilon / 2, 0), (0, epsilon * F(5, 3)), (epsilon + 1, F(-1, 9))):
+            cases.append((epsilon, spread[:5] + [(S, off)] + spread[5:]))
+    cases.append((1, [(R, (3, -2)), (S, (F(7), 9))]))
+    raised = 0
+    for epsilon, mols in cases:
+        got = outcome(on_grid, epsilon, mols)
+        assert got == outcome(ref_configuration_on_grid, epsilon, mols), epsilon
+        if isinstance(got, tuple):
+            raised += got[0] is InconsistentScale
+        else:
+            assert all(type(v) is int for m in got for v in m.anchor)
+    assert raised >= 14

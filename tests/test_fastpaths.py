@@ -335,8 +335,13 @@ def test_lattice_energies_match_fraction_clipping():
     # up to 2 * 10^5 cells, in windows around one molecule or over many
     far = validate([Molecule(R, (0, 0)), Molecule(S, (100_000, 100_000))])
     stair = validate([Molecule(R, (3 * i, 3 * i)) for i in range(300)])
-    ell = validate([m for m in phase_pattern(1, Window.square(1300, (600, 600))) if all(
-        0 <= a < 600 and 0 <= b < 4 or 0 <= a < 4 and 0 <= b < 600 for a, b in m.cells())])
+    # the phase-1 molecules inside two strips, read off the stripe columns
+    # over the strips' cells, in the column order of `phase_pattern`
+    strips = ((range(600), range(4)), (range(4), range(600)))
+    near = {Molecule(R, (a, b)) for cells in strips for a, bs in pattern_columns(1, cells) for b in bs}
+    ell = validate(sorted((m for m in near if all(
+        0 <= a < 600 and 0 <= b < 4 or 0 <= a < 4 and 0 <= b < 600 for a, b in m.cells())),
+        key=lambda m: m.anchor))
     for config, windows in (
         (far, [Window.square(5, (F(1, 2), 1)), Window.square(9, (100_000, F(100_003, 3))),
                Window.square(F(400_003, 2), (50_000, F(100_001, 2)))]),

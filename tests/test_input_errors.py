@@ -29,7 +29,7 @@ from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction
 from chiralattice.molecules import (
-    Molecule, R, S, Window, configuration_entries, validate, weighted_perimeter,
+    Molecule, R, S, Window, configuration_entries, json_rational, validate, weighted_perimeter,
 )
 from chiralattice.rectregions import regions_from_jsonable
 
@@ -181,6 +181,26 @@ def test_geometry_files_keep_rational_coordinates():
         {"window": None, "regions": {"1": [[["1/3", 0], [1, "0"], [1, "5/7"]]]}}
     )
     assert part.regions[1] == [((F(1, 3), F(0)), (F(1), F(0)), (F(1), F(5, 7)))]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "007", "-3", "-0", "3/4", " 3", "3 ", "+3", "1_000", "\u0663", "2.5", "1e3",
+     "", "-", "--3", "3/0", "a", "1" * 5000],
+    ids=lambda text: ascii(text)[:12],
+)
+def test_json_rational_reads_strings_as_fraction_does(text):
+    """Plain digit strings take the `int` path; every string reads as
+    `Fraction` reads it, or raises InvalidInput carrying its message."""
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InvalidInput) as got:
+            json_rational("coordinate", text)
+        assert str(got.value) == f"invalid coordinate {text!r}: {exc}"
+    else:
+        got = json_rational("coordinate", text)
+        assert type(got) is F and got == want
 
 
 def test_configuration_entries_keep_rational_anchors():
