@@ -282,9 +282,11 @@ def verify_interior_phase(
     are the owners of its cells, so only those are read, in the order of
     the configuration.
     """
-    if k < 3:
+    if json_int("k", k) < 3:
         raise InvalidInput("k must be at least 3 so the inner square is nonempty")
-    cx, cy = center
+    if not isinstance(center, (tuple, list)) or len(center) != 2:
+        raise InvalidInput(f"centre must be a pair (cx, cy), not {center!r}")
+    cx, cy = (json_int("centre coordinate", c) for c in center)
     occ = config.occupancy
     for c in range(cx - k, cx + k):
         for r in range(cy - k, cy + k):
@@ -323,7 +325,7 @@ def lemma_check(
     if shapes is None:
         shapes = (BUILTIN_SHAPES["R"], BUILTIN_SHAPES["S"])
     shapes = _check_input(k, cap, shapes)
-    if inner_margin not in (2, 4):
+    if json_int("inner margin", inner_margin) not in (2, 4):
         raise InvalidInput("inner margin must be 2 or 4")
     if not shapes:
         raise InvalidInput("lemma_check needs at least one shape")

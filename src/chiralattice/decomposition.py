@@ -60,6 +60,8 @@ class ScaledConfiguration:
     ) -> "ScaledConfiguration":
         """Build from continuum anchor coordinates (must lie on eps * Z^2)."""
         epsilon = json_rational("epsilon", epsilon)
+        if epsilon <= 0:  # before the grid divides by it
+            raise InvalidInput("epsilon must be positive")
         return cls(epsilon, configuration_on_grid(epsilon, molecules))
 
 

@@ -54,15 +54,15 @@ solver's second incumbent after the forced part alone, and a
 part alone, so a feasible problem always has a bound.  Every use of the
 family keeps only members that meet the frame or lie in the free zone,
 both in Q_T, so the family build covers Q_T and no more.  A solve never
-sweeps the lattice: it prices the forced part by shifts of the set-up
-masks (`_forced_energy`, with the odd-T half cells read from T),
-reads its search grid's root state off them, one shift and mask per
-line, prices the glued family as the leaf that places its free members
-(`_glued_cost`, counting edges by `_edge_cost`), and validates one
-configuration, its result.  The pattern library builds one `Window` for
-its lattice sweeps, validates what it returns and prices every candidate
-through the sweep, the independent check on those integer prices; its
-wetting chain holds only the molecules that lie in the inner square.
+sweeps the lattice: it prices the forced part and the glued family on
+the set-up masks (`_q_t_energy`, with the odd-T half cells read from T)
+by the lattice energies' side count and covered area (`free_sides`,
+`covered_area`), reads its search grid's root state off them, one shift
+and mask per line, and validates one configuration, its result.  The
+pattern library builds one `Window` for its lattice sweeps, validates
+what it returns and prices every candidate through the sweep, a check on
+those integer prices on boards of its own; its wetting chain holds only
+the molecules that lie in the inner square.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -96,7 +96,9 @@ from .molecules import (
     S,
     Window,
     configuration_to_jsonable,
+    covered_area,
     decode_entry,
+    free_sides,
     json_int,
     json_rational,
     pattern_columns,
@@ -360,9 +362,9 @@ def _set_up(prob: InterfaceProblem) -> tuple:
     half families glued, meeting flush along the anti-diagonal seams that
     admit meshing and leaving an empty gap elsewhere (the constructive
     form of the subadditive bound).  Its interior members are free
-    placements of the solver, so it is both the solver's glued incumbent
-    and a `pattern_upper_bound` candidate; it overlaps exactly when two of
-    them do, when their occupancy `placed` (`_occupancy`) is None.
+    placements of the solver, so it is a leaf, the solver's glued
+    incumbent, as well as a `pattern_upper_bound` candidate; it overlaps
+    exactly when two of them do, when their occupancy `placed` is None.
     """
     T = prob.T
     square = _window_cells(T)
@@ -429,30 +431,26 @@ def _units(prob: InterfaceProblem) -> tuple[int, int, int]:
     return scale, c_R.numerator * scale // c_R.denominator, c_S.numerator * scale // c_S.denominator
 
 
-def _forced_energy(
+def _q_t_energy(
     prob: InterfaceProblem, units: tuple[int, int, int], grid: PlacementGrid, occ_R: int, occ_S: int
 ) -> int:
-    """The lattice sweep's Q_T energy of the forced part, whose R-like and
+    """The lattice sweep's Q_T energy of the configuration whose R-like and
     S-like cells are occ_R and occ_S on the set-up grid, as an int in the
-    `units` of `_units`: the edges between an occupied and an empty cell
-    of Q_T, by shifts, or T^2 less the area covered.  Q_T is a square about
-    the origin, so at odd T its four outer lines lie half in it, and the
-    edges along them (those joining two of their cells) are priced again at
-    minus w >> 1, their cells' area halved.  Read from T, with no `Window`."""
+    `units` of `_units`: the sides of its cells in Q_T that face an empty
+    cell of Q_T (`free_sides`), weighed, or T^2 less the area covered
+    (`covered_area`).  Q_T is a square about the origin, so at odd T its
+    four outer lines lie half in it: they are cut lines of clip 1/2, in
+    unit 2.  Read from T, with no `Window`."""
     scale, w_R, w_S = units
-    q_t, h = grid.order_bits, grid.height
+    q_t, h, odd = grid.order_bits, grid.height, prob.T & 1
     ends = q_t & ~(q_t << 1 & q_t >> 1)  # the first and last cell of each line
     sides = q_t & ~(q_t << h & q_t >> h)  # the first and last line
+    lines = [(0, -1, sides), (1, -1, ends)] if odd else []
     occ_R, occ_S = occ_R & q_t, occ_S & q_t
-    occ = occ_R | occ_S
-    if prob.energy_kind == VOLUME:  # scale >> 1 and scale >> 2 are 0 at even T
-        value = scale * (prob.T ** 2 - occ.bit_count()) - (scale >> 2) * (occ & ends & sides).bit_count()
-        return value + (scale >> 1) * ((occ & ends).bit_count() + (occ & sides).bit_count())
-    value = _edge_cost(grid, q_t & ~occ, occ_R, occ_S, (w_R, w_S))
-    if prob.T & 1:
-        m = ends | sides
-        value -= _edge_cost(grid, q_t & ~occ & m, occ_R & m, occ_S & m, (w_R >> 1, w_S >> 1))
-    return value
+    if prob.energy_kind == VOLUME:
+        return scale * prob.T ** 2 - covered_area(occ_R | occ_S, lines, 1 + odd)
+    r, s = free_sides((occ_R, occ_S), q_t & ~(occ_R | occ_S), h, lines, 1 + odd)
+    return (w_R * r + w_S * s) >> odd  # exact: every weight is even at odd T
 
 
 # -------------------------------------------------------------------
@@ -525,14 +523,13 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one family
     build, as masks over one grid of Q_T.  Every price is an int in the
     unit of `_units`.  The forced part is priced on those masks
-    (`_forced_energy`), the root cost is `base` less the forced edges
-    facing free cells (`_edge_cost`), and the incumbents are the forced
-    part alone and, unless its free members overlap, the glued family,
-    priced as the leaf that places them (`_glued_cost`).  The search
-    grid's free zone and forced occupancy are cropped from the set-up
-    masks, its free placements are enumerated only when the root bound is
-    below the incumbent, and molecules are built and validated once, for
-    the result.
+    (`_q_t_energy`), the root cost is `base` less the forced sides facing
+    free cells (`free_sides`), and the incumbents are the forced part
+    alone and, unless its free members overlap, the glued family, priced
+    by its Q_T energy as a leaf is.  The search grid's free zone and
+    forced occupancy are cropped from the set-up masks, its free
+    placements are enumerated only when the root bound is below the
+    incumbent, and molecules are built and validated once, for the result.
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
@@ -542,7 +539,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # Energies are integers in units of 1/scale (`_units`), so the search
     # never touches a Fraction.
     units = scale, w_R, w_S = _units(prob)
-    base = _forced_energy(prob, units, grid, occ_R, occ_S)
+    base = _q_t_energy(prob, units, grid, occ_R, occ_S)
     w_min = min(w_R, w_S)
     molecule_area = 4 * scale if volume else 0  # a surface energy prices edges alone
 
@@ -551,14 +548,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # the forced boundary edges that face a free cell, whose far side is
     # not decided yet.  For volume energies, whose weights are 0, it is the
     # deficit itself.
-    cost0 = base - _edge_cost(grid, free, occ_R, occ_S, (w_R, w_S))
+    r, s = free_sides((occ_R, occ_S), free, grid.height, [], 1)
+    cost0 = base - w_R * r - w_S * s
 
     # incumbents: the forced part alone, the glued family, then the forced
     # part and placements of a leaf, whose molecules are built for the result
     best_val, best_cfg, best_placed = base, forced, []
     if placed is not None:
-        set_up_root = (grid.all_bits & ~free, occ_R, occ_S, cost0)
-        value = _glued_cost(grid, placed, set_up_root, (w_R, w_S), molecule_area)
+        # a leaf's cost is its configuration's Q_T energy
+        value = _q_t_energy(prob, units, grid, occ_R | placed[0], occ_S | placed[1])
         if value < best_val:
             best_val, best_cfg = value, glued
 
@@ -679,50 +677,6 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         nodes_explored=nodes,
         lower=Fraction(lower, scale),
         root=Fraction(root_bound, scale),
-    )
-
-
-def _glued_cost(
-    table: PlacementGrid,
-    placed: tuple[int, int],
-    root: tuple[int, int, int, int],
-    weights: tuple[int, int],
-    area: int,
-) -> int:
-    """The solver's cost, an int in the units of `_units`, at the leaf
-    that places the glued family's free members, whose R-like and S-like
-    cells are `placed` (as `_set_up` gives them, not overlapping).
-
-    `root` is the root state (decided, occ_R, occ_S, cost) on the set-up
-    grid `table`: the free zone undecided, the forced part placed.  Each
-    member lowers the root cost by `area`, 0 for surface energies, and the
-    boundary edges that meet a free cell add their weights (w_R, w_S), 0
-    for volume energies, each once, as the search counts them: those
-    between a free cell left empty and an occupied cell, and those between
-    a placed member and a decided empty cell outside the free zone.
-    """
-    decided, occ_R, occ_S, cost = root
-    placed_R, placed_S = placed
-    outside = decided & ~(occ_R | occ_S)  # decided empty cells
-    empty = table.all_bits & ~decided & ~(placed_R | placed_S)
-    return (
-        cost - area * ((placed_R | placed_S).bit_count() // 4)
-        + _edge_cost(table, empty, occ_R | placed_R, occ_S | placed_S, weights)
-        + _edge_cost(table, outside, placed_R, placed_S, weights)
-    )
-
-
-def _edge_cost(
-    table: PlacementGrid, cells: int, occ_R: int, occ_S: int, weights: tuple[int, int]
-) -> int:
-    """w_R times the edges between `cells` and occ_R plus w_S times those
-    between `cells` and occ_S, by shifts of +-1 along a line and +- the
-    line length across lines.  Exact when one of the two sets misses the
-    grid's border, as the free zone does: no shift then leaves its line."""
-    h = table.height
-    return sum(
-        w * sum((cells & occ << s).bit_count() + (cells & occ >> s).bit_count() for s in (1, h))
-        for w, occ in zip(weights, (occ_R, occ_S))
     )
 
 

@@ -69,7 +69,8 @@ class InterfaceSegment:
 
 def _points(poly) -> list[Vec]:
     return [
-        (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
+        (x if type(x) is Fraction else json_rational("coordinate", x),
+         y if type(y) is Fraction else json_rational("coordinate", y))
         for x, y in poly
     ]
 
@@ -360,7 +361,7 @@ def anchored_admissible(
         omega = part.window
     if omega is None:
         raise InvalidInput("anchoring needs a bounded window")
-    omega_set = [tuple((Fraction(x), Fraction(y)) for x, y in omega)]
+    omega_set = [tuple(_points(omega))]
     # label 0 follows as the complement once 1..8 agree when both sides
     # are partitions, so it is compared only when both give it explicitly
     for lab in (*range(1, 9), 0):

@@ -11,14 +11,16 @@ The lattice energies count on a configuration's boards, built on its
 first energy read: an int per chirality class over its cells' box, the
 box halved until it spans at most 64 bits a cell (`_boards`).
 `_boundary_lengths` charges each unoccupied side to the chirality class of
-its molecule, a popcount per class and direction of shifted masks;
-`perimeter` adds the R-like and S-like lengths and `weighted_perimeter`
-weighs them.  `decomposition.decompose` prices its boundary with
-`perimeter`, on the same boards.
+its molecule, a popcount per class and direction of shifted masks
+(`free_sides`); `perimeter` adds the R-like and S-like lengths and
+`weighted_perimeter` weighs them.  `decomposition.decompose` prices its
+boundary with `perimeter`, on the same boards.
 `Window._clip` is the length of a unit interval inside the open window,
 the int 1 or 0 unless the window boundary cuts it.  It clips each side,
 and `volume_deficit` takes each cell's area as the product of its two
-clips.  Each cut line is priced once per window (`Window._cuts`).
+clips (`covered_area`).  Each cut line is priced once per window
+(`Window._cuts`).  `free_sides` and `covered_area` take plain masks, cut
+lines and a unit, so the interface solver prices Q_T with them too.
 
 The phase map lives here and nowhere else: `phase_shape` gives the shape
 of each of the eight modulated phases and `phase_label` the phase of a
@@ -527,15 +529,51 @@ def _window_bits(board: tuple, window: Window) -> tuple[int, int, list[tuple[int
     return inside, mine, [(axis, e, mine & span(axis, k, k + 1)) for axis, k, e in window._cuts[1]]
 
 
+def free_sides(mine: tuple[int, ...], vacant: int, height: int, lines: Iterable, unit: int) -> list[int]:
+    """For each class of cells in `mine`, the length of their sides that
+    face a cell of `vacant`, an int in units of 1/unit, on a board of
+    lines `height` bits long that no shift by 1 or height leaves.
+
+    A cut line (kind, excess, bits) clips the sides of its cells `bits` to
+    1 + excess / unit.  Kind 0 is cells of whole lines, and clips the sides
+    along them (shift 1); kind 1 is one cell of each line, and clips the
+    sides across lines (shift height).  On a board of `_boards`, a cut
+    column and a cut row.
+    """
+    # the cells whose west, east, south and north neighbours are vacant, on a board of `_boards`
+    facing = (vacant << height, vacant >> height, vacant << 1, vacant >> 1)
+    counts = []
+    for bits in mine:
+        sides = [bits & f for f in facing]
+        n = sum(side.bit_count() for side in sides) * unit
+        for kind, excess, line in lines:
+            # a cut column clips its cells' south and north sides, a cut row their west and east
+            along = sides[2:] if kind == 0 else sides[:2]
+            n += excess * sum((side & line).bit_count() for side in along)
+        counts.append(n)
+    return counts
+
+
+def covered_area(occ: int, lines: Iterable, unit: int) -> int:
+    """The area of the cells `occ`, an int in units of 1/unit², clipped by
+    the cut lines (kind, excess, bits) of `free_sides`: each cell counts 1,
+    less 1 - clip per cut line through it, plus (1 - clip_x)(1 - clip_y)
+    on a cut line of each kind, the product of its clips.  Each is a popcount."""
+    lines = [(kind, excess, occ & bits) for kind, excess, bits in lines]
+    cells = occ.bit_count() * unit + sum(e * bits.bit_count() for _, e, bits in lines)
+    corners = (ex * ey * (c & r).bit_count() for kx, ex, c in lines for ky, ey, r in lines if kx < ky)
+    return cells * unit + sum(corners)
+
+
 def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:
     """(R-like, S-like) length of the boundary of the union of molecules
     inside the open window, counted on the configuration's boards.
 
     Each unoccupied side of an occupied cell is charged to the chirality
     class of that cell's molecule.  The window is open, so a side counts
-    only if the cells on both its sides meet the window: per board, class
-    and direction, a popcount of the class's cells inside and the vacant
-    cells inside shifted by one cell.  A side on a cut line counts its clip.
+    only if the cells on both its sides meet the window: per board,
+    `free_sides` of the class's counted cells inside against the vacant
+    cells inside.  A side on a cut line counts its clip.
     """
     unit = 1 if window.is_plane else window._cuts[0]
     lengths = [0, 0]
@@ -543,15 +581,8 @@ def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, 
         height, (s_like, r_like) = board[2], board[4]
         inside, mine, lines = _window_bits(board, window)
         vacant = inside & ~(s_like | r_like)
-        # the counted cells whose west, east, south and north neighbours are vacant
-        open_sides = [mine & v for v in (vacant << height, vacant >> height, vacant << 1, vacant >> 1)]
-        for k, bits in enumerate((r_like, s_like)):
-            sides = [bits & o for o in open_sides]
-            lengths[k] += sum(side.bit_count() for side in sides) * unit
-            for axis, excess, line in lines:
-                # a cut column clips its cells' south and north sides, a cut row their west and east
-                along = sides[2:] if axis == 0 else sides[:2]
-                lengths[k] += excess * sum((side & line).bit_count() for side in along)
+        for k, n in enumerate(free_sides((r_like & mine, s_like & mine), vacant, height, lines, unit)):
+            lengths[k] += n
     return Fraction(lengths[0], unit), Fraction(lengths[1], unit)
 
 
@@ -585,20 +616,15 @@ def weighted_perimeter(
 def volume_deficit(config: Configuration, window: Window) -> Fraction:
     """Area of the window not covered by molecules, |w \\ E|.
 
-    On the configuration's boards each occupied cell in the window counts
-    1, less 1 - clip per cut line through it, plus (1 - clip_x)(1 - clip_y)
-    on a cut column and row: the product of its clips.  Each is a popcount.
+    The covered area is `covered_area` of each board's occupied cells in
+    the window, clipped by the window's cut lines.
     """
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
     unit, covered = window._cuts[0], 0
     for board in config._cells_boards():
-        occ = board[4][0] | board[4][1]
         _, mine, lines = _window_bits(board, window)
-        lines = [(axis, excess, occ & bits) for axis, excess, bits in lines]
-        cells = (occ & mine).bit_count() * unit + sum(e * bits.bit_count() for _, e, bits in lines)
-        corners = (ex * ey * (c & r).bit_count() for ax, ex, c in lines for ay, ey, r in lines if ax < ay)
-        covered += cells * unit + sum(corners)
+        covered += covered_area((board[4][0] | board[4][1]) & mine, lines, unit)
     return window.side ** 2 - Fraction(covered, unit * unit)
 
 

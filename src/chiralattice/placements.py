@@ -3,8 +3,10 @@
 A search over molecule placements (the covering DFS, the interface branch
 and bound, cluster growth) keeps its state as int masks over a fixed
 numbering of lattice cells, the searches' only one (the lattice energies
-count on a board of their own).  A placement holds its shape, anchor and
-masks; the searches read the masks, and its `Molecule` is built on request.
+count on boards of their own, and their side count also prices the
+interface solver's set-up masks).  A placement holds its shape, anchor
+and masks; the searches read the masks, and its `Molecule` is built on
+request.
 
 Every search passes a grid spec (first, along, across, h, w): w lines of
 h cells, the order cells, from cell `first`, a step `along` between the

@@ -9,14 +9,17 @@ against the frame once, and states the glued family once for the solver
 and the pattern library; the forced and glued parts are checked against
 the same parts on the Q_{T+8} family, which every member they keep also
 meets.  It works on masks over one grid of Q_T, and prices the forced
-part by shifts of them (`_forced_energy`); the per-cell set-up it
-replaced, with its cell-set free zone (`free_cells`) and the lattice
-sweep of the forced part, is kept below as the reference (`ref_set_up`).
-The forced price is an int in the units of `_units`.  The solver prices
-its glued incumbent on its own bitboards (`_glued_cost`); the validated
-glued configuration priced by the lattice sweep (`ref_glued_part`, then
-`ref_energy`) is the reference for its value, its overlap verdict and the
-occupancy of the free members it prices (`ref_placed`).
+part with the lattice energies' side count on them (`_q_t_energy`); the
+per-cell set-up it replaced, with its cell-set free zone (`free_cells`)
+and the lattice sweep of the forced part, is kept below as the reference
+(`ref_set_up`).  The forced price is an int in the units of `_units`.
+The solver prices its glued incumbent by `_q_t_energy` too, on the
+forced and free members' cells; the validated glued configuration priced
+by the lattice sweep (`ref_glued_part`, then `ref_energy`) is the
+reference for its value, its overlap verdict and the occupancy of the
+free members it prices (`ref_placed`).  The lattice sweep now shares the
+side count with the solver, so both prices are also checked against the
+per-edge Fraction references of `test_fastpaths`, which build no bitboard.
 
 `pattern_upper_bound` builds the boundary family once and derives the
 glued configuration, the wetting patches and the admissibility check from
@@ -46,11 +49,11 @@ from chiralattice.interfaces import (
     InterfaceProblem,
     NoPattern,
     _family_members,
-    _forced_energy,
     _forced_part,
     _frame_test,
     _inner,
     _mirror_molecule,
+    _q_t_energy,
     _set_up,
     _units,
     _wetting_chain,
@@ -67,7 +70,7 @@ from chiralattice.molecules import (
 )
 from chiralattice.placements import PlacementGrid
 from conftest import grid_mask
-from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS
+from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS, ref_volume, ref_weighted
 from test_interfaces import wetting_config
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, row_major_order, side_reach,
@@ -359,7 +362,7 @@ def test_set_up_matches_the_per_cell_reference(T, monkeypatch):
             for w, kind in weights:
                 priced = InterfaceProblem(i, j, nu, T, w, kind)
                 units = _units(priced)
-                base = _forced_energy(priced, units, grid, occ_R, occ_S)
+                base = _q_t_energy(priced, units, grid, occ_R, occ_S)
                 assert type(base) is int, priced
                 assert F(base, units[0]) == ref_energy(forced, priced), priced
             feasible += 1
@@ -521,31 +524,43 @@ def _glued_rows():
         yield InterfaceProblem(i, j, direction(1, 3), 16)
 
 
+def record_q_t_prices(monkeypatch) -> list:
+    """The solver's `_q_t_energy` calls as (grid, occ_R, occ_S, price), in
+    the order it makes them: a solve prices its forced part, then its
+    glued family unless the free members overlap."""
+    seen = []
+    priced = interfaces._q_t_energy
+
+    def recording(prob, units, grid, occ_R, occ_S):
+        seen.append((grid, occ_R, occ_S, priced(prob, units, grid, occ_R, occ_S)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(interfaces, "_q_t_energy", recording)
+    return seen
+
+
 def test_glued_incumbent_matches_the_reference(monkeypatch):
     # the family equals the phase-pattern filter, and the bitboard price of
     # the glued family equals the lattice sweep of the validated glued
     # configuration, with the same overlap verdict: the solver prices it
     # only when its free members do not overlap; their occupancy is that
     # of the reference's members off the frame
-    seen = []
-    priced = interfaces._glued_cost
-
-    def recording(table, placed, root, weights, area):
-        seen.append((table, placed, priced(table, placed, root, weights, area)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(interfaces, "_glued_cost", recording)
+    seen = record_q_t_prices(monkeypatch)
     rows = overlaps = infeasible = 0
     for prob in _glued_rows():
         members = ref_near_family(prob)
         assert _family_members(prob.i, prob.j, prob.nu, (_window_cells(prob.T),) * 2) == members, prob
+        seen.clear()
         try:
             solve_interface(prob, budget=1)
         except InfeasibleBoundary:
+            assert not seen, prob
             infeasible += 1
             continue
         forced = validate(m for m in members if _frame_test(prob.T)(m))
         assert forced == frame_forced(prob), prob
+        (grid, forced_R, forced_S, _), *glued = seen  # the forced part is priced first
+        assert (forced_R, forced_S) == ref_placed(grid, forced.molecules), prob
         free = {
             (a, b) for a in range(-prob.T, prob.T) for b in range(-prob.T, prob.T)
             if inside_inner((a, b), prob.T) and (a, b) not in forced.occupancy
@@ -553,18 +568,63 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
         try:
             ref = ref_glued_part(members, forced, free)
         except OverlapError:
-            assert not seen, prob  # the overlap verdict: the glued family is not priced
+            assert not glued, prob  # the overlap verdict: the glued family is not priced
             overlaps += 1
             continue
-        table, placed, value = seen.pop()
+        [(_, occ_R, occ_S, value)] = glued
         scale = _units(prob)[0]
         assert type(value) is int, prob
         interior = [m for m in ref.molecules if m not in forced.molecules]
-        assert placed == ref_placed(table, interior), prob
+        assert (occ_R, occ_S) == ref_placed(grid, ref.molecules), prob
+        assert (occ_R ^ forced_R, occ_S ^ forced_S) == ref_placed(grid, interior), prob
         assert F(value, scale) == ref_energy(ref, prob), prob
         rows += 1
-    assert not seen
     assert rows > 200 and overlaps > 0 and infeasible > 0
+
+
+def _oracle_rows():
+    """T = 8..21 over the table directions and their mirrors, each row at
+    two of the weights (1, 1), (1, 1/4) and (1/3, 2) and the volume energy,
+    in turn, so that every T, direction and energy meet."""
+    energies = (((1, 1), "surface"), ((1, F(1, 4)), "surface"), ((F(1, 3), 2), "surface"),
+                ((1, 1), "volume"))
+    for T, (k, (i, j, nu)), mirror, turn in itertools.product(
+        range(8, 22), enumerate(TABLE_DIRECTIONS), (False, True), (0, 1)
+    ):
+        weights, kind = energies[(T + k + 2 * mirror + turn) % 4]
+        if mirror:
+            yield InterfaceProblem(j, i, -direction(*nu), T, weights, kind)
+        else:
+            yield InterfaceProblem(i, j, direction(*nu), T, weights, kind)
+
+
+def test_q_t_prices_match_the_per_edge_reference(monkeypatch):
+    # the solver's forced and glued prices, over the scale, equal the
+    # per-edge Fraction references of `test_fastpaths` on the validated
+    # forced part and glued family: an oracle that builds no bitboard, as
+    # the lattice sweep now counts sides as the solver does
+    seen = record_q_t_prices(monkeypatch)
+    counts = Counter()
+    window = {}
+    for prob in _oracle_rows():
+        seen.clear()
+        solve_interface(prob, budget=1)
+        _, forced, glued, placed, *_ = _set_up(prob)
+        configs = [validate(forced)] + ([] if placed is None else [validate(glued)])
+        assert len(seen) == len(configs), prob
+        w = window.setdefault(prob.T, Window.square(prob.T))
+        scale = _units(prob)[0]
+        for config, (*_, value) in zip(configs, seen):
+            if prob.energy_kind == "volume":
+                expected = ref_volume(config, w)
+            else:
+                expected = ref_weighted(config, *prob.weights, w)
+            assert type(value) is int and F(value, scale) == expected, prob
+            counts[prob.T & 1, prob.energy_kind, len(configs)] += 1
+    # both parities and energy kinds, with a glued family priced in each
+    assert {key for key in counts if key[2] == 2} == set(
+        itertools.product((0, 1), ("surface", "volume"), (2,))
+    ), counts
 
 
 # -------------------------------------------------------------------

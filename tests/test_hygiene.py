@@ -236,10 +236,14 @@ def test_molecules_hold_no_instance_dict():
     assert Molecule.__slots__ == ("shape", "anchor")
 
 
-# the interface solver's integer price path: its unit, the forced part's
-# price, the glued family's cost, the edge count, the set-up and the
-# occupancy helper
-_INTEGER_PRICED = ("_units", "_forced_energy", "_glued_cost", "_edge_cost", "_set_up", "_occupancy")
+# the interface solver's integer price path: its unit, the Q_T energy of
+# the forced part and the glued family, the set-up and the occupancy
+# helper; and the lattice energies' side count and covered area in
+# `molecules`, through which the Q_T energy and the root cost count
+_INTEGER_PRICED = {
+    "interfaces.py": ("_units", "_q_t_energy", "_set_up", "_occupancy"),
+    "molecules.py": ("free_sides", "covered_area"),
+}
 
 
 def _fraction_uses(node: ast.AST) -> list[ast.AST]:
@@ -253,19 +257,24 @@ def _fraction_uses(node: ast.AST) -> list[ast.AST]:
 
 def test_solves_price_in_ints():
     """A solve prices in ints from set-up to result: `Fraction` appears in
-    none of the functions of its price path, and in `solve_interface` only
-    inside the `SolveResult(...)` call that builds its result."""
+    none of the functions of its price path, the `molecules` side count
+    and covered area included, and in `solve_interface` only inside the
+    `SolveResult(...)` call that builds its result."""
     functions = {
-        node.name: node for node in TREES["interfaces.py"].body if isinstance(node, ast.FunctionDef)
+        (module, node.name): node for module in _INTEGER_PRICED
+        for node in TREES[module].body if isinstance(node, ast.FunctionDef)
     }
-    found = {name: [n.lineno for n in _fraction_uses(functions[name])] for name in _INTEGER_PRICED}
-    solve = functions["solve_interface"]
+    found = {
+        (module, name): [n.lineno for n in _fraction_uses(functions[module, name])]
+        for module, names in _INTEGER_PRICED.items() for name in names
+    }
+    solve = functions["interfaces.py", "solve_interface"]
     result = [
         node for node in ast.walk(solve)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "SolveResult"
     ]
     allowed = {id(n) for call in result for n in _fraction_uses(call)}
-    found["solve_interface"] = [n.lineno for n in _fraction_uses(solve) if id(n) not in allowed]
+    found["interfaces.py", "solve_interface"] = [n.lineno for n in _fraction_uses(solve) if id(n) not in allowed]
     assert not any(found.values()), found
     assert len(result) == 1 and allowed  # the result's Fractions are seen

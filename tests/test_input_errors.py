@@ -16,6 +16,7 @@ from chiralattice import (
     PolygonalPartition,
     ScaledConfiguration,
     UnlabeledShape,
+    anchored_admissible,
     cluster_min_perimeter,
     configuration_from_json,
     direction,
@@ -24,14 +25,16 @@ from chiralattice import (
     pattern_upper_bound,
     shapes_from_json,
     solve_interface,
+    verify_interior_phase,
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction
 from chiralattice.molecules import (
-    Molecule, R, S, Window, configuration_entries, json_rational, validate, weighted_perimeter,
+    Molecule, R, S, Window, configuration_entries, json_rational, phase_pattern, validate,
+    weighted_perimeter,
 )
-from chiralattice.rectregions import regions_from_jsonable
+from chiralattice.rectregions import rect, regions_from_jsonable
 
 
 @pytest.mark.parametrize(
@@ -41,6 +44,11 @@ from chiralattice.rectregions import regions_from_jsonable
 )
 def test_input_errors_are_invalid_input(error):
     assert issubclass(error, InvalidInput) and issubclass(InvalidInput, ValueError)
+
+
+_COVERED = phase_pattern(1, Window.square(16))  # covers Q_8 about the origin
+_UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+_UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
 
 
 @pytest.mark.parametrize(
@@ -100,6 +108,25 @@ def test_input_errors_are_invalid_input(error):
         (lambda: ScaledConfiguration(True, validate([])), "invalid epsilon True"),
         (lambda: ScaledConfiguration.from_continuum(0.5, []), "invalid epsilon 0.5"),
         (lambda: ScaledConfiguration.from_continuum(True, []), "invalid epsilon True"),
+        # a zero or negative scale is refused before the grid divides by it
+        (lambda: ScaledConfiguration.from_continuum(0, [(R, (0, 0))]), "epsilon must be positive"),
+        (lambda: ScaledConfiguration.from_continuum(-1, [(R, (0, 0))]), "epsilon must be positive"),
+        # an interior phase's size and centre are ints, the centre a pair
+        (lambda: verify_interior_phase(_COVERED, (0.5, 0), 4), "invalid centre coordinate 0.5"),
+        (lambda: verify_interior_phase(_COVERED, (0, True), 4), "invalid centre coordinate True"),
+        (lambda: verify_interior_phase(_COVERED, (0, 0), 4.0), "invalid k 4.0: expected an integer"),
+        (lambda: verify_interior_phase(_COVERED, (0, 0, 0), 4), "centre must be a pair"),
+        (lambda: verify_interior_phase(_COVERED, 0, 4), "centre must be a pair"),
+        (lambda: lemma_check(4, inner_margin=4.0), "invalid inner margin 4.0"),
+        (lambda: lemma_check(4, inner_margin=True), "invalid inner margin True"),
+        # library coordinates are exact: no float, no bool
+        (lambda: rect(0.1, 0, 1, 1), "invalid coordinate 0.1"),
+        (lambda: rect(0, 0, True, 1), "invalid coordinate True"),
+        (lambda: PolygonalPartition({1: [[(0, 0), (1, 0), (1, 0.5)]]}), "invalid coordinate 0.5"),
+        (lambda: PolygonalPartition({1: [_UNIT_SQUARE]}, [(0, 0), (1, 0), (1, 1), (False, 1)]),
+         "invalid coordinate False"),
+        (lambda: anchored_admissible(_UNIT_PARTITION, _UNIT_PARTITION, [(0, 0), (1.5, 0), (1, 1)]),
+         "invalid coordinate 1.5"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -39,7 +39,7 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import (
-    R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, Window, validate,
+    R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, Window, free_sides, validate,
 )
 from chiralattice.placements import Placement, PlacementGrid, PlacementTable
 from conftest import grid_mask
@@ -321,10 +321,10 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
 
 
 def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
-    # the solver's four-shift edge count equals the per-cell sum over the
-    # grid's neighbour masks, on every set-up grid and every search grid,
-    # for random subsets of its free zone against random cell sets of the
-    # whole grid, either way round
+    # the lattice energies' side count, as the solver calls it, equals the
+    # per-cell sum over the grid's neighbour masks, on every set-up grid
+    # and every search grid, for random subsets of its free zone against
+    # random cell sets of the whole grid, either way round
     grids = []
     set_up = interfaces._set_up
 
@@ -351,6 +351,11 @@ def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
             for i, nbrs in enumerate(table.neighbors) if cells >> i & 1
         )
 
+    def edge_cost(table, cells, occ_R, occ_S, weights):
+        # the sides of occ_R and occ_S that face `cells`, weighed
+        r, s = free_sides((occ_R, occ_S), cells, table.height, [], 1)
+        return weights[0] * r + weights[1] * s
+
     rng = random.Random(7)
     for table, free in grids:
         n = table.n
@@ -360,12 +365,12 @@ def test_edge_cost_matches_the_neighbour_masks(monkeypatch):
         ]
         for cells, occ_R, occ_S in cases:
             weights = rng.randint(1, 9), rng.randint(1, 9)
-            got = interfaces._edge_cost(table, cells, occ_R, occ_S, weights)
+            got = edge_cost(table, cells, occ_R, occ_S, weights)
             assert got == per_cell(table, cells, occ_R, occ_S, weights)
             # the free cells as the weighted side, the other set anywhere
             sub_R = cells & rng.getrandbits(n)
             sub_S = cells & ~sub_R
-            got = interfaces._edge_cost(table, occ_R, sub_R, sub_S, weights)
+            got = edge_cost(table, occ_R, sub_R, sub_S, weights)
             assert got == per_cell(table, sub_R, occ_R, 0, weights) + per_cell(
                 table, sub_S, 0, occ_R, weights
             )
@@ -436,36 +441,40 @@ def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
     # is the lattice sweep of the validated glued configuration (the forced
     # part and the glued family's free members), and the solver prices it
     # exactly when validating that configuration does not raise
-    # OverlapError, when the set-up's free members have an occupancy
+    # OverlapError, when the set-up's free members have an occupancy.  A
+    # solve prices its forced part, then its glued family (`_q_t_energy`)
     seen = []
-    glued_cost = interfaces._glued_cost
+    q_t_energy = interfaces._q_t_energy
 
-    def recording(table, placed, root, weights, area):
-        seen.append(glued_cost(table, placed, root, weights, area))
+    def recording(prob, units, grid, occ_R, occ_S):
+        seen.append(q_t_energy(prob, units, grid, occ_R, occ_S))
         return seen[-1]
 
-    monkeypatch.setattr(interfaces, "_glued_cost", recording)
+    monkeypatch.setattr(interfaces, "_q_t_energy", recording)
     # and every ordered pair at (1, 3) at T=16, where some glued families
     # overlap and some frames do
     pairs = [InterfaceProblem(i, j, direction(1, 3), 16) for i, j in permutations(range(9), 2)]
     overlaps = 0
     for prob in [*_solver_problems(), *pairs]:
+        seen.clear()
         try:
             solve_interface(prob, budget=1)
         except InfeasibleBoundary:
             continue
         _, forced, glued, placed, *_ = interfaces._set_up(prob)
         interior = [m for m in glued if m not in forced]  # the glued family's free members
+        glued_price = seen[1:]  # after the forced part's
         try:
             config = validate([*frame_forced(prob).molecules, *interior])
         except OverlapError:
-            assert (placed, seen) == (None, []), prob
+            assert (placed, glued_price) == (None, []), prob
             overlaps += 1
             continue
         assert placed is not None, prob
-        value, scale = seen.pop(), interfaces._units(prob)[0]
+        [value], scale = glued_price, interfaces._units(prob)[0]
+        assert type(value) is int, prob
         assert F(value, scale) == interfaces._energy(config, prob, Window.square(prob.T)), prob
-    assert not seen and overlaps == 10
+    assert overlaps == 10
 
 
 def _placements_meeting_square(k, shapes):
