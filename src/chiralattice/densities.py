@@ -35,7 +35,7 @@ from .gauges import (
     phi_closed_form,
 )
 from .interfaces import DensityRecord, oriented
-from .molecules import InvalidInput, R, S, phase_shape
+from .molecules import InvalidInput, R, S, json_int, phase_shape
 
 # flush-meshing seam pairs along the anti-diagonals, `oriented`; phi-scale value 2
 MESHING_PAIRS: Mapping[tuple[int, int, IntDir], Fraction] = MappingProxyType({
@@ -104,19 +104,30 @@ class DensityModel:
                 self.table[key] = rec
 
     def value_and_source(self, i: int, j: int, nu: IntDir) -> tuple[Fraction, str]:
-        """phi-scale value at a primitive integer normal, with provenance."""
+        """phi-scale value at an integer normal, with provenance.
+
+        Both components of nu are read by `json_int`, and nu = (0, 0)
+        raises InvalidInput.  The value is 1-homogeneous: at nu = g nu'
+        with nu' primitive and g the gcd of its components, it is g times
+        the value at nu', from the table, the closed forms, the meshing
+        patterns or the subadditive bound, whose source it keeps.
+        """
+        p, q = json_int("normal component", nu[0]), json_int("normal component", nu[1])
+        g = math.gcd(p, q)
+        if g == 0:
+            raise InvalidInput("normal cannot be zero")
         if i == j:
             return Fraction(0), "zero"
-        key = i, j, nu = oriented(i, j, nu)
+        key = i, j, nu = oriented(i, j, (p // g, q // g))
         entry = self.table.get(key)
         if entry is not None:
-            return entry.phi_hat, f"table(T={entry.T},{entry.certificate})"
+            return g * entry.phi_hat, f"table(T={entry.T},{entry.certificate})"
         if i == 0:
             # f(0,j,nu) = phi_j(-nu) = phi_j(nu): the hexagons are centrally symmetric
-            return phi_closed_form(j).gauge(nu), "closed_form"
+            return g * phi_closed_form(j).gauge(nu), "closed_form"
         if self.use_patterns and key in MESHING_PAIRS:
-            return MESHING_PAIRS[key], "pattern"
-        return subadditive_bound(i, j, nu), "subadditive"
+            return g * MESHING_PAIRS[key], "pattern"
+        return g * subadditive_bound(i, j, nu), "subadditive"
 
     def value(self, i: int, j: int, nu: IntDir) -> Fraction:
         return self.value_and_source(i, j, nu)[0]

@@ -35,10 +35,12 @@ is not determined yet, and no edge lies in two lines, so each such run
 adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  The search's cells are bits of int masks
 of a placement grid (`chiralattice.placements`) over the inner square
-and its ring, whose placements are the free molecules only; the line
-bound shifts those masks along and across lines.  From set-up to result
-a solve prices in ints, in one unit 1/scale (`_units`), and builds
-`Fraction`s for its result alone.
+and its ring, whose placements are the free molecules only.  At the root
+the line bound shifts those masks along and across lines (`_line`); a
+node carries each mask beside its transpose in one int, so one carry
+along the lines of both counts columns and rows (`_runs`).  From set-up
+to result a solve prices in ints, in one unit 1/scale (`_units`), and
+builds `Fraction`s for its result alone.
 
 The solver and the pattern library share one set-up (`_set_up`) on Q_T
 read as an integer cell range (`_window_cells`), with no `Window`, and one
@@ -472,6 +474,41 @@ def _scan_order(prob: InterfaceProblem, square: range) -> GridSpec:
     return (square[0] if sx > 0 else square[-1], square[0]), (0, 1), (sx, 0), len(square), len(square)
 
 
+def _runs(decided: int, occ: int, lines: int) -> int:
+    """The runs of undecided cells between decided cells of unlike
+    occupancy along the lines of a board, whose cells are `lines` and each
+    of whose lines starts and ends on a decided cell: adding 1 at the start
+    of a run that follows an occupied cell carries through the run into
+    the decided cell after it, and no carry leaves its line."""
+    unknown = lines & ~decided
+    fill = unknown + ((decided & occ & (unknown >> 1)) << 1)
+    return ((fill ^ occ) & decided & (unknown << 1)).bit_count()
+
+
+def _line(decided: int, occ: int, width: int) -> int:
+    """The runs of `_runs` in the columns and rows of a square board of
+    `width` lines of `width` cells, whose lines start and end on decided
+    cells.  A run is at most width - 2 long, so the doubling shifts of the
+    fill across lines carry each run's first decided end across it."""
+    cells = (1 << width * width) - 1
+    unknown = cells & ~decided
+    fill, through = decided & occ & (unknown >> width), unknown
+    for k in range((width - 2).bit_length()):
+        fill |= through & (fill << (width << k))
+        through &= through << (width << k)
+    ends = decided & (unknown << width)
+    return _runs(decided, occ, cells) + (((fill << width) ^ occ) & ends).bit_count()
+
+
+def _transposed(bits: int, width: int) -> int:
+    """The board `bits` of a square grid of `width` lines of `width` cells
+    transposed: cell r of line c, bit c * width + r, moves to bit
+    r * width + c.  Read as bit digits lowest first, the transpose is the
+    digits taken with stride `width` from each of the first `width`."""
+    digits = format(bits, f"0{width * width}b")[::-1]
+    return int("".join(digits[r::width] for r in range(width))[::-1], 2)
+
+
 def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Minimize the Q_T energy over admissible configurations.
 
@@ -508,7 +545,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     decided ends differ in occupancy, each at the least weight
     min(c_R, c_S).  Along such a run the occupancy must change across
     some edge; that edge has an undecided cell, so the cost has not
-    counted it, and it lies in one line only.  For volume energies the
+    counted it, and it lies in one line only.  The root counts rows with
+    the doubling fill of `_line`.  Below it a node holds its decided and
+    occupied cells on both halves of one int, the search square and its
+    transpose (`_transposed`) above it, so rows are lines of the upper
+    half and one carry along the lines of both halves (`_runs`) counts
+    the same runs; a placement's and an empty cell's bits are set on both
+    halves, and the placements, the neighbour costs and the next cell read
+    the low half.  For volume energies the
     bound is the cost minus one molecule area per four undecided cells.
     Both bounds are admissible, and since the scan order is fixed an
     exhausted search returns the first optimal leaf in scan order, or the
@@ -528,8 +572,9 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     alone and, unless its free members overlap, the glued family, priced
     by its Q_T energy as a leaf is.  The search grid's free zone and
     forced occupancy are cropped from the set-up masks, its free
-    placements are enumerated only when the root bound is below the
-    incumbent, and molecules are built and validated once, for the result.
+    placements are enumerated, and the root's boards and the placements'
+    shapes transposed, only when the root bound is below the incumbent,
+    and molecules are built and validated once, for the result.
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
@@ -570,56 +615,61 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     table = PlacementGrid(spec, (R, S), free_bits)
     n = table.n
     decided0 = table.all_bits & ~free_bits
-    root = (decided0, occ_R0, occ_S0, cost0)
 
-    # LINE: each line starts and ends on a ring cell, which is always
-    # decided, so no run of undecided cells crosses into the next line.  A
-    # run is at most width - 2 long, so the doubling shifts of the
-    # cross-line fill carry each run's first decided end across it.
+    # LINE: each line of the search square (bits 0..n-1) and of its
+    # transpose above it (bits n..2n-1) starts and ends on a ring cell,
+    # which is always decided, so no carry of `_runs` crosses a line or
+    # the seam between the halves.
     width = spec[3]
-    order_bits = table.order_bits
-    shifts = [width << k for k in range((width - 2).bit_length())]
-
-    def line(decided: int, occ: int) -> int:
-        """Runs of undecided cells between decided cells of unlike occupancy."""
-        unknown = order_bits & ~decided
-        # along lines: adding 1 at the start of a run carries through the
-        # run into the decided cell after it
-        ends = decided & (unknown << 1)
-        fill = unknown + ((decided & occ & (unknown >> 1)) << 1)
-        count = ((fill ^ occ) & ends).bit_count()
-        # across lines: doubling shifts fill each run that follows an
-        # occupied decided cell
-        fill, through = decided & occ & (unknown >> width), unknown
-        for s in shifts:
-            fill |= through & (fill << s)
-            through &= through << s
-        ends = decided & (unknown << width)
-        return count + (((fill << width) ^ occ) & ends).bit_count()
+    both = (1 << 2 * n) - 1
 
     def bound(decided: int, occ: int, cost: int) -> int:
         """A lower bound on the value of every leaf below the node."""
         if volume:
             return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
-        return cost + w_min * line(decided, occ)
+        return cost + w_min * _runs(decided, occ, both)
 
     nodes = 0
     exhausted = True
     cut = best_val  # on truncation, the least bound over the unopened children
 
-    # A frame is [decided, occ_R, occ_S, cost, i, untried, placed]: a
-    # node's state, its first undecided cell i, an iterator over the
-    # placements at i not tried yet (None once the empty branch is open)
-    # and the placement made to reach the node.
-    root_bound = bound(decided0, occ_R0 | occ_S0, cost0)
+    # A frame is [decided, occ_R, occ_S, occ, cost, i, untried, placed]: a
+    # node's state (decided and occ, the cells of either occupancy, on both
+    # halves; occ_R and occ_S on the low half), its first undecided cell
+    # i, an iterator over the placements at i not tried yet (None once the
+    # empty branch is open) and the placement made to reach the node.
+    occ0 = occ_R0 | occ_S0
+    if volume:
+        root_bound = bound(decided0, occ0, cost0)
+    else:
+        root_bound = cost0 + w_min * _line(decided0, occ0, width)
     i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
     stack = []
     if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
-        by_pos, neighbors = table.enumerate_placements()[1], table.neighbors
-        stack.append([*root, i, iter(by_pos[i]), None])
+        placements, by_pos = table.enumerate_placements()
+        neighbors = table.neighbors
+        # flip[k]: the upper bit of cell k, n + r * width + c for cell r of
+        # line c.  A placement's doubled mask is its mask with its shape's
+        # transposed template shifted above it, each template transposed once.
+        flip = [k for c in range(n, n + width) for k in range(c, 2 * n, width)]
+        transposed, doubled = {}, []
+        for p in placements:
+            mask = p.mask
+            k = (mask & -mask).bit_length() - 1
+            template = mask >> k
+            if template not in transposed:
+                upper = _transposed(mask, width) << n
+                low = (upper & -upper).bit_length() - 1
+                transposed[template] = upper >> low, low - flip[k]
+            upper, lift = transposed[template]
+            doubled.append(mask | upper << flip[k] + lift)
+        stack.append([
+            decided0 | _transposed(decided0, width) << n, occ_R0, occ_S0,
+            occ0 | _transposed(occ0, width) << n, cost0, i, iter(by_pos[i]), None,
+        ])
     while stack:
         frame = stack[-1]
-        decided, occ_R, occ_S, cost, i, untried, _ = frame
+        decided, occ_R, occ_S, occ, cost, i, untried, _ = frame
         if untried is None:
             stack.pop()
             continue
@@ -628,40 +678,43 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             if p.mask & decided:
                 continue
             placed = p
+            mask = doubled[p.index]
             if volume:
                 cost -= molecule_area
             else:
                 # the molecule's edges to decided empty cells are boundary
                 # now; those to undecided cells count when they are decided
-                empty = p.contacts(decided & ~(occ_R | occ_S))
+                empty = p.contacts(decided & ~occ)
                 if p.shape.chirality_class == R_LIKE:
                     occ_R |= p.mask
                     cost += w_R * empty
                 else:
                     occ_S |= p.mask
                     cost += w_S * empty
-            decided |= p.mask
+                occ |= mask
+            decided |= mask
             break
         else:
             # or leave it empty: its edges to occupied decided cells are
             # boundary now
-            frame[5] = placed = None
+            frame[6] = placed = None
             if not volume:
                 nbrs = neighbors[i]
                 cost += w_R * (nbrs & occ_R).bit_count() + w_S * (nbrs & occ_S).bit_count()
-            decided |= 1 << i
+            decided |= 1 << i | 1 << flip[i]
         if nodes >= budget:
             exhausted = False
-            cut = min(cut, bound(decided, occ_R | occ_S, cost))
+            cut = min(cut, bound(decided, occ, cost))
             continue
         nodes += 1
+        # the low half is decided first, so a clear bit at n or above is a leaf
         i = (~decided & (decided + 1)).bit_length() - 1
         if i >= n:
             if cost < best_val:
                 best_val, best_cfg = cost, forced
-                best_placed = [*(f[6] for f in stack), placed]  # None: an empty branch
-        elif bound(decided, occ_R | occ_S, cost) < best_val:
-            stack.append([decided, occ_R, occ_S, cost, i, iter(by_pos[i]), placed])
+                best_placed = [*(f[7] for f in stack), placed]  # None: an empty branch
+        elif bound(decided, occ, cost) < best_val:
+            stack.append([decided, occ_R, occ_S, occ, cost, i, iter(by_pos[i]), placed])
 
     if exhausted:
         lower = best_val

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .densities import DensityModel
 from .gauges import GaugePolygon, IntDir, phi_closed_form
 from .interfaces import oriented
-from .molecules import InvalidInput, decode_entry, decode_regions, json_rational
+from .molecules import InvalidInput, decode_entry, decode_regions, json_int, json_rational
 from .polygeom import (
     Polygon,
     Vec,
@@ -103,7 +103,8 @@ def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Po
 class PolygonalPartition:
     """Labeled polygon sets partitioning a window (or islands in the plane).
 
-    With a window, the regions (labels 0..8, including the empty phase 0)
+    With a window, the regions (int labels 0..8, read by `json_int`, so a
+    float or bool label raises InvalidInput; including the empty phase 0)
     must tile it, and their areas, summed as each polygon is oriented,
     must add up to the window's; with window None, label 0 is implicit as
     the complement of the labeled islands and must not be given
@@ -119,7 +120,7 @@ class PolygonalPartition:
         regions: dict[int, list[Polygon]] = {}
         areas: dict[int, Fraction] = {}
         for lab, polys in self.regions.items():
-            lab = int(lab)
+            lab = json_int("region label", lab)
             if not 0 <= lab <= 8:
                 raise InvalidPartition(f"label {lab} out of range 0..8")
             if polys:

@@ -13,6 +13,7 @@ from chiralattice.densities import (
 )
 from chiralattice.gauges import phi_closed_form
 from chiralattice.interfaces import DensityRecord
+from test_line_bound import TABLE_DIRECTIONS
 
 
 def test_subadditive_cases():
@@ -35,6 +36,9 @@ def test_model_sources_and_precedence():
     assert (v, src) == (F(4), "subadditive")
     v, src = model.value_and_source(1, 7, (1, -1))
     assert (v, src) == (F(2), "pattern")
+    # a multiple of a meshing seam's normal is priced by its pattern, not
+    # by the subadditive bound
+    assert model.value_and_source(1, 7, (2, -2)) == (F(4), "pattern")
     # symmetry lookup: f(7,1,(-1,1)) = f(1,7,(1,-1))
     v, src = model.value_and_source(7, 1, (-1, 1))
     assert (v, src) == (F(2), "pattern")
@@ -99,6 +103,30 @@ def test_mirror_identity(model):
             for p, q in NORMALS:
                 assert model.value_and_source(i, j, (p, q)) == model.value_and_source(
                     j, i, (-p, -q)), (i, j, (p, q))
+
+
+# the normals of the benchmark's density table, each row's and its mirror's
+TABLE_NORMALS = sorted({n for _, _, (p, q) in TABLE_DIRECTIONS for n in ((p, q), (-p, -q))})
+
+
+@pytest.mark.parametrize(
+    "model", [DensityModel.with_patterns(), DensityModel.closed_form_only(), mixed_table_model()],
+    ids=["with_patterns", "closed_form_only", "mixed_table"],
+)
+def test_values_are_one_homogeneous(model):
+    """f(i, j, g nu) = g f(i, j, nu), with the same provenance, for every
+    ordered pair, the table's normals and g = 2, 3."""
+    assert len(TABLE_NORMALS) == 10
+    for i in range(9):
+        for j in range(9):
+            if i == j:
+                continue
+            for p, q in TABLE_NORMALS:
+                value, source = model.value_and_source(i, j, (p, q))
+                for g in (2, 3):
+                    assert model.value_and_source(i, j, (g * p, g * q)) == (g * value, source), (
+                        i, j, (p, q), g)
+    assert model.value_and_source(7, 1, (-3, 3)) == model.value_and_source(1, 7, (3, -3))
 
 
 def test_mirror_rows_share_one_entry():

@@ -238,10 +238,13 @@ def test_molecules_hold_no_instance_dict():
 
 # the interface solver's integer price path: its unit, the Q_T energy of
 # the forced part and the glued family, the set-up and the occupancy
-# helper; and the lattice energies' side count and covered area in
-# `molecules`, through which the Q_T energy and the root cost count
+# helper, the line counts of the root and of a node and the transposition
+# of a node's boards; and the lattice energies' side count and covered
+# area in `molecules`, through which the Q_T energy and the root cost count
 _INTEGER_PRICED = {
-    "interfaces.py": ("_units", "_q_t_energy", "_set_up", "_occupancy"),
+    "interfaces.py": (
+        "_units", "_q_t_energy", "_set_up", "_occupancy", "_runs", "_line", "_transposed",
+    ),
     "molecules.py": ("free_sides", "covered_area"),
 }
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice import (
+    DensityModel,
     InconsistentScale,
     InfeasibleBoundary,
     InterfaceProblem,
@@ -127,6 +128,16 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
          "invalid coordinate False"),
         (lambda: anchored_admissible(_UNIT_PARTITION, _UNIT_PARTITION, [(0, 0), (1.5, 0), (1, 1)]),
          "invalid coordinate 1.5"),
+        # region labels are ints: 1.5 is not region 1, nor does it replace it
+        (lambda: PolygonalPartition({1.5: [_UNIT_SQUARE]}), "invalid region label 1.5"),
+        (lambda: PolygonalPartition({1: [_UNIT_SQUARE], 1.5: [[(2, 0), (3, 0), (3, 1)]]}),
+         "invalid region label 1.5"),
+        (lambda: PolygonalPartition({True: [_UNIT_SQUARE]}), "invalid region label True"),
+        # a density's normal is a pair of ints, not zero
+        (lambda: DensityModel.with_patterns().value_and_source(1, 5, (1.5, 1)),
+         "invalid normal component 1.5"),
+        (lambda: DensityModel.with_patterns().value(1, 5, (1, True)), "invalid normal component True"),
+        (lambda: DensityModel.with_patterns().value(1, 5, (0, 0)), "normal cannot be zero"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -380,6 +380,14 @@ def test_truncated_t28_solve_pinned():
     assert _config_digest(res) == "79fba84c7baad157"
 
 
+def test_deep_solve_pinned_t24():
+    # the deepest pinned full search: its search square is 18 cells wide,
+    # where the root's fill across lines takes five doubling steps
+    res = solve_interface(InterfaceProblem(1, 0, direction(0, 1), 24))
+    assert (res.value, res.certificate, res.root, res.nodes_explored) == (47, "exact", 31, 208_893)
+    assert _config_digest(res) == "5b63e72cd1f96c24"
+
+
 # SHA-256 of the (value, certificate, nodes, lower, root, config JSON) of
 # the 50 table rows, in order, at each budget
 TABLE_DIGESTS = {

@@ -408,14 +408,22 @@ def test_searches_build_molecules_for_their_results_only(monkeypatch):
 
 
 def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatch):
-    calls = []
+    # and the boards of a node are transposed only then: a solve certified
+    # at the root counts its lines on the search square alone
+    calls, transposes = [], []
     enumerate_placements = PlacementGrid.enumerate_placements
+    transposed = interfaces._transposed
 
     def spy(grid):
         calls.append(grid)
         return enumerate_placements(grid)
 
+    def transpose_spy(bits, width):
+        transposes.append(bits)
+        return transposed(bits, width)
+
     monkeypatch.setattr(PlacementGrid, "enumerate_placements", spy)
+    monkeypatch.setattr(interfaces, "_transposed", transpose_spy)
     # the frontier and the diagonal (i, 0) rows certify at the root
     diagonals = [
         InterfaceProblem(i, 0, direction(*nu), T)
@@ -423,17 +431,21 @@ def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatc
         for i in range(1, 9)
         for nu in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
+    assert len(diagonals) == 160
     for prob in [FRONTIER, *diagonals]:
         res = solve_interface(prob)
-        assert (res.certificate, res.nodes_explored, calls) == ("exact", 0, []), prob
-    # a table row enumerates once iff its root bound is below its value
-    searched = 0
+        assert (res.certificate, res.nodes_explored, calls, transposes) == ("exact", 0, [], []), prob
+    # a table row enumerates once, and transposes, iff its root bound is
+    # below its value
+    searched = transposing = 0
     for prob in _table_rows():
         res = solve_interface(prob)
-        assert len(calls) == (res.root < res.value), prob
+        assert len(calls) == bool(transposes) == (res.root < res.value), prob
         searched += len(calls)
+        transposing += bool(transposes)
         calls.clear()
-    assert searched == 26
+        transposes.clear()
+    assert searched == transposing == 26
 
 
 def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
@@ -570,6 +582,68 @@ def test_root_bound_pinned_t16(scan, monkeypatch):
         for (i, j, nu, weights, kind), _ in SOLVES_T16[:len(ROOT_LOWER_T16)]
     ]
     assert got == ROOT_LOWER_T16
+
+
+def _search_square(prob):
+    """(width, free, occ): the solver's search square at the root, as
+    `solve_interface` crops it from the set-up: its line width, its free
+    zone and the forced part's occupied cells."""
+    *_, grid, occ_R, occ_S, free = interfaces._set_up(prob)
+    inner = interfaces._inner(prob.T)
+    spec = interfaces._scan_order(prob, range(inner.start - 1, inner.stop + 1))
+    free, occ_R, occ_S = grid.crop(spec, free, occ_R, occ_S)
+    return spec[3], free, occ_R | occ_S
+
+
+@pytest.mark.parametrize("scan", ["own", "row_major"])
+def test_node_line_count_matches_the_root_count_t16(scan, monkeypatch):
+    # at every node the one carry over a node's doubled boards (`_runs`)
+    # counts what the root's count (`_line`) counts on their low halves
+    if scan == "row_major":
+        monkeypatch.setattr(interfaces, "_scan_order", row_major_order)
+    runs, line = interfaces._runs, interfaces._line
+    width = len(interfaces._inner(16)) + 2
+    n = width * width
+    low = (1 << n) - 1
+    checked = []
+
+    def checked_runs(decided, occ, lines):
+        count = runs(decided, occ, lines)
+        if lines >> n:  # a node's doubled boards, not the root count's own call
+            assert count == line(decided & low, occ & low, width)
+            checked.append(count)
+        return count
+
+    monkeypatch.setattr(interfaces, "_runs", checked_runs)
+    for (i, j, nu, weights, kind), _ in SOLVES_T16:
+        if kind != "surface":
+            continue
+        checked.clear()
+        res = solve_interface(InterfaceProblem(i, j, direction(*nu), 16, weights, kind))
+        assert bool(checked) == (res.nodes_explored > 0), (i, j, nu)
+
+
+def test_node_line_count_matches_the_root_count_on_random_states():
+    # on random node states over the search squares of the table rows: the
+    # forced and ring cells decided, a random part of the free zone too,
+    # and a random part of the decided cells occupied
+    rng = random.Random(7)
+    squares = 0
+    for prob in _table_rows():
+        width, free, occ0 = _search_square(prob)
+        n = width * width
+        both = (1 << 2 * n) - 1
+        # a cell's transposed bit: cell r of line c moves to line r, place c
+        for c in range(width):
+            for r in range(width):
+                assert interfaces._transposed(1 << c * width + r, width) == 1 << r * width + c
+        for _ in range(40):
+            decided = ~free & both >> n | free & rng.getrandbits(n)
+            occ = occ0 | decided & free & rng.getrandbits(n)
+            doubled = [b | interfaces._transposed(b, width) << n for b in (decided, occ)]
+            assert interfaces._runs(*doubled, both) == interfaces._line(decided, occ, width), prob
+        squares += 1
+    assert squares == 50
 
 
 def test_lemma_trees_pinned():
