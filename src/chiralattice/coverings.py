@@ -6,10 +6,12 @@ origin).  Molecules may overhang the square; any molecule meeting Q_2k
 lies inside Q_2k+6, which bounds the search space.
 
 The search branches on the lexicographically first uncovered cell of the
-square and tries every placement covering it.  That canonical order makes
-it exhaustive and duplicate-free: each covering is produced exactly once,
-as the sequence of its molecules sorted by the first target cell they
-cover.  Cells are encoded as bits of int masks by a shared placement table
+square and tries every placement covering it that misses the covered
+cells: those whose first square cell it is, which the shared placement
+table lists there, since every earlier cell is covered.  That canonical
+order makes it exhaustive and duplicate-free: each covering is produced
+exactly once, as the sequence of its molecules sorted by the first
+target cell they cover.  Cells are encoded as bits of int masks by a shared placement table
 (`chiralattice.placements`).  One walk of this tree serves both
 operations: `enumerate_coverings` reads every covering from it, and
 `lemma_check` the first mixed one.
@@ -144,11 +146,9 @@ def _frontiers(table: PlacementTable) -> list[int]:
     """
     reach = [0] * table.n
     bits = table.order_bits
-    for p in table.placements:
-        first = p.mask & bits
-        reach[(first & -first).bit_length() - 1] |= p.mask
     for i in reversed(range(table.n)):
-        bits |= reach[i]
+        for p in table.by_first[i]:
+            bits |= p.mask
         reach[i] = bits
     return reach
 
@@ -194,7 +194,7 @@ def _walk(
     # the state of the coverings that are yielded
     wanted = 0 if inner_key is None else mixed
     frontier = _frontiers(table)
-    options = [[(p.mask, code[p.index], p) for p in ps] for ps in table.by_pos]
+    options = [[(p.mask, code[p.index], p) for p in ps] for ps in table.by_first]
     memo: dict[int, tuple[int, int]] = {}
     n = table.n
     # the cells that no covering needs: a node's first free order cell is

@@ -636,8 +636,9 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # A frame is [decided, occ_R, occ_S, occ, cost, i, untried, placed]: a
     # node's state (decided and occ, the cells of either occupancy, on both
     # halves; occ_R and occ_S on the low half), its first undecided cell
-    # i, an iterator over the placements at i not tried yet (None once the
-    # empty branch is open) and the placement made to reach the node.
+    # i, an iterator over the placements whose first cell is i not tried
+    # yet (None once the empty branch is open) and the placement made to
+    # reach the node.
     occ0 = occ_R0 | occ_S0
     if volume:
         root_bound = bound(decided0, occ0, cost0)
@@ -646,7 +647,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
     stack = []
     if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
-        placements, by_pos = table.enumerate_placements()
+        placements, by_first = table.enumerate_placements()
         neighbors = table.neighbors
         # flip[k]: the upper bit of cell k, n + r * width + c for cell r of
         # line c.  A placement's doubled mask is its mask with its shape's
@@ -665,7 +666,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             doubled.append(mask | upper << flip[k] + lift)
         stack.append([
             decided0 | _transposed(decided0, width) << n, occ_R0, occ_S0,
-            occ0 | _transposed(occ0, width) << n, cost0, i, iter(by_pos[i]), None,
+            occ0 | _transposed(occ0, width) << n, cost0, i, iter(by_first[i]), None,
         ])
     while stack:
         frame = stack[-1]
@@ -714,7 +715,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 best_val, best_cfg = cost, forced
                 best_placed = [*(f[7] for f in stack), placed]  # None: an empty branch
         elif bound(decided, occ, cost) < best_val:
-            stack.append([decided, occ_R, occ_S, occ, cost, i, iter(by_pos[i]), placed])
+            stack.append([decided, occ_R, occ_S, occ, cost, i, iter(by_first[i]), placed])
 
     if exhausted:
         lower = best_val
@@ -980,12 +981,15 @@ def cluster_min_perimeter(
     grow from a seed at the origin by one placement touching the cluster,
     tried in (shape name, anchor) order, and each translation class of
     clusters is grown once.  Placements are ranked once in that order, so
-    a node's candidates are the set bits of an int over ranks.  A class is
-    keyed by its occupancy mask shifted down to its lowest set bit, with
-    its count of R molecules: the table's numbering is affine, so a
-    translate has the same key, and since the cluster is edge-connected
-    and shorter than a line of the table, the key gives back its cell
-    union up to translation.  Two clusters with one key are decompositions
+    a node's candidates are the set bits of an int over ranks: those
+    covering a cell next to the cluster, less those overlapping it, both
+    read off the placements' masks and joined as the cluster grows, so no
+    candidate is tested for overlap.  A class is keyed by its occupancy
+    mask shifted down to its lowest set bit, with its count of R
+    molecules: the table's numbering is affine, so a translate has the
+    same key, and since the cluster is edge-connected and shorter than a
+    line of the table, the key gives back its cell union up to
+    translation.  Two clusters with one key are decompositions
     of one cell union with equal counts, whose subtrees are identical, so
     growing the first alone keeps the first cluster of least perimeter in
     that order: its placements, whose molecules are built for the result.
@@ -1004,18 +1008,28 @@ def cluster_min_perimeter(
     reach = 3 * total
     table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
     ranked = sorted(table.placements, key=lambda p: (p.shape.name, p.anchor))
-    rank_of = {p.index: rank for rank, p in enumerate(ranked)}
-    # ranks of the placements covering each order cell
-    covering = [sum(1 << rank_of[p.index] for p in ps) for ps in table.by_pos]
-    # near[rank]: ranks of the placements covering a cell next to that one
-    near = []
-    for p in ranked:
-        cells, bits = p.touch1 | p.touch2, 0
+    # covering[i]: ranks of the placements covering cell i
+    covering = [0] * table.n
+    for rank, p in enumerate(ranked):
+        cells = p.mask
+        while cells:
+            low = cells & -cells
+            cells ^= low
+            covering[low.bit_length() - 1] |= 1 << rank
+
+    def ranks(cells: int) -> int:
+        """Ranks of the placements covering a cell of `cells`."""
+        bits = 0
         while cells:
             low = cells & -cells
             cells ^= low
             bits |= covering[low.bit_length() - 1]
-        near.append(bits)
+        return bits
+
+    # near[rank]: ranks of the placements covering an order cell next to
+    # that one; overlapping[rank]: those sharing a cell with it
+    near = [ranks((p.touch1 | p.touch2) & table.order_bits) for p in ranked]
+    overlapping = [ranks(p.mask) for p in ranked]
     of_shape = {
         shape: sum(1 << rank for rank, p in enumerate(ranked) if p.shape is shape)
         for shape in (R, S)
@@ -1024,26 +1038,27 @@ def cluster_min_perimeter(
 
     best: tuple[int, tuple[Placement, ...]] | None = None
     seen: set[int] = set()
-    # frames: (placements, occupancy, ranks near the cluster, perimeter,
-    # R count, ranks still to try).  Fixing the first molecule at the
-    # origin removes translations; with mixed species both seeds are tried
-    # since the first molecule of an optimal cluster can be either kind,
-    # so the seeds are the candidates of the empty cluster.
+    # frames: (placements, occupancy, ranks near the cluster, ranks
+    # overlapping it, perimeter, R count, ranks still to try).  Fixing the
+    # first molecule at the origin removes translations; with mixed species
+    # both seeds are tried since the first molecule of an optimal cluster
+    # can be either kind, so the seeds are the candidates of the empty
+    # cluster.
     seeds = sum(1 << rank for rank, p in enumerate(ranked) if p.anchor == (0, 0))
-    stack = [((), 0, 0, 0, 0, seeds)]
+    stack = [((), 0, 0, 0, 0, 0, seeds)]
     while stack:
-        placed, occ, cand, per, nr, rest = stack.pop()
+        placed, occ, cand, blocked, per, nr, rest = stack.pop()
         last = len(placed) + 1 == total
         # candidate placements: those covering a cell adjacent to the
-        # cluster, of a species still short
-        rest &= (of_shape[R] if nr < r else 0) | (of_shape[S] if len(placed) - nr < s else 0)
+        # cluster and none of its cells, of a species still short
+        rest &= ~blocked & (
+            (of_shape[R] if nr < r else 0) | (of_shape[S] if len(placed) - nr < s else 0)
+        )
         while rest:
             low = rest & -rest
             rest ^= low
             rank = low.bit_length() - 1
             p = ranked[rank]
-            if p.mask & occ:
-                continue
             grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
             if last:
                 # a repeated class ties with its first visit, so complete
@@ -1058,9 +1073,12 @@ def cluster_min_perimeter(
                 continue
             seen.add(key)
             # depth first: this cluster's other candidates wait below the child
-            stack.append((placed, occ, cand, per, nr, rest))
+            stack.append((placed, occ, cand, blocked, per, nr, rest))
             grown_cand = cand | near[rank]
-            stack.append(((*placed, p), grown, grown_cand, grown_per, grown_nr, grown_cand))
+            stack.append((
+                (*placed, p), grown, grown_cand, blocked | overlapping[rank],
+                grown_per, grown_nr, grown_cand,
+            ))
             break
 
     assert best is not None

@@ -28,6 +28,13 @@ misses the grid's border, so the kept placements and their rims are grid
 cells.  Otherwise it is the shapes' reach plus one rim cell, so every
 placement covering an order cell, and its rim, lies in the padded grid.
 
+A search branches at its first undecided order cell i, below which
+every order cell is decided, so the only placements it can choose there
+are those whose first order cell is i.  The table lists each placement
+once, under that cell: these branch lists are all that the covering walk
+and the interface solver read, and a search that needs the placements
+covering a cell reads them off the masks.
+
 The numbering (`PlacementGrid`) is kept apart from the placements
 (`PlacementTable`), so a search that may finish at its root builds the
 numbering alone, and its neighbour masks only on first read.  Grids and
@@ -158,9 +165,10 @@ class PlacementGrid:
         return [sum((b >> first + k * height & line) << k * h for k in range(w)) for b in masks]
 
     def enumerate_placements(self) -> tuple[list[Placement], list[list[Placement]]]:
-        """(placements, by_pos): every translate of a shape covering an
-        order cell and lying in `within`, and the lists of those covering
-        each cell, as `PlacementTable` describes them."""
+        """(placements, by_first): every translate of a shape covering an
+        order cell and lying in `within`, and the branch lists, each
+        placement once under its first order cell, as `PlacementTable`
+        describes them."""
         (x0, y0), (ax, ay), (cx, cy), _, _ = self._spec
         margin, height, order_bits = self._margin, self.height, self.order_bits
         free = self.within_bits
@@ -171,9 +179,8 @@ class PlacementGrid:
         sx, sy = self._steps
         ox, oy = x0 - margin * (cx + ax), y0 - margin * (cy + ay)
         # kinds[shape * 4 + shape cell j]: the shape, the origin less cell j,
-        # the shift of its templates and its cells' bits, each minus the bit
-        # f of cell j, and its templates; keys[k]: f * len(kinds) + the kind
-        # of placement k
+        # the shift of its templates minus the bit f of cell j, and its
+        # templates; keys[k]: f * len(kinds) + the kind of placement k
         kinds = []
         keys = []
         stride = 4 * len(self._shapes)
@@ -191,27 +198,24 @@ class PlacementGrid:
                     first = firsts & -firsts
                     firsts ^= first
                     keys.append((first.bit_length() - 1) * stride + len(kinds))
-                kinds.append((shape, ox - a, oy - b, base - dj, steps, *templates))
+                kinds.append((shape, ox - a, oy - b, base - dj, *templates))
 
         placements: list[Placement] = []
-        by_pos: list[list[Placement]] = [[] for _ in range(self.n)]
+        by_first: list[list[Placement]] = [[] for _ in range(self.n)]
         keys.sort()
         new = tuple.__new__  # skips the Python frame of Placement.__new__
         for index, key in enumerate(keys):
             first, code = divmod(key, stride)
-            shape, x, y, lift, steps, mask, touch1, touch2 = kinds[code]
+            shape, x, y, lift, mask, touch1, touch2 = kinds[code]
             c, r = divmod(first, height)
             shift = first + lift
             p = new(Placement, (
                 index, shape, (x + c * cx + r * ax, y + c * cy + r * ay),
                 mask << shift, touch1 << shift, touch2 << shift,
             ))
-            for e in steps:
-                by_pos[first + e].append(p)
+            by_first[first].append(p)
             placements.append(p)
-        if margin:  # by_pos lists placements at order cells only
-            by_pos = [ps if order_bits >> i & 1 else [] for i, ps in enumerate(by_pos)]
-        return placements, by_pos
+        return placements, by_first
 
 
 class PlacementTable(PlacementGrid):
@@ -222,8 +226,9 @@ class PlacementTable(PlacementGrid):
     and an order cell outside it starts no candidates: a kept placement's
     cells are all in `within`, its first order cell included.  Placements
     are numbered in order of their first order cell, then shape, then
-    shape cell; by_pos[i] lists the placements covering cell i in that
-    numbering (none when i is no order cell).
+    shape cell; by_first[i] lists the placements whose first order cell
+    is i, in that numbering (none when i is no order cell), so each
+    placement is listed once.
 
     A placement whose shape cell j lies on order cell f has f as its first
     order cell iff its cells are in `within` and those below f (of lower
@@ -242,4 +247,4 @@ class PlacementTable(PlacementGrid):
         self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: int | None = None
     ):
         super().__init__(spec, shapes, within)
-        self.placements, self.by_pos = self.enumerate_placements()
+        self.placements, self.by_first = self.enumerate_placements()

@@ -123,8 +123,10 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
 
     order(prob, square) is the grid spec of the inner square and its
     one-cell ring, square x square; the free cells are decided line by line
-    in that order.  The masks of the forced and free cells are read off the
-    spec's cell list, not off the table.
+    in that order, each by every placement covering it that misses the
+    decided cells.  The masks of the forced and free cells are read off the
+    spec's cell list, and the placements covering a cell off their masks,
+    not off the table's lists.
     """
     forced = frame_forced(prob)
     T = prob.T
@@ -144,6 +146,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     table = PlacementTable(spec, (R, S), free_bits)
     n = table.n
     assert n == len(bit)
+    covering = [[p for p in table.placements if p.mask >> i & 1] for i in range(n)]
 
     base = ref_energy(forced, prob)
     c_R, c_S = prob.weights
@@ -213,7 +216,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
             undecided = (free_bits & ~decided).bit_count()
             if energy - molecule_area * (undecided // 4) >= best_val:
                 return
-        for p in table.by_pos[i]:
+        for p in covering[i]:
             if p.mask & decided:
                 continue
             nodes += 1

@@ -69,13 +69,17 @@ def test_table_numbers_order_cells_first():
     assert grid_mask(table, [(99, 99)]) == 0  # a cell without a bit
     for cell, bit in zip(order, bits):
         i = bit.bit_length() - 1
-        assert table.by_pos[i], cell
-        for p in table.by_pos[i]:
+        assert table.by_first[i], cell
+        for p in table.by_first[i]:
+            # the placement covers the cell and no earlier order cell
             assert cell in p.molecule.cells()
-            assert p.mask & bit
+            assert p.mask & table.order_bits & (bit << 1) - 1 == bit
         assert table.neighbors[i] == grid_mask(table, _neighbors(cell))
-    # only order cells list placements
-    assert all(not ps for i, ps in enumerate(table.by_pos) if not table.order_bits >> i & 1)
+    # only order cells list placements, and each placement is listed once
+    assert all(not ps for i, ps in enumerate(table.by_first) if not table.order_bits >> i & 1)
+    assert sorted(p.index for ps in table.by_first for p in ps) == list(
+        range(len(table.placements))
+    )
     # placements are numbered by first order cell, then shape, then offset
     assert [p.index for p in table.placements] == list(range(len(table.placements)))
     assert table.placements[0].molecule == Molecule(R, (0, 0))
@@ -182,8 +186,9 @@ def ref_table(spec, shapes, keep):
     each cell in the spec's order starting candidates, and `keep` filters
     the candidates after they are built.  The rim of each molecule is
     counted afresh in a dict.  Returns the placements as (molecule, cells,
-    touch1 cells, touch2 cells), by_pos as lists of placement indices per
-    order cell, and the neighbours of each order cell.
+    touch1 cells, touch2 cells), by_first as lists of placement indices per
+    order cell, each placement under the first of its cells in the spec's
+    order, and the neighbours of each order cell.
     """
     order = spec_cells(spec)
     shapes = tuple(dict.fromkeys(shapes))
@@ -210,28 +215,28 @@ def ref_table(spec, shapes, keep):
                     {c for c, k in touches.items() if k == 1},
                     {c for c, k in touches.items() if k == 2},
                 ))
-    by_pos = [
-        [index for index, (_, mol_cells, _, _) in enumerate(placements) if cell in mol_cells]
-        for cell in order
-    ]
-    return placements, by_pos, [set(_neighbors(cell)) for cell in order]
+    place = {cell: k for k, cell in enumerate(order)}
+    first = [min(place[c] for c in mol_cells if c in place) for _, mol_cells, _, _ in placements]
+    by_first = [[index for index, f in enumerate(first) if f == k] for k in range(len(order))]
+    return placements, by_first, [set(_neighbors(cell)) for cell in order]
 
 
 def assert_matches_ref_table(table, spec, shapes, within, keep):
-    """The table's placements, by_pos and in-grid neighbours, decoded into
-    cells, are those of `ref_table`, and its placements hold their
-    molecules."""
+    """The table's placements, branch lists and in-grid neighbours,
+    decoded into cells, are those of `ref_table`, and its placements hold
+    their molecules."""
     assert_placements_hold_their_molecules(table, spec, within)
     cell_of = decode(table, spec)
-    placements, by_pos, neighbors = ref_table(spec, shapes, keep)
+    placements, by_first, neighbors = ref_table(spec, shapes, keep)
     order = spec_cells(spec)
     assert [
         (p.molecule, cells(p.mask, cell_of), cells(p.touch1, cell_of), cells(p.touch2, cell_of))
         for p in table.placements
     ] == placements
     bit = [grid_mask(table, [cell]).bit_length() - 1 for cell in order]
-    assert [[p.index for p in table.by_pos[i]] for i in bit] == by_pos
-    assert sum(map(len, table.by_pos)) == sum(map(len, by_pos))  # none off the order
+    assert [[p.index for p in table.by_first[i]] for i in bit] == by_first
+    # none off the order, and each placement listed once
+    assert sum(map(len, table.by_first)) == sum(map(len, by_first)) == len(placements)
     numbered = set(cell_of.values())
     assert [cells(table.neighbors[i], cell_of) for i in bit] == [
         nbs & numbered for nbs in neighbors

@@ -4,8 +4,10 @@
 the frontier state, and `cluster_min_perimeter` ranks candidates once and
 keys translation classes by their occupancy masks and R counts.  The
 plain forms that they replaced are kept below as the reference, each walk
-starting from the table's first order cell; coverings, verdicts, node and
-covering counts, cap stops and witnesses must be equal.
+starting from the table's first order cell and reading the placements
+covering a cell off their masks, not off the table's branch lists;
+coverings, verdicts, node and covering counts, cap stops and witnesses
+must be equal.
 """
 
 from __future__ import annotations
@@ -27,12 +29,27 @@ _MOLECULE_EDGES = 10
 # Reference implementations (plain DFS, frozenset cluster keys)
 # -------------------------------------------------------------------
 
+def covering_lists(table):
+    """covering[i]: the placements covering order cell i, in the table's
+    numbering, read off their masks, not off the table's branch lists."""
+    covering = [[] for _ in range(table.n)]
+    for p in table.placements:
+        cells = p.mask & table.order_bits
+        while cells:
+            low = cells & -cells
+            cells ^= low
+            covering[low.bit_length() - 1].append(p)
+    return covering
+
+
 def ref_coverings(table, stats):
-    """Every covering of the order cells, in DFS order, unmemoised."""
+    """Every covering of the order cells, in DFS order, unmemoised: each
+    node tries every placement covering its first free order cell."""
     targets = table.order_bits
+    covering = covering_lists(table)
     occupied = 0
     chosen = []
-    stack = [iter(table.by_pos[(targets & -targets).bit_length() - 1])]
+    stack = [iter(covering[(targets & -targets).bit_length() - 1])]
     while stack:
         for p in stack[-1]:
             if p.mask & occupied:
@@ -42,7 +59,7 @@ def ref_coverings(table, stats):
             chosen.append(p)
             free = targets & ~occupied
             if free:
-                stack.append(iter(table.by_pos[(free & -free).bit_length() - 1]))
+                stack.append(iter(covering[(free & -free).bit_length() - 1]))
                 break
             stats["coverings"] += 1
             yield tuple(chosen)
@@ -93,10 +110,12 @@ def ref_enumeration(k, shapes, cap):
 
 
 def ref_cluster(r, s):
-    """(value, witness molecules) by growth with frozenset class keys."""
+    """(value, witness molecules) by growth with frozenset class keys; the
+    candidates are the placements covering an order cell of the halo."""
     total = r + s
     reach = 3 * total
     table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
+    covering = covering_lists(table)
     seeds = {p.shape: p for p in table.placements if p.anchor == (0, 0)}
     best = None
     seen = set()
@@ -119,7 +138,7 @@ def ref_cluster(r, s):
             low = rest & -rest
             rest ^= low
             cand.update(
-                (p.index, p) for p in table.by_pos[low.bit_length() - 1] if p.shape in shapes
+                (p.index, p) for p in covering[low.bit_length() - 1] if p.shape in shapes
             )
         for p in sorted(cand.values(), key=lambda p: (p.shape.name, p.anchor)):
             if p.mask & occ:
@@ -182,6 +201,23 @@ def test_lemma_equals_plain_dfs(k, margin, shapes):
             None if rep.witness is None else _molecules(rep.witness),
         )
         assert got == ref_lemma(k, SHAPE_SETS[shapes], cap, margin), cap
+
+
+# (nodes, coverings, memo states) of `lemma_check` on the built-in pair at
+# the benchmark's largest k, past the reach of the plain DFS above
+LEMMA_SEARCH_SPACE = {
+    9: (228_653, 9_216, 44_482),
+    10: (478_055, 18_432, 97_661),
+    11: (1_080_783, 36_864, 213_900),
+}
+
+
+@pytest.mark.parametrize("k", sorted(LEMMA_SEARCH_SPACE))
+def test_lemma_search_space_pinned(k):
+    rep = lemma_check(k, [R, S])
+    space = rep.search_space
+    assert rep.holds is True
+    assert (space.nodes, space.coverings, space.states) == LEMMA_SEARCH_SPACE[k]
 
 
 def _enumeration(k, shapes, cap):
