@@ -35,8 +35,9 @@ is not determined yet, and no edge lies in two lines, so each such run
 adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  The search's cells are bits of int masks
 of a placement grid (`chiralattice.placements`) over the inner square
-and its ring, whose placements are the free molecules only.  At the root
-the line bound shifts those masks along and across lines (`_line`); a
+and its ring, whose placements are the free molecules only.  A free cell
+that none of them covers is dead, and the root decides it empty.  At the
+root the line bound shifts those masks along and across lines (`_line`); a
 node carries each mask beside its transpose in one int, so one carry
 along the lines of both counts columns and rows (`_runs`).  From set-up
 to result a solve prices in ints, in one unit 1/scale (`_units`), and
@@ -60,11 +61,11 @@ sweeps the lattice: it prices the forced part and the glued family on
 the set-up masks (`_q_t_energy`, with the odd-T half cells read from T)
 by the lattice energies' side count and covered area (`free_sides`,
 `covered_area`), reads its search grid's root state off them, one shift
-and mask per line, and validates one configuration, its result.  The
-pattern library builds one `Window` for its lattice sweeps, validates
-what it returns and prices every candidate through the sweep, a check on
-those integer prices on boards of its own; its wetting chain holds only
-the molecules that lie in the inner square.
+and mask per line, and validates one configuration, its result.  Nor
+does the pattern library: it prices each candidate on the same masks,
+the wetting fill by the occupancy it builds, and validates and checks
+against the frame only the configuration it returns; its wetting chain
+holds only the molecules that lie in the inner square.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -96,7 +97,6 @@ from .molecules import (
     R,
     R_LIKE,
     S,
-    Window,
     configuration_to_jsonable,
     covered_area,
     decode_entry,
@@ -106,8 +106,6 @@ from .molecules import (
     pattern_columns,
     phase_shape,
     validate,
-    volume_deficit,
-    weighted_perimeter,
 )
 from .placements import GridSpec, Placement, PlacementGrid, PlacementTable
 
@@ -396,11 +394,11 @@ def frame_forced(prob: InterfaceProblem) -> Configuration:
     return validate(_set_up(prob)[1])
 
 
-def _matches_frame(config: Configuration, forced: Configuration, T: int) -> bool:
+def _matches_frame(config: Configuration, forced: Iterable[Molecule], T: int) -> bool:
     """Are the molecules of config meeting the frame exactly those of forced?"""
     meets = _frame_test(T)
     actual = {(m.shape.name, m.anchor) for m in config.molecules if meets(m)}
-    return actual == {(m.shape.name, m.anchor) for m in forced.molecules}
+    return actual == {(m.shape.name, m.anchor) for m in forced}
 
 
 def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
@@ -409,14 +407,7 @@ def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
     Equality (not mere containment) is required in both directions; the
     interior is free.
     """
-    return _matches_frame(config, frame_forced(prob), prob.T)
-
-
-def _energy(config: Configuration, prob: InterfaceProblem, window: Window) -> Fraction:
-    """The problem's energy of config in the window Q_T, by the lattice sweep."""
-    if prob.energy_kind == VOLUME:
-        return volume_deficit(config, window)
-    return weighted_perimeter(config, *prob.weights, window)
+    return _matches_frame(config, frame_forced(prob).molecules, prob.T)
 
 
 def _units(prob: InterfaceProblem) -> tuple[int, int, int]:
@@ -556,7 +547,19 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     bound is the cost minus one molecule area per four undecided cells.
     Both bounds are admissible, and since the scan order is fixed an
     exhausted search returns the first optimal leaf in scan order, or the
-    incumbent, whatever the bound.  `root` is the bound at the root.
+    incumbent, whatever the bound.
+
+    Dead cells: a free cell that no free placement covers is empty in
+    every leaf.  When the root bound is below the incumbent, the root
+    decides each dead cell empty, on both halves, and charges its edges to
+    the forced cells at c_R or c_S, by their class, as the empty branch
+    does; then it counts its bound again, the same way.  If that reaches
+    the incumbent, the solve returns at the root with no node.  The dead
+    cells leave every leaf, and so every result, as it was; only the
+    bounds rise.  `root` is the bound at the root, counted with the dead
+    cells decided wherever the placements were enumerated; where they
+    were not, the plain bound already reaches the value, and so does the
+    recount.
     `lower` is the value when the certificate is exact.  Once the budget
     is spent the loop goes on walking the stack without opening anything:
     it prices each child that the nodes on the stack had not opened and
@@ -571,10 +574,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     free cells (`free_sides`), and the incumbents are the forced part
     alone and, unless its free members overlap, the glued family, priced
     by its Q_T energy as a leaf is.  The search grid's free zone and
-    forced occupancy are cropped from the set-up masks, its free
-    placements are enumerated, and the root's boards and the placements'
-    shapes transposed, only when the root bound is below the incumbent,
-    and molecules are built and validated once, for the result.
+    forced occupancy are cropped from the set-up masks; its free
+    placements are enumerated, and its dead cells decided, only when the
+    root bound is below the incumbent, and the root's boards and the
+    placements' shapes are transposed only when the recount is too; and
+    molecules are built and validated once, for the result.
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
@@ -629,6 +633,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
         return cost + w_min * _runs(decided, occ, both)
 
+    occ0 = occ_R0 | occ_S0
+
+    def root(decided: int, cost: int) -> tuple[int, int]:
+        """The bound at the root and its first undecided cell."""
+        i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
+        if volume:
+            return bound(decided, occ0, cost), i
+        return cost + w_min * _line(decided, occ0, width), i
+
     nodes = 0
     exhausted = True
     cut = best_val  # on truncation, the least bound over the unopened children
@@ -639,15 +652,23 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # i, an iterator over the placements whose first cell is i not tried
     # yet (None once the empty branch is open) and the placement made to
     # reach the node.
-    occ0 = occ_R0 | occ_S0
-    if volume:
-        root_bound = bound(decided0, occ0, cost0)
-    else:
-        root_bound = cost0 + w_min * _line(decided0, occ0, width)
-    i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
+    root_bound, i = root(decided0, cost0)
     stack = []
     if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
         placements, by_first = table.enumerate_placements()
+        # DEAD CELLS: a free cell that no free placement covers is empty in
+        # every leaf, so the root decides it empty, charging its edges to
+        # occupied cells as the empty branch does, and counts its bound again
+        covered = 0
+        for p in placements:
+            covered |= p.mask
+        dead = free_bits & ~covered
+        if dead:
+            r, s = free_sides((occ_R0, occ_S0), dead, width, [], 1)
+            cost0 += w_R * r + w_S * s
+            decided0 |= dead
+            root_bound, i = root(decided0, cost0)
+    if i < n and root_bound < best_val:  # the recount leaves a search too
         neighbors = table.neighbors
         # flip[k]: the upper bit of cell k, n + r * width + c for cell r of
         # line c.  A placement's doubled mask is its mask with its shape's
@@ -914,23 +935,26 @@ def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
 
 
 def _wetting_fill(
-    chain: list[Molecule], members: list[Molecule], forced: Configuration,
+    chain: list[Molecule], members: list[Molecule], forced: list[Molecule],
     grid: PlacementGrid, free: int,
-) -> Configuration:
-    """The forced part, then each chain and family molecule that still fits.
+) -> tuple[list[Molecule], tuple[int, int]]:
+    """The forced part, then each chain and family molecule that still
+    fits, with (occ_R, occ_S), the R-like and S-like cells of the
+    molecules it adds on the set-up grid.
 
     Both lists come in (shape name, anchor) order, each molecule once.  A
     molecule fits when its mask on the set-up grid lies in what is left
     of the free zone, the bits `free`, after the molecules accepted before
     it; the family fills in where the forced collar cuts the chain.
     """
-    mols = list(forced.molecules)
+    mols, occ = list(forced), [0, 0]  # S-like and R-like cells
     for group in (chain, members):
         for m, bits in zip(group, grid.masks(group)):
             if not bits & ~free:
                 free ^= bits
                 mols.append(m)
-    return validate(mols)
+                occ[m.shape.chirality_class == R_LIKE] |= bits
+    return mols, (occ[1], occ[0])
 
 
 def pattern_upper_bound(
@@ -944,26 +968,35 @@ def pattern_upper_bound(
 
     The candidates are the glued family (when its interior members do not
     overlap), the wetting fill (where it applies) and the forced part
-    alone, which is always admissible; ties go in that order.  Returns the
-    energy measured on Q_T (revalidated through the perimeter functions)
-    and the realizing admissible configuration.  Raises InfeasibleBoundary
-    exactly when `frame_forced` does.
+    alone, which is always admissible; ties go in that order.  Each is
+    priced as the solver prices its incumbents, on the set-up masks by
+    its Q_T energy (`_q_t_energy`), an int in the unit of `_units`, and
+    only the configuration returned is built, validated and checked
+    against the frame.  Returns that energy and that admissible
+    configuration.  Raises InfeasibleBoundary exactly when `frame_forced`
+    does.
     """
     prob = InterfaceProblem(i, j, nu, T, weights)
     # one family build serves every candidate and the admissibility check
-    window = Window.square(T)
-    members, forced, glued, placed, grid, _, _, free = _set_up(prob)
-    forced = validate(forced)
-    candidates = [] if placed is None else [validate(glued)]
+    members, forced, glued, placed, grid, occ_R, occ_S, free = _set_up(prob)
+    # each candidate: its molecules and those of its cells that it adds to
+    # the forced part's
+    candidates = [] if placed is None else [(glued, placed)]
     try:
         candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, grid, free))
     except NoPattern:
         pass
-    candidates.append(forced)
-    value, cfg = min(((_energy(c, prob, window), c) for c in candidates), key=lambda t: t[0])
+    candidates.append((forced, (0, 0)))
+    units = _units(prob)
+    value, mols = min(
+        ((_q_t_energy(prob, units, grid, occ_R | r, occ_S | s), mols)
+         for mols, (r, s) in candidates),
+        key=lambda t: t[0],
+    )
+    cfg = validate(mols)
     if not _matches_frame(cfg, forced, T):
         raise NoPattern("library construction failed the admissibility check")
-    return value, cfg
+    return Fraction(value, units[0]), cfg
 
 
 # -------------------------------------------------------------------

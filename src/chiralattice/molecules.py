@@ -256,7 +256,7 @@ def phase_shape(i: int) -> MoleculeShape:
     With `phase_label` this is the library's one statement of the phase
     map; every other module reads the species of a phase from here.
     """
-    if not 1 <= i <= 8:
+    if not 1 <= json_int("phase label", i) <= 8:
         raise InvalidInput("phase label must be in 1..8")
     return R if i <= 4 else S
 

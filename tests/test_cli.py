@@ -628,8 +628,8 @@ DENSITY_PINS = [
     # manifest, header and rows) and of each witness SVG in T order
     (
         ["density", "1", "5", "1", "1", "8,12"],
-        "3f4c1a454c89b4aa6aa04657727958681d94568bef0efb815e3b0d42a22a2f15",
-        "3f4c1a454c89b4aa6aa04657727958681d94568bef0efb815e3b0d42a22a2f15",
+        "f8c850ea0ac38d972ec53641bc1c58f4d26eac89cc7130f952e071fde5fee03f",
+        "f8c850ea0ac38d972ec53641bc1c58f4d26eac89cc7130f952e071fde5fee03f",
         [
             "7fa7363e755f35e661f35a6301afec8d34e6230714265f7e54a15f6671919086",
             "8e426de67b63c91d5aef11e7ab050708b766f4bbd58879f68f1480eea49af2a9",
@@ -637,8 +637,8 @@ DENSITY_PINS = [
     ),
     (
         ["density", "1", "0", "-1", "1", "16", "--weights", "1,1/4"],
-        "ea5bb5f4113073911abf5dfaa2dd69d3be2e229f601dbfc9f7d2d8ecb3814180",
-        "ea5bb5f4113073911abf5dfaa2dd69d3be2e229f601dbfc9f7d2d8ecb3814180",
+        "3e6cc6bc41aab7da9276d7b2f3c8a08422940db53c709fdca5e144b4063173d8",
+        "3e6cc6bc41aab7da9276d7b2f3c8a08422940db53c709fdca5e144b4063173d8",
         ["3abcc397811363f21692c779621fe30205bd778efbce95dd97afb4fff9c722f9"],
     ),
 ]

@@ -35,7 +35,9 @@ inconsistent.
 from __future__ import annotations
 
 import fractions
+import hashlib
 import itertools
+import json
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -57,6 +59,7 @@ from chiralattice.interfaces import (
     _set_up,
     _units,
     _wetting_chain,
+    _wetting_fill,
     _window_cells,
     admissible,
     direction,
@@ -65,8 +68,8 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import (
-    R_LIKE, Molecule, OverlapError, R, S, Window, phase_label, phase_pattern, phase_shape,
-    validate,
+    R_LIKE, Molecule, OverlapError, R, S, Window, configuration_to_jsonable, phase_label,
+    phase_pattern, phase_shape, validate, weighted_perimeter,
 )
 from chiralattice.placements import PlacementGrid
 from conftest import grid_mask
@@ -431,15 +434,21 @@ def ref_wetting_chain(prob):
 
 def ref_wetting_fill(chain, members, forced, grid, free):
     """The fill that `_wetting_fill` replaced: each group deduplicated and
-    sorted, and each molecule's cells masked one by one."""
-    mols = list(forced.molecules)
+    sorted, and each molecule's cells masked one by one; with the R-like
+    and S-like cells of the molecules it adds, masked cell by cell."""
+    mols, added = list(forced), []
     for group in (chain, members):
         for m in sorted(set(group), key=lambda m: (m.shape.name, m.anchor)):
             bits = grid_mask(grid, m.cells())
             if bits.bit_count() == len(m.shape.cells) and not bits & ~free:
                 free ^= bits
                 mols.append(m)
-    return validate(mols)
+                added.append(m)
+    return mols, tuple(
+        grid_mask(grid, (c for m in added if (m.shape.chirality_class == R_LIKE) == r_like
+                         for c in m.cells()))
+        for r_like in (True, False)
+    )
 
 
 def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
@@ -458,16 +467,19 @@ def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
         chain = _wetting_chain(prob)
         assert chain == sorted(chain, key=lambda m: (m.shape.name, m.anchor)), prob
         assert len(chain) == len(set(chain)) and set(chain) < set(ref_wetting_chain(prob)), prob
-        got.append((wetting_config(prob).molecules, [
+        members, forced, _, _, grid, _, _, free = _set_up(prob)
+        got.append((_wetting_fill(chain, members, forced, grid, free), [
             pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w) for w in weights
         ]))
     monkeypatch.setattr(interfaces, "_wetting_chain", ref_wetting_chain)
     monkeypatch.setattr(interfaces, "_wetting_fill", ref_wetting_fill)
     wins = 0
-    for prob, (fill, bounds) in zip(rows, got):
+    for prob, ((mols, occupancy), bounds) in zip(rows, got):
         chain = ref_wetting_chain(prob)
         members, forced, _, _, grid, _, _, free = _set_up(prob)
-        assert fill == ref_wetting_fill(chain, members, validate(forced), grid, free).molecules, prob
+        ref_mols, ref_occupancy = ref_wetting_fill(chain, members, forced, grid, free)
+        fill = validate(mols).molecules
+        assert fill == validate(ref_mols).molecules and occupancy == ref_occupancy, prob
         for w, (value, cfg) in zip(weights, bounds):
             ref_value, ref_cfg = pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w)
             assert (value, cfg.molecules) == (ref_value, ref_cfg.molecules), (prob, w)
@@ -643,7 +655,10 @@ def _count_sweeps(monkeypatch, calls):
         molecules, "_boundary_lengths", counted("sweep", molecules._boundary_lengths)
     )
     monkeypatch.setattr(
-        interfaces, "volume_deficit", counted("sweep", interfaces.volume_deficit)
+        molecules, "volume_deficit", counted("sweep", molecules.volume_deficit)
+    )
+    monkeypatch.setattr(
+        interfaces, "volume_deficit", counted("sweep", molecules.volume_deficit), raising=False
     )
     monkeypatch.setattr(molecules, "phase_pattern", counted("pattern", phase_pattern))
     monkeypatch.setattr(
@@ -691,25 +706,36 @@ def test_set_up_work_guard(monkeypatch):
             assert set(frames) <= {"numerator", "denominator"}, (prob, budget, frames)
 
 
-def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):
-    # the pattern library prices each candidate by the lattice sweep, the
-    # independent check: the glued family when it does not overlap, the
-    # wetting fill where it applies, and the forced part alone; with the
-    # pairs at (1, 3) at T=16, where some glued families overlap and some
-    # frames do, which raises before any sweep
+# SHA-256 of the (value, config JSON) that `pattern_upper_bound` returns
+# on the feasible rows of the test below, in order, recorded when it priced
+# every candidate by the lattice sweep
+PATTERN_DIGEST = "5d6121b51bd73054a2fd7644600c48316b66755283761c5f9c2aff5202f1d981"
+
+
+def test_pattern_upper_bound_prices_each_candidate_on_the_set_up_masks(monkeypatch):
+    # the pattern library prices each candidate once on the set-up masks
+    # (`_q_t_energy`), as the solver prices its incumbents, and makes no
+    # lattice sweep: the glued family when it does not overlap, the wetting
+    # fill where it applies, and the forced part alone; with the pairs at
+    # (1, 3) at T=16, where some glued families overlap and some frames do,
+    # which raises before any pricing.  Each value returned is the lattice
+    # sweep of the configuration returned and its per-edge reference
     calls = {"sweep": 0, "pattern": 0}
     _count_sweeps(monkeypatch, calls)
+    seen = record_q_t_prices(monkeypatch)
     kinds = set()
+    digest = hashlib.sha256()
     pairs = [(i, j, direction(1, 3), 16, (1, 1)) for i, j in itertools.permutations(range(9), 2)]
     for i, j, nu, T, weights in [*_pattern_rows(), *pairs]:
         prob = InterfaceProblem(i, j, nu, T, weights)
         calls.update(sweep=0, pattern=0)
+        seen.clear()
         try:
             glued = _glued_or_error(ref_set_up(prob)[3])
         except InfeasibleBoundary:
             with pytest.raises(InfeasibleBoundary):
                 pattern_upper_bound(i, j, nu, T, weights)
-            assert calls == {"sweep": 0, "pattern": 0}, prob
+            assert (calls, seen) == ({"sweep": 0, "pattern": 0}, []), prob
             kinds.add(None)
             continue
         try:
@@ -718,11 +744,18 @@ def test_pattern_upper_bound_sweeps_once_per_candidate(monkeypatch):
         except NoPattern:
             wetting = False
         calls.update(sweep=0, pattern=0)
-        pattern_upper_bound(i, j, nu, T, weights)
+        value, cfg = pattern_upper_bound(i, j, nu, T, weights)
         expected = 1 + (not isinstance(glued, str)) + wetting
-        assert calls == {"sweep": expected, "pattern": 0}, prob
+        assert calls == {"sweep": 0, "pattern": 0} and len(seen) == expected, prob
         kinds.add((isinstance(glued, str), wetting))
+        window = Window.square(T)
+        assert admissible(cfg, prob), prob
+        assert value == weighted_perimeter(cfg, *prob.weights, window) == ref_energy(cfg, prob), prob
+        assert value == ref_weighted(cfg, *prob.weights, window), prob
+        config_json = json.dumps(configuration_to_jsonable(cfg), sort_keys=True)
+        digest.update(repr((str(value), config_json)).encode())
     assert kinds == {(False, False), (False, True), (True, False), None}
+    assert digest.hexdigest() == PATTERN_DIGEST
 
 
 def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):

@@ -239,11 +239,13 @@ def test_molecules_hold_no_instance_dict():
 # the interface solver's integer price path: its unit, the Q_T energy of
 # the forced part and the glued family, the set-up and the occupancy
 # helper, the line counts of the root and of a node and the transposition
-# of a node's boards; and the lattice energies' side count and covered
-# area in `molecules`, through which the Q_T energy and the root cost count
+# of a node's boards; the pattern library's wetting fill, priced on the
+# same masks; and the lattice energies' side count and covered area in
+# `molecules`, through which the Q_T energy and the root cost count
 _INTEGER_PRICED = {
     "interfaces.py": (
         "_units", "_q_t_energy", "_set_up", "_occupancy", "_runs", "_line", "_transposed",
+        "_wetting_fill",
     ),
     "molecules.py": ("free_sides", "covered_area"),
 }
@@ -259,10 +261,12 @@ def _fraction_uses(node: ast.AST) -> list[ast.AST]:
 
 
 def test_solves_price_in_ints():
-    """A solve prices in ints from set-up to result: `Fraction` appears in
-    none of the functions of its price path, the `molecules` side count
-    and covered area included, and in `solve_interface` only inside the
-    `SolveResult(...)` call that builds its result."""
+    """A solve and a pattern bound price in ints from set-up to result:
+    `Fraction` appears in none of the functions of their price path, the
+    `molecules` side count and covered area included; in `solve_interface`
+    only inside the `SolveResult(...)` call that builds its result; and in
+    `pattern_upper_bound` only in the `return` that builds its value, and
+    in the return annotation that names its type."""
     functions = {
         (module, node.name): node for module in _INTEGER_PRICED
         for node in TREES[module].body if isinstance(node, ast.FunctionDef)
@@ -279,5 +283,13 @@ def test_solves_price_in_ints():
     ]
     allowed = {id(n) for call in result for n in _fraction_uses(call)}
     found["interfaces.py", "solve_interface"] = [n.lineno for n in _fraction_uses(solve) if id(n) not in allowed]
+    bound = functions["interfaces.py", "pattern_upper_bound"]
+    returns = [node for node in ast.walk(bound) if isinstance(node, ast.Return)]
+    built = {id(n) for ret in returns for n in _fraction_uses(ret)}
+    named = {id(n) for n in _fraction_uses(bound.returns)}
+    found["interfaces.py", "pattern_upper_bound"] = [
+        n.lineno for n in _fraction_uses(bound) if id(n) not in built | named
+    ]
     assert not any(found.values()), found
     assert len(result) == 1 and allowed  # the result's Fractions are seen
+    assert len(returns) == 1 and built  # and the pattern bound's value

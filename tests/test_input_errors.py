@@ -24,6 +24,8 @@ from chiralattice import (
     enumerate_coverings,
     lemma_check,
     pattern_upper_bound,
+    phase_shape,
+    phi_closed_form,
     shapes_from_json,
     solve_interface,
     verify_interior_phase,
@@ -138,6 +140,10 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
          "invalid normal component 1.5"),
         (lambda: DensityModel.with_patterns().value(1, 5, (1, True)), "invalid normal component True"),
         (lambda: DensityModel.with_patterns().value(1, 5, (0, 0)), "normal cannot be zero"),
+        # a phase label is an int: not phase 1 read off a bool or a float
+        (lambda: phase_shape(True), "invalid phase label True: expected an integer"),
+        (lambda: phase_shape(1.0), "invalid phase label 1.0: expected an integer"),
+        (lambda: phi_closed_form(1.0), "phase label 1.0: expected an integer"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -73,7 +73,7 @@ def wetting_config(prob: InterfaceProblem):
     """The wetting fill alone (`_wetting_fill` over `_wetting_chain`)."""
     chain = _wetting_chain(prob)  # raises NoPattern before any family is built
     members, forced, _, _, grid, _, _, free = _set_up(prob)
-    return _wetting_fill(chain, members, validate(forced), grid, free)
+    return validate(_wetting_fill(chain, members, forced, grid, free)[0])
 
 
 # -------------------------------------------------------------------

@@ -348,11 +348,11 @@ def _config_digest(res) -> str:
     return hashlib.sha256(_config_json(res).encode()).hexdigest()[:16]
 
 
-# (i, j, nu) at T=24: the bound at the root, the certified value (700,834
+# (i, j, nu) at T=24: the bound at the root, the certified value (134,798
 # and 208,893 nodes to certify), and the value, lower bound and config
 # digest of the solves truncated at 2,000, 10,000 and 50,000 nodes
 TRUNCATED_T24 = [
-    ((1, 7, (1, -1)), 14, 46, (46, 18, "e5928a5ddfc15610")),
+    ((1, 7, (1, -1)), 18, 46, (46, 22, "e5928a5ddfc15610")),
     ((1, 0, (0, 1)), 31, 47, (47, 31, "5b63e72cd1f96c24")),
 ]
 
@@ -379,7 +379,7 @@ def test_truncated_solve_reports_an_interval(row):
 def test_truncated_t28_solve_pinned():
     res = solve_interface(InterfaceProblem(1, 5, direction(1, 1), 28), budget=50_000)
     assert (res.certificate, res.nodes_explored) == ("upper_bound", 50_000)
-    assert (res.value, res.lower, res.root) == (70, 34, 28)
+    assert (res.value, res.lower, res.root) == (70, 34, 32)
     assert _config_digest(res) == "79fba84c7baad157"
 
 
@@ -391,12 +391,20 @@ def test_deep_solve_pinned_t24():
     assert _config_digest(res) == "5b63e72cd1f96c24"
 
 
+def test_dead_cell_solve_pinned_t24():
+    # the mixed seam whose root the dead cells lift most: 14 to 18, and
+    # from 700,834 nodes to certify to 134,798
+    res = solve_interface(InterfaceProblem(1, 7, direction(1, -1), 24))
+    assert (res.value, res.certificate, res.root, res.nodes_explored) == (46, "exact", 18, 134_798)
+    assert _config_digest(res) == "e5928a5ddfc15610"
+
+
 # SHA-256 of the (value, certificate, nodes, lower, root, config JSON) of
 # the 50 table rows, in order, at each budget
 TABLE_DIGESTS = {
-    1: "4a2826b668e0c069313f387f57d099a9a408d1f1a59db6174723d8d3202383ea",
-    50: "05fad7aba81f4ccde8e6b119b6e28d85bf461307bdeb6aa82eac512c6444985c",
-    DEFAULT_BUDGET: "27983f03bca43b2e76fb3a06a1d86a2f637dd86cb7aa8039e0a3ed599e632d25",
+    1: "088de567d3422dcb367544710f73c5d5dfbc551e832e7b33b0a1c9a5085bf447",
+    50: "11c1efd97ccadd7f60c0b7b881e692b453f4241af7a6587c7d03905f1ac82495",
+    DEFAULT_BUDGET: "3eb3bb607b89d5d049a0fe3d703de65e69b6b45b524d0dd6644b1fbbb542c548",
 }
 
 
