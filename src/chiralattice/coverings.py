@@ -16,19 +16,26 @@ target cell they cover.  Cells are encoded as bits of int masks by a shared plac
 operations: `enumerate_coverings` reads every covering from it, and
 `lemma_check` the first mixed one.
 
-The walk is memoised on its frontier.  Below a node whose first free
-order cell is i, only placements whose lowest order bit is >= i can be
-chosen, so the subtree depends only on the occupied cells in frontier[i]
-(every order cell plus the cells of those placements) and on the
-inner-phase state of the prefix: no molecule meeting the inner square
-yet, all of one phase (or shape), or mixed.  A mixed prefix is a state,
-not a verdict, since its subtree may still be a dead end.  A subtree
-walked to the end that yielded nothing (a dead end for the enumeration,
-a subtree without a violation for `lemma_check`) is memoised under that
-key as its (nodes, coverings).  A hit adds those counts and skips the
-subtree, except when it would reach the cap, in which case the subtree
-is walked.  No yield is ever inside a skipped subtree, so the coverings,
-their order, the counts and the cap stop are those of the plain walk.
+The walk is memoised on its frontier where it enters a new line.  Below
+a node whose first free order cell is i, only placements whose lowest
+order bit is >= i can be chosen, so the subtree depends only on the
+occupied cells in frontier[i] (every order cell plus the cells of those
+placements) and on the inner-phase state of the prefix: no molecule
+meeting the inner square yet, all of one phase (or shape), or mixed.  A
+mixed prefix is a state, not a verdict, since its subtree may still be a
+dead end.  The memo is read and written only at a line entry, a node
+whose i lies in a later line (column) than its parent's.  That is the
+cut of a transfer matrix: there the frontier is about one line's
+profile and keys repeat, while the keys of nodes inside a line rarely
+do, so such a node is walked and never stored, and a subtree that an
+every-node memo would skip is walked down to its next line entry, where
+it hits.  A line-entry subtree walked to the end that yielded nothing (a
+dead end for the enumeration, a subtree without a violation for
+`lemma_check`) is memoised under that key as its (nodes, coverings).  A
+hit adds those counts and skips the subtree, except when it would reach
+the cap, in which case the subtree is walked.  No yield is ever inside a
+skipped subtree, so the coverings, their order, the counts and the cap
+stop are those of the plain walk.
 
 For coverings of built-in molecules the interior single-phase property is
 checked through phase labels; for user shape sets, where no phase map
@@ -87,8 +94,10 @@ class SearchStats:
 
     nodes counts placements tried, coverings the complete coverings and
     placements the table size; states is the number of frontier states
-    that the covering walk memoised, for both searches: `lemma_check`'s
-    report and the `CapExceeded` of `enumerate_coverings` carry them.
+    that the covering walk memoised, one for each distinct key of a line
+    entry whose subtree was walked and yielded nothing, for both
+    searches: `lemma_check`'s report and the `CapExceeded` of
+    `enumerate_coverings` carry them.
     """
 
     nodes: int = 0
@@ -179,7 +188,9 @@ def _walk(
     """The memoised covering DFS: every covering, or with inner_key only
     the mixed ones, where two molecules have different keys other than
     None.  It stops after the cap-th covering; stats holds its counts at
-    each yield and at the end."""
+    each yield and at the end.  A node entering a new line reads the memo
+    and, when its subtree yields nothing, writes it as the frame pops;
+    other nodes carry no key."""
     # inner-phase states: 0 before any molecule with a key is placed, c
     # for "all such molecules have key code c", `mixed` for two keys
     codes: dict[int | str, int] = {}
@@ -203,13 +214,14 @@ def _walk(
     nodes = coverings = yields = 0
     occupied = 0
     chosen: list[Placement] = []
-    # frames: (options, phase state, memo key, and the nodes, coverings
-    # and yields on entry)
+    height = table.height
+    # frames: (options, phase state, memo key or None, the nodes, coverings
+    # and yields on entry, and the first order cell of the next line)
     first = (blocked ^ (blocked + 1)).bit_length() - 1
-    stack = [(iter(options[first]), 0, 0, 0, 0, 0)]
+    stack = [(iter(options[first]), 0, None, 0, 0, 0, (first // height + 1) * height)]
     while stack:
         frame = stack[-1]
-        phase = frame[1]
+        phase, edge = frame[1], frame[6]
         for mask, c, p in frame[0]:
             if mask & occupied:
                 continue
@@ -228,21 +240,27 @@ def _walk(
                     stack.clear()  # the cap stop ends the walk
                     break
                 continue
-            key = (occ & frontier[i]) << width | child
-            hit = memo.get(key)
-            # a hit that would reach the cap is walked, so the stop is exact
-            if hit is not None and (cap is None or coverings + hit[1] < cap):
-                nodes += hit[0]
-                coverings += hit[1]
-                continue
+            if i >= edge:  # the node enters a new line: read the memo
+                key = (occ & frontier[i]) << width | child
+                hit = memo.get(key)
+                # a hit that would reach the cap is walked, so the stop is exact
+                if hit is not None and (cap is None or coverings + hit[1] < cap):
+                    nodes += hit[0]
+                    coverings += hit[1]
+                    continue
+            else:
+                key = None
             occupied = occ
             chosen.append(p)
-            stack.append((iter(options[i]), child, key, nodes, coverings, yields))
+            stack.append((
+                iter(options[i]), child, key, nodes, coverings, yields,
+                (i // height + 1) * height,
+            ))
             break
         else:
             stack.pop()
             if chosen:
-                if yields == frame[5]:
+                if frame[2] is not None and yields == frame[5]:
                     memo[frame[2]] = (nodes - frame[3], coverings - frame[4])
                 occupied ^= chosen.pop().mask
     stats.nodes, stats.coverings, stats.states = nodes, coverings, len(memo)

@@ -304,12 +304,16 @@ def test_fractional_weights_odd_t_match_reference(kind):
     [
         pytest.param(9, (1, 1), id="9"),
         pytest.param(12, (1, 1), id="12"),
+        pytest.param(13, (1, 1), id="13"),
         pytest.param(9, (F(2, 3), F(1, 4)), id="9-weighted"),
+        pytest.param(13, (F(2, 3), F(1, 4)), id="13-weighted"),
     ],
 )
 def test_every_ordered_pair_matches_reference(T, weights):
-    """All 72 ordered phase pairs in four directions: at an odd and an even T
-    with unit weights, and at the odd T with fractional weights."""
+    """All 72 ordered phase pairs in four directions, at T = 9, 12 and 13
+    with unit weights and at T = 9 and 13 with fractional weights.  At
+    T = 9 the inner square holds no whole cell, so every row certifies at
+    its root and only the root is compared; T = 12 and 13 compare searches."""
     solved = 0
     for i, j in itertools.permutations(range(9), 2):
         for pq in [(1, 1), (-1, 1), (0, 1), (3, -1)]:

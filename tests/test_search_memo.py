@@ -1,13 +1,14 @@
 """Differential tests: the memoised searches against the plain ones.
 
 `enumerate_coverings` and `lemma_check` read one covering DFS memoised on
-the frontier state, and `cluster_min_perimeter` ranks candidates once and
-keys translation classes by their occupancy masks and R counts.  The
-plain forms that they replaced are kept below as the reference, each walk
-starting from the table's first order cell and reading the placements
-covering a cell off their masks, not off the table's branch lists;
-coverings, verdicts, node and covering counts, cap stops and witnesses
-must be equal.
+the frontier state at line entries, and `cluster_min_perimeter` ranks
+candidates once and keys translation classes by their occupancy masks and
+R counts.  The plain forms that they replaced are kept below as the
+reference, each walk starting from the table's first order cell and
+reading the placements covering a cell off their masks, not off the
+table's branch lists; coverings, verdicts, node and covering counts, cap
+stops and witnesses must be equal, and the memo states must be the
+distinct keys that the plain walk meets where the memo is kept.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from chiralattice.coverings import (
     CapExceeded, _square_table, enumerate_coverings, lemma_check,
 )
 from chiralattice.interfaces import cluster_min_perimeter
-from chiralattice.molecules import BUILTIN_SHAPES, R, S, phase_label, validate
+from chiralattice.molecules import BUILTIN_SHAPES, MoleculeShape, R, S, phase_label, validate
 from chiralattice.placements import PlacementTable
 
 _MOLECULE_EDGES = 10
@@ -70,10 +71,10 @@ def ref_coverings(table, stats):
                 occupied ^= chosen.pop().mask
 
 
-def ref_lemma(k, shapes, cap, inner_margin):
-    """(holds, complete, nodes, coverings, witness molecules)."""
+def inner_keys(table, shapes, k, inner_margin):
+    """Each placement's inner key: its phase (or shape name, for user
+    shapes) if it meets Q_2k-margin, else None."""
     builtin = all(s is BUILTIN_SHAPES.get(s.name) for s in shapes)
-    table = _square_table(k, shapes)
     half = k - inner_margin // 2
 
     def inner_key(mol):
@@ -81,7 +82,13 @@ def ref_lemma(k, shapes, cap, inner_margin):
             return None
         return phase_label(mol) if builtin else mol.shape.name
 
-    keys = [inner_key(p.molecule) for p in table.placements]
+    return [inner_key(p.molecule) for p in table.placements]
+
+
+def ref_lemma(k, shapes, cap, inner_margin):
+    """(holds, complete, nodes, coverings, witness molecules)."""
+    table = _square_table(k, shapes)
+    keys = inner_keys(table, shapes, k, inner_margin)
     stats = {"nodes": 0, "coverings": 0}
 
     def result(holds, witness):
@@ -206,9 +213,9 @@ def test_lemma_equals_plain_dfs(k, margin, shapes):
 # (nodes, coverings, memo states) of `lemma_check` on the built-in pair at
 # the benchmark's largest k, past the reach of the plain DFS above
 LEMMA_SEARCH_SPACE = {
-    9: (228_653, 9_216, 44_482),
-    10: (478_055, 18_432, 97_661),
-    11: (1_080_783, 36_864, 213_900),
+    9: (228_653, 9_216, 6_950),
+    10: (478_055, 18_432, 15_054),
+    11: (1_080_783, 36_864, 32_398),
 }
 
 
@@ -218,6 +225,111 @@ def test_lemma_search_space_pinned(k):
     space = rep.search_space
     assert rep.holds is True
     assert (space.nodes, space.coverings, space.states) == LEMMA_SEARCH_SPACE[k]
+
+
+def ref_states(table, keys, wanted, stop=None):
+    """(nodes, states) of the plain DFS that `ref_coverings` walks, written
+    recursively so that each node knows whether its subtree yields.
+
+    states is the number of distinct (frontier occupancy, phase state) keys
+    over the line-entry nodes (those whose first free order cell lies in a
+    later line than their parent's) whose subtrees were walked to the end
+    and yielded nothing: the memo states of the line-entry memo.  keys
+    holds each placement's inner key (None for no key), a phase state is
+    None, one key or "mixed", and a covering yields when its state is
+    wanted, or always when wanted is None.  The walk stops at the stop-th
+    yield, as `lemma_check` stops at its first and a capped enumeration at
+    its cap-th, and the nodes then open are not counted.  Frontiers
+    are rebuilt from the placement masks: frontier[i] is the order cells
+    and the cells of the placements whose first order cell is i or later.
+    """
+    targets, height = table.order_bits, table.height
+    covering = covering_lists(table)
+    frontier = [0] * table.n
+    bits = targets
+    for i in reversed(range(table.n)):
+        for p in covering[i]:
+            if not p.mask & targets & (1 << i) - 1:  # i is its first order cell
+                bits |= p.mask
+        frontier[i] = bits
+    seen = set()
+    nodes = yields = 0
+
+    class Stop(Exception):
+        pass
+
+    def walk(occ, i, state):
+        nonlocal nodes, yields
+        below = False
+        for p in covering[i]:
+            if p.mask & occ:
+                continue
+            nodes += 1
+            key = keys[p.index]
+            child = state if key is None or key == state else ("mixed" if state is not None else key)
+            sub = occ | p.mask
+            free = targets & ~sub
+            if not free:
+                if wanted is None or child == wanted:
+                    below = True
+                    yields += 1
+                    if yields == stop:
+                        raise Stop
+                continue
+            j = (free & -free).bit_length() - 1
+            if walk(sub, j, child):
+                below = True
+            elif j // height > i // height:
+                seen.add((sub & frontier[j], child))
+        return below
+
+    try:
+        walk(0, (targets & -targets).bit_length() - 1, None)
+    except Stop:
+        pass
+    return nodes, len(seen)
+
+
+# R and a twin of it under another name: a user shape set whose phase
+# states differ on equal occupancies, so the phase state in the memo key
+# is read
+TWIN_PAIR = (R, MoleculeShape("R'", R.cells, R.chirality_class))
+
+
+@pytest.mark.parametrize("margin", (2, 4))
+@pytest.mark.parametrize(
+    "shapes,k", [("R,S", k) for k in range(4, 8)] + [("twin", k) for k in range(3, 7)]
+)
+def test_lemma_states_equal_line_entry_keys(shapes, k, margin):
+    """Complete walks on the built-in pair, and walks on the twin pair
+    that stop at their first violation."""
+    shapes = (R, S) if shapes == "R,S" else TWIN_PAIR
+    rep = lemma_check(k, shapes, inner_margin=margin)
+    assert rep.holds is (shapes != TWIN_PAIR)
+    table = _square_table(k, shapes)
+    keys = inner_keys(table, shapes, k, margin)
+    space = rep.search_space
+    assert (space.nodes, space.states) == ref_states(table, keys, "mixed", 1)
+
+
+@pytest.mark.parametrize("shapes", sorted(SHAPE_SETS))
+def test_enumeration_states_equal_line_entry_keys(shapes):
+    """Each short stream, read with a cap at its last covering so that the
+    CapExceeded carries the walk's counts."""
+    checked = 0
+    for k in range(2, 7):
+        streamed = _enumeration(k, SHAPE_SETS[shapes], ENUMERATION_LIMIT)
+        if streamed[1] is not None:
+            continue  # a long stream
+        cap = len(streamed[0])
+        with pytest.raises(CapExceeded) as exc:
+            for _ in enumerate_coverings(k, SHAPE_SETS[shapes], cap=cap):
+                pass
+        table = _square_table(k, SHAPE_SETS[shapes])
+        got = (exc.value.stats.nodes, exc.value.stats.states)
+        assert got == ref_states(table, [None] * len(table.placements), None, cap), k
+        checked += 1
+    assert checked
 
 
 def _enumeration(k, shapes, cap):
