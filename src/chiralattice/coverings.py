@@ -7,12 +7,13 @@ lies inside Q_2k+6, which bounds the search space.
 
 The search branches on the lexicographically first uncovered cell of the
 square and tries every placement covering it that misses the covered
-cells: those whose first square cell it is, which the shared placement
-table lists there, since every earlier cell is covered.  That canonical
-order makes it exhaustive and duplicate-free: each covering is produced
+cells: those whose first square cell it is, which the placement grid
+lists there, since every earlier cell is covered.  That canonical order
+makes it exhaustive and duplicate-free: each covering is produced
 exactly once, as the sequence of its molecules sorted by the first
-target cell they cover.  Cells are encoded as bits of int masks by a shared placement table
-(`chiralattice.placements`).  One walk of this tree serves both
+target cell they cover.  Cells are encoded as bits of int masks by the
+placement grid shared by the searches (`chiralattice.placements`), which
+builds its placements on first read.  One walk of this tree serves both
 operations: `enumerate_coverings` reads every covering from it, and
 `lemma_check` the first mixed one.
 
@@ -65,7 +66,7 @@ from .molecules import (
     phase_label,
     validate,
 )
-from .placements import Placement, PlacementTable
+from .placements import Placement, PlacementGrid
 
 
 class CapExceeded(RuntimeError):
@@ -140,13 +141,13 @@ class LemmaReport:
 # The covering DFS
 # -------------------------------------------------------------------
 
-def _square_table(k: int, shapes: Sequence[MoleculeShape]) -> PlacementTable:
+def _square_table(k: int, shapes: Sequence[MoleculeShape]) -> PlacementGrid:
     """Placements meeting Q_2k, with the square's cells in canonical order:
     columns left to right, each bottom to top."""
-    return PlacementTable(((-k, -k), (0, 1), (1, 0), 2 * k, 2 * k), shapes)
+    return PlacementGrid(((-k, -k), (0, 1), (1, 0), 2 * k, 2 * k), shapes)
 
 
-def _frontiers(table: PlacementTable) -> list[int]:
+def _frontiers(table: PlacementGrid) -> list[int]:
     """frontier[i]: the bits on which the subtree below a node depends.
 
     Below a node whose first free order cell is i, only placements whose
@@ -180,7 +181,7 @@ def _check_input(
 
 
 def _walk(
-    table: PlacementTable,
+    table: PlacementGrid,
     stats: SearchStats,
     cap: int | None,
     inner_key: Callable[[Molecule], int | str | None] | None = None,

@@ -211,7 +211,7 @@ def consistency_check(
             # two-sided screen against the best model value at the same
             # normal (closed form, meshing pattern, or subadditive); the
             # finite-size deviation of an honest row stays within 8/T
-            ref = model.value(r.i, r.j, (r.p, r.q)) if model else None
+            ref = model.value(r.i, r.j, (r.p, r.q))
             if ref:
                 slack = ref * Fraction(8, r.T)
                 if abs(r.phi_hat - ref) > slack:

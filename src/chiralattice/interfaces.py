@@ -107,7 +107,7 @@ from .molecules import (
     phase_shape,
     validate,
 )
-from .placements import GridSpec, Placement, PlacementGrid, PlacementTable
+from .placements import GridSpec, Placement, PlacementGrid
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -654,8 +654,8 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # reach the node.
     root_bound, i = root(decided0, cost0)
     stack = []
-    if i < n and root_bound < best_val:  # the root leaves a search: enumerate its placements
-        placements, by_first = table.enumerate_placements()
+    if i < n and root_bound < best_val:  # the root leaves a search: build its placements
+        placements, by_first = table.placements, table.by_first
         # DEAD CELLS: a free cell that no free placement covers is empty in
         # every leaf, so the root decides it empty, charging its edges to
         # occupied cells as the empty branch does, and counts its bound again
@@ -864,13 +864,10 @@ def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord
 # -------------------------------------------------------------------
 
 def _mirror_molecule(m: Molecule) -> Molecule:
-    """Reflection through a vertical axis: R(n1, n2) <-> S(-n1, n2)."""
+    """Reflection of an R or S molecule through a vertical axis:
+    R(n1, n2) <-> S(-n1, n2)."""
     n1, n2 = m.anchor
-    if m.shape is R:
-        return Molecule(S, (-n1, n2))
-    if m.shape is S:
-        return Molecule(R, (-n1, n2))
-    raise NoPattern("mirroring is defined for the built-in pair only")
+    return Molecule(S if m.shape is R else R, (-n1, n2))
 
 
 def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
@@ -1039,7 +1036,7 @@ def cluster_min_perimeter(
     # a connected cluster grown from a seed at the origin stays within
     # 3 cells per molecule of it, so its halo cells are all order cells
     reach = 3 * total
-    table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
+    table = PlacementGrid(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
     ranked = sorted(table.placements, key=lambda p: (p.shape.name, p.anchor))
     # covering[i]: ranks of the placements covering cell i
     covering = [0] * table.n

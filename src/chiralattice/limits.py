@@ -145,13 +145,9 @@ class PolygonalPartition:
         if not isinstance(data, dict) or not isinstance(data.get("regions"), dict):
             raise InvalidPartition('a partition is an object with a "regions" object')
         window = data.get("window")
-
-        def points(poly) -> list[Vec]:
-            return [(json_rational("coordinate", x), json_rational("coordinate", y)) for x, y in poly]
-
         return cls(
-            regions=decode_regions(int, points, data["regions"]),
-            window=None if window is None else decode_entry("window", points, window),
+            regions=decode_regions(int, _points, data["regions"]),
+            window=None if window is None else decode_entry("window", _points, window),
         )
 
 

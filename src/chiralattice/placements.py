@@ -1,4 +1,4 @@
-"""Bitboard placement tables shared by the exhaustive searches.
+"""Bitboard placement grids shared by the exhaustive searches.
 
 A search over molecule placements (the covering DFS, the interface branch
 and bound, cluster growth) keeps its state as int masks over a fixed
@@ -30,15 +30,15 @@ placement covering an order cell, and its rim, lies in the padded grid.
 
 A search branches at its first undecided order cell i, below which
 every order cell is decided, so the only placements it can choose there
-are those whose first order cell is i.  The table lists each placement
+are those whose first order cell is i.  The grid lists each placement
 once, under that cell: these branch lists are all that the covering walk
 and the interface solver read, and a search that needs the placements
 covering a cell reads them off the masks.
 
-The numbering (`PlacementGrid`) is kept apart from the placements
-(`PlacementTable`), so a search that may finish at its root builds the
-numbering alone, and its neighbour masks only on first read.  Grids and
-tables are safe for concurrent use.
+A grid builds its placements and its neighbour masks on first read, so a
+search that finishes at its root builds the numbering alone.  Two
+threads racing on a first read build equal lists, so grids are safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -88,14 +88,24 @@ class Placement(NamedTuple):
 
 
 class PlacementGrid:
-    """The numbering of a spec's padded grid, without its placements.
+    """The numbering of a spec's padded grid, and its placements: every
+    translate of a shape covering an order cell, lying in `within`.
 
     The padded grid's cells have bits 0..n-1, `height` to a line; order_bits
     marks the spec's cells, within_bits the cells of `within` (all_bits when
     it is None; `within` is bits on the grid without margin, and misses its
     border), and neighbors[i] is the mask of the neighbours of cell i in
     the padded grid: bits i +- 1 in its line and i +- height.
-    `enumerate_placements` builds the placements on request.
+
+    With `within` given, a placement is kept iff all its cells are in it,
+    and an order cell outside it starts no candidates: a kept placement's
+    cells are all in `within`, its first order cell included.  Placements
+    are numbered in order of their first order cell, then shape, then
+    shape cell; by_first[i] lists the placements whose first order cell
+    is i, in that numbering (none when i is no order cell), so each
+    placement is listed once, and `placements` joins these lists in order.
+    The neighbour masks and the placements are built on first read; two
+    threads racing on a first read build equal lists.
     """
 
     def __init__(
@@ -164,11 +174,22 @@ class PlacementGrid:
         first, line = c * height + r, (1 << h) - 1
         return [sum((b >> first + k * height & line) << k * h for k in range(w)) for b in masks]
 
-    def enumerate_placements(self) -> tuple[list[Placement], list[list[Placement]]]:
-        """(placements, by_first): every translate of a shape covering an
-        order cell and lying in `within`, and the branch lists, each
-        placement once under its first order cell, as `PlacementTable`
-        describes them."""
+    @cached_property
+    def by_first(self) -> list[list[Placement]]:
+        """The branch lists, built on first read.
+
+        A placement whose shape cell j lies on order cell f has f as its
+        first order cell iff its cells are in `within` and those below f
+        (of lower bit) are not order cells.  So the first order cells of
+        the placements of each shape and shape cell are read off the
+        bitboard of `within`, ANDed with its shifts by the shape's cell
+        steps, and each placement's masks are its shape's templates
+        shifted to f; its anchor is read off f's line and place, by
+        `divmod`.  No shift wraps from one line into the next: with a
+        margin, every placement covering an order cell lies in the padded
+        grid, and without one, a placement leaving the grid crosses its
+        edge, whose cells are not in `within` (a shape is edge-connected).
+        """
         (x0, y0), (ax, ay), (cx, cy), _, _ = self._spec
         margin, height, order_bits = self._margin, self.height, self.order_bits
         free = self.within_bits
@@ -200,7 +221,6 @@ class PlacementGrid:
                     keys.append((first.bit_length() - 1) * stride + len(kinds))
                 kinds.append((shape, ox - a, oy - b, base - dj, *templates))
 
-        placements: list[Placement] = []
         by_first: list[list[Placement]] = [[] for _ in range(self.n)]
         keys.sort()
         new = tuple.__new__  # skips the Python frame of Placement.__new__
@@ -209,42 +229,13 @@ class PlacementGrid:
             shape, x, y, lift, mask, touch1, touch2 = kinds[code]
             c, r = divmod(first, height)
             shift = first + lift
-            p = new(Placement, (
+            by_first[first].append(new(Placement, (
                 index, shape, (x + c * cx + r * ax, y + c * cy + r * ay),
                 mask << shift, touch1 << shift, touch2 << shift,
-            ))
-            by_first[first].append(p)
-            placements.append(p)
-        return placements, by_first
+            )))
+        return by_first
 
-
-class PlacementTable(PlacementGrid):
-    """A grid with its placements: every translate of a shape covering an
-    order cell, lying in `within`.
-
-    With `within` given, a placement is kept iff all its cells are in it,
-    and an order cell outside it starts no candidates: a kept placement's
-    cells are all in `within`, its first order cell included.  Placements
-    are numbered in order of their first order cell, then shape, then
-    shape cell; by_first[i] lists the placements whose first order cell
-    is i, in that numbering (none when i is no order cell), so each
-    placement is listed once.
-
-    A placement whose shape cell j lies on order cell f has f as its first
-    order cell iff its cells are in `within` and those below f (of lower
-    bit) are not order cells.  So the first order cells of the placements
-    of each shape and shape cell are read off the bitboard of `within`,
-    ANDed with its shifts by the shape's cell steps, and each placement's
-    masks are its shape's templates shifted to f; its anchor is read off
-    f's line and place, by `divmod`.  No shift wraps from one line into
-    the next: with a margin, every placement covering an order cell lies
-    in the padded grid, and without one, a placement leaving the grid
-    crosses its edge, whose cells are not in `within` (a shape is
-    edge-connected).
-    """
-
-    def __init__(
-        self, spec: GridSpec, shapes: Iterable[MoleculeShape], within: int | None = None
-    ):
-        super().__init__(spec, shapes, within)
-        self.placements, self.by_first = self.enumerate_placements()
+    @cached_property
+    def placements(self) -> list[Placement]:
+        """Every placement, in index order: the branch lists joined."""
+        return [p for ps in self.by_first for p in ps]

@@ -38,7 +38,7 @@ from chiralattice.molecules import (
     R, R_LIKE, S, Molecule, OverlapError, Window, configuration_to_jsonable, phase_label,
     validate, volume_deficit, weighted_perimeter,
 )
-from chiralattice.placements import PlacementTable
+from chiralattice.placements import PlacementGrid
 
 
 # -------------------------------------------------------------------
@@ -143,7 +143,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     bit = {cell: 1 << k for k, cell in enumerate(spec_cells(spec))}
     assert sorted(bit) == sorted((a, b) for a in square for b in square)
     free_bits = sum(bit[c] for c in free_cells)
-    table = PlacementTable(spec, (R, S), free_bits)
+    table = PlacementGrid(spec, (R, S), free_bits)
     n = table.n
     assert n == len(bit)
     covering = [[p for p in table.placements if p.mask >> i & 1] for i in range(n)]

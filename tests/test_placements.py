@@ -23,6 +23,7 @@ trees, in its own order, are pinned separately.
 
 import random
 from fractions import Fraction as F
+from functools import cached_property
 from itertools import permutations
 
 import pytest
@@ -41,7 +42,7 @@ from chiralattice.interfaces import (
 from chiralattice.molecules import (
     R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, free_sides, validate,
 )
-from chiralattice.placements import Placement, PlacementGrid, PlacementTable
+from chiralattice.placements import Placement, PlacementGrid
 from conftest import grid_mask
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, ref_solve, row_major_order,
@@ -62,7 +63,7 @@ def test_table_numbers_order_cells_first():
     spec = ((0, 0), (0, 1), (1, 0), 2, 2)
     order = spec_cells(spec)
     assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    table = PlacementTable(spec, (R, S))
+    table = PlacementGrid(spec, (R, S))
     assert_placements_hold_their_molecules(table, spec, None)
     bits = [grid_mask(table, [c]) for c in order]
     assert bits == sorted(bits) and len(set(bits)) == 4  # increasing along the order
@@ -105,8 +106,6 @@ def test_table_numbers_order_cells_first():
 def test_invalid_grid_spec_raises(spec):
     with pytest.raises(ValueError):
         PlacementGrid(spec, (R, S))
-    with pytest.raises(ValueError):
-        PlacementTable(spec, (R, S))
 
 
 def within_bits(spec, zone):
@@ -122,7 +121,7 @@ def within_bits(spec, zone):
 def test_within_filters_placements():
     spec = ((-1, -1), (0, 1), (1, 0), 5, 5)
     within = {(x, y) for x in range(3) for y in range(3)}
-    table = PlacementTable(spec, (R, S), within_bits(spec, within))
+    table = PlacementGrid(spec, (R, S), within_bits(spec, within))
     assert_placements_hold_their_molecules(table, spec, within)
     assert {p.molecule for p in table.placements} == {
         Molecule(R, (0, 0)), Molecule(R, (1, 0)), Molecule(S, (2, 0)), Molecule(S, (3, 0))
@@ -131,7 +130,7 @@ def test_within_filters_placements():
 
 def test_contacts_count_boundary_edges():
     spec = ((-3, -3), (0, 1), (1, 0), 7, 7)
-    table = PlacementTable(spec, (R, S))
+    table = PlacementGrid(spec, (R, S))
     assert_placements_hold_their_molecules(table, spec, None)
     occupied = {(0, 0), (1, 1), (2, 2), (-1, 2), (0, 3), (-2, -1), (1, 3)}
     bits = grid_mask(table, occupied)
@@ -236,6 +235,7 @@ def assert_matches_ref_table(table, spec, shapes, within, keep):
     ] == placements
     bit = [grid_mask(table, [cell]).bit_length() - 1 for cell in order]
     assert [[p.index for p in table.by_first[i]] for i in bit] == by_first
+    assert table.placements == [p for ps in table.by_first for p in ps]
     # none off the order, and each placement listed once
     assert sum(map(len, table.by_first)) == sum(map(len, by_first)) == len(placements)
     numbered = set(cell_of.values())
@@ -267,7 +267,7 @@ def test_placement_masks_match_per_placement_rims(shapes):
         square = spec_cells(spec)
         zone = {c for c in free if spec is not rows or -3 < c[1] < 3}
         for within in (None, zone):
-            table = PlacementTable(spec, shapes, None if within is None else within_bits(spec, within))
+            table = PlacementGrid(spec, shapes, None if within is None else within_bits(spec, within))
             assert_matches_ref_table(
                 table, spec, shapes, within,
                 lambda m: within is None or within.issuperset(m.cells()),
@@ -277,7 +277,7 @@ def test_placement_masks_match_per_placement_rims(shapes):
             assert (table.order_bits == table.all_bits) == (within is not None)
         # with no `within`, placements overhang the grid
         assert not set(square).issuperset(
-            c for p in PlacementTable(spec, shapes).placements for c in p.molecule.cells()
+            c for p in PlacementGrid(spec, shapes).placements for c in p.molecule.cells()
         )
 
 
@@ -302,7 +302,7 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
     built = []
 
     def recording_grid(spec, shapes, within=None):
-        grid = PlacementGrid(spec, shapes) if within is None else PlacementTable(spec, shapes, within)
+        grid = PlacementGrid(spec, shapes, within)
         built.append((spec, shapes, within, grid))
         return grid
 
@@ -418,18 +418,22 @@ def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatc
     # with its dead cells, still leaves one: a solve certified at the root
     # counts its lines on the search square alone
     calls, transposes = [], []
-    enumerate_placements = PlacementGrid.enumerate_placements
+    build = PlacementGrid.by_first.func
     transposed = interfaces._transposed
 
     def spy(grid):
         calls.append(grid)
-        return enumerate_placements(grid)
+        return build(grid)
+
+    # a cached property set on the class from outside its body is named by hand
+    lazy_spy = cached_property(spy)
+    lazy_spy.__set_name__(PlacementGrid, "by_first")
 
     def transpose_spy(bits, width):
         transposes.append(bits)
         return transposed(bits, width)
 
-    monkeypatch.setattr(PlacementGrid, "enumerate_placements", spy)
+    monkeypatch.setattr(PlacementGrid, "by_first", lazy_spy)
     monkeypatch.setattr(interfaces, "_transposed", transpose_spy)
     # the frontier and the diagonal (i, 0) rows certify at the root
     diagonals = [
@@ -442,7 +446,7 @@ def test_placements_are_enumerated_only_when_the_root_leaves_a_search(monkeypatc
     for prob in [FRONTIER, *diagonals]:
         res = solve_interface(prob)
         assert (res.certificate, res.nodes_explored, calls, transposes) == ("exact", 0, [], []), prob
-    # a table row enumerates once iff its root bound before the dead cells
+    # a table row builds its branch lists once iff its root bound before the dead cells
     # are decided is below its value, and transposes iff it opens a node,
     # as it must when the recount is below its value too; four rows
     # certify at the recount

@@ -21,7 +21,7 @@ from chiralattice.coverings import (
 )
 from chiralattice.interfaces import cluster_min_perimeter
 from chiralattice.molecules import BUILTIN_SHAPES, MoleculeShape, R, S, phase_label, validate
-from chiralattice.placements import PlacementTable
+from chiralattice.placements import PlacementGrid
 
 _MOLECULE_EDGES = 10
 
@@ -121,7 +121,7 @@ def ref_cluster(r, s):
     candidates are the placements covering an order cell of the halo."""
     total = r + s
     reach = 3 * total
-    table = PlacementTable(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
+    table = PlacementGrid(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
     covering = covering_lists(table)
     seeds = {p.shape: p for p in table.placements if p.anchor == (0, 0)}
     best = None
