@@ -107,7 +107,7 @@ from .molecules import (
     phase_shape,
     validate,
 )
-from .placements import GridSpec, Placement, PlacementGrid
+from .placements import GridSpec, PlacementGrid
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -177,11 +177,16 @@ def oriented(i: int, j: int, nu: tuple[int, int]) -> tuple[int, int, tuple[int, 
     Phase i lies on the side x . nu > 0 and phase j on x . nu < 0, so for
     i != j the triples (i, j, nu) and (j, i, -nu) name one interface, and
     f(i, j, nu) = f(j, i, -nu).  Every table, pattern and segment keyed by
-    an interface is keyed through this function.
+    an interface is keyed through this function.  Both labels and both
+    normal components are read by `json_int`, so a float or a bool raises
+    InvalidInput.
     """
+    json_int("phase label", i)
+    json_int("phase label", j)
+    p, q = json_int("normal component", nu[0]), json_int("normal component", nu[1])
     if i < j:
         return i, j, nu
-    return j, i, (-nu[0], -nu[1])
+    return j, i, (-p, -q)
 
 
 @dataclass(frozen=True)
@@ -1014,7 +1019,8 @@ def cluster_min_perimeter(
     a node's candidates are the set bits of an int over ranks: those
     covering a cell next to the cluster, less those overlapping it, both
     read off the placements' masks and joined as the cluster grows, so no
-    candidate is tested for overlap.  A class is keyed by its occupancy
+    candidate is tested for overlap; a placement's two rank sets are built
+    when it is first placed.  A class is keyed by its occupancy
     mask shifted down to its lowest set bit, with its count of R
     molecules: the table's numbering is affine, so a translate has the
     same key, and since the cluster is edge-connected and shorter than a
@@ -1025,6 +1031,21 @@ def cluster_min_perimeter(
     that order: its placements, whose molecules are built for the result.
     The growth is depth first on an explicit stack of clusters, each with
     the ranks it has still to try, so no recursion limit bounds the cap.
+
+    The growth is a branch and bound.  A cell set whose bounding box is W
+    wide and H high, and which meets every row and column of it (as an
+    edge-connected set does), has perimeter at least 2(W + H): each row
+    has a boundary edge at each end, and so has each column.  A grown
+    cluster's box only widens, so the bound holds for every cluster grown
+    from it.  Each cluster carries its box, from its placements' anchors
+    and their shapes' cell extents, and a cluster whose bound reaches the
+    incumbent is not grown.  The result is unchanged.  The incumbent
+    changes only on a strict improvement, so no pruned cluster leads to a
+    better one; and a class pruned on one visit is pruned on every later
+    one, since its box has the same sides and the incumbent never rises.
+    So the search grows the classes it grew without the bound, less the
+    pruned ones, in the same order, and returns the same first cluster of
+    least perimeter.
     """
     if json_int("r", r) < 0 or json_int("s", s) < 0 or r + s < 1:
         raise InvalidInput("need r + s >= 1 with nonnegative counts")
@@ -1056,45 +1077,66 @@ def cluster_min_perimeter(
             bits |= covering[low.bit_length() - 1]
         return bits
 
-    # near[rank]: ranks of the placements covering an order cell next to
-    # that one; overlapping[rank]: those sharing a cell with it
-    near = [ranks((p.touch1 | p.touch2) & table.order_bits) for p in ranked]
-    overlapping = [ranks(p.mask) for p in ranked]
-    of_shape = {
-        shape: sum(1 << rank for rank, p in enumerate(ranked) if p.shape is shape)
-        for shape in (R, S)
-    }
+    # rank_sets[rank]: the ranks of the placements covering an order cell
+    # next to that one, and of those sharing a cell with it, built when the
+    # rank is first placed
+    rank_sets: dict[int, tuple[int, int]] = {}
+    r_ranks = sum(1 << rank for rank, p in enumerate(ranked) if p.shape is R)
+    s_ranks = sum(1 << rank for rank, p in enumerate(ranked) if p.shape is S)
+    # extents[shape is R]: the shape's least and greatest cell offsets in x and y
+    extents = [
+        (min(x for x, _ in shape.cells), max(x for x, _ in shape.cells),
+         min(y for _, y in shape.cells), max(y for _, y in shape.cells))
+        for shape in (S, R)
+    ]
     count_bits = r.bit_length()  # a key's low bits hold its R count
 
-    best: tuple[int, tuple[Placement, ...]] | None = None
+    # the incumbent, above any cluster's perimeter: at most its molecules'
+    best_per, best_placed = _MOLECULE_EDGES * total + 1, ()
     seen: set[int] = set()
     # frames: (placements, occupancy, ranks near the cluster, ranks
-    # overlapping it, perimeter, R count, ranks still to try).  Fixing the
-    # first molecule at the origin removes translations; with mixed species
-    # both seeds are tried since the first molecule of an optimal cluster
-    # can be either kind, so the seeds are the candidates of the empty
-    # cluster.
+    # overlapping it, perimeter, R count, bounding box (x0, x1, y0, y1),
+    # ranks still to try).  Fixing the first molecule at the origin removes
+    # translations; with mixed species both seeds are tried since the first
+    # molecule of an optimal cluster can be either kind, so the seeds are
+    # the candidates of the empty cluster, whose box is empty.
     seeds = sum(1 << rank for rank, p in enumerate(ranked) if p.anchor == (0, 0))
-    stack = [((), 0, 0, 0, 0, 0, seeds)]
+    stack = [((), 0, 0, 0, 0, 0, (reach, -reach, reach, -reach), seeds)]
     while stack:
-        placed, occ, cand, blocked, per, nr, rest = stack.pop()
+        placed, occ, cand, blocked, per, nr, box, rest = stack.pop()
+        bx0, bx1, by0, by1 = box
         last = len(placed) + 1 == total
         # candidate placements: those covering a cell adjacent to the
         # cluster and none of its cells, of a species still short
         rest &= ~blocked & (
-            (of_shape[R] if nr < r else 0) | (of_shape[S] if len(placed) - nr < s else 0)
+            (r_ranks if nr < r else 0) | (s_ranks if len(placed) - nr < s else 0)
         )
         while rest:
             low = rest & -rest
             rest ^= low
             rank = low.bit_length() - 1
             p = ranked[rank]
-            grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
             if last:
                 # a repeated class ties with its first visit, so complete
                 # clusters are not keyed
-                if best is None or grown_per < best[0]:
-                    best = (grown_per, (*placed, p))
+                grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
+                if grown_per < best_per:
+                    best_per, best_placed = grown_per, (*placed, p)
+                continue
+            # the grown box; a cluster whose box bound reaches the
+            # incumbent is not grown
+            x, y = p.anchor
+            ex0, ex1, ey0, ey1 = extents[p.shape is R]
+            x0, x1, y0, y1 = x + ex0, x + ex1, y + ey0, y + ey1
+            if x0 > bx0:
+                x0 = bx0
+            if x1 < bx1:
+                x1 = bx1
+            if y0 > by0:
+                y0 = by0
+            if y1 < by1:
+                y1 = by1
+            if 2 * (x1 - x0 + y1 - y0 + 2) >= best_per:
                 continue
             grown = occ | p.mask
             grown_nr = nr + (p.shape is R)
@@ -1102,15 +1144,19 @@ def cluster_min_perimeter(
             if key in seen:
                 continue
             seen.add(key)
+            grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
+            sets = rank_sets.get(rank)
+            if sets is None:
+                sets = rank_sets[rank] = (
+                    ranks((p.touch1 | p.touch2) & table.order_bits), ranks(p.mask)
+                )
             # depth first: this cluster's other candidates wait below the child
-            stack.append((placed, occ, cand, blocked, per, nr, rest))
-            grown_cand = cand | near[rank]
+            stack.append((placed, occ, cand, blocked, per, nr, box, rest))
+            grown_cand = cand | sets[0]
             stack.append((
-                (*placed, p), grown, grown_cand, blocked | overlapping[rank],
-                grown_per, grown_nr, grown_cand,
+                (*placed, p), grown, grown_cand, blocked | sets[1],
+                grown_per, grown_nr, (x0, x1, y0, y1), grown_cand,
             ))
             break
 
-    assert best is not None
-    value, placed = best
-    return Fraction(value), validate(p.molecule for p in placed)
+    return Fraction(best_per), validate(p.molecule for p in best_placed)

@@ -32,7 +32,7 @@ from chiralattice import (
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
-from chiralattice.interfaces import DensityRecord, Direction
+from chiralattice.interfaces import DensityRecord, Direction, oriented
 from chiralattice.molecules import (
     Molecule, R, S, Window, configuration_entries, json_rational, phase_pattern, validate,
     weighted_perimeter,
@@ -144,6 +144,11 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: phase_shape(True), "invalid phase label True: expected an integer"),
         (lambda: phase_shape(1.0), "invalid phase label 1.0: expected an integer"),
         (lambda: phi_closed_form(1.0), "phase label 1.0: expected an integer"),
+        # an interface key's labels and normal are ints: 1.0 is not label 1
+        (lambda: oriented(1.0, 0, (1, 1)), "invalid phase label 1.0: expected"),
+        (lambda: oriented(1, False, (1, 1)), "invalid phase label False"),
+        (lambda: oriented(0, 1, (0.5, 1)), "invalid normal component 0.5"),
+        (lambda: oriented(1, 0, (1, True)), "invalid normal component True: expected"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -40,7 +40,7 @@ from chiralattice.interfaces import (
     solve_interface,
 )
 from chiralattice.molecules import (
-    R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, free_sides, validate,
+    R_LIKE, Molecule, MoleculeShape, OverlapError, R, S, free_sides, perimeter, validate,
 )
 from chiralattice.placements import Placement, PlacementGrid
 from conftest import grid_mask
@@ -804,3 +804,65 @@ def test_cluster_witnesses_pinned():
     assert _molecules(config) == [
         ("R", 0, 0), ("R", -2, -2), ("R", -1, 1), ("S", -2, 0), ("S", -1, 1)
     ]
+
+
+@pytest.fixture(scope="module")
+def clusters():
+    """Every cluster search with r + s <= 6, keyed by (r, s)."""
+    return {
+        (r, n - r): cluster_min_perimeter(r, n - r) for n in range(1, 7) for r in range(n + 1)
+    }
+
+
+# recorded with the cluster search before its bounding-box bound
+SIX_MOLECULE_CLUSTERS = [
+    (26, [("S", 0, 0), ("S", -2, 2), ("S", -3, 1), ("S", -4, 0), ("S", -2, -2), ("S", -1, -1)]),
+    (26, [("R", 0, 0), ("S", 0, 0), ("S", -1, -1), ("S", -2, -2), ("S", 0, -4), ("S", 1, -3)]),
+    (26, [("R", 0, 0), ("R", -1, 1), ("S", -1, 1), ("S", -2, 0), ("S", -1, -3), ("S", 0, -2)]),
+    (28, [("R", 0, 0), ("R", -2, -2), ("R", -1, 1), ("S", -2, -3), ("S", -2, 0), ("S", -1, 1)]),
+    (26, [("R", 0, 0), ("R", -2, -2), ("R", -1, -3), ("R", -1, 1), ("S", -2, 0), ("S", -1, 1)]),
+    (26, [("R", 0, 0), ("R", -2, -2), ("R", -3, -1), ("R", -2, 2), ("R", -1, 1), ("S", -2, 2)]),
+    (26, [("R", 0, 0), ("R", -2, -2), ("R", -3, -1), ("R", -4, 0), ("R", -2, 2), ("R", -1, 1)]),
+]
+
+
+def test_six_molecule_clusters_pinned(clusters):
+    # the frozenset reference search is too slow at six molecules, so the
+    # unbounded search's results stand in for it
+    got = [(value, _molecules(config)) for value, config in (clusters[r, 6 - r] for r in range(7))]
+    assert got == SIX_MOLECULE_CLUSTERS
+
+
+def test_cluster_values_are_reflection_symmetric(clusters):
+    # reflecting a cluster through a vertical line swaps R and S
+    assert all(clusters[r, s][0] == clusters[s, r][0] for r, s in clusters)
+
+
+def _box_bound(cells):
+    xs, ys = [x for x, _ in cells], [y for _, y in cells]
+    return 2 * (max(xs) - min(xs) + 1 + max(ys) - min(ys) + 1)
+
+
+def test_cluster_box_bound_is_admissible():
+    # every cluster of up to three molecules grown from one at the origin by
+    # a molecule sharing an edge with it and no cell, with no pruning
+    grown = [frozenset([Molecule(shape, (0, 0))]) for shape in (R, S)]
+    seen = set(grown)
+    tight = 0
+    while grown:
+        cluster = grown.pop()
+        cells = {c for m in cluster for c in m.cells()}
+        bound = _box_bound(cells)
+        value = perimeter(validate(cluster))
+        assert value >= bound, sorted((m.shape.name, *m.anchor) for m in cluster)
+        tight += value == bound
+        if len(cluster) == 3:
+            continue
+        halo = {nb for c in cells for nb in _neighbors(c)} - cells
+        for shape in (R, S):
+            for (x, y), (a, b) in ((c, d) for c in halo for d in shape.cells):
+                m = Molecule(shape, (x - a, y - b))
+                if cells.isdisjoint(m.cells()) and cluster | {m} not in seen:
+                    seen.add(cluster | {m})
+                    grown.append(cluster | {m})
+    assert len(seen) > 1000 and tight
