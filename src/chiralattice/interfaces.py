@@ -64,8 +64,9 @@ by the lattice energies' side count and covered area (`free_sides`,
 and mask per line, and validates one configuration, its result.  Nor
 does the pattern library: it prices each candidate on the same masks,
 the wetting fill by the occupancy it builds, and validates and checks
-against the frame only the configuration it returns; its wetting chain
-holds only the molecules that lie in the inner square.
+against the frame only the configuration it returns.  The wetting fill is
+the forced part, one row of mirror-species molecules lying in the inner
+square (`_wetting_chain`), and the family members that still fit.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -868,72 +869,35 @@ def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord
 # Pattern library
 # -------------------------------------------------------------------
 
-def _mirror_molecule(m: Molecule) -> Molecule:
-    """Reflection of an R or S molecule through a vertical axis:
-    R(n1, n2) <-> S(-n1, n2)."""
-    n1, n2 = m.anchor
-    return Molecule(S if m.shape is R else R, (-n1, n2))
-
-
 def _wetting_chain(prob: InterfaceProblem) -> list[Molecule]:
-    """The molecules of the wetting microstructure that lie in the inner
-    square of Q_T, in (shape name, anchor) order.
+    """The mirror-species row of the wetting microstructure, its molecules
+    that lie in the inner square of Q_T, in anchor order.
 
     A sparse opposite-chirality chain along a diagonal empty interface: for
     the oriented problem (0, i, (1, -1)) with i an R phase, the striped
     phase is retracted and its staircase teeth are capped, every other
-    notch, by a single mirror-species molecule; the exposed boundary per
-    unit of interface becomes c_R + 3 c_S instead of 2 c_R, which wins when
-    3 c_S < c_R.  For an S phase i and (0, i, (-1, -1)) the mirrored
-    construction applies with the weights exchanged.  `_wetting_fill` keeps
-    the chain strictly inside the frame, so admissibility is untouched;
-    where the forced frame molecules cut across the seam the plain family
-    fills in.  Raises NoPattern elsewhere.
-
-    Only a molecule lying in the inner square can join the fill, so only
-    those are built: the three seam rows' anchors are tested one by one,
-    and each bulk column is cut to the inner square.  The inner square's
-    cells are symmetric under the mirror x -> -x - 1, so the R
-    construction is cut before it is mirrored.
+    notch, by a single S molecule at (2t + 1, 2t - 2 + c), c = (i - 1) mod
+    4 (the offset shifts the baseline of phase 1 vertically); the exposed
+    boundary per unit of interface becomes c_R + 3 c_S instead of 2 c_R,
+    which wins when 3 c_S < c_R.  For an S phase i and (0, i, (-1, -1))
+    the mirror row, R at (-(2t + 1), 2t - 2 + c), applies with the weights
+    exchanged.  The retracted phase-i teeth, caps and bulk are family
+    members, so `_wetting_fill` adds them after the row; it keeps the row
+    strictly inside the frame, so admissibility is untouched, and where
+    the forced frame molecules cut across the seam the plain family fills
+    in.  Only a molecule lying in the inner square can join the fill, so
+    only those are returned.  Raises NoPattern elsewhere.
     """
     zero, i, nu = oriented(prob.i, prob.j, prob.nu.as_tuple())
     mirrored = zero == 0 and phase_shape(i) is S
     if zero != 0 or nu != ((-1, -1) if mirrored else (1, -1)):
         raise NoPattern("wetting pattern covers (0, R phase, (1, -1)) and (0, S phase, (-1, -1))")
-
-    # periodic seam microstructure for the R phase of the same offset at
-    # (0, i, (1, -1)); the offset shifts the baseline (phase 1) vertically
     c = (i - 1) % 4
-    T = prob.T
-    lo = -T // 2
-    hi = T // 2
-    inner = _inner(T)
-    # the anchors (a, b) of the molecules of each shape lying in the inner square
-    within = {
-        shape: [range(inner.start - min(ks), inner.stop - max(ks)) for ks in zip(*shape.cells)]
-        for shape in (R, S)
-    }
-    seam = (
-        (shape, a, b)
-        for t in range(lo - 2, hi + 2)
-        for shape, a, b in (
-            (R, 2 * t, 2 * t + 1 + c),      # teeth row
-            (R, 2 * t + 1, 2 * t + 4 + c),  # cap row
-            (S, 2 * t + 1, 2 * t - 2 + c),  # wetting
-        )
-    )
-    structure = [
-        Molecule(shape, (a, b)) for shape, a, b in seam
-        if a in within[shape][0] and b in within[shape][1]
-    ]
-    xs, ys = within[R]
-    for n1 in range(max(lo - 2, xs.start), min(hi + 2, xs.stop)):
-        for d in range(max(5 + c, ys.start - n1), min(2 * T, ys.stop - n1)):
-            structure.append(Molecule(R, (n1, n1 + d)))  # bulk
-    if mirrored:
-        structure = [_mirror_molecule(m) for m in structure]
-    structure.sort(key=lambda m: (m.shape.name, m.anchor))
-    return structure
+    inner = _inner(prob.T)
+    ts = range(inner.start // 2 - 1, inner.stop // 2 + 1)  # every t whose molecule can lie in it
+    shape, sign, ts = (R, -1, ts[::-1]) if mirrored else (S, 1, ts)
+    row = (Molecule(shape, (sign * (2 * t + 1), 2 * t - 2 + c)) for t in ts)
+    return [m for m in row if all(a in inner and b in inner for a, b in m.cells())]
 
 
 def _wetting_fill(

@@ -232,15 +232,28 @@ class Molecule:
         )
 
 
+def _anchor(m: Molecule) -> Cell:
+    """The anchor of m, whose shape must be a MoleculeShape and whose
+    anchor a pair of ints; a float, bool or Fraction coordinate, a shape of
+    another type or an anchor that is not a pair raises InvalidInput."""
+    if not isinstance(m.shape, MoleculeShape):
+        raise InvalidInput(f"invalid molecule shape {m.shape!r}: expected a MoleculeShape")
+    a = m.anchor
+    if type(a) is not tuple or len(a) != 2:
+        raise InvalidInput(f"invalid anchor {a!r}: expected a pair of integers")
+    return json_int("anchor coordinate", a[0]), json_int("anchor coordinate", a[1])
+
+
 def phase_label(m: Molecule) -> int:
     """Label in 1..8 of the zero-energy family the molecule belongs to.
 
     For R the label is the residue of n1 + n2 mod 4 taken in {1, 2, 3, 4};
     for S it is the residue of n2 - n1 mod 4 taken in {5, 6, 7, 8}.  The
     label is constant along the molecule's own striped pattern, so it names
-    one of the eight modulated phases.
+    one of the eight modulated phases.  A molecule that `_anchor` refuses
+    raises InvalidInput.
     """
-    n1, n2 = m.anchor
+    n1, n2 = _anchor(m)
     if m.shape.name == "R" and m.shape is R:
         r = (n1 + n2) % 4
         return 4 if r == 0 else r
@@ -426,13 +439,19 @@ class Configuration:
 def validate(molecules: Iterable[Molecule]) -> Configuration:
     """Build a Configuration, raising OverlapError on the first conflict.
 
-    The occupancy is one dict over every molecule's cells in order.  Each
-    shape has four distinct cells, so the molecules are disjoint iff it
-    holds four cells per molecule; only when it holds fewer are the cells
-    walked one by one, to name the first cell claimed twice and its two
-    molecules.
+    Each molecule's shape must be a MoleculeShape and its anchor a pair of
+    ints (`_anchor`), or InvalidInput is raised.  The occupancy is one dict
+    over every molecule's cells in order.  Each shape has four distinct
+    cells, so the molecules are disjoint iff it holds four cells per
+    molecule; only when it holds fewer are the cells walked one by one, to
+    name the first cell claimed twice and its two molecules.
     """
     mols = tuple(molecules)
+    for m in mols:
+        a = m.anchor  # tested inline, and `_anchor` names the fault
+        if (type(a) is not tuple or len(a) != 2 or type(a[0]) is not int
+                or type(a[1]) is not int or not isinstance(m.shape, MoleculeShape)):
+            _anchor(m)
     occupancy = {cell: i for i, m in enumerate(mols) for cell in m.cells()}
     if len(occupancy) != 4 * len(mols):
         occupancy = {}

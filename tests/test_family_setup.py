@@ -54,7 +54,6 @@ from chiralattice.interfaces import (
     _forced_part,
     _frame_test,
     _inner,
-    _mirror_molecule,
     _q_t_energy,
     _set_up,
     _units,
@@ -74,7 +73,7 @@ from chiralattice.molecules import (
 from chiralattice.placements import PlacementGrid
 from conftest import grid_mask
 from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS, ref_volume, ref_weighted
-from test_interfaces import wetting_config
+from test_interfaces import _mirror_molecule, wetting_config
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, row_major_order, side_reach,
 )
@@ -384,8 +383,9 @@ def _pattern_rows():
 
 
 def _wetting(build, prob):
+    """The molecules of build(prob) as a multiset, or None on NoPattern."""
     try:
-        return build(prob).molecules
+        return Counter(build(prob).molecules)
     except NoPattern:
         return None
 
@@ -398,7 +398,9 @@ def test_pattern_upper_bound_matches_the_multi_build_path(T):
         value, cfg = pattern_upper_bound(i, j, nu, T, weights)
         ref_value, ref_cfg = ref_pattern_upper_bound(i, j, nu, T, weights)
         assert value == ref_value, (i, j, nu, weights)
-        assert cfg.molecules == ref_cfg.molecules, (i, j, nu, weights)
+        # the wetting fill lists its row before the family, the reference
+        # in (shape name, anchor) order
+        assert Counter(cfg.molecules) == Counter(ref_cfg.molecules), (i, j, nu, weights)
         prob = InterfaceProblem(i, j, nu, T, weights)
         wetting_wins += value < ref_energy(ref_glued_family_config(prob), prob)
         # the chain on its own, also where the glued family ties with it
@@ -452,11 +454,13 @@ def ref_wetting_fill(chain, members, forced, grid, free):
 
 
 def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
-    # the chain cut to the inner square gives the fill of the full chain,
-    # and pattern_upper_bound the same value and configuration, at T =
-    # 8..40 and both weight orders, for two R and two S phases, which take
-    # the chain's four offsets; a chain molecule that misses the inner
-    # square never fits
+    # the chain's mirror-species row, cut to the inner square, gives the
+    # fill of the full chain (teeth, caps, bulk and row over Q_T), and
+    # pattern_upper_bound the same value and molecules, at T = 8..40 and
+    # both weight orders, for two R and two S phases, which take the
+    # chain's four offsets: every teeth, cap and bulk molecule that fits is
+    # a family member, and a chain molecule that misses the inner square
+    # never fits
     rows = [
         InterfaceProblem(i, 0, direction(*((-1, 1) if i <= 4 else (1, 1))), T)
         for T in range(8, 41) for i in (1, 2, 7, 8)
@@ -467,6 +471,11 @@ def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
         chain = _wetting_chain(prob)
         assert chain == sorted(chain, key=lambda m: (m.shape.name, m.anchor)), prob
         assert len(chain) == len(set(chain)) and set(chain) < set(ref_wetting_chain(prob)), prob
+        # the chain is the mirror-species row alone, every molecule in the
+        # inner square
+        mirror = S if phase_shape(prob.i) is R else R
+        assert all(m.shape is mirror for m in chain), prob
+        assert all(inside_inner(c, prob.T) for m in chain for c in m.cells()), prob
         members, forced, _, _, grid, _, _, free = _set_up(prob)
         got.append((_wetting_fill(chain, members, forced, grid, free), [
             pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w) for w in weights
@@ -478,12 +487,14 @@ def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
         chain = ref_wetting_chain(prob)
         members, forced, _, _, grid, _, _, free = _set_up(prob)
         ref_mols, ref_occupancy = ref_wetting_fill(chain, members, forced, grid, free)
-        fill = validate(mols).molecules
-        assert fill == validate(ref_mols).molecules and occupancy == ref_occupancy, prob
+        # the same molecules, the row now listed before the family
+        fill = Counter(validate(mols).molecules)
+        assert fill == Counter(validate(ref_mols).molecules) and occupancy == ref_occupancy, prob
         for w, (value, cfg) in zip(weights, bounds):
             ref_value, ref_cfg = pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T, w)
-            assert (value, cfg.molecules) == (ref_value, ref_cfg.molecules), (prob, w)
-            wins += cfg.molecules == fill
+            assert value == ref_value, (prob, w)
+            assert Counter(cfg.molecules) == Counter(ref_cfg.molecules), (prob, w)
+            wins += Counter(cfg.molecules) == fill
     assert wins > 0
 
 
@@ -707,9 +718,9 @@ def test_set_up_work_guard(monkeypatch):
 
 
 # SHA-256 of the (value, config JSON) that `pattern_upper_bound` returns
-# on the feasible rows of the test below, in order, recorded when it priced
-# every candidate by the lattice sweep
-PATTERN_DIGEST = "5d6121b51bd73054a2fd7644600c48316b66755283761c5f9c2aff5202f1d981"
+# on the feasible rows of the test below, in order: a wetting fill lists
+# its mirror-species row before the family members
+PATTERN_DIGEST = "7f3d0a12f94bf410a3b15cdd06e06d5c19859540d5ee5f0268d80ac61c686c3d"
 
 
 def test_pattern_upper_bound_prices_each_candidate_on_the_set_up_masks(monkeypatch):

@@ -34,8 +34,8 @@ from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction, oriented
 from chiralattice.molecules import (
-    Molecule, R, S, Window, configuration_entries, json_rational, phase_pattern, validate,
-    weighted_perimeter,
+    Molecule, R, S, Window, configuration_entries, json_rational, phase_label, phase_pattern,
+    validate, weighted_perimeter,
 )
 from chiralattice.rectregions import rect, regions_from_jsonable
 
@@ -149,6 +149,20 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: oriented(1, False, (1, 1)), "invalid phase label False"),
         (lambda: oriented(0, 1, (0.5, 1)), "invalid normal component 0.5"),
         (lambda: oriented(1, 0, (1, True)), "invalid normal component True: expected"),
+        # a molecule's anchor is a pair of ints and its shape a MoleculeShape:
+        # no half-integer, bool or Fraction anchor is validated or labelled
+        (lambda: validate([Molecule(R, (0.5, 0))]), "invalid anchor coordinate 0.5"),
+        (lambda: validate([Molecule(R, (True, 0))]), "invalid anchor coordinate True"),
+        (lambda: validate([Molecule(S, (0, F(1, 2)))]),
+         "invalid anchor coordinate Fraction\\(1, 2\\)"),
+        (lambda: validate([Molecule(R, (0, 0)), Molecule(R, (0, 0, 0))]),
+         "invalid anchor \\(0, 0, 0\\): expected a pair"),
+        (lambda: validate([Molecule("R", (0, 0))]), "invalid molecule shape 'R'"),
+        (lambda: phase_label(Molecule(R, (0.5, 0))), "anchor coordinate 0.5: expected an integer"),
+        (lambda: phase_label(Molecule(R, (True, 0))), "anchor coordinate True: expected an integer"),
+        (lambda: phase_label(Molecule(S, (F(1), 0))),
+         "invalid anchor coordinate Fraction\\(1, 1\\)"),
+        (lambda: phase_label(Molecule("S", (0, 0))), "invalid molecule shape 'S'"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -23,7 +23,6 @@ from chiralattice.interfaces import (
 from chiralattice.interfaces import (
     _family_members,
     _frame_test,
-    _mirror_molecule,
     _set_up,
     _wetting_chain,
     _wetting_fill,
@@ -67,6 +66,13 @@ def glued_family_config(prob: InterfaceProblem):
         return validate(glued)
     except OverlapError as exc:
         raise NoPattern(f"the glued family overlaps inside Q_{prob.T}: {exc}") from exc
+
+
+def _mirror_molecule(m: Molecule) -> Molecule:
+    """Reflection of an R or S molecule through a vertical axis:
+    R(n1, n2) <-> S(-n1, n2)."""
+    n1, n2 = m.anchor
+    return Molecule(S if m.shape is R else R, (-n1, n2))
 
 
 def wetting_config(prob: InterfaceProblem):
@@ -438,6 +444,20 @@ def test_wetting_pattern():
     assert ref_energy(wetting_config(probm), probm) == ref_energy(
         wetting_config(prob), prob
     )
+
+
+def test_wetting_bound_rises_by_one_period_beyond_t_40():
+    # the wetting fill of (1, 0, (-1, 1)), one mirror-species row in the
+    # boundary family, is the library's bound from T = 16 to 44, past the
+    # T <= 40 of the differential tests, and it rises by exactly one seam
+    # period's energy every Delta T = 4: 11/2 at weights (1, 1/4) and 22
+    # at (4, 1)
+    nu = Direction(-1, 1)
+    for weights, first, step in [((1, F(1, 4)), F(105, 4), F(11, 2)), ((4, 1), 105, 22)]:
+        for k, T in enumerate(range(16, 45, 4)):
+            value, cfg = pattern_upper_bound(1, 0, nu, T, weights)
+            assert value == first + k * step, (weights, T)
+            assert cfg == wetting_config(InterfaceProblem(1, 0, nu, T, weights)), (weights, T)
 
 
 def test_cluster_values():
