@@ -167,14 +167,17 @@ def _check_input(
     k: int, cap: int | None, shapes: Iterable[MoleculeShape]
 ) -> tuple[MoleculeShape, ...]:
     """The shapes of a covering search, each once, once k and cap are
-    checked.  User shapes are told apart by name, so two distinct shapes
-    may not share one; a shape passed twice is searched and named once."""
+    checked and each shape is a MoleculeShape.  User shapes are told apart
+    by name, so two distinct shapes may not share one; a shape passed twice
+    is searched and named once."""
     if json_int("k", k) < 2:
         raise InvalidInput("k must be at least 2")
     if cap is not None and json_int("cap", cap) < 1:
         raise InvalidInput("cap must be at least 1")
     named: dict[str, MoleculeShape] = {}
     for shape in shapes:
+        if not isinstance(shape, MoleculeShape):
+            raise InvalidInput(f"invalid molecule shape {shape!r}: expected a MoleculeShape")
         if named.setdefault(shape.name, shape) != shape:
             raise InvalidInput(f"two distinct shapes are named {shape.name!r}")
     return tuple(named.values())

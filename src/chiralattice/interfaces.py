@@ -36,10 +36,9 @@ adds at least min(c_R, c_S).  The bound is admissible, so exhaustive
 results do not depend on it.  The search's cells are bits of int masks
 of a placement grid (`chiralattice.placements`) over the inner square
 and its ring, whose placements are the free molecules only.  A free cell
-that none of them covers is dead, and the root decides it empty.  At the
-root the line bound shifts those masks along and across lines (`_line`); a
-node carries each mask beside its transpose in one int, so one carry
-along the lines of both counts columns and rows (`_runs`).  From set-up
+that none of them covers is dead, and the root decides it empty.  The
+root and every node carry each mask beside its transpose in one int, so
+one carry along the lines of both counts columns and rows (`_runs`).  From set-up
 to result a solve prices in ints, in one unit 1/scale (`_units`), and
 builds `Fraction`s for its result alone.
 
@@ -482,21 +481,6 @@ def _runs(decided: int, occ: int, lines: int) -> int:
     return ((fill ^ occ) & decided & (unknown << 1)).bit_count()
 
 
-def _line(decided: int, occ: int, width: int) -> int:
-    """The runs of `_runs` in the columns and rows of a square board of
-    `width` lines of `width` cells, whose lines start and end on decided
-    cells.  A run is at most width - 2 long, so the doubling shifts of the
-    fill across lines carry each run's first decided end across it."""
-    cells = (1 << width * width) - 1
-    unknown = cells & ~decided
-    fill, through = decided & occ & (unknown >> width), unknown
-    for k in range((width - 2).bit_length()):
-        fill |= through & (fill << (width << k))
-        through &= through << (width << k)
-    ends = decided & (unknown << width)
-    return _runs(decided, occ, cells) + (((fill << width) ^ occ) & ends).bit_count()
-
-
 def _transposed(bits: int, width: int) -> int:
     """The board `bits` of a square grid of `width` lines of `width` cells
     transposed: cell r of line c, bit c * width + r, moves to bit
@@ -542,15 +526,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     decided ends differ in occupancy, each at the least weight
     min(c_R, c_S).  Along such a run the occupancy must change across
     some edge; that edge has an undecided cell, so the cost has not
-    counted it, and it lies in one line only.  The root counts rows with
-    the doubling fill of `_line`.  Below it a node holds its decided and
-    occupied cells on both halves of one int, the search square and its
-    transpose (`_transposed`) above it, so rows are lines of the upper
-    half and one carry along the lines of both halves (`_runs`) counts
-    the same runs; a placement's and an empty cell's bits are set on both
-    halves, and the placements, the neighbour costs and the next cell read
-    the low half.  For volume energies the
-    bound is the cost minus one molecule area per four undecided cells.
+    counted it, and it lies in one line only.  The root and every node
+    hold their decided and occupied cells on both halves of one int, the
+    search square and its transpose (`_transposed`) above it, so rows are
+    lines of the upper half and one carry along the lines of both halves
+    (`_runs`) counts the runs of both; a placement's and an empty cell's
+    bits are set on both halves, and the placements, the neighbour costs
+    and the next cell read the low half.  For volume energies the bound
+    is the cost minus one molecule area per four undecided cells.
     Both bounds are admissible, and since the scan order is fixed an
     exhausted search returns the first optimal leaf in scan order, or the
     incumbent, whatever the bound.
@@ -559,7 +542,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     every leaf.  When the root bound is below the incumbent, the root
     decides each dead cell empty, on both halves, and charges its edges to
     the forced cells at c_R or c_S, by their class, as the empty branch
-    does; then it counts its bound again, the same way.  If that reaches
+    does; then it counts its bound again with the same `bound`.  If that reaches
     the incumbent, the solve returns at the root with no node.  The dead
     cells leave every leaf, and so every result, as it was; only the
     bounds rise.  `root` is the bound at the root, counted with the dead
@@ -580,11 +563,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     free cells (`free_sides`), and the incumbents are the forced part
     alone and, unless its free members overlap, the glued family, priced
     by its Q_T energy as a leaf is.  The search grid's free zone and
-    forced occupancy are cropped from the set-up masks; its free
-    placements are enumerated, and its dead cells decided, only when the
-    root bound is below the incumbent, and the root's boards and the
-    placements' shapes are transposed only when the recount is too; and
-    molecules are built and validated once, for the result.
+    forced occupancy are cropped from the set-up masks, and its two root
+    boards transposed once; its free placements are enumerated, and its
+    dead cells decided, only when the root bound is below the incumbent,
+    and the placements' shapes are transposed only when the recount is
+    too; and molecules are built and validated once, for the result.
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
@@ -624,7 +607,6 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     free_bits, occ_R0, occ_S0 = grid.crop(spec, free, occ_R, occ_S)
     table = PlacementGrid(spec, (R, S), free_bits)
     n = table.n
-    decided0 = table.all_bits & ~free_bits
 
     # LINE: each line of the search square (bits 0..n-1) and of its
     # transpose above it (bits n..2n-1) starts and ends on a ring cell,
@@ -633,20 +615,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     width = spec[3]
     both = (1 << 2 * n) - 1
 
+    def doubled(bits: int) -> int:
+        """The board `bits` of the search square with its transpose above it."""
+        return bits | _transposed(bits, width) << n
+
     def bound(decided: int, occ: int, cost: int) -> int:
         """A lower bound on the value of every leaf below the node."""
         if volume:
             return cost - molecule_area * ((free_bits & ~decided).bit_count() // 4)
         return cost + w_min * _runs(decided, occ, both)
-
-    occ0 = occ_R0 | occ_S0
-
-    def root(decided: int, cost: int) -> tuple[int, int]:
-        """The bound at the root and its first undecided cell."""
-        i = (~decided & (decided + 1)).bit_length() - 1  # lowest clear bit
-        if volume:
-            return bound(decided, occ0, cost), i
-        return cost + w_min * _line(decided, occ0, width), i
 
     nodes = 0
     exhausted = True
@@ -658,9 +635,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     # i, an iterator over the placements whose first cell is i not tried
     # yet (None once the empty branch is open) and the placement made to
     # reach the node.
-    root_bound, i = root(decided0, cost0)
+    decided0, occ0 = doubled(table.all_bits & ~free_bits), doubled(occ_R0 | occ_S0)
+    root_bound = bound(decided0, occ0, cost0)
     stack = []
-    if i < n and root_bound < best_val:  # the root leaves a search: build its placements
+    # a root with every cell decided, before or after its dead cells, is a
+    # leaf whose bound is its cost, the forced part's energy, which no
+    # incumbent exceeds; so a root whose bound is below the incumbent has an
+    # undecided cell
+    if root_bound < best_val:  # the root leaves a search: build its placements
         placements, by_first = table.placements, table.by_first
         # DEAD CELLS: a free cell that no free placement covers is empty in
         # every leaf, so the root decides it empty, charging its edges to
@@ -672,15 +654,15 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
         if dead:
             r, s = free_sides((occ_R0, occ_S0), dead, width, [], 1)
             cost0 += w_R * r + w_S * s
-            decided0 |= dead
-            root_bound, i = root(decided0, cost0)
-    if i < n and root_bound < best_val:  # the recount leaves a search too
+            decided0 |= doubled(dead)
+            root_bound = bound(decided0, occ0, cost0)
+    if root_bound < best_val:  # the recount leaves a search too
         neighbors = table.neighbors
         # flip[k]: the upper bit of cell k, n + r * width + c for cell r of
         # line c.  A placement's doubled mask is its mask with its shape's
         # transposed template shifted above it, each template transposed once.
         flip = [k for c in range(n, n + width) for k in range(c, 2 * n, width)]
-        transposed, doubled = {}, []
+        transposed, doubled_masks = {}, []
         for p in placements:
             mask = p.mask
             k = (mask & -mask).bit_length() - 1
@@ -690,11 +672,9 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
                 low = (upper & -upper).bit_length() - 1
                 transposed[template] = upper >> low, low - flip[k]
             upper, lift = transposed[template]
-            doubled.append(mask | upper << flip[k] + lift)
-        stack.append([
-            decided0 | _transposed(decided0, width) << n, occ_R0, occ_S0,
-            occ0 | _transposed(occ0, width) << n, cost0, i, iter(by_first[i]), None,
-        ])
+            doubled_masks.append(mask | upper << flip[k] + lift)
+        i = (~decided0 & (decided0 + 1)).bit_length() - 1  # lowest clear bit
+        stack.append([decided0, occ_R0, occ_S0, occ0, cost0, i, iter(by_first[i]), None])
     while stack:
         frame = stack[-1]
         decided, occ_R, occ_S, occ, cost, i, untried, _ = frame
@@ -706,7 +686,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
             if p.mask & decided:
                 continue
             placed = p
-            mask = doubled[p.index]
+            mask = doubled_masks[p.index]
             if volume:
                 cost -= molecule_area
             else:

@@ -397,8 +397,33 @@ class Configuration:
 
     __slots__ = ("molecules", "_occupancy", "_boards")
 
-    def __init__(self, molecules: tuple[Molecule, ...], occupancy: dict):
-        self.molecules = molecules
+    def __init__(self, molecules: Iterable[Molecule]):
+        """Validate the molecules, raising OverlapError on the first conflict.
+
+        Each molecule's shape must be a MoleculeShape and its anchor a pair
+        of ints (`_anchor`), or InvalidInput is raised.  The occupancy is
+        one dict over every molecule's cells in order.  Each shape has four
+        distinct cells, so the molecules are disjoint iff it holds four
+        cells per molecule; only when it holds fewer are the cells walked
+        one by one, to name the first cell claimed twice and its two
+        molecules.
+        """
+        mols = tuple(molecules)
+        for m in mols:
+            a = m.anchor  # tested inline, and `_anchor` names the fault
+            if (type(a) is not tuple or len(a) != 2 or type(a[0]) is not int
+                    or type(a[1]) is not int or not isinstance(m.shape, MoleculeShape)):
+                _anchor(m)
+        occupancy = {cell: i for i, m in enumerate(mols) for cell in m.cells()}
+        if len(occupancy) != 4 * len(mols):
+            occupancy = {}
+            for i, m in enumerate(mols):
+                for cell in m.cells():
+                    j = occupancy.get(cell)
+                    if j is not None:
+                        raise OverlapError(cell, j, i)
+                    occupancy[cell] = i
+        self.molecules = mols
         self._occupancy = occupancy
         self._boards = None
 
@@ -437,31 +462,8 @@ class Configuration:
 
 
 def validate(molecules: Iterable[Molecule]) -> Configuration:
-    """Build a Configuration, raising OverlapError on the first conflict.
-
-    Each molecule's shape must be a MoleculeShape and its anchor a pair of
-    ints (`_anchor`), or InvalidInput is raised.  The occupancy is one dict
-    over every molecule's cells in order.  Each shape has four distinct
-    cells, so the molecules are disjoint iff it holds four cells per
-    molecule; only when it holds fewer are the cells walked one by one, to
-    name the first cell claimed twice and its two molecules.
-    """
-    mols = tuple(molecules)
-    for m in mols:
-        a = m.anchor  # tested inline, and `_anchor` names the fault
-        if (type(a) is not tuple or len(a) != 2 or type(a[0]) is not int
-                or type(a[1]) is not int or not isinstance(m.shape, MoleculeShape)):
-            _anchor(m)
-    occupancy = {cell: i for i, m in enumerate(mols) for cell in m.cells()}
-    if len(occupancy) != 4 * len(mols):
-        occupancy = {}
-        for i, m in enumerate(mols):
-            for cell in m.cells():
-                j = occupancy.get(cell)
-                if j is not None:
-                    raise OverlapError(cell, j, i)
-                occupancy[cell] = i
-    return Configuration(mols, occupancy)
+    """Build a Configuration, raising OverlapError on the first conflict."""
+    return Configuration(molecules)
 
 
 # -------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from chiralattice import (
+    Configuration,
     DensityModel,
     InconsistentScale,
     InfeasibleBoundary,
@@ -34,8 +35,8 @@ from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction, oriented
 from chiralattice.molecules import (
-    Molecule, R, S, Window, configuration_entries, json_rational, phase_label, phase_pattern,
-    validate, weighted_perimeter,
+    Molecule, R, S, Window, configuration_entries, json_rational, perimeter, phase_label,
+    phase_pattern, validate, weighted_perimeter,
 )
 from chiralattice.rectregions import rect, regions_from_jsonable
 
@@ -158,6 +159,14 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: validate([Molecule(R, (0, 0)), Molecule(R, (0, 0, 0))]),
          "invalid anchor \\(0, 0, 0\\): expected a pair"),
         (lambda: validate([Molecule("R", (0, 0))]), "invalid molecule shape 'R'"),
+        # a Configuration built directly validates its molecules as `validate` does
+        (lambda: perimeter(Configuration([Molecule(R, (0.5, 0))])),
+         "invalid anchor coordinate 0.5: expected an integer"),
+        (lambda: Configuration([Molecule(R, (0, 0)), Molecule(R, (0, 0))]),
+         "occupied by molecules #0 and #1"),
+        # a covering search's shapes are MoleculeShapes, not names or None
+        (lambda: lemma_check(4, ["R"]), "invalid molecule shape 'R': expected a MoleculeShape"),
+        (lambda: next(enumerate_coverings(4, [None])), "invalid molecule shape None"),
         (lambda: phase_label(Molecule(R, (0.5, 0))), "anchor coordinate 0.5: expected an integer"),
         (lambda: phase_label(Molecule(R, (True, 0))), "anchor coordinate True: expected an integer"),
         (lambda: phase_label(Molecule(S, (F(1), 0))),
