@@ -304,6 +304,8 @@ def verify_interior_phase(
     are the owners of its cells, so only those are read, in the order of
     the configuration.
     """
+    if not isinstance(config, Configuration):
+        raise InvalidInput(f"config must be a Configuration, not {type(config).__name__}")
     if json_int("k", k) < 3:
         raise InvalidInput("k must be at least 3 so the inner square is nonempty")
     if not isinstance(center, (tuple, list)) or len(center) != 2:

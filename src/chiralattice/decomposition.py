@@ -177,7 +177,7 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     computed once per column and once per row, so each block's rectangle
     is a plain tuple of the ends of its column and row.  The boundary
     length is eps * `perimeter` in the lattice window, on the boards the
-    configuration builds on its first energy read and keeps.
+    configuration built when it was validated.
     """
     if window.is_plane:
         raise InvalidInput("decomposition needs a bounded window")

@@ -7,9 +7,9 @@ cell at the top); only translations are admitted, never rotations.  All
 geometry is exact: lengths and areas are `fractions.Fraction` values and
 comparisons are never subject to floating-point tolerances.
 
-The lattice energies count on a configuration's boards, built on its
-first energy read: an int per chirality class over its cells' box, the
-box halved until it spans at most 64 bits a cell (`_boards`).
+The lattice energies count on a configuration's boards, built when it is
+validated: an int per chirality class over its cells' box, the box
+halved until it spans at most 64 bits a cell (`_boards`).
 `_boundary_lengths` charges each unoccupied side to the chirality class of
 its molecule, a popcount per class and direction of shifted masks
 (`free_sides`); `perimeter` adds the R-like and S-like lengths and
@@ -27,9 +27,9 @@ of each of the eight modulated phases and `phase_label` the phase of a
 built-in molecule, from the residue of its anchor.
 
 Every object in this module is immutable after construction, but for the
-boards slot a Configuration fills on its first energy read, and every
+occupancy slot a Configuration fills on its first read, and every
 function is pure.  Two threads that race to fill the slot build equal
-boards, so the race is benign and concurrent use is safe.
+dicts, so the race is benign and concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -389,10 +389,11 @@ PLANE = Window.plane()
 class Configuration:
     """A validated family of pairwise essentially-disjoint molecules.
 
-    The occupancy index maps every occupied cell to the index of its owning
-    molecule in `molecules`.  The boards of its cells (`_boards`, a layer
-    per chirality class) are built on the first energy read and kept in a
-    slot; otherwise instances are immutable.
+    Its boards (`_boards`, a layer per chirality class over its cells' box)
+    are its one cell index: validation builds them and every energy counts
+    on them.  The occupancy, which maps every occupied cell to the index of
+    its owning molecule in `molecules`, is a dict built on its first read
+    and kept in a slot; otherwise instances are immutable.
     """
 
     __slots__ = ("molecules", "_occupancy", "_boards")
@@ -400,48 +401,46 @@ class Configuration:
     def __init__(self, molecules: Iterable[Molecule]):
         """Validate the molecules, raising OverlapError on the first conflict.
 
-        Each molecule's shape must be a MoleculeShape and its anchor a pair
-        of ints (`_anchor`), or InvalidInput is raised.  The occupancy is
-        one dict over every molecule's cells in order.  Each shape has four
-        distinct cells, so the molecules are disjoint iff it holds four
-        cells per molecule; only when it holds fewer are the cells walked
-        one by one, to name the first cell claimed twice and its two
-        molecules.
+        Each entry must be a Molecule, its shape a MoleculeShape and its
+        anchor a pair of ints (`_anchor`), or InvalidInput is raised.  The
+        boards of the molecules, a group per shape, hold four cells per
+        translate iff the molecules are disjoint; only when a board holds
+        fewer are the cells walked one by one, to name the first cell
+        claimed twice and its two molecules.
         """
         mols = tuple(molecules)
-        for m in mols:
+        groups: dict[int, tuple] = {}
+        shape = None
+        for n, m in enumerate(mols):
+            if not isinstance(m, Molecule):
+                raise InvalidInput(f"molecule #{n} is not a Molecule: {m!r}")
             a = m.anchor  # tested inline, and `_anchor` names the fault
-            if (type(a) is not tuple or len(a) != 2 or type(a[0]) is not int
-                    or type(a[1]) is not int or not isinstance(m.shape, MoleculeShape)):
+            if type(a) is not tuple or len(a) != 2 or type(a[0]) is not int or type(a[1]) is not int:
                 _anchor(m)
-        occupancy = {cell: i for i, m in enumerate(mols) for cell in m.cells()}
-        if len(occupancy) != 4 * len(mols):
-            occupancy = {}
+            if m.shape is not shape:  # molecules mostly come in runs of one shape
+                shape = m.shape
+                if not isinstance(shape, MoleculeShape):
+                    _anchor(m)
+                anchors = groups.setdefault(id(shape), (shape.chirality_class == R_LIKE, shape.cells, []))[2]
+            anchors.append(a)
+        boards = _boards(list(groups.values()))
+        if boards is None:
+            occupancy: dict[Cell, int] = {}
             for i, m in enumerate(mols):
                 for cell in m.cells():
-                    j = occupancy.get(cell)
-                    if j is not None:
+                    j = occupancy.setdefault(cell, i)
+                    if j != i:
                         raise OverlapError(cell, j, i)
-                    occupancy[cell] = i
         self.molecules = mols
-        self._occupancy = occupancy
-        self._boards = None
-
-    def _cells_boards(self) -> list[tuple]:
-        """The boards of the molecules, a group per shape, built on first read."""
-        if self._boards is None:
-            groups: dict[int, tuple] = {}
-            shape = None
-            for m in self.molecules:
-                if m.shape is not shape:  # molecules mostly come in runs of one shape
-                    shape = m.shape
-                    anchors = groups.setdefault(id(shape), (shape.chirality_class == R_LIKE, shape.cells, []))[2]
-                anchors.append(m.anchor)
-            self._boards = _boards(list(groups.values()))
-        return self._boards
+        self._occupancy = None
+        self._boards = boards
 
     @property
     def occupancy(self) -> Mapping[Cell, int]:
+        """Every occupied cell and the index of its molecule, in molecule
+        and then shape-cell order; a dict built on first read."""
+        if self._occupancy is None:
+            self._occupancy = {cell: i for i, m in enumerate(self.molecules) for cell in m.cells()}
         return self._occupancy
 
     def __len__(self) -> int:
@@ -470,30 +469,37 @@ def validate(molecules: Iterable[Molecule]) -> Configuration:
 # Energies
 # -------------------------------------------------------------------
 
-def _boards(groups: list[tuple[int, tuple[Cell, ...], list[Cell]]]) -> list[tuple]:
+def _boards(groups: list[tuple[int, tuple[Cell, ...], list[Cell]]]) -> list[tuple] | None:
     """Boards of the cells translated by the offsets of each (layer, cells,
-    offsets) group.  A board (x0, y0, height, width, layers, own) spans its
-    cells' box and an empty rim: bit (a - x0) * height + b - y0 of
-    layers[k] marks cell (a, b) in layer 0 (S-like) or 1 (R-like), so a
-    shift by 1 or height moves a bit onto a neighbour's, never across a
-    line.  It counts the cells in its `own` ranges ((xlo, xhi), (ylo, yhi))
-    and holds every translate with a cell in or next to them.  A box of
-    more than 64 bits a cell, plus 64 x 64, is halved across its longer
-    side until none is, however far apart the cells lie."""
+    offsets) group, or None if two translates share a cell.  A board (x0,
+    y0, height, width, layers, own) spans its cells' box and an empty rim:
+    bit (a - x0) * height + b - y0 of layers[k] marks cell (a, b) in layer
+    0 (S-like) or 1 (R-like), so a shift by 1 or height moves a bit onto a
+    neighbour's, never across a line.  It counts the cells in its `own`
+    ranges ((xlo, xhi), (ylo, yhi)) and holds every translate with a cell
+    in or next to them, so two translates that share a cell share the board
+    that owns it.  A box of more than 64 bits a cell, plus 64 x 64, is
+    halved across its longer side until none is, however far apart the
+    cells lie."""
     boards, parts = [], [(groups, None)]
     while parts:
         groups, own = parts.pop()
-        spans = []
+        if not groups:
+            continue
+        spans, held = [], 0
         for _, cells, offsets in groups:
             (px, py), (dx, dy) = zip(*offsets), zip(*cells)
             spans.append((min(px) + min(dx), min(py) + min(dy), max(px) + max(dx), max(py) + max(dy)))
-        if not spans:
-            continue
-        x0, y0 = (min(span[k] for span in spans) - 1 for k in (0, 1))
-        width, height = (max(span[k] for span in spans) + 2 - low for k, low in ((2, x0), (3, y0)))
+            held += len(cells) * len(offsets)
+        xlo, ylo, xhi, yhi = zip(*spans)
+        x0, y0 = min(xlo) - 1, min(ylo) - 1
+        width, height = max(xhi) + 2 - x0, max(yhi) + 2 - y0
         own = own or ((x0, x0 + width), (y0, y0 + height))
-        if width * height <= 64 * (sum(len(cells) * len(offsets) for _, cells, offsets in groups) + 64):
-            boards.append(_build_board(groups, x0, y0, height, width, own))
+        if width * height <= 64 * (held + 64):
+            board = _build_board(groups, x0, y0, height, width, own)
+            if board is None:
+                return None
+            boards.append(board)
             continue
         # the box juts out of `own` by at most 4 cells and spans more than
         # 64 on this axis, so its middle line is well inside `own`
@@ -509,22 +515,27 @@ def _boards(groups: list[tuple[int, tuple[Cell, ...], list[Cell]]]) -> list[tupl
     return boards
 
 
-def _build_board(groups: list, x0: int, y0: int, height: int, width: int, own) -> tuple:
-    """The board of the groups over the box at (x0, y0).  A group's offsets
-    are one numeral that `int` reads once, shifted once per cell: linear in
-    cells."""
-    n = width * height
-    layers = [0, 0]
+def _build_board(groups: list, x0: int, y0: int, height: int, width: int, own) -> tuple | None:
+    """The board of the groups over the box at (x0, y0), or None if it
+    holds fewer cells than its translates have, four each.  A group's
+    offsets are set as bits of one byte string that `int.from_bytes` reads
+    once, shifted once per cell: linear in cells."""
+    size = width * height + 7 >> 3
+    layers, cells_held = [0, 0], 0
     for layer, cells, offsets in groups:
         shifts = [c * height + r for c, r in cells]
         low = min(shifts)
-        top = n - 1 + x0 * height + y0 - low  # the numeral's last character is bit 0
-        numeral = bytearray(b"0") * n
+        base = x0 * height + y0 - low  # bit k - base is the translate's lowest cell
+        bits = bytearray(size)
         for a, b in offsets:
-            numeral[top - a * height - b] = 49  # "1" at the translate's lowest cell
-        translates = int(numeral, 2)
+            k = a * height + b - base
+            bits[k >> 3] |= 1 << (k & 7)
+        translates = int.from_bytes(bits, "little")
         for shift in shifts:
             layers[layer] |= translates << shift - low
+        cells_held += len(shifts) * len(offsets)
+    if (layers[0] | layers[1]).bit_count() != cells_held:
+        return None
     return x0, y0, height, width, tuple(layers), own
 
 
@@ -598,7 +609,7 @@ def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, 
     """
     unit = 1 if window.is_plane else window._cuts[0]
     lengths = [0, 0]
-    for board in config._cells_boards():
+    for board in config._boards:
         height, (s_like, r_like) = board[2], board[4]
         inside, mine, lines = _window_bits(board, window)
         vacant = inside & ~(s_like | r_like)
@@ -643,7 +654,7 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
     unit, covered = window._cuts[0], 0
-    for board in config._cells_boards():
+    for board in config._boards:
         _, mine, lines = _window_bits(board, window)
         covered += covered_area((board[4][0] | board[4][1]) & mine, lines, unit)
     return window.side ** 2 - Fraction(covered, unit * unit)

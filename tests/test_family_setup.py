@@ -772,8 +772,8 @@ def test_pattern_upper_bound_prices_each_candidate_on_the_set_up_masks(monkeypat
 def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
     # no solve builds a Window: Q_T is read as integer cell ranges; and a
     # solve that certifies at the root masks no cell list, as a grid has no
-    # cell-list mask (the tests' is `grid_mask`), and reads the cells of
-    # each molecule once, when it validates its result
+    # cell-list mask (the tests' is `grid_mask`), and reads no molecule's
+    # cells, as its result is validated on the boards of its shapes
     assert not hasattr(PlacementGrid, "mask")
     calls = {"cells": 0, "window": 0}
     cells, window = Molecule.cells, Window.__init__
@@ -798,6 +798,6 @@ def test_root_certified_solve_makes_no_per_cell_pass(monkeypatch):
         assert calls["window"] == 0, prob
         if res.nodes_explored == 0:
             assert res.certificate == "exact", prob
-            assert calls == {"cells": len(res.config.molecules), "window": 0}, prob
+            assert calls == {"cells": 0, "window": 0}, prob
             certified += 1
     assert certified > 20

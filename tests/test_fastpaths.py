@@ -423,34 +423,16 @@ def test_cut_lines_are_priced_once(monkeypatch):
         monkeypatch.setattr(Window, "_clip", recording)
 
 
-class CountedOccupancy(dict):
-    """An occupancy that records each cell it is asked about."""
-
-    def __init__(self, occupancy):
-        super().__init__(occupancy)
-        self.reads = []
-
-    def __contains__(self, cell):
-        self.reads.append(cell)
-        return super().__contains__(cell)
-
-    def __getitem__(self, cell):
-        self.reads.append(cell)
-        return super().__getitem__(cell)
-
-    def get(self, cell, default=None):
-        self.reads.append(cell)
-        return super().get(cell, default)
-
-
 def test_energy_work_guard(monkeypatch):
-    """The three energies on one configuration build its board once and
-    look up no cell of its occupancy; `decompose` on the eps = 1/64 seam
-    builds the configuration's board once and looks up no cell of its
-    occupancy, and a second `decompose` and a later `perimeter` on it build
-    none.  Boards take at most 64 bits a cell plus 64 x 64 bits each,
-    however far apart the cells lie: two molecules 10^5 apart, whose box
-    has 10^10 cells, are read in less than 100 kB of traced memory."""
+    """Validation builds a configuration's board once, and the three
+    energies read it and build none; `decompose` on the eps = 1/64 seam,
+    twice, and a later `perimeter` on it build none either.  None of them
+    builds the occupancy dict, and validating that seam traces less than
+    3 MB, where a dict over its 74k cells held about 9 MiB.  Boards take at
+    most 64 bits a cell plus 64 x 64 bits each, however far apart the cells
+    lie: two molecules 10^5 apart, whose box has 10^10 cells, are validated
+    and read in less than 100 kB of traced memory."""
+    mols16, mols64, drop = seam(16), seam(64), droplet(F(1, 32))
     builds = []
 
     def counted(groups, x0, y0, height, width, own):
@@ -459,29 +441,16 @@ def test_energy_work_guard(monkeypatch):
 
     build = molecules._build_board
     monkeypatch.setattr(molecules, "_build_board", counted)
-    config = validate(seam(16))
-    config._occupancy = occ = CountedOccupancy(config.occupancy)
+    config = validate(mols16)
+    assert [cells for cells, _ in builds] == [4 * len(config)]
     window = Window.square(F(193, 3), (F(1, 2), F(-2, 7)))
     for _ in range(2):
         perimeter(config)
         perimeter(config, window)
         weighted_perimeter(config, 1, F(1, 4), window)
         volume_deficit(config, window)
-    assert [cells for cells, _ in builds] == [4 * len(config)] and occ.reads == []
+    assert len(builds) == 1 and config._occupancy is None
 
-    builds.clear()
-    sc = ScaledConfiguration(F(1, 64), validate(seam(64)))
-    sc.config._occupancy = occ = CountedOccupancy(sc.config.occupancy)
-    decompose(sc, Window.square(4))
-    assert [cells for cells, _ in builds] == [4 * len(sc.config)] and occ.reads == []
-    builds.clear()
-    decompose(sc, Window.square(4))
-    perimeter(sc.config, window)
-    assert builds == [] and occ.reads == []
-
-    # sparse: two molecules 10^5 apart and a diagonal staircase of 2,000
-    # molecules in a box 6,000 cells square; and the curved seam of a
-    # droplet, read by `decompose`
     def bounded(read) -> int:
         builds.clear()
         tracemalloc.start()
@@ -491,27 +460,39 @@ def test_energy_work_guard(monkeypatch):
         assert sum(area for _, area in builds) <= 64 * sum(cells + 64 for cells, _ in builds), builds
         return peak
 
-    far = validate([Molecule(R, (0, 0)), Molecule(S, (100_000, 100_000))])
-    assert bounded(lambda: volume_deficit(far, Window.square(200_010, (50_000, 50_000)))) < 100_000
+    sc = ScaledConfiguration(F(1, 64), validate(mols64))
+    assert bounded(lambda: validate(mols64)) < 3_000_000
+    assert [cells for cells, _ in builds] == [4 * len(sc.config)]
+    builds.clear()
+    decompose(sc, Window.square(4))
+    decompose(sc, Window.square(4))
+    perimeter(sc.config, window)
+    assert builds == [] and sc.config._occupancy is None
+
+    # sparse: two molecules 10^5 apart and a diagonal staircase of 2,000
+    # molecules in a box 6,000 cells square, each validated and read; and
+    # the curved seam of a droplet, validated and read by `decompose`
+    far = [Molecule(R, (0, 0)), Molecule(S, (100_000, 100_000))]
+    assert bounded(lambda: volume_deficit(validate(far), Window.square(200_010, (50_000, 50_000)))) < 100_000
     assert len(builds) == 2
-    stair = validate([Molecule(R, (3 * i, 3 * i)) for i in range(2000)])
-    assert bounded(lambda: perimeter(stair)) < 1_000_000
+    stair = [Molecule(R, (3 * i, 3 * i)) for i in range(2000)]
+    assert bounded(lambda: perimeter(validate(stair))) < 1_000_000
     assert sum(cells for cells, _ in builds) < 2 * 8000
-    sc = droplet(F(1, 32))
-    bounded(lambda: decompose(sc, Window.square(4)))
-    assert builds and sum(cells for cells, _ in builds) == 4 * len(sc.config)
+    bounded(lambda: decompose(ScaledConfiguration(drop.epsilon, validate(drop.config.molecules)), Window.square(4)))
+    assert builds and sum(cells for cells, _ in builds) == 4 * len(drop.config)
 
 
-def test_threads_racing_for_the_board_read_equal_energies():
-    # a configuration fills its board slot on its first energy read; eight
+def test_threads_racing_for_the_occupancy_read_equal_energies():
+    # a configuration fills its occupancy slot on its first read; eight
     # threads reading one fresh configuration at once may each build the
-    # board, and every thread reads the energies of a lone reader
+    # dict, and every thread reads the occupancy and energies of a lone
+    # reader
     window = Window.square(F(193, 3), (F(1, 2), F(-2, 7)))
     mols = seam(16)
 
     def read(config):
-        return (perimeter(config), weighted_perimeter(config, 1, F(1, 4), window),
-                volume_deficit(config, window))
+        return (list(config.occupancy.items()), perimeter(config),
+                weighted_perimeter(config, 1, F(1, 4), window), volume_deficit(config, window))
 
     expected = read(validate(mols))
     interval = sys.getswitchinterval()

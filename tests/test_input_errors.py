@@ -121,6 +121,8 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: verify_interior_phase(_COVERED, (0, 0), 4.0), "invalid k 4.0: expected an integer"),
         (lambda: verify_interior_phase(_COVERED, (0, 0, 0), 4), "centre must be a pair"),
         (lambda: verify_interior_phase(_COVERED, 0, 4), "centre must be a pair"),
+        (lambda: verify_interior_phase([Molecule(R, (0, 0))], (0, 0), 4),
+         "config must be a Configuration, not list"),
         (lambda: lemma_check(4, inner_margin=4.0), "invalid inner margin 4.0"),
         (lambda: lemma_check(4, inner_margin=True), "invalid inner margin True"),
         # library coordinates are exact: no float, no bool
@@ -159,6 +161,10 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: validate([Molecule(R, (0, 0)), Molecule(R, (0, 0, 0))]),
          "invalid anchor \\(0, 0, 0\\): expected a pair"),
         (lambda: validate([Molecule("R", (0, 0))]), "invalid molecule shape 'R'"),
+        # every entry is a Molecule, named by its index when it is not
+        (lambda: validate([1]), "molecule #0 is not a Molecule: 1"),
+        (lambda: Configuration([Molecule(R, (0, 0)), (R, (9, 0))]),
+         "molecule #1 is not a Molecule: \\(MoleculeShape"),
         # a Configuration built directly validates its molecules as `validate` does
         (lambda: perimeter(Configuration([Molecule(R, (0.5, 0))])),
          "invalid anchor coordinate 0.5: expected an integer"),

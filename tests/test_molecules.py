@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from chiralattice.altpairs import FLAT_PAIR, SKEW_PAIR
 from chiralattice.molecules import (
     InvalidInput,
     Molecule,
@@ -95,39 +96,84 @@ def _overlap(build, mols):
     return err.value.cell, err.value.index_a, err.value.index_b
 
 
-def test_validate_matches_the_per_cell_walk():
-    # on seeded random molecule lists the one-dict occupancy equals the
-    # walk's, item by item; with a repeated molecule, or a molecule that
-    # clashes with the first or is the last one, both raise at the same
-    # cell with the same two indices
-    rng = random.Random(13)
+def _agree(mols) -> bool:
+    """validate and ref_validate agree on mols: both raise OverlapError at
+    the same cell with the same two indices, or validate keeps the same
+    molecules, builds no occupancy until it is read, and then reads the
+    walk's, item by item.  True when mols are disjoint."""
+    try:
+        ref_mols, ref_occupancy = ref_validate(mols)
+    except OverlapError as err:
+        assert _overlap(validate, mols) == (err.cell, err.index_a, err.index_b)
+        return False
+    got = validate(mols)
+    assert got.molecules == ref_mols and got._occupancy is None
+    assert list(got.occupancy.items()) == list(ref_occupancy.items())
+    return True
 
-    def clash(m):
+
+def _split_lines(config) -> set[tuple[int, int]]:
+    """(axis, k) for each line k on which the `own` ranges of two of the
+    configuration's boards meet."""
+    owns = [board[5] for board in config._boards]
+    lines = set()
+    for axis in (0, 1):
+        ends = {end for own in owns for end in own[axis]}
+        lines |= {(axis, k) for k in ends - {min(ends), max(ends)}}
+    return lines
+
+
+def test_validate_matches_the_per_cell_walk():
+    # on seeded random molecule lists, of R and S, of the alternative pairs
+    # and a user shape, and of two clusters 10^5 apart whose box is split
+    # across boards, the board-checked verdict, its OverlapError and the
+    # occupancy built on first read equal the per-cell walk's; so do lists
+    # with a repeated molecule, a clash with the first or at the last, and
+    # a clash on the line where two boards meet
+    rng = random.Random(13)
+    tee = MoleculeShape("T", ((0, 0), (1, 0), (2, 0), (1, 1)), "S-like")
+    mixes = [(R, S), (*FLAT_PAIR, *SKEW_PAIR, tee)]
+
+    def clash(m, shapes):
         """A molecule sharing a cell with m."""
-        shape = rng.choice((R, S))
+        shape = rng.choice(shapes)
         (a, b), (c, r) = rng.choice(m.cells()), rng.choice(shape.cells)
         return Molecule(shape, (a - c, b - r))
 
-    raised = 0
-    for _ in range(300):
-        mols = list(random_configuration(rng, 30).molecules)
+    raised = split = 0
+    for n in range(400):
+        shapes = mixes[n % 2]
+        mols = list(random_configuration(rng, 30, shapes).molecules)
+        if n % 4 >= 2:  # a second cluster 10^5 away on one axis or both
+            dx, dy = rng.choice(((100_000, 0), (0, 100_000), (100_000, 100_000)))
+            far = random_configuration(rng, 30, shapes).molecules
+            mols += [Molecule(m.shape, (m.anchor[0] + dx, m.anchor[1] + dy)) for m in far]
         rng.shuffle(mols)
-        got = validate(mols)
-        ref_mols, ref_occupancy = ref_validate(mols)
-        assert got.molecules == ref_mols
-        assert list(got.occupancy.items()) == list(ref_occupancy.items())
+        assert _agree(mols)
         if not mols:
             continue
         k = rng.randrange(len(mols))
         at = rng.randrange(len(mols) + 1)
-        for bad in (
+        bads = [
             [*mols[:at], mols[k], *mols[at:]],  # a repeated molecule
-            [mols[0], *mols[1:at], clash(mols[0]), *mols[at:]],  # a clash with the first
-            [*mols, clash(rng.choice(mols))],  # a clash at the last
-        ):
-            assert _overlap(validate, bad) == _overlap(ref_validate, bad)
+            [mols[0], *mols[1:at], clash(mols[0], shapes), *mols[at:]],  # a clash with the first
+            [*mols, clash(rng.choice(mols), shapes)],  # a clash at the last
+        ]
+        lines = _split_lines(validate(mols))
+        if lines:
+            # an R across the line where two boards meet, amid the
+            # configuration's box, with a clash or a copy of it
+            axis, k = rng.choice(sorted(lines))
+            mid = (min(m.anchor[1 - axis] for m in mols) + max(m.anchor[1 - axis] for m in mols)) // 2
+            across = Molecule(R, (k - 1, mid) if axis == 0 else (mid, k - 1))
+            if _agree([*mols, across]):
+                assert (axis, k) in _split_lines(validate([*mols, across]))
+                split += 1
+                bads += [[*mols[:at], across, *mols[at:], bad] for bad in (across, clash(across, shapes))]
+        for bad in bads:
+            assert not _agree(bad)
             raised += 1
-    assert raised > 600
+    assert raised > 1000 and split > 100
 
 
 def test_validate_interlocking_pair():
