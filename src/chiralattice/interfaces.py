@@ -45,9 +45,9 @@ builds `Fraction`s for its result alone.
 The solver and the pattern library share one set-up (`_set_up`) on Q_T
 read as an integer cell range (`_window_cells`), with no `Window`, and one
 grid numbering Q_T in the scan order's orientation: the family, read off
-the patterns' anchor columns (`pattern_columns`) with each column cut
-once by the reach inequality and its members built column by column, in
-family order with no sort, each member a mask; the forced part, the
+the patterns' anchor columns cut by each phase's half-plane
+(`pattern_columns`) and built column by column, in family order with no
+sort, each member a mask; the forced part, the
 members whose masks meet the frame; the free zone, as a mask; and the
 glued family, the forced part plus the members lying in the free zone,
 whose occupancy tells whether they overlap.  The glued family is the
@@ -250,41 +250,20 @@ def _family_members(i: int, j: int, nu: Direction, cells: tuple[range, range]) -
 
     A phase-i molecule belongs when it meets {x . nu > 2} and a phase-j
     molecule when it meets {x . nu < -2}, with nu used as the unit vector
-    (p, q)/sqrt(p^2+q^2).  The extreme of x . nu over a molecule's closed
-    cells is p a + q b at its anchor (a, b) plus a reach that depends on the
-    shape alone (over its cell offsets and the unit cell), and it must
-    exceed 2 |nu|, so the integer p a + q b + reach must reach
-    isqrt(4 (p^2 + q^2)) + 1.  The anchors come from the pattern's columns
-    (`pattern_columns`); in each column that inequality is linear in b, so
-    it cuts the column's range once, and only members are built, column by
-    column.  Each phase's columns come in anchor order, so no sort is
-    needed: two phases of different shapes are joined in name order, and
-    two of one shape, whose columns are the same, are merged column by
-    column by b.
+    (p, q)/sqrt(p^2+q^2).  Over a molecule's closed cells p x + q y is an
+    integer at its extreme, so it exceeds 2 |nu| iff it exceeds
+    isqrt(4 (p^2 + q^2)): each phase is `pattern_columns` cut by that
+    half-plane, with (p, q) negated for phase j.  Each phase's columns come
+    in anchor order, so no sort is needed: two phases of different shapes
+    are joined in name order, and two of one shape, whose columns are the
+    same, are merged column by column by b.
     """
     p, q = nu.p, nu.q
-    least = math.isqrt(4 * (p * p + q * q)) + 1  # the least integer above 2 |nu|
-    runs = []  # (shape, [(a, bs), ...]) for each phase, in anchor order
-    for lab, sign in ((i, 1), (j, -1)):
-        if lab == 0:
-            continue
-        shape = phase_shape(lab)
-        sp, sq = sign * p, sign * q
-        # sign * x . nu at its extreme over the phase's shape anchored at 0
-        reach = max(sp * c + sq * r for c, r in shape.cells) + max(sp, 0) + max(sq, 0)
-        columns = []
-        for a, bs in pattern_columns(lab, cells):
-            need = least - reach - sp * a  # a member has sq * b >= need
-            if sq > 0:
-                lo = -(-need // sq)  # the least b with sq * b >= need
-                bs = bs[max(0, -((bs.start - lo) // 4)):]
-            elif sq < 0:
-                hi = need // sq  # the greatest b with sq * b >= need
-                bs = bs[:max(0, (hi - bs.start) // 4 + 1)]
-            elif need > 0:
-                bs = bs[:0]
-            columns.append((a, bs))
-        runs.append((shape, columns))
+    c = math.isqrt(4 * (p * p + q * q))
+    runs = [  # (shape, [(a, bs), ...]) for each phase, in anchor order
+        (phase_shape(lab), pattern_columns(lab, cells, (sign * p, sign * q, c)))
+        for lab, sign in ((i, 1), (j, -1)) if lab != 0
+    ]
     if len(runs) == 2:
         (first, ours), (second, theirs) = runs
         if first is second:

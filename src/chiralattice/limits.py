@@ -140,13 +140,14 @@ class PolygonalPartition:
     @classmethod
     def from_jsonable(cls, data) -> "PolygonalPartition":
         """Decode a partition file, {"window": polygon | null, "regions":
-        {label: [polygon, ...]}}, a polygon being a list of [x, y] points
-        whose coordinates are integers or rational strings."""
+        {label: [polygon, ...]}}, a label being a key of ASCII digits, 0..8,
+        and a polygon a list of [x, y] points whose coordinates are
+        integers or rational strings."""
         if not isinstance(data, dict) or not isinstance(data.get("regions"), dict):
             raise InvalidPartition('a partition is an object with a "regions" object')
         window = data.get("window")
         return cls(
-            regions=decode_regions(int, _points, data["regions"]),
+            regions=decode_regions(_points, data["regions"]),
             window=None if window is None else decode_entry("window", _points, window),
         )
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -140,13 +141,24 @@ def decode_list(what: str, decode: Callable, data) -> list:
     return [decode_entry(f"{what} entry {n}", decode, entry) for n, entry in enumerate(data)]
 
 
-def decode_regions(label: Callable, decode: Callable, data: dict) -> dict:
-    """{label(key): [decode(entry), ...]} over a JSON object of labelled
-    lists, naming the key or entry that fails; two keys that decode to one
-    label, such as "1" and "01", raise InvalidInput."""
+def _region_label(key) -> int:
+    """A region label key: ASCII digits of a value in 0..8.  A leading "-"
+    reads as a sign, so "-1" is out of range rather than malformed."""
+    if type(key) is not str or not re.fullmatch("-?[0-9]+", key):
+        raise InvalidInput(f"label {key!r} is not a string of ASCII digits")
+    lab = key.lstrip("0") or "0"  # one digit when in range, read without `int`
+    if len(lab) > 1 or lab == "9":
+        raise InvalidInput(f"label {key} out of range 0..8")
+    return int(lab)
+
+
+def decode_regions(decode: Callable, data: dict) -> dict:
+    """{label: [decode(entry), ...]} over a JSON object of lists keyed by
+    region labels 0..8, naming the key or entry that fails; two keys that
+    decode to one label, such as "1" and "01", raise InvalidInput."""
     out: dict = {}
     for key, entries in data.items():
-        lab = decode_entry("region label", label, key)
+        lab = decode_entry("region label", _region_label, key)
         if lab in out:
             raise InvalidInput(f"region label {lab} is repeated (key {key!r})")
         out[lab] = decode_list(f"region {key}", decode, entries)
@@ -664,46 +676,52 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
 # The striped zero-energy patterns
 # -------------------------------------------------------------------
 
-def pattern_columns(i: int, cells: tuple[range, range]) -> list[tuple[int, range]]:
-    """The anchors of the phase-i molecules with a cell in xs x ys, for the
-    integer cell ranges cells = (xs, ys), xs not empty, column by column:
-    (a, bs) for each anchor column a in increasing order, with the
-    molecules (phase_shape(i), (a, b)) for b in bs.
+def pattern_columns(
+    i: int, cells: tuple[range, range], cut: tuple[int, int, int] = (0, 0, -1)
+) -> list[tuple[int, range]]:
+    """The anchors of the phase-i molecules with a cell in xs x ys that meet
+    the open half-plane {p x + q y > c}, for cells = (xs, ys) and cut =
+    (p, q, c), column by column: (a, bs) for each anchor column a in
+    increasing order, with the molecules (phase_shape(i), (a, b)) for b in
+    bs.  The default cut is the whole plane; an empty xs or ys gives [].
 
-    This is the one statement of the stripe geometry.  Each column's anchors
-    form one range of step 4: the label of anchor (a, b) is, mod 4, its
-    label at the origin plus one per row and `step` per column, read off
-    `phase_label`; and the shape's rows whose cells fall in a cell column
-    are contiguous, so the anchors meeting the cells are consecutive.  In
-    an interior column every cell of the shape falls in xs, so the interior
-    columns share one span of anchors, which `step` cuts into four ranges
-    taken in turn; only the edge columns, which the shape overhangs, are
-    worked out one by one.
+    This is the one statement of the stripe geometry and of its cut.  Each
+    column's anchors form one range of step 4, bounded by the box (the
+    shape's rows in a cell column are contiguous, and the inner columns,
+    which hold the whole shape, share those bounds), then by the cut (over
+    a molecule's closed cells p x + q y peaks at p a + q b plus the
+    shape's reach), then aligned to the column's residue: the label of
+    (a, b) is, mod 4, its label at the origin plus one per row and `step`
+    per column, read off `phase_label`.
     """
     xs, ys = cells
+    if not xs or not ys:
+        return []
+    p, q, c = cut
     shape = phase_shape(i)
     origin = phase_label(Molecule(shape, (0, 0)))
     step = phase_label(Molecule(shape, (1, 0))) - origin
-
-    def rows(a: int, dys: list[int]) -> range:
-        first = ys.start - max(dys)
-        return range(first + (i - origin - step * a - first) % 4, ys.stop - min(dys), 4)
-
-    def edge(a: int) -> tuple[int, range]:
-        return a, rows(a, [r for c, r in shape.cells if a + c in xs])
-
-    dxs = [c for c, _ in shape.cells]
-    dys = [r for _, r in shape.cells]
-    start, stop = xs.start - max(dxs), xs.stop - min(dxs)  # every column
-    # the interior columns, none when xs is narrower than the shape
-    mid_start = min(xs.start - min(dxs), stop)
-    mid_stop = max(xs.stop - max(dxs), mid_start)
-    interior = [rows(a, dys) for a in range(4)]  # by a mod 4
-    return [
-        *map(edge, range(start, mid_start)),
-        *((a, interior[a % 4]) for a in range(mid_start, mid_stop)),
-        *map(edge, range(mid_stop, stop)),
-    ]
+    dxs = [dx for dx, _ in shape.cells]
+    dys = [dy for _, dy in shape.cells]
+    reach = max(p * dx + q * dy for dx, dy in shape.cells) + max(p, 0) + max(q, 0)
+    inner = range(xs.start - min(dxs), xs.stop - max(dxs))
+    rows = ys.start - max(dys), ys.stop - min(dys)
+    columns = []
+    for a in range(xs.start - max(dxs), xs.stop - min(dxs)):
+        if a in inner:
+            lo, hi = rows
+        else:
+            col = [dy for dx, dy in shape.cells if a + dx in xs]
+            lo, hi = ys.start - max(col), ys.stop - min(col)
+        need = c - reach - p * a  # a molecule meets the cut iff q b > need
+        if q > 0:
+            lo = max(lo, need // q + 1)
+        elif q < 0:
+            hi = min(hi, -(need // -q))
+        elif need >= 0:
+            hi = lo
+        columns.append((a, range(lo + (i - origin - step * a - lo) % 4, hi, 4)))
+    return columns
 
 
 def phase_pattern(i: int, window: Window) -> Configuration:

@@ -74,20 +74,14 @@ def rects_to_jsonable(region: Sequence[Rect]) -> list[list[str]]:
     return [[str(v) for v in r] for r in region]
 
 
-def _label(lab) -> int:
-    lab = int(lab)
-    if not 0 <= lab <= 8:
-        raise InvalidInput(f"label {lab} out of range 0..8")
-    return lab
-
-
 def regions_from_jsonable(data) -> dict[int, list[Rect]]:
     """Decode {label: [[x0, y0, x1, y1], ...]}, the regions `decompose`
-    reports; labels are 0..8 and coordinates integers or rational strings."""
+    reports; labels are keys of ASCII digits, 0..8, and coordinates
+    integers or rational strings."""
     if not isinstance(data, dict):
         raise InvalidInput(f"regions: expected a JSON object, not {type(data).__name__}")
 
     def row(r) -> Rect:
         return rect(*[json_rational("coordinate", v) for v in r])
 
-    return decode_regions(_label, row, data)
+    return decode_regions(row, data)

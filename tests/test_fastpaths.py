@@ -591,6 +591,44 @@ def test_pattern_columns_match_the_per_column_loop():
     assert checked == 864
 
 
+def ref_cut_anchors(i: int, cells, cut) -> list[tuple[int, int]]:
+    """The per-molecule brute force of `pattern_columns` under a cut: every
+    phase-i anchor near the box whose molecule has a cell in the box and a
+    closed-cell corner (x, y) with p x + q y > c, in anchor order."""
+    xs, ys = cells
+    p, q, c = cut
+    shape = phase_shape(i)
+    out = []
+    for a in range(xs.start - 3, xs.stop + 3):
+        for b in range(ys.start - 3, ys.stop + 3):
+            m = Molecule(shape, (a, b))
+            if phase_label(m) != i or not any(x in xs and y in ys for x, y in m.cells()):
+                continue
+            if any(p * (x + dx) + q * (y + dy) > c for x, y in m.cells() for dx in (0, 1) for dy in (0, 1)):
+                out.append((a, b))
+    return out
+
+
+def test_pattern_columns_cut_matches_the_per_molecule_brute_force():
+    # random boxes, some narrower than the shape and some empty, under the
+    # default cut and under random cuts with |p|, |q| <= 5, non-primitive
+    # normals and q = 0 among them, and c on both sides of the box
+    rng = random.Random(21)
+    normals = [(p, q) for p in range(-5, 6) for q in range(-5, 6) if (p, q) != (0, 0)]
+    for _ in range(300):
+        x0, y0 = rng.randint(-12, 12), rng.randint(-12, 12)
+        cells = (range(x0, x0 + rng.choice((0, 1, 2, 3, 7, 12))), range(y0, y0 + rng.choice((0, 1, 2, 4, 9))))
+        p, q = rng.choice(normals)
+        corners = [p * x + q * y for x in (x0 - 4, x0 + 16) for y in (y0 - 4, y0 + 13)]
+        for i in range(1, 9):
+            for cut in ((0, 0, -1), (p, q, rng.randint(min(corners), max(corners)))):
+                got = pattern_columns(i, cells, cut)
+                assert [(a, b) for a, bs in got for b in bs] == ref_cut_anchors(i, cells, cut), (i, cells, cut)
+                assert all(bs.step == 4 for _, bs in got)
+                if not cells[0] or not cells[1]:
+                    assert got == []
+
+
 def test_outer_clip_matches_the_window():
     # the clip of Q_T's outer lines is the Fraction window's, on both axes
     # and at both ends, and the next line is whole; in the units of
@@ -644,6 +682,18 @@ def test_family_members_every_pair_on_off_grid_windows():
         nu = direction(*rng.choice(FAMILY_DIRECTIONS))
         got = _family_members(i, j, nu, window.cell_range())
         assert got == ref_family_members(i, j, nu, window)
+    # and every pair with every primitive normal |p|, |q| <= 3 on Q_13,
+    # whose boundary halves its outer cells, against the cell sweep's
+    # molecules of each phase, swept once and tested one by one
+    normals = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if math.gcd(p, q) == 1]
+    window = Window.square(13)
+    swept = {lab: ref_phase_pattern(lab, window) for lab in range(1, 9)}
+    for i, j in pairs:
+        for p, q in normals:
+            nu = direction(p, q)
+            want = [m for lab in {i, j} - {0} for m in swept[lab] if in_boundary_family(m, i, j, nu)]
+            want.sort(key=lambda m: (m.shape.name, m.anchor))
+            assert _family_members(i, j, nu, window.cell_range()) == want, (i, j, nu)
 
 
 # -------------------------------------------------------------------

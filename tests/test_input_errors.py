@@ -1,6 +1,7 @@
 """Library input errors: one InvalidInput type, raised by checks and decoders."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -232,6 +233,15 @@ def test_exact_weights_are_accepted():
          "region label 1 is repeated \\(key '01'\\)"),
         (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, 2, 2]], "01": [[5, 5, 6, 6]]}',
          "region label 1 is repeated \\(key '01'\\)"),
+        # a label key is ASCII digits: none of these is label 1
+        *((decode, f'{{"{key}": []}}', re.escape(f"region label: label '{key}' is not a string of ASCII digits"))
+          for decode in (lambda t: regions_from_jsonable(json.loads(t)),
+                         lambda t: PolygonalPartition.from_jsonable({"regions": json.loads(t)}))
+          for key in ("0_1", " 1", "+1", "\u0661", "1.0", "")),
+        (lambda t: PolygonalPartition.from_jsonable(json.loads(t)), '{"regions": {"9": []}}',
+         "region label: label 9 out of range 0..8"),
+        (lambda t: PolygonalPartition.from_jsonable(json.loads(t)), '{"regions": {"-1": []}}',
+         "region label: label -1 out of range 0..8"),
         # density rows: each field valid alone, the row not
         (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,1,-5,exact,3",
          "density row '1,0,0,1,8,surface,1,1,1,-5,exact,3': phi_hat -5 is not"),
@@ -316,3 +326,13 @@ def test_repeated_json_keys_exit_2(tmp_path, capsys, kind, text, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and "repeated JSON key" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_partition_label_keys_are_ascii_digits_on_the_command_line(tmp_path, capsys):
+    """`limit` on a partition keyed "0_1", which `int` reads as label 1, exits 2."""
+    path = tmp_path / "partition.json"
+    path.write_text(f'{{"window": {SQUARE}, "regions": {{"0_1": [{SQUARE}]}}}}')
+    assert main(["limit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: region label: label '0_1' is not a string of ASCII digits\n"
