@@ -88,30 +88,25 @@ def _tile_table(shape: MoleculeShape, tiles: tuple[range, range], stride: int) -
     """How a molecule of this shape meets the 4x4 tiles [4t-2, 4t+2)^2.
 
     The cell x + c lies in tile (x >> 2) + ((x & 3) + c + 2 >> 2), and alike
-    on the second axis, so the tiles a molecule meets, its cell count in
-    each and the label of a built-in molecule depend only on the shape and
-    the anchor mod 4.  Returns the anchor ranges [xa, xb) and [ya, yb) of
-    the molecules that meet the tile ranges and, per residue (x & 3) << 2 |
-    y & 3, the phase bit (32 << label, or 32 without a label) and each
-    tile's (offset, count).  An offset plus (x >> 2) * stride + (y >> 2)
-    indexes a flat array over the tile ranges with a spare tile on every
-    side, which holds every tile of such a molecule: an edge-connected
-    shape spans at most two tiles on each axis.
+    on the second axis, so the tiles a molecule meets and its cell count in
+    each depend only on the shape and the anchor mod 4.  Returns the anchor
+    ranges [xa, xb) and [ya, yb) of the molecules that meet the tile ranges
+    and, per residue (x & 3) << 2 | y & 3, each tile's (offset, count).  An
+    offset plus (x >> 2) * stride + (y >> 2) indexes a flat array over the
+    tile ranges with a spare tile on every side, which holds every tile of
+    such a molecule: an edge-connected shape spans at most two tiles on
+    each axis.
     """
     cols, rows = tiles
     origin = (1 - cols.start) * stride + 1 - rows.start
-    table = []
-    for a in range(4):
-        for b in range(4):
-            try:
-                bit = 32 << phase_label(Molecule(shape, (a, b)))
-            except UnlabeledShape:
-                bit = 32
-            counts = Counter(
-                ((a + c + 2) >> 2) * stride + ((b + r + 2) >> 2) + origin
-                for c, r in shape.cells
-            )
-            table.append((bit, tuple(counts.items())))
+    table = [
+        tuple(Counter(
+            ((a + c + 2) >> 2) * stride + ((b + r + 2) >> 2) + origin
+            for c, r in shape.cells
+        ).items())
+        for a in range(4)
+        for b in range(4)
+    ]
     xs = [c for c, _ in shape.cells]
     ys = [r for _, r in shape.cells]
     return (
@@ -119,22 +114,6 @@ def _tile_table(shape: MoleculeShape, tiles: tuple[range, range], stride: int) -
         4 * rows.start - 2 - max(ys), 4 * rows.stop - 2 - min(ys),
         table,
     )
-
-
-def _owner_phase(config: Configuration, n1: int, n2: int) -> int:
-    """The phase of the molecules meeting the 4-square about (n1, n2), read
-    from its cells' owners in cell order; raises where there is not one."""
-    occ = config.occupancy
-    owners = dict.fromkeys(
-        occ[a, b] for a in range(n1 - 2, n1 + 2) for b in range(n2 - 2, n2 + 2)
-    )
-    labels = {phase_label(config.molecules[idx]) for idx in owners}
-    if len(labels) != 1:
-        raise AssertionError(
-            f"full covering square at {(n1, n2)} carries phases "
-            f"{sorted(labels)}; the single-phase property failed"
-        )
-    return labels.pop()
 
 
 def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
@@ -170,9 +149,11 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     centred at n = 4m is made of the tiles m-1..m+1 in each axis and its
     concentric 4-square is the tile m, so a block's fill is a sum of nine
     tile counts, added up as three strips of three, and a full block reads
-    its phase off its centre tile.  Only a centre tile that is mixed or
-    holds a shape without a label sends its block back to the owners of its
-    16 cells, read in cell order, which raise the block scan's exception.
+    its phase off its centre tile.  The molecules meeting that tile are
+    those that own its cells, so a tile with several label bits raises the
+    single-phase AssertionError with those labels, and one holding a shape
+    without a label raises that shape's UnlabeledShape (with several such
+    shapes, that of the one met first in molecule order).
     The window tests and the continuum coordinates of the squares are
     computed once per column and once per row, so each block's rectangle
     is a plain tuple of the ends of its column and row.  The boundary
@@ -196,15 +177,24 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     tiles = range(cols[0][0] - 1, cols[-1][0] + 2), range(rows[0][0] - 1, rows[-1][0] + 2)
     stride = len(tiles[1]) + 2
     acc = [0] * ((len(tiles[0]) + 2) * stride)
-    # keyed by identity: `phase_label` labels only the built-in shape objects
+    # keyed by identity: `phase_label` labels only the built-in shape objects;
+    # a molecule's phase bit is 32 << its label, and each shape without a
+    # label takes its own bit above the labels' and keeps the error raised
     by_shape: dict[int, tuple] = {}
+    unlabelled: list[UnlabeledShape] = []
     shape = None
     for mol in config.molecules:
         if mol.shape is not shape:  # molecules mostly come in runs of one shape
             shape = mol.shape
             reach = by_shape.get(id(shape))
             if reach is None:
-                reach = by_shape[id(shape)] = _tile_table(shape, tiles, stride)
+                try:
+                    bits = [32 << phase_label(Molecule(shape, (a, b))) for a in range(4) for b in range(4)]
+                except UnlabeledShape as exc:
+                    bits = [32 << 9 + len(unlabelled)] * 16
+                    unlabelled.append(exc)
+                *ends, counts = _tile_table(shape, tiles, stride)
+                reach = by_shape[id(shape)] = (*ends, list(zip(bits, counts)))
             xa, xb, ya, yb, table = reach
         x, y = mol.anchor
         if xa <= x < xb and ya <= y < yb:
@@ -233,14 +223,18 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
                 regions[0].append(small)
                 continue
             # full 12-block: the unique phase of the molecules meeting the
-            # 4-square (single by the interior-phase property; checked), one
-            # phase bit unless the tile is mixed or holds a shape without a
-            # label, where the owner read raises as the block scan does
+            # 4-square (single by the interior-phase property; checked), the
+            # one bit of its centre tile
             bits = tile >> 5
-            if bits & (bits - 1) or bits & 1:
-                regions[_owner_phase(config, 4 * m1, 4 * m2)].append(small)
-            else:
-                regions[bits.bit_length() - 1].append(small)
+            if bits >> 9:  # a shape without a label: the lowest one met
+                raise unlabelled[(bits >> 9 & -(bits >> 9)).bit_length() - 1]
+            if bits & (bits - 1):
+                raise AssertionError(
+                    f"full covering square at {(4 * m1, 4 * m2)} carries phases "
+                    f"{[lab for lab in range(1, 9) if bits >> lab & 1]}; "
+                    "the single-phase property failed"
+                )
+            regions[bits.bit_length() - 1].append(small)
 
     return PhasePartitionApprox(
         epsilon=eps,

@@ -178,8 +178,8 @@ def consistency_check(
 
     Symmetry, sandwich, and triangle comparisons are exact rational
     checks; the Lipschitz screen compares unit-normalized values in
-    floating point against the closed form's slope bound and is reported,
-    not asserted.
+    floating point against the closed form's slope bound.  Every failure,
+    the screen's included, is a violation and clears the report's `ok`.
     """
     rows = list(records)
     rep = ConsistencyReport()
@@ -238,7 +238,7 @@ def consistency_check(
                             f"triangle: f({i},{j}) > f({i},{k}) + f({k},{j}) "
                             f"at T={T}: {v} > {vals[(i, k)]} + {vals[(k, j)]}"
                         )
-    # Lipschitz screen on unit-normalized values (float, reported only)
+    # Lipschitz screen on unit-normalized values (float; a violation like the rest)
     by_pair: dict[tuple, list[DensityRecord]] = {}
     for r in rows:
         by_pair.setdefault((r.i, r.j, r.T, r.energy_kind, r.c_R, r.c_S), []).append(r)

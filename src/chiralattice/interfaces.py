@@ -373,11 +373,6 @@ def _set_up(prob: InterfaceProblem) -> tuple:
     return members, forced, glued, placed, grid, occ_R, occ_S, free
 
 
-def frame_forced(prob: InterfaceProblem) -> Configuration:
-    """Family molecules meeting the frame: the forced part of any config."""
-    return validate(_set_up(prob)[1])
-
-
 def _matches_frame(config: Configuration, forced: Iterable[Molecule], T: int) -> bool:
     """Are the molecules of config meeting the frame exactly those of forced?"""
     meets = _frame_test(T)
@@ -389,9 +384,11 @@ def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
     """Exact frame matching: molecules meeting the frame are the family's.
 
     Equality (not mere containment) is required in both directions; the
-    interior is free.
+    interior is free.  The family's molecules meeting the frame are the
+    forced part of `_set_up`, which raises InfeasibleBoundary if they
+    overlap.
     """
-    return _matches_frame(config, frame_forced(prob).molecules, prob.T)
+    return _matches_frame(config, _set_up(prob)[1], prob.T)
 
 
 def _units(prob: InterfaceProblem) -> tuple[int, int, int]:
@@ -898,8 +895,8 @@ def pattern_upper_bound(
     its Q_T energy (`_q_t_energy`), an int in the unit of `_units`, and
     only the configuration returned is built, validated and checked
     against the frame.  Returns that energy and that admissible
-    configuration.  Raises InfeasibleBoundary exactly when `frame_forced`
-    does.
+    configuration.  Raises InfeasibleBoundary exactly when the family's
+    molecules meeting the frame overlap, as `_set_up` does.
     """
     prob = InterfaceProblem(i, j, nu, T, weights)
     # one family build serves every candidate and the admissibility check

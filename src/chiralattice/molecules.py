@@ -121,14 +121,17 @@ def json_rational(what: str, value) -> Fraction:
     """A JSON integer, a rational string such as "-3/8" or a Fraction; a
     float, bool or any other value raises InvalidInput naming `what`.
 
-    A string of ASCII digits with at most one leading "-" is read with
-    `int`, which accepts exactly what `Fraction` does there; any other
-    string goes through `Fraction`'s parser."""
+    A string n or n/d of ASCII digits, with at most one leading "-" on n,
+    is read with `int`, which accepts exactly what `Fraction` does there
+    and raises its ZeroDivisionError for d = 0; any other string goes
+    through `Fraction`'s parser."""
     if type(value) is not int and type(value) is not str and type(value) is not Fraction:
         raise InvalidInput(f"invalid {what} {value!r}: expected an integer or a rational string")
     try:
-        if type(value) is str and value.isascii() and (value[1:] if value[:1] == "-" else value).isdigit():
-            return Fraction(int(value))
+        if type(value) is str and value.isascii():
+            n, slash, d = value.partition("/")
+            if (n[1:] if n[:1] == "-" else n).isdigit() and (not slash or d.isdigit()):
+                return Fraction(int(n), int(d)) if slash else Fraction(int(n))
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"invalid {what} {value!r}: {exc}") from exc
@@ -234,8 +237,9 @@ class Molecule:
     anchor: Cell
 
     def cells(self) -> tuple[Cell, Cell, Cell, Cell]:
-        # unrolled: every shape has exactly four cells, and this is called
-        # for every molecule a set-up or validation looks at
+        # unrolled: every shape has exactly four cells, and the cell walks
+        # (the occupancy dict, the overlap report, the frame test) call it
+        # once per molecule
         ax, ay = self.anchor
         (c0, r0), (c1, r1), (c2, r2), (c3, r3) = self.shape.cells
         return (
@@ -609,6 +613,17 @@ def covered_area(occ: int, lines: Iterable, unit: int) -> int:
     return cells * unit + sum(corners)
 
 
+def _energy_args(config: Configuration, window: Window) -> None:
+    """Raise InvalidInput, naming the argument, unless config is a
+    Configuration and window a Window; one type test on the fast path."""
+    if not (isinstance(config, Configuration) and isinstance(window, Window)):
+        name, value, kind = (
+            ("config", config, "Configuration") if not isinstance(config, Configuration)
+            else ("window", window, "Window")
+        )
+        raise InvalidInput(f"{name} must be a {kind}, not {type(value).__name__}")
+
+
 def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:
     """(R-like, S-like) length of the boundary of the union of molecules
     inside the open window, counted on the configuration's boards.
@@ -619,6 +634,7 @@ def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, 
     `free_sides` of the class's counted cells inside against the vacant
     cells inside.  A side on a cut line counts its clip.
     """
+    _energy_args(config, window)
     unit = 1 if window.is_plane else window._cuts[0]
     lengths = [0, 0]
     for board in config._boards:
@@ -663,6 +679,7 @@ def volume_deficit(config: Configuration, window: Window) -> Fraction:
     The covered area is `covered_area` of each board's occupied cells in
     the window, clipped by the window's cut lines.
     """
+    _energy_args(config, window)
     if window.is_plane:
         raise InvalidInput("volume deficit is infinite on the whole plane")
     unit, covered = window._cuts[0], 0

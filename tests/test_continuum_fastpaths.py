@@ -23,7 +23,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from chiralattice import decomposition, rectregions
+from chiralattice import rectregions
 from chiralattice.altpairs import FLAT_R, FLAT_S
 from chiralattice.decomposition import (
     PhasePartitionApprox,
@@ -47,6 +47,7 @@ from chiralattice.limits import (
 from chiralattice.molecules import (
     R,
     S,
+    Configuration,
     InconsistentScale,
     Molecule,
     UnlabeledShape,
@@ -318,15 +319,22 @@ def test_seam_sweep_matches_full_perimeter(eps):
             assert all(bound.denominator > 1 for bound in (x0, y0, x1, y1))
 
 
-@pytest.mark.parametrize("eps", [F(1, 16), F(1, 32)])
+def occupancy_unread(monkeypatch):
+    """Make every read of `Configuration.occupancy` fail."""
+    def unread(config):
+        raise RuntimeError("decompose read the occupancy")
+    monkeypatch.setattr(Configuration, "occupancy", property(unread))
+
+
+@pytest.mark.parametrize("eps", [F(1, 16), F(1, 32), F(1, 64)])
 def test_decompose_matches_block_scan_on_the_criterion_seam(eps, monkeypatch):
-    """The seam of the benchmark, in the two windows of the sweep test;
-    every full block reads its phase off its centre tile, none from the
-    owners of its cells."""
+    """The seams of the benchmark, in the two windows of the sweep test;
+    every full block reads its phase off its centre tile, and the cells'
+    owners are never read."""
     sc = criterion_seam(eps)
     windows = (Window.square(4), Window.square(5, (F(1, 3), F(-2, 7))))
     expected = [outcome(ref_decompose, sc, window) for window in windows]
-    monkeypatch.setattr(decomposition, "_owner_phase", None)
+    occupancy_unread(monkeypatch)
     for window, want in zip(windows, expected):
         got = outcome(decompose, sc, window)
         assert got == want, window
@@ -393,9 +401,10 @@ def test_decompose_builds_rectangles_without_rect(monkeypatch):
     assert calls == []
 
 
-def test_decompose_user_shapes_raise_where_the_block_scan_does():
+def test_decompose_user_shapes_raise_where_the_block_scan_does(monkeypatch):
     """Flat molecules fill blocks only right of the seam, or on both sides;
-    UnlabeledShape names the shape that the cell scan meets first."""
+    UnlabeledShape names the shape that the cell scan meets first, and
+    `decompose` reads no owners to find it."""
     rng = random.Random(5)
     box = Window.square(52)
     flat_r = striped(FLAT_R, lambda a, b: a + b)
@@ -409,8 +418,11 @@ def test_decompose_user_shapes_raise_where_the_block_scan_does():
         for _ in range(6):
             sc = ScaledConfiguration(F(1, 4), validate(seam_configuration(rng, left, right)))
             window = random_lattice_window(rng, sc.epsilon)
-            got = outcome(decompose, sc, window)
-            assert got == outcome(ref_decompose, sc, window), window
+            want = outcome(ref_decompose, sc, window)
+            with monkeypatch.context() as patch:
+                occupancy_unread(patch)
+                got = outcome(decompose, sc, window)
+            assert got == want, window
             if isinstance(got, tuple):
                 messages.add(got[1])
     assert {"shape 'FR' has no phase label", "shape 'FS' has no phase label"} <= messages
@@ -427,19 +439,29 @@ def band_covering() -> list[Molecule]:
     ]
 
 
-def test_decompose_names_the_first_unlabeled_shape_in_cell_order():
-    """Only the block centred at (c, 4), whose centre tile holds both
-    shapes, is good; molecule order must not decide which shape is named."""
+def test_decompose_names_an_unlabeled_shape_of_the_centre_tile(monkeypatch):
+    """Only the block centred at (c, 4), whose centre tile holds both flat
+    shapes, is good: it raises UnlabeledShape for the one of them met first
+    in molecule order (the block scan names the first in cell order).  A
+    full block of one flat shape names it; no block reads the owners."""
     rng = random.Random(3)
     mols = band_covering()
+    named = {"FR": "shape 'FR' has no phase label", "FS": "shape 'FS' has no phase label"}
+    cases = []
     for c in (-8, -4, 0, 4):
         for _ in range(3):
             rng.shuffle(mols)
             sc = ScaledConfiguration(F(1, 3), validate(mols))
             window = Window.square(4, (F(c, 3), F(4, 3)))
-            got = outcome(decompose, sc, window)
-            assert got == outcome(ref_decompose, sc, window)
-            assert got[0] is UnlabeledShape
+            assert outcome(ref_decompose, sc, window)[0] is UnlabeledShape
+            first = next(m.shape.name for m in sc.config if m.shape in (FLAT_R, FLAT_S))
+            cases.append((sc, window, (UnlabeledShape, named[first])))
+    sc = ScaledConfiguration(F(1, 3), validate(striped(FLAT_R, lambda a, b: a + b)))
+    assert outcome(ref_decompose, sc, Window.square(4)) == (UnlabeledShape, named["FR"])
+    cases.append((sc, Window.square(4), (UnlabeledShape, named["FR"])))
+    occupancy_unread(monkeypatch)
+    for sc, window, want in cases:
+        assert outcome(decompose, sc, window) == want, window
 
 
 def test_sparse_user_shapes_decompose():

@@ -62,7 +62,6 @@ from chiralattice.interfaces import (
     _window_cells,
     admissible,
     direction,
-    frame_forced,
     pattern_upper_bound,
     solve_interface,
 )
@@ -305,7 +304,7 @@ def test_family_on_q_t_matches_q_t_plus_8(T):
             ref = _forced_part([m for m in far if _frame_test(T)(m)], prob)
         except InfeasibleBoundary as exc:
             with pytest.raises(InfeasibleBoundary) as raised:
-                frame_forced(prob)
+                _set_up(prob)
             assert str(raised.value) == str(exc)
             infeasible += 1
             continue
@@ -500,7 +499,7 @@ def test_wetting_chain_keeps_the_fill_of_the_full_chain(monkeypatch):
 
 def test_infeasible_families_raise_the_same_error():
     # pattern_upper_bound raises exactly where the forced frame overlaps,
-    # with frame_forced's message; everywhere else some candidate exists
+    # with the set-up's message; everywhere else some candidate exists
     problems = [
         InterfaceProblem(i, j, direction(*pq), 12)
         for i in range(9)
@@ -511,7 +510,7 @@ def test_infeasible_families_raise_the_same_error():
     infeasible = 0
     for prob in problems:
         try:
-            frame_forced(prob)
+            _set_up(prob)
         except InfeasibleBoundary as exc:
             with pytest.raises(InfeasibleBoundary) as raised:
                 pattern_upper_bound(prob.i, prob.j, prob.nu, prob.T)
@@ -581,7 +580,7 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
             infeasible += 1
             continue
         forced = validate(m for m in members if _frame_test(prob.T)(m))
-        assert forced == frame_forced(prob), prob
+        assert list(forced.molecules) == _set_up(prob)[1], prob
         (grid, forced_R, forced_S, _), *glued = seen  # the forced part is priced first
         assert (forced_R, forced_S) == ref_placed(grid, forced.molecules), prob
         free = {

@@ -1,9 +1,10 @@
-"""Library hygiene, read from the source with `ast`: no unused import, no
-import inside a function body, no module-level private name that the
-library itself never refers to, no public name that only the tests use,
-no module-level mutable container, no restatement of the species split
-outside `molecules`, no instance dict on a molecule, and no `Fraction` in
-an interface solve's integer prices."""
+"""Library hygiene, read from the source with `ast`: every module in the
+grammar of the oldest Python that `requires-python` admits, no unused
+import, no import inside a function body, no module-level private name
+that the library itself never refers to, no public name that only the
+tests use, no module-level mutable container, no restatement of the
+species split outside `molecules`, no instance dict on a molecule, and
+no `Fraction` in an interface solve's integer prices."""
 
 from __future__ import annotations
 
@@ -70,6 +71,13 @@ def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
             if name.startswith("_") and not name.startswith("__")
         )
     return out
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_modules_parse_as_python_3_10(module):
+    """`requires-python = ">=3.10"`: no module uses later syntax, such as
+    `except*` or a type alias statement, that the 3.10 grammar refuses."""
+    ast.parse((SRC / module).read_text(), filename=module, feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))

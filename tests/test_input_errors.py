@@ -37,7 +37,7 @@ from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord, Direction, oriented
 from chiralattice.molecules import (
     Molecule, R, S, Window, configuration_entries, json_rational, perimeter, phase_label,
-    phase_pattern, validate, weighted_perimeter,
+    phase_pattern, validate, volume_deficit, weighted_perimeter,
 )
 from chiralattice.rectregions import rect, regions_from_jsonable
 
@@ -179,6 +179,14 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: phase_label(Molecule(S, (F(1), 0))),
          "invalid anchor coordinate Fraction\\(1, 1\\)"),
         (lambda: phase_label(Molecule("S", (0, 0))), "invalid molecule shape 'S'"),
+        # an energy reads a Configuration in a Window: not a side, a tuple or a list
+        (lambda: perimeter(validate([Molecule(R, (0, 0))]), 8), "window must be a Window, not int"),
+        (lambda: weighted_perimeter(validate([Molecule(R, (0, 0))]), 1, 1, 8),
+         "window must be a Window, not int"),
+        (lambda: volume_deficit(validate([Molecule(R, (0, 0))]), 8), "window must be a Window, not int"),
+        (lambda: perimeter(validate([Molecule(R, (0, 0))]), (4, 0, 0)),
+         "window must be a Window, not tuple"),
+        (lambda: perimeter([Molecule(R, (0, 0))]), "config must be a Configuration, not list"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):
@@ -274,12 +282,15 @@ def test_geometry_files_keep_rational_coordinates():
 @pytest.mark.parametrize(
     "text",
     ["0", "007", "-3", "-0", "3/4", " 3", "3 ", "+3", "1_000", "\u0663", "2.5", "1e3",
-     "", "-", "--3", "3/0", "a", "1" * 5000],
+     "", "-", "--3", "3/0", "a", "1" * 5000,
+     "-5/64", "10/4", "0/7", "-0/3", "3/-4", "3/ 4", "+3/4", "\u0663/4",
+     "-3/0", "3/", "/4", "3/4/5", "3/" + "1" * 5000],
     ids=lambda text: ascii(text)[:12],
 )
 def test_json_rational_reads_strings_as_fraction_does(text):
-    """Plain digit strings take the `int` path; every string reads as
-    `Fraction` reads it, or raises InvalidInput carrying its message."""
+    """Plain digit strings n and n/d take the `int` path; every string
+    reads as `Fraction` reads it, or raises InvalidInput carrying its
+    message."""
     try:
         want = F(text)
     except (ValueError, ZeroDivisionError) as exc:

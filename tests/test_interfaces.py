@@ -15,7 +15,6 @@ from chiralattice.interfaces import (
     admissible,
     cluster_min_perimeter,
     direction,
-    frame_forced,
     normalized_density,
     pattern_upper_bound,
     solve_interface,
@@ -88,7 +87,7 @@ def wetting_config(prob: InterfaceProblem):
 
 def exhaustive_oracle(prob: InterfaceProblem):
     """Minimum energy by enumerating every antichain of free placements."""
-    forced = frame_forced(prob)
+    forced = validate(_set_up(prob)[1])
     T = prob.T
     occupied = set(forced.occupancy)
     placements = []
@@ -203,7 +202,7 @@ def test_admissible():
     if any(_frame_test(12)(m) and phase_label(m) != 1 for m in bad.molecules):
         assert not admissible(bad, prob)
     # interior extras leave admissibility untouched
-    forced = frame_forced(prob)
+    forced = validate(_set_up(prob)[1])
     extra = None
     for cell in [(-1, -1), (0, 0), (-1, 0), (0, -1), (1, 0)]:
         m = phase_molecule(5, cell)
@@ -349,7 +348,7 @@ def test_volume_solve():
     # the deficit of the forced frame alone
     prob2 = InterfaceProblem(1, 0, Direction(1, 1), 8, energy_kind="volume")
     res2 = solve_interface(prob2)
-    forced = frame_forced(prob2)
+    forced = validate(_set_up(prob2)[1])
     assert res2.value <= volume_deficit(forced, Window.square(8))
     # volume problems at T=12 agree with the oracle too
     prob3 = InterfaceProblem(1, 2, Direction(1, 1), 12, energy_kind="volume")
@@ -379,7 +378,7 @@ def test_pattern_upper_bound_sandwiches_every_feasible_pair(T):
         for pq in [(1, 2), (2, -1)]:
             prob = InterfaceProblem(i, j, direction(*pq), T)
             try:
-                frame_forced(prob)
+                _set_up(prob)
             except InfeasibleBoundary:
                 continue
             pv, cfg = pattern_upper_bound(i, j, prob.nu, T)
@@ -397,7 +396,7 @@ def test_pattern_upper_bound_sandwiches_every_feasible_pair(T):
     with pytest.raises(NoPattern):
         glued_family_config(prob)
     pv, cfg = pattern_upper_bound(2, 1, prob.nu, T)
-    assert cfg == frame_forced(prob)
+    assert cfg == validate(_set_up(prob)[1])
 
 
 def test_pattern_diagonal_is_optimal():
@@ -540,7 +539,7 @@ def test_solver_fractional_weights_odd_t_matches_oracle():
     # denominators
     weights = (F(2, 3), F(1, 4))
     vol = InterfaceProblem(1, 0, Direction(1, 1), 13, weights, "volume")
-    assert ref_energy(frame_forced(vol), vol) == F(411, 4)
+    assert ref_energy(validate(_set_up(vol)[1]), vol) == F(411, 4)
     for kind in ("surface", "volume"):
         for i, j, pq in [(1, 0, (1, 1)), (1, 0, (0, 1)), (1, 2, (1, 1)), (1, 0, (-1, 1))]:
             prob = InterfaceProblem(i, j, direction(*pq), 13, weights, kind)

@@ -30,8 +30,8 @@ from chiralattice.interfaces import (
     InfeasibleBoundary,
     InterfaceProblem,
     _scan_order,
+    _set_up,
     direction,
-    frame_forced,
     solve_interface,
 )
 from chiralattice.molecules import (
@@ -128,7 +128,7 @@ def ref_solve(prob: InterfaceProblem, order, budget: int = 5_000_000):
     spec's cell list, and the placements covering a cell off their masks,
     not off the table's lists.
     """
-    forced = frame_forced(prob)
+    forced = validate(_set_up(prob)[1])
     T = prob.T
     volume = prob.energy_kind == VOLUME
 
@@ -319,7 +319,7 @@ def test_every_ordered_pair_matches_reference(T, weights):
         for pq in [(1, 1), (-1, 1), (0, 1), (3, -1)]:
             prob = InterfaceProblem(i, j, direction(*pq), T, weights)
             try:
-                frame_forced(prob)
+                _set_up(prob)
             except InfeasibleBoundary:
                 with pytest.raises(InfeasibleBoundary):
                     solve_interface(prob)

@@ -36,7 +36,6 @@ from chiralattice.interfaces import (
     InterfaceProblem,
     cluster_min_perimeter,
     direction,
-    frame_forced,
     solve_interface,
 )
 from chiralattice.molecules import (
@@ -319,7 +318,7 @@ def test_solver_tables_match_the_keep_callback(monkeypatch):
             assert spec[1:3] == q_spec[1:3] and set(spec_cells(spec)) <= set(spec_cells(q_spec))
             assert table.order_bits == table.all_bits == (1 << spec[3] * spec[4]) - 1, prob
             within = {c for k, c in enumerate(spec_cells(spec)) if within >> k & 1}
-            taken = frame_forced(prob).occupancy
+            taken = validate(interfaces._set_up(prob)[1]).occupancy
             assert_matches_ref_table(
                 table, spec, shapes, within,
                 lambda m: all(inside_inner(c, prob.T) and c not in taken for c in m.cells()),
@@ -403,7 +402,7 @@ def test_searches_build_molecules_for_their_results_only(monkeypatch):
     # molecules, whatever its incumbent improvements
     prob = InterfaceProblem(1, 5, direction(1, 1), 12)
     res = solve_interface(prob)
-    forced = frame_forced(prob).molecules
+    forced = interfaces._set_up(prob)[1]
     free = [m for m in res.config.molecules if m not in forced]
     assert res.nodes_explored > 0 and len(free) == 1
     assert [Molecule(p.shape, p.anchor) for p in reads] == free
@@ -497,7 +496,7 @@ def test_glued_cost_matches_the_lattice_sweep(monkeypatch):
         interior = [m for m in glued if m not in forced]  # the glued family's free members
         glued_price = seen[1:]  # after the forced part's
         try:
-            config = validate([*frame_forced(prob).molecules, *interior])
+            config = validate([*forced, *interior])
         except OverlapError:
             assert (placed, glued_price) == (None, []), prob
             overlaps += 1
@@ -671,7 +670,7 @@ def ref_dead_cell_root(prob):
                     covered |= mol
     dead = free_cells - covered
     c_R, c_S = prob.weights
-    forced = ref_energy(frame_forced(prob), prob)
+    forced = ref_energy(validate(interfaces._set_up(prob)[1]), prob)
     if prob.energy_kind == "volume":
         return tuple(forced - 4 * (len(free_cells - d) // 4) for d in (set(), dead)) + (dead,)
 
