@@ -61,6 +61,7 @@ from .molecules import (
     Molecule,
     MoleculeShape,
     Window,
+    argument,
     configuration_to_jsonable,
     json_int,
     phase_label,
@@ -304,8 +305,7 @@ def verify_interior_phase(
     are the owners of its cells, so only those are read, in the order of
     the configuration.
     """
-    if not isinstance(config, Configuration):
-        raise InvalidInput(f"config must be a Configuration, not {type(config).__name__}")
+    argument("config", config, Configuration)
     if json_int("k", k) < 3:
         raise InvalidInput("k must be at least 3 so the inner square is nonempty")
     if not isinstance(center, (tuple, list)) or len(center) != 2:

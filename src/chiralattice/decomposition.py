@@ -33,6 +33,7 @@ from .molecules import (
     MoleculeShape,
     UnlabeledShape,
     Window,
+    argument,
     configuration_on_grid,
     json_rational,
     perimeter,
@@ -51,6 +52,7 @@ class ScaledConfiguration:
         object.__setattr__(self, "epsilon", json_rational("epsilon", self.epsilon))
         if self.epsilon <= 0:
             raise InvalidInput("epsilon must be positive")
+        argument("config", self.config, Configuration)
 
     @classmethod
     def from_continuum(
@@ -160,7 +162,8 @@ def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionAppr
     length is eps * `perimeter` in the lattice window, on the boards the
     configuration built when it was validated.
     """
-    if window.is_plane:
+    argument("scaled", scaled, ScaledConfiguration)
+    if argument("window", window, Window).is_plane:
         raise InvalidInput("decomposition needs a bounded window")
     eps = scaled.epsilon
     config = scaled.config
@@ -266,7 +269,8 @@ def convergence_report(
     rectangle unions in continuum coordinates; missing labels compare
     against the empty region.  Epsilons must be strictly decreasing.
     """
-    epss = [approx.epsilon for approx in approxes]
+    epss = [argument(f"approxes entry {n}", approx, PhasePartitionApprox).epsilon
+            for n, approx in enumerate(approxes)]
     if any(later >= earlier for later, earlier in zip(epss[1:], epss)):
         raise InvalidInput("epsilons must be strictly decreasing")
     target = dict(target or {})

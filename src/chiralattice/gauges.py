@@ -27,14 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .molecules import InvalidInput, R, phase_shape
+from .molecules import InvalidInput, R, argument, json_rational, phase_shape
 from .polygeom import Polygon, Vec, convex_hull, cross, integer_points, polygon_area
 
 IntDir = tuple[int, int]
 
 
 def _canonical_ccw(vertices: Sequence[Vec]) -> Polygon:
-    verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+    verts = tuple((json_rational("vertex coordinate", x), json_rational("vertex coordinate", y))
+                  for x, y in vertices)
     if len(verts) < 3:
         raise InvalidInput("a gauge polygon needs at least 3 vertices")
     if polygon_area(verts) < 0:
@@ -71,9 +72,12 @@ class GaugePolygon:
     def gauge(self, x) -> Fraction:
         """Exact gauge value at a rational vector (0 at the origin).
 
-        x is scaled to integers over its common denominator e; the value is
+        x is a pair of ints or Fractions, or InvalidInput is raised; it is
+        scaled to integers over its common denominator e, and the value is
         the largest integer functional over D * e.
         """
+        if not all(type(v) is int or type(v) is Fraction for v in x):
+            raise InvalidInput(f"invalid gauge argument {x!r}: expected ints or Fractions")
         e, [[(X, Y)]] = integer_points([[x]])
         return Fraction(max(ex * X + ey * Y for ex, ey in self._funcs), self._den * e)
 
@@ -138,10 +142,11 @@ def envelope_with_points(
     """
     pts = [v for g in gauges for v in g.vertices]
     for x, val in value_points:
-        val = Fraction(val)
+        val = json_rational("gauge value", val)
         if val <= 0:
             raise InvalidInput("gauge values must be positive")
-        pts.append((Fraction(x[0]) / val, Fraction(x[1]) / val))
+        x = [json_rational("point coordinate", c) for c in x]
+        pts.append((x[0] / val, x[1] / val))
     return GaugePolygon(convex_hull(pts))
 
 
@@ -152,5 +157,5 @@ def wulff_shape(polygon: GaugePolygon) -> Polygon:
     from adjacent half-plane intersections, which are the polygon's edge
     functionals, exactly.
     """
-    den = polygon._den
+    den = argument("polygon", polygon, GaugePolygon)._den
     return _canonical_ccw([(Fraction(ex, den), Fraction(ey, den)) for ex, ey in polygon._funcs])

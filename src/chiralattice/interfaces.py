@@ -50,22 +50,19 @@ the patterns' anchor columns cut by each phase's half-plane
 sort, each member a mask; the forced part, the
 members whose masks meet the frame; the free zone, as a mask; and the
 glued family, the forced part plus the members lying in the free zone,
-whose occupancy tells whether they overlap.  The glued family is the
-solver's second incumbent after the forced part alone, and a
-`pattern_upper_bound` candidate beside the wetting fill and the forced
-part alone, so a feasible problem always has a bound.  Every use of the
-family keeps only members that meet the frame or lie in the free zone,
-both in Q_T, so the family build covers Q_T and no more.  A solve never
-sweeps the lattice: it prices the forced part and the glued family on
-the set-up masks (`_q_t_energy`, with the odd-T half cells read from T)
-by the lattice energies' side count and covered area (`free_sides`,
-`covered_area`), reads its search grid's root state off them, one shift
-and mask per line, and validates one configuration, its result.  Nor
-does the pattern library: it prices each candidate on the same masks,
-the wetting fill by the occupancy it builds, and validates and checks
-against the frame only the configuration it returns.  The wetting fill is
-the forced part, one row of mirror-species molecules lying in the inner
-square (`_wetting_chain`), and the family members that still fit.
+whose occupancy tells whether they overlap.  The library constructions
+are one list (`_best_construction`): the glued family, the wetting fill
+and the forced part alone, which is always admissible.  The pattern
+library returns their best and the solver starts from it.  Every use of
+the family keeps only members that meet the frame or lie in the free
+zone, both in Q_T, so the family build covers Q_T and no more.  Neither
+sweeps the lattice: each construction is priced on the set-up masks
+(`_q_t_energy`, with the odd-T half cells read from T) by the lattice
+energies' side count and covered area (`free_sides`, `covered_area`), a
+solve reads its search grid's root state off them, one shift and mask
+per line, and each validates one configuration, its result.  The wetting
+fill is the forced part, one row of mirror-species molecules lying in the
+inner square (`_wetting_chain`), and the family members that still fit.
 
 The search is one loop over an explicit stack of nodes, so its depth is
 not capped by the interpreter's recursion limit.  A truncated solve
@@ -99,6 +96,7 @@ from .molecules import (
     S,
     configuration_to_jsonable,
     covered_area,
+    argument,
     decode_entry,
     free_sides,
     json_int,
@@ -205,8 +203,7 @@ class InterfaceProblem:
             raise InvalidInput("interface problems need distinct phases")
         if json_int("T", self.T) < 8:
             raise InvalidInput("T must be at least 8 so the frame fits")
-        if not isinstance(self.nu, Direction):
-            raise InvalidInput(f"nu must be a Direction, not {self.nu!r}")
+        argument("nu", self.nu, Direction)
         if self.energy_kind not in (SURFACE, VOLUME):
             raise InvalidInput("energy_kind must be 'surface' or 'volume'")
         if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 2:
@@ -346,9 +343,9 @@ def _set_up(prob: InterfaceProblem) -> tuple:
     half families glued, meeting flush along the anti-diagonal seams that
     admit meshing and leaving an empty gap elsewhere (the constructive
     form of the subadditive bound).  Its interior members are free
-    placements of the solver, so it is a leaf, the solver's glued
-    incumbent, as well as a `pattern_upper_bound` candidate; it overlaps
-    exactly when two of them do, when their occupancy `placed` is None.
+    placements of the solver, so it is a leaf and a library construction
+    (`_best_construction`); it overlaps exactly when two of them do, when
+    their occupancy `placed` is None.
     """
     T = prob.T
     square = _window_cells(T)
@@ -388,7 +385,8 @@ def admissible(config: Configuration, prob: InterfaceProblem) -> bool:
     forced part of `_set_up`, which raises InfeasibleBoundary if they
     overlap.
     """
-    return _matches_frame(config, _set_up(prob)[1], prob.T)
+    argument("config", config, Configuration)
+    return _matches_frame(config, _set_up(argument("prob", prob, InterfaceProblem))[1], prob.T)
 
 
 def _units(prob: InterfaceProblem) -> tuple[int, int, int]:
@@ -534,11 +532,11 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
     Set-up, shared with `pattern_upper_bound` (`_set_up`): one family
     build, as masks over one grid of Q_T.  Every price is an int in the
-    unit of `_units`.  The forced part is priced on those masks
-    (`_q_t_energy`), the root cost is `base` less the forced sides facing
-    free cells (`free_sides`), and the incumbents are the forced part
-    alone and, unless its free members overlap, the glued family, priced
-    by its Q_T energy as a leaf is.  The search grid's free zone and
+    unit of `_units`.  The first incumbent is the pattern library's best
+    construction (`_best_construction`), priced on those masks by its Q_T
+    energy as a leaf is, and the root cost is the forced part's energy
+    `base` less the forced sides facing free cells (`free_sides`).  The
+    search grid's free zone and
     forced occupancy are cropped from the set-up masks, and its two root
     boards transposed once; its free placements are enumerated, and its
     dead cells decided, only when the root bound is below the incumbent,
@@ -547,13 +545,14 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
-    _, forced, glued, placed, grid, occ_R, occ_S, free = _set_up(prob)
+    set_up = _set_up(prob)
+    _, forced, _, _, grid, occ_R, occ_S, free = set_up
     volume = prob.energy_kind == VOLUME
 
     # Energies are integers in units of 1/scale (`_units`), so the search
     # never touches a Fraction.
     units = scale, w_R, w_S = _units(prob)
-    base = _q_t_energy(prob, units, grid, occ_R, occ_S)
+    base, best_val, best_cfg = _best_construction(prob, set_up, units)
     w_min = min(w_R, w_S)
     molecule_area = 4 * scale if volume else 0  # a surface energy prices edges alone
 
@@ -565,14 +564,9 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     r, s = free_sides((occ_R, occ_S), free, grid.height, [], 1)
     cost0 = base - w_R * r - w_S * s
 
-    # incumbents: the forced part alone, the glued family, then the forced
-    # part and placements of a leaf, whose molecules are built for the result
-    best_val, best_cfg, best_placed = base, forced, []
-    if placed is not None:
-        # a leaf's cost is its configuration's Q_T energy
-        value = _q_t_energy(prob, units, grid, occ_R | placed[0], occ_S | placed[1])
-        if value < best_val:
-            best_val, best_cfg = value, glued
+    # incumbents: the best library construction, then the forced part and
+    # placements of a leaf, whose molecules are built for the result
+    best_placed = []
 
     # The search grid: the inner square and its one-cell ring, in the
     # set-up grid's orientation, with no margin (order cell k has bit k),
@@ -879,6 +873,29 @@ def _wetting_fill(
     return mols, (occ[1], occ[0])
 
 
+def _best_construction(prob: InterfaceProblem, set_up: tuple, units: tuple) -> tuple:
+    """(base, value, molecules): the Q_T energy of the forced part alone,
+    the solver's root cost, and the least Q_T energy over the library
+    constructions with that construction's molecules, in `units`.
+
+    The constructions are the glued family (unless its free members
+    overlap), the wetting fill (where `_wetting_chain` applies) and the
+    forced part alone, which is always admissible; ties go in that order.
+    Each is priced once on the set-up masks (`_q_t_energy`), the forced
+    part first, and none is validated.
+    """
+    members, forced, glued, placed, grid, occ_R, occ_S, free = set_up
+    base = _q_t_energy(prob, units, grid, occ_R, occ_S)
+    # each construction: its molecules and the cells it adds to the forced part's
+    candidates = [] if placed is None else [(glued, placed)]
+    try:
+        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, grid, free))
+    except NoPattern:
+        pass
+    priced = [(_q_t_energy(prob, units, grid, occ_R | r, occ_S | s), mols) for mols, (r, s) in candidates]
+    return base, *min([*priced, (base, forced)], key=lambda t: t[0])
+
+
 def pattern_upper_bound(
     i: int,
     j: int,
@@ -888,35 +905,18 @@ def pattern_upper_bound(
 ) -> tuple[Fraction, Configuration]:
     """Best library construction for the problem, with its exact energy.
 
-    The candidates are the glued family (when its interior members do not
-    overlap), the wetting fill (where it applies) and the forced part
-    alone, which is always admissible; ties go in that order.  Each is
-    priced as the solver prices its incumbents, on the set-up masks by
-    its Q_T energy (`_q_t_energy`), an int in the unit of `_units`, and
-    only the configuration returned is built, validated and checked
-    against the frame.  Returns that energy and that admissible
-    configuration.  Raises InfeasibleBoundary exactly when the family's
-    molecules meeting the frame overlap, as `_set_up` does.
+    The construction is `_best_construction`'s, the solver's starting
+    incumbent; only it is built, validated and checked against the frame.
+    Returns its energy and it, an admissible configuration.  Raises
+    InfeasibleBoundary exactly when the family's molecules meeting the
+    frame overlap, as `_set_up` does.
     """
     prob = InterfaceProblem(i, j, nu, T, weights)
-    # one family build serves every candidate and the admissibility check
-    members, forced, glued, placed, grid, occ_R, occ_S, free = _set_up(prob)
-    # each candidate: its molecules and those of its cells that it adds to
-    # the forced part's
-    candidates = [] if placed is None else [(glued, placed)]
-    try:
-        candidates.append(_wetting_fill(_wetting_chain(prob), members, forced, grid, free))
-    except NoPattern:
-        pass
-    candidates.append((forced, (0, 0)))
+    set_up = _set_up(prob)  # one family build serves every candidate and the frame check
     units = _units(prob)
-    value, mols = min(
-        ((_q_t_energy(prob, units, grid, occ_R | r, occ_S | s), mols)
-         for mols, (r, s) in candidates),
-        key=lambda t: t[0],
-    )
+    _, value, mols = _best_construction(prob, set_up, units)
     cfg = validate(mols)
-    if not _matches_frame(cfg, forced, T):
+    if not _matches_frame(cfg, set_up[1], T):
         raise NoPattern("library construction failed the admissibility check")
     return Fraction(value, units[0]), cfg
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .densities import DensityModel
 from .gauges import GaugePolygon, IntDir, phi_closed_form
 from .interfaces import oriented
-from .molecules import InvalidInput, decode_entry, decode_regions, json_int, json_rational
+from .molecules import InvalidInput, argument, decode_entry, decode_regions, json_int, json_rational
 from .polygeom import (
     Polygon,
     Vec,
@@ -331,7 +331,8 @@ def limit_energy(
     `extract_interfaces`, in its order, each contributing its lattice
     length times its key's price.
     """
-    d, runs = _interface_runs(part)
+    argument("model", model, DensityModel)
+    d, runs = _interface_runs(argument("part", part, PolygonalPartition))
     lengths = _key_lengths(d, runs)
     prices = {key: model.value_and_source(*key) for key in lengths}
     total = sum((prices[key][0] * length for key, length in lengths.items()), Fraction(0))
@@ -400,7 +401,8 @@ def spin_lower_bound(polys: Iterable[Sequence[Vec]], model: DensityModel) -> Fra
     This bounds from below every partition energy whose occupied phases
     union to E.
     """
-    return _island_boundary_energy({1: list(polys)}, {(0, 1): model.spin_envelope()})
+    envelope = argument("model", model, DensityModel).spin_envelope()
+    return _island_boundary_energy({1: list(polys)}, {(0, 1): envelope})
 
 
 def rs_lower_bound(
@@ -421,6 +423,6 @@ def rs_lower_bound(
         {
             (0, 1): phi_closed_form(1),
             (0, 5): phi_closed_form(5),
-            (1, 5): model.rs_contact_envelope(),
+            (1, 5): argument("model", model, DensityModel).rs_contact_envelope(),
         },
     )

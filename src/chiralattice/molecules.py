@@ -117,6 +117,15 @@ def json_int(what: str, value) -> int:
     return value
 
 
+def argument(what: str, value, kind: type):
+    """value, if it is a `kind`; any other value raises InvalidInput naming
+    `what` and the type it has."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidInput(f"{what} must be {article} {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def json_rational(what: str, value) -> Fraction:
     """A JSON integer, a rational string such as "-3/8" or a Fraction; a
     float, bool or any other value raises InvalidInput naming `what`.
@@ -615,13 +624,9 @@ def covered_area(occ: int, lines: Iterable, unit: int) -> int:
 
 def _energy_args(config: Configuration, window: Window) -> None:
     """Raise InvalidInput, naming the argument, unless config is a
-    Configuration and window a Window; one type test on the fast path."""
-    if not (isinstance(config, Configuration) and isinstance(window, Window)):
-        name, value, kind = (
-            ("config", config, "Configuration") if not isinstance(config, Configuration)
-            else ("window", window, "Window")
-        )
-        raise InvalidInput(f"{name} must be a {kind}, not {type(value).__name__}")
+    Configuration and window a Window."""
+    argument("config", config, Configuration)
+    argument("window", window, Window)
 
 
 def _boundary_lengths(config: Configuration, window: Window) -> tuple[Fraction, Fraction]:

@@ -637,8 +637,8 @@ DENSITY_PINS = [
     ),
     (
         ["density", "1", "0", "-1", "1", "16", "--weights", "1,1/4"],
-        "3e6cc6bc41aab7da9276d7b2f3c8a08422940db53c709fdca5e144b4063173d8",
-        "3e6cc6bc41aab7da9276d7b2f3c8a08422940db53c709fdca5e144b4063173d8",
+        "3a8a7247974bab54835461faf9cc6f208fad2cbd660e9edf9a790a13692b97fc",
+        "3a8a7247974bab54835461faf9cc6f208fad2cbd660e9edf9a790a13692b97fc",
         ["3abcc397811363f21692c779621fe30205bd778efbce95dd97afb4fff9c722f9"],
     ),
 ]

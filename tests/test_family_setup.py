@@ -75,6 +75,7 @@ from test_fastpaths import FAMILY_DIRECTIONS, FAMILY_PAIRS, ref_volume, ref_weig
 from test_interfaces import _mirror_molecule, wetting_config
 from test_line_bound import (
     TABLE_DIRECTIONS, _table_rows, inside_inner, ref_energy, row_major_order, side_reach,
+    wetting_row,
 )
 
 DIRECTIONS = [(1, 1), (1, -1), (1, 0), (0, 1), (3, -1), (-1, 3), (2, 1), (-1, -2)]
@@ -549,7 +550,8 @@ def _glued_rows():
 def record_q_t_prices(monkeypatch) -> list:
     """The solver's `_q_t_energy` calls as (grid, occ_R, occ_S, price), in
     the order it makes them: a solve prices its forced part, then its
-    glued family unless the free members overlap."""
+    glued family unless the free members overlap, then its wetting fill
+    where the wetting row applies (`wetting_row`)."""
     seen = []
     priced = interfaces._q_t_energy
 
@@ -581,7 +583,8 @@ def test_glued_incumbent_matches_the_reference(monkeypatch):
             continue
         forced = validate(m for m in members if _frame_test(prob.T)(m))
         assert list(forced.molecules) == _set_up(prob)[1], prob
-        (grid, forced_R, forced_S, _), *glued = seen  # the forced part is priced first
+        # the forced part is priced first, and a wetting fill last
+        (grid, forced_R, forced_S, _), *glued = seen[:len(seen) - (wetting_row(prob) is not None)]
         assert (forced_R, forced_S) == ref_placed(grid, forced.molecules), prob
         free = {
             (a, b) for a in range(-prob.T, prob.T) for b in range(-prob.T, prob.T)
@@ -620,19 +623,34 @@ def _oracle_rows():
             yield InterfaceProblem(i, j, direction(*nu), T, weights, kind)
 
 
+def _wetting_oracle_rows():
+    """The two wetting keys, (1, 0, (-1, 1)) and (5, 0, (1, 1)), and their
+    mirrors at T = 12 and 13, with unit and uneven weights and as volume rows."""
+    for T, (i, nu), mirror, (weights, kind) in itertools.product(
+        (12, 13), ((1, (-1, 1)), (5, (1, 1))), (False, True),
+        (((1, 1), "surface"), ((1, F(1, 4)), "surface"), ((1, 1), "volume")),
+    ):
+        if mirror:
+            yield InterfaceProblem(0, i, -direction(*nu), T, weights, kind)
+        else:
+            yield InterfaceProblem(i, 0, direction(*nu), T, weights, kind)
+
+
 def test_q_t_prices_match_the_per_edge_reference(monkeypatch):
-    # the solver's forced and glued prices, over the scale, equal the
-    # per-edge Fraction references of `test_fastpaths` on the validated
-    # forced part and glued family: an oracle that builds no bitboard, as
-    # the lattice sweep now counts sides as the solver does
+    # the solver's forced, glued and wetting prices, over the scale, equal
+    # the per-edge Fraction references of `test_fastpaths` on the validated
+    # forced part, glued family and wetting fill: an oracle that builds no
+    # bitboard, as the lattice sweep now counts sides as the solver does
     seen = record_q_t_prices(monkeypatch)
     counts = Counter()
     window = {}
-    for prob in _oracle_rows():
+    for prob in [*_oracle_rows(), *_wetting_oracle_rows()]:
         seen.clear()
         solve_interface(prob, budget=1)
         _, forced, glued, placed, *_ = _set_up(prob)
+        wetting = wetting_row(prob) is not None
         configs = [validate(forced)] + ([] if placed is None else [validate(glued)])
+        configs += [wetting_config(prob)] if wetting else []
         assert len(seen) == len(configs), prob
         w = window.setdefault(prob.T, Window.square(prob.T))
         scale = _units(prob)[0]
@@ -642,10 +660,11 @@ def test_q_t_prices_match_the_per_edge_reference(monkeypatch):
             else:
                 expected = ref_weighted(config, *prob.weights, w)
             assert type(value) is int and F(value, scale) == expected, prob
-            counts[prob.T & 1, prob.energy_kind, len(configs)] += 1
-    # both parities and energy kinds, with a glued family priced in each
-    assert {key for key in counts if key[2] == 2} == set(
-        itertools.product((0, 1), ("surface", "volume"), (2,))
+            counts[prob.T & 1, prob.energy_kind, placed is not None, wetting] += 1
+    # both parities and energy kinds, with a glued family priced in each,
+    # with and without a wetting fill
+    assert {key for key in counts if key[2]} == set(
+        itertools.product((0, 1), ("surface", "volume"), (True,), (False, True))
     ), counts
 
 

@@ -245,16 +245,16 @@ def test_molecules_hold_no_instance_dict():
 
 
 # the interface solver's integer price path: its unit, the Q_T energy of
-# the forced part and the glued family, the set-up and the occupancy
-# helper, the line count of the root and of every node and the
-# transposition of their boards; the pattern library's wetting fill,
-# priced on the same masks; and the lattice energies' side count and
+# the library constructions and the one list that prices them, the set-up
+# and the occupancy helper, the line count of the root and of every node
+# and the transposition of their boards; the wetting fill, priced on the
+# same masks; and the lattice energies' side count and
 # covered area in `molecules`, through which the Q_T energy and the root
 # cost count
 _INTEGER_PRICED = {
     "interfaces.py": (
         "_units", "_q_t_energy", "_set_up", "_occupancy", "_runs", "_transposed",
-        "_wetting_fill",
+        "_wetting_fill", "_best_construction",
     ),
     "molecules.py": ("free_sides", "covered_area"),
 }

@@ -19,6 +19,7 @@ from chiralattice import (
     PolygonalPartition,
     ScaledConfiguration,
     UnlabeledShape,
+    admissible,
     anchored_admissible,
     cluster_min_perimeter,
     configuration_from_json,
@@ -34,6 +35,9 @@ from chiralattice import (
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
+from chiralattice.decomposition import convergence_report, decompose
+from chiralattice.gauges import GaugePolygon, envelope_with_points, wulff_shape
+from chiralattice.limits import limit_energy, rs_lower_bound, spin_lower_bound
 from chiralattice.interfaces import DensityRecord, Direction, oriented
 from chiralattice.molecules import (
     Molecule, R, S, Window, configuration_entries, json_rational, perimeter, phase_label,
@@ -54,6 +58,8 @@ def test_input_errors_are_invalid_input(error):
 _COVERED = phase_pattern(1, Window.square(16))  # covers Q_8 about the origin
 _UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
+_PROBLEM = InterfaceProblem(1, 0, direction(1, 1), 8)
+_SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
 
 
 @pytest.mark.parametrize(
@@ -187,6 +193,32 @@ _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
         (lambda: perimeter(validate([Molecule(R, (0, 0))]), (4, 0, 0)),
          "window must be a Window, not tuple"),
         (lambda: perimeter([Molecule(R, (0, 0))]), "config must be a Configuration, not list"),
+        # every library entry point names an argument of the wrong type
+        (lambda: admissible([], _PROBLEM), "config must be a Configuration, not list"),
+        (lambda: admissible(validate([]), (1, 0)), "prob must be an InterfaceProblem, not tuple"),
+        (lambda: decompose(_SCALED, [4]), "window must be a Window, not list"),
+        (lambda: decompose(validate([]), Window.square(4)),
+         "scaled must be a ScaledConfiguration, not Configuration"),
+        (lambda: ScaledConfiguration(F(1, 4), [Molecule(R, (0, 0))]),
+         "config must be a Configuration, not list"),
+        (lambda: limit_energy(3, DensityModel.with_patterns()),
+         "part must be a PolygonalPartition, not int"),
+        (lambda: limit_energy(_UNIT_PARTITION, 3), "model must be a DensityModel, not int"),
+        (lambda: spin_lower_bound([_UNIT_SQUARE], 3), "model must be a DensityModel, not int"),
+        (lambda: rs_lower_bound([_UNIT_SQUARE], [], 3), "model must be a DensityModel, not int"),
+        (lambda: wulff_shape(3), "polygon must be a GaugePolygon, not int"),
+        (lambda: convergence_report([3]), "approxes entry 0 must be a PhasePartitionApprox, not int"),
+        # a gauge reads exact rationals: no float, no bool read as 1
+        (lambda: phi_closed_form(1).gauge((True, 1)), "invalid gauge argument \\(True, 1\\)"),
+        (lambda: phi_closed_form(1).gauge((0.5, 1)), "invalid gauge argument \\(0.5, 1\\)"),
+        (lambda: GaugePolygon(((0.5, 0), (0, 1), (-1, 0), (0, -1))), "invalid vertex coordinate 0.5"),
+        (lambda: GaugePolygon(((True, 0), (0, 1), (-1, 0), (0, -1))),
+         "invalid vertex coordinate True"),
+        (lambda: envelope_with_points([phi_closed_form(1)], [((1, 0), 0.5)]), "invalid gauge value 0.5"),
+        (lambda: envelope_with_points([phi_closed_form(1)], [((1, 0), True)]),
+         "invalid gauge value True"),
+        (lambda: envelope_with_points([phi_closed_form(1)], [((1.0, 0), 1)]),
+         "invalid point coordinate 1.0"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -399,6 +399,26 @@ def test_pattern_upper_bound_sandwiches_every_feasible_pair(T):
     assert cfg == validate(_set_up(prob)[1])
 
 
+def test_truncated_probe_never_exceeds_the_pattern_bound():
+    # the solver starts from the pattern library's best construction, so
+    # even a one-node probe is at most the library's bound: on every
+    # feasible ordered pair at the eight axis and diagonal normals, with
+    # unit and uneven weights, the wetting keys among them
+    feasible = 0
+    for weights, (i, j), pq in itertools.product(
+        ((1, 1), (1, F(1, 4))), itertools.permutations(range(9), 2), ORACLE_NORMALS[:8]
+    ):
+        prob = InterfaceProblem(i, j, direction(*pq), 12, weights)
+        try:
+            _set_up(prob)
+        except InfeasibleBoundary:
+            continue
+        bound = pattern_upper_bound(i, j, prob.nu, 12, weights)[0]
+        assert solve_interface(prob, budget=1).value <= bound, (i, j, pq, weights)
+        feasible += 1
+    assert feasible == 992
+
+
 def test_pattern_diagonal_is_optimal():
     # the glued family is exactly optimal in the diagonal directions
     for T in (12, 16):
