@@ -64,6 +64,7 @@ from .molecules import (
     argument,
     configuration_to_jsonable,
     json_int,
+    pair,
     phase_label,
     validate,
 )
@@ -308,9 +309,7 @@ def verify_interior_phase(
     argument("config", config, Configuration)
     if json_int("k", k) < 3:
         raise InvalidInput("k must be at least 3 so the inner square is nonempty")
-    if not isinstance(center, (tuple, list)) or len(center) != 2:
-        raise InvalidInput(f"centre must be a pair (cx, cy), not {center!r}")
-    cx, cy = (json_int("centre coordinate", c) for c in center)
+    cx, cy = pair("centre", center)
     occ = config.occupancy
     for c in range(cx - k, cx + k):
         for r in range(cy - k, cy + k):

@@ -255,7 +255,7 @@ def bad_area_bound(approx: PhasePartitionApprox) -> Fraction:
     The bound is meaningful when the configuration has boundary there
     (squares meeting the window rim are counted bad regardless).
     """
-    eps = approx.epsilon
+    eps = argument("approx", approx, PhasePartitionApprox).epsilon
     return 144 * eps * eps * 18 * approx.boundary_length / eps
 
 

@@ -35,7 +35,7 @@ from .gauges import (
     phi_closed_form,
 )
 from .interfaces import DensityRecord, oriented
-from .molecules import InvalidInput, R, S, json_int, phase_shape
+from .molecules import InvalidInput, R, S, argument, label, pair, phase_shape
 
 # flush-meshing seam pairs along the anti-diagonals, `oriented`; phi-scale value 2
 MESHING_PAIRS: Mapping[tuple[int, int, IntDir], Fraction] = MappingProxyType({
@@ -68,8 +68,8 @@ def subadditive_bound(i: int, j: int, nu: IntDir) -> Fraction:
     f(0,j,nu) = phi_j(-nu) = phi_j(nu), as both hexagons are centrally
     symmetric, so the bound is phi_i(nu) + phi_j(nu).
     """
-    if not (1 <= i <= 8 and 1 <= j <= 8) or i == j:
-        raise InvalidInput("subadditive bound needs distinct nonzero phases")
+    if label("phase label", i, 1) == label("phase label", j, 1):
+        raise InvalidInput("subadditive bound needs distinct phases")
     return phi_closed_form(i).gauge(nu) + phi_closed_form(j).gauge(nu)
 
 
@@ -92,6 +92,7 @@ class DensityModel:
         """Fold solver rows in, keeping the largest exactly-solved T; a row
         and its mirror (j, i, -nu) share one `oriented` key and entry."""
         for rec in records:
+            argument("record", rec, DensityRecord)
             if rec.energy_kind != "surface" or (rec.c_R, rec.c_S) != (1, 1):
                 continue
             key = oriented(rec.i, rec.j, (rec.p, rec.q))
@@ -106,13 +107,15 @@ class DensityModel:
     def value_and_source(self, i: int, j: int, nu: IntDir) -> tuple[Fraction, str]:
         """phi-scale value at an integer normal, with provenance.
 
-        Both components of nu are read by `json_int`, and nu = (0, 0)
+        Its labels are read by `label` and nu by `pair`, and nu = (0, 0)
         raises InvalidInput.  The value is 1-homogeneous: at nu = g nu'
         with nu' primitive and g the gcd of its components, it is g times
         the value at nu', from the table, the closed forms, the meshing
         patterns or the subadditive bound, whose source it keeps.
         """
-        p, q = json_int("normal component", nu[0]), json_int("normal component", nu[1])
+        label("phase label", i)
+        label("phase label", j)
+        p, q = pair("normal", nu)
         g = math.gcd(p, q)
         if g == 0:
             raise InvalidInput("normal cannot be zero")
@@ -181,7 +184,8 @@ def consistency_check(
     floating point against the closed form's slope bound.  Every failure,
     the screen's included, is a violation and clears the report's `ok`.
     """
-    rows = list(records)
+    argument("model", model, DensityModel)
+    rows = [argument("record", r, DensityRecord) for r in records]
     rep = ConsistencyReport()
     by_key: dict[tuple, DensityRecord] = {}
     for r in rows:

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .molecules import InvalidInput, R, argument, json_rational, phase_shape
+from .molecules import InvalidInput, R, argument, json_rational, pair, phase_shape
 from .polygeom import Polygon, Vec, convex_hull, cross, integer_points, polygon_area
 
 IntDir = tuple[int, int]
 
 
 def _canonical_ccw(vertices: Sequence[Vec]) -> Polygon:
-    verts = tuple((json_rational("vertex coordinate", x), json_rational("vertex coordinate", y))
-                  for x, y in vertices)
+    verts = tuple(pair("vertex", v, json_rational) for v in vertices)
     if len(verts) < 3:
         raise InvalidInput("a gauge polygon needs at least 3 vertices")
     if polygon_area(verts) < 0:
@@ -72,18 +71,17 @@ class GaugePolygon:
     def gauge(self, x) -> Fraction:
         """Exact gauge value at a rational vector (0 at the origin).
 
-        x is a pair of ints or Fractions, or InvalidInput is raised; it is
-        scaled to integers over its common denominator e, and the value is
-        the largest integer functional over D * e.
+        x is a pair read by `pair` and `json_rational`; it is scaled to
+        integers over its common denominator e, and the value is the
+        largest integer functional over D * e.
         """
-        if not all(type(v) is int or type(v) is Fraction for v in x):
-            raise InvalidInput(f"invalid gauge argument {x!r}: expected ints or Fractions")
-        e, [[(X, Y)]] = integer_points([[x]])
+        e, [[(X, Y)]] = integer_points([[pair("gauge argument", x, json_rational)]])
         return Fraction(max(ex * X + ey * Y for ex, ey in self._funcs), self._den * e)
 
 
 def mirror(polygon: GaugePolygon) -> GaugePolygon:
     """Reflection through the vertical axis, reoriented counterclockwise."""
+    argument("polygon", polygon, GaugePolygon)
     return GaugePolygon(tuple((-x, y) for x, y in polygon.vertices))
 
 
@@ -140,13 +138,13 @@ def envelope_with_points(
 
     Each (x, value) pair contributes the level-set point x / value.
     """
-    pts = [v for g in gauges for v in g.vertices]
+    pts = [v for g in gauges for v in argument("gauge", g, GaugePolygon).vertices]
     for x, val in value_points:
         val = json_rational("gauge value", val)
         if val <= 0:
             raise InvalidInput("gauge values must be positive")
-        x = [json_rational("point coordinate", c) for c in x]
-        pts.append((x[0] / val, x[1] / val))
+        x, y = pair("point", x, json_rational)
+        pts.append((x / val, y / val))
     return GaugePolygon(convex_hull(pts))
 
 

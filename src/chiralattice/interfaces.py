@@ -101,6 +101,8 @@ from .molecules import (
     free_sides,
     json_int,
     json_rational,
+    label,
+    pair,
     pattern_columns,
     phase_shape,
     validate,
@@ -175,15 +177,15 @@ def oriented(i: int, j: int, nu: tuple[int, int]) -> tuple[int, int, tuple[int, 
     Phase i lies on the side x . nu > 0 and phase j on x . nu < 0, so for
     i != j the triples (i, j, nu) and (j, i, -nu) name one interface, and
     f(i, j, nu) = f(j, i, -nu).  Every table, pattern and segment keyed by
-    an interface is keyed through this function.  Both labels and both
-    normal components are read by `json_int`, so a float or a bool raises
-    InvalidInput.
+    an interface is keyed through this function.  Both labels are read by
+    `label` and the normal by `pair`, so a float or a bool, a label out of
+    0..8 or a normal that is not a pair of ints raises InvalidInput.
     """
-    json_int("phase label", i)
-    json_int("phase label", j)
-    p, q = json_int("normal component", nu[0]), json_int("normal component", nu[1])
+    label("phase label", i)
+    label("phase label", j)
+    p, q = pair("normal", nu)
     if i < j:
-        return i, j, nu
+        return i, j, (p, q)
     return j, i, (-p, -q)
 
 
@@ -197,19 +199,14 @@ class InterfaceProblem:
     energy_kind: str = SURFACE
 
     def __post_init__(self):
-        if not all(0 <= json_int("phase label", lab) <= 8 for lab in (self.i, self.j)):
-            raise InvalidInput("phase labels must be in 0..8")
-        if self.i == self.j:
+        if label("phase label", self.i) == label("phase label", self.j):
             raise InvalidInput("interface problems need distinct phases")
         if json_int("T", self.T) < 8:
             raise InvalidInput("T must be at least 8 so the frame fits")
         argument("nu", self.nu, Direction)
         if self.energy_kind not in (SURFACE, VOLUME):
             raise InvalidInput("energy_kind must be 'surface' or 'volume'")
-        if not isinstance(self.weights, (tuple, list)) or len(self.weights) != 2:
-            raise InvalidInput(f"weights must be a pair (c_R, c_S), not {self.weights!r}")
-        weights = tuple(json_rational("weights", w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", pair("weights", self.weights, json_rational))
         if self.weights[0] <= 0 or self.weights[1] <= 0:
             raise InvalidInput("weights must be positive")
 
@@ -261,7 +258,7 @@ def _family_members(i: int, j: int, nu: Direction, cells: tuple[range, range]) -
         (phase_shape(lab), pattern_columns(lab, cells, (sign * p, sign * q, c)))
         for lab, sign in ((i, 1), (j, -1)) if lab != 0
     ]
-    if len(runs) == 2:
+    if i and j:  # two phases, one run each
         (first, ours), (second, theirs) = runs
         if first is second:
             runs = [(first, [(a, heapq.merge(x, y)) for (a, x), (_, y) in zip(ours, theirs)])]
@@ -545,7 +542,7 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
     """
     if json_int("budget", budget) < 1:
         raise InvalidInput("budget must be at least 1")
-    set_up = _set_up(prob)
+    set_up = _set_up(argument("prob", prob, InterfaceProblem))
     _, forced, _, _, grid, occ_R, occ_S, free = set_up
     volume = prob.energy_kind == VOLUME
 
@@ -713,7 +710,8 @@ def solve_interface(prob: InterfaceProblem, budget: int = DEFAULT_BUDGET) -> Sol
 
 def normalized_density(prob: InterfaceProblem, result: SolveResult | DensityRecord) -> Fraction:
     """max(|p|, |q|) * value / T: the finite-T one-homogeneous estimate."""
-    return Fraction(prob.nu.norm_inf) * result.value / prob.T
+    norm = argument("prob", prob, InterfaceProblem).nu.norm_inf
+    return Fraction(norm) * argument("result", result, (SolveResult, DensityRecord)).value / prob.T
 
 
 @dataclass(frozen=True)
@@ -807,6 +805,8 @@ def read_density_table(text: str) -> list[DensityRecord]:
 
 
 def density_record(prob: InterfaceProblem, result: SolveResult) -> DensityRecord:
+    argument("prob", prob, InterfaceProblem)
+    argument("result", result, SolveResult)
     return DensityRecord(
         prob.i, prob.j, prob.nu.p, prob.nu.q, prob.T, prob.energy_kind,
         prob.weights[0], prob.weights[1], result.value,

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .densities import DensityModel
 from .gauges import GaugePolygon, IntDir, phi_closed_form
 from .interfaces import oriented
-from .molecules import InvalidInput, argument, decode_entry, decode_regions, json_int, json_rational
+from .molecules import InvalidInput, argument, decode_entry, decode_regions, json_rational, label, pair
 from .polygeom import (
     Polygon,
     Vec,
@@ -68,11 +68,7 @@ class InterfaceSegment:
 
 
 def _points(poly) -> list[Vec]:
-    return [
-        (x if type(x) is Fraction else json_rational("coordinate", x),
-         y if type(y) is Fraction else json_rational("coordinate", y))
-        for x, y in poly
-    ]
+    return [pair("vertex", v, json_rational) for v in poly]
 
 
 def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Polygon], Fraction]:
@@ -103,8 +99,8 @@ def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Po
 class PolygonalPartition:
     """Labeled polygon sets partitioning a window (or islands in the plane).
 
-    With a window, the regions (int labels 0..8, read by `json_int`, so a
-    float or bool label raises InvalidInput; including the empty phase 0)
+    With a window, the regions (labels 0..8 read by `label`, so a float,
+    bool or out-of-range label raises InvalidInput; including the empty phase 0)
     must tile it, and their areas, summed as each polygon is oriented,
     must add up to the window's; with window None, label 0 is implicit as
     the complement of the labeled islands and must not be given
@@ -120,9 +116,7 @@ class PolygonalPartition:
         regions: dict[int, list[Polygon]] = {}
         areas: dict[int, Fraction] = {}
         for lab, polys in self.regions.items():
-            lab = json_int("region label", lab)
-            if not 0 <= lab <= 8:
-                raise InvalidPartition(f"label {lab} out of range 0..8")
+            lab = label("region label", lab)
             if polys:
                 regions[lab], areas[lab] = _normalize_polys(polys, f"A_{lab}")
         self.regions = regions
@@ -249,24 +243,24 @@ def _interface_runs(part: PolygonalPartition) -> tuple[int, list[tuple]]:
                     continue
                 # inner normal of a region = left normal of its edge
                 key = lab, 0, (-q, p) if orient > 0 else (q, -p)
-            elif len(region_covers) == 2:
-                (la, oa), (lb, ob) = region_covers
-                if oa == ob:
-                    raise InvalidPartition(
-                        f"regions A_{la} and A_{lb} overlap along an edge"
-                    )
-                if la == lb:
-                    continue  # internal seam of one region
-                key = oriented(la, lb, (-q, p) if oa > 0 else (q, -p))
-            elif len(region_covers) == 1 and part.window is None:
-                lab, orient = region_covers[0]
-                if lab == 0:
-                    raise InvalidPartition("label 0 cannot form islands")
-                key = oriented(lab, 0, (-q, p) if orient > 0 else (q, -p))
             else:
-                raise InvalidPartition(
-                    f"edge piece covered {len(region_covers)} times"
-                )
+                match region_covers:
+                    case [(la, oa), (lb, ob)]:  # a seam of two regions
+                        if oa == ob:
+                            raise InvalidPartition(
+                                f"regions A_{la} and A_{lb} overlap along an edge"
+                            )
+                        if la == lb:
+                            continue  # internal seam of one region
+                        key = oriented(la, lb, (-q, p) if oa > 0 else (q, -p))
+                    case [(lab, orient)] if part.window is None:  # an island's edge
+                        if lab == 0:
+                            raise InvalidPartition("label 0 cannot form islands")
+                        key = oriented(lab, 0, (-q, p) if orient > 0 else (q, -p))
+                    case _:
+                        raise InvalidPartition(
+                            f"edge piece covered {len(region_covers)} times"
+                        )
             runs.setdefault(key, []).append((t0, t1))
 
         for key, spans in sorted(runs.items()):
@@ -308,7 +302,7 @@ def _key_lengths(d: int, runs: list[tuple]) -> dict[tuple, Fraction]:
 def extract_interfaces(part: PolygonalPartition) -> list[InterfaceSegment]:
     """Atomic shared segments between distinct labels, validated: one per
     run of `_interface_runs`, which states the checks, keys and order."""
-    d, runs = _interface_runs(part)
+    d, runs = _interface_runs(argument("part", part, PolygonalPartition))
     return [_segment(d, run) for run in runs]
 
 
@@ -356,6 +350,8 @@ def anchored_admissible(
     omega defaults to the window of `part`.  Labels are compared through
     the area of the symmetric difference restricted to the complement.
     """
+    argument("part", part, PolygonalPartition)
+    argument("exterior", exterior, PolygonalPartition)
     if omega is None:
         omega = part.window
     if omega is None:

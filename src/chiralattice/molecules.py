@@ -118,23 +118,45 @@ def json_int(what: str, value) -> int:
 
 
 def argument(what: str, value, kind: type):
-    """value, if it is a `kind`; any other value raises InvalidInput naming
-    `what` and the type it has."""
+    """value, if it is a `kind`, a type or a tuple of types as `isinstance`
+    takes; any other value raises InvalidInput naming `what` and the type
+    it has."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise InvalidInput(f"{what} must be {article} {kind.__name__}, not {type(value).__name__}")
+        names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise InvalidInput(f"{what} must be {article} {names}, not {type(value).__name__}")
     return value
 
 
+def pair(what: str, value, read: Callable = json_int) -> tuple:
+    """The entries of `value`, a tuple or list of exactly two, each read by
+    `read(what, entry)`; the library reads every pair here, and any other
+    value, such as a triple or a string, raises InvalidInput naming `what`."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        x, y = value
+        return read(what, x), read(what, y)
+    raise InvalidInput(f"invalid {what} {value!r}: expected a pair, a tuple or list of two entries")
+
+
+def label(what: str, value, low: int = 0) -> int:
+    """A phase label, an int in low..8 read by `json_int` (low = 1 where a
+    phase shape is meant); any other value raises InvalidInput naming `what`."""
+    if low <= json_int(what, value) <= 8:
+        return value
+    raise InvalidInput(f"{what} {value} out of range {low}..8")
+
+
 def json_rational(what: str, value) -> Fraction:
-    """A JSON integer, a rational string such as "-3/8" or a Fraction; a
-    float, bool or any other value raises InvalidInput naming `what`.
+    """A JSON integer, a rational string such as "-3/8" or a Fraction, kept
+    as it is; a float, bool or any other value raises InvalidInput naming `what`.
 
     A string n or n/d of ASCII digits, with at most one leading "-" on n,
     is read with `int`, which accepts exactly what `Fraction` does there
     and raises its ZeroDivisionError for d = 0; any other string goes
     through `Fraction`'s parser."""
-    if type(value) is not int and type(value) is not str and type(value) is not Fraction:
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int and type(value) is not str:
         raise InvalidInput(f"invalid {what} {value!r}: expected an integer or a rational string")
     try:
         if type(value) is str and value.isascii():
@@ -154,14 +176,11 @@ def decode_list(what: str, decode: Callable, data) -> list:
 
 
 def _region_label(key) -> int:
-    """A region label key: ASCII digits of a value in 0..8.  A leading "-"
-    reads as a sign, so "-1" is out of range rather than malformed."""
+    """A region label key: ASCII digits of a value in 0..8, read by `label`.
+    A leading "-" reads as a sign, so "-1" is out of range, not malformed."""
     if type(key) is not str or not re.fullmatch("-?[0-9]+", key):
         raise InvalidInput(f"label {key!r} is not a string of ASCII digits")
-    lab = key.lstrip("0") or "0"  # one digit when in range, read without `int`
-    if len(lab) > 1 or lab == "9":
-        raise InvalidInput(f"label {key} out of range 0..8")
-    return int(lab)
+    return label("label", int(key))
 
 
 def decode_regions(decode: Callable, data: dict) -> dict:
@@ -294,9 +313,7 @@ def phase_shape(i: int) -> MoleculeShape:
     With `phase_label` this is the library's one statement of the phase
     map; every other module reads the species of a phase from here.
     """
-    if not 1 <= json_int("phase label", i) <= 8:
-        raise InvalidInput("phase label must be in 1..8")
-    return R if i <= 4 else S
+    return R if label("phase label", i, 1) <= 4 else S
 
 
 # -------------------------------------------------------------------
@@ -330,10 +347,7 @@ class Window:
         side = json_rational("window side", side)
         if side <= 0:
             raise InvalidInput("window side must be positive")
-        if not isinstance(center, (tuple, list)) or len(center) != 2:
-            raise InvalidInput(f"window centre must be a pair (cx, cy), not {center!r}")
-        cx, cy = (json_rational("window centre coordinate", c) for c in center)
-        return cls((cx, cy), side)
+        return cls(pair("window centre", center, json_rational), side)
 
     @classmethod
     def plane(cls) -> "Window":
@@ -754,7 +768,7 @@ def phase_pattern(i: int, window: Window) -> Configuration:
     erosion of the window by 3, and consists of molecules that all carry
     phase label i.
     """
-    if window.is_plane:
+    if argument("window", window, Window).is_plane:
         raise InvalidInput("a plane-filling pattern is infinite; pass a square")
     columns = pattern_columns(i, window.cell_range())
     shape = phase_shape(i)
@@ -813,10 +827,7 @@ def configuration_entries(
         shape = table.get(raw["shape"])
         if shape is None:
             raise InvalidInput(f"unknown shape {raw['shape']!r}")
-        anchor = raw["anchor"]
-        if type(anchor) is not list or len(anchor) != 2:
-            raise InvalidInput(f"invalid anchor {anchor!r}: expected two coordinates")
-        return shape, tuple(json_rational("anchor coordinate", v) for v in anchor)
+        return shape, pair("anchor", raw["anchor"], json_rational)
 
     return decode_list("configuration", entry, data)
 

@@ -1,10 +1,12 @@
 """Exact rational plane geometry: areas, hulls, and area sweeps.
 
-Polygons are sequences of rational vertices.  Every result is an exact
-`fractions.Fraction`; there are no epsilons anywhere.  The polygon area
-and the area sweep scale their vertices once to their common integer
-denominator and run on ints, building a Fraction only for a proper edge
-crossing and for the result.
+Polygons are sequences of rational vertices, each coordinate an int or a
+`fractions.Fraction`.  Every result is an exact Fraction; there are no
+epsilons anywhere.  The polygon area, the hull and the area sweep scale
+their vertices once to their common integer denominator
+(`integer_points`, which refuses any other coordinate, such as a float)
+and run on ints, building a Fraction only for a proper edge crossing and
+for the result.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Sequence
+
+from .molecules import InvalidInput
 
 Vec = tuple[Fraction, Fraction]
 Polygon = tuple[Vec, ...]
@@ -44,13 +48,16 @@ def polygon_area(poly: Sequence[Vec]) -> Fraction:
 
 
 def convex_hull(points: Iterable[Vec]) -> Polygon:
-    """Counterclockwise convex hull, collinear points dropped."""
-    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
+    """Counterclockwise convex hull, collinear points dropped, taken on
+    the points scaled by `integer_points`; fewer than three distinct
+    points, or only collinear ones, raise InvalidInput."""
+    d, (scaled,) = integer_points([list(points)])
+    pts = sorted(set(scaled))
     if len(pts) < 3:
-        raise ValueError("hull needs at least 3 distinct points")
+        raise InvalidInput("hull needs at least 3 distinct points")
 
     def half(seq):
-        out: list[Vec] = []
+        out: list[tuple[int, int]] = []
         for p in seq:
             while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
                 out.pop()
@@ -59,19 +66,28 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
 
     lower = half(pts)
     upper = half(reversed(pts))
-    hull = tuple(lower[:-1] + upper[:-1])
+    hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
-        raise ValueError("points are collinear")
-    return hull
+        raise InvalidInput("points are collinear")
+    return tuple((Fraction(x, d), Fraction(y, d)) for x, y in hull)
+
+
+def _inexact(v):
+    """Raise InvalidInput for a coordinate that is not an int or a Fraction."""
+    raise InvalidInput(f"invalid coordinate {v!r}: expected an int or a Fraction")
 
 
 def integer_points(groups: Sequence[Sequence[Vec]]) -> tuple[int, list[list[tuple[int, int]]]]:
     """The least common denominator d of the points' coordinates, and each
     group of points scaled by d to integer points, in order.
 
-    Coordinates are ints or Fractions, each read once by as_integer_ratio.
+    Coordinates are ints or Fractions, each read once by as_integer_ratio;
+    any other, such as a float or a bool, raises InvalidInput.
     """
-    ratios = [v.as_integer_ratio() for group in groups for pt in group for v in pt]
+    ratios = [
+        v.as_integer_ratio() if type(v) is int or type(v) is Fraction else _inexact(v)
+        for group in groups for pt in group for v in pt
+    ]
     d = math.lcm(*{q for _, q in ratios})
     scaled = iter([p * (d // q) for p, q in ratios])
     points = zip(scaled, scaled)

@@ -12,7 +12,7 @@ Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, y0, x1, y1
 
 
 def rect(x0, y0, x1, y1) -> Rect:
-    r = tuple(v if type(v) is Fraction else json_rational("coordinate", v) for v in (x0, y0, x1, y1))
+    r = tuple(json_rational("coordinate", v) for v in (x0, y0, x1, y1))
     if r[0] >= r[2] or r[1] >= r[3]:
         raise InvalidInput(f"degenerate rectangle {r}")
     return r

@@ -13,7 +13,8 @@ import pytest
 
 from chiralattice.cli import main
 from chiralattice.interfaces import DensityRecord
-from chiralattice.molecules import Window, phase_pattern
+from chiralattice.molecules import Window, phase_pattern, validate
+from chiralattice.svgout import configuration_svg
 
 
 @pytest.fixture
@@ -73,6 +74,13 @@ def test_density_rows(capsys, tmp_path):
     assert [r[4] for r in rows] == ["8", "12"]
     assert all(r[10] == "exact" for r in rows)
     assert rows[0][9] == "3/2" and rows[1][9] == "5/3"
+
+
+def test_empty_configuration_svg():
+    # with no cell to frame, the view is the square [-1, 1]^2 and draws nothing
+    svg = configuration_svg(validate([]))
+    assert 'viewBox="-1.0000 -1.0000 2.0000 2.0000"' in svg
+    assert "<rect" not in svg and svg.endswith("</svg>\n")
 
 
 def test_density_usage_error(capsys):
@@ -374,7 +382,7 @@ def test_energy_bad_window_or_weights_exit_2(single_r, capsys, argv, message):
         (["lemma", "1"], "k must be at least 2"),
         (["cluster", "-1", "0"], "nonnegative counts"),
         (["cluster", "0", "0"], "r + s >= 1"),
-        (["wulff", "9"], "phase label must be in 1..8"),
+        (["wulff", "9"], "phase label 9 out of range 1..8"),
         (["wulff", "abc"], "1..8 or 'all'"),
     ],
 )
@@ -390,6 +398,7 @@ def test_bad_subcommand_arguments_exit_2(capsys, argv, message):
         ("1/0", "invalid epsilon"),
         ("0", "epsilon must be positive"),
         ("1/8,-1/8", "epsilon must be positive"),
+        ("1/8,1/16", "need one configuration file per epsilon"),
     ],
 )
 def test_decompose_bad_epsilon_exit_2(single_r, capsys, epsilon, message):

@@ -67,6 +67,12 @@ def test_model_table_override():
         [DensityRecord(1, 2, 1, 1, 20, "surface", F(1), F(1), F(40), F(2), "upper_bound", 9)]
     )
     assert model.value(1, 2, (1, 1)) == F(15, 8)
+    # weighted and volume rows price other energies: the table skips them
+    model.add_records([
+        DensityRecord(1, 2, 1, 1, 24, "surface", F(1), F(1, 4), F(10), F(5, 12), "exact", 9),
+        DensityRecord(1, 2, 1, 1, 24, "volume", F(1), F(1), F(0), F(0), "exact", 9),
+    ])
+    assert model.value_and_source(1, 2, (1, 1)) == (F(15, 8), "table(T=16,exact)")
 
 
 NORMALS = [

@@ -3,8 +3,9 @@ grammar of the oldest Python that `requires-python` admits, no unused
 import, no import inside a function body, no module-level private name
 that the library itself never refers to, no public name that only the
 tests use, no module-level mutable container, no restatement of the
-species split outside `molecules`, no instance dict on a molecule, and
-no `Fraction` in an interface solve's integer prices."""
+species split or of a pair's length check outside `molecules`, no
+instance dict on a molecule, and no `Fraction` in an interface solve's
+integer prices."""
 
 from __future__ import annotations
 
@@ -198,6 +199,29 @@ def test_species_split_is_stated_once():
         )
     ]
     assert not split, split
+
+
+def test_pairs_are_read_once():
+    """Every pair the library takes, a normal, a point, a vertex, a centre
+    or a weight pair, is read by `molecules.pair`: no module but
+    `molecules` tests whether a `len(...)` equals 2 (or not)."""
+    def is_len(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+
+    checks = [
+        f"{module}:{node.lineno} {ast.unparse(node)}"
+        for module, tree in TREES.items()
+        if module != "molecules.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, (node.left, *node.comparators), node.comparators)
+        if isinstance(op, (ast.Eq, ast.NotEq))
+        and any(
+            is_len(a) and isinstance(b, ast.Constant) and type(b.value) is int and b.value == 2
+            for a, b in ((left, right), (right, left))
+        )
+    ]
+    assert not checks, checks
 
 
 def _self_calls(tree: ast.Module) -> set[str]:

@@ -23,27 +23,34 @@ from chiralattice import (
     anchored_admissible,
     cluster_min_perimeter,
     configuration_from_json,
+    consistency_check,
     direction,
     enumerate_coverings,
+    extract_interfaces,
     lemma_check,
+    min_envelope,
+    mirror,
+    normalized_density,
     pattern_upper_bound,
     phase_shape,
     phi_closed_form,
     shapes_from_json,
     solve_interface,
+    symdiff_area,
     verify_interior_phase,
 )
 from chiralattice.altpairs import FLAT_PAIR
 from chiralattice.cli import main
-from chiralattice.decomposition import convergence_report, decompose
+from chiralattice.decomposition import bad_area_bound, convergence_report, decompose
 from chiralattice.gauges import GaugePolygon, envelope_with_points, wulff_shape
 from chiralattice.limits import limit_energy, rs_lower_bound, spin_lower_bound
-from chiralattice.interfaces import DensityRecord, Direction, oriented
+from chiralattice.interfaces import DensityRecord, Direction, density_record, oriented
 from chiralattice.molecules import (
     Molecule, R, S, Window, configuration_entries, json_rational, perimeter, phase_label,
     phase_pattern, validate, volume_deficit, weighted_perimeter,
 )
-from chiralattice.rectregions import rect, regions_from_jsonable
+from chiralattice.polygeom import convex_hull, polygon_area, predicate_area
+from chiralattice.rectregions import rect, region_area, regions_from_jsonable
 
 
 @pytest.mark.parametrize(
@@ -60,6 +67,15 @@ _UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _UNIT_PARTITION = PolygonalPartition({1: [_UNIT_SQUARE]}, _UNIT_SQUARE)
 _PROBLEM = InterfaceProblem(1, 0, direction(1, 1), 8)
 _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
+_PHI = phi_closed_form(1)
+
+
+def _zero_islands():
+    """A plane partition whose one island was relabelled 0 after it was
+    built, which its construction check would have refused."""
+    part = PolygonalPartition({1: [_UNIT_SQUARE]})
+    part.regions[0] = part.regions.pop(1)
+    return part
 
 
 @pytest.mark.parametrize(
@@ -75,9 +91,10 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         (lambda: lemma_check(4, [replace(s, name="X") for s in FLAT_PAIR]),
          "two distinct shapes are named 'X'"),
         # weights are a pair: a short tuple, a string and a long tuple
-        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1,)), "weights must be a pair"),
-        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, "11"), "weights must be a pair"),
-        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1, 1, 1)), "weights must be a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1,)), "invalid weights \\(1,\\): expected a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, "11"), "invalid weights '11': expected a pair"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (1, 1, 1)),
+         "invalid weights \\(1, 1, 1\\): expected a pair"),
         (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, (None, 1)), "invalid weights"),
         # labels, T and direction components are ints: no float, no bool
         (lambda: InterfaceProblem(1, 0, direction(1, 1), 8.0), "invalid T 8.0: expected an integer"),
@@ -110,10 +127,10 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         # so are a window's side and centre
         (lambda: Window.square(0.1), "invalid window side 0.1"),
         (lambda: Window.square(True), "invalid window side True"),
-        (lambda: Window.square(4, (0.5, 0)), "invalid window centre coordinate 0.5"),
+        (lambda: Window.square(4, (0.5, 0)), "invalid window centre 0.5"),
         # a window's centre is a pair: a long tuple and a number
-        (lambda: Window.square(4, (1, 2, 3)), "window centre must be a pair"),
-        (lambda: Window.square(4, 5), "window centre must be a pair"),
+        (lambda: Window.square(4, (1, 2, 3)), "invalid window centre \\(1, 2, 3\\): expected a pair"),
+        (lambda: Window.square(4, 5), "invalid window centre 5: expected a pair"),
         # a scale is exact too: no float, no bool
         (lambda: ScaledConfiguration(0.1, validate([])), "invalid epsilon 0.1"),
         (lambda: ScaledConfiguration(True, validate([])), "invalid epsilon True"),
@@ -123,11 +140,11 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         (lambda: ScaledConfiguration.from_continuum(0, [(R, (0, 0))]), "epsilon must be positive"),
         (lambda: ScaledConfiguration.from_continuum(-1, [(R, (0, 0))]), "epsilon must be positive"),
         # an interior phase's size and centre are ints, the centre a pair
-        (lambda: verify_interior_phase(_COVERED, (0.5, 0), 4), "invalid centre coordinate 0.5"),
-        (lambda: verify_interior_phase(_COVERED, (0, True), 4), "invalid centre coordinate True"),
+        (lambda: verify_interior_phase(_COVERED, (0.5, 0), 4), "invalid centre 0.5"),
+        (lambda: verify_interior_phase(_COVERED, (0, True), 4), "invalid centre True"),
         (lambda: verify_interior_phase(_COVERED, (0, 0), 4.0), "invalid k 4.0: expected an integer"),
-        (lambda: verify_interior_phase(_COVERED, (0, 0, 0), 4), "centre must be a pair"),
-        (lambda: verify_interior_phase(_COVERED, 0, 4), "centre must be a pair"),
+        (lambda: verify_interior_phase(_COVERED, (0, 0, 0), 4), "invalid centre \\(0, 0, 0\\): expected a pair"),
+        (lambda: verify_interior_phase(_COVERED, 0, 4), "invalid centre 0: expected a pair"),
         (lambda: verify_interior_phase([Molecule(R, (0, 0))], (0, 0), 4),
          "config must be a Configuration, not list"),
         (lambda: lemma_check(4, inner_margin=4.0), "invalid inner margin 4.0"),
@@ -135,11 +152,11 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         # library coordinates are exact: no float, no bool
         (lambda: rect(0.1, 0, 1, 1), "invalid coordinate 0.1"),
         (lambda: rect(0, 0, True, 1), "invalid coordinate True"),
-        (lambda: PolygonalPartition({1: [[(0, 0), (1, 0), (1, 0.5)]]}), "invalid coordinate 0.5"),
+        (lambda: PolygonalPartition({1: [[(0, 0), (1, 0), (1, 0.5)]]}), "invalid vertex 0.5"),
         (lambda: PolygonalPartition({1: [_UNIT_SQUARE]}, [(0, 0), (1, 0), (1, 1), (False, 1)]),
-         "invalid coordinate False"),
+         "invalid vertex False"),
         (lambda: anchored_admissible(_UNIT_PARTITION, _UNIT_PARTITION, [(0, 0), (1.5, 0), (1, 1)]),
-         "invalid coordinate 1.5"),
+         "invalid vertex 1.5"),
         # region labels are ints: 1.5 is not region 1, nor does it replace it
         (lambda: PolygonalPartition({1.5: [_UNIT_SQUARE]}), "invalid region label 1.5"),
         (lambda: PolygonalPartition({1: [_UNIT_SQUARE], 1.5: [[(2, 0), (3, 0), (3, 1)]]}),
@@ -147,8 +164,8 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         (lambda: PolygonalPartition({True: [_UNIT_SQUARE]}), "invalid region label True"),
         # a density's normal is a pair of ints, not zero
         (lambda: DensityModel.with_patterns().value_and_source(1, 5, (1.5, 1)),
-         "invalid normal component 1.5"),
-        (lambda: DensityModel.with_patterns().value(1, 5, (1, True)), "invalid normal component True"),
+         "invalid normal 1.5"),
+        (lambda: DensityModel.with_patterns().value(1, 5, (1, True)), "invalid normal True"),
         (lambda: DensityModel.with_patterns().value(1, 5, (0, 0)), "normal cannot be zero"),
         # a phase label is an int: not phase 1 read off a bool or a float
         (lambda: phase_shape(True), "invalid phase label True: expected an integer"),
@@ -157,8 +174,8 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         # an interface key's labels and normal are ints: 1.0 is not label 1
         (lambda: oriented(1.0, 0, (1, 1)), "invalid phase label 1.0: expected"),
         (lambda: oriented(1, False, (1, 1)), "invalid phase label False"),
-        (lambda: oriented(0, 1, (0.5, 1)), "invalid normal component 0.5"),
-        (lambda: oriented(1, 0, (1, True)), "invalid normal component True: expected"),
+        (lambda: oriented(0, 1, (0.5, 1)), "invalid normal 0.5"),
+        (lambda: oriented(1, 0, (1, True)), "invalid normal True: expected"),
         # a molecule's anchor is a pair of ints and its shape a MoleculeShape:
         # no half-integer, bool or Fraction anchor is validated or labelled
         (lambda: validate([Molecule(R, (0.5, 0))]), "invalid anchor coordinate 0.5"),
@@ -209,16 +226,80 @@ _SCALED = ScaledConfiguration(F(1, 4), validate([Molecule(R, (0, 0))]))
         (lambda: wulff_shape(3), "polygon must be a GaugePolygon, not int"),
         (lambda: convergence_report([3]), "approxes entry 0 must be a PhasePartitionApprox, not int"),
         # a gauge reads exact rationals: no float, no bool read as 1
-        (lambda: phi_closed_form(1).gauge((True, 1)), "invalid gauge argument \\(True, 1\\)"),
-        (lambda: phi_closed_form(1).gauge((0.5, 1)), "invalid gauge argument \\(0.5, 1\\)"),
-        (lambda: GaugePolygon(((0.5, 0), (0, 1), (-1, 0), (0, -1))), "invalid vertex coordinate 0.5"),
-        (lambda: GaugePolygon(((True, 0), (0, 1), (-1, 0), (0, -1))),
-         "invalid vertex coordinate True"),
+        (lambda: phi_closed_form(1).gauge((True, 1)), "invalid gauge argument True"),
+        (lambda: phi_closed_form(1).gauge((0.5, 1)), "invalid gauge argument 0.5"),
+        (lambda: GaugePolygon(((0.5, 0), (0, 1), (-1, 0), (0, -1))), "invalid vertex 0.5"),
+        (lambda: GaugePolygon(((True, 0), (0, 1), (-1, 0), (0, -1))), "invalid vertex True"),
         (lambda: envelope_with_points([phi_closed_form(1)], [((1, 0), 0.5)]), "invalid gauge value 0.5"),
         (lambda: envelope_with_points([phi_closed_form(1)], [((1, 0), True)]),
          "invalid gauge value True"),
         (lambda: envelope_with_points([phi_closed_form(1)], [((1.0, 0), 1)]),
-         "invalid point coordinate 1.0"),
+         "invalid point 1.0"),
+        # every pair is read by `pair`: no entry past the second is dropped,
+        # and a short pair is not indexed past its end
+        (lambda: DensityModel().value(1, 2, (1, 0, 3)), "invalid normal \\(1, 0, 3\\): expected a pair"),
+        (lambda: oriented(1, 2, (1, 0, 3)), "invalid normal \\(1, 0, 3\\): expected a pair"),
+        (lambda: oriented(1, 2, (1,)), "invalid normal \\(1,\\): expected a pair"),
+        (lambda: _PHI.gauge((1, 0, 5)), "invalid gauge argument \\(1, 0, 5\\): expected a pair"),
+        (lambda: _PHI.gauge((1,)), "invalid gauge argument \\(1,\\): expected a pair"),
+        (lambda: envelope_with_points([_PHI], [((1, 0, 7), 1)]),
+         "invalid point \\(1, 0, 7\\): expected a pair"),
+        (lambda: envelope_with_points([_PHI], [((1,), 1)]), "invalid point \\(1,\\): expected a pair"),
+        (lambda: GaugePolygon(((1, 0, 5), (0, 1), (-1, 0), (0, -1))),
+         "invalid vertex \\(1, 0, 5\\): expected a pair"),
+        (lambda: PolygonalPartition({1: [[(0, 0), (1, 0, 0), (1, 1)]]}),
+         "invalid vertex \\(1, 0, 0\\): expected a pair"),
+        (lambda: spin_lower_bound([[(0, 0), (1, 0, 0), (1, 1)]], DensityModel()),
+         "invalid vertex \\(1, 0, 0\\): expected a pair"),
+        (lambda: rs_lower_bound([[(0, 0), (1, 0, 0), (1, 1)]], [], DensityModel()),
+         "invalid vertex \\(1, 0, 0\\): expected a pair"),
+        (lambda: anchored_admissible(_UNIT_PARTITION, _UNIT_PARTITION, [(0, 0), (1, 0, 0), (1, 1)]),
+         "invalid vertex \\(1, 0, 0\\): expected a pair"),
+        # every phase label is read by `label`, before any shortcut
+        (lambda: DensityModel().value(9, 9, (1, 0)), "phase label 9 out of range 0..8"),
+        (lambda: DensityModel().value("a", "a", (1, 0)), "invalid phase label 'a': expected an integer"),
+        (lambda: DensityModel().value(1.5, 1.5, (1, 0)), "invalid phase label 1.5: expected an integer"),
+        (lambda: oriented(9, 10, (1, 0)), "phase label 9 out of range 0..8"),
+        # library coordinates are ints or Fractions, not binary floats read exactly
+        (lambda: region_area([(0.1, 0, 1, 1)]), "invalid coordinate 0.1: expected an int or a Fraction"),
+        (lambda: symdiff_area([(0.5, 0, 1, 1)], []), "invalid coordinate 0.5: expected an int or a Fraction"),
+        (lambda: polygon_area([(0, 0), (1, 0), (True, 1)]), "invalid coordinate True"),
+        (lambda: predicate_area([[[(0, 0), (1.5, 0), (1, 1)]]], any), "invalid coordinate 1.5"),
+        (lambda: convex_hull([(0, 0), (1, 0), (0, "1")]), "invalid coordinate '1'"),
+        (lambda: envelope_with_points([], [((1, 0), 1), ((-1, 0), 1)]),
+         "hull needs at least 3 distinct points"),
+        (lambda: envelope_with_points([], [((1, 0), 1), ((2, 0), 1), ((3, 0), 1)]),
+         "points are collinear"),
+        # each export names an argument of the wrong type
+        (lambda: solve_interface("x"), "prob must be an InterfaceProblem, not str"),
+        (lambda: phase_pattern(1, "x"), "window must be a Window, not str"),
+        (lambda: DensityModel().add_records([1]), "record must be a DensityRecord, not int"),
+        (lambda: consistency_check(DensityModel(), [1]), "record must be a DensityRecord, not int"),
+        (lambda: consistency_check(3, []), "model must be a DensityModel, not int"),
+        (lambda: extract_interfaces("x"), "part must be a PolygonalPartition, not str"),
+        (lambda: anchored_admissible("x", "y"), "part must be a PolygonalPartition, not str"),
+        (lambda: anchored_admissible(_UNIT_PARTITION, "y"), "exterior must be a PolygonalPartition, not str"),
+        (lambda: normalized_density("x", "y"), "prob must be an InterfaceProblem, not str"),
+        (lambda: normalized_density(_PROBLEM, "y"),
+         "result must be a SolveResult or DensityRecord, not str"),
+        (lambda: density_record("x", "y"), "prob must be an InterfaceProblem, not str"),
+        (lambda: density_record(_PROBLEM, "y"), "result must be a SolveResult, not str"),
+        (lambda: mirror("x"), "polygon must be a GaugePolygon, not str"),
+        (lambda: min_envelope(["x"]), "gauge must be a GaugePolygon, not str"),
+        (lambda: bad_area_bound("x"), "approx must be a PhasePartitionApprox, not str"),
+        # the range, size and emptiness checks that no other test reaches
+        (lambda: verify_interior_phase(_COVERED, (0, 0), 2), "k must be at least 3"),
+        (lambda: lemma_check(4, inner_margin=3), "inner margin must be 2 or 4"),
+        (lambda: ScaledConfiguration(0, validate([])), "epsilon must be positive"),
+        (lambda: decompose(_SCALED, Window.plane()), "decomposition needs a bounded window"),
+        (lambda: GaugePolygon(((1, 0), (0, 1))), "a gauge polygon needs at least 3 vertices"),
+        (lambda: min_envelope([]), "need at least one gauge"),
+        (lambda: envelope_with_points([_PHI], [((1, 0), 0)]), "gauge values must be positive"),
+        (lambda: InterfaceProblem(1, 0, direction(1, 1), 8, energy_kind="area"),
+         "energy_kind must be 'surface' or 'volume'"),
+        (lambda: PolygonalPartition({1: [[(0, 0), (1, 0), (2, 0)]]}), "A_1: degenerate polygon"),
+        (lambda: extract_interfaces(_zero_islands()), "label 0 cannot form islands"),
+        (lambda: phase_pattern(1, Window.plane()), "a plane-filling pattern is infinite"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):
@@ -239,19 +320,23 @@ def test_exact_weights_are_accepted():
     "decode, text, message",
     [
         (configuration_from_json, '[{"shape": "R", "anchor": [1.5, 0]}]',
-         "configuration entry 0: invalid anchor coordinate 1.5: expected an integer or a rational string"),
+         "configuration entry 0: invalid anchor 1.5: expected an integer or a rational string"),
         (configuration_from_json, '[{"shape": "Q", "anchor": [0, 0]}]', "unknown shape 'Q'"),
         (configuration_from_json, '[{"shape": "R"}]', "configuration entry 0: KeyError"),
         (configuration_from_json, '{"shape": "R"}', "expected a JSON list"),
         (configuration_from_json, "[", "JSONDecodeError"),
         (shapes_from_json, '[{"name": "X", "cells": [[0, 0]], "chirality_class": "R-like"}]',
          "shape file entry 0: shape 'X' needs 4 distinct cells"),
+        (shapes_from_json, json.dumps(2 * [{"name": "X", "cells": [[0, 0], [0, 1], [0, 2], [1, 2]],
+                                            "chirality_class": "R-like"}]),
+         "shape file entry 1: duplicate shape name 'X'"),
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)), '{"regions": {"1": [[0, 0]]}}',
-         "region 1 entry 0: TypeError"),
+         "region 1 entry 0: invalid vertex 0: expected a pair"),
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
          '{"regions": {"1": [[[0, 0], [1, 0], [1, 0], [0, 1]]]}}', "zero-length edge"),
         (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, 1]]}',
          "region 1 entry 0: TypeError"),
+        (lambda t: regions_from_jsonable(json.loads(t)), '[]', "regions: expected a JSON object, not list"),
         (lambda t: regions_from_jsonable(json.loads(t)), '{"1": [[0, 0, 0, 1]]}',
          "degenerate rectangle"),
         (lambda t: regions_from_jsonable(json.loads(t)), '{"9": [[0, 0, 1, 1]]}',
@@ -264,9 +349,9 @@ def test_exact_weights_are_accepted():
          "region 1 entry 0: invalid coordinate '1/0'"),
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
          '{"regions": {"1": [[[false, 0], [true, 0], [1, 1], [0, 1]]]}}',
-         "region 1 entry 0: invalid coordinate False"),
+         "region 1 entry 0: invalid vertex False"),
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
-         '{"window": [[0, 0], [1.5, 0], [1, 1]], "regions": {}}', "window: invalid coordinate 1.5"),
+         '{"window": [[0, 0], [1.5, 0], [1, 1]], "regions": {}}', "window: invalid vertex 1.5"),
         # "1" and "01" are one label: the second must not replace the first
         (lambda t: PolygonalPartition.from_jsonable(json.loads(t)),
          '{"regions": {"1": [[[0, 0], [2, 0], [2, 2], [0, 2]]], "01": [[[5, 5], [6, 5], [6, 6], [5, 6]]]}}',
@@ -288,7 +373,7 @@ def test_exact_weights_are_accepted():
         (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,40,7,exact,3",
          "phi_hat 7 is not max\\(\\|p\\|, \\|q\\|\\) \\* value / T = 5"),
         (DensityRecord.from_csv_row, "9,0,0,1,8,surface,1,1,40,5,exact,3",
-         "phase labels must be in 0..8"),
+         "phase label 9 out of range 0..8"),
         (DensityRecord.from_csv_row, "1,0,2,2,8,surface,1,1,40,10,exact,3",
          "direction components must be coprime"),
         (DensityRecord.from_csv_row, "1,0,0,1,8,surface,1,1,40,5,proven,3",

@@ -16,6 +16,7 @@ from chiralattice.limits import (
     rs_lower_bound,
     spin_lower_bound,
 )
+from chiralattice.molecules import InvalidInput
 from chiralattice.polygeom import polygon_area
 
 MODEL = DensityModel.with_patterns()
@@ -174,7 +175,8 @@ def test_invalid_partitions_rejected():
         PolygonalPartition(regions={1: [SQ]}, window=win)  # area mismatch
     with pytest.raises(InvalidPartition):
         PolygonalPartition(regions={0: [SQ]}, window=None)  # explicit 0 island
-    with pytest.raises(InvalidPartition):
+    # a label out of 0..8 is bad input, read by `label` before any geometry
+    with pytest.raises(InvalidInput, match="region label 9 out of range 0..8"):
         PolygonalPartition(regions={9: [SQ]}, window=None)
     # overlap along an edge piece: two copies of the same island area-match
     # the window but double-cover it

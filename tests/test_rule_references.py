@@ -142,7 +142,7 @@ def test_phase_shape_on_labels():
 
 @pytest.mark.parametrize("label", [0, 9, -1])
 def test_phase_shape_rejects_other_labels(label):
-    with pytest.raises(InvalidInput, match=r"^phase label must be in 1\.\.8$"):
+    with pytest.raises(InvalidInput, match=rf"^phase label {label} out of range 1\.\.8$"):
         phase_shape(label)
 
 
