@@ -177,7 +177,7 @@ def _check_input(
     if cap is not None and json_int("cap", cap) < 1:
         raise InvalidInput("cap must be at least 1")
     named: dict[str, MoleculeShape] = {}
-    for shape in shapes:
+    for shape in argument("shapes", shapes, Iterable):
         if not isinstance(shape, MoleculeShape):
             raise InvalidInput(f"invalid molecule shape {shape!r}: expected a MoleculeShape")
         if named.setdefault(shape.name, shape) != shape:

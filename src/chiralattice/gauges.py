@@ -34,7 +34,7 @@ IntDir = tuple[int, int]
 
 
 def _canonical_ccw(vertices: Sequence[Vec]) -> Polygon:
-    verts = tuple(pair("vertex", v, json_rational) for v in vertices)
+    verts = tuple(pair("vertex", v, json_rational) for v in argument("vertices", vertices, Iterable))
     if len(verts) < 3:
         raise InvalidInput("a gauge polygon needs at least 3 vertices")
     if polygon_area(verts) < 0:

@@ -87,6 +87,7 @@ from itertools import compress
 from typing import Callable, Iterable
 
 from .molecules import (
+    Cell,
     Configuration,
     InvalidInput,
     Molecule,
@@ -107,7 +108,7 @@ from .molecules import (
     phase_shape,
     validate,
 )
-from .placements import GridSpec, PlacementGrid
+from .placements import GridSpec, PlacementGrid, _rim
 
 SURFACE = "surface"
 VOLUME = "volume"
@@ -935,12 +936,13 @@ def cluster_min_perimeter(
     contact shares at least one edge and lowers the perimeter).  Clusters
     grow from a seed at the origin by one placement touching the cluster,
     tried in (shape name, anchor) order, and each translation class of
-    clusters is grown once.  Placements are ranked once in that order, so
-    a node's candidates are the set bits of an int over ranks: those
-    covering a cell next to the cluster, less those overlapping it, both
-    read off the placements' masks and joined as the cluster grows, so no
-    candidate is tested for overlap; a placement's two rank sets are built
-    when it is first placed.  A class is keyed by its occupancy
+    clusters is grown once.  A placement's rank is n times its shape's
+    place in (R, S) plus its anchor's bit among the table's n cells, so a
+    node's candidates are the set bits of an int over ranks: those covering
+    a cell next to the cluster, less those overlapping it, joined as the
+    cluster grows, so no candidate is tested for overlap.  A placement's
+    masks and two rank sets are its shape's, built once at the origin,
+    shifted to its anchor on first use.  A class is keyed by its occupancy
     mask shifted down to its lowest set bit, with its count of R
     molecules: the table's numbering is affine, so a translate has the
     same key, and since the cluster is edge-connected and shorter than a
@@ -978,37 +980,34 @@ def cluster_min_perimeter(
     # 3 cells per molecule of it, so its halo cells are all order cells
     reach = 3 * total
     table = PlacementGrid(((-reach, -reach), (0, 1), (1, 0), 2 * reach + 1, 2 * reach + 1), (R, S))
-    ranked = sorted(table.placements, key=lambda p: (p.shape.name, p.anchor))
-    # covering[i]: ranks of the placements covering cell i
-    covering = [0] * table.n
-    for rank, p in enumerate(ranked):
-        cells = p.mask
-        while cells:
-            low = cells & -cells
-            cells ^= low
-            covering[low.bit_length() - 1] |= 1 << rank
+    n, height = table.n, table.height
+    # cell (x, y) has bit o + x * height + y, o at place oy of line oc;
+    # ranks t * n + k run in (shape name, anchor) order, R's the low n bits
+    o = (table.order_bits & -table.order_bits).bit_length() - 1 + reach * (height + 1)
+    oc, oy = divmod(o, height)
 
-    def ranks(cells: int) -> int:
-        """Ranks of the placements covering a cell of `cells`."""
-        bits = 0
-        while cells:
-            low = cells & -cells
-            cells ^= low
-            bits |= covering[low.bit_length() - 1]
-        return bits
+    def bits(cells: Iterable[Cell]) -> int:
+        return sum(1 << o + x * height + y for x, y in cells)
 
-    # rank_sets[rank]: the ranks of the placements covering an order cell
-    # next to that one, and of those sharing a cell with it, built when the
-    # rank is first placed
-    rank_sets: dict[int, tuple[int, int]] = {}
-    r_ranks = sum(1 << rank for rank, p in enumerate(ranked) if p.shape is R)
-    s_ranks = sum(1 << rank for rank, p in enumerate(ranked) if p.shape is S)
-    # extents[shape is R]: the shape's least and greatest cell offsets in x and y
-    extents = [
-        (min(x for x, _ in shape.cells), max(x for x, _ in shape.cells),
-         min(y for _, y in shape.cells), max(y for _, y in shape.cells))
-        for shape in (S, R)
-    ]
+    def ranks_covering(cells: Iterable[Cell]) -> int:
+        """Ranks of the placements covering a cell of `cells`: their anchors
+        are those cells less the offset of one of their shape's cells."""
+        return sum(bits({(x - a, y - b) for x, y in cells for a, b in shape.cells}) << t * n
+                   for t, shape in enumerate((R, S)))
+
+    # origin[t]: the shape of place t anchored at the origin, its cells' box
+    # (x0, x1, y0, y1), its cells and the outside cells sharing one and two
+    # edges with it as masks, and the ranks of the placements covering one
+    # of those outside cells (near it) and one of its cells (overlapping it)
+    origin = []
+    for shape in (R, S):
+        touch1, touch2 = _rim(shape)
+        xs, ys = [x for x, _ in shape.cells], [y for _, y in shape.cells]
+        origin.append((shape, (min(xs), max(xs), min(ys), max(ys)), bits(shape.cells), bits(touch1),
+                       bits(touch2), ranks_covering(touch1 + touch2), ranks_covering(shape.cells)))
+    # entries[rank]: its shape's origin entry moved to its anchor, on first use
+    entries: dict[int, tuple] = {}
+    r_ranks = (1 << n) - 1
     count_bits = r.bit_length()  # a key's low bits hold its R count
 
     # the incumbent, above any cluster's perimeter: at most its molecules'
@@ -1020,7 +1019,7 @@ def cluster_min_perimeter(
     # translations; with mixed species both seeds are tried since the first
     # molecule of an optimal cluster can be either kind, so the seeds are
     # the candidates of the empty cluster, whose box is empty.
-    seeds = sum(1 << rank for rank, p in enumerate(ranked) if p.anchor == (0, 0))
+    seeds = (1 << n | 1) << o
     stack = [((), 0, 0, 0, 0, 0, (reach, -reach, reach, -reach), seeds)]
     while stack:
         placed, occ, cand, blocked, per, nr, box, rest = stack.pop()
@@ -1029,25 +1028,31 @@ def cluster_min_perimeter(
         # candidate placements: those covering a cell adjacent to the
         # cluster and none of its cells, of a species still short
         rest &= ~blocked & (
-            (r_ranks if nr < r else 0) | (s_ranks if len(placed) - nr < s else 0)
+            (r_ranks if nr < r else 0) | (r_ranks << n if len(placed) - nr < s else 0)
         )
         while rest:
             low = rest & -rest
             rest ^= low
             rank = low.bit_length() - 1
-            p = ranked[rank]
+            p = entries.get(rank)
+            if p is None:
+                t, k = divmod(rank, n)
+                x, y = divmod(k, height)
+                x, y = x - oc, y - oy
+                shape, (ex0, ex1, ey0, ey1), *masks = origin[t]
+                p = entries[rank] = (shape, (x, y), (x + ex0, x + ex1, y + ey0, y + ey1),
+                                     *(m << k >> o for m in masks))
+            shape, _, (x0, x1, y0, y1), mask, touch1, touch2, near, over = p
             if last:
                 # a repeated class ties with its first visit, so complete
                 # clusters are not keyed
-                grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
+                grown_per = per + _MOLECULE_EDGES - 2 * (
+                    (touch1 & occ).bit_count() + 2 * (touch2 & occ).bit_count())
                 if grown_per < best_per:
                     best_per, best_placed = grown_per, (*placed, p)
                 continue
             # the grown box; a cluster whose box bound reaches the
             # incumbent is not grown
-            x, y = p.anchor
-            ex0, ex1, ey0, ey1 = extents[p.shape is R]
-            x0, x1, y0, y1 = x + ex0, x + ex1, y + ey0, y + ey1
             if x0 > bx0:
                 x0 = bx0
             if x1 < bx1:
@@ -1058,25 +1063,21 @@ def cluster_min_perimeter(
                 y1 = by1
             if 2 * (x1 - x0 + y1 - y0 + 2) >= best_per:
                 continue
-            grown = occ | p.mask
-            grown_nr = nr + (p.shape is R)
+            grown = occ | mask
+            grown_nr = nr + (shape is R)
             key = (grown >> (grown & -grown).bit_length() - 1) << count_bits | grown_nr
             if key in seen:
                 continue
             seen.add(key)
-            grown_per = per + _MOLECULE_EDGES - 2 * p.contacts(occ)
-            sets = rank_sets.get(rank)
-            if sets is None:
-                sets = rank_sets[rank] = (
-                    ranks((p.touch1 | p.touch2) & table.order_bits), ranks(p.mask)
-                )
+            grown_per = per + _MOLECULE_EDGES - 2 * (
+                (touch1 & occ).bit_count() + 2 * (touch2 & occ).bit_count())
             # depth first: this cluster's other candidates wait below the child
             stack.append((placed, occ, cand, blocked, per, nr, box, rest))
-            grown_cand = cand | sets[0]
+            grown_cand = cand | near
             stack.append((
-                (*placed, p), grown, grown_cand, blocked | sets[1],
+                (*placed, p), grown, grown_cand, blocked | over,
                 grown_per, grown_nr, (x0, x1, y0, y1), grown_cand,
             ))
             break
 
-    return Fraction(best_per), validate(p.molecule for p in best_placed)
+    return Fraction(best_per), validate(Molecule(shape, anchor) for shape, anchor, *_ in best_placed)

@@ -19,9 +19,9 @@ results are exact, deterministic and thread-safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .densities import DensityModel
 from .gauges import GaugePolygon, IntDir, phi_closed_form
@@ -68,7 +68,7 @@ class InterfaceSegment:
 
 
 def _points(poly) -> list[Vec]:
-    return [pair("vertex", v, json_rational) for v in poly]
+    return [pair("vertex", v, json_rational) for v in argument("polygon", poly, Iterable)]
 
 
 def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Polygon], Fraction]:
@@ -78,7 +78,7 @@ def _normalize_polys(polys: Iterable[Sequence[Vec]], what: str) -> tuple[list[Po
     edges are compared and shoelace sums taken on ints, and the one
     Fraction built is the total, the sums over 2*d^2.
     """
-    polys = [tuple(_points(poly)) for poly in polys]
+    polys = [tuple(_points(poly)) for poly in argument(what, polys, Iterable)]
     d, scaled = integer_points(polys)
     out = []
     total = 0
@@ -115,7 +115,7 @@ class PolygonalPartition:
     def __post_init__(self):
         regions: dict[int, list[Polygon]] = {}
         areas: dict[int, Fraction] = {}
-        for lab, polys in self.regions.items():
+        for lab, polys in argument("regions", self.regions, Mapping).items():
             lab = label("region label", lab)
             if polys:
                 regions[lab], areas[lab] = _normalize_polys(polys, f"A_{lab}")
@@ -398,7 +398,7 @@ def spin_lower_bound(polys: Iterable[Sequence[Vec]], model: DensityModel) -> Fra
     union to E.
     """
     envelope = argument("model", model, DensityModel).spin_envelope()
-    return _island_boundary_energy({1: list(polys)}, {(0, 1): envelope})
+    return _island_boundary_energy({1: list(argument("polys", polys, Iterable))}, {(0, 1): envelope})
 
 
 def rs_lower_bound(
@@ -415,7 +415,7 @@ def rs_lower_bound(
     corresponding empty-interface density.
     """
     return _island_boundary_energy(
-        {1: list(e_r), 5: list(e_s)},
+        {1: list(argument("e_r", e_r, Iterable)), 5: list(argument("e_s", e_s, Iterable))},
         {
             (0, 1): phi_closed_form(1),
             (0, 5): phi_closed_form(5),

@@ -15,11 +15,11 @@ its molecule, a popcount per class and direction of shifted masks
 (`free_sides`); `perimeter` adds the R-like and S-like lengths and
 `weighted_perimeter` weighs them.  `decomposition.decompose` prices its
 boundary with `perimeter`, on the same boards.
-`Window._clip` is the length of a unit interval inside the open window,
-the int 1 or 0 unless the window boundary cuts it.  It clips each side,
-and `volume_deficit` takes each cell's area as the product of its two
-clips (`covered_area`).  Each cut line is priced once per window
-(`Window._cuts`).  `free_sides` and `covered_area` take plain masks, cut
+A side's length inside the open window is its clip, 1 unless the window
+boundary cuts its line, and `volume_deficit` takes each cell's area as the
+product of its two clips (`covered_area`).  Only a window's first and
+last lines can be cut; `Window._cuts` prices each of them once, from the
+window bounds.  `free_sides` and `covered_area` take plain masks, cut
 lines and a unit, so the interface solver prices Q_T with them too.
 
 The phase map lives here and nowhere else: `phase_shape` gives the shape
@@ -320,16 +320,6 @@ def phase_shape(i: int) -> MoleculeShape:
 # Windows
 # -------------------------------------------------------------------
 
-def _int_above(q: Fraction | int) -> int:
-    """Smallest integer strictly greater than q."""
-    return math.floor(q) + 1
-
-
-def _int_below(q: Fraction | int) -> int:
-    """Largest integer strictly less than q."""
-    return math.ceil(q) - 1
-
-
 @dataclass(frozen=True)
 class Window:
     """An axis-aligned open square, or the whole plane (side is None).
@@ -363,7 +353,7 @@ class Window:
     @cached_property
     def _bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self.side is None:
-            raise ValueError("the whole plane has no bounds")
+            raise InvalidInput("the whole plane has no bounds")
         cx, cy = self.center
         h = self.side / 2
         return (cx - h, cy - h, cx + h, cy + h)
@@ -375,40 +365,20 @@ class Window:
     @cached_property
     def _cells(self) -> tuple[range, range]:
         x0, y0, x1, y1 = self._bounds
-        return (
-            range(_int_above(x0 - 1), _int_below(x1) + 1),
-            range(_int_above(y0 - 1), _int_below(y1) + 1),
-        )
-
-    @cached_property
-    def _whole(self) -> tuple[range, range]:
-        """Index ranges of lattice cells contained in the closed window."""
-        x0, y0, x1, y1 = self._bounds
-        return (
-            range(math.ceil(x0), math.floor(x1)),
-            range(math.ceil(y0), math.floor(y1)),
-        )
+        return range(math.floor(x0), math.ceil(x1)), range(math.floor(y0), math.ceil(y1))
 
     @cached_property
     def _cuts(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """(unit, cuts): (axis, k, e) for each line k of `_cells` that the
-        window boundary cuts, only ever a first or last one, priced once by
-        `_clip`: clip - 1 = e / unit, unit the clips' least common denominator."""
-        cuts = [(axis, k, self._clip(axis, k)) for axis, cells in enumerate(self._cells)
-                for k in dict.fromkeys((cells[0], cells[-1])) if k not in self._whole[axis]]
+        window boundary cuts, only ever a first or last one, priced once:
+        its clip, the length of [k, k+1] inside the open window, is
+        1 + e / unit, unit the clips' least common denominator."""
+        b = self._bounds
+        cuts = [(axis, k, clip) for axis, cells in enumerate(self._cells)
+                for k in dict.fromkeys((cells[0], cells[-1]))
+                if (clip := min(b[axis + 2], k + 1) - max(b[axis], k)) < 1]
         unit = math.lcm(*(clip.denominator for *_, clip in cuts))
         return unit, tuple((axis, k, int(clip * unit) - unit) for axis, k, clip in cuts)
-
-    def _clip(self, axis: int, k: int) -> int | Fraction:
-        """Length of the unit interval [k, k+1] on axis 0 (x) or 1 (y) inside
-        the open window: the int 1 or 0, and a Fraction only where the
-        window boundary cuts the interval."""
-        if k in self._whole[axis]:
-            return 1
-        if k not in self._cells[axis]:
-            return 0
-        bounds = self._bounds
-        return min(bounds[axis + 2], k + 1) - max(bounds[axis], k)
 
     def contains_cell(self, cell: Cell) -> bool:
         """True iff the open window meets the interior of the closed cell."""

@@ -33,10 +33,13 @@ every order cell is decided, so the only placements it can choose there
 are those whose first order cell is i.  The grid lists each placement
 once, under that cell: these branch lists are all that the covering walk
 and the interface solver read, and a search that needs the placements
-covering a cell reads them off the masks.
+covering a cell reads them off the masks.  Cluster growth reads the
+numbering alone: it ranks a placement by its shape and its anchor's bit,
+and shifts its shape's masks, built once at the origin, to that bit.
 
 A grid builds its placements and its neighbour masks on first read, so a
-search that finishes at its root builds the numbering alone.  Two
+search that finishes at its root, or grows clusters, builds the
+numbering alone.  Two
 threads racing on a first read build equal lists, so grids are safe for
 concurrent use.
 """

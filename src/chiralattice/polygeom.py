@@ -81,13 +81,19 @@ def integer_points(groups: Sequence[Sequence[Vec]]) -> tuple[int, list[list[tupl
     """The least common denominator d of the points' coordinates, and each
     group of points scaled by d to integer points, in order.
 
-    Coordinates are ints or Fractions, each read once by as_integer_ratio;
-    any other, such as a float or a bool, raises InvalidInput.
+    A point is a pair (x, y), and its coordinates are ints or Fractions,
+    each read once by as_integer_ratio; any other point, or coordinate
+    such as a float or a bool, raises InvalidInput.
     """
-    ratios = [
-        v.as_integer_ratio() if type(v) is int or type(v) is Fraction else _inexact(v)
-        for group in groups for pt in group for v in pt
-    ]
+    try:
+        ratios = [
+            v.as_integer_ratio() if type(v) is int or type(v) is Fraction else _inexact(v)
+            for group in groups for x, y in group for v in (x, y)
+        ]
+    except InvalidInput:
+        raise
+    except (TypeError, ValueError):
+        raise InvalidInput("invalid point: expected a pair (x, y)") from None
     d = math.lcm(*{q for _, q in ratios})
     scaled = iter([p * (d // q) for p, q in ratios])
     points = zip(scaled, scaled)

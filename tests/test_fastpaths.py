@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -56,6 +57,30 @@ def ref_bounds(window: Window):
     cx, cy = window.center
     h = window.side / 2
     return (cx - h, cy - h, cx + h, cy + h)
+
+
+def ref_clip(bounds, axis: int, k: int) -> F:
+    """Length of the unit interval [k, k+1] on axis 0 (x) or 1 (y) inside
+    the open window with these bounds, for a line k of its cells."""
+    return min(bounds[axis + 2], k + 1) - max(bounds[axis], k)
+
+
+def ref_cuts(window: Window) -> dict[tuple[int, int], F]:
+    """{(axis, k): clip} for every line k of the window's cells whose clip
+    is below 1."""
+    bounds = ref_bounds(window)
+    return {(axis, k): clip for axis, cells in enumerate(ref_cell_range(window))
+            for k in cells if (clip := ref_clip(bounds, axis, k)) < 1}
+
+
+def assert_cuts_match(window: Window):
+    """`Window._cuts` lists exactly the window's cut lines, each with its
+    exact Fraction clip as 1 + e / unit, unit the clips' least common
+    denominator."""
+    unit, cuts = window._cuts
+    want = ref_cuts(window)
+    assert {(axis, k): 1 + F(e, unit) for axis, k, e in cuts} == want, window
+    assert len(cuts) == len(want) and unit == math.lcm(*(c.denominator for c in want.values())), window
 
 
 def ref_contains_cell(bounds, cell) -> bool:
@@ -394,21 +419,22 @@ def test_plane_energies_are_fractions():
 
 def test_cut_lines_are_priced_once(monkeypatch):
     """On the criterion-10 seam, in two windows that cut cells, the three
-    energies together price each cut line with `Window._clip` at most once
-    in all, and only cut lines."""
+    energies together price the window's cut lines (`Window._cuts`) once
+    in all, and those are exactly the lines whose exact Fraction clip is
+    below 1, at that clip."""
     calls = []
 
-    def recording(self, axis, k):
-        calls.append((axis, k))
-        return clip(self, axis, k)
+    def recording(self):
+        calls.append(self)
+        return cuts.func(self)
 
-    clip = Window._clip
-    monkeypatch.setattr(Window, "_clip", recording)
+    cuts = Window.__dict__["_cuts"]
+    spy = cached_property(recording)
+    spy.__set_name__(Window, "_cuts")
+    monkeypatch.setattr(Window, "_cuts", spy)
     config = validate(seam(16))
     for window in (Window.square(F(193, 3), (F(1, 2), F(-2, 7))),
                    Window.square(F(163, 2), (F(1, 3), 0))):
-        cells, whole = window.cell_range(), window._whole
-        cut_lines = {(axis, k) for axis in (0, 1) for k in cells[axis] if k not in whole[axis]}
         calls.clear()
         energies = (
             perimeter(config, window),
@@ -416,11 +442,11 @@ def test_cut_lines_are_priced_once(monkeypatch):
             volume_deficit(config, window),
         )
         assert all(type(v) is F for v in energies)
-        assert calls and set(calls) <= cut_lines, window
-        assert len(calls) == len(set(calls)), (window, calls)
-        monkeypatch.setattr(Window, "_clip", clip)
+        assert calls == [window], window
+        assert window._cuts[1] and ref_cuts(window), window
+        assert_cuts_match(window)
         assert_lattice_energies(config, window, F(3, 2), F(5, 7))
-        monkeypatch.setattr(Window, "_clip", recording)
+        assert calls == [window], window
 
 
 def test_energy_work_guard(monkeypatch):
@@ -517,12 +543,18 @@ def test_contains_cell_and_cell_range_match_fraction_bounds():
         window = random_window(rng)
         assert window.cell_range() == ref_cell_range(window)
         assert window.bounds() == ref_bounds(window)
+        assert_cuts_match(window)
         bounds = x0, y0, x1, y1 = ref_bounds(window)
         for a in range(math.floor(x0) - 2, math.ceil(x1) + 2):
             for b in (math.floor(y0) - 1, math.floor(y0), math.floor(y0) + 1,
                       math.ceil(y1) - 1, math.ceil(y1), rng.randint(-40, 40)):
                 assert window.contains_cell((a, b)) == ref_contains_cell(bounds, (a, b))
                 assert window.contains_cell((b, a)) == ref_contains_cell(bounds, (b, a))
+    # a window inside one cell, one across a lattice line, one on lattice
+    # lines, and one on a lattice line at one end of an axis only
+    for window in (Window.square(F(1, 3), (F(1, 2), F(1, 2))), Window.square(F(1, 2), (1, 1)),
+                   Window.square(1, (F(1, 2), F(1, 2))), Window.square(F(7, 2), (F(-1, 4), 0))):
+        assert_cuts_match(window)
 
 
 def test_window_is_still_a_plain_value():
@@ -649,11 +681,11 @@ def test_outer_clip_matches_the_window():
         (clip,) = clips
         corner = scale - odd * 2 * (scale >> 1) + odd * (scale >> 2)
         assert F(corner, scale) == clip * clip, T
-        window, cells = Window.square(T), _window_cells(T)
+        bounds, cells = Window.square(T).bounds(), _window_cells(T)
         for axis in (0, 1):
             for k in (cells[0], cells[-1]):
-                assert clip == window._clip(axis, k), T
-            assert window._clip(axis, cells[1]) == window._clip(axis, cells[-2]) == 1, T
+                assert clip == ref_clip(bounds, axis, k), T
+            assert ref_clip(bounds, axis, cells[1]) == ref_clip(bounds, axis, cells[-2]) == 1, T
         assert clip == (1 if T % 2 == 0 else F(1, 2)), T
 
 

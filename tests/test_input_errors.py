@@ -300,6 +300,23 @@ def _zero_islands():
         (lambda: PolygonalPartition({1: [[(0, 0), (1, 0), (2, 0)]]}), "A_1: degenerate polygon"),
         (lambda: extract_interfaces(_zero_islands()), "label 0 cannot form islands"),
         (lambda: phase_pattern(1, Window.plane()), "a plane-filling pattern is infinite"),
+        (lambda: Window.plane().bounds(), "the whole plane has no bounds"),
+        (lambda: Window.plane().cell_range(), "the whole plane has no bounds"),
+        # points that are no pair, which the polygon code once paired by
+        # position: these answered 1/2, a wrong triangle, 13/6 and 1
+        (lambda: polygon_area([(0, 0, 1), (1, 0), (1, 1)]), "invalid point: expected a pair"),
+        (lambda: convex_hull([(0, 0, 0), (1, 0), (0, 1), (1, 1)]), "invalid point: expected a pair"),
+        (lambda: predicate_area([[[(0, 0), (2, 0), (2, 2, 1), (0, 2)]]], lambda t: t[0]),
+         "invalid point: expected a pair"),
+        (lambda: region_area([(0, 0, 1, 1, 9)]), "invalid point: expected a pair"),
+        # containers of the wrong kind
+        (lambda: PolygonalPartition([1]), "regions must be a Mapping, not list"),
+        (lambda: PolygonalPartition({1: [5]}), "polygon must be an Iterable, not int"),
+        (lambda: PolygonalPartition({1: 5}), "A_1 must be an Iterable, not int"),
+        (lambda: GaugePolygon(5), "vertices must be an Iterable, not int"),
+        (lambda: spin_lower_bound(5, DensityModel()), "polys must be an Iterable, not int"),
+        (lambda: rs_lower_bound([], 5, DensityModel()), "e_s must be an Iterable, not int"),
+        (lambda: lemma_check(4, 5), "shapes must be an Iterable, not int"),
     ],
 )
 def test_argument_checks_raise_invalid_input(call, message):

@@ -395,9 +395,26 @@ def test_searches_build_molecules_for_their_results_only(monkeypatch):
     # certified at the root: the result is the glued family, built in set-up
     res = solve_interface(FRONTIER)
     assert (res.nodes_explored, reads) == (0, [])
-    _, config = cluster_min_perimeter(3, 2)
-    assert [Molecule(p.shape, p.anchor) for p in reads] == list(config.molecules)
-    reads.clear()
+    # cluster growth reads no placement of its grid: it builds a molecule
+    # for each placement of its result alone, once
+    built, grids = [], []
+
+    def cluster_molecule(shape, anchor):
+        built.append(Molecule(shape, anchor))
+        return built[-1]
+
+    def placement_lists(grid):
+        grids.append(grid)
+        return []
+
+    with monkeypatch.context() as patch:
+        for name in ("by_first", "placements"):
+            spy = cached_property(placement_lists)
+            spy.__set_name__(PlacementGrid, name)
+            patch.setattr(PlacementGrid, name, spy)
+        patch.setattr(interfaces, "Molecule", cluster_molecule)
+        _, config = cluster_min_perimeter(3, 2)
+    assert (built, grids, reads) == (list(config.molecules), [], [])
     # a solve that opens nodes and returns a leaf reads the leaf's free
     # molecules, whatever its incumbent improvements
     prob = InterfaceProblem(1, 5, direction(1, 1), 12)
