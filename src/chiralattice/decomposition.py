@@ -123,17 +123,15 @@ def _centres(lo: Fraction, hi: Fraction, eps: Fraction) -> list[tuple]:
 
     Each entry is (m, inside, bad ends, small ends): whether the 12-interval
     lies in [lo, hi], and the continuum ends of the 12- and 4-intervals, as
-    Fractions in increasing order, checked here once per column or row.
+    Fractions in increasing order, since a scaled configuration's epsilon
+    is positive.
     """
-    out = [
+    return [
         (m, lo <= 4 * m - 6 and 4 * m + 6 <= hi,
          (eps * (4 * m - 6), eps * (4 * m + 6)), (eps * (4 * m - 2), eps * (4 * m + 2)))
         for m in range(math.floor((lo - 6) / 4), math.ceil((hi + 6) / 4) + 1)
         if 4 * m - 6 < hi and 4 * m + 6 > lo
     ]
-    if any(u0 >= u1 or s0 >= s1 for _, _, (u0, u1), (s0, s1) in out):
-        raise InvalidInput(f"degenerate covering squares at epsilon {eps}")
-    return out
 
 
 def decompose(scaled: ScaledConfiguration, window: Window) -> PhasePartitionApprox:

@@ -81,10 +81,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable
+from typing import Callable, Iterable, get_type_hints
 
 from .molecules import (
     Cell,
@@ -95,7 +95,6 @@ from .molecules import (
     R,
     R_LIKE,
     S,
-    configuration_to_jsonable,
     covered_area,
     argument,
     decode_entry,
@@ -225,14 +224,6 @@ class SolveResult:
     # with the bounds.
     lower: Fraction
     root: Fraction
-
-    def to_jsonable(self) -> dict:
-        return {
-            "value": str(self.value),
-            "certificate": self.certificate,
-            "nodes_explored": self.nodes_explored,
-            "config": configuration_to_jsonable(self.config),
-        }
 
 
 # -------------------------------------------------------------------
@@ -717,7 +708,10 @@ def normalized_density(prob: InterfaceProblem, result: SolveResult | DensityReco
 
 @dataclass(frozen=True)
 class DensityRecord:
-    """One row of the density table emitted by solver runs."""
+    """One row of the density table emitted by solver runs.  The table's
+    columns are its fields, in order: the header `CSV_COLUMNS` names them,
+    `csv_row` writes each with `str`, and `from_csv_row` reads each with
+    its annotated type."""
 
     i: int
     j: int
@@ -732,19 +726,8 @@ class DensityRecord:
     certificate: str
     nodes: int
 
-    CSV_COLUMNS = (
-        "i,j,p,q,T,energy_kind,c_R,c_S,value,phi_hat,certificate,nodes"
-    )
-
     def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.i, self.j, self.p, self.q, self.T, self.energy_kind,
-                self.c_R, self.c_S, self.value, self.phi_hat,
-                self.certificate, self.nodes,
-            )
-        )
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def from_csv_row(cls, line: str) -> "DensityRecord":
@@ -755,15 +738,12 @@ class DensityRecord:
         `normalized_density` gives its value.
         """
         f = line.split(",")
-        if len(f) != 12:
-            raise InvalidInput(f"density row needs 12 fields, got {len(f)}: {line!r}")
+        columns, readers = fields(cls), get_type_hints(cls)
+        if len(f) != len(columns):
+            raise InvalidInput(f"density row needs {len(columns)} fields, got {len(f)}: {line!r}")
 
         def decode(f: list[str]) -> DensityRecord:
-            rec = cls(
-                int(f[0]), int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5],
-                Fraction(f[6]), Fraction(f[7]), Fraction(f[8]), Fraction(f[9]),
-                f[10], int(f[11]),
-            )
+            rec = cls(*(readers[c.name](v) for c, v in zip(columns, f)))
             prob = InterfaceProblem(
                 rec.i, rec.j, Direction(rec.p, rec.q), rec.T, (rec.c_R, rec.c_S),
                 rec.energy_kind,
@@ -782,6 +762,9 @@ class DensityRecord:
             return rec
 
         return decode_entry(f"density row {line!r}", decode, f)
+
+
+DensityRecord.CSV_COLUMNS = ",".join(f.name for f in fields(DensityRecord))
 
 
 def density_table(records: Iterable[DensityRecord], manifest: dict, header: bool = True) -> str:

@@ -266,8 +266,8 @@ class Molecule:
 
     def cells(self) -> tuple[Cell, Cell, Cell, Cell]:
         # unrolled: every shape has exactly four cells, and the cell walks
-        # (the occupancy dict, the overlap report, the frame test) call it
-        # once per molecule
+        # (the occupancy dict, the overlap report, the frame test, the SVG
+        # writer) call it once per molecule
         ax, ay = self.anchor
         (c0, r0), (c1, r1), (c2, r2), (c3, r3) = self.shape.cells
         return (

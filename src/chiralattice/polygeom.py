@@ -142,7 +142,7 @@ def predicate_area(
     area is summed on the scaled slabs and divided once by 2*D^2.
     """
     if predicate(tuple(False for _ in polygon_sets)):
-        raise ValueError("predicate region is unbounded")
+        raise InvalidInput("predicate region is unbounded")
     tagged = [(si, poly) for si, ps in enumerate(polygon_sets) for poly in ps]
     d, polys = integer_points([poly for _, poly in tagged])
     breaks: set[int] = set()

@@ -1,9 +1,12 @@
 """Deterministic SVG emission for configurations and polygons.
 
 Output is generated from sorted primitives with fixed formatting, so
-equal inputs produce byte-identical files.  Molecules are drawn as their
-four unit squares filled by a fixed nine-color phase palette (label 0 is
-the background); user-defined shapes fall back to neutral gray tones by
+equal inputs produce byte-identical files.  Every drawing has one frame
+rule: its view is the box of the corner points it draws, grown by a
+margin, or the 2 x 2 square about the origin when it draws none, so an
+empty drawing is an empty frame.  Molecules are drawn as their four unit
+squares filled by a fixed nine-color phase palette (label 0 is the
+background); user-defined shapes fall back to neutral gray tones by
 chirality class.
 """
 
@@ -36,16 +39,24 @@ def _fmt(v) -> str:
     return f"{float(v):.4f}"
 
 
-def _header(x0, y0, x1, y1, comment: str | None) -> list[str]:
+def _document(corners: Sequence[tuple], pad, body: Sequence[str], comment: str | None) -> str:
+    """The SVG file of the element lines `body`, viewed in the box of the
+    `corners` grown by `pad`, or in [-1, 1]^2 when there are none."""
+    if not corners:
+        corners, pad = [(0, 0)], 1
+    xs = [Fraction(p[0]) for p in corners]
+    ys = [Fraction(p[1]) for p in corners]
+    x0, x1 = min(xs) - pad, max(xs) + pad
+    y0, y1 = min(ys) - pad, max(ys) + pad
     w, h = float(x1 - x0), float(y1 - y0)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(x0)} {_fmt(-float(y1))} '
-        f'{_fmt(w)} {_fmt(h)}" width="{_fmt(40 * w)}" height="{_fmt(40 * h)}">',
-    ]
+    head = ['<?xml version="1.0" encoding="UTF-8"?>']
     if comment:
-        lines.insert(1, f"<!-- {comment} -->")
-    return lines
+        head.append(f"<!-- {comment} -->")
+    head.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(x0)} {_fmt(-float(y1))} '
+        f'{_fmt(w)} {_fmt(h)}" width="{_fmt(40 * w)}" height="{_fmt(40 * h)}">'
+    )
+    return "\n".join([*head, *body, "</svg>"]) + "\n"
 
 
 def configuration_svg(
@@ -54,59 +65,46 @@ def configuration_svg(
     palette: Sequence[str] = PHASE_PALETTE,
 ) -> str:
     """Molecules drawn as outlined unit squares, colored by phase."""
-    cells = sorted(config.occupancy)
-    if cells:
-        xs = [c[0] for c in cells]
-        ys = [c[1] for c in cells]
-        x0, x1 = min(xs) - _CELL_MARGIN, max(xs) + 1 + _CELL_MARGIN
-        y0, y1 = min(ys) - _CELL_MARGIN, max(ys) + 1 + _CELL_MARGIN
-    else:
-        x0 = y0 = -1
-        x1 = y1 = 1
-    lines = _header(x0, y0, x1, y1, comment)
-    for cell in cells:
-        mol = config.molecules[config.occupancy[cell]]
+    painted = []
+    for mol in config.molecules:
         try:
             color = palette[phase_label(mol)]
         except UnlabeledShape:
             color = GRAY_R if mol.shape.chirality_class == R_LIKE else GRAY_S
-        # y axis flipped so larger rows render higher
-        lines.append(
-            f'<rect x="{_fmt(cell[0])}" y="{_fmt(-(cell[1] + 1))}" width="1" height="1" '
-            f'fill="{color}" stroke="#333333" stroke-width="0.05"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        painted.extend((cell, color) for cell in mol.cells())
+    # y axis flipped so larger rows render higher
+    rects = [
+        f'<rect x="{_fmt(x)}" y="{_fmt(-(y + 1))}" width="1" height="1" '
+        f'fill="{color}" stroke="#333333" stroke-width="0.05"/>'
+        for (x, y), color in sorted(painted)
+    ]
+    corners = [corner for (x, y), _ in painted for corner in ((x, y), (x + 1, y + 1))]
+    return _document(corners, _CELL_MARGIN, rects, comment)
 
 
-def polygons_svg(
+def _polygons(
     items: Sequence[tuple[Sequence[tuple], str, str]],
-    comment: str | None = None,
+    comment: str | None,
+    notes: Sequence[str] = (),
 ) -> str:
-    """Filled polygons given as (vertices, fill, label) triples."""
-    all_pts = [p for polygon, _, _ in items for p in polygon]
-    if not all_pts:
-        raise ValueError("nothing to draw")
-    xs = [Fraction(p[0]) for p in all_pts]
-    ys = [Fraction(p[1]) for p in all_pts]
-    x0, x1 = min(xs) - _POLYGON_PAD, max(xs) + _POLYGON_PAD
-    y0, y1 = min(ys) - _POLYGON_PAD, max(ys) + _POLYGON_PAD
-    lines = _header(x0, y0, x1, y1, comment)
+    """Filled polygons given as (vertices, fill, label) triples, then the
+    element lines `notes`."""
+    body = []
     for polygon, fill, label in items:
         pts = " ".join(f"{_fmt(p[0])},{_fmt(-Fraction(p[1]))}" for p in polygon)
-        lines.append(
+        body.append(
             f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.55" '
             f'stroke="#222222" stroke-width="0.03"/>'
         )
         if label:
             cx = sum(Fraction(p[0]) for p in polygon) / len(polygon)
             cy = sum(Fraction(p[1]) for p in polygon) / len(polygon)
-            lines.append(
+            body.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(-cy)}" font-size="0.3" '
                 f'text-anchor="middle">{label}</text>'
             )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    corners = [p for polygon, _, _ in items for p in polygon]
+    return _document(corners, _POLYGON_PAD, [*body, *notes], comment)
 
 
 def partition_svg(
@@ -120,7 +118,6 @@ def partition_svg(
     for lab in sorted(partition.regions):
         for poly in partition.regions[lab]:
             items.append((list(poly), palette[lab], f"A{lab}"))
-    body = polygons_svg(items, comment=comment)
     notes = []
     for r in priced_segments:
         seg = r.segment
@@ -130,7 +127,7 @@ def partition_svg(
             f'<text x="{_fmt(mx)}" y="{_fmt(-my)}" font-size="0.18" '
             f'fill="#000000" text-anchor="middle">{seg.i}|{seg.j}: {r.price}</text>'
         )
-    return body.replace("</svg>", "\n".join(notes) + "\n</svg>")
+    return _polygons(items, comment=comment, notes=notes)
 
 
 def level_set_and_wulff_svg(
@@ -142,7 +139,7 @@ def level_set_and_wulff_svg(
     span = max(xs) - min(xs)
     offset = span + 2
     shifted = [(Fraction(p[0]) + offset, Fraction(p[1])) for p in wulff]
-    return polygons_svg(
+    return _polygons(
         [
             (list(level), "#377eb8", "level set"),
             (shifted, "#e41a1c", "Wulff shape"),

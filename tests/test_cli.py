@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from chiralattice import cli
 from chiralattice.cli import main
+from chiralattice.densities import ConsistencyReport
 from chiralattice.interfaces import DensityRecord
 from chiralattice.molecules import Window, phase_pattern, validate
 from chiralattice.svgout import configuration_svg
@@ -792,3 +794,70 @@ def test_manifest_lists_exactly_the_files_written(case, tmp_path, monkeypatch, c
     )
     written = sorted(path for path, data in files().items() if before.get(path) != data)
     assert manifest["outputs"] == written
+
+
+UNIT_SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+# degenerate inputs, each with every output option its subcommand takes;
+# the files named in the argv are written first
+DEGENERATE = {
+    "limit_empty_plane": (
+        {"part.json": {"window": None, "regions": {}}},
+        ["limit", "part.json", "--svg", "p.svg", "--out", "l.json"],
+    ),
+    "limit_only_label_0": (
+        {"part.json": {"window": UNIT_SQUARE, "regions": {"0": [UNIT_SQUARE]}}},
+        ["limit", "part.json", "--svg", "p.svg"],
+    ),
+    "energy_empty_plane": ({"none.json": []}, ["energy", "none.json"]),
+    "energy_empty_window": (
+        {"none.json": []}, ["energy", "none.json", "--window", "4", "--out", "e.json"],
+    ),
+    "decompose_empty": (
+        {"none.json": [], "target.json": {}},
+        [
+            "decompose", "none.json", "--epsilon", "1/4", "--window", "4",
+            "--target", "target.json", "--regions-csv", "reg", "--out", "d.json",
+        ],
+    ),
+    "cluster_one": ({}, ["cluster", "1", "0", "--svg", "c.svg", "--json", "c.json"]),
+    "lemma_k2": ({}, ["lemma", "2", "--witness-svg", "w.svg", "--json", "l.json"]),
+    "wulff_all": ({}, ["wulff", "all", "--svg", "w.svg", "--json", "w.json"]),
+    "density_T8": (
+        {}, ["density", "1", "0", "1", "1", "8", "--csv", "t.csv", "--witness-dir", "wd"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_keep_the_exit_code_contract(case, tmp_path, monkeypatch, capsys):
+    """Empty configurations, partitions and targets, and the smallest
+    sizes, written to every output option: no exception escapes `main`,
+    and it exits 0, 2 or 3."""
+    monkeypatch.chdir(tmp_path)
+    files, argv = DEGENERATE[case]
+    for name, value in files.items():
+        (tmp_path / name).write_text(json.dumps(value))
+    assert main(argv) in (0, 2, 3)
+
+
+def test_limit_draws_an_empty_partition_as_the_empty_frame(tmp_path, monkeypatch, capsys):
+    """A partition with no region prices nothing and draws the same empty
+    2 x 2 frame as an empty configuration."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "part.json").write_text('{"window": null, "regions": {}}')
+    assert main(["limit", "part.json", "--svg", "p.svg"]) == 0
+    assert json.loads(capsys.readouterr().out)["segments"] == []
+    empty = configuration_svg(validate([]), comment="partition")
+    assert (tmp_path / "p.svg").read_text() == empty
+
+
+def test_density_reports_consistency_violations_on_stderr(monkeypatch, capsys):
+    """A table that fails the consistency check is still written, with
+    exit 0; the violations go to stderr, one per line."""
+    monkeypatch.setattr(
+        cli, "consistency_check", lambda model, records: ConsistencyReport(violations=["x: y"])
+    )
+    assert main(["density", "1", "0", "1", "1", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "consistency violations:\n  x: y\n"
+    assert "i,j,p,q,T" in captured.out

@@ -13,6 +13,7 @@ from chiralattice.densities import (
 )
 from chiralattice.gauges import phi_closed_form
 from chiralattice.interfaces import DensityRecord
+from chiralattice.molecules import InvalidInput
 from test_line_bound import TABLE_DIRECTIONS
 
 
@@ -24,6 +25,8 @@ def test_subadditive_cases():
     assert subadditive_bound(1, 7, (1, -1)) == 4
     with pytest.raises(ValueError):
         subadditive_bound(0, 1, (1, 1))
+    with pytest.raises(InvalidInput, match="needs distinct phases"):
+        subadditive_bound(1, 1, (1, 0))
 
 
 def test_model_sources_and_precedence():
@@ -183,6 +186,26 @@ def test_consistency_check_flags_corruption():
     ]
     rep3 = consistency_check(DensityModel.with_patterns(), bad_sym)
     assert any("symmetry" in v for v in rep3.violations)
+
+
+def test_consistency_check_flags_a_row_below_the_sandwich():
+    # phi_hat 1/4 on (1,1) at T = 16 is below the corrected l1 bound 2 * (1 - 12/16)
+    row = DensityRecord(1, 0, 1, 1, 16, "surface", F(1), F(1), F(4), F(1, 4), "exact", 0)
+    rep = consistency_check(DensityModel.with_patterns(), [row])
+    assert rep.checked_sandwich == 1
+    assert any(v.startswith("sandwich:") for v in rep.violations)
+
+
+def test_consistency_check_flags_a_lipschitz_jump():
+    # unit-normalized 10 and 1 on two normals a quarter turn apart differ by
+    # more than 4 * sqrt(2) + 1
+    rows = [
+        DensityRecord(1, 0, 1, 0, 16, "surface", F(1), F(1), F(160), F(10), "exact", 0),
+        DensityRecord(1, 0, 0, 1, 16, "surface", F(1), F(1), F(16), F(1), "exact", 0),
+    ]
+    rep = consistency_check(DensityModel.with_patterns(), rows)
+    assert rep.checked_lipschitz == 1
+    assert any(v.startswith("lipschitz screen:") for v in rep.violations)
 
 
 def test_consistency_triangle():

@@ -2,10 +2,10 @@
 grammar of the oldest Python that `requires-python` admits, no unused
 import, no import inside a function body, no module-level private name
 that the library itself never refers to, no public name that only the
-tests use, no module-level mutable container, no restatement of the
-species split or of a pair's length check outside `molecules`, no
-instance dict on a molecule, and no `Fraction` in an interface solve's
-integer prices."""
+tests use, no module-level mutable container, no bare builtin error
+raised outside `placements`, no restatement of the species split or of a
+pair's length check outside `molecules`, no instance dict on a molecule,
+and no `Fraction` in an interface solve's integer prices."""
 
 from __future__ import annotations
 
@@ -180,6 +180,25 @@ def test_no_module_level_mutable_state():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     ]
     assert not mutable, mutable
+
+
+def test_no_bare_builtin_error_is_raised():
+    """The library raises its own errors, `InvalidInput` and its kin, which
+    the CLI maps to its exit codes; a bare `ValueError`, `TypeError`,
+    `KeyError` or `IndexError` would end a run in a traceback.  The grid
+    spec checks of `placements` are exempt: they guard internal
+    invariants that no input reaches."""
+    bare = [
+        f"{module}:{node.lineno} {ast.unparse(node)}"
+        for module, tree in TREES.items()
+        if module != "placements.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, ast.Name)
+        and exc.id in ("ValueError", "TypeError", "KeyError", "IndexError")
+    ]
+    assert not bare, bare
 
 
 def test_species_split_is_stated_once():

@@ -374,8 +374,6 @@ def test_lower_bounds_a_truncated_solve():
     res = solve_interface(prob, budget=1)
     assert res.certificate == "upper_bound"
     assert (res.lower, res.value) == (31, 47)
-    # the lower bound is not serialised
-    assert "lower" not in res.to_jsonable()
     # the volume bound at the root: one molecule area per four free cells
     vol = InterfaceProblem(1, 0, direction(1, 1), 16, energy_kind="volume")
     res = solve_interface(vol, budget=1)
